@@ -43,25 +43,26 @@ Result<DistributedDirectory> DistributedDirectory::Build(
   dist.coordinator_disk_ = std::make_unique<SimDisk>(topology.page_size);
   const size_t num_shards = dist.routing_.num_shards();
 
-  // Partition: each entry to the shard with the deepest covering context.
-  std::vector<DirectoryInstance> parts;
-  parts.reserve(num_shards);
-  for (size_t i = 0; i < num_shards; ++i) {
-    parts.emplace_back(global.schema(), /*validate=*/false);
-  }
+  // Partition: each entry to the shard with the deepest covering context,
+  // by pointer into `global` (key order is kept per shard). Every entry is
+  // routed before any replica disk is touched, so an uncovered entry
+  // fails the build with nothing allocated.
+  std::vector<std::vector<const Entry*>> members(num_shards);
   for (const auto& [key, entry] : global) {
     size_t owner = dist.routing_.OwnerOf(key);
     if (owner == RoutingTable::kNone) {
       return Status::InvalidArgument("no naming context covers entry " +
                                      entry.dn().ToString());
     }
-    NDQ_RETURN_IF_ERROR(parts[owner].Add(entry));
+    members[owner].push_back(&entry);
   }
 
-  // Replication: bulk-load each shard's partition onto R identical
-  // replicas, each with its own disk. A single-replica shard's replica
-  // keeps the plain shard name, so legacy (pre-replication) callers see
-  // the same server names they always did.
+  // Replication: each shard is built once. Replica 0 serializes the
+  // shard's entries straight out of `global`; replicas 1..R-1 are page
+  // copies of its segment, each on its own disk, sharing its StoreStats.
+  // A single-replica shard's replica keeps the plain shard name, so
+  // legacy (pre-replication) callers see the same server names they
+  // always did.
   for (size_t i = 0; i < num_shards; ++i) {
     std::unique_ptr<Shard> shard(new Shard());
     shard->name_ = dist.routing_.name(i);
@@ -73,20 +74,23 @@ Result<DistributedDirectory> DistributedDirectory::Build(
                         : shard->name_ + "/r" + std::to_string(r);
       auto rep = std::make_unique<DirectoryServer>(
           std::move(replica_name), shard->context_, topology.page_size);
-      NDQ_ASSIGN_OR_RETURN(rep->store_,
-                           EntryStore::BulkLoad(rep->disk_.get(), parts[i]));
+      if (r == 0) {
+        size_t next = 0;
+        NDQ_ASSIGN_OR_RETURN(
+            rep->store_,
+            EntryStore::FromEntries(rep->disk_.get(), [&]() -> const Entry* {
+              return next < members[i].size() ? members[i][next++] : nullptr;
+            }));
+      } else {
+        NDQ_ASSIGN_OR_RETURN(
+            rep->store_,
+            shard->replicas_[0]->store_.CopyTo(rep->disk_.get()));
+      }
       shard->replicas_.push_back(std::move(rep));
     }
     dist.shards_.push_back(std::move(shard));
   }
   return dist;
-}
-
-Result<DistributedDirectory> DistributedDirectory::Build(
-    const DirectoryInstance& global,
-    const std::vector<std::pair<std::string, std::string>>& contexts,
-    size_t page_size) {
-  return Build(global, TopologyConfig::FromContexts(contexts, page_size));
 }
 
 Shard* DistributedDirectory::FindShard(const std::string& name) {

@@ -3,8 +3,9 @@
 // The namespace is partitioned into naming contexts, DNS-style: each
 // SHARD owns the subtree rooted at its context dn, minus any subtree
 // delegated to a more specific context (Sec. 3.3), and is served by R
-// identical REPLICAS — the same partition bulk-loaded onto R independent
-// disks (dist/topology.h). A query is evaluated as the paper prescribes:
+// identical REPLICAS — one segment built from the partition, page-copied
+// onto R independent disks (dist/topology.h). A query is evaluated as the
+// paper prescribes:
 // "each atomic query, whose base dn is managed by a directory server
 // different from the queried server, is issued to the directory server
 // that manages the base dn ... The results of those atomic queries are
@@ -171,18 +172,14 @@ class DistributedDirectory {
  public:
   /// Partitions `global` across the topology's shards — each entry goes
   /// to the shard with the deepest context that is an ancestor-or-self of
-  /// the entry's dn — and bulk-loads every shard's partition onto each of
-  /// its replicas. Entries matching no context are rejected.
+  /// the entry's dn — and builds each shard once: replica 0's segment is
+  /// serialized from the shard's entries in `global`, and every other
+  /// replica gets a page copy of it on its own disk, sharing one
+  /// StoreStats. After a build, replica 0's disk counts the copies' page
+  /// reads. An entry matching no context fails the build with
+  /// InvalidArgument before any replica page is allocated.
   static Result<DistributedDirectory> Build(const DirectoryInstance& global,
                                             const TopologyConfig& topology);
-
-  /// DEPRECATED legacy form: raw (dn text, server name) pairs, one
-  /// replica per shard. Use the TopologyConfig overload (or better, an
-  /// Engine with EngineBackend::kDistributed).
-  static Result<DistributedDirectory> Build(
-      const DirectoryInstance& global,
-      const std::vector<std::pair<std::string, std::string>>& contexts,
-      size_t page_size = kDefaultPageSize);
 
   /// Names of the shards whose data an atomic query at (base, scope) can
   /// touch: the owner of the base dn plus, for subtree scopes, every

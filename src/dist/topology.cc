@@ -20,7 +20,15 @@ std::string NextToken(const std::string& line, size_t* pos) {
   return line.substr(b, e - b);
 }
 
-Result<size_t> ParseCount(const std::string& tok, const char* what) {
+// A decimal count in [lo, hi]. Parsing stops as soon as the value passes
+// `hi`, so no digit string can overflow.
+Result<size_t> ParseCount(const std::string& tok, const char* what,
+                          size_t lo, size_t hi) {
+  auto out_of_range = [&] {
+    return Status::InvalidArgument(std::string("topology: ") + what +
+                                   " must be in [" + std::to_string(lo) +
+                                   ", " + std::to_string(hi) + "]");
+  };
   size_t n = 0;
   for (char c : tok) {
     if (c < '0' || c > '9') {
@@ -28,12 +36,14 @@ Result<size_t> ParseCount(const std::string& tok, const char* what) {
                                      " '" + tok + "'");
     }
     n = n * 10 + static_cast<size_t>(c - '0');
+    if (n > hi) return out_of_range();
   }
-  if (n == 0) {
-    return Status::InvalidArgument(std::string("topology: ") + what +
-                                   " must be >= 1");
-  }
+  if (n < lo) return out_of_range();
   return n;
+}
+
+Result<size_t> ParseReplicas(const std::string& tok) {
+  return ParseCount(tok, "replicas", 1, TopologyConfig::kMaxReplicas);
 }
 
 }  // namespace
@@ -50,10 +60,12 @@ Result<TopologyConfig> TopologyConfig::Parse(const std::string& text) {
     if (directive.empty() || directive[0] == '#') continue;
     if (directive == "replicas") {
       NDQ_ASSIGN_OR_RETURN(config.replicas,
-                           ParseCount(NextToken(line, &pos), "replicas"));
+                           ParseReplicas(NextToken(line, &pos)));
     } else if (directive == "page_size") {
-      NDQ_ASSIGN_OR_RETURN(config.page_size,
-                           ParseCount(NextToken(line, &pos), "page_size"));
+      NDQ_ASSIGN_OR_RETURN(
+          config.page_size,
+          ParseCount(NextToken(line, &pos), "page_size",
+                     kMinPageSize, kMaxPageSize));
     } else if (directive == "shard") {
       ShardSpec spec;
       spec.name = NextToken(line, &pos);
@@ -67,8 +79,7 @@ Result<TopologyConfig> TopologyConfig::Parse(const std::string& text) {
       size_t mark = pos;
       std::string tok = NextToken(line, &pos);
       if (tok.rfind("replicas=", 0) == 0) {
-        NDQ_ASSIGN_OR_RETURN(spec.replicas,
-                             ParseCount(tok.substr(9), "replicas"));
+        NDQ_ASSIGN_OR_RETURN(spec.replicas, ParseReplicas(tok.substr(9)));
       } else {
         pos = mark;
       }
@@ -120,6 +131,16 @@ std::string TopologyConfig::ToString() const {
 Result<RoutingTable> RoutingTable::Resolve(const TopologyConfig& config) {
   if (config.shards.empty()) {
     return Status::InvalidArgument("topology: no shards declared");
+  }
+  // The same bounds Parse enforces, for configs built in code.
+  if (config.page_size < TopologyConfig::kMinPageSize ||
+      config.page_size > TopologyConfig::kMaxPageSize) {
+    return Status::InvalidArgument("topology: page_size out of range");
+  }
+  for (size_t i = 0; i < config.shards.size(); ++i) {
+    if (config.ReplicasFor(i) > TopologyConfig::kMaxReplicas) {
+      return Status::InvalidArgument("topology: replicas out of range");
+    }
   }
   RoutingTable table;
   table.contexts_.reserve(config.shards.size());

@@ -4,7 +4,8 @@
 // The namespace is partitioned DNS-style into naming contexts (Sec. 3.3 /
 // 8.3): each SHARD owns the subtree rooted at its context dn, minus any
 // subtree delegated to a deeper context, and is served by R identical
-// REPLICAS (same partition bulk-loaded R times, each on its own disk).
+// REPLICAS (the partition is built once; the other replicas are page
+// copies of that segment, each on its own disk, sharing one StoreStats).
 // TopologyConfig is the declarative description — what used to be a raw
 // (dn, server-name) pair list — with a text form ndqsh can load and print
 // (`.topology`). RoutingTable is the resolved, coordinator-side routing
@@ -47,12 +48,19 @@ struct ShardSpec {
 /// Everything after the name (and the optional replicas= override) is the
 /// context dn, spaces included. ToString() round-trips through Parse().
 struct TopologyConfig {
+  /// Bounds on the text form's counts. Every replica is a full in-memory
+  /// copy of its shard, and every page of every disk is page_size bytes.
+  static constexpr size_t kMaxReplicas = 16;
+  static constexpr size_t kMinPageSize = 128;
+  static constexpr size_t kMaxPageSize = size_t{1} << 20;
+
   std::vector<ShardSpec> shards;
   size_t replicas = 1;  ///< default per-shard replication factor
   size_t page_size = kDefaultPageSize;
 
   /// Parses the text form above. Unknown directives, duplicate shard
-  /// names, unparseable dns and replicas < 1 are InvalidArgument.
+  /// names, unparseable dns, replicas outside [1, kMaxReplicas] and
+  /// page_size outside [kMinPageSize, kMaxPageSize] are InvalidArgument.
   static Result<TopologyConfig> Parse(const std::string& text);
 
   /// The legacy (dn text, server name) pair list as a TopologyConfig with
@@ -75,8 +83,9 @@ struct TopologyConfig {
 /// is also DistributedDirectory::shards() order).
 class RoutingTable {
  public:
-  /// Validates the config (names unique and non-empty, contexts parse)
-  /// and resolves it. The table keeps the parsed context dns.
+  /// Validates the config (names unique and non-empty, contexts parse,
+  /// page size and replica counts within TopologyConfig's bounds) and
+  /// resolves it. The table keeps the parsed context dns.
   static Result<RoutingTable> Resolve(const TopologyConfig& config);
 
   /// The shard owning `key` (a HierKey): deepest context that is

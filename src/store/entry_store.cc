@@ -27,8 +27,7 @@ bool IsTombstoneRecord(std::string_view record) {
   return marker.ok() && *marker == kTombstoneMarker;
 }
 
-Status EntryStore::BuildFrom(
-    Disk* disk, const std::function<Result<bool>(std::string*)>& next) {
+Status EntryStore::BuildFrom(Disk* disk, const RecordPull& next) {
   Status s = BuildFromImpl(disk, next);
   if (!s.ok()) {
     // A partially built segment is unusable; return its pages so a failed
@@ -42,8 +41,7 @@ Status EntryStore::BuildFrom(
   return s;
 }
 
-Status EntryStore::BuildFromImpl(
-    Disk* disk, const std::function<Result<bool>(std::string*)>& next) {
+Status EntryStore::BuildFromImpl(Disk* disk, const RecordPull& next) {
   disk_ = disk;
   const size_t page_size = disk->page_size();
   // Entry records are keyed (HierKey first field), so the writer resolves
@@ -54,9 +52,10 @@ Status EntryStore::BuildFromImpl(
   RunWriter writer(disk, RecordShape::kKeyed);
   writer.set_page_restarts(true);
 
-  // Cardinality statistics are computed inline over the same record
-  // stream; tombstone records (from DirectoryStore flushes) are skipped
-  // so the histograms count live entries only.
+  // Cardinality statistics are computed inline over the same stream, from
+  // the entry when the puller has one and from the record otherwise;
+  // tombstone records (from DirectoryStore flushes) are skipped so the
+  // histograms count live entries only.
   auto stats = std::make_shared<StoreStats>();
 
   std::string record;
@@ -78,15 +77,20 @@ Status EntryStore::BuildFromImpl(
   };
 
   while (true) {
-    NDQ_ASSIGN_OR_RETURN(bool more, next(&record));
+    const Entry* entry = nullptr;
+    NDQ_ASSIGN_OR_RETURN(bool more, next(&record, &entry));
     if (!more) break;
     NDQ_ASSIGN_OR_RETURN(std::string_view key, PeekEntryKey(record));
     if (writer.num_records() > 0 && !(prev_key < key)) {
       return Status::InvalidArgument(
           "entry records not in strictly increasing key order");
     }
-    prev_key = std::string(key);
-    NDQ_RETURN_IF_ERROR(stats->AddRecord(record));
+    prev_key.assign(key);
+    if (entry != nullptr) {
+      stats->AddEntry(*entry);
+    } else {
+      NDQ_RETURN_IF_ERROR(stats->AddRecord(record));
+    }
     uint64_t ordinal = writer.num_records();
     NDQ_RETURN_IF_ERROR(writer.Add(record));
     note_record_start(key, ordinal);
@@ -114,23 +118,31 @@ Status EntryStore::BuildFromImpl(
 
 Result<EntryStore> EntryStore::BulkLoad(Disk* disk,
                                         const DirectoryInstance& instance) {
-  EntryStore store;
   auto it = instance.begin();
-  auto next = [&](std::string* record) -> Result<bool> {
-    if (it == instance.end()) return false;
+  return FromEntries(disk, [&]() -> const Entry* {
+    return it == instance.end() ? nullptr : &(it++)->second;
+  });
+}
+
+Result<EntryStore> EntryStore::FromEntries(
+    Disk* disk, const std::function<const Entry*()>& next) {
+  EntryStore store;
+  auto pull = [&](std::string* record, const Entry** entry) -> Result<bool> {
+    *entry = next();
+    if (*entry == nullptr) return false;
     record->clear();
-    SerializeEntry(it->second, record);
-    ++it;
+    SerializeEntry(**entry, record);
     return true;
   };
-  NDQ_RETURN_IF_ERROR(store.BuildFrom(disk, next));
+  NDQ_RETURN_IF_ERROR(store.BuildFrom(disk, pull));
   return store;
 }
 
 Result<EntryStore> EntryStore::FromStream(
     Disk* disk, const std::function<Result<bool>(std::string*)>& next) {
   EntryStore store;
-  NDQ_RETURN_IF_ERROR(store.BuildFrom(disk, next));
+  auto pull = [&](std::string* record, const Entry**) { return next(record); };
+  NDQ_RETURN_IF_ERROR(store.BuildFrom(disk, pull));
   return store;
 }
 
@@ -138,13 +150,40 @@ Result<EntryStore> EntryStore::FromSortedRecords(
     Disk* disk, const std::vector<std::string>& records) {
   EntryStore store;
   size_t i = 0;
-  auto next = [&](std::string* record) -> Result<bool> {
+  auto pull = [&](std::string* record, const Entry**) -> Result<bool> {
     if (i >= records.size()) return false;
     *record = records[i++];
     return true;
   };
-  NDQ_RETURN_IF_ERROR(store.BuildFrom(disk, next));
+  NDQ_RETURN_IF_ERROR(store.BuildFrom(disk, pull));
   return store;
+}
+
+Result<EntryStore> EntryStore::CopyTo(Disk* disk) const {
+  if (disk_ == nullptr || disk->page_size() != disk_->page_size()) {
+    return Status::InvalidArgument(
+        "segment copy needs a built segment and a disk of its page size");
+  }
+  EntryStore copy = *this;  // run metadata, sparse index, shared stats
+  copy.disk_ = disk;
+  copy.run_.pages.clear();
+  copy.run_.pages.reserve(run_.pages.size());
+  std::vector<uint8_t> page(disk->page_size());
+  auto copy_pages = [&]() -> Status {
+    for (PageId src : run_.pages) {
+      NDQ_RETURN_IF_ERROR(disk_->ReadPage(src, page.data()));
+      NDQ_ASSIGN_OR_RETURN(PageId dst, disk->Allocate());
+      copy.run_.pages.push_back(dst);
+      NDQ_RETURN_IF_ERROR(disk->WritePage(dst, page.data()));
+    }
+    return Status::OK();
+  };
+  Status s = copy_pages();
+  if (!s.ok()) {
+    (void)FreeRun(disk, &copy.run_);
+    return s;
+  }
+  return copy;
 }
 
 Result<std::unique_ptr<RunReader>> EntryStore::SeekReader(

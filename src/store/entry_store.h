@@ -108,15 +108,31 @@ class EntryStore : public EntrySource {
   static Result<EntryStore> BulkLoad(Disk* disk,
                                      const DirectoryInstance& instance);
 
+  /// Serializes the entries `next` yields, in strictly increasing key
+  /// order, until it returns nullptr. The segment's statistics fold from
+  /// the entries themselves, so no record is decoded back. BulkLoad and
+  /// the fleet build (which streams each shard's entries out of the
+  /// global instance) both build through here.
+  static Result<EntryStore> FromEntries(
+      Disk* disk, const std::function<const Entry*()>& next);
+
   /// Builds a segment from serialized entry records, which must arrive in
   /// strictly increasing key order.
   static Result<EntryStore> FromSortedRecords(
       Disk* disk, const std::vector<std::string>& records);
 
   /// Streaming variant: `next` yields records in strictly increasing key
-  /// order and returns false at end.
+  /// order and returns false at end. Statistics fold from the records
+  /// (flush, compaction and recovery have no entries in hand).
   static Result<EntryStore> FromStream(
       Disk* disk, const std::function<Result<bool>(std::string*)>& next);
+
+  /// A page-for-page copy of this segment on `disk`, which must have the
+  /// same page size: byte-identical pages, the same sparse index, and the
+  /// same shared StoreStats object. Reads each page once from this
+  /// segment's disk (counted there) and writes it once to `disk`. A
+  /// failed copy frees the pages it allocated.
+  Result<EntryStore> CopyTo(Disk* disk) const;
 
   /// Calls `fn` for every record with start_key <= key < end_key (end_key
   /// empty = unbounded), in key order. Only pages overlapping the range
@@ -167,7 +183,7 @@ class EntryStore : public EntrySource {
   }
   /// Built at segment-build time (BulkLoad/FromStream/...); nullptr for
   /// segments re-attached via FromManifest. Shared so EntryStore stays
-  /// copyable.
+  /// copyable, and so a CopyTo replica reports the same object.
   const StoreStats* stats() const override { return stats_.get(); }
   uint64_t num_pages() const { return run_.pages.size(); }
   const Run& run() const { return run_; }
@@ -199,10 +215,14 @@ class EntryStore : public EntrySource {
   // Ordinal of the first record starting in each page.
   std::vector<uint64_t> first_record_index_;
 
-  Status BuildFrom(Disk* disk,
-                   const std::function<Result<bool>(std::string*)>& next);
-  Status BuildFromImpl(Disk* disk,
-                       const std::function<Result<bool>(std::string*)>& next);
+  /// Pulls the next record into `*record`; false at end. A builder that
+  /// holds the Entry the record encodes also points `*entry` at it, and
+  /// the statistics fold from that entry instead of decoding the record.
+  using RecordPull =
+      std::function<Result<bool>(std::string* record, const Entry** entry)>;
+
+  Status BuildFrom(Disk* disk, const RecordPull& next);
+  Status BuildFromImpl(Disk* disk, const RecordPull& next);
 
   /// Returns a reader positioned at the first record that *starts* in the
   /// page containing start_key's position (records before start_key must

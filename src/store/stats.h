@@ -18,10 +18,12 @@
 //    node cap was never hit — an absent node at depth <= kMaxSketchDepth
 //    proves its subtree holds no entries.
 //
-// EntryStore builds one at segment-build time (skipping tombstones);
-// DirectoryStore maintains one incrementally in Put/Remove. The cost
-// model (exec/cost.h) and planner (query/optimize.h) consume them through
-// EntrySource::stats().
+// EntryStore builds one at segment-build time: a bulk load folds each
+// entry as it serializes it (AddEntry), while flush, compaction and
+// recovery, which stream records, fold each record (AddRecord, skipping
+// tombstones). DirectoryStore maintains one incrementally in Put/Remove.
+// The cost model (exec/cost.h) and planner (query/optimize.h) consume
+// them through EntrySource::stats().
 
 #ifndef NDQ_STORE_STATS_H_
 #define NDQ_STORE_STATS_H_
@@ -42,6 +44,8 @@ struct SubtreeStats {
   uint64_t self = 0;             ///< entries exactly at this key (0 or 1)
   uint64_t direct_children = 0;  ///< entries whose parent is this key
   uint64_t subtree_size = 0;     ///< entries at or below this key
+
+  bool operator==(const SubtreeStats&) const = default;
 };
 
 /// \brief Cardinality statistics: attribute histograms + subtree sketch.
@@ -64,7 +68,8 @@ class StoreStats {
   void RemoveEntry(const Entry& entry);
 
   /// Folds a serialized entry record in; tombstone records (see
-  /// IsTombstoneRecord in store/entry_store.h) are skipped.
+  /// IsTombstoneRecord in store/entry_store.h) are skipped. Decodes the
+  /// record, so a caller holding the Entry uses AddEntry instead.
   Status AddRecord(std::string_view record);
 
   /// Entries folded in (excluding tombstones).
@@ -94,6 +99,11 @@ class StoreStats {
   /// One-line debug summary.
   std::string ToString() const;
 
+  /// Member-wise equality: two stats are equal when every histogram,
+  /// sketch node and counter is (the build-time oracle of
+  /// tests/store/entry_store_test.cc).
+  bool operator==(const StoreStats&) const = default;
+
  private:
   struct AttrStats {
     uint64_t entries = 0;     // entries with the attribute present
@@ -103,6 +113,8 @@ class StoreStats {
     uint64_t int_other = 0;
     std::map<std::string, uint64_t> str_mcv;
     uint64_t str_other = 0;
+
+    bool operator==(const AttrStats&) const = default;
   };
 
   void UpdateEntry(const Entry& entry, bool add);

@@ -25,8 +25,9 @@ namespace {
 DistributedDirectory PaperFleet() {
   DirectoryInstance inst = testing::PaperInstance();
   return DistributedDirectory::Build(
-             inst, {{"dc=com", "root-server"},
-                    {"dc=research, dc=att, dc=com", "research-server"}})
+             inst, TopologyConfig::FromContexts(
+                       {{"dc=com", "root-server"},
+                        {"dc=research, dc=att, dc=com", "research-server"}}))
       .TakeValue();
 }
 

@@ -44,7 +44,9 @@ TEST_P(DistPropertyTest, RandomQueriesAgreeAcrossRandomDelegations) {
   }
 
   DistributedDirectory fleet =
-      DistributedDirectory::Build(global, contexts).TakeValue();
+      DistributedDirectory::Build(global,
+                                  TopologyConfig::FromContexts(contexts))
+          .TakeValue();
   size_t total = 0;
   for (const auto& s : fleet.servers()) total += s->num_entries();
   ASSERT_EQ(total, global.size());
@@ -85,7 +87,9 @@ TEST(DistPropertyTest, ShippedRecordsNeverExceedAtomicResults) {
     }
   }
   DistributedDirectory fleet =
-      DistributedDirectory::Build(global, contexts).TakeValue();
+      DistributedDirectory::Build(global,
+                                  TopologyConfig::FromContexts(contexts))
+          .TakeValue();
 
   gen::RandomQueryOptions qopt;
   qopt.max_language = Language::kL2;
@@ -124,7 +128,9 @@ TEST(DistPropertyTest, ParallelEvaluationMatchesSequentialShipping) {
     }
   }
   DistributedDirectory fleet =
-      DistributedDirectory::Build(global, contexts).TakeValue();
+      DistributedDirectory::Build(global,
+                                  TopologyConfig::FromContexts(contexts))
+          .TakeValue();
 
   gen::RandomQueryOptions qopt;
   qopt.max_language = Language::kL3;

@@ -21,8 +21,9 @@ using testing::D;
 DistributedDirectory PaperFleet() {
   DirectoryInstance inst = testing::PaperInstance();
   return DistributedDirectory::Build(
-             inst, {{"dc=com", "root-server"},
-                    {"dc=research, dc=att, dc=com", "research-server"}})
+             inst, TopologyConfig::FromContexts(
+                       {{"dc=com", "root-server"},
+                        {"dc=research, dc=att, dc=com", "research-server"}}))
       .TakeValue();
 }
 
@@ -42,7 +43,8 @@ TEST(DistributedTest, UncoveredEntryRejected) {
   DirectoryInstance inst = testing::PaperInstance();
   std::vector<std::pair<std::string, std::string>> contexts = {
       {"dc=att, dc=com", "only-att"}};
-  Result<DistributedDirectory> r = DistributedDirectory::Build(inst, contexts);
+  Result<DistributedDirectory> r =
+      DistributedDirectory::Build(inst, TopologyConfig::FromContexts(contexts));
   EXPECT_FALSE(r.ok());  // dc=com itself is uncovered
 }
 
@@ -165,11 +167,12 @@ TEST(DistributedTest, LargerFleetAgreesOnDifWorkload) {
   DirectoryInstance global = gen::GenerateDif(opt);
   DistributedDirectory fleet =
       DistributedDirectory::Build(
-          global, {{"dc=com", "root"},
-                   {"dc=org0, dc=com", "org0"},
-                   {"dc=org1, dc=com", "org1"},
-                   {"dc=sub0, dc=org0, dc=com", "sub0"},
-                   {"dc=sub3, dc=org1, dc=com", "sub3"}})
+          global, TopologyConfig::FromContexts(
+                      {{"dc=com", "root"},
+                       {"dc=org0, dc=com", "org0"},
+                       {"dc=org1, dc=com", "org1"},
+                       {"dc=sub0, dc=org0, dc=com", "sub0"},
+                       {"dc=sub3, dc=org1, dc=com", "sub3"}}))
           .TakeValue();
   size_t total = 0;
   for (const auto& s : fleet.servers()) total += s->num_entries();

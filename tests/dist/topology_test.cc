@@ -19,6 +19,7 @@
 #include "query/parser.h"
 #include "query/reference.h"
 #include "storage/fault_injector.h"
+#include "store/stats.h"
 #include "testing/paper_fixture.h"
 
 namespace ndq {
@@ -74,13 +75,56 @@ TEST(TopologyConfigTest, ParseRejectsBadInput) {
   TopologyConfig bad_dn =
       TopologyConfig::Parse("shard a ?!not-a-dn\n").TakeValue();
   EXPECT_FALSE(RoutingTable::Resolve(bad_dn).ok());
+
+  // Counts neither wrap around nor escape their bounds: 2^64 + 1 once
+  // parsed as 1, and a terabyte page size once parsed and then aborted
+  // the process on the first page allocation.
+  const std::string too_many =
+      std::to_string(TopologyConfig::kMaxReplicas + 1);
+  const std::string too_small =
+      std::to_string(TopologyConfig::kMinPageSize - 1);
+  const std::string too_big = std::to_string(TopologyConfig::kMaxPageSize + 1);
+  for (const std::string& text : std::vector<std::string>{
+           "replicas 18446744073709551617\nshard a dc=com\n",
+           "shard a replicas=18446744073709551617 dc=com\n",
+           "replicas " + too_many + "\nshard a dc=com\n",
+           "shard a replicas=" + too_many + " dc=com\n",
+           "page_size 1099511627776\nshard a dc=com\n",
+           "page_size 18446744073709551616\nshard a dc=com\n",
+           "page_size " + too_small + "\nshard a dc=com\n",
+           "page_size " + too_big + "\nshard a dc=com\n",
+       }) {
+    SCOPED_TRACE(text);
+    EXPECT_EQ(TopologyConfig::Parse(text).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  // The bounds themselves parse, and cover the page sizes the suites use.
+  for (size_t page_size : {TopologyConfig::kMinPageSize, size_t{512},
+                           size_t{4096}, TopologyConfig::kMaxPageSize}) {
+    TopologyConfig ok =
+        TopologyConfig::Parse("replicas " +
+                              std::to_string(TopologyConfig::kMaxReplicas) +
+                              "\npage_size " + std::to_string(page_size) +
+                              "\nshard a dc=com\n")
+            .TakeValue();
+    EXPECT_EQ(ok.page_size, page_size);
+    EXPECT_TRUE(RoutingTable::Resolve(ok).ok());
+  }
+  // A config built in code meets the same bounds when it resolves.
+  TopologyConfig huge_pages =
+      TopologyConfig::FromContexts({{"dc=com", "a"}}, size_t{1} << 40);
+  EXPECT_EQ(RoutingTable::Resolve(huge_pages).status().code(),
+            StatusCode::kInvalidArgument);
+  TopologyConfig many = TopologyConfig::FromContexts({{"dc=com", "a"}});
+  many.shards[0].replicas = TopologyConfig::kMaxReplicas + 1;
+  EXPECT_EQ(RoutingTable::Resolve(many).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // A three-level delegation chain: root owns dc=com, org0 is delegated out
 // of root, sub0 is delegated out of org0. Routing must chase the chain
 // exactly as a DNS resolver would.
-DistributedDirectory NestedFleet(const DirectoryInstance& global,
-                                 size_t replicas = 1) {
+TopologyConfig NestedTopology(size_t replicas = 1) {
   TopologyConfig cfg =
       TopologyConfig::Parse(
           "shard root dc=com\n"
@@ -89,7 +133,13 @@ DistributedDirectory NestedFleet(const DirectoryInstance& global,
           "shard org1 dc=org1, dc=com\n")
           .TakeValue();
   cfg.replicas = replicas;
-  return DistributedDirectory::Build(global, cfg).TakeValue();
+  return cfg;
+}
+
+DistributedDirectory NestedFleet(const DirectoryInstance& global,
+                                 size_t replicas = 1) {
+  return DistributedDirectory::Build(global, NestedTopology(replicas))
+      .TakeValue();
 }
 
 DirectoryInstance SmallDif() {
@@ -150,6 +200,105 @@ TEST(TopologyRoutingTest, PartitionRespectsNestedBoundaries) {
   std::vector<const Entry*> under_sub0 =
       global.EntriesInScope(D("dc=sub0, dc=org0, dc=com"), Scope::kSub);
   EXPECT_EQ(sub0->num_entries(), under_sub0.size());
+}
+
+std::vector<std::string> ScanAll(const EntryStore& store) {
+  std::vector<std::string> records;
+  Status s = store.ScanRange("", "", [&](std::string_view rec) -> Status {
+    records.emplace_back(rec);
+    return Status::OK();
+  });
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return records;
+}
+
+// The fleet build's oracle. Each shard is built once and copied to its
+// other replicas; every replica must still hold exactly what a separate
+// bulk load of the shard's partition would, page for page. The reference
+// partitions are built the way the fleet once built them: one
+// DirectoryInstance per shard, filled by the routing table's owner.
+TEST(FleetBuildTest, ReplicasMatchPerShardBulkLoad) {
+  DirectoryInstance global = SmallDif();
+  for (size_t replicas : {size_t{1}, size_t{2}, size_t{3}}) {
+    SCOPED_TRACE("R=" + std::to_string(replicas));
+    const TopologyConfig cfg = NestedTopology(replicas);
+    DistributedDirectory fleet =
+        DistributedDirectory::Build(global, cfg).TakeValue();
+    RoutingTable routing = RoutingTable::Resolve(cfg).TakeValue();
+    std::vector<DirectoryInstance> parts;
+    for (size_t i = 0; i < routing.num_shards(); ++i) {
+      parts.emplace_back(global.schema(), /*validate=*/false);
+    }
+    for (const auto& [key, entry] : global) {
+      ASSERT_TRUE(parts[routing.OwnerOf(key)].Add(entry).ok());
+    }
+
+    ASSERT_EQ(fleet.shards().size(), parts.size());
+    for (size_t i = 0; i < parts.size(); ++i) {
+      Shard* shard = fleet.shards()[i].get();
+      SCOPED_TRACE(shard->name());
+      SimDisk ref_disk(cfg.page_size);
+      EntryStore ref = EntryStore::BulkLoad(&ref_disk, parts[i]).TakeValue();
+      const std::vector<std::string> want = ScanAll(ref);
+      ASSERT_EQ(shard->num_replicas(), replicas);
+      for (size_t r = 0; r < replicas; ++r) {
+        DirectoryServer* rep = shard->replica(r);
+        const EntryStore& store = rep->store();
+        EXPECT_EQ(ScanAll(store), want) << rep->name();
+        ASSERT_EQ(store.num_pages(), ref.num_pages()) << rep->name();
+        std::vector<uint8_t> a(cfg.page_size), b(cfg.page_size);
+        for (size_t p = 0; p < ref.num_pages(); ++p) {
+          ASSERT_TRUE(ref_disk.ReadPage(ref.run().pages[p], a.data()).ok());
+          ASSERT_TRUE(rep->disk()->ReadPage(store.run().pages[p], b.data())
+                          .ok());
+          EXPECT_EQ(a, b) << rep->name() << " page " << p;
+        }
+        // One StoreStats per shard, shared by every replica.
+        EXPECT_EQ(store.stats(), shard->replica(0)->store().stats());
+      }
+      ASSERT_NE(shard->replica(0)->store().stats(), nullptr);
+      EXPECT_TRUE(*shard->replica(0)->store().stats() == *ref.stats());
+    }
+  }
+}
+
+// An entry outside every naming context fails the build before any
+// replica page is allocated, even when that entry sorts after every
+// covered one. The thread-wide IoScope sees every disk's allocations.
+TEST(FleetBuildTest, UncoveredEntryFailsBeforeAnyPageIsAllocated) {
+  DirectoryInstance global(Schema(), /*validate=*/false);
+  for (const auto& [key, entry] : SmallDif()) {
+    ASSERT_TRUE(global.Add(entry).ok());
+  }
+  ASSERT_TRUE(global.Add(Entry(D("dc=zzz"))).ok());
+  ASSERT_EQ(std::prev(global.end())->first, D("dc=zzz").HierKey());
+
+  IoStats failed_io;
+  Result<DistributedDirectory> failed = [&] {
+    IoScope scope(nullptr, &failed_io);
+    return DistributedDirectory::Build(global, NestedTopology(2));
+  }();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(failed.status().ToString().find("dc=zzz"), std::string::npos);
+  EXPECT_EQ(uint64_t{failed_io.pages_allocated}, 0u);
+
+  // The same scope does see a build: once a context covers the stray
+  // entry, the count is every replica's pages.
+  TopologyConfig covered = NestedTopology(2);
+  covered.shards.push_back(ShardSpec{"zzz", "dc=zzz", 0});
+  IoStats built_io;
+  Result<DistributedDirectory> built = [&] {
+    IoScope scope(nullptr, &built_io);
+    return DistributedDirectory::Build(global, covered);
+  }();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  uint64_t pages = 0;
+  for (const DirectoryServer* rep : built->servers()) {
+    pages += rep->store().num_pages();
+  }
+  EXPECT_GT(pages, 0u);
+  EXPECT_EQ(uint64_t{built_io.pages_allocated}, pages);
 }
 
 const char* kWorkload[] = {

@@ -226,8 +226,9 @@ TEST(ExplainAnalyzeTest, DistributedTraceRecordsShippingAndFleetIo) {
   DirectoryInstance inst = testing::PaperInstance();
   DistributedDirectory fleet =
       DistributedDirectory::Build(
-          inst, {{"dc=com", "root-server"},
-                 {"dc=research, dc=att, dc=com", "research-server"}})
+          inst, TopologyConfig::FromContexts(
+                    {{"dc=com", "root-server"},
+                     {"dc=research, dc=att, dc=com", "research-server"}}))
           .TakeValue();
   QueryPtr q = ParseQuery(
                    "(c (dc=com ? sub ? objectClass=organizationalUnit)"

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "gen/random_forest.h"
+#include "storage/fault_injector.h"
 #include "storage/serde.h"
+#include "store/stats.h"
 #include "testing/paper_fixture.h"
 
 namespace ndq {
@@ -191,6 +193,109 @@ TEST(EntryStoreTest, CompressedAndRawScansAreByteIdentical) {
     if (++i % 37 != 0) continue;
     std::string end = KeySubtreeEnd(key);
     EXPECT_EQ(ScanKeys(raw, key, end), ScanKeys(comp, key, end)) << key;
+  }
+}
+
+TEST(EntryStoreTest, EntryFoldedStatsEqualRecordFolded) {
+  // BulkLoad folds its statistics from the entries it serializes;
+  // FromSortedRecords decodes every record instead. Over the same
+  // adversarial forests (decorated RDNs, extreme ints, deep chains, and
+  // value domains wider than the MCV cap, so the overflow buckets fill)
+  // both must build equal histograms and sketches.
+  for (uint32_t seed : {77u, 78u}) {
+    for (size_t max_children : {size_t{2}, size_t{8}}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " max_children " +
+                   std::to_string(max_children));
+      gen::RandomForestOptions opt;
+      opt.seed = seed;
+      opt.num_entries = 400;
+      opt.max_children = max_children;
+      opt.weird_rdn_probability = 0.2;
+      opt.extreme_int_probability = 0.1;
+      opt.int_attr_range = 500;
+      opt.num_tags = 200;
+      DirectoryInstance inst = gen::RandomForest(opt);
+      std::vector<std::string> records;
+      for (const auto& [key, entry] : inst) {
+        SerializeEntry(entry, &records.emplace_back());
+      }
+
+      SimDisk entry_disk(512), record_disk(512);
+      EntryStore from_entries =
+          EntryStore::BulkLoad(&entry_disk, inst).TakeValue();
+      EntryStore from_records =
+          EntryStore::FromSortedRecords(&record_disk, records).TakeValue();
+      ASSERT_NE(from_entries.stats(), nullptr);
+      ASSERT_NE(from_records.stats(), nullptr);
+      EXPECT_EQ(from_entries.stats()->num_entries(), inst.size());
+      EXPECT_TRUE(*from_entries.stats() == *from_records.stats());
+
+      // The comparison has teeth: one record fewer is a different sketch.
+      records.pop_back();
+      SimDisk short_disk(512);
+      EntryStore shorter =
+          EntryStore::FromSortedRecords(&short_disk, records).TakeValue();
+      EXPECT_FALSE(*from_entries.stats() == *shorter.stats());
+    }
+  }
+}
+
+TEST(EntryStoreTest, CopyToIsPageForPage) {
+  SimDisk src_disk(256), dst_disk(256);
+  DirectoryInstance inst = PaperInstance();
+  EntryStore src = EntryStore::BulkLoad(&src_disk, inst).TakeValue();
+  src_disk.ResetStats();
+  EntryStore copy = src.CopyTo(&dst_disk).TakeValue();
+
+  // One read per page on the source disk, one allocate and write per page
+  // on the target.
+  EXPECT_EQ(src_disk.stats().page_reads, src.num_pages());
+  EXPECT_EQ(src_disk.stats().page_writes, 0u);
+  EXPECT_EQ(dst_disk.stats().page_writes, src.num_pages());
+  EXPECT_EQ(dst_disk.live_pages(), src.num_pages());
+  EXPECT_EQ(copy.disk(), &dst_disk);
+  EXPECT_EQ(copy.num_pages(), src.num_pages());
+  EXPECT_EQ(copy.num_entries(), src.num_entries());
+  EXPECT_EQ(copy.stats(), src.stats());  // one shared object
+
+  std::vector<uint8_t> a(256), b(256);
+  for (size_t i = 0; i < src.num_pages(); ++i) {
+    ASSERT_TRUE(src_disk.ReadPage(src.run().pages[i], a.data()).ok());
+    ASSERT_TRUE(dst_disk.ReadPage(copy.run().pages[i], b.data()).ok());
+    EXPECT_EQ(a, b) << "page " << i;
+  }
+  EXPECT_EQ(ScanKeys(copy, "", ""), ScanKeys(src, "", ""));
+  Dn base = D("ou=networkPolicies, dc=research, dc=att, dc=com");
+  EXPECT_EQ(ScanKeys(copy, base.HierKey(), KeySubtreeEnd(base.HierKey())),
+            ScanKeys(src, base.HierKey(), KeySubtreeEnd(base.HierKey())));
+
+  // The copy owns its pages: destroying it leaves the source intact.
+  ASSERT_TRUE(copy.Destroy().ok());
+  EXPECT_EQ(dst_disk.live_pages(), 0u);
+  EXPECT_EQ(ScanKeys(src, "", "").size(), inst.size());
+
+  SimDisk other_size(512);
+  EXPECT_EQ(src.CopyTo(&other_size).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(EntryStoreTest, FailedCopyFreesItsPages) {
+  SimDisk src_disk(256);
+  DirectoryInstance inst = PaperInstance();
+  EntryStore src = EntryStore::BulkLoad(&src_disk, inst).TakeValue();
+  ASSERT_GT(src.num_pages(), 3u);
+  // Fail the copy at every allocate and write on the target disk; no
+  // attempt may strand a page there.
+  for (uint64_t nth = 1; nth <= 2 * src.num_pages(); ++nth) {
+    SCOPED_TRACE("target op " + std::to_string(nth));
+    SimDisk dst_disk(256);
+    FaultInjector fi({FaultInjector::FailNth(
+        nth, FaultOpBit(FaultOp::kAllocate) | FaultOpBit(FaultOp::kWrite))});
+    dst_disk.set_fault_injector(&fi);
+    Result<EntryStore> copy = src.CopyTo(&dst_disk);
+    dst_disk.set_fault_injector(nullptr);
+    EXPECT_FALSE(copy.ok());
+    EXPECT_EQ(dst_disk.live_pages(), 0u);
   }
 }
 
