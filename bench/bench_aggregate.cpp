@@ -6,7 +6,7 @@
 // count($2)=max(count($2)).
 
 #include "bench_util.h"
-#include "exec/evaluator.h"
+#include "exec/common.h"
 #include "exec/hierarchy.h"
 
 using namespace ndq;

@@ -30,9 +30,13 @@ int main() {
     SimDisk disk, scratch;
     EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
 
-    apps::QosPolicyEngine qos(&scratch, &store,
+    // No operand cache: every request pays its full I/O.
+    EngineOptions uncached;
+    uncached.cache_capacity_pages = 0;
+    Engine engine(&scratch, &store, uncached);
+    apps::QosPolicyEngine qos(&engine,
                               gen::MustDn("dc=sub0, dc=org0, dc=com"));
-    apps::TopsResolver tops(&scratch, &store,
+    apps::TopsResolver tops(&engine,
                             gen::MustDn("dc=sub0, dc=org0, dc=com"));
 
     const int kReqs = 50;

@@ -141,28 +141,6 @@ int main() {
                   out.entries.size());
     }
   }
-  // Streaming vs. materialized scatter-gather merge on a global scan.
-  std::printf("\n== merge ablation (global scan, 1+4 fleet) ==\n");
-  std::printf("%-28s %10s %12s\n", "mode", "recs_ship", "coord_io");
-  {
-    Engine engine = MakeFleetEngine(global, fleets[1].contexts);
-    DistributedDirectory* fleet = engine.fleet();
-    Session session = engine.OpenSession();
-    for (bool streaming : {false, true}) {
-      fleet->set_streaming_merge(streaming);
-      fleet->ResetStats();
-      QueryOutcome out = session.Run(queries[1].text);
-      const NetStats& net = fleet->net_stats();
-      std::printf("%-28s %10llu %12llu   (%zu results)\n",
-                  streaming ? "streaming k-way merge"
-                            : "materialize then merge",
-                  (unsigned long long)net.records_shipped,
-                  (unsigned long long)fleet->coordinator_disk()
-                      ->stats()
-                      .TotalTransfers(),
-                  out.entries.size());
-    }
-  }
 
   std::printf(
       "\nexpected: local queries contact 1 server regardless of fleet\n"
@@ -170,7 +148,6 @@ int main() {
       "price of more messages; records shipped equals the atomic result\n"
       "sizes, never the raw partition sizes; query shipping collapses a\n"
       "subtree-local query to one round trip carrying only the final\n"
-      "result; the streaming merge halves coordinator I/O on fan-out\n"
-      "scans (each record is written once, not copied then merged).\n");
+      "result.\n");
   return 0;
 }

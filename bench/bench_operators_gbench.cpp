@@ -110,7 +110,10 @@ BENCHMARK(BM_FlagshipL3Query);
 
 void BM_TopsResolve(benchmark::State& state) {
   DifFixture f;
-  apps::TopsResolver resolver(&f.scratch, &f.store,
+  EngineOptions uncached;
+  uncached.cache_capacity_pages = 0;
+  Engine engine(&f.scratch, &f.store, uncached);
+  apps::TopsResolver resolver(&engine,
                               gen::MustDn("dc=sub0, dc=org0, dc=com"));
   int i = 0;
   for (auto _ : state) {

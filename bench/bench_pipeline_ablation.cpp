@@ -8,7 +8,6 @@
 #include "bench_util.h"
 #include "exec/atomic.h"
 #include "exec/boolean.h"
-#include "exec/evaluator.h"
 #include "exec/hierarchy.h"
 #include "gen/dif_gen.h"
 #include "gen/paper_data.h"

@@ -63,19 +63,6 @@ QosPolicyEngine::QosPolicyEngine(Engine* engine, Dn domain)
     : policies_base_(domain.Child(MustRdn("ou", "networkPolicies"))),
       session_(engine->OpenSession()) {}
 
-QosPolicyEngine::QosPolicyEngine(Disk* scratch, const EntrySource* store,
-                                 Dn domain, ExecOptions options)
-    : policies_base_(domain.Child(MustRdn("ou", "networkPolicies"))),
-      owned_engine_(std::make_unique<Engine>(scratch, store, [&] {
-        EngineOptions o;
-        o.exec = options;
-        // Uncached, like the historic Evaluator wiring: callers of this
-        // shim mutate the store without engine-level invalidation.
-        o.cache_capacity_pages = 0;
-        return o;
-      }())),
-      session_(owned_engine_->OpenSession()) {}
-
 Result<std::vector<Entry>> QosPolicyEngine::Eval(const QueryPtr& query) {
   QueryOutcome outcome = session_.Run(query);
   if (!outcome.ok()) return outcome.status;

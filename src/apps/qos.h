@@ -14,7 +14,6 @@
 #ifndef NDQ_APPS_QOS_H_
 #define NDQ_APPS_QOS_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -56,12 +55,6 @@ class QosPolicyEngine {
   /// Engine::InvalidateCaches() after store mutations.
   QosPolicyEngine(Engine* engine, Dn domain);
 
-  /// DEPRECATED shim: wires a private borrowing-mode Engine over
-  /// (scratch, store) with the operand cache off (matching the historic
-  /// uncached read-through semantics). Prefer the Engine constructor.
-  QosPolicyEngine(Disk* scratch, const EntrySource* store, Dn domain,
-                  ExecOptions options = {});
-
   /// Full resolution per Sec. 2.1.
   Result<PolicyDecision> Match(const PacketProfile& packet);
 
@@ -74,7 +67,6 @@ class QosPolicyEngine {
   Result<std::vector<Entry>> Eval(const QueryPtr& query);
 
   Dn policies_base_;  // ou=networkPolicies, <domain>
-  std::unique_ptr<Engine> owned_engine_;  // deprecated-shim mode only
   Session session_;
 };
 

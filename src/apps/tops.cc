@@ -52,19 +52,6 @@ TopsResolver::TopsResolver(Engine* engine, Dn domain)
     : profiles_base_(domain.Child(MustRdn("ou", "userProfiles"))),
       session_(engine->OpenSession()) {}
 
-TopsResolver::TopsResolver(Disk* scratch, const EntrySource* store,
-                           Dn domain, ExecOptions options)
-    : profiles_base_(domain.Child(MustRdn("ou", "userProfiles"))),
-      owned_engine_(std::make_unique<Engine>(scratch, store, [&] {
-        EngineOptions o;
-        o.exec = options;
-        // Uncached, like the historic Evaluator wiring: callers of this
-        // shim mutate the store without engine-level invalidation.
-        o.cache_capacity_pages = 0;
-        return o;
-      }())),
-      session_(owned_engine_->OpenSession()) {}
-
 Result<std::vector<Entry>> TopsResolver::Eval(const QueryPtr& query) {
   QueryOutcome outcome = session_.Run(query);
   if (!outcome.ok()) return outcome.status;

@@ -9,7 +9,6 @@
 #ifndef NDQ_APPS_TOPS_H_
 #define NDQ_APPS_TOPS_H_
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -44,12 +43,6 @@ class TopsResolver {
   /// Engine::InvalidateCaches() after store mutations.
   TopsResolver(Engine* engine, Dn domain);
 
-  /// DEPRECATED shim: wires a private borrowing-mode Engine over
-  /// (scratch, store) with the operand cache off (matching the historic
-  /// uncached read-through semantics). Prefer the Engine constructor.
-  TopsResolver(Disk* scratch, const EntrySource* store, Dn domain,
-               ExecOptions options = {});
-
   /// Dial-by-name: resolve `callee_uid` under the configured domain.
   Result<CallResolution> Resolve(const std::string& callee_uid,
                                  const CallContext& ctx);
@@ -63,7 +56,6 @@ class TopsResolver {
   Result<std::vector<Entry>> Eval(const QueryPtr& query);
 
   Dn profiles_base_;  // ou=userProfiles, <domain>
-  std::unique_ptr<Engine> owned_engine_;  // deprecated-shim mode only
   Session session_;
 };
 

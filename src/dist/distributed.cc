@@ -6,13 +6,6 @@
 
 #include "dist/merge.h"
 #include "exec/atomic.h"
-#include "exec/boolean.h"
-#include "exec/embedded_ref.h"
-#include "exec/hierarchy.h"
-#include "query/fingerprint.h"
-#include "query/optimize.h"
-#include "query/rewrite.h"
-#include "storage/external_sort.h"
 #include "storage/serde.h"
 
 namespace ndq {
@@ -232,63 +225,56 @@ Status DistributedDirectory::FetchAtomicFromShard(Shard& shard,
   return last;
 }
 
-namespace {
+/// The coordinator's node source for one Execute call.
+class DistributedDirectory::CallSource : public NodeSource {
+ public:
+  explicit CallSource(DistributedDirectory* fleet) : fleet_(fleet) {}
 
-/// The pre-streaming merge: copy every stream onto `coord` first, then
-/// merge the local copies (storage/external_sort.h). Kept behind
-/// set_streaming_merge(false) as the byte-identity reference.
-Result<Run> MaterializeAndMerge(Disk* coord, const RecordKeyFn& key_fn,
-                                const std::vector<ShardStream*>& streams,
-                                size_t* failed_stream) {
-  std::vector<Run> local;
-  auto cleanup = [&] {
-    for (Run& r : local) FreeRun(coord, &r).ok();
-  };
-  for (size_t i = 0; i < streams.size(); ++i) {
-    RunWriter writer(coord, RecordShape::kKeyed);
-    std::string rec;
-    while (true) {
-      Result<bool> more = streams[i]->Next(&rec);
-      if (!more.ok()) {
-        *failed_stream = i;
-        cleanup();
-        return more.status();
-      }
-      if (!*more) break;
-      Status added = writer.Add(rec);
-      if (!added.ok()) {
-        cleanup();
-        return added;
-      }
+  Result<std::optional<EntryList>> Answer(const Query& node,
+                                          OpTrace* trace) override {
+    if (node.is_atomic() || node.op() == QueryOp::kLdap) {
+      NDQ_ASSIGN_OR_RETURN(EntryList merged,
+                           fleet_->EvaluateAtomicDistributed(node, trace,
+                                                             *this));
+      return std::optional<EntryList>(std::move(merged));
     }
-    Status closed = streams[i]->Close();
-    if (!closed.ok()) {
-      *failed_stream = i;
-      cleanup();
-      return closed;
+    // A (sub)query whose leaves all lie in one shard's exclusive
+    // ownership ships whole; anything else evaluates its operands here.
+    Shard* owner =
+        fleet_->query_shipping_ ? fleet_->SingleOwner(node) : nullptr;
+    if (owner == nullptr || !AnyReplicaUp(*owner)) {
+      return std::optional<EntryList>();
     }
-    Result<Run> run = writer.Finish();
-    if (!run.ok()) {
-      cleanup();
-      return run.status();
+    Result<EntryList> whole = fleet_->ShipWholeQuery(node, owner, trace);
+    if (whole.ok()) return std::optional<EntryList>(whole.TakeValue());
+    if (whole.status().code() != StatusCode::kUnavailable) {
+      return whole.status();
     }
-    local.push_back(run.TakeValue());
+    // Every replica failed the shipment transiently mid-flight: fall back
+    // to the operands, which retry each shard independently and can
+    // degrade instead of failing.
+    ++fleet_->net_.retries;
+    return std::optional<EntryList>();
   }
-  if (local.empty()) {
-    RunWriter writer(coord, RecordShape::kKeyed);
-    return writer.Finish();
-  }
-  if (local.size() == 1) return std::move(local[0]);
-  // Each shipped list is sorted; contexts are disjoint so a merge (no
-  // dedup needed) restores global order.
-  return MergeSortedRuns(coord, key_fn, std::move(local), /*fan_in=*/16,
-                         RecordShape::kKeyed);
-}
 
-}  // namespace
+  void Degrade(const Shard& shard, const Status& why) {
+    std::lock_guard<std::mutex> lock(mu_);
+    warnings_.push_back({shard.name(), why.message()});
+  }
+
+  std::vector<DegradationWarning> TakeWarnings() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::move(warnings_);
+  }
+
+ private:
+  DistributedDirectory* fleet_;
+  std::mutex mu_;
+  std::vector<DegradationWarning> warnings_;
+};
 
 Result<EntryList> DistributedDirectory::EvaluateAtomicDistributed(
-    const Query& query, OpTrace* trace, EvalCtx& ctx) {
+    const Query& query, OpTrace* trace, CallSource& source) {
   std::vector<size_t> owner_idx =
       routing_.OwnersFor(query.base(), query.scope());
   net_.servers_contacted += owner_idx.size();
@@ -307,8 +293,7 @@ Result<EntryList> DistributedDirectory::EvaluateAtomicDistributed(
     // via the warnings.
     ++net_.degraded_results;
     if (trace != nullptr) ++trace->degraded_shards;
-    std::lock_guard<std::mutex> lock(ctx.mu);
-    ctx.warnings.push_back({owners[i]->name(), why.message()});
+    source.Degrade(*owners[i], why);
   };
 
   std::vector<char> excluded(owners.size(), 0);
@@ -402,11 +387,8 @@ Result<EntryList> DistributedDirectory::EvaluateAtomicDistributed(
 
     size_t failed_stream = static_cast<size_t>(-1);
     Result<Run> merged =
-        streaming_merge_
-            ? MergeShardStreams(coordinator_disk_.get(), key_fn, ptrs,
-                                RecordShape::kKeyed, &failed_stream)
-            : MaterializeAndMerge(coordinator_disk_.get(), key_fn, ptrs,
-                                  &failed_stream);
+        MergeShardStreams(coordinator_disk_.get(), key_fn, ptrs,
+                          RecordShape::kKeyed, &failed_stream);
     // Whatever the merge consumed crossed the network, whether or not it
     // completed; a degraded restart re-ships and re-counts honestly.
     for (ShardStream* s : ptrs) {
@@ -418,7 +400,7 @@ Result<EntryList> DistributedDirectory::EvaluateAtomicDistributed(
       }
     }
     if (merged.ok()) return merged;
-    for (ShardStream* s : ptrs) s->Close().ok();
+    for (ShardStream* s : ptrs) s->Close();
     if (allow_degraded_ &&
         merged.status().code() == StatusCode::kUnavailable &&
         failed_stream < stream_owner.size()) {
@@ -458,7 +440,9 @@ Result<EntryList> DistributedDirectory::ShipWholeQuery(const Query& query,
                                  "' is down");
     }
     std::lock_guard<std::mutex> server_lock(server->mu_);
-    Evaluator remote(server->disk(), &server->store(), options_);
+    // The replica runs the same evaluator, sequential and uncached, on
+    // this thread: its trace nodes carry this thread's worker id.
+    ParallelEvaluator remote(server->disk(), &server->store(), options_);
     NDQ_ASSIGN_OR_RETURN(EntryList local, remote.Evaluate(query, trace));
     ScopedRun local_guard(server->disk(), std::move(local));
     RunWriter writer(coordinator_disk_.get(), RecordShape::kKeyed);
@@ -475,9 +459,8 @@ Result<EntryList> DistributedDirectory::ShipWholeQuery(const Query& query,
     net_.bytes_shipped += bytes;
     net_.records_shipped += recs;
     if (trace != nullptr) {
-      // The remote evaluator filled `trace` (children included); record
-      // the final-result shipment here — under parallelism there is no
-      // stable global counter window to recover it from.
+      // The remote evaluator filled `trace` (children included); the
+      // final-result shipment is recorded here.
       trace->shipped_records = recs;
       trace->shipped_bytes = bytes;
     }
@@ -490,19 +473,24 @@ Result<EntryList> DistributedDirectory::ShipWholeQuery(const Query& query,
       shard->next_replica_.fetch_add(1, std::memory_order_relaxed) %
       num_replicas;
   uint64_t failovers = 0;
+  // The remote evaluator's node scopes claim its I/O into `trace`, which
+  // each attempt overwrites; an abandoned attempt's I/O is carried here.
+  IoStats failed_io;
   Status last = Status::Unavailable("shard '" + shard->name() +
                                     "' has no replicas");
   for (size_t k = 0; k < num_replicas; ++k) {
     DirectoryServer* server =
         shard->replicas_[(start + k) % num_replicas].get();
-    // A failed remote evaluation may have partially filled the trace;
-    // start it over for each replica (the successful one refills it).
-    if (trace != nullptr && k > 0) *trace = OpTrace();
+    if (trace != nullptr) *trace = OpTrace();
     Result<EntryList> out = attempt_one(server);
     if (out.ok()) {
-      if (trace != nullptr) trace->failovers += failovers;
+      if (trace != nullptr) {
+        trace->failovers += failovers;
+        trace->io += failed_io;
+      }
       return out;
     }
+    if (trace != nullptr) failed_io += trace->io;
     last = out.status();
     if (last.code() != StatusCode::kUnavailable) return last;
     if (k + 1 < num_replicas) {
@@ -511,264 +499,26 @@ Result<EntryList> DistributedDirectory::ShipWholeQuery(const Query& query,
       server->failovers_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  return last;
-}
-
-IoStats DistributedDirectory::FleetIo() const {
-  IoStats total = coordinator_disk_->stats();
-  for (const auto& shard : shards_) {
-    for (const auto& r : shard->replicas_) {
-      const IoStats& d = r->disk_->stats();
-      total.page_reads += d.page_reads;
-      total.page_writes += d.page_writes;
-      total.pages_allocated += d.pages_allocated;
-      total.pages_freed += d.pages_freed;
-      total.faults_injected += d.faults_injected;
-    }
-  }
-  return total;
-}
-
-namespace {
-
-// Shipped subtrees are traced by the remote (sequential) evaluator, which
-// does not know pool worker ids; stamp the subtree with the thread that
-// drove the shipment so SubtreeWorkers() stays meaningful.
-void StampWorker(OpTrace* t, uint32_t worker) {
-  t->worker = worker;
-  for (OpTrace& child : t->children) StampWorker(&child, worker);
-}
-
-}  // namespace
-
-Result<EntryList> DistributedDirectory::EvaluateNode(const Query& query,
-                                                     OpTrace* trace,
-                                                     EvalCtx& ctx) {
-  if (trace == nullptr) {
-    return EvaluateNodeImpl(query, nullptr, nullptr, ctx);
-  }
-  *trace = OpTrace();
-  const auto start = std::chrono::steady_clock::now();
-  // Attribution via this thread's IoScope, not fleet-wide counter
-  // snapshots: under set_parallelism a sibling subtree's concurrent I/O
-  // would land inside this node's snapshot window.
-  bool shipped_whole = false;
-  IoStats self;
-  Result<EntryList> out = [&] {
-    IoScope scope(nullptr, &self);
-    return EvaluateNodeImpl(query, trace, &shipped_whole, ctx);
-  }();
-  if (!out.ok()) return out;
-  trace->label = QueryNodeLabel(query);
-  trace->op = query.op();
-  if (shipped_whole) {
-    // The remote evaluation + shipping all ran on this thread, so `self`
-    // already covers the whole subtree; the children keep the remote
-    // evaluator's per-node attribution.
-    trace->io = self;
-    StampWorker(trace, ThreadPool::current_worker_id());
-  } else {
-    // trace->io may hold pre-attributed worker-side I/O (atomic fan-out);
-    // add this thread's own traffic and the children's subtrees. Shipping
-    // counters are cumulative like io, so roll the children's up too.
-    trace->io += self;
-    for (const OpTrace& child : trace->children) {
-      trace->io += child.io;
-      trace->shipped_records += child.shipped_records;
-      trace->shipped_bytes += child.shipped_bytes;
-    }
-    trace->worker = ThreadPool::current_worker_id();
-  }
-  trace->wall_micros =
-      std::chrono::duration<double, std::micro>(
-          std::chrono::steady_clock::now() - start)
-          .count();
-  trace->output_records = out->num_records;
-  trace->output_pages = out->pages.size();
-  return out;
-}
-
-Result<EntryList> DistributedDirectory::EvaluateNodeImpl(
-    const Query& query, OpTrace* trace, bool* shipped_whole, EvalCtx& ctx) {
-  // Inside a batch, a sub-plan the census marked shared is served from —
-  // and on first sight published to — the per-batch coordinator cache:
-  // later occurrences cost a local ~2*out-page copy instead of another
-  // round of server contacts and result shipping.
-  std::string shared_key;
-  if (ctx.batch_cache != nullptr && ctx.batch_shared != nullptr) {
-    std::string key = QueryFingerprint(query);
-    if (ctx.batch_shared->contains(key)) {
-      EntryList cached;
-      NDQ_ASSIGN_OR_RETURN(bool hit, ctx.batch_cache->Lookup(key, &cached));
-      if (hit) {
-        if (trace != nullptr) {
-          trace->cache_hits = 1;
-          FillTraceSkeleton(query, trace);
-        }
-        return cached;
-      }
-      shared_key = std::move(key);
-    }
-  }
-  Result<EntryList> out =
-      EvaluateNodeDispatch(query, trace, shipped_whole, ctx);
-  if (!out.ok() || shared_key.empty()) return out;
-  // Insert copies the list and absorbs I/O failures during the copy (the
-  // entry is simply not cached); anything else is an invariant violation
-  // — propagate it, but free the computed list first.
-  Status cs = ctx.batch_cache->Insert(shared_key, *out);
-  if (!cs.ok()) {
-    ScopedRun computed(coordinator_disk_.get(), out.TakeValue());
-    return cs;
-  }
-  if (trace != nullptr) trace->cache_misses = 1;
-  return out;
-}
-
-Result<EntryList> DistributedDirectory::EvaluateNodeDispatch(
-    const Query& query, OpTrace* trace, bool* shipped_whole, EvalCtx& ctx) {
-  Disk* disk = coordinator_disk_.get();
-  if (query_shipping_ && !query.is_atomic() &&
-      query.op() != QueryOp::kLdap) {
-    Shard* owner = SingleOwner(query);
-    if (owner != nullptr && AnyReplicaUp(*owner)) {
-      Result<EntryList> whole = ShipWholeQuery(query, owner, trace);
-      if (whole.ok() ||
-          whole.status().code() != StatusCode::kUnavailable) {
-        if (shipped_whole != nullptr) *shipped_whole = true;
-        return whole;
-      }
-      // Every replica failed the shipment transiently mid-flight: fall
-      // back to the per-atomic path below, which retries each shard
-      // independently and can degrade instead of failing. Start the
-      // trace over — the aborted remote evaluation may have partially
-      // filled it.
-      ++net_.retries;
-      if (trace != nullptr) *trace = OpTrace();
-    }
-  }
-  OpTrace* t1 = nullptr;
-  OpTrace* t2 = nullptr;
-  OpTrace* t3 = nullptr;
   if (trace != nullptr) {
-    size_t n = (query.q1() != nullptr ? 1 : 0) +
-               (query.q2() != nullptr ? 1 : 0) +
-               (query.q3() != nullptr ? 1 : 0);
-    trace->children.resize(n);
-    if (n > 0) t1 = &trace->children[0];
-    if (n > 1) t2 = &trace->children[1];
-    if (n > 2) t3 = &trace->children[2];
+    *trace = OpTrace();
+    trace->io = failed_io;
   }
-  switch (query.op()) {
-    case QueryOp::kAtomic:
-    case QueryOp::kLdap:
-      return EvaluateAtomicDistributed(query, trace, ctx);
-    case QueryOp::kSimpleAgg: {
-      NDQ_ASSIGN_OR_RETURN(EntryList r1,
-                           EvaluateNode(*query.q1(), t1, ctx));
-      ScopedRun l1(disk, std::move(r1));
-      Result<EntryList> out =
-          EvalSimpleAgg(disk, l1.get(), *query.agg(), trace);
-      if (!out.ok()) return out;  // l1 freed by its destructor
-      ScopedRun out_guard(disk, out.TakeValue());
-      NDQ_RETURN_IF_ERROR(l1.Free());
-      return out_guard.Release();
-    }
-    default:
-      break;
-  }
-
-  // Multi-operand operators: evaluate the operand sub-plans concurrently
-  // (coordinator-side fork/join; each sub-plan ships from its shards
-  // independently), join, then run the operator on this thread.
-  ScopedRun l1, l2, l3;
-  Status s1, s2, s3;
-  auto eval_into = [this, &ctx](const Query& q, OpTrace* t, ScopedRun* out,
-                                Status* status) {
-    Result<EntryList> r = EvaluateNode(q, t, ctx);
-    if (!r.ok()) {
-      *status = r.status();
-      return;
-    }
-    *out = ScopedRun(coordinator_disk_.get(), r.TakeValue());
-  };
-  {
-    ThreadPool::TaskGroup group(pool_.get());
-    group.Run([&] { eval_into(*query.q1(), t1, &l1, &s1); });
-    group.Run([&] { eval_into(*query.q2(), t2, &l2, &s2); });
-    if (query.q3() != nullptr) {
-      group.Run([&] { eval_into(*query.q3(), t3, &l3, &s3); });
-    }
-  }
-  NDQ_RETURN_IF_ERROR(s1);
-  NDQ_RETURN_IF_ERROR(s2);
-  NDQ_RETURN_IF_ERROR(s3);
-
-  Result<EntryList> out = Status::Internal("unreachable");
-  switch (query.op()) {
-    case QueryOp::kAnd:
-    case QueryOp::kOr:
-    case QueryOp::kDiff:
-      out = EvalBoolean(disk, query.op(), l1.get(), l2.get(), trace);
-      break;
-    case QueryOp::kParents:
-    case QueryOp::kChildren:
-    case QueryOp::kAncestors:
-    case QueryOp::kDescendants:
-      out = EvalHierarchy(disk, query.op(), l1.get(), l2.get(), nullptr,
-                          query.agg(), options_, trace);
-      break;
-    case QueryOp::kCoAncestors:
-    case QueryOp::kCoDescendants:
-      out = EvalHierarchy(disk, query.op(), l1.get(), l2.get(), &l3.get(),
-                          query.agg(), options_, trace);
-      break;
-    case QueryOp::kValueDn:
-    case QueryOp::kDnValue:
-      out = EvalEmbeddedRef(disk, query.op(), l1.get(), l2.get(),
-                            query.ref_attr(), query.agg(), options_, trace);
-      break;
-    default:
-      return Status::Internal("unreachable query op in distributed eval");
-  }
-  // Protect the operator's output while the operand guards free, so a
-  // failed Free cannot leak it; a failed operator frees the operands via
-  // the guards' destructors.
-  if (!out.ok()) return out;
-  ScopedRun out_guard(disk, out.TakeValue());
-  NDQ_RETURN_IF_ERROR(l1.Free());
-  NDQ_RETURN_IF_ERROR(l2.Free());
-  NDQ_RETURN_IF_ERROR(l3.Free());
-  return out_guard.Release();
+  return last;
 }
 
 Result<std::vector<Entry>> DistributedDirectory::Execute(
     const Query& query, OpTrace* trace,
     std::vector<DegradationWarning>* warnings, OperandCache* batch_cache,
     const SharedOperands* batch_shared) {
-  EvalCtx ctx;
-  ctx.batch_cache = batch_cache;
-  ctx.batch_shared = batch_shared;
-  if (warnings != nullptr) warnings->clear();
-  Result<EntryList> out = EvaluateNode(query, trace, ctx);
-  if (warnings != nullptr) *warnings = std::move(ctx.warnings);
-  if (!out.ok()) return out.status();
-  Result<std::vector<Entry>> entries =
-      ReadEntryList(coordinator_disk_.get(), *out);
-  Status freed = FreeRun(coordinator_disk_.get(), &*out);
-  // A read error is the primary failure; a free error only matters when
-  // the read itself succeeded.
-  if (!entries.ok()) return entries;
-  NDQ_RETURN_IF_ERROR(freed);
-  return entries;
-}
-
-Result<std::vector<Entry>> DistributedDirectory::Evaluate(
-    const Query& query, OpTrace* trace) {
-  std::vector<DegradationWarning> warnings;
-  Result<std::vector<Entry>> out = Execute(query, trace, &warnings);
-  std::lock_guard<std::mutex> lock(warnings_->mu);
-  warnings_->warnings = std::move(warnings);
+  // The coordinator runs the ordinary bottom-up walk on its own disk and
+  // the fleet's pool, with the fleet as its node source: it has no store
+  // of its own, and caches only what a batch shares.
+  CallSource source(this);
+  ParallelEvaluator coordinator(coordinator_disk_.get(), /*store=*/nullptr,
+                                options_, batch_cache, pool_.get(), &source);
+  Result<std::vector<Entry>> out = coordinator.EvaluateToEntries(
+      query, trace, batch_cache != nullptr ? batch_shared : nullptr);
+  if (warnings != nullptr) *warnings = source.TakeWarnings();
   return out;
 }
 
@@ -828,49 +578,6 @@ const EntrySource& DistributedDirectory::estimation_source() {
     fleet_source_ = std::make_unique<FleetSource>(shards_);
   }
   return *fleet_source_;
-}
-
-Result<std::vector<std::vector<Entry>>> DistributedDirectory::EvaluateBatch(
-    const std::vector<QueryPtr>& queries, size_t cache_capacity_pages) {
-  const EntrySource& fleet = estimation_source();
-  std::vector<QueryPtr> canon;
-  canon.reserve(queries.size());
-  for (const QueryPtr& q : queries) {
-    if (q == nullptr) return Status::InvalidArgument("null query in batch");
-    QueryPtr c = RewriteQuery(q);
-    if (optimize_) c = OptimizeQuery(fleet, c).plan;
-    canon.push_back(std::move(c));
-  }
-  PlanCensus census = AnalyzeBatch(canon);
-  SharedOperands shared{census.SharedKeys()};
-  OperandCache cache(coordinator_disk_.get(), cache_capacity_pages);
-  std::vector<std::vector<Entry>> results;
-  results.reserve(canon.size());
-  Status failed;
-  std::vector<DegradationWarning> warnings;
-  for (const QueryPtr& q : canon) {
-    Result<std::vector<Entry>> r =
-        Execute(*q, nullptr, &warnings, &cache, &shared);
-    if (!r.ok()) {
-      failed = r.status();
-      break;
-    }
-    results.push_back(r.TakeValue());
-  }
-  {
-    // Legacy contract: last_warnings reflects the batch's final query.
-    std::lock_guard<std::mutex> lock(warnings_->mu);
-    warnings_->warnings = std::move(warnings);
-  }
-  // `cache` now clears itself, returning its pages to the coordinator.
-  NDQ_RETURN_IF_ERROR(failed);
-  return results;
-}
-
-std::vector<DegradationWarning> DistributedDirectory::last_warnings()
-    const {
-  std::lock_guard<std::mutex> lock(warnings_->mu);
-  return warnings_->warnings;
 }
 
 std::map<std::string, uint64_t> DistributedDirectory::ReplicaFailovers()

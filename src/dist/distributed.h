@@ -21,6 +21,11 @@
 // merge at the coordinator (dist/merge.h) — sortedness is preserved end
 // to end, so the coordinator's operator algorithms run unchanged.
 //
+// The coordinator computes the result with the ordinary evaluator
+// (exec/parallel_evaluator.h): the fleet is its node source, answering
+// each leaf by scatter-gather and each single-shard subtree by shipping it
+// whole to a replica, which evaluates it with the same evaluator.
+//
 // Everything is simulated in-process: every replica has its own SimDisk
 // (I/O accounted per replica) and the "network" counts messages and
 // bytes shipped.
@@ -42,7 +47,6 @@
 
 #include "core/degradation.h"
 #include "dist/topology.h"
-#include "exec/evaluator.h"
 #include "exec/operand_cache.h"
 #include "exec/parallel_evaluator.h"
 #include "exec/thread_pool.h"
@@ -99,7 +103,7 @@ struct RetryPolicy {
 // DegradationWarning (core/degradation.h) is attached to evaluations that
 // returned a partial result: `source` names the shard whose contribution
 // is missing, `detail` carries the last failure (e.g. "replica 'org0/r1'
-// is down"). See DistributedDirectory::last_warnings.
+// is down"). See DistributedDirectory::Execute's `warnings`.
 
 /// One replica of a shard: the shard's naming context plus a full copy of
 /// its partition in a store over the replica's own disk.
@@ -135,8 +139,9 @@ class DirectoryServer {
   EntryStore store_;
   /// One outstanding shipped query/scan per replica: parallelism in the
   /// coordinator comes from fanning out ACROSS shards, while each
-  /// replica's own evaluation stays sequential (so the remote evaluator's
-  /// snapshot-based tracing on the replica disk stays exact).
+  /// replica's own evaluation stays sequential. Tracing does not need it
+  /// (IoScope attribution is per thread); dropping it changes throughput
+  /// and is to be measured on its own.
   std::mutex mu_;
   std::atomic<bool> down_{false};
   std::atomic<uint64_t> failovers_{0};
@@ -199,30 +204,12 @@ class DistributedDirectory {
   /// batch's coordinator-side sub-plan sharing state: sub-plans in
   /// `batch_shared` are served from — and on first sight published to —
   /// `batch_cache` instead of re-shipping (engine/engine.h RunBatch).
+  /// Nothing else is cached.
   Result<std::vector<Entry>> Execute(
       const Query& query, OpTrace* trace = nullptr,
       std::vector<DegradationWarning>* warnings = nullptr,
       OperandCache* batch_cache = nullptr,
       const SharedOperands* batch_shared = nullptr);
-
-  /// DEPRECATED: single-caller form of Execute that parks its warnings in
-  /// last_warnings(). Frontends go through Engine sessions instead; the
-  /// member warning sink is racy under concurrent calls (use Execute's
-  /// `warnings` out-param).
-  Result<std::vector<Entry>> Evaluate(const Query& query,
-                                      OpTrace* trace = nullptr);
-
-  /// DEPRECATED: batched evaluation with cross-query sub-plan sharing at
-  /// the coordinator. Engine sessions' RunBatch supersedes this — same
-  /// sharing (it passes the per-batch cache through Execute), plus
-  /// admission control and parallel dispatch. Results are byte-identical
-  /// to calling Evaluate once per query with the same plans.
-  /// `cache_capacity_pages` bounds the per-batch cache on the coordinator
-  /// disk; the cache is dropped when the batch returns. last_warnings
-  /// reflects the batch's final query.
-  Result<std::vector<std::vector<Entry>>> EvaluateBatch(
-      const std::vector<QueryPtr>& queries,
-      size_t cache_capacity_pages = 4096);
 
   /// When enabled (default), a (sub)query whose atomic leaves all fall
   /// within ONE shard's exclusive ownership is shipped to a replica of
@@ -231,16 +218,6 @@ class DistributedDirectory {
   /// refinement of Sec. 8.3's atomic-result shipping for subtree-local
   /// queries (compare the two modes in bench_distributed).
   void set_query_shipping(bool enabled) { query_shipping_ = enabled; }
-
-  /// When enabled (default), scatter-gather merges stream: per-shard
-  /// sorted results stay on the serving replicas' disks and the
-  /// coordinator consumes them record-at-a-time into the merged output
-  /// (dist/merge.h). Disabled, each shard's result is materialized on the
-  /// coordinator first and merged from the copies — the pre-streaming
-  /// behavior, kept for byte-identity comparison (results are identical
-  /// either way; only coordinator I/O differs).
-  void set_streaming_merge(bool enabled) { streaming_merge_ = enabled; }
-  bool streaming_merge() const { return streaming_merge_; }
 
   /// The single shard that exclusively covers every leaf of `query`, or
   /// nullptr if the query spans shards. Exposed for tests.
@@ -255,15 +232,6 @@ class DistributedDirectory {
     return pool_ != nullptr ? pool_->parallelism() : 1;
   }
 
-  /// When enabled (default), EvaluateBatch runs the cost-based optimizer
-  /// (query/optimize.h) on each canonicalized plan before the sharing
-  /// census, against a coordinator-side view of the fleet's statistics
-  /// (summed per-shard estimates — still upper bounds). Short-circuits
-  /// avoid shipping provably-empty sub-plans; reordering canonicalizes
-  /// operand permutations so the census shares more.
-  void set_optimize(bool enabled) { optimize_ = enabled; }
-  bool optimize() const { return optimize_; }
-
   /// Transient-failure handling knobs (see RetryPolicy).
   void set_retry_policy(RetryPolicy policy) { retry_policy_ = policy; }
   const RetryPolicy& retry_policy() const { return retry_policy_; }
@@ -275,12 +243,6 @@ class DistributedDirectory {
   /// get fail-stop semantics (the Unavailable status propagates).
   void set_allow_degraded(bool enabled) { allow_degraded_ = enabled; }
   bool allow_degraded() const { return allow_degraded_; }
-
-  /// Warnings attached to the most recent Evaluate (empty when the result
-  /// was complete). Cleared at the start of each Evaluate. DEPRECATED
-  /// with it: racy under concurrent Execute (whose `warnings` out-param
-  /// replaces this).
-  std::vector<DegradationWarning> last_warnings() const;
 
   const NetStats& net_stats() const { return net_; }
   /// Snapshot of every replica's failover count, keyed by replica name
@@ -307,15 +269,11 @@ class DistributedDirectory {
  private:
   DistributedDirectory() = default;
 
-  /// Per-evaluation state, one per Execute call: the warning sink and the
-  /// batch-sharing pointers travel here instead of in members so
+  /// The fleet as the coordinator evaluator's node source for one Execute
+  /// call (defined in the .cc): leaves scatter-gather, single-shard
+  /// subtrees ship whole. It also collects the call's warnings, so
   /// concurrent evaluations (Engine sessions) never share mutable state.
-  struct EvalCtx {
-    OperandCache* batch_cache = nullptr;
-    const SharedOperands* batch_shared = nullptr;
-    std::mutex mu;
-    std::vector<DegradationWarning> warnings;
-  };
+  class CallSource;
 
   /// One shard-level fetch: the atomic query evaluated on one healthy
   /// replica, with round-robin replica choice, per-replica retries and
@@ -332,29 +290,22 @@ class DistributedDirectory {
   Status FetchAtomicFromShard(Shard& shard, const Query& query,
                               bool want_trace, ShardFetch* out);
 
-  Result<EntryList> EvaluateNode(const Query& query, OpTrace* trace,
-                                 EvalCtx& ctx);
-  /// Batch-sharing wrapper: serves/publishes sub-plans the active batch
-  /// census marked shared from the per-batch coordinator cache, and
-  /// delegates everything else to EvaluateNodeDispatch.
-  Result<EntryList> EvaluateNodeImpl(const Query& query, OpTrace* trace,
-                                     bool* shipped_whole, EvalCtx& ctx);
-  /// `shipped_whole` (may be null) is set when the node was pushed to one
-  /// replica whole — its children's trace I/O then came from the remote
-  /// evaluator and is already inside this node's own IoScope.
-  Result<EntryList> EvaluateNodeDispatch(const Query& query, OpTrace* trace,
-                                         bool* shipped_whole, EvalCtx& ctx);
+  /// Scatter-gather: the leaf on every owning shard, merged at the
+  /// coordinator; shards that stay unavailable degrade into `source`'s
+  /// warnings (when allowed).
   Result<EntryList> EvaluateAtomicDistributed(const Query& query,
-                                              OpTrace* trace, EvalCtx& ctx);
+                                              OpTrace* trace,
+                                              CallSource& source);
 
+  /// Evaluates `query` on one replica of `shard` and ships the result to
+  /// the coordinator. The replica's evaluator fills `trace`; on a
+  /// transient failure of every replica, `trace` keeps only the I/O the
+  /// failed attempts did.
   Result<EntryList> ShipWholeQuery(const Query& query, Shard* shard,
                                    OpTrace* trace);
 
   /// True when at least one replica of `shard` is up.
   static bool AnyReplicaUp(const Shard& shard);
-
-  /// I/O counters summed across the coordinator and every replica.
-  IoStats FleetIo() const;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   RoutingTable routing_;
@@ -362,21 +313,11 @@ class DistributedDirectory {
   ExecOptions options_;
   NetStats net_;
   bool query_shipping_ = true;
-  bool streaming_merge_ = true;
-  bool optimize_ = true;
   RetryPolicy retry_policy_;
   bool allow_degraded_ = true;
-  /// Mutex + warning list behind one shared_ptr so DistributedDirectory
-  /// stays movable (it travels through Result<> out of Build). Legacy
-  /// last_warnings() only; Execute uses its per-call EvalCtx sink.
-  struct WarningSink {
-    std::mutex mu;
-    std::vector<DegradationWarning> warnings;
-  };
-  std::shared_ptr<WarningSink> warnings_ =
-      std::make_shared<WarningSink>();
-  /// Jitter sequence for retry backoff (behind a shared_ptr for the same
-  /// movability reason).
+  /// Jitter sequence for retry backoff, behind a shared_ptr so
+  /// DistributedDirectory stays movable (it travels through Result<> out
+  /// of Build).
   std::shared_ptr<std::atomic<uint64_t>> jitter_seq_ =
       std::make_shared<std::atomic<uint64_t>>(0);
   std::unique_ptr<ThreadPool> pool_;  // null = sequential

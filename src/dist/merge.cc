@@ -23,9 +23,7 @@ ShardStream::ShardStream(std::string shard, Source source, Refetch refetch)
   reader_ = std::make_unique<RunReader>(source_.disk, source_.run);
 }
 
-ShardStream::~ShardStream() {
-  if (!closed_) Close().ok();
-}
+ShardStream::~ShardStream() { Close(); }
 
 Status ShardStream::Reopen() {
   if (refetch_ == nullptr) {
@@ -73,11 +71,13 @@ Result<bool> ShardStream::Next(std::string* record) {
   }
 }
 
-Status ShardStream::Close() {
-  if (closed_) return Status::OK();
+void ShardStream::Close() {
+  if (closed_) return;
   closed_ = true;
   reader_.reset();
-  return FreeRun(source_.disk, &source_.run);
+  // Best effort, like Reopen: every record has been read, so a replica
+  // that refuses the free cannot change the result.
+  FreeRun(source_.disk, &source_.run).ok();
 }
 
 Result<Run> MergeShardStreams(Disk* out_disk, const RecordKeyFn& key_fn,
@@ -100,11 +100,9 @@ Result<Run> MergeShardStreams(Disk* out_disk, const RecordKeyFn& key_fn,
     if (!*more) {
       h.active = false;
       // The merge drains streams whole, so this is the natural place to
-      // release the shard's server-side pages; a Close failure here is a
-      // replica failure like any other and degrades the same way.
-      Status closed = streams[i]->Close();
-      if (!closed.ok() && failed_stream != nullptr) *failed_stream = i;
-      return closed;
+      // release the shard's server-side pages.
+      streams[i]->Close();
+      return Status::OK();
     }
     h.active = true;
     h.head64 = ExtractHead64(key_fn(h.record));

@@ -3,11 +3,9 @@
 // Every server returns its atomic-query result as a SORTED run in
 // reverse-DN order, and shard contexts are disjoint, so the coordinator
 // can restore global order with a plain k-way merge — no dedup, no
-// re-sort. The old path materialized each server's full result on the
-// coordinator disk first and then merged the copies; here the per-shard
-// runs STAY on the serving replicas' disks and the coordinator consumes
-// them record-at-a-time, writing the merged output exactly once. Each
-// record crosses the "network" once instead of twice, and the
+// re-sort. The per-shard runs STAY on the serving replicas' disks and the
+// coordinator consumes them record-at-a-time, writing the merged output
+// exactly once: each record crosses the "network" once, and the
 // coordinator's footprint is one page per input stream.
 //
 // Replication makes the streams resumable: if a replica dies mid-stream
@@ -55,9 +53,10 @@ class ShardStream {
   /// itself fails (every replica of the shard is gone).
   Result<bool> Next(std::string* record);
 
-  /// Frees the underlying run. Idempotent; the destructor covers error
-  /// paths, but callers that can should Close() and observe the status.
-  Status Close();
+  /// Frees the underlying run, best effort: a replica that refuses the
+  /// free leaves its pages behind but cannot change what was read.
+  /// Idempotent; the destructor covers error paths.
+  void Close();
 
   const std::string& shard() const { return shard_; }
   uint64_t consumed() const { return consumed_; }

@@ -612,10 +612,8 @@ void Engine::RebuildPoolLocked(size_t parallelism) {
                                                         : parallelism + 1);
   group_ = std::make_unique<ThreadPool::TaskGroup>(pool_.get());
   evaluator_ = std::make_unique<ParallelEvaluator>(
-      scratch_, store_, options_.exec, cache_.get(), pool_.get());
-  // Re-install the index hook: the evaluator was just recreated but the
-  // indexes (if built) survive pool resizes.
-  evaluator_->SetIndexHook(MakeIndexHook());
+      scratch_, store_, options_.exec, cache_.get(), pool_.get(),
+      index_source_.get());
 }
 
 Session Engine::OpenSession(SessionOptions options) {
@@ -670,18 +668,6 @@ bool Engine::optimize() const {
 
 bool Engine::optimize_enabled() const { return optimize(); }
 
-IndexHook Engine::MakeIndexHook() const {
-  IndexHook hook;
-  if (indexes_ == nullptr) return hook;
-  hook.indexes = indexes_.get();
-  hook.store = indexed_store_;
-  const EntrySource* store = store_;
-  hook.use_probe = [store](const Query& leaf) {
-    return ChooseAccessPath(*store, leaf).path == AccessPath::kIndexProbe;
-  };
-  return hook;
-}
-
 Status Engine::BuildIndexes(const IndexSpec& spec) {
   if (fleet_ != nullptr) {
     return Status::InvalidArgument(
@@ -700,10 +686,18 @@ Status Engine::BuildIndexes(const IndexSpec& spec) {
   auto pool = std::make_unique<BufferPool>(scratch_, 256);
   NDQ_ASSIGN_OR_RETURN(AttributeIndexes built,
                        AttributeIndexes::Build(pool.get(), *entry_store, spec));
+  // Drop the evaluator's source before the indexes it probes.
+  evaluator_.reset();
+  index_source_.reset();
   indexes_ = std::make_unique<AttributeIndexes>(std::move(built));
   index_pool_ = std::move(pool);
-  indexed_store_ = entry_store;
-  evaluator_->SetIndexHook(MakeIndexHook());
+  const EntrySource* store = store_;
+  index_source_ = std::make_unique<IndexProbeSource>(
+      scratch_, indexes_.get(), entry_store, [store](const Query& leaf) {
+        return ChooseAccessPath(*store, leaf).path ==
+               AccessPath::kIndexProbe;
+      });
+  RebuildPoolLocked(options_.exec.parallelism);
   return Status::OK();
 }
 

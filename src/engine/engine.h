@@ -394,7 +394,7 @@ class Engine {
   const Status& init_status() const { return init_status_; }
   /// The shard fleet, or nullptr for local backends. For stats and fault
   /// injection (net_stats, ReplicaFailovers, set_down); evaluate through
-  /// Sessions, not DistributedDirectory::Evaluate.
+  /// Sessions, not DistributedDirectory::Execute.
   DistributedDirectory* fleet() { return fleet_.get(); }
   const EntrySource& store() const { return *store_; }
   /// The engine-owned mutable store, or nullptr in borrowing mode.
@@ -407,7 +407,8 @@ class Engine {
   OperandCache* cache() { return cache_.get(); }
   /// Null when no fault policy is installed.
   FaultInjector* fault_injector() { return injector_.get(); }
-  /// Cumulative evaluator statistics (exec/evaluator.h).
+  /// Cumulative evaluator statistics (exec/parallel_evaluator.h); reset
+  /// when the evaluator is rebuilt (SetParallelism, BuildIndexes).
   EvalStats eval_stats() const;
 
  private:
@@ -445,8 +446,6 @@ class Engine {
   uint64_t page_budget() const;
   bool rewrite() const { return options_.rewrite; }
   bool optimize_enabled() const;
-  /// The IndexHook the evaluator should carry (empty when no indexes).
-  IndexHook MakeIndexHook() const;
 
   void AttachInjector(FaultInjector* injector);
 
@@ -474,11 +473,11 @@ class Engine {
   std::unique_ptr<FaultInjector> injector_;
   std::unique_ptr<OperandCache> cache_;
 
-  // Attribute indexes (BuildIndexes); the pool backs the B+-trees and
-  // must outlive them.
+  // Attribute indexes (BuildIndexes) and the evaluator's probe source
+  // over them; the pool backs the B+-trees and must outlive them.
   std::unique_ptr<BufferPool> index_pool_;
   std::unique_ptr<AttributeIndexes> indexes_;
-  const EntryStore* indexed_store_ = nullptr;
+  std::unique_ptr<IndexProbeSource> index_source_;
 
   // Pool / evaluator pair; rebuilt together by SetParallelism while the
   // engine is idle. The evaluator borrows the pool, so declaration order

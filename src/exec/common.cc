@@ -1,5 +1,7 @@
 #include "exec/common.h"
 
+#include "exec/trace.h"
+
 namespace ndq {
 
 LabeledMerge::LabeledMerge(Disk* disk, const EntryList* l1,
@@ -332,6 +334,36 @@ Result<EntryList> FilterAnnotatedList(Disk* disk, Run annotated,
   }
   NDQ_RETURN_IF_ERROR(annotated_guard.Free());
   return writer.Finish();
+}
+
+Result<EntryList> EvalSimpleAgg(Disk* disk, const EntryList& l1,
+                                const AggSelFilter& filter, OpTrace* trace) {
+  NDQ_ASSIGN_OR_RETURN(AggProgram prog,
+                       AggProgram::Compile(filter, /*structural=*/false));
+  // Annotate with empty witness-value vectors (no $2 references), then run
+  // the shared (<= 2 scan) filter phase.
+  RunWriter writer(disk);
+  RunReader reader(disk, l1);
+  std::string rec, buf;
+  const std::vector<std::optional<int64_t>> no_vals;
+  while (true) {
+    NDQ_ASSIGN_OR_RETURN(bool more, reader.Next(&rec));
+    if (!more) break;
+    buf.clear();
+    WriteAnnotated(no_vals, rec, &buf);
+    NDQ_RETURN_IF_ERROR(writer.Add(buf));
+  }
+  NDQ_ASSIGN_OR_RETURN(Run annotated, writer.Finish());
+  Result<EntryList> out =
+      FilterAnnotatedList(disk, std::move(annotated), prog);
+  if (trace != nullptr && out.ok()) {
+    trace->op = QueryOp::kSimpleAgg;
+    trace->input_records = l1.num_records;
+    trace->input_pages = l1.pages.size();
+    trace->output_records = out->num_records;
+    trace->output_pages = out->pages.size();
+  }
+  return out;
 }
 
 AggSelFilter ExistentialFilter() {

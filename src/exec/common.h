@@ -26,6 +26,8 @@
 
 namespace ndq {
 
+struct OpTrace;
+
 /// A run of serialized entries in ascending HierKey order.
 using EntryList = Run;
 
@@ -38,9 +40,10 @@ struct ExecOptions {
   /// External sort configuration (used by the embedded-reference
   /// operators, the only place the engine sorts).
   ExternalSortOptions sort;
-  /// Number of threads an evaluator may use for independent operand
-  /// subtrees (1 = sequential). Only ParallelEvaluator and the
-  /// distributed evaluator honor it; the plain Evaluator ignores it.
+  /// Number of threads a ParallelEvaluator with a private pool may use for
+  /// independent operand subtrees (1 = sequential). Evaluators on a
+  /// borrowed pool (the engine's, the fleet's) run at that pool's size
+  /// instead; the engine sizes its pool from EngineOptions::exec.
   size_t parallelism = 1;
 };
 
@@ -223,6 +226,13 @@ struct AggProgram {
 /// plain entry records that pass. Linear I/O (<= 2 scans + output).
 Result<EntryList> FilterAnnotatedList(Disk* disk, Run annotated,
                                       const AggProgram& prog);
+
+/// Simple aggregate selection "(g L1 AggSelFilter)" over a materialized
+/// list (Theorem 6.1: at most two scans + output): annotates L1 with no
+/// witness values and runs the filter phase above.
+Result<EntryList> EvalSimpleAgg(Disk* disk, const EntryList& l1,
+                                const AggSelFilter& filter,
+                                OpTrace* trace = nullptr);
 
 /// The implicit existential filter "count($2) > 0" (Sec. 6.2 observes the
 /// L1 operators are this special case).

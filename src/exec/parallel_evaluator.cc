@@ -23,7 +23,45 @@ Result<EntryList> FinishStep(Disk* disk, Result<EntryList> out,
   return out_guard.Release();
 }
 
+// Mutable stores stamp a mutation version; keying the cache by it keeps
+// lists computed against superseded versions from ever serving a query
+// pinned to a newer one (the owner's Clear() on mutation is the capacity
+// story, this is the correctness story).
+std::string VersionedKey(std::string fingerprint, const EntrySource* store) {
+  const uint64_t version = store != nullptr ? store->version() : 0;
+  if (version != 0) fingerprint += "@" + std::to_string(version);
+  return fingerprint;
+}
+
+bool IsLeaf(const Query& query) {
+  return query.op() == QueryOp::kAtomic || query.op() == QueryOp::kLdap;
+}
+
 }  // namespace
+
+IndexProbeSource::IndexProbeSource(Disk* disk,
+                                   const AttributeIndexes* indexes,
+                                   const EntryStore* store,
+                                   std::function<bool(const Query&)> use_probe)
+    : disk_(disk),
+      indexes_(indexes),
+      store_(store),
+      use_probe_(std::move(use_probe)) {}
+
+Result<std::optional<EntryList>> IndexProbeSource::Answer(const Query& node,
+                                                          OpTrace* trace) {
+  if (node.op() != QueryOp::kAtomic ||
+      (use_probe_ != nullptr && !use_probe_(node))) {
+    return std::optional<EntryList>();
+  }
+  // The probe declines (nullopt) when the attribute is not indexed or the
+  // filter kind defeats the index.
+  NDQ_ASSIGN_OR_RETURN(std::optional<Run> probed,
+                       indexes_->EvalAtomic(disk_, *store_, node.base(),
+                                            node.scope(), node.filter()));
+  if (probed.has_value() && trace != nullptr) trace->index_probes = 1;
+  return probed;
+}
 
 ParallelEvaluator::ParallelEvaluator(Disk* disk, const EntrySource* store,
                                      ExecOptions options, OperandCache* cache)
@@ -31,11 +69,13 @@ ParallelEvaluator::ParallelEvaluator(Disk* disk, const EntrySource* store,
 
 ParallelEvaluator::ParallelEvaluator(Disk* disk, const EntrySource* store,
                                      ExecOptions options, OperandCache* cache,
-                                     ThreadPool* shared_pool)
+                                     ThreadPool* shared_pool,
+                                     NodeSource* source)
     : disk_(disk),
       store_(store),
       options_(options),
       cache_(cache),
+      source_(source),
       owned_pool_(shared_pool == nullptr
                       ? std::make_unique<ThreadPool>(
                             options.parallelism == 0 ? 1
@@ -92,25 +132,37 @@ Result<std::vector<Entry>> ParallelEvaluator::EvaluateToEntries(
 Result<EntryList> ParallelEvaluator::EvaluateTraced(
     const Query& query, OpTrace* trace, const SharedOperands* shared,
     const EntrySource* store) {
-  if (trace == nullptr) return EvaluateNode(query, nullptr, shared, store);
+  bool answered = false;
+  if (trace == nullptr) {
+    return EvaluateNode(query, nullptr, shared, store, &answered);
+  }
   *trace = OpTrace();
-  trace->label = QueryNodeLabel(query);
-  trace->op = query.op();
-  trace->worker = ThreadPool::current_worker_id();
   const auto start = std::chrono::steady_clock::now();
   IoStats self;
   Result<EntryList> out = [&] {
     // nullptr disk: count this thread's traffic on every device (scratch
-    // plus store, when split), like the sequential evaluator's snapshots.
-    // Child scopes on this thread nest inside and claim their own I/O;
-    // children on other threads never touch this scope. Either way `self`
-    // is exactly this node's own traffic.
+    // plus store, when split). Child scopes on this thread nest inside and
+    // claim their own I/O; children on other threads never touch this
+    // scope. Either way `self` is exactly this node's own traffic.
     IoScope scope(nullptr, &self);
-    return EvaluateNode(query, trace, shared, store);
+    return EvaluateNode(query, trace, shared, store, &answered);
   }();
+  trace->label = QueryNodeLabel(query);
+  trace->op = query.op();
+  trace->worker = ThreadPool::current_worker_id();
+  // The I/O is folded in even when the node failed, so a caller that
+  // recovers (the fleet falling back from a failed shipment) still
+  // accounts for it. A node the source answered already holds its
+  // subtree's I/O and shipping; its children are not added again.
+  trace->io += self;
+  if (!answered) {
+    for (const OpTrace& child : trace->children) {
+      trace->io += child.io;
+      trace->shipped_records += child.shipped_records;
+      trace->shipped_bytes += child.shipped_bytes;
+    }
+  }
   if (!out.ok()) return out;
-  trace->io = self;
-  for (const OpTrace& child : trace->children) trace->io += child.io;
   trace->wall_micros = std::chrono::duration<double, std::micro>(
                            std::chrono::steady_clock::now() - start)
                            .count();
@@ -129,121 +181,110 @@ Status ParallelEvaluator::EvalOperandInto(const Query& query, OpTrace* trace,
   return Status::OK();
 }
 
-Result<EntryList> ParallelEvaluator::EvalLeaf(const Query& query,
-                                              OpTrace* trace,
-                                              const EntrySource* store) {
-  // Mutable stores stamp a mutation version; keying the cache by it keeps
-  // lists computed against superseded versions from ever serving a query
-  // pinned to a newer one (the owner's Clear() on mutation is the
-  // capacity story, this is the correctness story).
-  const uint64_t version = store != nullptr ? store->version() : 0;
-  std::string key;
-  if (cache_ != nullptr) {
-    key = OperandCacheKey(query);
-    if (version != 0) key += "@" + std::to_string(version);
-    EntryList cached;
-    NDQ_ASSIGN_OR_RETURN(bool hit, cache_->Lookup(key, &cached));
-    if (hit) {
-      if (trace != nullptr) trace->cache_hits = 1;
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.atomic_queries;
-      stats_.atomic_output_records += cached.num_records;
-      return cached;
-    }
+Result<bool> ParallelEvaluator::ServeCached(const std::string& key,
+                                            const Query& query,
+                                            OpTrace* trace, EntryList* out) {
+  NDQ_ASSIGN_OR_RETURN(bool hit, cache_->Lookup(key, out));
+  if (hit && trace != nullptr) {
+    trace->cache_hits = 1;
+    FillTraceSkeleton(query, trace);
   }
-  Result<EntryList> out = Status::Internal("unreachable");
-  bool probed = false;
-  if (query.op() == QueryOp::kAtomic && index_hook_.enabled() &&
-      (index_hook_.use_probe == nullptr || index_hook_.use_probe(query))) {
-    // The probe declines (nullopt) when the attribute is not indexed or
-    // the filter kind defeats the index; fall through to the scan then.
-    Result<std::optional<Run>> r = index_hook_.indexes->EvalAtomic(
-        disk_, *index_hook_.store, query.base(), query.scope(),
-        query.filter());
-    NDQ_RETURN_IF_ERROR(r.status());
-    if (r->has_value()) {
-      out = **r;
-      probed = true;
-      if (trace != nullptr) trace->index_probes = 1;
-    }
-  }
-  if (!probed) {
-    out = query.op() == QueryOp::kAtomic
-              ? EvalAtomic(disk_, *store, query.base(), query.scope(),
-                           query.filter(), trace)
-              : EvalLdap(disk_, *store, query.base(), query.scope(),
-                         *query.ldap_filter(), trace);
-  }
-  if (!out.ok()) return out;
-  if (cache_ != nullptr) {
-    // Insert copies the list; injected faults during the copy are absorbed
-    // by the cache (the entry is simply not cached). Anything else is an
-    // invariant violation — propagate it, but free the computed list
-    // first.
-    Status cs = cache_->Insert(key, *out);
-    if (!cs.ok()) {
-      ScopedRun computed(disk_, out.TakeValue());
-      return cs;
-    }
-    if (trace != nullptr) trace->cache_misses = 1;
-  }
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++stats_.atomic_queries;
-  stats_.atomic_output_records += out->num_records;
-  return out;
+  return hit;
 }
 
-Result<EntryList> ParallelEvaluator::EvaluateNode(
-    const Query& query, OpTrace* trace, const SharedOperands* shared,
-    const EntrySource* store) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.operators_evaluated;
-  }
-  // Cross-query sharing: an interior node the batch scheduler marked
-  // shared is served from — and on a miss published to — the operand
-  // cache, exactly like a leaf. The first occurrence in the batch
-  // evaluates the subtree; every later one copies the finished list out
-  // for ~2*out pages. Leaves skip this path (EvalLeaf caches them
-  // unconditionally); fingerprints are recomputed per node, which is
-  // cheap for directory-query-sized trees.
-  const bool leaf =
-      query.op() == QueryOp::kAtomic || query.op() == QueryOp::kLdap;
-  std::string shared_key;
-  if (!leaf && cache_ != nullptr && shared != nullptr &&
-      !shared->keys.empty()) {
-    // Membership in the batch's shared set is by the bare fingerprint
-    // (that is what the scheduler computed); the cache traffic itself is
-    // version-stamped like leaf keys, so occurrences pinned to different
-    // store versions never share a list.
-    std::string key = QueryFingerprint(query);
-    if (shared->contains(key)) {
-      const uint64_t version = store != nullptr ? store->version() : 0;
-      if (version != 0) key += "@" + std::to_string(version);
-      EntryList cached;
-      NDQ_ASSIGN_OR_RETURN(bool hit, cache_->Lookup(key, &cached));
-      if (hit) {
-        if (trace != nullptr) {
-          trace->cache_hits = 1;
-          FillTraceSkeleton(query, trace);
-        }
-        return cached;
-      }
-      shared_key = std::move(key);
-    }
-  }
-  Result<EntryList> out = EvaluateOperator(query, trace, shared, store);
-  if (!out.ok() || shared_key.empty()) return out;
-  // Publish for the batch's other occurrences. Insert copies the list and
-  // absorbs injected faults during the copy (the entry is simply not
-  // cached); anything else is an invariant violation — propagate it, but
-  // free the computed list first.
-  Status cs = cache_->Insert(shared_key, *out);
+Result<EntryList> ParallelEvaluator::Publish(const std::string& key,
+                                             Result<EntryList> out,
+                                             OpTrace* trace) {
+  if (!out.ok()) return out;
+  // Insert copies the list; injected faults during the copy are absorbed
+  // by the cache (the entry is simply not cached). Anything else is an
+  // invariant violation — propagate it, but free the computed list first.
+  Status cs = cache_->Insert(key, *out);
   if (!cs.ok()) {
     ScopedRun computed(disk_, out.TakeValue());
     return cs;
   }
   if (trace != nullptr) trace->cache_misses = 1;
+  return out;
+}
+
+Result<EntryList> ParallelEvaluator::EvaluateNode(
+    const Query& query, OpTrace* trace, const SharedOperands* shared,
+    const EntrySource* store, bool* answered) {
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++stats_.operators_evaluated;
+  }
+  // Cross-query sharing: a node the batch scheduler marked shared — leaf
+  // or interior — is served from, and on a miss published to, the operand
+  // cache before its source or its operands are touched. The first
+  // occurrence in the batch evaluates the subtree; every later one copies
+  // the finished list out for ~2*out pages. Membership is by the bare
+  // fingerprint (that is what the scheduler computed); fingerprints are
+  // recomputed per node, which is cheap for directory-query-sized trees.
+  std::string key;
+  if (cache_ != nullptr && shared != nullptr && !shared->keys.empty()) {
+    std::string fp = QueryFingerprint(query);
+    if (shared->contains(fp)) key = VersionedKey(std::move(fp), store);
+  }
+  EntryList cached;
+  bool hit = false;
+  if (!key.empty()) {
+    NDQ_ASSIGN_OR_RETURN(hit, ServeCached(key, query, trace, &cached));
+  }
+  Result<EntryList> out = cached;
+  if (!hit) {
+    out = EvaluateUncached(query, trace, shared, store,
+                           /*cache_leaf=*/key.empty(), answered);
+    if (!key.empty()) out = Publish(key, std::move(out), trace);
+  }
+  if (out.ok() && IsLeaf(query)) {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++stats_.atomic_queries;
+    stats_.atomic_output_records += out->num_records;
+  }
+  return out;
+}
+
+Result<EntryList> ParallelEvaluator::EvaluateUncached(
+    const Query& query, OpTrace* trace, const SharedOperands* shared,
+    const EntrySource* store, bool cache_leaf, bool* answered) {
+  if (source_ != nullptr) {
+    std::optional<EntryList> sourced;
+    NDQ_ASSIGN_OR_RETURN(sourced, source_->Answer(query, trace));
+    if (sourced.has_value()) {
+      *answered = true;
+      return std::move(*sourced);
+    }
+  }
+  if (IsLeaf(query)) return EvalLeaf(query, trace, store, cache_leaf);
+  return EvaluateOperator(query, trace, shared, store);
+}
+
+Result<EntryList> ParallelEvaluator::EvalLeaf(const Query& query,
+                                              OpTrace* trace,
+                                              const EntrySource* store,
+                                              bool cache_leaf) {
+  // A leaf the evaluator scans itself is cached whether or not a batch
+  // shares it: any later query may repeat it.
+  std::string key;
+  if (cache_leaf && cache_ != nullptr) {
+    key = VersionedKey(OperandCacheKey(query), store);
+    EntryList cached;
+    NDQ_ASSIGN_OR_RETURN(bool hit, ServeCached(key, query, trace, &cached));
+    if (hit) return cached;
+  }
+  if (store == nullptr) {
+    return Status::Internal("no store to scan for leaf " +
+                            QueryNodeLabel(query));
+  }
+  Result<EntryList> out =
+      query.op() == QueryOp::kAtomic
+          ? EvalAtomic(disk_, *store, query.base(), query.scope(),
+                       query.filter(), trace)
+          : EvalLdap(disk_, *store, query.base(), query.scope(),
+                     *query.ldap_filter(), trace);
+  if (!key.empty()) return Publish(key, std::move(out), trace);
   return out;
 }
 
@@ -263,21 +304,13 @@ Result<EntryList> ParallelEvaluator::EvaluateOperator(
     if (n > 2) t3 = &trace->children[2];
   }
 
-  switch (query.op()) {
-    case QueryOp::kAtomic:
-    case QueryOp::kLdap:
-      return EvalLeaf(query, trace, store);
-    case QueryOp::kSimpleAgg: {
-      // One operand: nothing to fork.
-      ScopedRun l1;
-      NDQ_RETURN_IF_ERROR(
-          EvalOperandInto(*query.q1(), t1, shared, store, &l1));
-      Result<EntryList> out =
-          EvalSimpleAgg(disk_, l1.get(), *query.agg(), trace);
-      return FinishStep(disk_, std::move(out), {&l1});
-    }
-    default:
-      break;
+  if (query.op() == QueryOp::kSimpleAgg) {
+    // One operand: nothing to fork.
+    ScopedRun l1;
+    NDQ_RETURN_IF_ERROR(EvalOperandInto(*query.q1(), t1, shared, store, &l1));
+    Result<EntryList> out =
+        EvalSimpleAgg(disk_, l1.get(), *query.agg(), trace);
+    return FinishStep(disk_, std::move(out), {&l1});
   }
 
   // Multi-operand operators: fork the operand subtrees, join, then run

@@ -1,31 +1,45 @@
-// The intra-query parallel evaluator.
+// The bottom-up query evaluator (Sec. 8.2), with intra-query parallelism.
 //
-// The bottom-up plans of Sec. 8.2 have natural task parallelism: an
-// operator's operands (q1/q2[/q3]) touch disjoint intermediate lists, so
-// their subtrees can evaluate concurrently and join at the operator. On a
-// simulated disk with transfer latency this overlaps I/O stalls exactly
-// the way a real server overlaps seeks across query streams; the page
-// counts themselves (the theorems' currency) are unchanged — parallelism
-// reorders transfers, it does not add any.
+// "Each query expression can be evaluated bottom-up ...: first, the atomic
+// queries are evaluated, and the resulting entries are sorted by the
+// lexicographic ordering on the reverse of their dn's. Next, each operator
+// in the query tree is evaluated ... Since each operator gets sorted input
+// lists, and computes a sorted output list, no additional sorting of the
+// result of an intermediate operator is necessary."
 //
-// ParallelEvaluator produces byte-identical EntryLists to Evaluator for
-// every query: each operator still consumes fully-materialized sorted
-// operands, so the merge order — and therefore every record of every
-// intermediate and final list — does not depend on scheduling.
+// Every intermediate list lives on disk; each operator uses a constant
+// number of page buffers (plus the spillable stacks), so whole-query
+// evaluation runs in constant main memory with the I/O bounds of Theorems
+// 8.3 (L2: linear) and 8.4 (L3: N log N).
 //
-// Tracing under concurrency uses IoScope (storage/disk.h) instead of the
-// sequential evaluator's counter snapshots, which would attribute a
-// sibling's concurrent I/O to whichever node's window it landed in. Each
-// node's scope captures only the I/O its own thread does for that node;
-// cumulative subtree I/O is reassembled as self + sum of children, so
-// EXPLAIN ANALYZE and VerifyTheoremBounds keep working unchanged.
+// The plans have natural task parallelism: an operator's operands
+// (q1/q2[/q3]) touch disjoint intermediate lists, so their subtrees
+// evaluate concurrently and join at the operator. On a simulated disk
+// with transfer latency this overlaps I/O stalls exactly the way a real
+// server overlaps seeks across query streams; the page counts themselves
+// (the theorems' currency) are unchanged — parallelism reorders
+// transfers, it does not add any. Results are byte-identical at every
+// parallelism: each operator still consumes fully-materialized sorted
+// operands, so every record of every list is independent of scheduling.
+//
+// This is the only tree walk in the system. Where a node's list comes from
+// is pluggable (NodeSource): the engine's index probe answers selective
+// leaves, and the distributed coordinator (dist/distributed.h) answers
+// leaves by scatter-gather across shards and ships single-shard subtrees
+// whole — the same walk "with a different leaf source", as Sec. 8.3 puts
+// it.
+//
+// Tracing uses IoScope (storage/disk.h): each node's scope captures only
+// the I/O its own thread does for that node, so a sibling's concurrent I/O
+// never lands in it; cumulative subtree I/O is reassembled as self + sum
+// of children, and EXPLAIN ANALYZE and VerifyTheoremBounds work unchanged.
 //
 // An optional OperandCache short-circuits repeated atomic leaves (see
 // exec/operand_cache.h); hits and misses land in the leaf's OpTrace. A
-// batch scheduler can additionally pass a SharedOperands set of interior
-// plan fingerprints (query/fingerprint.h): nodes in the set are served
-// from / published to the same cache, which is how shared operand
-// subtrees across a batch of queries evaluate exactly once.
+// batch scheduler can additionally pass a SharedOperands set of plan
+// fingerprints (query/fingerprint.h): nodes in the set are served from /
+// published to the same cache, which is how shared operand subtrees
+// across a batch of queries evaluate exactly once.
 
 #ifndef NDQ_EXEC_PARALLEL_EVALUATOR_H_
 #define NDQ_EXEC_PARALLEL_EVALUATOR_H_
@@ -33,37 +47,80 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_set>
 
-#include "exec/evaluator.h"
+#include "exec/common.h"
 #include "exec/operand_cache.h"
 #include "exec/thread_pool.h"
+#include "exec/trace.h"
 #include "index/attr_index.h"
+#include "query/ast.h"
+#include "store/entry_store.h"
 
 namespace ndq {
 
-/// Index-assisted leaf evaluation, installed by the owner (the engine)
-/// when attribute indexes exist over the store. `use_probe` is the
-/// cost-based scan-vs-probe decision (query/optimize.h ChooseAccessPath,
-/// bound by the engine so exec does not depend on the planner); the
-/// evaluator consults it per atomic leaf and falls back to the range
-/// scan when the probe declines or the attribute turns out not to be
-/// indexed. Results are byte-identical either way.
-struct IndexHook {
-  const AttributeIndexes* indexes = nullptr;
-  const EntryStore* store = nullptr;  ///< the indexed (bulk-loaded) store
-  std::function<bool(const Query&)> use_probe;
+/// Per-query evaluation statistics.
+struct EvalStats {
+  uint64_t operators_evaluated = 0;
+  uint64_t atomic_queries = 0;
+  /// Cumulative size (records) of all atomic sub-query outputs: the |L| of
+  /// Theorem 8.3.
+  uint64_t atomic_output_records = 0;
+};
 
-  bool enabled() const { return indexes != nullptr && store != nullptr; }
+/// \brief Where a plan node's list can come from besides the evaluator's
+/// own work.
+///
+/// The evaluator consults its source at every node (after the batch's
+/// shared-operand cache), before range-scanning a leaf or forking an
+/// interior node's operands. Answering means returning the node's sorted
+/// list on the evaluator's disk; nullopt lets the evaluator do the work
+/// itself. `trace` (may be null) is the node's trace: the source records
+/// what it did there — I/O its own tasks did on other threads, shipping,
+/// retries, a remote evaluation's subtree. The evaluator then adds the I/O
+/// its own thread did for the node and, for an answered node, does not add
+/// the children again. A source that declines leaves `trace` empty apart
+/// from `io`. Answer may be called concurrently (sibling subtrees).
+class NodeSource {
+ public:
+  virtual ~NodeSource() = default;
+  virtual Result<std::optional<EntryList>> Answer(const Query& node,
+                                                  OpTrace* trace) = 0;
+};
+
+/// The engine's attribute-index access path as a node source. It answers
+/// the atomic leaves `use_probe` accepts with an index probe; `use_probe`
+/// is the cost-based scan-vs-probe choice (query/optimize.h
+/// ChooseAccessPath, bound by the engine so exec does not depend on the
+/// planner). It declines everything else, including leaves whose attribute
+/// turns out not to be indexed, which the evaluator then range-scans.
+/// Results are byte-identical either way.
+class IndexProbeSource : public NodeSource {
+ public:
+  /// `indexes` index the bulk-loaded `store`; probe results are written to
+  /// `disk` (the evaluator's). All three must outlive the source.
+  IndexProbeSource(Disk* disk, const AttributeIndexes* indexes,
+                   const EntryStore* store,
+                   std::function<bool(const Query&)> use_probe);
+
+  Result<std::optional<EntryList>> Answer(const Query& node,
+                                          OpTrace* trace) override;
+
+ private:
+  Disk* disk_;
+  const AttributeIndexes* indexes_;
+  const EntryStore* store_;
+  std::function<bool(const Query&)> use_probe_;
 };
 
 /// The shared-subtree set a batch scheduler computed over one batch of
 /// canonicalized plans (PlanCensus::SharedKeys). When passed to Evaluate,
-/// the evaluator consults its OperandCache at every INTERIOR node whose
-/// fingerprint is in the set — a hit replaces the whole subtree's
-/// evaluation with a ~2*out-page cached copy, a miss evaluates normally
-/// and publishes the result for the batch's other occurrences.
+/// the evaluator consults its OperandCache at every node whose fingerprint
+/// is in the set — a hit replaces the whole subtree's evaluation with a
+/// ~2*out-page cached copy, a miss evaluates normally and publishes the
+/// result for the batch's other occurrences.
 struct SharedOperands {
   std::unordered_set<std::string> keys;  ///< plan fingerprints
   bool contains(const std::string& fp) const { return keys.count(fp) != 0; }
@@ -72,32 +129,37 @@ struct SharedOperands {
 class ParallelEvaluator {
  public:
   /// `options.parallelism` threads evaluate independent operand subtrees
-  /// (1 = sequential schedule, same code path). A non-null `cache` must be
-  /// backed by the same scratch disk as the evaluator; it is consulted for
-  /// every atomic leaf and must be Clear()ed by the owner whenever the
-  /// store mutates.
+  /// (1 = sequential). A non-null `cache` must be backed by the same
+  /// scratch disk as the evaluator; it is consulted for every leaf the
+  /// evaluator scans itself and must be Clear()ed by the owner whenever
+  /// the store mutates.
   ParallelEvaluator(Disk* disk, const EntrySource* store,
                     ExecOptions options = {}, OperandCache* cache = nullptr);
 
-  /// Engine form: runs on `shared_pool` (non-owning, must outlive the
-  /// evaluator) instead of a private pool, so one fleet-wide pool bounds
-  /// parallelism across every in-flight query. `options.parallelism` is
-  /// ignored in this form; a null `shared_pool` falls back to a private
-  /// pool as above.
+  /// Pool-and-source form. Runs on `shared_pool` (non-owning, must
+  /// outlive the evaluator) instead of a private pool, so one pool bounds
+  /// parallelism across every in-flight query; `options.parallelism` is
+  /// ignored then, and a null `shared_pool` falls back to a private pool
+  /// as above. A non-null `source` (must outlive the evaluator) is
+  /// consulted at every node; a leaf it answers is cached only when a
+  /// batch shares it. `store` may be null when the source answers every
+  /// leaf (the distributed coordinator).
   ParallelEvaluator(Disk* disk, const EntrySource* store,
                     ExecOptions options, OperandCache* cache,
-                    ThreadPool* shared_pool);
+                    ThreadPool* shared_pool, NodeSource* source = nullptr);
   ~ParallelEvaluator();
 
   ParallelEvaluator(const ParallelEvaluator&) = delete;
   ParallelEvaluator& operator=(const ParallelEvaluator&) = delete;
 
   /// Evaluates the query; the caller owns (and frees) the returned list.
-  /// Identical records, in identical order, to Evaluator::Evaluate. A
-  /// non-null `trace` receives the per-operator execution trace,
-  /// including which worker ran each node and the leaf cache traffic.
-  /// A non-null `shared` enables interior-node caching as described on
-  /// SharedOperands (requires a cache).
+  /// Each call pins one snapshot of a mutable store
+  /// (EntrySource::PinSnapshot), so a query tree always observes ONE store
+  /// version even while concurrent mutations land. A non-null `trace` is
+  /// overwritten with the per-operator execution trace, including which
+  /// worker ran each node and the cache traffic. A non-null `shared`
+  /// enables shared-subtree caching as described on SharedOperands
+  /// (requires a cache).
   Result<EntryList> Evaluate(const Query& query, OpTrace* trace = nullptr,
                              const SharedOperands* shared = nullptr);
 
@@ -109,48 +171,56 @@ class ParallelEvaluator {
   size_t parallelism() const { return pool_->parallelism(); }
   OperandCache* cache() const { return cache_; }
 
-  /// Installs (or, default-constructed, clears) the index hook. Must not
-  /// be called while a query is in flight; the referenced indexes/store
-  /// must outlive their installation.
-  void SetIndexHook(IndexHook hook) { index_hook_ = std::move(hook); }
-  const IndexHook& index_hook() const { return index_hook_; }
-
   EvalStats stats() const;
   void ResetStats();
 
  private:
-  // Each public Evaluate pins ONE snapshot of a mutable store
-  // (EntrySource::PinSnapshot) and threads it down the recursion as
-  // `store`, so every forked subtree of a query reads the same store
-  // version even while concurrent mutations publish new states. Cache
-  // keys are stamped with the snapshot's mutation version (when nonzero),
-  // so lists computed against different versions never alias.
+  // Each public Evaluate pins ONE snapshot of a mutable store and threads
+  // it down the recursion as `store`, so every forked subtree of a query
+  // reads the same store version. Cache keys are stamped with the
+  // snapshot's mutation version (when nonzero), so lists computed against
+  // different versions never alias.
 
   /// Trace-wrapping recursion step: opens this node's IoScope, times it,
   /// and reassembles cumulative io as self + sum of children.
   Result<EntryList> EvaluateTraced(const Query& query, OpTrace* trace,
                                    const SharedOperands* shared,
                                    const EntrySource* store);
-  /// Shared-subtree cache check around EvaluateOperator.
+  /// Shared-subtree cache check around EvaluateUncached. `*answered` is
+  /// set when the node source produced the list.
   Result<EntryList> EvaluateNode(const Query& query, OpTrace* trace,
                                  const SharedOperands* shared,
-                                 const EntrySource* store);
-  /// Leaf dispatch or fork/join operator evaluation proper.
+                                 const EntrySource* store, bool* answered);
+  /// The node source, else the leaf scan or the operand fork/join.
+  /// `cache_leaf` is false when the node already went through the shared
+  /// cache.
+  Result<EntryList> EvaluateUncached(const Query& query, OpTrace* trace,
+                                     const SharedOperands* shared,
+                                     const EntrySource* store,
+                                     bool cache_leaf, bool* answered);
   Result<EntryList> EvaluateOperator(const Query& query, OpTrace* trace,
                                      const SharedOperands* shared,
                                      const EntrySource* store);
   Result<EntryList> EvalLeaf(const Query& query, OpTrace* trace,
-                             const EntrySource* store);
+                             const EntrySource* store, bool cached);
   /// Evaluates one operand subtree into a ScopedRun (fork target).
   Status EvalOperandInto(const Query& query, OpTrace* trace,
                          const SharedOperands* shared,
                          const EntrySource* store, ScopedRun* out);
 
+  /// Copies the list cached under `key` into `*out`; true on a hit (the
+  /// trace then records the hit over a skeleton of the replaced subtree).
+  Result<bool> ServeCached(const std::string& key, const Query& query,
+                           OpTrace* trace, EntryList* out);
+  /// Inserts a freshly computed list under `key` and passes it through.
+  Result<EntryList> Publish(const std::string& key, Result<EntryList> out,
+                            OpTrace* trace);
+
   Disk* disk_;
   const EntrySource* store_;
   ExecOptions options_;
   OperandCache* cache_;
-  IndexHook index_hook_;
+  NodeSource* source_;
   std::unique_ptr<ThreadPool> owned_pool_;  // null when pool is borrowed
   ThreadPool* pool_;
   mutable std::mutex stats_mu_;

@@ -65,7 +65,8 @@ struct OpTrace {
   /// the number of re-issued per-server attempts beyond the first;
   /// `degraded_shards` counts servers whose contribution is MISSING from
   /// this node's output (unavailable after all retries — the query
-  /// degraded instead of failing; see NetStats::last_warnings).
+  /// degraded instead of failing; see DistributedDirectory::Execute's
+  /// warnings).
   uint64_t retries = 0;
   uint64_t degraded_shards = 0;
   /// Distributed atomic nodes: times a shard-level request abandoned one
@@ -73,15 +74,15 @@ struct OpTrace {
   /// retries both count; see NetStats::failovers).
   uint64_t failovers = 0;
   /// Atomic leaves: 1 when the leaf was answered by an attribute-index
-  /// probe (index/attr_index.h via the engine's index hook) instead of
-  /// the range scan.
+  /// probe (index/attr_index.h via the engine's IndexProbeSource) instead
+  /// of the range scan.
   uint64_t index_probes = 0;
   /// Root node only: rewrites the cost-based optimizer applied to the
   /// plan before evaluation (query/optimize.h; OptimizeStats::Total).
   uint64_t plan_rewrites = 0;
-  /// Operand-cache traffic at this node (parallel evaluator only): a hit
-  /// means the leaf's sorted list was copied out of the cache instead of
-  /// re-scanning the store; a miss means it was evaluated and inserted.
+  /// Operand-cache traffic at this node: a hit means the node's sorted
+  /// list was copied out of the cache instead of being evaluated again; a
+  /// miss means it was evaluated and inserted.
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   /// Thread that evaluated this node: 0 = the query's calling thread,

@@ -10,7 +10,6 @@
 #include "core/dn.h"
 #include "dist/distributed.h"
 #include "engine/engine.h"
-#include "exec/evaluator.h"
 #include "exec/operand_cache.h"
 #include "exec/parallel_evaluator.h"
 #include "fuzz/naive_eval.h"
@@ -236,8 +235,8 @@ std::vector<CheckFailure> CheckCase(const DirectoryInstance& instance,
     if (*got != want) fail(name, DiffEntries(want, *got));
   };
 
-  Evaluator evaluator(&disk, &*store);
-  check_entries("exec", evaluator.EvaluateToEntries(*query));
+  // The sequential checks below use one uncached evaluator.
+  ParallelEvaluator evaluator(&disk, &*store);
 
   // Whole-tree naive baselines.
   auto naive_entries = [&]() -> Result<std::vector<Entry>> {
@@ -251,9 +250,10 @@ std::vector<CheckFailure> CheckCase(const DirectoryInstance& instance,
   };
   check_entries("naive", naive_entries());
 
-  // Parallel evaluation at 1/2/4 threads over ONE shared operand cache:
-  // later runs serve leaves from lists the earlier runs inserted, so a
-  // key collision or a scheduling dependence shows up as a divergence.
+  // Evaluation at 1/2/4 threads over ONE shared operand cache: par1
+  // starts from the empty cache, later runs serve leaves from lists the
+  // earlier runs inserted, so a key collision or a scheduling dependence
+  // shows up as a divergence.
   {
     OperandCache cache(&disk, kCachePages);
     for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
@@ -554,7 +554,7 @@ std::vector<CheckFailure> CheckCase(const DirectoryInstance& instance,
             std::vector<Entry> mwant;
             mwant.reserve(mref->size());
             for (const Entry* e : *mref) mwant.push_back(*e);
-            Evaluator mev(&mdisk, &mstore);
+            ParallelEvaluator mev(&mdisk, &mstore);
             Result<std::vector<Entry>> mgot =
                 mev.EvaluateToEntries(*query);
             if (!mgot.ok()) {

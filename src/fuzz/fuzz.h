@@ -8,30 +8,38 @@
 //
 //   reference   the in-memory denotational semantics (query/reference.h)
 //   naive       whole-tree quadratic baselines (fuzz/naive_eval.h)
-//   exec        the external-memory Evaluator (stack/merge algorithms)
-//   par1/2/4    ParallelEvaluator at 1, 2 and 4 threads, sharing one
-//               OperandCache (exercises typed cache keys under reuse)
+//   par1/2/4    the external-memory ParallelEvaluator (stack/merge
+//               algorithms) at 1, 2 and 4 threads, sharing one
+//               OperandCache: par1 starts from the empty cache, the later
+//               runs exercise typed cache keys under reuse
 //   batch0..3   ndq::Engine Session::RunBatch over [Q, Q, (& Q Q),
 //               (| Q Q)]: cross-query operand sharing must leave every
 //               outcome byte-identical to one-at-a-time evaluation
-//   rewrite     Evaluator on RewriteQuery(Q) (optimizer equivalences)
-//   expand      Evaluator on ExpandParentsChildren(Q) (Thm 8.2(d); exact
-//               because RandomForest instances are prefix-closed)
-//   roundtrip   Evaluator on ParseQuery(Q.ToString()) plus a ToString
-//               fixed-point check
+//   rewrite     RewriteQuery(Q) (optimizer equivalences)
+//   optimize0/1 the cost-based optimizer's plan, then the same plan at 2
+//               threads with an operand cache
+//   expand      ExpandParentsChildren(Q) (Thm 8.2(d); exact because
+//               RandomForest instances are prefix-closed)
+//   query-roundtrip  ParseQuery(Q.ToString()) plus a ToString fixed-point
+//               check
+//   mutate      Q over a DirectoryStore after a seeded mutation script,
+//               against the reference on the mutated instance
 //   dist        DistributedDirectory over per-root naming contexts, with
 //               one delegated subtree when the forest allows it
 //   dist-fault  the same fleet with a seeded one-shot transient fault
 //               injected on every server disk: retries must make the
 //               result indistinguishable from the fault-free run
 //
-// plus metamorphic identities evaluated with the exec engine:
+// plus metamorphic identities:
 //
 //   idempotent-and/or   (& Q Q) == Q, (| Q Q) == Q
 //   self-diff           (- Q Q) == empty
 //   scope-monotone      leaf results at scope base/one are contained in
 //                       the same leaf at scope sub
 //   dn-roundtrip        every instance dn survives ToString -> Parse
+//
+// rewrite, optimize0, expand, query-roundtrip, mutate and the identities
+// evaluate with a sequential, uncached ParallelEvaluator.
 //
 // On a divergence the driver delta-debugs the case down to a minimal
 // repro: greedily removing instance subtrees and hoisting query subtrees

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "exec/atomic.h"
-#include "exec/evaluator.h"
 #include "exec/naive.h"
 
 namespace ndq {

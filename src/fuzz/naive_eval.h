@@ -2,8 +2,8 @@
 //
 // The differential fuzzer wants a third, independently-coded answer for
 // every full query tree, not just for single operators. NaiveEvaluate
-// recurses over the tree exactly like Evaluator does, but routes every
-// operator through a different implementation:
+// recurses over the tree exactly like ParallelEvaluator does, but routes
+// every operator through a different implementation:
 //
 //   * hierarchy / embedded-reference nodes -> the block-nested-loop
 //     witness tests of exec/naive.h (no stacks, no merges, no pair lists);
@@ -15,9 +15,9 @@
 //   * (g ...) -> the shared two-scan EvalSimpleAgg (its filter phase IS
 //     the Def. 6.1 semantics; there is nothing more naive to do).
 //
-// A divergence between this and Evaluator therefore localizes a bug to
-// the stack/merge machinery or to the naive loops — either way a real
-// finding.
+// A divergence between this and ParallelEvaluator therefore localizes a
+// bug to the stack/merge machinery or to the naive loops — either way a
+// real finding.
 
 #ifndef NDQ_FUZZ_NAIVE_EVAL_H_
 #define NDQ_FUZZ_NAIVE_EVAL_H_

@@ -38,7 +38,7 @@
 // oracles check case by case.
 //
 // ChooseAccessPath is the shared scan-vs-index-probe decision: the
-// evaluator's index hook (exec/parallel_evaluator.h) and EXPLAIN both
+// engine's IndexProbeSource (exec/parallel_evaluator.h) and EXPLAIN both
 // call it so the plan report matches what execution actually does.
 
 #ifndef NDQ_QUERY_OPTIMIZE_H_

@@ -23,13 +23,20 @@ TEST(AddressMatchTest, ComponentWildcards) {
   EXPECT_TRUE(AddressMatches("204.178.16.5", "204.178.16.5"));
 }
 
+// A borrowing engine without an operand cache: plain read-through.
+EngineOptions Uncached() {
+  EngineOptions options;
+  options.cache_capacity_pages = 0;
+  return options;
+}
+
 struct PaperQos {
   SimDisk disk{1024};
   SimDisk scratch{1024};
   DirectoryInstance inst = testing::PaperInstance();
   EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
-  QosPolicyEngine engine{&scratch, &store,
-                         D("dc=research, dc=att, dc=com")};
+  Engine backend{&scratch, &store, Uncached()};
+  QosPolicyEngine engine{&backend, D("dc=research, dc=att, dc=com")};
 };
 
 TEST(QosEngineTest, Figure12WeekendDenyScenario) {
@@ -100,7 +107,8 @@ TEST(QosEngineTest, PriorityResolutionOnSyntheticDomain) {
   DirectoryInstance inst = gen::GenerateDif(opt);
   SimDisk disk(1024), scratch(1024);
   EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
-  QosPolicyEngine engine(&scratch, &store, D("dc=sub0, dc=org0, dc=com"));
+  Engine backend(&scratch, &store, Uncached());
+  QosPolicyEngine engine(&backend, D("dc=sub0, dc=org0, dc=com"));
 
   PacketProfile packet;
   packet.source_address = "210.7.7.7";  // matches any *.*-tailed pattern

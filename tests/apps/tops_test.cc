@@ -14,13 +14,21 @@ using apps::QhpMatches;
 using apps::TopsResolver;
 using testing::D;
 
+// A borrowing engine without an operand cache: plain read-through, so a
+// test may mutate the store between resolutions.
+EngineOptions Uncached() {
+  EngineOptions options;
+  options.cache_capacity_pages = 0;
+  return options;
+}
+
 struct PaperTops {
   SimDisk disk{1024};
   SimDisk scratch{1024};
   DirectoryInstance inst = testing::PaperInstance();
   EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
-  TopsResolver resolver{&scratch, &store,
-                        D("dc=research, dc=att, dc=com")};
+  Engine backend{&scratch, &store, Uncached()};
+  TopsResolver resolver{&backend, D("dc=research, dc=att, dc=com")};
 };
 
 TEST(QhpMatchTest, TimeWindowAndDays) {
@@ -105,7 +113,8 @@ TEST(TopsResolverTest, DynamicPolicyUpdateThroughMutableStore) {
     (void)key;
     ASSERT_TRUE(store.Add(entry).ok());
   }
-  TopsResolver resolver(&scratch, &store, D("dc=research, dc=att, dc=com"));
+  Engine backend(&scratch, &store, Uncached());
+  TopsResolver resolver(&backend, D("dc=research, dc=att, dc=com"));
   CallContext ctx{"", 1000, 3};
   CallResolution before = resolver.Resolve("jag", ctx).TakeValue();
   ASSERT_TRUE(before.winning_qhp.has_value());

@@ -54,11 +54,11 @@ TEST(DegradationTest, DownedServerYieldsPartialResultWithWarning) {
   // Spans both servers; only the root server's two entries can arrive.
   QueryPtr q = ParseQuery("(dc=com ? sub ? objectClass=*)").TakeValue();
   OpTrace trace;
-  Result<std::vector<Entry>> got = fleet.Evaluate(*q, &trace);
+  std::vector<DegradationWarning> warnings;
+  Result<std::vector<Entry>> got = fleet.Execute(*q, &trace, &warnings);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got->size(), 2u);  // dc=com, dc=att
 
-  std::vector<DegradationWarning> warnings = fleet.last_warnings();
   ASSERT_EQ(warnings.size(), 1u);
   EXPECT_EQ(warnings[0].source, "research-server");
   EXPECT_NE(warnings[0].ToString().find("research-server"),
@@ -77,10 +77,11 @@ TEST(DegradationTest, FailStopWhenDegradationDisabled) {
   fleet.FindServer("research-server")->set_down(true);
 
   QueryPtr q = ParseQuery("(dc=com ? sub ? objectClass=*)").TakeValue();
-  Result<std::vector<Entry>> got = fleet.Evaluate(*q);
+  std::vector<DegradationWarning> warnings;
+  Result<std::vector<Entry>> got = fleet.Execute(*q, nullptr, &warnings);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kUnavailable);
-  EXPECT_TRUE(fleet.last_warnings().empty());
+  EXPECT_TRUE(warnings.empty());
 }
 
 TEST(DegradationTest, TransientFaultIsRetriedToAFullResult) {
@@ -95,7 +96,8 @@ TEST(DegradationTest, TransientFaultIsRetriedToAFullResult) {
   FaultInjector fi(
       {FaultInjector::FailNth(1, FaultOpBit(FaultOp::kRead))});
   fleet.FindServer("research-server")->disk()->set_fault_injector(&fi);
-  Result<std::vector<Entry>> got = fleet.Evaluate(*q);
+  std::vector<DegradationWarning> warnings;
+  Result<std::vector<Entry>> got = fleet.Execute(*q, nullptr, &warnings);
   fleet.FindServer("research-server")->disk()->set_fault_injector(nullptr);
 
   ASSERT_TRUE(got.ok()) << got.status().ToString();
@@ -103,7 +105,7 @@ TEST(DegradationTest, TransientFaultIsRetriedToAFullResult) {
   EXPECT_EQ(fi.faults_fired(), 1u);
   EXPECT_GE(uint64_t{fleet.net_stats().retries}, 1u);
   EXPECT_EQ(uint64_t{fleet.net_stats().degraded_results}, 0u);
-  EXPECT_TRUE(fleet.last_warnings().empty());
+  EXPECT_TRUE(warnings.empty());
 }
 
 TEST(DegradationTest, QueryShippingFallsBackWhenOwnerIsDown) {
@@ -118,10 +120,11 @@ TEST(DegradationTest, QueryShippingFallsBackWhenOwnerIsDown) {
           "   (dc=research, dc=att, dc=com ? sub ? objectClass=*))")
           .TakeValue();
   fleet.FindServer("research-server")->set_down(true);
-  Result<std::vector<Entry>> got = fleet.Evaluate(*q);
+  std::vector<DegradationWarning> warnings;
+  Result<std::vector<Entry>> got = fleet.Execute(*q, nullptr, &warnings);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_TRUE(got->empty());
-  EXPECT_FALSE(fleet.last_warnings().empty());
+  EXPECT_FALSE(warnings.empty());
 }
 
 TEST(DegradationTest, RecoveryRestoresExactResults) {
@@ -136,17 +139,18 @@ TEST(DegradationTest, RecoveryRestoresExactResults) {
 
   DirectoryServer* research = fleet.FindServer("research-server");
   research->set_down(true);
-  Result<std::vector<Entry>> degraded = fleet.Evaluate(*q);
+  std::vector<DegradationWarning> warnings;
+  Result<std::vector<Entry>> degraded = fleet.Execute(*q, nullptr, &warnings);
   ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
-  EXPECT_FALSE(fleet.last_warnings().empty());
+  EXPECT_FALSE(warnings.empty());
 
   // Server comes back: the very next evaluation is exact again, and the
   // stale warnings are gone.
   research->set_down(false);
-  Result<std::vector<Entry>> healed = fleet.Evaluate(*q);
+  Result<std::vector<Entry>> healed = fleet.Execute(*q, nullptr, &warnings);
   ASSERT_TRUE(healed.ok()) << healed.status().ToString();
   EXPECT_EQ(*healed, want);
-  EXPECT_TRUE(fleet.last_warnings().empty());
+  EXPECT_TRUE(warnings.empty());
 }
 
 TEST(DegradationTest, ParallelFleetDegradesIdentically) {
@@ -160,10 +164,11 @@ TEST(DegradationTest, ParallelFleetDegradesIdentically) {
                    .TakeValue();
   for (int round = 0; round < 5; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
-    Result<std::vector<Entry>> got = fleet.Evaluate(*q);
+    std::vector<DegradationWarning> warnings;
+    Result<std::vector<Entry>> got = fleet.Execute(*q, nullptr, &warnings);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(got->size(), 2u);  // the root server's dc entries
-    EXPECT_FALSE(fleet.last_warnings().empty());
+    EXPECT_FALSE(warnings.empty());
   }
 }
 

@@ -1,8 +1,7 @@
-// DistributedDirectory::EvaluateBatch: coordinator-side sub-plan sharing
-// must return byte-identical results to per-query Evaluate while shipping
-// strictly less over the network when the batch repeats sub-plans.
-
-#include "dist/distributed.h"
+// Session::RunBatch over a distributed engine: coordinator-side sub-plan
+// sharing must return byte-identical results to running the queries one
+// at a time, while shipping strictly less over the network when the batch
+// repeats sub-plans.
 
 #include <string>
 #include <vector>
@@ -10,86 +9,89 @@
 #include <gtest/gtest.h>
 
 #include "core/status_matchers.h"
-#include "query/parser.h"
+#include "engine/engine.h"
 #include "testing/paper_fixture.h"
 
 namespace ndq {
 namespace {
 
-DistributedDirectory PaperFleet() {
+EngineOptions FleetOptions() {
+  EngineOptions opts;
+  opts.backend = EngineBackend::kDistributed;
+  opts.topology = TopologyConfig::FromContexts(
+      {{"dc=com", "root-server"},
+       {"dc=research, dc=att, dc=com", "research-server"}});
+  return opts;
+}
+
+// Two distinct queries, each submitted multiple times, spanning both
+// servers (the surName leaf lives under the delegated subtree too). The
+// repeated leaf is shared as a scatter-gather result.
+const std::vector<std::string> kBatch = {
+    "(dc=att, dc=com ? sub ? surName=jagadish)",
+    "(& (dc=com ? sub ? objectClass=dcObject)"
+    "   (dc=att, dc=com ? sub ? objectClass=*))",
+    "(dc=att, dc=com ? sub ? surName=jagadish)",
+    "(& (dc=com ? sub ? objectClass=dcObject)"
+    "   (dc=att, dc=com ? sub ? objectClass=*))",
+    "(dc=att, dc=com ? sub ? surName=jagadish)",
+    // A join entirely inside the delegated subtree (planning cannot fold
+    // it into one leaf): shipped whole to the research server (query
+    // shipping), and only once when batched.
+    "(c (dc=research, dc=att, dc=com ? sub ? objectClass=TOPSSubscriber)"
+    "   (dc=research, dc=att, dc=com ? sub ? objectClass=QHP))",
+    "(c (dc=research, dc=att, dc=com ? sub ? objectClass=TOPSSubscriber)"
+    "   (dc=research, dc=att, dc=com ? sub ? objectClass=QHP))",
+};
+
+TEST(DistBatchTest, BatchMatchesOneAtATime) {
   DirectoryInstance inst = testing::PaperInstance();
-  return DistributedDirectory::Build(
-             inst, TopologyConfig::FromContexts(
-                       {{"dc=com", "root-server"},
-                        {"dc=research, dc=att, dc=com", "research-server"}}))
-      .TakeValue();
-}
 
-std::vector<QueryPtr> BatchPlans() {
-  // Two distinct queries, each submitted multiple times, spanning both
-  // servers (the surName leaf lives under the delegated subtree too).
-  const char* texts[] = {
-      "(dc=att, dc=com ? sub ? surName=jagadish)",
-      "(& (dc=com ? sub ? objectClass=dcObject)"
-      "   (dc=att, dc=com ? sub ? objectClass=*))",
-      "(dc=att, dc=com ? sub ? surName=jagadish)",
-      "(& (dc=com ? sub ? objectClass=dcObject)"
-      "   (dc=att, dc=com ? sub ? objectClass=*))",
-      "(dc=att, dc=com ? sub ? surName=jagadish)",
-      // A non-atomic query entirely inside the delegated subtree: shipped
-      // whole to the research server (query shipping), and only once when
-      // batched.
-      "(& (dc=research, dc=att, dc=com ? sub ? objectClass=QHP)"
-      "   (dc=research, dc=att, dc=com ? sub ? objectClass=*))",
-      "(& (dc=research, dc=att, dc=com ? sub ? objectClass=QHP)"
-      "   (dc=research, dc=att, dc=com ? sub ? objectClass=*))",
-  };
-  std::vector<QueryPtr> plans;
-  for (const char* text : texts) plans.push_back(ParseQuery(text).TakeValue());
-  return plans;
-}
-
-TEST(DistBatchTest, BatchMatchesPerQueryEvaluate) {
-  std::vector<QueryPtr> plans = BatchPlans();
-
-  DistributedDirectory sequential = PaperFleet();
+  Engine sequential(inst, FleetOptions());
+  NDQ_ASSERT_OK(sequential.init_status());
+  Session one_at_a_time = sequential.OpenSession();
   std::vector<std::vector<Entry>> want;
-  for (const QueryPtr& q : plans) {
-    NDQ_ASSERT_OK_AND_ASSIGN(std::vector<Entry> r, sequential.Evaluate(*q));
-    want.push_back(std::move(r));
+  for (const std::string& text : kBatch) {
+    QueryOutcome out = one_at_a_time.Run(text);
+    NDQ_ASSERT_OK(out.status);
+    want.push_back(std::move(out.entries));
   }
 
-  DistributedDirectory batched = PaperFleet();
-  NDQ_ASSERT_OK_AND_ASSIGN(std::vector<std::vector<Entry>> got,
-                           batched.EvaluateBatch(plans));
-  ASSERT_EQ(got.size(), plans.size());
-  for (size_t i = 0; i < plans.size(); ++i) {
-    SCOPED_TRACE(plans[i]->ToString());
-    EXPECT_EQ(got[i], want[i]);
+  Engine batched(inst, FleetOptions());
+  NDQ_ASSERT_OK(batched.init_status());
+  BatchResult br = batched.OpenSession().RunBatch(kBatch);
+  ASSERT_EQ(br.outcomes.size(), kBatch.size());
+  for (size_t i = 0; i < kBatch.size(); ++i) {
+    SCOPED_TRACE(kBatch[i]);
+    NDQ_ASSERT_OK(br.outcomes[i].status);
+    EXPECT_EQ(br.outcomes[i].entries, want[i]);
   }
+  EXPECT_GT(br.stats.cache_hits, 0u);
 
   // Sharing at the coordinator: the duplicated queries never re-contact
   // the servers, so the batched fleet moves strictly less than the
-  // sequential one on every network axis.
-  EXPECT_LT(batched.net_stats().messages.load(),
-            sequential.net_stats().messages.load());
-  EXPECT_LT(batched.net_stats().queries_shipped.load(),
-            sequential.net_stats().queries_shipped.load());
+  // one-at-a-time one, in messages and in whole-query shipments alike.
+  const NetStats& b = batched.fleet()->net_stats();
+  const NetStats& s = sequential.fleet()->net_stats();
+  EXPECT_LT(b.messages.load(), s.messages.load());
+  EXPECT_GT(b.queries_shipped.load(), 0u);
+  EXPECT_LT(b.queries_shipped.load(), s.queries_shipped.load());
 }
 
 TEST(DistBatchTest, EmptyAndSingletonBatches) {
-  DistributedDirectory fleet = PaperFleet();
-  NDQ_ASSERT_OK_AND_ASSIGN(std::vector<std::vector<Entry>> none,
-                           fleet.EvaluateBatch({}));
-  EXPECT_TRUE(none.empty());
+  DirectoryInstance inst = testing::PaperInstance();
+  Engine engine(inst, FleetOptions());
+  NDQ_ASSERT_OK(engine.init_status());
+  Session session = engine.OpenSession();
+  EXPECT_TRUE(session.RunBatch(std::vector<std::string>{}).outcomes.empty());
 
-  QueryPtr q =
-      ParseQuery("(dc=att, dc=com ? sub ? surName=jagadish)").TakeValue();
-  NDQ_ASSERT_OK_AND_ASSIGN(std::vector<std::vector<Entry>> one,
-                           fleet.EvaluateBatch({q}));
-  ASSERT_EQ(one.size(), 1u);
-  NDQ_ASSERT_OK_AND_ASSIGN(std::vector<Entry> want, fleet.Evaluate(*q));
-  EXPECT_EQ(one[0], want);
+  const std::string text = "(dc=att, dc=com ? sub ? surName=jagadish)";
+  BatchResult one = session.RunBatch(std::vector<std::string>{text});
+  ASSERT_EQ(one.outcomes.size(), 1u);
+  NDQ_ASSERT_OK(one.outcomes[0].status);
+  QueryOutcome want = session.Run(text);
+  NDQ_ASSERT_OK(want.status);
+  EXPECT_EQ(one.outcomes[0].entries, want.entries);
 }
 
 }  // namespace

@@ -56,7 +56,7 @@ TEST_P(DistPropertyTest, RandomQueriesAgreeAcrossRandomDelegations) {
   for (int i = 0; i < 25; ++i) {
     QueryPtr q = gen::RandomQuery(&rng, global, qopt);
     SCOPED_TRACE(q->ToString());
-    Result<std::vector<Entry>> dist_r = fleet.Evaluate(*q);
+    Result<std::vector<Entry>> dist_r = fleet.Execute(*q);
     Result<std::vector<const Entry*>> ref_r =
         EvaluateReference(*q, global);
     ASSERT_EQ(dist_r.ok(), ref_r.ok());
@@ -96,7 +96,7 @@ TEST(DistPropertyTest, ShippedRecordsNeverExceedAtomicResults) {
   for (int i = 0; i < 20; ++i) {
     QueryPtr q = gen::RandomQuery(&rng, global, qopt);
     fleet.ResetStats();
-    Result<std::vector<Entry>> r = fleet.Evaluate(*q);
+    Result<std::vector<Entry>> r = fleet.Execute(*q);
     if (!r.ok()) continue;
     // Upper bound: sum of atomic sub-query results over the whole forest.
     uint64_t atomic_total = 0;
@@ -142,7 +142,7 @@ TEST(DistPropertyTest, ParallelEvaluationMatchesSequentialShipping) {
     ASSERT_EQ(fleet.parallelism(), 1u);
     fleet.ResetStats();
     OpTrace seq_trace;
-    Result<std::vector<Entry>> seq = fleet.Evaluate(*q, &seq_trace);
+    Result<std::vector<Entry>> seq = fleet.Execute(*q, &seq_trace);
     const uint64_t seq_recs = fleet.net_stats().records_shipped;
     const uint64_t seq_bytes = fleet.net_stats().bytes_shipped;
     const uint64_t seq_msgs = fleet.net_stats().messages;
@@ -151,7 +151,7 @@ TEST(DistPropertyTest, ParallelEvaluationMatchesSequentialShipping) {
     ASSERT_EQ(fleet.parallelism(), 4u);
     fleet.ResetStats();
     OpTrace par_trace;
-    Result<std::vector<Entry>> par = fleet.Evaluate(*q, &par_trace);
+    Result<std::vector<Entry>> par = fleet.Execute(*q, &par_trace);
 
     ASSERT_EQ(seq.ok(), par.ok());
     if (!seq.ok()) continue;

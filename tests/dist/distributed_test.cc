@@ -92,7 +92,7 @@ TEST(DistributedTest, AgreesWithGlobalReference) {
   for (const char* text : queries) {
     SCOPED_TRACE(text);
     QueryPtr q = ParseQuery(text).TakeValue();
-    std::vector<Entry> dist_result = fleet.Evaluate(*q).TakeValue();
+    std::vector<Entry> dist_result = fleet.Execute(*q).TakeValue();
     std::vector<const Entry*> ref =
         EvaluateReference(*q, global).TakeValue();
     ASSERT_EQ(dist_result.size(), ref.size());
@@ -110,7 +110,7 @@ TEST(DistributedTest, NetworkAccounting) {
                    "   (dc=research, dc=att, dc=com ? sub ? "
                    "objectClass=dcObject))")
                    .TakeValue();
-  ASSERT_TRUE(fleet.Evaluate(*q).ok());
+  ASSERT_TRUE(fleet.Execute(*q).ok());
   const NetStats& net = fleet.net_stats();
   // First leaf touches both servers; second only the research server.
   EXPECT_EQ(net.servers_contacted, 3u);
@@ -130,7 +130,7 @@ TEST(DistributedTest, QueryShippingForSubtreeLocalQueries) {
                        "objectClass=QHP) count($2)>1)")
                        .TakeValue();
   fleet.ResetStats();
-  std::vector<Entry> r = fleet.Evaluate(*local).TakeValue();
+  std::vector<Entry> r = fleet.Execute(*local).TakeValue();
   ASSERT_EQ(r.size(), 1u);
   EXPECT_EQ(fleet.net_stats().queries_shipped, 1u);
   EXPECT_EQ(fleet.net_stats().messages, 2u);  // single round trip
@@ -141,7 +141,7 @@ TEST(DistributedTest, QueryShippingForSubtreeLocalQueries) {
   // With shipping disabled: same answer, more traffic.
   fleet.set_query_shipping(false);
   fleet.ResetStats();
-  std::vector<Entry> r2 = fleet.Evaluate(*local).TakeValue();
+  std::vector<Entry> r2 = fleet.Execute(*local).TakeValue();
   ASSERT_EQ(r2.size(), 1u);
   EXPECT_EQ(r2[0], r[0]);
   EXPECT_EQ(fleet.net_stats().queries_shipped, 0u);
@@ -156,7 +156,7 @@ TEST(DistributedTest, QueryShippingForSubtreeLocalQueries) {
                           .TakeValue();
   EXPECT_EQ(fleet.SingleOwner(*spanning), nullptr);
   fleet.ResetStats();
-  ASSERT_TRUE(fleet.Evaluate(*spanning).ok());
+  ASSERT_TRUE(fleet.Execute(*spanning).ok());
   EXPECT_EQ(fleet.net_stats().queries_shipped, 0u);
 }
 
@@ -191,7 +191,7 @@ TEST(DistributedTest, LargerFleetAgreesOnDifWorkload) {
   for (const char* text : queries) {
     SCOPED_TRACE(text);
     QueryPtr q = ParseQuery(text).TakeValue();
-    std::vector<Entry> dist_result = fleet.Evaluate(*q).TakeValue();
+    std::vector<Entry> dist_result = fleet.Execute(*q).TakeValue();
     std::vector<const Entry*> ref =
         EvaluateReference(*q, global).TakeValue();
     ASSERT_EQ(dist_result.size(), ref.size());

@@ -1,13 +1,15 @@
-// Scale-out sharding (ISSUE 10): the declarative TopologyConfig text
-// form, routing across nested delegations at shard boundaries, replica
-// failover byte-identity against a healthy fleet, and the streaming
-// scatter-gather merge against its materialized predecessor.
+// Scale-out sharding: the declarative TopologyConfig text form, routing
+// across nested delegations at shard boundaries, replica failover
+// byte-identity against a healthy fleet, the streaming scatter-gather
+// merge against the reference semantics, and how the fleet's traces
+// attribute I/O and shipping.
 
 #include "dist/topology.h"
 
 #include <atomic>
 #include <chrono>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -386,19 +388,15 @@ TEST(ReplicationTest, WholeReplicaSetDownDegrades) {
   EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);
 }
 
-// The streaming k-way merge and the materialize-then-merge predecessor
-// must agree byte-for-byte on every query; only coordinator I/O differs.
+// The streaming k-way merge must agree byte-for-byte with the reference
+// semantics on every query.
 TEST(MergeTest, StreamingEqualsMaterialized) {
   DirectoryInstance global = SmallDif();
   DistributedDirectory fleet = NestedFleet(global, /*replicas=*/2);
   for (const char* text : kWorkload) {
     SCOPED_TRACE(text);
     QueryPtr q = ParseQuery(text).TakeValue();
-    fleet.set_streaming_merge(false);
-    std::vector<Entry> materialized = fleet.Execute(*q).TakeValue();
-    fleet.set_streaming_merge(true);
     std::vector<Entry> streamed = fleet.Execute(*q).TakeValue();
-    EXPECT_EQ(streamed, materialized);
     std::vector<const Entry*> ref = EvaluateReference(*q, global).TakeValue();
     ASSERT_EQ(streamed.size(), ref.size());
     for (size_t i = 0; i < ref.size(); ++i) EXPECT_EQ(streamed[i], *ref[i]);
@@ -431,6 +429,139 @@ TEST(MergeTest, TransientReadFaultAnywhereStaysExact) {
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       EXPECT_EQ(*got, want);
     }
+  }
+}
+
+// Once the merge has read a shard's run to the end, freeing it is
+// housekeeping: a replica disk that refuses the free cannot change the
+// result, so the query succeeds exactly even under fail-stop semantics.
+TEST(MergeTest, FailedFreeOfDrainedShardRunIsHarmless) {
+  DirectoryInstance global = SmallDif();
+  DistributedDirectory fleet = NestedFleet(global, /*replicas=*/2);
+  fleet.set_retry_policy(FastRetries());
+  fleet.set_allow_degraded(false);
+
+  QueryPtr q = ParseQuery(kWorkload[1]).TakeValue();  // served by sub0
+  std::vector<Entry> want = fleet.Execute(*q).TakeValue();
+  Shard* sub0 = fleet.FindShard("sub0");
+  ASSERT_NE(sub0, nullptr);
+  for (uint64_t nth = 1; nth <= 3; ++nth) {
+    SCOPED_TRACE("fault at free " + std::to_string(nth));
+    std::vector<std::unique_ptr<FaultInjector>> injectors;
+    for (size_t r = 0; r < sub0->num_replicas(); ++r) {
+      injectors.push_back(std::make_unique<FaultInjector>());
+      injectors.back()->AddRule(
+          FaultInjector::FailNth(nth, FaultOpBit(FaultOp::kFree)));
+      sub0->replica(r)->disk()->set_fault_injector(injectors.back().get());
+    }
+    Result<std::vector<Entry>> got = fleet.Execute(*q);
+    uint64_t fired = 0;
+    for (size_t r = 0; r < sub0->num_replicas(); ++r) {
+      sub0->replica(r)->disk()->set_fault_injector(nullptr);
+      fired += injectors[r]->faults_fired();
+    }
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, want);
+    if (nth == 1) {
+      EXPECT_EQ(fired, 1u);
+    }
+  }
+}
+
+uint64_t FleetTransfers(DistributedDirectory& fleet) {
+  uint64_t n = fleet.coordinator_disk()->stats().TotalTransfers();
+  for (DirectoryServer* server : fleet.servers()) {
+    n += server->disk()->stats().TotalTransfers();
+  }
+  return n;
+}
+
+// The fleet's traces account for every transfer and every shipped record
+// at the root, whether a node scatter-gathers its leaves, ships whole to
+// one shard, or mixes the two, at any fleet parallelism: the root's I/O is
+// the call's fleet-wide transfer delta minus reading the result out, and
+// its shipped records are what crossed the network. A shipped node keeps
+// the replica evaluator's subtree I/O plus its own shipping, without its
+// children counted a second time.
+TEST(FleetTraceTest, RootAccountsForFleetTransfersAndShipping) {
+  DirectoryInstance global = SmallDif();
+  DistributedDirectory fleet = NestedFleet(global, /*replicas=*/2);
+  // org1 has no delegation below it, so this join has a single owner.
+  const std::string org1_join =
+      "(c (dc=org1, dc=com ? sub ? objectClass=TOPSSubscriber)"
+      "   (dc=org1, dc=com ? sub ? objectClass=QHP))";
+  struct Case {
+    std::string text;
+    uint64_t shipments;  // whole (sub)queries shipped
+  };
+  std::vector<Case> cases;
+  for (const char* text : kWorkload) cases.push_back({text, 0});
+  cases.push_back({org1_join, 1});
+  cases.push_back({"(| " + org1_join + " (dc=com ? sub ? objectClass=QHP))",
+                   1});
+
+  for (size_t parallelism : {size_t{1}, size_t{4}}) {
+    fleet.set_parallelism(parallelism);
+    for (const Case& c : cases) {
+      SCOPED_TRACE("parallelism " + std::to_string(parallelism) + ": " +
+                   c.text);
+      QueryPtr q = ParseQuery(c.text).TakeValue();
+      const uint64_t transfers = FleetTransfers(fleet);
+      const uint64_t shipped = fleet.net_stats().records_shipped;
+      const uint64_t shipments = fleet.net_stats().queries_shipped;
+      OpTrace trace;
+      Result<std::vector<Entry>> got = fleet.Execute(*q, &trace);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(fleet.net_stats().queries_shipped - shipments, c.shipments);
+      EXPECT_EQ(trace.NodeCount(), q->NodeCount());
+      EXPECT_GT(trace.io.TotalTransfers(), 0u);
+      EXPECT_EQ(trace.io.TotalTransfers(),
+                FleetTransfers(fleet) - transfers - trace.output_pages);
+      EXPECT_EQ(trace.shipped_records,
+                fleet.net_stats().records_shipped - shipped);
+    }
+  }
+  fleet.set_parallelism(1);
+}
+
+// The same accounting holds when shipments fail: a read fault on each
+// replica of the serving shard makes whole-query attempts fail over or
+// fall back to the operands, and the I/O of every abandoned attempt
+// still reaches the root.
+TEST(FleetTraceTest, AbandonedShipmentsStayAccounted) {
+  DirectoryInstance global = SmallDif();
+  DistributedDirectory fleet = NestedFleet(global, /*replicas=*/2);
+  fleet.set_retry_policy(FastRetries());
+  fleet.set_allow_degraded(false);
+  QueryPtr q = ParseQuery(
+                   "(c (dc=org1, dc=com ? sub ? objectClass=TOPSSubscriber)"
+                   "   (dc=org1, dc=com ? sub ? objectClass=QHP))")
+                   .TakeValue();
+  std::vector<Entry> want = fleet.Execute(*q).TakeValue();
+  Shard* org1 = fleet.FindShard("org1");
+  ASSERT_NE(org1, nullptr);
+  for (uint64_t nth = 1; nth <= 6; ++nth) {
+    SCOPED_TRACE("fault at read " + std::to_string(nth));
+    std::vector<std::unique_ptr<FaultInjector>> injectors;
+    for (size_t r = 0; r < org1->num_replicas(); ++r) {
+      injectors.push_back(std::make_unique<FaultInjector>());
+      injectors.back()->AddRule(
+          FaultInjector::FailNth(nth, FaultOpBit(FaultOp::kRead)));
+      org1->replica(r)->disk()->set_fault_injector(injectors.back().get());
+    }
+    const uint64_t transfers = FleetTransfers(fleet);
+    const uint64_t shipped = fleet.net_stats().records_shipped;
+    OpTrace trace;
+    Result<std::vector<Entry>> got = fleet.Execute(*q, &trace);
+    for (size_t r = 0; r < org1->num_replicas(); ++r) {
+      org1->replica(r)->disk()->set_fault_injector(nullptr);
+    }
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, want);
+    EXPECT_EQ(trace.io.TotalTransfers(),
+              FleetTransfers(fleet) - transfers - trace.output_pages);
+    EXPECT_EQ(trace.shipped_records,
+              fleet.net_stats().records_shipped - shipped);
   }
 }
 

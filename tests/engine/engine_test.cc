@@ -18,6 +18,7 @@
 
 #include "core/status_matchers.h"
 #include "exec/theorem_check.h"
+#include "gen/dif_gen.h"
 #include "query/parser.h"
 #include "query/reference.h"
 #include "store/entry_store.h"
@@ -120,6 +121,34 @@ TEST_F(EngineTest, SettingsPersistAcrossQueries) {
   engine.SetParallelism(1);
   EXPECT_EQ(engine.parallelism(), 1u);
   NDQ_ASSERT_OK(session.Run(kBoolean).status);
+}
+
+// The index probe is the evaluator's node source: after BuildIndexes a
+// leaf the statistics prove selective is answered by a probe, exactly,
+// across pool resizes — and re-probed on a repeat, since a leaf its
+// source answers is not operand-cached.
+TEST(EngineIndexTest, BuildIndexesProbesSelectiveLeaves) {
+  gen::DifOptions opt;
+  opt.num_orgs = 2;
+  DirectoryInstance inst = gen::GenerateDif(opt);
+  SimDisk disk(1024);
+  EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
+  Engine engine(&disk, &store);
+  IndexSpec spec;
+  spec.string_attrs = {"uid"};
+  NDQ_ASSERT_OK(engine.BuildIndexes(spec));
+  ASSERT_NE(engine.indexes(), nullptr);
+  Session session = engine.OpenSession();
+  const std::string text = "(dc=com ? sub ? uid=user3)";
+  for (size_t parallelism : {size_t{1}, size_t{1}, size_t{3}}) {
+    engine.SetParallelism(parallelism);
+    QueryOutcome out = session.Run(text);
+    NDQ_ASSERT_OK(out.status);
+    EXPECT_FALSE(out.entries.empty());
+    EXPECT_EQ(out.entries, ReferenceEntries(inst, text));
+    EXPECT_EQ(out.trace.index_probes, 1u);
+    EXPECT_EQ(out.trace.cache_hits, 0u);
+  }
 }
 
 TEST_F(EngineTest, SetFaultsRejectsBadSpecAndKeepsOldPolicy) {

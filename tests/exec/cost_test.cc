@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/evaluator.h"
+#include "exec/parallel_evaluator.h"
 #include "gen/dif_gen.h"
 #include "query/parser.h"
 #include "query/rewrite.h"
@@ -33,7 +33,7 @@ struct CostFixture {
   uint64_t Measure(const std::string& text) {
     QueryPtr q = ParseQuery(text).TakeValue();
     SimDisk scratch(1024);
-    Evaluator evaluator(&scratch, &store);
+    ParallelEvaluator evaluator(&scratch, &store);
     disk.ResetStats();
     EXPECT_TRUE(evaluator.EvaluateToEntries(*q).ok());
     return disk.stats().TotalTransfers() +
@@ -64,7 +64,7 @@ TEST(CostTest, LeafRecordEstimateIsUpperBoundOnResults) {
     QueryPtr q = ParseQuery(text).TakeValue();
     CostEstimate est = EstimateCost(f.store, *q);
     SimDisk scratch(1024);
-    Evaluator evaluator(&scratch, &f.store);
+    ParallelEvaluator evaluator(&scratch, &f.store);
     std::vector<Entry> r = evaluator.EvaluateToEntries(*q).TakeValue();
     EXPECT_GE(est.output_records + 0.5, static_cast<double>(r.size()))
         << text;

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "exec/evaluator.h"
+#include "exec/parallel_evaluator.h"
 #include "query/parser.h"
 #include "query/reference.h"
 #include "testing/paper_fixture.h"
@@ -12,7 +12,7 @@ TEST(EvaluatorStatsTest, CountsOperatorsAtomicsAndL) {
   DirectoryInstance inst = testing::PaperInstance();
   SimDisk disk;
   EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
-  Evaluator evaluator(&disk, &store);
+  ParallelEvaluator evaluator(&disk, &store);
   // |Q| = 6 nodes, 4 atomic leaves (Example 5.3 shape).
   QueryPtr q = ParseQuery(
                    "(dc (dc=att, dc=com ? sub ? objectClass=dcObject)"
@@ -22,7 +22,7 @@ TEST(EvaluatorStatsTest, CountsOperatorsAtomicsAndL) {
                    "    (dc=att, dc=com ? sub ? objectClass=dcObject))")
                    .TakeValue();
   ASSERT_TRUE(evaluator.EvaluateToEntries(*q).ok());
-  const EvalStats& stats = evaluator.stats();
+  const EvalStats stats = evaluator.stats();
   EXPECT_EQ(stats.operators_evaluated, q->NodeCount());
   EXPECT_EQ(stats.atomic_queries, 4u);
   // |L| of Theorem 8.3 = cumulative atomic outputs: verify against the

@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/boolean.h"
-#include "exec/evaluator.h"
+#include "exec/common.h"
 #include "exec/hierarchy.h"
 #include "exec/embedded_ref.h"
 #include "exec/naive.h"

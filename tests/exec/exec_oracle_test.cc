@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/evaluator.h"
+#include "exec/parallel_evaluator.h"
 #include "gen/random_forest.h"
 #include "gen/random_query.h"
 #include "query/parser.h"
@@ -21,7 +21,7 @@ namespace {
 void ExpectAgreement(const DirectoryInstance& inst, const Query& query) {
   SimDisk disk(1024);
   EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
-  Evaluator evaluator(&disk, &store);
+  ParallelEvaluator evaluator(&disk, &store);
 
   Result<std::vector<Entry>> exec_r = evaluator.EvaluateToEntries(query);
   Result<std::vector<const Entry*>> ref_r = EvaluateReference(query, inst);
@@ -219,7 +219,7 @@ TEST(ExecOracleTest, DeepChainForestWithTinyStackWindow) {
   EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
   ExecOptions opt;
   opt.stack_window = 4;  // far smaller than the 300-deep chain
-  Evaluator evaluator(&disk, &store, opt);
+  ParallelEvaluator evaluator(&disk, &store, opt);
 
   for (const char* text : {
            "(a ( ? sub ? objectClass=even) ( ? sub ? objectClass=odd))",
@@ -259,7 +259,7 @@ TEST_P(PageSizeOracleTest, ResultsIndependentOfPageSize) {
   EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
   ExecOptions opt;
   opt.stack_window = 8;
-  Evaluator evaluator(&disk, &store, opt);
+  ParallelEvaluator evaluator(&disk, &store, opt);
   const char* queries[] = {
       "(dc=com ? sub ? objectClass=*)",
       "(dc (dc=att, dc=com ? sub ? objectClass=dcObject)"
@@ -300,7 +300,7 @@ TEST(ExecOracleTest, NoDiskPagesLeak) {
   SimDisk disk(1024);
   EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
   size_t baseline = disk.live_pages();
-  Evaluator evaluator(&disk, &store);
+  ParallelEvaluator evaluator(&disk, &store);
   Result<QueryPtr> q = ParseQuery(
       "(dv (dc=att, dc=com ? sub ? objectClass=SLADSAction)"
       "    (g (vd (dc=att, dc=com ? sub ? objectClass=SLAPolicyRules)"

@@ -13,7 +13,7 @@
 
 #include "dist/distributed.h"
 #include "exec/cost.h"
-#include "exec/evaluator.h"
+#include "exec/parallel_evaluator.h"
 #include "exec/trace.h"
 #include "gen/dif_gen.h"
 #include "query/parser.h"
@@ -60,7 +60,7 @@ struct TraceFixture {
   OpTrace Trace(const std::string& text, QueryPtr* out_query = nullptr) {
     QueryPtr q = ParseQuery(text).TakeValue();
     SimDisk scratch(1024);
-    Evaluator evaluator(&scratch, &store);
+    ParallelEvaluator evaluator(&scratch, &store);
     OpTrace trace;
     EntryList r = evaluator.Evaluate(*q, &trace).TakeValue();
     EXPECT_TRUE(FreeRun(&scratch, &r).ok());
@@ -95,7 +95,7 @@ TEST(ExplainAnalyzeTest, RootIoReconcilesWithGlobalIoStats) {
     SCOPED_TRACE(text);
     QueryPtr q = ParseQuery(text).TakeValue();
     SimDisk scratch(1024);
-    Evaluator evaluator(&scratch, &f.store);
+    ParallelEvaluator evaluator(&scratch, &f.store);
     IoStats store_before = f.disk.stats();
     IoStats scratch_before = scratch.stats();
     OpTrace trace;
@@ -235,7 +235,7 @@ TEST(ExplainAnalyzeTest, DistributedTraceRecordsShippingAndFleetIo) {
                    "   (dc=com ? sub ? objectClass=QHP))")
                    .TakeValue();
   OpTrace trace;
-  std::vector<Entry> r = fleet.Evaluate(*q, &trace).TakeValue();
+  std::vector<Entry> r = fleet.Execute(*q, &trace).TakeValue();
   EXPECT_EQ(trace.NodeCount(), q->NodeCount());
   EXPECT_EQ(trace.output_records, r.size());
   // Both atomic leaves span both servers, so records crossed the wire and

@@ -4,10 +4,10 @@
 // baseline) on the paper instance, and assert for each k that the
 // evaluator either absorbs the fault (identical results) or fails with a
 // clean Unavailable — never crashing, never leaking a page, and always
-// recovering byte-identically on retry. Runs against the sequential
-// Evaluator, the ParallelEvaluator with an OperandCache, and a separate
-// free-fault sweep (where stranded pages are the expected outcome and
-// only clean Status + clean recovery are required).
+// recovering byte-identically on retry. Runs against the evaluator
+// sequential and uncached, at parallelism 3 with an OperandCache, and a
+// separate free-fault sweep (where stranded pages are the expected
+// outcome and only clean Status + clean recovery are required).
 
 #include <cstddef>
 #include <functional>
@@ -17,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/evaluator.h"
 #include "exec/operand_cache.h"
 #include "exec/parallel_evaluator.h"
 #include "query/parser.h"
@@ -69,8 +68,7 @@ std::vector<QueryPtr> ParseMix() {
 
 // Evaluates the whole mix, concatenating results; the first error aborts
 // the run (exactly what a client driving these queries would see).
-template <typename Eval>
-Result<std::vector<Entry>> EvaluateMix(Eval& evaluator,
+Result<std::vector<Entry>> EvaluateMix(ParallelEvaluator& evaluator,
                                        const std::vector<QueryPtr>& mix) {
   std::vector<Entry> all;
   for (const QueryPtr& q : mix) {
@@ -85,7 +83,7 @@ TEST(FaultCampaignTest, SequentialEvaluatorSurvivesEveryFault) {
   DirectoryInstance inst = testing::PaperInstance();
   SimDisk disk(1024);
   EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
-  Evaluator evaluator(&disk, &store);
+  ParallelEvaluator evaluator(&disk, &store);
   std::vector<QueryPtr> mix = ParseMix();
   ASSERT_FALSE(mix.empty());
 
@@ -134,7 +132,7 @@ TEST(FaultCampaignTest, AsyncCompletionsSurviveEveryFault) {
   DirectoryInstance inst = testing::PaperInstance();
   SimDisk disk(1024);
   EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
-  Evaluator evaluator(&disk, &store);
+  ParallelEvaluator evaluator(&disk, &store);
   std::vector<QueryPtr> mix = ParseMix();
   ASSERT_FALSE(mix.empty());
 
@@ -166,7 +164,7 @@ TEST(FaultCampaignTest, FreeFaultsFailCleanlyAndRecover) {
   DirectoryInstance inst = testing::PaperInstance();
   SimDisk disk(1024);
   EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
-  Evaluator evaluator(&disk, &store);
+  ParallelEvaluator evaluator(&disk, &store);
   std::vector<QueryPtr> mix = ParseMix();
   ASSERT_FALSE(mix.empty());
 

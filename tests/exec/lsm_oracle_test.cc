@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/evaluator.h"
+#include "exec/parallel_evaluator.h"
 #include "gen/random_forest.h"
 #include "gen/random_query.h"
 #include "query/reference.h"
@@ -80,7 +80,7 @@ TEST_P(LsmOracleTest, QueriesOverMutatedStoreMatchOracle) {
 
   // Now fire random queries at the mutated store.
   SimDisk scratch(512);
-  Evaluator evaluator(&scratch, &store);
+  ParallelEvaluator evaluator(&scratch, &store);
   gen::RandomQueryOptions qopt;
   qopt.max_language = Language::kL3;
   for (int i = 0; i < 30; ++i) {

@@ -1,9 +1,10 @@
-// ParallelEvaluator must be observationally identical to the sequential
-// Evaluator: same records in the same order (or the same error) for every
-// query, at every parallelism, with or without an operand cache — only the
-// schedule may differ. Cross-validated over the paper instance and
-// randomized forests/queries in all language levels, plus trace checks
-// (worker stamps, cache traffic, theorem bounds, I/O reconciliation).
+// ParallelEvaluator must be observationally identical at every parallelism,
+// with or without an operand cache: the same records in the same order as
+// the reference semantics (or the same error as the sequential, uncached
+// schedule) for every query — only the schedule may differ.
+// Cross-validated over the paper instance and randomized forests/queries
+// in all language levels, plus trace checks (worker stamps, cache traffic,
+// theorem bounds, I/O reconciliation).
 
 #include <cctype>
 #include <cstddef>
@@ -13,29 +14,40 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/evaluator.h"
 #include "exec/operand_cache.h"
 #include "exec/parallel_evaluator.h"
 #include "gen/random_forest.h"
 #include "gen/random_query.h"
 #include "query/parser.h"
+#include "query/reference.h"
 #include "testing/paper_fixture.h"
 #include "theorem_check.h"
 
 namespace ndq {
 namespace {
 
-// Evaluates `query` sequentially and with a ParallelEvaluator configured
-// by (parallelism, with_cache); expects identical ordered results (or the
-// same ok/error outcome). With a cache the query runs twice, so the second
-// round is served from warm leaves and must still agree.
+// Evaluates `query` at parallelism 1 without a cache, and with a
+// ParallelEvaluator configured by (parallelism, with_cache); expects the
+// same ok/error outcome and, on success, the reference result in order
+// from both. With a cache the query runs twice, so the second round is
+// served from warm leaves and must still agree.
 void ExpectMatchesSequential(const DirectoryInstance& inst,
                              const Query& query, size_t parallelism,
                              bool with_cache) {
   SimDisk seq_disk(1024);
   EntryStore seq_store = EntryStore::BulkLoad(&seq_disk, inst).TakeValue();
-  Evaluator sequential(&seq_disk, &seq_store);
+  ParallelEvaluator sequential(&seq_disk, &seq_store);
   Result<std::vector<Entry>> want = sequential.EvaluateToEntries(query);
+  if (want.ok()) {
+    Result<std::vector<const Entry*>> ref = EvaluateReference(query, inst);
+    ASSERT_TRUE(ref.ok()) << query.ToString() << ": "
+                          << ref.status().ToString();
+    ASSERT_EQ(ref->size(), want->size()) << query.ToString();
+    for (size_t i = 0; i < ref->size(); ++i) {
+      ASSERT_EQ(*(*ref)[i], (*want)[i]) << query.ToString() << " at index "
+                                        << i;
+    }
+  }
 
   SimDisk disk(1024);
   EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "exec/cost.h"
-#include "exec/evaluator.h"
 #include "exec/parallel_evaluator.h"
 #include "gen/dif_gen.h"
 #include "index/attr_index.h"
@@ -36,7 +35,7 @@ struct OptimizeFixture {
 
   std::vector<Entry> Eval(const QueryPtr& q) {
     SimDisk scratch(1024);
-    Evaluator evaluator(&scratch, &store);
+    ParallelEvaluator evaluator(&scratch, &store);
     return evaluator.EvaluateToEntries(*q).TakeValue();
   }
 
@@ -282,7 +281,7 @@ TEST(OptimizeTest, SimpleAggEstimateWithinBandOfMeasurement) {
       "   count(SLAPVPRef)>=1)");
   CostEstimate est = EstimateCost(f.store, *q);
   SimDisk scratch(1024);
-  Evaluator evaluator(&scratch, &f.store);
+  ParallelEvaluator evaluator(&scratch, &f.store);
   f.disk.ResetStats();
   ASSERT_TRUE(evaluator.EvaluateToEntries(*q).ok());
   double measured = static_cast<double>(f.disk.stats().TotalTransfers() +
@@ -324,12 +323,10 @@ TEST(OptimizeTest, IndexProbeMatchesScanByteForByte) {
   ParallelEvaluator plain(&scratch, &f.store, opts);
   std::vector<Entry> scanned = plain.EvaluateToEntries(*q).TakeValue();
 
-  ParallelEvaluator probed(&scratch, &f.store, opts);
-  IndexHook hook;
-  hook.indexes = &indexes;
-  hook.store = &f.store;
-  hook.use_probe = [](const Query&) { return true; };
-  probed.SetIndexHook(hook);
+  IndexProbeSource probe(&scratch, &indexes, &f.store,
+                         [](const Query&) { return true; });
+  ParallelEvaluator probed(&scratch, &f.store, opts, /*cache=*/nullptr,
+                           /*shared_pool=*/nullptr, &probe);
   OpTrace trace;
   std::vector<Entry> via_index =
       probed.EvaluateToEntries(*q, &trace).TakeValue();

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/evaluator.h"
+#include "exec/parallel_evaluator.h"
 #include "gen/random_forest.h"
 #include "gen/random_query.h"
 #include "query/parser.h"
@@ -141,7 +141,7 @@ TEST(RewriteTest, MergedScanHalvesLeafIo) {
   QueryPtr r = RewriteQuery(q);
 
   SimDisk scratch(512);
-  Evaluator evaluator(&scratch, &store);
+  ParallelEvaluator evaluator(&scratch, &store);
   disk.ResetStats();
   std::vector<Entry> before = evaluator.EvaluateToEntries(*q).TakeValue();
   uint64_t io_before = disk.stats().page_reads;

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/evaluator.h"
+#include "exec/parallel_evaluator.h"
 #include "query/parser.h"
 #include "query/reference.h"
 #include "storage/fault_injector.h"
@@ -151,7 +151,7 @@ TEST(DirectoryStoreTest, QueriesRunOverMutableStore) {
   }
 
   SimDisk scratch(512);
-  Evaluator evaluator(&scratch, &store);
+  ParallelEvaluator evaluator(&scratch, &store);
   QueryPtr q = ParseQuery(
                    "(c (dc=att, dc=com ? sub ? objectClass=TOPSSubscriber)"
                    "   (dc=att, dc=com ? sub ? objectClass=QHP)"

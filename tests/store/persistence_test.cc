@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/evaluator.h"
+#include "exec/parallel_evaluator.h"
 #include "gen/dif_gen.h"
 #include "query/parser.h"
 #include "store/entry_store.h"
@@ -79,7 +79,7 @@ TEST(PersistenceTest, StoreSurvivesReload) {
   EXPECT_EQ(store.num_entries(), 23u);
 
   SimDisk scratch;
-  Evaluator evaluator(&scratch, &store);
+  ParallelEvaluator evaluator(&scratch, &store);
   QueryPtr q = ParseQuery(
                    "(dv (dc=att, dc=com ? sub ? objectClass=SLADSAction)"
                    "    (g (vd (dc=att, dc=com ? sub ? "
