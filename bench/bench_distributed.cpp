@@ -14,12 +14,13 @@ using namespace ndq::bench;
 
 namespace {
 
-Engine MakeFleetEngine(
-    const DirectoryInstance& global,
-    const std::vector<std::pair<std::string, std::string>>& contexts) {
+// `topology` is TopologyConfig's text form: one "shard <name> <dn>" line
+// per shard.
+Engine MakeFleetEngine(const DirectoryInstance& global,
+                       const char* topology) {
   EngineOptions opt;
   opt.backend = EngineBackend::kDistributed;
-  opt.topology = TopologyConfig::FromContexts(contexts);
+  opt.topology = TopologyConfig::Parse(topology).TakeValue();
   return Engine(global, opt);
 }
 
@@ -37,29 +38,29 @@ int main() {
 
   const struct {
     const char* label;
-    std::vector<std::pair<std::string, std::string>> contexts;
+    const char* topology;
   } fleets[] = {
-      {"1 server", {{"dc=com", "s0"}}},
+      {"1 server", "shard s0 dc=com\n"},
       {"1+4 servers (per-org delegation)",
-       {{"dc=com", "root"},
-        {"dc=org0, dc=com", "s0"},
-        {"dc=org1, dc=com", "s1"},
-        {"dc=org2, dc=com", "s2"},
-        {"dc=org3, dc=com", "s3"}}},
+       "shard root dc=com\n"
+       "shard s0 dc=org0, dc=com\n"
+       "shard s1 dc=org1, dc=com\n"
+       "shard s2 dc=org2, dc=com\n"
+       "shard s3 dc=org3, dc=com\n"},
       {"1+8 servers (per-subdomain delegation)",
-       {{"dc=com", "root"},
-        {"dc=sub0, dc=org0, dc=com", "d0"},
-        {"dc=sub1, dc=org0, dc=com", "d1"},
-        {"dc=sub2, dc=org1, dc=com", "d2"},
-        {"dc=sub3, dc=org1, dc=com", "d3"},
-        {"dc=sub4, dc=org2, dc=com", "d4"},
-        {"dc=sub5, dc=org2, dc=com", "d5"},
-        {"dc=sub6, dc=org3, dc=com", "d6"},
-        {"dc=sub7, dc=org3, dc=com", "d7"},
-        {"dc=org0, dc=com", "o0"},
-        {"dc=org1, dc=com", "o1"},
-        {"dc=org2, dc=com", "o2"},
-        {"dc=org3, dc=com", "o3"}}},
+       "shard root dc=com\n"
+       "shard d0 dc=sub0, dc=org0, dc=com\n"
+       "shard d1 dc=sub1, dc=org0, dc=com\n"
+       "shard d2 dc=sub2, dc=org1, dc=com\n"
+       "shard d3 dc=sub3, dc=org1, dc=com\n"
+       "shard d4 dc=sub4, dc=org2, dc=com\n"
+       "shard d5 dc=sub5, dc=org2, dc=com\n"
+       "shard d6 dc=sub6, dc=org3, dc=com\n"
+       "shard d7 dc=sub7, dc=org3, dc=com\n"
+       "shard o0 dc=org0, dc=com\n"
+       "shard o1 dc=org1, dc=com\n"
+       "shard o2 dc=org2, dc=com\n"
+       "shard o3 dc=org3, dc=com\n"},
   };
 
   const struct {
@@ -79,7 +80,7 @@ int main() {
   };
 
   for (const auto& fleet_spec : fleets) {
-    Engine engine = MakeFleetEngine(global, fleet_spec.contexts);
+    Engine engine = MakeFleetEngine(global, fleet_spec.topology);
     DistributedDirectory* fleet = engine.fleet();
     Session session = engine.OpenSession();
     std::printf("\n== fleet: %s ==\n", fleet_spec.label);
@@ -116,11 +117,12 @@ int main() {
   std::printf("%-28s %8s %10s %10s\n", "mode", "msgs", "recs_ship",
               "coord_io");
   {
-    Engine engine = MakeFleetEngine(global, {{"dc=com", "root"},
-                                             {"dc=org0, dc=com", "s0"},
-                                             {"dc=org1, dc=com", "s1"},
-                                             {"dc=org2, dc=com", "s2"},
-                                             {"dc=org3, dc=com", "s3"}});
+    Engine engine = MakeFleetEngine(global,
+                                    "shard root dc=com\n"
+                                    "shard s0 dc=org0, dc=com\n"
+                                    "shard s1 dc=org1, dc=com\n"
+                                    "shard s2 dc=org2, dc=com\n"
+                                    "shard s3 dc=org3, dc=com\n");
     DistributedDirectory* fleet = engine.fleet();
     Session session = engine.OpenSession();
     const char* local_l2 =

@@ -1,4 +1,4 @@
-// E18 — online mutations through the engine (bench_mutations).
+// E22 — online mutations through the engine (bench_mutations).
 // Claim: the epoch-guarded write path makes the directory ONLINE — point
 // mutations land through Session::Apply at memtable speed while queries
 // keep evaluating against pinned snapshots, and durability (WAL +
@@ -83,7 +83,7 @@ std::vector<Entry> Leaves(const DirectoryInstance& inst) {
 }  // namespace
 
 int main() {
-  PrintHeader("E18: online mutations (bench_mutations)",
+  PrintHeader("E22: online mutations (bench_mutations)",
               "mutations land at memtable speed while queries read pinned "
               "snapshots; WAL durability is a constant-factor write cost");
 

@@ -2,8 +2,16 @@
 // application paths. The I/O-complexity validation lives in the dedicated
 // experiment harnesses (E1-E14); this binary tracks CPU-side throughput so
 // regressions in the hot loops (merges, stack passes, serde) are visible.
+// The per-stage benchmarks at the end split a scan's record cost into its
+// stages (name decode, whole-entry decode) and report the directory's
+// resident bytes per entry.
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
+
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "apps/tops.h"
 #include "bench_util.h"
@@ -13,6 +21,7 @@
 #include "gen/dif_gen.h"
 #include "gen/paper_data.h"
 #include "query/parser.h"
+#include "storage/serde.h"
 
 using namespace ndq;
 using namespace ndq::bench;
@@ -124,6 +133,90 @@ void BM_TopsResolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TopsResolve);
+
+// ---------------------------------------------------------------------------
+// Per-stage record costs over the 64k-entry DIF (4 orgs x 4 subdomains x
+// 400 subscribers, the local_mix directory of perfbench/).
+// ---------------------------------------------------------------------------
+
+gen::DifOptions Dif64k() {
+  gen::DifOptions opt;
+  opt.num_orgs = 4;
+  opt.subdomains_per_org = 4;
+  opt.subscribers_per_domain = 400;
+  return opt;
+}
+
+// The DIF's entries as serialized records, built once per process.
+const std::vector<std::string>& Dif64kRecords() {
+  static const std::vector<std::string> records = [] {
+    std::vector<std::string> out;
+    for (const auto& [key, entry] : gen::GenerateDif(Dif64k())) {
+      (void)key;
+      out.emplace_back();
+      SerializeEntry(entry, &out.back());
+    }
+    return out;
+  }();
+  return records;
+}
+
+// Reports the time per record as "per_rec" (printed as e.g. 358ns): an
+// inverted rate counter over the records processed.
+void SetTimePerRecord(benchmark::State& state, size_t records) {
+  state.counters["per_rec"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * records,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+// The name stage of a scan: a record's HierKey to a Dn.
+void BM_DnFromHierKey(benchmark::State& state) {
+  std::vector<std::string_view> keys;
+  for (const std::string& r : Dif64kRecords()) {
+    keys.push_back(PeekEntryKey(r).ValueOrDie());
+  }
+  for (auto _ : state) {
+    for (std::string_view key : keys) {
+      Result<Dn> dn = Dn::FromHierKey(key);
+      benchmark::DoNotOptimize(dn);
+    }
+  }
+  SetTimePerRecord(state, keys.size());
+}
+BENCHMARK(BM_DnFromHierKey)->Unit(benchmark::kMillisecond);
+
+// The whole-record stage: what ScanScope pays per in-scope record.
+void BM_DeserializeEntry(benchmark::State& state) {
+  const std::vector<std::string>& records = Dif64kRecords();
+  for (auto _ : state) {
+    for (const std::string& r : records) {
+      Result<Entry> entry = DeserializeEntry(r);
+      benchmark::DoNotOptimize(entry);
+    }
+  }
+  SetTimePerRecord(state, records.size());
+}
+BENCHMARK(BM_DeserializeEntry)->Unit(benchmark::kMillisecond);
+
+// Heap bytes per entry that the generated DirectoryInstance keeps, as the
+// growth of mallinfo2()'s in-use bytes across its construction.
+void BM_InstanceFootprint(benchmark::State& state) {
+  auto in_use = [] {
+    struct mallinfo2 m = mallinfo2();
+    return static_cast<double>(m.uordblks + m.hblkhd);
+  };
+  double bytes = 0, entries = 0;
+  for (auto _ : state) {
+    double before = in_use();
+    DirectoryInstance inst = gen::GenerateDif(Dif64k());
+    bytes = in_use() - before;
+    entries = static_cast<double>(inst.size());
+    benchmark::DoNotOptimize(inst);
+  }
+  state.counters["entries"] = entries;
+  state.counters["bytes_per_entry"] = bytes / entries;
+}
+BENCHMARK(BM_InstanceFootprint)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

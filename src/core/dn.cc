@@ -1,27 +1,129 @@
 #include "core/dn.h"
 
 #include <algorithm>
-#include <cctype>
+#include <tuple>
 
 namespace ndq {
 
+static_assert(sizeof(Dn) == sizeof(std::string), "a Dn is its HierKey");
+
 namespace {
 
-bool IsValidAttrName(const std::string& name) {
-  if (name.empty()) return false;
-  if (!std::isalpha(static_cast<unsigned char>(name[0]))) return false;
+bool IsAsciiAlpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+
+// A letter, then letters, digits, '-', '_' or '.'; ASCII only, as
+// std::isalpha/isalnum in the "C" locale, without a library call per byte.
+bool IsValidAttrName(std::string_view name) {
+  if (name.empty() || !IsAsciiAlpha(name[0])) return false;
   for (char c : name) {
-    unsigned char u = static_cast<unsigned char>(c);
-    if (!std::isalnum(u) && c != '-' && c != '_' && c != '.') return false;
+    bool ok = IsAsciiAlpha(c) || (c >= '0' && c <= '9') || c == '-' ||
+              c == '_' || c == '.';
+    if (!ok) return false;
   }
   return true;
 }
 
-bool HasControlBytes(const std::string& s) {
+bool HasControlBytes(std::string_view s) {
   for (char c : s) {
     if (static_cast<unsigned char>(c) < 0x20) return true;
   }
   return false;
+}
+
+// What is wrong with an (attribute, value) pair, if anything.
+enum class PairFault { kNone, kAttrName, kEmptyValue, kControlBytes };
+
+// The one test of an (attribute, value) pair, for Rdn::Make and
+// Dn::FromHierKey alike: a well-formed attribute name and a non-empty
+// value with no control bytes (which would collide with the key's
+// separators). Returns a plain enum, not a Status: FromHierKey runs it on
+// every pair of every record a scan decodes.
+PairFault CheckPair(std::string_view attr, std::string_view value) {
+  if (!IsValidAttrName(attr)) return PairFault::kAttrName;
+  if (value.empty()) return PairFault::kEmptyValue;
+  if (HasControlBytes(value)) return PairFault::kControlBytes;
+  return PairFault::kNone;
+}
+
+// The InvalidArgument a CheckPair fault reports.
+Status PairError(PairFault fault, std::string_view attr) {
+  switch (fault) {
+    case PairFault::kNone:
+      break;
+    case PairFault::kAttrName:
+      return Status::InvalidArgument("invalid attribute name in RDN: '" +
+                                     std::string(attr) + "'");
+    case PairFault::kEmptyValue:
+      return Status::InvalidArgument("empty value for RDN attribute " +
+                                     std::string(attr));
+    case PairFault::kControlBytes:
+      return Status::InvalidArgument("control bytes in RDN value for " +
+                                     std::string(attr));
+  }
+  return Status::OK();
+}
+
+// Calls f(attr, value) for each "attr=value" pair of one HierKey component,
+// splitting each at its first '=' (attribute names contain none). Returns
+// false, having stopped there, at the first pair with no '='.
+template <typename F>
+bool ForEachPair(std::string_view comp, F&& f) {
+  for (size_t begin = 0;;) {
+    size_t end = std::min(comp.find(kHierPairSep, begin), comp.size());
+    std::string_view pair = comp.substr(begin, end - begin);
+    size_t eq = pair.find('=');
+    if (eq == std::string_view::npos) return false;
+    f(pair.substr(0, eq), pair.substr(eq + 1));
+    if (end == comp.size()) return true;
+    begin = end + 1;
+  }
+}
+
+// Calls f(component) for each component of a non-empty HierKey, root first.
+// Stops at, and returns, the first error f returns.
+template <typename F>
+Status ForEachComponent(std::string_view key, F&& f) {
+  for (size_t begin = 0;;) {
+    size_t end = std::min(key.find(kHierKeySep, begin), key.size());
+    NDQ_RETURN_IF_ERROR(f(key.substr(begin, end - begin)));
+    if (end == key.size()) return Status::OK();
+    begin = end + 1;
+  }
+}
+
+// The leaf-most component of a key (all of it for a one-component key).
+std::string_view LeafComponent(std::string_view key) {
+  size_t sep = key.rfind(kHierKeySep);
+  return sep == std::string_view::npos ? key : key.substr(sep + 1);
+}
+
+// Validates one HierKey component without allocating: every pair has an
+// '=' (Corruption) and passes CheckPair (InvalidArgument, reported only if
+// no pair of the component lacks its '='). Sets *sorted to whether the
+// pairs strictly increase, i.e. are as Rdn::Make leaves them.
+Status CheckKeyComponent(std::string_view comp, bool* sorted) {
+  PairFault fault = PairFault::kNone;
+  std::string_view fault_attr, prev_attr, prev_value;
+  bool first = true;
+  *sorted = true;
+  bool well_formed =
+      ForEachPair(comp, [&](std::string_view attr, std::string_view value) {
+        if (fault == PairFault::kNone) {
+          fault = CheckPair(attr, value);
+          fault_attr = attr;
+        }
+        if (!first &&
+            !(std::tie(prev_attr, prev_value) < std::tie(attr, value))) {
+          *sorted = false;
+        }
+        first = false;
+        prev_attr = attr;
+        prev_value = value;
+      });
+  if (!well_formed) return Status::Corruption("malformed HierKey component");
+  return PairError(fault, fault_attr);
 }
 
 // Splits `text` on unescaped occurrences of `delim`, preserving escape
@@ -94,20 +196,21 @@ std::string_view TrimSpaces(std::string_view text) {
   return text.substr(begin, end - begin);
 }
 
-std::string EscapeValue(const std::string& v) {
-  std::string out;
-  out.reserve(v.size());
-  for (size_t i = 0; i < v.size(); ++i) {
-    char c = v[i];
+// Appends "attr=value" in display form, the value escaped.
+void AppendPairText(std::string_view attr, std::string_view value,
+                    std::string* out) {
+  out->append(attr);
+  *out += '=';
+  for (size_t i = 0; i < value.size(); ++i) {
+    char c = value[i];
     // Leading/trailing spaces must be escaped or Parse's trimming would
     // drop them and the printed form would not round-trip.
-    bool edge_space = c == ' ' && (i == 0 || i + 1 == v.size());
+    bool edge_space = c == ' ' && (i == 0 || i + 1 == value.size());
     if (c == ',' || c == '+' || c == '=' || c == '\\' || edge_space) {
-      out += '\\';
+      *out += '\\';
     }
-    out += c;
+    *out += c;
   }
-  return out;
 }
 
 }  // namespace
@@ -118,16 +221,8 @@ Result<Rdn> Rdn::Make(
     return Status::InvalidArgument("RDN must contain at least one pair");
   }
   for (const auto& [attr, value] : pairs) {
-    if (!IsValidAttrName(attr)) {
-      return Status::InvalidArgument("invalid attribute name in RDN: '" +
-                                     attr + "'");
-    }
-    if (value.empty()) {
-      return Status::InvalidArgument("empty value for RDN attribute " + attr);
-    }
-    if (HasControlBytes(value)) {
-      return Status::InvalidArgument("control bytes in RDN value for " + attr);
-    }
+    PairFault fault = CheckPair(attr, value);
+    if (fault != PairFault::kNone) return PairError(fault, attr);
   }
   std::sort(pairs.begin(), pairs.end());
   pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
@@ -155,23 +250,21 @@ std::string Rdn::ToString() const {
   std::string out;
   for (size_t i = 0; i < pairs_.size(); ++i) {
     if (i > 0) out += '+';
-    out += pairs_[i].first;
-    out += '=';
-    out += EscapeValue(pairs_[i].second);
+    AppendPairText(pairs_[i].first, pairs_[i].second, &out);
   }
   return out;
 }
 
-Result<Dn> Dn::Make(std::vector<Rdn> rdns) {
-  for (const Rdn& r : rdns) {
-    if (r.empty()) {
+Result<Dn> Dn::Make(const std::vector<Rdn>& rdns) {
+  std::string key;
+  for (auto it = rdns.rbegin(); it != rdns.rend(); ++it) {
+    if (it->empty()) {
       return Status::InvalidArgument("DN contains an empty RDN component");
     }
+    if (it != rdns.rbegin()) key += kHierKeySep;
+    key += it->ToKeyComponent();
   }
-  Dn dn;
-  dn.rdns_ = std::move(rdns);
-  dn.RebuildKey();
-  return dn;
+  return Dn(std::move(key));
 }
 
 Result<Dn> Dn::Parse(std::string_view text) {
@@ -208,71 +301,73 @@ Result<Dn> Dn::Parse(std::string_view text) {
     NDQ_ASSIGN_OR_RETURN(Rdn rdn, Rdn::Make(std::move(pairs)));
     rdns.push_back(std::move(rdn));
   }
-  return Make(std::move(rdns));
+  return Make(rdns);
 }
 
 Result<Dn> Dn::FromHierKey(std::string_view key) {
   if (key.empty()) return Dn();
-  std::vector<Rdn> rdns;
-  size_t begin = 0;
-  while (begin <= key.size()) {
-    size_t end = key.find(kHierKeySep, begin);
-    if (end == std::string_view::npos) end = key.size();
-    std::string_view comp = key.substr(begin, end - begin);
-    std::vector<std::pair<std::string, std::string>> pairs;
-    size_t pb = 0;
-    while (pb <= comp.size()) {
-      size_t pe = comp.find(kHierPairSep, pb);
-      if (pe == std::string_view::npos) pe = comp.size();
-      std::string_view pair = comp.substr(pb, pe - pb);
-      size_t eq = pair.find('=');
-      if (eq == std::string_view::npos) {
-        return Status::Corruption("malformed HierKey component");
-      }
-      pairs.emplace_back(std::string(pair.substr(0, eq)),
-                         std::string(pair.substr(eq + 1)));
-      if (pe == comp.size()) break;
-      pb = pe + 1;
+  bool canonical = true;
+  NDQ_RETURN_IF_ERROR(ForEachComponent(key, [&](std::string_view comp) {
+    bool sorted = true;
+    NDQ_RETURN_IF_ERROR(CheckKeyComponent(comp, &sorted));
+    canonical = canonical && sorted;
+    return Status::OK();
+  }));
+  if (canonical) return Dn(std::string(key));
+  // Some component lists its pairs out of order or twice: sort and dedupe
+  // just those through Rdn::Make. Every component is already valid.
+  std::string normal;
+  normal.reserve(key.size());
+  NDQ_RETURN_IF_ERROR(ForEachComponent(key, [&](std::string_view comp) {
+    if (!normal.empty()) normal += kHierKeySep;
+    bool sorted = true;
+    NDQ_RETURN_IF_ERROR(CheckKeyComponent(comp, &sorted));
+    if (sorted) {
+      normal.append(comp);
+      return Status::OK();
     }
+    std::vector<std::pair<std::string, std::string>> pairs;
+    ForEachPair(comp, [&](std::string_view attr, std::string_view value) {
+      pairs.emplace_back(attr, value);
+    });
     NDQ_ASSIGN_OR_RETURN(Rdn rdn, Rdn::Make(std::move(pairs)));
-    // Key is root-first; Dn stores leaf-first.
-    rdns.insert(rdns.begin(), std::move(rdn));
-    if (end == key.size()) break;
-    begin = end + 1;
-  }
-  return Make(std::move(rdns));
+    normal += rdn.ToKeyComponent();
+    return Status::OK();
+  }));
+  return Dn(std::move(normal));
 }
 
-void Dn::RebuildKey() {
-  key_.clear();
-  for (auto it = rdns_.rbegin(); it != rdns_.rend(); ++it) {
-    if (it != rdns_.rbegin()) key_ += kHierKeySep;
-    key_ += it->ToKeyComponent();
-  }
+size_t Dn::depth() const { return KeyDepth(key_); }
+
+Rdn Dn::rdn() const {
+  Rdn out;
+  ForEachPair(LeafComponent(key_),
+              [&](std::string_view attr, std::string_view value) {
+                out.pairs_.emplace_back(attr, value);
+              });
+  return out;
 }
 
-Dn Dn::Parent() const {
-  if (depth() <= 1) return Dn();
-  Dn parent;
-  parent.rdns_.assign(rdns_.begin() + 1, rdns_.end());
-  parent.RebuildKey();
-  return parent;
-}
+Dn Dn::Parent() const { return Dn(std::string(KeyParent(key_))); }
 
-Dn Dn::Child(Rdn child_rdn) const {
-  Dn child;
-  child.rdns_.reserve(rdns_.size() + 1);
-  child.rdns_.push_back(std::move(child_rdn));
-  child.rdns_.insert(child.rdns_.end(), rdns_.begin(), rdns_.end());
-  child.RebuildKey();
-  return child;
+Dn Dn::Child(const Rdn& child_rdn) const {
+  std::string key = key_;
+  if (!key.empty()) key += kHierKeySep;
+  key += child_rdn.ToKeyComponent();
+  return Dn(std::move(key));
 }
 
 std::string Dn::ToString() const {
   std::string out;
-  for (size_t i = 0; i < rdns_.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += rdns_[i].ToString();
+  for (std::string_view rest = key_; !rest.empty(); rest = KeyParent(rest)) {
+    if (!out.empty()) out += ", ";
+    bool first = true;
+    ForEachPair(LeafComponent(rest),
+                [&](std::string_view attr, std::string_view value) {
+                  if (!first) out += '+';
+                  first = false;
+                  AppendPairText(attr, value, &out);
+                });
   }
   return out;
 }

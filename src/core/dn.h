@@ -43,7 +43,8 @@ class Rdn {
   Rdn() = default;
 
   /// Builds an RDN from pairs; normalizes (sorts, dedups) and validates
-  /// that attributes are well-formed and values contain no control bytes.
+  /// each pair: a well-formed attribute name and a non-empty value with no
+  /// control bytes (Dn::FromHierKey applies the same test).
   static Result<Rdn> Make(
       std::vector<std::pair<std::string, std::string>> pairs);
 
@@ -64,10 +65,18 @@ class Rdn {
   bool operator!=(const Rdn& other) const { return !(*this == other); }
 
  private:
+  friend class Dn;  // Dn::rdn() fills pairs_ from an already canonical key
+
   std::vector<std::pair<std::string, std::string>> pairs_;
 };
 
 /// \brief A distinguished name: a sequence of RDNs, leaf-most first.
+///
+/// A Dn is its HierKey: the key string is the only data member, so the
+/// paper's sort key is also the one representation of a name. Every other
+/// view (depth, parent, the leaf RDN, the LDAP text) is read off the key.
+/// Keys are always canonical: each component lists its pairs sorted and
+/// de-duplicated, as Rdn::Make leaves them.
 ///
 /// The empty Dn (zero components) is the "null dn": it is not a legal entry
 /// name but is accepted as a query base meaning "the whole forest"
@@ -78,7 +87,7 @@ class Dn {
   Dn() = default;
 
   /// Builds a DN from components, leaf-most first.
-  static Result<Dn> Make(std::vector<Rdn> rdns);
+  static Result<Dn> Make(const std::vector<Rdn>& rdns);
 
   /// Parses the LDAP textual form, e.g.
   /// "uid=jag, ou=userProfiles, dc=research, dc=att, dc=com".
@@ -86,22 +95,25 @@ class Dn {
   /// of a multi-valued RDN. Whitespace around separators is ignored.
   static Result<Dn> Parse(std::string_view text);
 
-  /// Reconstructs a Dn from a HierKey previously produced by HierKey().
+  /// Reconstructs a Dn from a HierKey. A canonical key is checked in one
+  /// pass and copied; a component whose pairs are out of order or repeated
+  /// is normalized the way Rdn::Make would. A pair or component with no
+  /// '=' is Corruption; a bad attribute name or value is InvalidArgument.
   static Result<Dn> FromHierKey(std::string_view key);
 
-  bool IsNull() const { return rdns_.empty(); }
-  size_t depth() const { return rdns_.size(); }
-  const std::vector<Rdn>& rdns() const { return rdns_; }
+  bool IsNull() const { return key_.empty(); }
+  size_t depth() const;
 
-  /// The entry's relative distinguished name (first component). Requires
-  /// !IsNull().
-  const Rdn& rdn() const { return rdns_.front(); }
+  /// The entry's relative distinguished name (leaf-most component), parsed
+  /// from the key. Requires !IsNull(). Returned by value: hold it in a
+  /// local before iterating its pairs().
+  Rdn rdn() const;
 
   /// The parent DN (one component shorter); the null dn if depth() <= 1.
   Dn Parent() const;
 
   /// Appends `child_rdn` below this DN and returns the child DN.
-  Dn Child(Rdn child_rdn) const;
+  Dn Child(const Rdn& child_rdn) const;
 
   /// The hierarchical sort key (root -> leaf). Lexicographic order on these
   /// keys is the paper's reverse-DN order; the null dn's key is "".
@@ -125,10 +137,9 @@ class Dn {
   }
 
  private:
-  std::vector<Rdn> rdns_;  // leaf first
-  std::string key_;        // root first
+  explicit Dn(std::string key) : key_(std::move(key)) {}
 
-  void RebuildKey();
+  std::string key_;  // root first
 };
 
 // Key-level relatives of the Dn predicates. Operators in exec/ work on raw

@@ -112,7 +112,8 @@ Status Schema::ValidateEntry(const Entry& entry) const {
     }
   }
   // Def. 3.2(d)(ii): rdn(r) is a subset of val(r).
-  for (const auto& [attr, text] : entry.dn().rdn().pairs()) {
+  const Rdn rdn = entry.dn().rdn();
+  for (const auto& [attr, text] : rdn.pairs()) {
     auto type_it = attributes_.find(attr);
     if (type_it == attributes_.end()) {
       return Status::NotFound("rdn attribute " + attr + " undeclared");

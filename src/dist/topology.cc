@@ -89,7 +89,16 @@ Result<TopologyConfig> TopologyConfig::Parse(const std::string& text) {
                                        std::to_string(lineno) + ": shard '" +
                                        spec.name + "' needs a context dn");
       }
+      // Trailing blanks are dropped, except a space the dn escapes (one
+      // after an odd run of backslashes, as in "cn=x\ ").
       size_t e = line.find_last_not_of(" \t\r");
+      size_t backslashes = 0;
+      while (backslashes <= e - b && line[e - backslashes] == '\\') {
+        ++backslashes;
+      }
+      if (backslashes % 2 == 1 && e + 1 < line.size() && line[e + 1] == ' ') {
+        ++e;
+      }
       spec.context = line.substr(b, e - b + 1);
       config.shards.push_back(std::move(spec));
     } else {
@@ -100,18 +109,6 @@ Result<TopologyConfig> TopologyConfig::Parse(const std::string& text) {
   }
   if (config.shards.empty()) {
     return Status::InvalidArgument("topology: no shards declared");
-  }
-  return config;
-}
-
-TopologyConfig TopologyConfig::FromContexts(
-    const std::vector<std::pair<std::string, std::string>>& contexts,
-    size_t page_size) {
-  TopologyConfig config;
-  config.page_size = page_size;
-  config.shards.reserve(contexts.size());
-  for (const auto& [dn_text, name] : contexts) {
-    config.shards.push_back(ShardSpec{name, dn_text, 0});
   }
   return config;
 }
@@ -156,7 +153,6 @@ Result<RoutingTable> RoutingTable::Resolve(const TopologyConfig& config) {
       }
     }
     NDQ_ASSIGN_OR_RETURN(Dn context, Dn::Parse(spec.context));
-    table.keys_.push_back(context.HierKey());
     table.contexts_.push_back(std::move(context));
     table.names_.push_back(spec.name);
   }
@@ -166,7 +162,7 @@ Result<RoutingTable> RoutingTable::Resolve(const TopologyConfig& config) {
 size_t RoutingTable::OwnerOf(const std::string& hier_key) const {
   size_t owner = kNone;
   for (size_t i = 0; i < contexts_.size(); ++i) {
-    const std::string& ck = keys_[i];
+    const std::string& ck = contexts_[i].HierKey();
     bool covers =
         ck == hier_key || KeyIsAncestor(ck, hier_key) || hier_key.empty();
     if (!covers) continue;
@@ -190,7 +186,7 @@ std::vector<size_t> RoutingTable::OwnersFor(const Dn& base,
   // delegate); include those too.
   for (size_t i = 0; i < contexts_.size(); ++i) {
     if (i == owner) continue;
-    const std::string& ck = keys_[i];
+    const std::string& ck = contexts_[i].HierKey();
     bool under = bk.empty() || ck == bk || KeyIsAncestor(bk, ck);
     if (!under) continue;
     if (scope == Scope::kOne) {

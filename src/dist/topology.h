@@ -6,19 +6,17 @@
 // subtree delegated to a deeper context, and is served by R identical
 // REPLICAS (the partition is built once; the other replicas are page
 // copies of that segment, each on its own disk, sharing one StoreStats).
-// TopologyConfig is the declarative description — what used to be a raw
-// (dn, server-name) pair list — with a text form ndqsh can load and print
-// (`.topology`). RoutingTable is the resolved, coordinator-side routing
-// structure: given an atomic query's (base dn, scope) it names the shards
-// whose data the query can touch, exactly as a DNS resolver chases
-// delegations downward from the owning zone.
+// TopologyConfig is the declarative description, with a text form ndqsh
+// can load and print (`.topology`). RoutingTable is the resolved,
+// coordinator-side routing structure: given an atomic query's (base dn,
+// scope) it names the shards whose data the query can touch, exactly as a
+// DNS resolver chases delegations downward from the owning zone.
 
 #ifndef NDQ_DIST_TOPOLOGY_H_
 #define NDQ_DIST_TOPOLOGY_H_
 
 #include <cstddef>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/dn.h"
@@ -63,12 +61,6 @@ struct TopologyConfig {
   /// page_size outside [kMinPageSize, kMaxPageSize] are InvalidArgument.
   static Result<TopologyConfig> Parse(const std::string& text);
 
-  /// The legacy (dn text, server name) pair list as a TopologyConfig with
-  /// one replica per shard — the migration shim for pre-topology callers.
-  static TopologyConfig FromContexts(
-      const std::vector<std::pair<std::string, std::string>>& contexts,
-      size_t page_size = kDefaultPageSize);
-
   std::string ToString() const;
 
   /// Effective replication factor of shard `i`.
@@ -105,8 +97,7 @@ class RoutingTable {
   const std::string& name(size_t shard) const { return names_[shard]; }
 
  private:
-  std::vector<Dn> contexts_;        // parsed, in shard order
-  std::vector<std::string> keys_;   // contexts_[i].HierKey(), cached
+  std::vector<Dn> contexts_;  // parsed, in shard order
   std::vector<std::string> names_;
 };
 

@@ -54,26 +54,30 @@ std::string DiffEntries(const std::vector<Entry>& want,
   return out.str();
 }
 
-// Naming contexts for the distributed oracles: one server per forest
-// root, plus (when the forest has any depth-2 entry) one delegated
-// subtree so referral chasing and coordinator merging get exercised.
-std::vector<std::pair<std::string, std::string>> MakeContexts(
-    const DirectoryInstance& instance) {
-  std::vector<std::pair<std::string, std::string>> contexts;
+// Topology text for the distributed oracles: one shard per forest root,
+// plus (when the forest has any depth-2 entry) one delegated subtree so
+// referral chasing and coordinator merging get exercised. Two replicas per
+// shard, so the replica routing and failover paths get fuzzed too. Empty
+// when the forest is.
+std::string MakeTopologyText(const DirectoryInstance& instance) {
+  std::string shards;
   const Entry* delegate = nullptr;
   size_t i = 0;
   for (const auto& [key, entry] : instance) {
     (void)key;
     if (entry.dn().depth() == 1) {
-      contexts.emplace_back(entry.dn().ToString(), "s" + std::to_string(i++));
+      shards += "shard s" + std::to_string(i++) + " " +
+                entry.dn().ToString() + "\n";
     } else if (delegate == nullptr && entry.dn().depth() == 2) {
       delegate = &entry;
     }
   }
+  if (shards.empty()) return shards;
   if (delegate != nullptr) {
-    contexts.emplace_back(delegate->dn().ToString(), "d0");
+    shards += "shard d0 " + delegate->dn().ToString() + "\n";
   }
-  return contexts;
+  return "replicas 2\npage_size " + std::to_string(kFuzzPageSize) + "\n" +
+         shards;
 }
 
 bool KeysContained(const std::vector<Entry>& sub,
@@ -569,16 +573,15 @@ std::vector<CheckFailure> CheckCase(const DirectoryInstance& instance,
     }
   }
 
-  // Distributed oracles, against a REPLICATED topology (two replicas per
-  // shard) so the replica routing and failover paths get fuzzed too.
-  std::vector<std::pair<std::string, std::string>> contexts =
-      MakeContexts(instance);
-  if (options.with_distributed && !contexts.empty()) {
-    TopologyConfig topology =
-        TopologyConfig::FromContexts(contexts, kFuzzPageSize);
-    topology.replicas = 2;
-    Result<DistributedDirectory> fleet =
-        DistributedDirectory::Build(instance, topology);
+  // Distributed oracles, against a replicated topology.
+  std::string topology_text = MakeTopologyText(instance);
+  if (options.with_distributed && !topology_text.empty()) {
+    auto build = [&]() -> Result<DistributedDirectory> {
+      NDQ_ASSIGN_OR_RETURN(TopologyConfig topology,
+                           TopologyConfig::Parse(topology_text));
+      return DistributedDirectory::Build(instance, topology);
+    };
+    Result<DistributedDirectory> fleet = build();
     ++local_checks;
     if (!fleet.ok()) {
       fail("dist", "Build failed: " + fleet.status().ToString());
@@ -588,8 +591,7 @@ std::vector<CheckFailure> CheckCase(const DirectoryInstance& instance,
     }
 
     if (options.with_faults) {
-      Result<DistributedDirectory> faulty =
-          DistributedDirectory::Build(instance, topology);
+      Result<DistributedDirectory> faulty = build();
       ++local_checks;
       if (!faulty.ok()) {
         fail("dist-fault", "Build failed: " + faulty.status().ToString());

@@ -119,7 +119,8 @@ Result<DirectoryInstance> TryPaperInstance() {
       e.AddValue(attr, std::move(v));
     }
     // Satisfy rdn(r) subseteq val(r).
-    for (const auto& [attr, text] : e.dn().rdn().pairs()) {
+    const Rdn rdn = e.dn().rdn();
+    for (const auto& [attr, text] : rdn.pairs()) {
       NDQ_ASSIGN_OR_RETURN(TypeKind t, s.AttributeType(attr));
       NDQ_ASSIGN_OR_RETURN(Value v, ParseValueAs(t, text));
       e.AddValue(attr, std::move(v));

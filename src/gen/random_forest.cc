@@ -83,7 +83,8 @@ DirectoryInstance RandomForest(const RandomForestOptions& options) {
     }
     e.AddString("tag", "tag" + std::to_string(rng() % options.num_tags));
     // rdn(r) subseteq val(r).
-    for (const auto& [attr, value] : dn.rdn().pairs()) {
+    const Rdn rdn = dn.rdn();
+    for (const auto& [attr, value] : rdn.pairs()) {
       e.AddString(attr, value);
     }
     if (std::uniform_real_distribution<double>(0, 1)(rng) <

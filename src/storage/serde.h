@@ -80,7 +80,8 @@ class ByteReader {
 
   Result<std::string_view> GetString() {
     NDQ_ASSIGN_OR_RETURN(uint64_t len, GetVarint());
-    if (pos_ + len > data_.size()) {
+    // Not pos_ + len, which a length near 2^64 would wrap.
+    if (len > data_.size() - pos_) {
       return Status::Corruption("string past end");
     }
     std::string_view s = data_.substr(pos_, len);

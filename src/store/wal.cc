@@ -449,7 +449,10 @@ Result<std::unique_ptr<Wal>> Wal::Recover(Disk* disk, Recovered* out) {
       }
       shift += 7;
     }
-    if (!len_ok || q + len + 4 > stream.size()) break;
+    // Torn unless the body and its 4-byte checksum fit in what is left;
+    // compared without a sum, which a length near 2^64 would wrap.
+    size_t left = stream.size() - q;
+    if (!len_ok || left < 4 || len > left - 4) break;
     std::string_view body(stream.data() + q, len);
     uint32_t crc =
         GetU32(reinterpret_cast<const uint8_t*>(stream.data()) + q + len);

@@ -1,10 +1,31 @@
 #include "core/dn.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "gen/random_forest.h"
+
+// Counts heap allocations, so a test can check what one call allocates.
+// Not inlined, so the compiler does not pair a caller's new with free().
+static std::atomic<long> g_allocations{0};
+
+__attribute__((noinline)) void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace ndq {
 namespace {
@@ -225,6 +246,101 @@ TEST(DnTest, FromHierKeyRoundTrip) {
   EXPECT_TRUE(null->IsNull());
 }
 
+TEST(DnTest, FromHierKeyNormalizesPairOrder) {
+  // A component whose pairs are out of order or repeated comes back as
+  // Rdn::Make would have written it; canonical components are untouched.
+  auto key_of = [](std::vector<std::vector<std::pair<std::string,
+                                                     std::string>>> rdns) {
+    std::vector<Rdn> made;
+    for (auto& pairs : rdns) made.push_back(Rdn::Make(pairs).TakeValue());
+    return Dn::Make(made).TakeValue().HierKey();
+  };
+  const std::string cn_sn = key_of({{{"cn", "x"}, {"sn", "y"}}});
+  ASSERT_EQ(cn_sn, "cn=x\x1esn=y");
+  struct Case {
+    std::string key;
+    std::string want;
+  } cases[] = {
+      {"sn=y\x1e" "cn=x", cn_sn},
+      {"cn=x\x1e" "cn=x", "cn=x"},
+      {"sn=y\x1e" "cn=x\x1e" "sn=y", cn_sn},
+      {"cn=b\x1e" "cn=a", "cn=a\x1e" "cn=b"},
+      // Pairs order by (attribute, value), not by their text: "a" sorts
+      // before "a-b" although '-' sorts before '='.
+      {"a=z\x1e" "a-b=c", "a=z\x1e" "a-b=c"},
+      {"a-b=c\x1e" "a=z", "a=z\x1e" "a-b=c"},
+      {"dc=com\x1f" "sn=y\x1e" "cn=x\x1f" "uid=a",
+       key_of({{{"uid", "a"}}, {{"cn", "x"}, {"sn", "y"}}, {{"dc", "com"}}})},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.key);
+    Result<Dn> dn = Dn::FromHierKey(c.key);
+    ASSERT_TRUE(dn.ok()) << dn.status().ToString();
+    EXPECT_EQ(dn->HierKey(), c.want);
+    EXPECT_EQ(Dn::FromHierKey(dn->HierKey())->HierKey(), c.want);
+  }
+}
+
+TEST(DnTest, FromHierKeyRejectsMalformedKeys) {
+  // A pair or component with no '=' is Corruption; a bad attribute name or
+  // value is InvalidArgument. Within one component a missing '=' wins;
+  // across components the root-most bad one decides.
+  struct Case {
+    std::string key;
+    StatusCode code;
+  } cases[] = {
+      {"dc", StatusCode::kCorruption},
+      {"dc=com\x1f" "att", StatusCode::kCorruption},
+      {"dc=com\x1f", StatusCode::kCorruption},  // empty component
+      {"\x1f" "dc=com", StatusCode::kCorruption},
+      {"dc=com\x1f\x1f" "dc=att", StatusCode::kCorruption},
+      {"dc=a\x1e", StatusCode::kCorruption},  // empty pair
+      {"dc=", StatusCode::kInvalidArgument},   // empty value
+      {"dc=com\x1f" "cn=", StatusCode::kInvalidArgument},
+      {"=x", StatusCode::kInvalidArgument},  // empty attribute
+      {"1dc=x", StatusCode::kInvalidArgument},
+      {"d c=x", StatusCode::kInvalidArgument},
+      {"dc=a\x01", StatusCode::kInvalidArgument},  // control byte
+      {"1dc=x\x1e" "dc", StatusCode::kCorruption},
+      {"dc\x1e" "1dc=x", StatusCode::kCorruption},
+      {"1dc=x\x1f" "dc", StatusCode::kInvalidArgument},
+      {"dc\x1f" "1dc=x", StatusCode::kCorruption},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.key);
+    EXPECT_EQ(Dn::FromHierKey(c.key).status().code(), c.code);
+  }
+}
+
+TEST(DnTest, FromHierKeyOfACanonicalKeyAllocatesOnlyTheCopy) {
+  // Scans decode a key per record: checking it must not allocate, so the
+  // one allocation is the Dn's own copy of the key.
+  const std::string key =
+      MustParse("CANumber=9733608751, QHPName=workinghours, uid=jag, "
+                "ou=userProfiles, dc=research, dc=att, dc=com")
+          .HierKey();
+  ASSERT_GT(key.size(), sizeof(std::string));  // past the inline buffer
+  long before = g_allocations.load();
+  Result<Dn> dn = Dn::FromHierKey(key);
+  long allocations = g_allocations.load() - before;
+  ASSERT_TRUE(dn.ok());
+  EXPECT_EQ(dn->HierKey(), key);
+  EXPECT_EQ(allocations, 1);
+}
+
+TEST(DnTest, DnIsItsKey) {
+  using Pair = std::pair<std::string, std::string>;
+  EXPECT_EQ(sizeof(Dn), sizeof(std::string));
+  Dn dn = MustParse("cn=x+sn=y, ou=p, dc=com");
+  const Rdn rdn = dn.rdn();  // a value: the Dn holds no parsed copy
+  ASSERT_EQ(rdn.pairs().size(), 2u);
+  EXPECT_EQ(rdn.pairs()[0], Pair("cn", "x"));
+  EXPECT_EQ(rdn.pairs()[1], Pair("sn", "y"));
+  EXPECT_EQ(dn.Parent().Child(rdn), dn);
+  EXPECT_EQ(MustParse("dc=com").Parent().Child(MustParse("dc=com").rdn()),
+            MustParse("dc=com"));
+}
+
 TEST(DnTest, KeyHelpers) {
   Dn com = MustParse("dc=com");
   Dn att = MustParse("dc=att, dc=com");
@@ -341,13 +457,22 @@ class DnPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(DnPropertyTest, RandomForestInvariants) {
   std::mt19937 rng(GetParam());
+  std::vector<Dn> dns;
+  // A generated forest with adversarial RDN values on most entries.
+  gen::RandomForestOptions forest;
+  forest.seed = static_cast<uint32_t>(GetParam());
+  forest.num_entries = 200;
+  forest.weird_rdn_probability = 0.6;
+  for (const auto& [key, entry] : gen::RandomForest(forest)) {
+    (void)key;
+    dns.push_back(entry.dn());
+  }
   std::uniform_int_distribution<int> depth_dist(1, 6);
   std::uniform_int_distribution<int> val_dist(0, 30);
   const char* attrs[] = {"dc", "ou", "cn", "uid"};
   // One in four values is adversarial: escapes, delimiters, edge spaces.
   const char* weird[] = {" lead", "trail ", "a,b", "x=y", "p+q", "b\\s",
                          "\\ ", "a\\", " ", "two  spaces "};
-  std::vector<Dn> dns;
   for (int i = 0; i < 200; ++i) {
     std::vector<Rdn> rdns;
     int depth = depth_dist(rng);
@@ -366,9 +491,10 @@ TEST_P(DnPropertyTest, RandomForestInvariants) {
     ASSERT_EQ(Dn::Parse(a.ToString()).TakeValue(), a);
     ASSERT_EQ(Dn::FromHierKey(a.HierKey()).TakeValue(), a);
     ASSERT_EQ(KeyDepth(a.HierKey()), a.depth());
+    ASSERT_EQ(KeyParent(a.HierKey()), a.Parent().HierKey());
+    ASSERT_EQ(a.Parent().Child(a.rdn()), a);
     if (a.depth() > 1) {
       ASSERT_TRUE(a.Parent().IsParentOf(a));
-      ASSERT_EQ(KeyParent(a.HierKey()), a.Parent().HierKey());
     }
     for (const Dn& b : dns) {
       // Key predicates agree with DN-level predicates.

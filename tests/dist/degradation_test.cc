@@ -25,9 +25,10 @@ namespace {
 DistributedDirectory PaperFleet() {
   DirectoryInstance inst = testing::PaperInstance();
   return DistributedDirectory::Build(
-             inst, TopologyConfig::FromContexts(
-                       {{"dc=com", "root-server"},
-                        {"dc=research, dc=att, dc=com", "research-server"}}))
+             inst, TopologyConfig::Parse(
+                       "shard root-server dc=com\n"
+                       "shard research-server dc=research, dc=att, dc=com\n")
+                       .TakeValue())
       .TakeValue();
 }
 

@@ -18,9 +18,10 @@ namespace {
 EngineOptions FleetOptions() {
   EngineOptions opts;
   opts.backend = EngineBackend::kDistributed;
-  opts.topology = TopologyConfig::FromContexts(
-      {{"dc=com", "root-server"},
-       {"dc=research, dc=att, dc=com", "research-server"}});
+  opts.topology = TopologyConfig::Parse(
+                      "shard root-server dc=com\n"
+                      "shard research-server dc=research, dc=att, dc=com\n")
+                      .TakeValue();
   return opts;
 }
 

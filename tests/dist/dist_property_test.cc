@@ -25,27 +25,27 @@ TEST_P(DistPropertyTest, RandomQueriesAgreeAcrossRandomDelegations) {
   DirectoryInstance global = gen::RandomForest(fopt);
 
   // Contexts: every root covered, plus random deeper delegations.
-  std::vector<std::pair<std::string, std::string>> contexts;
+  std::string topology;
   int server_id = 0;
   std::vector<const Entry*> candidates;
   for (const auto& [key, entry] : global) {
     (void)key;
     if (entry.dn().depth() == 1) {
-      contexts.push_back({entry.dn().ToString(),
-                          "root" + std::to_string(server_id++)});
+      topology += "shard root" + std::to_string(server_id++) + " " +
+                  entry.dn().ToString() + "\n";
     } else if (entry.dn().depth() <= 3) {
       candidates.push_back(&entry);
     }
   }
   for (int i = 0; i < 4 && !candidates.empty(); ++i) {
     const Entry* e = candidates[rng() % candidates.size()];
-    contexts.push_back(
-        {e->dn().ToString(), "delegate" + std::to_string(server_id++)});
+    topology += "shard delegate" + std::to_string(server_id++) + " " +
+                e->dn().ToString() + "\n";
   }
 
   DistributedDirectory fleet =
       DistributedDirectory::Build(global,
-                                  TopologyConfig::FromContexts(contexts))
+                                  TopologyConfig::Parse(topology).TakeValue())
           .TakeValue();
   size_t total = 0;
   for (const auto& s : fleet.servers()) total += s->num_entries();
@@ -78,17 +78,18 @@ TEST(DistPropertyTest, ShippedRecordsNeverExceedAtomicResults) {
   fopt.seed = 5;
   fopt.num_entries = 200;
   DirectoryInstance global = gen::RandomForest(fopt);
-  std::vector<std::pair<std::string, std::string>> contexts;
+  std::string topology;
   int sid = 0;
   for (const auto& [key, entry] : global) {
     (void)key;
     if (entry.dn().depth() == 1) {
-      contexts.push_back({entry.dn().ToString(), "s" + std::to_string(sid++)});
+      topology += "shard s" + std::to_string(sid++) + " " +
+                  entry.dn().ToString() + "\n";
     }
   }
   DistributedDirectory fleet =
       DistributedDirectory::Build(global,
-                                  TopologyConfig::FromContexts(contexts))
+                                  TopologyConfig::Parse(topology).TakeValue())
           .TakeValue();
 
   gen::RandomQueryOptions qopt;
@@ -119,17 +120,18 @@ TEST(DistPropertyTest, ParallelEvaluationMatchesSequentialShipping) {
   fopt.seed = 11;
   fopt.num_entries = 200;
   DirectoryInstance global = gen::RandomForest(fopt);
-  std::vector<std::pair<std::string, std::string>> contexts;
+  std::string topology;
   int sid = 0;
   for (const auto& [key, entry] : global) {
     (void)key;
     if (entry.dn().depth() == 1) {
-      contexts.push_back({entry.dn().ToString(), "s" + std::to_string(sid++)});
+      topology += "shard s" + std::to_string(sid++) + " " +
+                  entry.dn().ToString() + "\n";
     }
   }
   DistributedDirectory fleet =
       DistributedDirectory::Build(global,
-                                  TopologyConfig::FromContexts(contexts))
+                                  TopologyConfig::Parse(topology).TakeValue())
           .TakeValue();
 
   gen::RandomQueryOptions qopt;

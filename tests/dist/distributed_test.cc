@@ -21,9 +21,10 @@ using testing::D;
 DistributedDirectory PaperFleet() {
   DirectoryInstance inst = testing::PaperInstance();
   return DistributedDirectory::Build(
-             inst, TopologyConfig::FromContexts(
-                       {{"dc=com", "root-server"},
-                        {"dc=research, dc=att, dc=com", "research-server"}}))
+             inst, TopologyConfig::Parse(
+                       "shard root-server dc=com\n"
+                       "shard research-server dc=research, dc=att, dc=com\n")
+                       .TakeValue())
       .TakeValue();
 }
 
@@ -41,10 +42,8 @@ TEST(DistributedTest, PartitionByDeepestContext) {
 
 TEST(DistributedTest, UncoveredEntryRejected) {
   DirectoryInstance inst = testing::PaperInstance();
-  std::vector<std::pair<std::string, std::string>> contexts = {
-      {"dc=att, dc=com", "only-att"}};
-  Result<DistributedDirectory> r =
-      DistributedDirectory::Build(inst, TopologyConfig::FromContexts(contexts));
+  Result<DistributedDirectory> r = DistributedDirectory::Build(
+      inst, TopologyConfig::Parse("shard only-att dc=att, dc=com").TakeValue());
   EXPECT_FALSE(r.ok());  // dc=com itself is uncovered
 }
 
@@ -167,12 +166,12 @@ TEST(DistributedTest, LargerFleetAgreesOnDifWorkload) {
   DirectoryInstance global = gen::GenerateDif(opt);
   DistributedDirectory fleet =
       DistributedDirectory::Build(
-          global, TopologyConfig::FromContexts(
-                      {{"dc=com", "root"},
-                       {"dc=org0, dc=com", "org0"},
-                       {"dc=org1, dc=com", "org1"},
-                       {"dc=sub0, dc=org0, dc=com", "sub0"},
-                       {"dc=sub3, dc=org1, dc=com", "sub3"}}))
+          global, TopologyConfig::Parse("shard root dc=com\n"
+                                        "shard org0 dc=org0, dc=com\n"
+                                        "shard org1 dc=org1, dc=com\n"
+                                        "shard sub0 dc=sub0, dc=org0, dc=com\n"
+                                        "shard sub3 dc=sub3, dc=org1, dc=com\n")
+                      .TakeValue())
           .TakeValue();
   size_t total = 0;
   for (const auto& s : fleet.servers()) total += s->num_entries();

@@ -63,6 +63,27 @@ TEST(TopologyConfigTest, ToStringRoundTrips) {
   EXPECT_EQ(again.page_size, cfg.page_size);
 }
 
+TEST(TopologyConfigTest, ContextKeepsAnEscapedTrailingSpace) {
+  // Dn::ToString escapes a value's trailing space, so the context text
+  // ends in backslash-space: the line's trailing blanks go, that space
+  // stays.
+  Dn spaced = Dn::Make({Rdn::Single("dc", "x ").TakeValue()}).TakeValue();
+  for (const char* tail : {"", "  ", " \t\r"}) {
+    SCOPED_TRACE(tail);
+    TopologyConfig cfg =
+        TopologyConfig::Parse("shard a " + spaced.ToString() + tail + "\n")
+            .TakeValue();
+    EXPECT_EQ(cfg.shards[0].context, spaced.ToString());
+    EXPECT_EQ(RoutingTable::Resolve(cfg).TakeValue().context(0), spaced);
+  }
+  // An escaped backslash escapes nothing after it: the space is a blank.
+  Dn slash = Dn::Make({Rdn::Single("dc", "x\\").TakeValue()}).TakeValue();
+  TopologyConfig cfg =
+      TopologyConfig::Parse("shard a " + slash.ToString() + " \n").TakeValue();
+  EXPECT_EQ(cfg.shards[0].context, slash.ToString());
+  EXPECT_EQ(RoutingTable::Resolve(cfg).TakeValue().context(0), slash);
+}
+
 TEST(TopologyConfigTest, ParseRejectsBadInput) {
   EXPECT_FALSE(TopologyConfig::Parse("bogus 3\n").ok());
   EXPECT_FALSE(TopologyConfig::Parse("replicas 0\nshard a dc=com\n").ok());
@@ -112,12 +133,13 @@ TEST(TopologyConfigTest, ParseRejectsBadInput) {
     EXPECT_EQ(ok.page_size, page_size);
     EXPECT_TRUE(RoutingTable::Resolve(ok).ok());
   }
-  // A config built in code meets the same bounds when it resolves.
+  // A config changed in code meets the same bounds when it resolves.
   TopologyConfig huge_pages =
-      TopologyConfig::FromContexts({{"dc=com", "a"}}, size_t{1} << 40);
+      TopologyConfig::Parse("shard a dc=com").TakeValue();
+  huge_pages.page_size = size_t{1} << 40;
   EXPECT_EQ(RoutingTable::Resolve(huge_pages).status().code(),
             StatusCode::kInvalidArgument);
-  TopologyConfig many = TopologyConfig::FromContexts({{"dc=com", "a"}});
+  TopologyConfig many = TopologyConfig::Parse("shard a dc=com").TakeValue();
   many.shards[0].replicas = TopologyConfig::kMaxReplicas + 1;
   EXPECT_EQ(RoutingTable::Resolve(many).status().code(),
             StatusCode::kInvalidArgument);

@@ -226,9 +226,10 @@ TEST(ExplainAnalyzeTest, DistributedTraceRecordsShippingAndFleetIo) {
   DirectoryInstance inst = testing::PaperInstance();
   DistributedDirectory fleet =
       DistributedDirectory::Build(
-          inst, TopologyConfig::FromContexts(
-                    {{"dc=com", "root-server"},
-                     {"dc=research, dc=att, dc=com", "research-server"}}))
+          inst, TopologyConfig::Parse(
+                    "shard root-server dc=com\n"
+                    "shard research-server dc=research, dc=att, dc=com\n")
+                    .TakeValue())
           .TakeValue();
   QueryPtr q = ParseQuery(
                    "(c (dc=com ? sub ? objectClass=organizationalUnit)"

@@ -103,7 +103,8 @@ TEST(RandomForestTest, PrefixClosedAndSized) {
       EXPECT_NE(inst.Find(parent), nullptr);
     }
     // rdn(r) subseteq val(r) holds even without schema validation.
-    for (const auto& [attr, value] : entry.dn().rdn().pairs()) {
+    const Rdn rdn = entry.dn().rdn();
+    for (const auto& [attr, value] : rdn.pairs()) {
       EXPECT_TRUE(entry.HasPair(attr, Value::String(value)));
     }
   }

@@ -1,7 +1,13 @@
 #include "storage/serde.h"
 
+#include <random>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "gen/dif_gen.h"
+#include "gen/random_forest.h"
 #include "testing/paper_fixture.h"
 
 namespace ndq {
@@ -58,6 +64,24 @@ TEST(SerdeTest, TruncationDetected) {
   EXPECT_FALSE(r2.GetU8().ok());
 }
 
+TEST(SerdeTest, WrappingStringLengthIsCorruption) {
+  // A length near 2^64 once wrapped pos + len: over these 12 bytes (a
+  // 10-byte varint, then "xy") the read returned a 2-byte view and moved
+  // the cursor back to byte 9.
+  for (uint64_t len : {~uint64_t{0}, ~uint64_t{0} - 9, uint64_t{1} << 63}) {
+    SCOPED_TRACE(len);
+    std::string buf;
+    ByteWriter w(&buf);
+    w.PutVarint(len);
+    buf += "xy";
+    ASSERT_EQ(buf.size(), 12u);
+    ByteReader r(buf);
+    EXPECT_EQ(r.GetString().status().code(), StatusCode::kCorruption);
+    EXPECT_EQ(PeekEntryKey(buf).status().code(), StatusCode::kCorruption);
+    EXPECT_EQ(DeserializeEntry(buf).status().code(), StatusCode::kCorruption);
+  }
+}
+
 TEST(SerdeTest, ValueRoundTrip) {
   for (const Value& v :
        {Value::Int(42), Value::Int(-7), Value::String("abc"),
@@ -93,6 +117,83 @@ TEST(SerdeTest, CorruptEntryRejected) {
   std::string bad = buf;
   bad[0] = '\x7f';  // nonsense key length
   EXPECT_FALSE(DeserializeEntry(bad).ok());
+}
+
+// A Dn a decoder hands back is canonical: FromHierKey maps its key to
+// itself, and its text parses back to it.
+void ExpectCanonical(const Dn& dn) {
+  Result<Dn> again = Dn::FromHierKey(dn.HierKey());
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->HierKey(), dn.HierKey());
+  Result<Dn> parsed = Dn::Parse(dn.ToString());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(*parsed, dn);
+}
+
+// Seeded byte mutations of serialized DIF and random-forest records (one
+// bit of a byte flipped, a truncation, an inserted separator or '='): the
+// record decoders return a Status or a value, never crash, and every Dn
+// they build is canonical. A flip of a component separator into a pair
+// separator merges two RDNs into one whose pairs may be out of order,
+// which FromHierKey must normalize. Under ASan+UBSan this is the
+// decoders' fuzz check.
+TEST(SerdeTest, MutatedRecordsDecodeOrFail) {
+  std::vector<std::string> records;
+  auto add_records = [&](const DirectoryInstance& inst) {
+    for (const auto& [key, entry] : inst) {
+      (void)key;
+      records.emplace_back();
+      SerializeEntry(entry, &records.back());
+    }
+  };
+  gen::DifOptions dif;
+  dif.num_orgs = 1;
+  dif.subdomains_per_org = 1;
+  add_records(gen::GenerateDif(dif));
+  gen::RandomForestOptions forest;
+  forest.seed = 29;
+  forest.num_entries = 300;
+  forest.weird_rdn_probability = 0.3;
+  add_records(gen::RandomForest(forest));
+
+  const char kInserted[] = {kHierPairSep, kHierKeySep, '='};
+  std::mt19937 rng(14);
+  size_t decoded = 0, renamed = 0;
+  for (int i = 0; i < 20000; ++i) {
+    std::string record = records[rng() % records.size()];
+    switch (rng() % 3) {
+      case 0:
+        record[rng() % record.size()] ^= static_cast<char>(1 << (rng() % 8));
+        break;
+      case 1:
+        record.resize(rng() % record.size());
+        break;
+      default:
+        record.insert(record.begin() + rng() % (record.size() + 1),
+                      kInserted[rng() % 3]);
+        break;
+    }
+    Result<Entry> entry = DeserializeEntry(record);
+    if (entry.ok()) {
+      ++decoded;
+      ExpectCanonical(entry->dn());
+    }
+    Result<std::string_view> key = PeekEntryKey(record);
+    if (!key.ok()) continue;
+    Result<Dn> dn = Dn::FromHierKey(*key);
+    if (!dn.ok()) {
+      EXPECT_TRUE(dn.status().code() == StatusCode::kCorruption ||
+                  dn.status().code() == StatusCode::kInvalidArgument)
+          << dn.status().ToString();
+      continue;
+    }
+    ExpectCanonical(*dn);
+    if (dn->HierKey() != *key) ++renamed;
+  }
+  // The loop reaches both outcomes, and FromHierKey's normalizing path.
+  EXPECT_GT(decoded, 0u);
+  EXPECT_LT(decoded, 20000u);
+  EXPECT_GT(renamed, 0u);
 }
 
 TEST(SerdeTest, OrderedInt64RoundTripAndOrder) {

@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -124,6 +125,51 @@ TEST(WalTest, FailedAppendIsRolledBackAndNeverReplays) {
   Wal::Recovered out2;
   ASSERT_TRUE(Wal::Recover(&disk, &out2).ok());
   EXPECT_EQ(out2.memtable.count("after"), 1u);
+}
+
+TEST(WalTest, TailFrameWithWrappingLengthIsTorn) {
+  // A frame whose length varint is near 2^64 once passed the torn-frame
+  // check (q + len + 4 wrapped) and the checksum then read far past the
+  // stream. Recovery must treat it as torn: exactly the acknowledged put
+  // replays.
+  SimDisk disk(512);
+  Wal wal(&disk);
+  ASSERT_TRUE(wal.Create().ok());
+  const std::string value(60, 'v');  // the tail frame starts past byte 63
+  ASSERT_TRUE(wal.AppendPut("acked", value).ok());
+
+  // Append the 10-byte length of a frame, 2^64 - 67, inside the used
+  // bytes of the chain page that holds the record.
+  std::string tail;
+  ByteWriter(&tail).PutVarint(~uint64_t{0} - 66);
+  ASSERT_EQ(tail.size(), 10u);
+  auto get_u32 = [](const uint8_t* p) {
+    return uint32_t{p[0]} | uint32_t{p[1]} << 8 | uint32_t{p[2]} << 16 |
+           uint32_t{p[3]} << 24;
+  };
+  constexpr uint32_t kChainMagic = 0x5751444e;  // "NDQW"
+  constexpr size_t kChainHeaderSize = 16;       // magic, seq, used, next
+  std::vector<uint8_t> page(disk.page_size());
+  bool patched = false;
+  for (PageId id = 0; id < 16 && !patched; ++id) {
+    if (!disk.ReadPage(id, page.data()).ok()) continue;
+    uint32_t used = get_u32(page.data() + 8);
+    if (get_u32(page.data()) != kChainMagic || used == 0) continue;
+    ASSERT_LE(kChainHeaderSize + used + tail.size(), page.size());
+    std::memcpy(page.data() + kChainHeaderSize + used, tail.data(),
+                tail.size());
+    used += static_cast<uint32_t>(tail.size());
+    for (int b = 0; b < 4; ++b) page[8 + b] = (used >> (8 * b)) & 0xff;
+    ASSERT_TRUE(disk.WritePage(id, page.data()).ok());
+    patched = true;
+  }
+  ASSERT_TRUE(patched) << "no chain page holds the record";
+
+  Wal::Recovered out;
+  Result<std::unique_ptr<Wal>> rec = Wal::Recover(&disk, &out);
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  ASSERT_EQ(out.memtable.size(), 1u);
+  EXPECT_EQ(out.memtable.at("acked"), value);
 }
 
 TEST(WalTest, DestroyAllReturnsEveryPage) {
