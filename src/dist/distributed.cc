@@ -12,6 +12,9 @@ namespace ndq {
 
 namespace {
 
+// Largest share of a retry backoff the jitter subtracts (RetryPolicy).
+constexpr double kBackoffJitter = 0.25;
+
 // SplitMix64: cheap, well-mixed hash for the backoff jitter. Not
 // cryptographic — it only has to decorrelate concurrent retry loops.
 uint64_t SplitMix64(uint64_t x) {
@@ -131,8 +134,8 @@ Status DistributedDirectory::FetchAtomicFromShard(Shard& shard,
                                                   bool want_trace,
                                                   ShardFetch* out) {
   // One request/response attempt against `replica`. Every early exit is
-  // clean: a failed evaluation frees its own intermediates and a timed-out
-  // result run is freed here, so a retry (or a sibling) starts fresh.
+  // clean: a failed evaluation frees its own intermediates, so a retry (or
+  // a sibling) starts fresh.
   auto attempt_one = [&](DirectoryServer* replica, bool* refused) -> Status {
     net_.messages += 2;  // request + response
     if (replica->is_down()) {
@@ -140,7 +143,6 @@ Status DistributedDirectory::FetchAtomicFromShard(Shard& shard,
       return Status::Unavailable("replica '" + replica->name() +
                                  "' is down");
     }
-    const auto start = std::chrono::steady_clock::now();
     std::lock_guard<std::mutex> replica_lock(replica->mu_);
     OpTrace server_trace;
     OpTrace* st = want_trace ? &server_trace : nullptr;
@@ -152,21 +154,10 @@ Status DistributedDirectory::FetchAtomicFromShard(Shard& shard,
                          query.scope(), query.filter(), st);
     out->scanned_records = server_trace.scanned_records;
     if (!local.ok()) return local.status();
-    Run run = local.TakeValue();
-    if (retry_policy_.timeout_micros > 0) {
-      double elapsed = std::chrono::duration<double, std::micro>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
-      if (elapsed > static_cast<double>(retry_policy_.timeout_micros)) {
-        FreeRun(replica->disk(), &run).ok();
-        return Status::Unavailable("replica '" + replica->name() +
-                                   "' timed out");
-      }
-    }
     // The sorted result STAYS on the replica's disk; the coordinator
     // streams it during the merge (dist/merge.h).
     out->replica = replica;
-    out->run = std::move(run);
+    out->run = local.TakeValue();
     return Status::OK();
   };
 
@@ -177,8 +168,6 @@ Status DistributedDirectory::FetchAtomicFromShard(Shard& shard,
       shard.next_replica_.fetch_add(1, std::memory_order_relaxed) %
       num_replicas;
   const int max_attempts = std::max(1, retry_policy_.max_attempts);
-  const double jitter =
-      std::clamp(retry_policy_.backoff_jitter, 0.0, 1.0);
   Status last = Status::Unavailable("shard '" + shard.name() +
                                     "' has no replicas");
   for (size_t k = 0; k < num_replicas; ++k) {
@@ -199,17 +188,15 @@ Status DistributedDirectory::FetchAtomicFromShard(Shard& shard,
       ++out->retries;
       ++net_.retries;
       if (backoff > 0) {
-        uint64_t sleep_us = backoff;
-        if (jitter > 0) {
-          // Uniform in [0,1): subtracts up to jitter*backoff, spreading
-          // the retry storms of concurrent sessions apart.
-          uint64_t bits = SplitMix64(
-              jitter_seq_->fetch_add(1, std::memory_order_relaxed));
-          double u = static_cast<double>(bits >> 11) *
-                     (1.0 / 9007199254740992.0);
-          sleep_us -= static_cast<uint64_t>(
-              static_cast<double>(backoff) * jitter * u);
-        }
+        // Uniform in [0,1): subtracts up to kBackoffJitter * backoff,
+        // spreading the retry storms of concurrent sessions apart.
+        uint64_t bits = SplitMix64(
+            jitter_seq_->fetch_add(1, std::memory_order_relaxed));
+        double u = static_cast<double>(bits >> 11) *
+                   (1.0 / 9007199254740992.0);
+        uint64_t sleep_us =
+            backoff - static_cast<uint64_t>(static_cast<double>(backoff) *
+                                            kBackoffJitter * u);
         std::this_thread::sleep_for(std::chrono::microseconds(sleep_us));
         backoff *= 2;
       }
@@ -388,7 +375,7 @@ Result<EntryList> DistributedDirectory::EvaluateAtomicDistributed(
     size_t failed_stream = static_cast<size_t>(-1);
     Result<Run> merged =
         MergeShardStreams(coordinator_disk_.get(), key_fn, ptrs,
-                          RecordShape::kKeyed, &failed_stream);
+                          PageFormat::kKeyPrefix, &failed_stream);
     // Whatever the merge consumed crossed the network, whether or not it
     // completed; a degraded restart re-ships and re-counts honestly.
     for (ShardStream* s : ptrs) {
@@ -445,7 +432,7 @@ Result<EntryList> DistributedDirectory::ShipWholeQuery(const Query& query,
     ParallelEvaluator remote(server->disk(), &server->store(), options_);
     NDQ_ASSIGN_OR_RETURN(EntryList local, remote.Evaluate(query, trace));
     ScopedRun local_guard(server->disk(), std::move(local));
-    RunWriter writer(coordinator_disk_.get(), RecordShape::kKeyed);
+    RunWriter writer(coordinator_disk_.get(), PageFormat::kKeyPrefix);
     RunReader reader(server->disk(), local_guard.get());
     std::string rec;
     uint64_t recs = 0, bytes = 0;

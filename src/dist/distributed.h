@@ -84,20 +84,14 @@ struct NetStats {
 /// How the coordinator treats a transient (Unavailable) failure of one
 /// replica: re-issue the request up to `max_attempts` times total,
 /// backing off `backoff_micros * 2^(attempt-1)` between attempts, minus a
-/// uniform jitter of up to `backoff_jitter` of the delay (decorrelating
-/// the retry storms of concurrent sessions; 0 = deterministic backoff).
-/// Only after the attempts are exhausted does the request FAIL OVER to
-/// the next replica of the shard; a replica that refuses because it is
-/// down fails over immediately — retrying a known-down server would just
-/// burn the backoff budget. A non-positive `timeout_micros` disables the
-/// per-attempt timeout; when set, an attempt whose wall time exceeds it
-/// is treated as a transient failure (the simulated client gave up
-/// waiting).
+/// uniform jitter of up to a quarter of the delay (decorrelating the
+/// retry storms of concurrent sessions). Only after the attempts are
+/// exhausted does the request FAIL OVER to the next replica of the shard;
+/// a replica that refuses because it is down fails over immediately —
+/// retrying a known-down server would just burn the backoff budget.
 struct RetryPolicy {
   int max_attempts = 3;
   uint64_t backoff_micros = 100;
-  double backoff_jitter = 0.25;
-  uint64_t timeout_micros = 0;
 };
 
 // DegradationWarning (core/degradation.h) is attached to evaluations that

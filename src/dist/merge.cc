@@ -82,7 +82,7 @@ void ShardStream::Close() {
 
 Result<Run> MergeShardStreams(Disk* out_disk, const RecordKeyFn& key_fn,
                               const std::vector<ShardStream*>& streams,
-                              RecordShape shape, size_t* failed_stream) {
+                              PageFormat format, size_t* failed_stream) {
   if (failed_stream != nullptr) *failed_stream = static_cast<size_t>(-1);
   struct Head {
     std::string record;
@@ -112,7 +112,7 @@ Result<Run> MergeShardStreams(Disk* out_disk, const RecordKeyFn& key_fn,
     NDQ_RETURN_IF_ERROR(advance(i));
   }
 
-  RunWriter writer(out_disk, shape);
+  RunWriter writer(out_disk, format);
   while (true) {
     // Min-scan with cached head words: the 8-byte prefix decides almost
     // every comparison (reverse-DN keys diverge early), and the stream

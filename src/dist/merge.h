@@ -79,17 +79,18 @@ class ShardStream {
   bool closed_ = false;
 };
 
-/// Merges the streams into one run on `out_disk` with the head-of-key
-/// fast comparator (core/head64.h) over `key_fn`. Streams must each be
-/// sorted by key and pairwise disjoint (shard contexts are). Exhausted
-/// streams are Close()d as the merge drains them; on failure the failing
-/// stream's index lands in `*failed_stream` (when non-null) so the caller
-/// can degrade that shard and retry without it. The streams stay owned by
-/// the caller — read consumed()/bytes_consumed()/refetches() afterwards
-/// for shipping accounting.
+/// Merges the streams into one run on `out_disk`, written in `format`,
+/// with the head-of-key fast comparator (core/head64.h) over `key_fn`.
+/// Streams must each be sorted by key and pairwise disjoint (shard
+/// contexts are). Exhausted streams are Close()d as the merge drains them;
+/// on failure the failing stream's index lands in `*failed_stream` (when
+/// non-null) so the caller can degrade that shard and retry without it.
+/// The streams stay owned by the caller — read
+/// consumed()/bytes_consumed()/refetches() afterwards for shipping
+/// accounting.
 Result<Run> MergeShardStreams(Disk* out_disk, const RecordKeyFn& key_fn,
                               const std::vector<ShardStream*>& streams,
-                              RecordShape shape,
+                              PageFormat format,
                               size_t* failed_stream = nullptr);
 
 }  // namespace ndq

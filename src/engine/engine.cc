@@ -457,14 +457,14 @@ std::unique_ptr<Disk> MakeOwnedDisk(const EngineOptions& options,
     const char* env = std::getenv("NDQ_DISK_BACKEND");
     if (env != nullptr) backend = env;
   }
-  if (backend != "file") return std::make_unique<SimDisk>(options.page_size);
+  if (backend != "file") return std::make_unique<SimDisk>(kDefaultPageSize);
 
   static std::atomic<uint64_t> seq{0};
   const char* dir = std::getenv("NDQ_FILE_DISK_DIR");
   std::string path = std::string(dir != nullptr ? dir : "/tmp") + "/ndq-" +
                      role + "-" + std::to_string(::getpid()) + "-" +
                      std::to_string(seq.fetch_add(1)) + ".pages";
-  auto disk = std::make_unique<FileDisk>(path, options.page_size);
+  auto disk = std::make_unique<FileDisk>(path, kDefaultPageSize);
   if (disk->init_status().ok()) ::unlink(path.c_str());
   return disk;
 }
@@ -546,7 +546,7 @@ Engine::Engine(const DirectoryInstance& global, EngineOptions options)
   }
   if (!init_status_.ok()) {
     if (owned_scratch_ == nullptr) {
-      owned_scratch_ = std::make_unique<SimDisk>(options_.page_size);
+      owned_scratch_ = std::make_unique<SimDisk>(kDefaultPageSize);
     }
     null_source_ = std::make_unique<NullSource>();
     scratch_ = owned_scratch_.get();

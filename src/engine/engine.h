@@ -75,10 +75,9 @@ struct EngineOptions {
   /// constructors are inherently local and ignore this.
   EngineBackend backend = EngineBackend::kLocal;
   /// Shard layout when backend == kDistributed (dist/topology.h). Its
-  /// page_size governs the fleet's disks.
+  /// page_size governs the fleet's disks; engine-owned disks use
+  /// kDefaultPageSize.
   TopologyConfig topology;
-  /// Page size of engine-owned disks (schema-owning constructor only).
-  size_t page_size = kDefaultPageSize;
   /// Backend of engine-owned disks (schema-owning constructor only):
   /// "sim" (default) = in-memory SimDisk, "file" = real-file FileDisk
   /// (storage/file_disk.h) under $NDQ_FILE_DISK_DIR (default /tmp).

@@ -23,10 +23,10 @@ Result<EntryList> ScanScope(Disk* disk, const EntrySource& store,
   }
   if (scope == Scope::kBase && base.IsNull()) {
     // The null dn names no entry.
-    RunWriter writer(disk, RecordShape::kKeyed);
+    RunWriter writer(disk, PageFormat::kKeyPrefix);
     return writer.Finish();
   }
-  RunWriter writer(disk, RecordShape::kKeyed);
+  RunWriter writer(disk, PageFormat::kKeyPrefix);
   Status s = store.ScanRange(
       start, end, [&](std::string_view record) -> Status {
         ++scanned;

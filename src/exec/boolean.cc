@@ -8,7 +8,7 @@ Result<EntryList> EvalBoolean(Disk* disk, QueryOp op, const EntryList& l1,
     return Status::InvalidArgument("EvalBoolean: not a boolean operator");
   }
   LabeledMerge merge(disk, &l1, &l2, nullptr);
-  RunWriter writer(disk, RecordShape::kKeyed);
+  RunWriter writer(disk, PageFormat::kKeyPrefix);
   LabeledRecord rec;
   while (true) {
     NDQ_ASSIGN_OR_RETURN(bool more, merge.Next(&rec));

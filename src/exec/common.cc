@@ -318,7 +318,7 @@ Result<EntryList> FilterAnnotatedList(Disk* disk, Run annotated,
     if (rhs_set) globals.rhs = rhs_acc.Finish();
   }
 
-  RunWriter writer(disk, RecordShape::kKeyed);
+  RunWriter writer(disk, PageFormat::kKeyPrefix);
   RunReader reader(disk, annotated);
   std::string rec;
   std::vector<std::optional<int64_t>> vals;
@@ -379,7 +379,7 @@ AggSelFilter ExistentialFilter() {
 
 Result<EntryList> MakeEntryList(Disk* disk,
                                 const std::vector<const Entry*>& entries) {
-  RunWriter writer(disk, RecordShape::kKeyed);
+  RunWriter writer(disk, PageFormat::kKeyPrefix);
   std::string buf;
   for (const Entry* e : entries) {
     buf.clear();

@@ -34,7 +34,7 @@ std::string_view PairKey(std::string_view rec) {
 // key-aware page format.
 ExternalSortOptions KeyedSort(const ExecOptions& options) {
   ExternalSortOptions sort = options.sort;
-  sort.shape = RecordShape::kKeyed;
+  sort.format = PageFormat::kKeyPrefix;
   return sort;
 }
 

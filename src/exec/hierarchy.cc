@@ -62,7 +62,7 @@ std::unique_ptr<HSStack> MakeStack(Disk* disk, size_t window) {
   return std::make_unique<HSStack>(
       disk, window, SerializeHSItem,
       [](std::string_view rec) { return DeserializeHSItem(rec); },
-      RecordShape::kKeyed);
+      PageFormat::kKeyPrefix);
 }
 
 // Forward pass for the ancestor-direction operators (p, a, ac): one scan

@@ -116,7 +116,7 @@ Result<EntryList> NaiveHierarchy(Disk* disk, QueryOp op,
   if (agg.has_value()) {
     return NaiveAggSelect(disk, op, l1, l2, l3, /*attr=*/"", *agg);
   }
-  RunWriter out(disk, RecordShape::kKeyed);
+  RunWriter out(disk, PageFormat::kKeyPrefix);
   RunReader outer(disk, l1);
   std::string rec1;
   while (true) {
@@ -153,7 +153,7 @@ Result<EntryList> NaiveEmbeddedRef(Disk* disk, QueryOp op,
   if (agg.has_value()) {
     return NaiveAggSelect(disk, op, l1, l2, /*l3=*/nullptr, attr, *agg);
   }
-  RunWriter out(disk, RecordShape::kKeyed);
+  RunWriter out(disk, PageFormat::kKeyPrefix);
   RunReader outer(disk, l1);
   std::string rec1;
   while (true) {

@@ -193,7 +193,7 @@ Result<std::optional<Run>> AttributeIndexes::EvalAtomic(
     return std::optional<Run>();  // fall back to range scan
   }
   const std::string& base_key = base.HierKey();
-  RunWriter writer(disk, RecordShape::kKeyed);
+  RunWriter writer(disk, PageFormat::kKeyPrefix);
   for (uint64_t id : *candidates) {
     const std::string& key = keys_[id];
     switch (scope) {

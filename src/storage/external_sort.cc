@@ -26,7 +26,7 @@ struct HeapCmp {
 
 // k-way merges one group of sorted runs into a fresh run (inputs untouched).
 Result<Run> MergeGroup(Disk* disk, const RecordKeyFn& key_fn,
-                       const Run* runs, size_t count, RecordShape shape) {
+                       const Run* runs, size_t count, PageFormat format) {
   std::vector<std::unique_ptr<RunReader>> readers;
   readers.reserve(count);
   for (size_t i = 0; i < count; ++i) {
@@ -45,7 +45,7 @@ Result<Run> MergeGroup(Disk* disk, const RecordKeyFn& key_fn,
   };
   for (size_t i = 0; i < readers.size(); ++i) NDQ_RETURN_IF_ERROR(refill(i));
 
-  RunWriter writer(disk, shape);
+  RunWriter writer(disk, format);
   while (!heap.empty()) {
     HeapItem top = heap.top();
     heap.pop();
@@ -56,24 +56,24 @@ Result<Run> MergeGroup(Disk* disk, const RecordKeyFn& key_fn,
 }
 
 // Repeatedly merges `runs` fan_in at a time until one remains; consumes the
-// inputs. Increments *passes per merge pass if non-null. On error every
-// input and intermediate run is freed before the status propagates.
+// inputs. Increments *passes per merge pass. On error every input and
+// intermediate run is freed before the status propagates.
 Result<Run> MergeToOne(Disk* disk, const RecordKeyFn& key_fn,
                        std::vector<Run> runs, size_t fan_in,
-                       RecordShape shape, size_t* passes) {
+                       PageFormat format, size_t* passes) {
   if (runs.empty()) {
-    RunWriter w(disk, shape);
+    RunWriter w(disk, format);
     return w.Finish();
   }
   auto free_all = [&](std::vector<Run>* rs) {
     for (Run& r : *rs) (void)FreeRun(disk, &r);
   };
   while (runs.size() > 1) {
-    if (passes != nullptr) ++*passes;
+    ++*passes;
     std::vector<Run> next;
     for (size_t i = 0; i < runs.size(); i += fan_in) {
       size_t n = std::min(fan_in, runs.size() - i);
-      Result<Run> merged = MergeGroup(disk, key_fn, &runs[i], n, shape);
+      Result<Run> merged = MergeGroup(disk, key_fn, &runs[i], n, format);
       if (!merged.ok()) {
         free_all(&runs);
         free_all(&next);
@@ -135,7 +135,7 @@ Status ExternalSorter::SpillBuffer() {
               if (a.head != b.head) return a.head < b.head;
               return key_fn_(buffer_[a.idx]) < key_fn_(buffer_[b.idx]);
             });
-  RunWriter writer(disk_, options_.shape);
+  RunWriter writer(disk_, options_.format);
   for (const SortItem& it : order) {
     NDQ_RETURN_IF_ERROR(writer.Add(buffer_[it.idx]));
   }
@@ -154,13 +154,7 @@ Result<Run> ExternalSorter::Finish() {
   std::vector<Run> runs = std::move(runs_);
   runs_.clear();
   return MergeToOne(disk_, key_fn_, std::move(runs), options_.fan_in,
-                    options_.shape, &merge_passes_);
-}
-
-Result<Run> MergeSortedRuns(Disk* disk, RecordKeyFn key_fn,
-                            std::vector<Run> runs, size_t fan_in,
-                            RecordShape shape) {
-  return MergeToOne(disk, key_fn, std::move(runs), fan_in, shape, nullptr);
+                    options_.format, &merge_passes_);
 }
 
 }  // namespace ndq

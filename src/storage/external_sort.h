@@ -27,9 +27,9 @@ struct ExternalSortOptions {
   size_t memory_budget = 1 << 20;
   /// Maximum number of runs merged per pass.
   size_t fan_in = 16;
-  /// Record shape of the stream being sorted (storage/serde.h); spill and
-  /// merge runs are written in the page format this resolves to.
-  RecordShape shape = RecordShape::kOpaque;
+  /// Page format of the spill and merge runs (storage/serde.h): kKeyPrefix
+  /// when the sorted records lead with a PutString sort key.
+  PageFormat format = PageFormat::kPrefix;
 };
 
 /// \brief Sorts records by key using bounded memory.
@@ -58,7 +58,6 @@ class ExternalSorter {
 
  private:
   Status SpillBuffer();
-  Result<Run> MergeRuns(const std::vector<Run>& runs);
 
   Disk* disk_;
   RecordKeyFn key_fn_;
@@ -69,13 +68,6 @@ class ExternalSorter {
   size_t merge_passes_ = 0;
   bool finished_ = false;
 };
-
-/// Convenience: k-way merges already-sorted runs into one sorted run,
-/// consuming (freeing) the inputs. The output run is written in the page
-/// format `shape` resolves to.
-Result<Run> MergeSortedRuns(Disk* disk, RecordKeyFn key_fn,
-                            std::vector<Run> runs, size_t fan_in = 16,
-                            RecordShape shape = RecordShape::kOpaque);
 
 }  // namespace ndq
 

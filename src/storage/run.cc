@@ -26,8 +26,8 @@ Result<Run> ReverseRun(Disk* disk, Run run) {
   // Spill forward-order records in ~2-page batches, then replay the
   // batches last-to-first, reversing each batch in memory. The output and
   // every intermediate batch keep the input's format: reversed records
-  // are adjacent in both orders, so they compress the same, and keyed
-  // shape is preserved for downstream readers.
+  // are adjacent in both orders, so they compress the same, and a keyed
+  // run stays keyed for downstream readers.
   const size_t batch_budget = 2 * disk->page_size();
   const PageFormat format = run.format;
   std::vector<Run> batches;
@@ -83,9 +83,6 @@ Result<Run> ReverseRun(Disk* disk, Run run) {
   }
   return reversed;
 }
-
-RunWriter::RunWriter(Disk* disk, RecordShape shape)
-    : RunWriter(disk, ResolvePageFormat(shape)) {}
 
 RunWriter::RunWriter(Disk* disk, PageFormat format) : disk_(disk) {
   run_.format = format;
@@ -146,11 +143,6 @@ Status RunWriter::Add(std::string_view record) {
   std::string framed;
   ByteWriter w(&framed);
   switch (run_.format) {
-    case PageFormat::kRaw: {
-      w.PutVarint(record.size());
-      framed.append(record.data(), record.size());
-      break;
-    }
     case PageFormat::kPrefix: {
       size_t shared = restart ? 0 : SharedPrefix(prev_record_, record);
       w.PutVarint(shared);
@@ -284,13 +276,6 @@ Status RunReader::SeekTo(size_t page_idx, size_t byte_offset,
 Result<bool> RunReader::Next(std::string* record) {
   if (records_read_ >= run_->num_records) return false;
   switch (run_->format) {
-    case PageFormat::kRaw: {
-      NDQ_ASSIGN_OR_RETURN(uint64_t len, ReadVarint());
-      NDQ_RETURN_IF_ERROR(CheckFrameLength(len));
-      record->clear();
-      NDQ_RETURN_IF_ERROR(ReadBytes(len, record));
-      break;
-    }
     case PageFormat::kPrefix: {
       NDQ_ASSIGN_OR_RETURN(uint64_t shared, ReadVarint());
       NDQ_ASSIGN_OR_RETURN(uint64_t suffix_len, ReadVarint());

@@ -1,7 +1,7 @@
 // Sequential record runs on the simulated disk.
 //
 // A Run is the unit of inter-operator data flow in the evaluation engine:
-// a chain of pages holding length-prefixed records. Writers and readers
+// a chain of pages holding prefix-compressed records. Writers and readers
 // each buffer exactly ONE page, so a whole operator pipeline runs in
 // constant main memory — the property Theorems 8.3/8.4 assume. The page
 // list itself is kept as in-memory metadata (the analogue of a file's
@@ -21,15 +21,15 @@
 namespace ndq {
 
 /// Metadata for a run of records stored on disk pages. `format` is the
-/// on-page record framing (storage/serde.h): versioned per run, so raw
-/// and compressed runs coexist and readers never guess. `payload_bytes`
-/// counts the framed bytes actually appended to the page stream, so
-/// pages.size() == ceil(payload_bytes / page_size) in every format.
+/// on-page record framing (storage/serde.h), carried per run so readers
+/// never guess. `payload_bytes` counts the framed bytes actually appended
+/// to the page stream, so pages.size() == ceil(payload_bytes / page_size)
+/// in every format.
 struct Run {
   std::vector<PageId> pages;
   uint64_t num_records = 0;
   uint64_t payload_bytes = 0;
-  PageFormat format = PageFormat::kRaw;
+  PageFormat format = PageFormat::kPrefix;
 
   bool empty() const { return num_records == 0; }
 };
@@ -52,15 +52,11 @@ Result<Run> ReverseRun(Disk* disk, Run run);
 /// writer — no partial run leaks.
 class RunWriter {
  public:
-  /// `shape` declares the record stream (storage/serde.h): kKeyed streams
-  /// (records whose first field is a PutString sort key — serialized
-  /// entries, pair records, spill items) get key-aware prefix compression
-  /// when the global mode allows; kOpaque streams get generic prefix
-  /// compression. The resolved format is stamped into the finished Run.
-  explicit RunWriter(Disk* disk, RecordShape shape = RecordShape::kOpaque);
-  /// Writes in exactly `format`, ignoring the global mode. Used where the
-  /// output must match an existing run's format (ReverseRun).
-  RunWriter(Disk* disk, PageFormat format);
+  /// Writes in `format` (storage/serde.h), which is stamped into the
+  /// finished Run: kKeyPrefix for records whose first field is a
+  /// PutString sort key (serialized entries, pair records, spill items),
+  /// kPrefix for anything else.
+  explicit RunWriter(Disk* disk, PageFormat format = PageFormat::kPrefix);
   ~RunWriter();
 
   RunWriter(const RunWriter&) = delete;
@@ -98,7 +94,7 @@ class RunWriter {
   Run run_;
   std::string buf_;  // current page payload
   bool finished_ = false;
-  // Compression state (unused for kRaw).
+  // Compression state.
   bool page_restarts_ = false;
   uint64_t records_since_restart_ = 0;
   size_t last_start_page_ = static_cast<size_t>(-1);
@@ -149,7 +145,7 @@ class RunReader {
   size_t page_idx_ = 0;   // next page to load
   size_t buf_pos_ = 0;
   uint64_t records_read_ = 0;
-  // Compression state (unused for kRaw).
+  // Compression state.
   std::string prev_key_;
   std::string prev_rest_;
   std::string prev_record_;

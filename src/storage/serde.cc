@@ -1,42 +1,6 @@
 #include "storage/serde.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
 namespace ndq {
-
-namespace {
-
-// -1 = uninitialized, 0 = raw, 1 = compressed.
-std::atomic<int> g_page_compression{-1};
-
-int InitPageCompression() {
-  const char* env = std::getenv("NDQ_PAGE_FORMAT");
-  int mode = (env != nullptr && std::strcmp(env, "raw") == 0) ? 0 : 1;
-  int expected = -1;
-  g_page_compression.compare_exchange_strong(expected, mode,
-                                             std::memory_order_relaxed);
-  return g_page_compression.load(std::memory_order_relaxed);
-}
-
-}  // namespace
-
-bool PageCompressionEnabled() {
-  int mode = g_page_compression.load(std::memory_order_relaxed);
-  if (mode < 0) mode = InitPageCompression();
-  return mode == 1;
-}
-
-void SetPageCompression(bool enabled) {
-  g_page_compression.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-PageFormat ResolvePageFormat(RecordShape shape) {
-  if (!PageCompressionEnabled()) return PageFormat::kRaw;
-  return shape == RecordShape::kKeyed ? PageFormat::kKeyPrefix
-                                      : PageFormat::kPrefix;
-}
 
 void AppendOrderedInt64(int64_t v, std::string* out) {
   uint64_t u = static_cast<uint64_t>(v) ^ (uint64_t{1} << 63);

@@ -98,15 +98,14 @@ class ByteReader {
 // Page format (prefix compression)
 // ---------------------------------------------------------------------------
 
-/// On-disk framing of the records inside a run's pages. The format is
-/// versioned PER RUN (carried in Run metadata and segment manifests), so
-/// runs of different formats coexist on one disk and readers never guess.
+/// On-disk framing of the records inside a run's pages. Every run is
+/// prefix-compressed; what a record holds picks the format. The format is
+/// carried PER RUN (in Run metadata and segment manifests), so readers
+/// never guess.
 ///
-///   kRaw       — every record framed as varint(len) + bytes (the v0
-///                layout; what NDQ_PAGE_FORMAT=raw selects).
 ///   kPrefix    — each record prefix-compressed against the previous one:
 ///                varint(shared) varint(suffix_len) suffix. For opaque
-///                record shapes (labeled/annotated runs).
+///                records (labeled/annotated runs); RunWriter's default.
 ///   kKeyPrefix — key-aware compression for records whose FIRST field is a
 ///                length-prefixed sort key (serialized entries, pair
 ///                records, spill-stack items). The key and the remainder
@@ -126,17 +125,12 @@ class ByteReader {
 /// stay valid. Scan-only runs skip the per-page restarts: on deep
 /// directories a restart re-emits the whole reverse-DN key, which is
 /// most of the compression win.
+///
+/// The values are the on-disk format byte; 0 was the retired
+/// uncompressed layout and decodes as corruption.
 enum class PageFormat : uint8_t {
-  kRaw = 0,
   kPrefix = 1,
   kKeyPrefix = 2,
-};
-
-/// What a writer knows about its record stream; resolves to a PageFormat
-/// given the global compression mode.
-enum class RecordShape : uint8_t {
-  kOpaque = 0,  ///< arbitrary bytes
-  kKeyed = 1,   ///< first field is a ByteWriter::PutString sort key
 };
 
 /// Writer-side restart interval (records between forced restarts).
@@ -148,17 +142,9 @@ enum class RecordShape : uint8_t {
 /// loose.
 inline constexpr uint64_t kRestartInterval = 64;
 
-/// Process-wide compression mode. Initialized lazily from the
-/// NDQ_PAGE_FORMAT environment variable ("raw" disables compression;
-/// anything else — including unset — enables it). Benches and tests
-/// override it programmatically to compare formats in one process.
-/// Affects only NEW writers; existing runs carry their own format.
-bool PageCompressionEnabled();
-void SetPageCompression(bool enabled);
-
-/// The format a fresh writer should use for `shape` under the current
-/// global mode.
-PageFormat ResolvePageFormat(RecordShape shape);
+/// Always true: every run is prefix-compressed. Benchmarks record it as
+/// the page format in their provenance lines.
+inline bool PageCompressionEnabled() { return true; }
 
 // ---------------------------------------------------------------------------
 // Order-preserving typed key encoding

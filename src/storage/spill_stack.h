@@ -33,17 +33,17 @@ class SpillableStack {
   /// `window` is the maximum number of items held in memory (>= 2). For
   /// the amortized O(items/B) I/O bound to hold, size it so that half a
   /// window of serialized items spans at least one disk page (the spill
-  /// batch is the unit of transfer). `shape` describes what `ser`
-  /// produces: pass kKeyed when serialized items lead with a PutString
+  /// batch is the unit of transfer). `format` is the spill batches' page
+  /// format: pass kKeyPrefix when serialized items lead with a PutString
   /// sort key, so spill batches get key-aware prefix compression.
   SpillableStack(Disk* disk, size_t window, SerializeFn ser,
                  DeserializeFn deser,
-                 RecordShape shape = RecordShape::kOpaque)
+                 PageFormat format = PageFormat::kPrefix)
       : disk_(disk),
         window_(window < 2 ? 2 : window),
         ser_(std::move(ser)),
         deser_(std::move(deser)),
-        shape_(shape) {}
+        format_(format) {}
 
   ~SpillableStack() {
     for (Batch& b : batches_) FreeRun(disk_, &b.run);
@@ -104,7 +104,7 @@ class SpillableStack {
   Status SpillBottom() {
     size_t n = window_items_.size() / 2;
     if (n == 0) n = 1;
-    RunWriter writer(disk_, shape_);
+    RunWriter writer(disk_, format_);
     std::string buf;
     for (size_t i = 0; i < n; ++i) {
       buf.clear();
@@ -150,7 +150,7 @@ class SpillableStack {
   size_t window_;
   SerializeFn ser_;
   DeserializeFn deser_;
-  RecordShape shape_ = RecordShape::kOpaque;
+  PageFormat format_ = PageFormat::kPrefix;
   std::deque<T> window_items_;  // front = deepest in-memory item
   std::vector<Batch> batches_;  // stack of spilled batches, back = newest
   size_t spill_count_ = 0;

@@ -147,9 +147,9 @@ MemHit LookupMap(const std::map<std::string, std::string>& map,
 // compaction cannot destroy the segment pages under an in-flight scan.
 class DirectoryStore::Snapshot : public EntrySource {
  public:
-  Snapshot(Disk* disk, std::shared_ptr<const StoreState> state,
+  Snapshot(std::shared_ptr<const StoreState> state,
            EpochFramework::Guard guard)
-      : disk_(disk), state_(std::move(state)), guard_(std::move(guard)) {}
+      : state_(std::move(state)), guard_(std::move(guard)) {}
 
   Status ScanRange(std::string_view start_key, std::string_view end_key,
                    const std::function<Status(std::string_view)>& fn)
@@ -157,9 +157,6 @@ class DirectoryStore::Snapshot : public EntrySource {
     return DirectoryStore::ScanState(*state_, start_key, end_key, fn);
   }
   uint64_t num_entries() const override { return state_->live_entries; }
-  const IoStats* io_stats() const override {
-    return disk_ == nullptr ? nullptr : &disk_->stats();
-  }
   const StoreStats* stats() const override { return &state_->stats; }
   uint64_t EstimateRangeRecords(std::string_view start_key,
                                 std::string_view end_key) const override {
@@ -174,7 +171,6 @@ class DirectoryStore::Snapshot : public EntrySource {
   uint64_t version() const override { return state_->version; }
 
  private:
-  Disk* disk_;
   std::shared_ptr<const StoreState> state_;
   EpochFramework::Guard guard_;
 };
@@ -335,8 +331,7 @@ uint64_t DirectoryStore::EstimateRangePages(std::string_view start_key,
 
 std::shared_ptr<const EntrySource> DirectoryStore::PinSnapshot() const {
   EpochFramework::Guard guard = epochs_.Pin();
-  return std::make_shared<Snapshot>(disk_, SnapshotState(),
-                                    std::move(guard));
+  return std::make_shared<Snapshot>(SnapshotState(), std::move(guard));
 }
 
 uint64_t DirectoryStore::version() const { return SnapshotState()->version; }

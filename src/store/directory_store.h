@@ -106,9 +106,6 @@ class DirectoryStore : public EntrySource, public UpdateTarget {
       const override;
 
   uint64_t num_entries() const override;
-  const IoStats* io_stats() const override {
-    return disk_ == nullptr ? nullptr : &disk_->stats();
-  }
   /// Maintained exactly across Put/Remove and refreshed from segment
   /// build-time statistics on compaction, so estimate quality does not
   /// drift under remove/re-add churn. The pointer is only stable while no

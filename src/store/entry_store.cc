@@ -44,12 +44,12 @@ Status EntryStore::BuildFrom(Disk* disk, const RecordPull& next) {
 Status EntryStore::BuildFromImpl(Disk* disk, const RecordPull& next) {
   disk_ = disk;
   const size_t page_size = disk->page_size();
-  // Entry records are keyed (HierKey first field), so the writer resolves
-  // to key-aware prefix compression when the global mode allows. Page
-  // restarts make the first record starting in each page decodable
-  // without history — exactly the set of positions the sparse index
-  // records, so every SeekReader target is self-contained.
-  RunWriter writer(disk, RecordShape::kKeyed);
+  // Entry records are keyed (HierKey first field), so the segment is
+  // written with key-aware prefix compression. Page restarts make the
+  // first record starting in each page decodable without history —
+  // exactly the set of positions the sparse index records, so every
+  // SeekReader target is self-contained.
+  RunWriter writer(disk, PageFormat::kKeyPrefix);
   writer.set_page_restarts(true);
 
   // Cardinality statistics are computed inline over the same stream, from
@@ -319,15 +319,8 @@ Result<std::optional<Entry>> EntryStore::Get(std::string_view hier_key) const {
 std::string EntryStore::SerializeManifest() const {
   std::string out;
   ByteWriter w(&out);
-  // Raw segments keep the v1 magic (bit-identical manifests, so images
-  // saved by older builds round-trip); compressed segments use v2, which
-  // adds the page-format byte right after the magic.
-  if (run_.format == PageFormat::kRaw) {
-    w.PutString("ndqseg1");
-  } else {
-    w.PutString("ndqseg2");
-    w.PutU8(static_cast<uint8_t>(run_.format));
-  }
+  w.PutString("ndqseg2");
+  w.PutU8(static_cast<uint8_t>(run_.format));
   w.PutVarint(run_.num_records);
   w.PutVarint(run_.payload_bytes);
   w.PutVarint(run_.pages.size());
@@ -345,27 +338,37 @@ Result<EntryStore> EntryStore::FromManifest(Disk* disk,
                                             std::string_view manifest) {
   ByteReader r(manifest);
   NDQ_ASSIGN_OR_RETURN(std::string_view magic, r.GetString());
-  if (magic != "ndqseg1" && magic != "ndqseg2") {
+  if (magic != "ndqseg2") {
     return Status::Corruption("bad entry-store manifest magic");
   }
   EntryStore store;
   store.disk_ = disk;
-  if (magic == "ndqseg2") {
-    NDQ_ASSIGN_OR_RETURN(uint8_t fmt, r.GetU8());
-    if (fmt > static_cast<uint8_t>(PageFormat::kKeyPrefix)) {
-      return Status::Corruption("bad entry-store manifest page format");
-    }
-    store.run_.format = static_cast<PageFormat>(fmt);
+  NDQ_ASSIGN_OR_RETURN(uint8_t fmt, r.GetU8());
+  if (fmt != static_cast<uint8_t>(PageFormat::kPrefix) &&
+      fmt != static_cast<uint8_t>(PageFormat::kKeyPrefix)) {
+    return Status::Corruption("bad entry-store manifest page format");
   }
+  store.run_.format = static_cast<PageFormat>(fmt);
   NDQ_ASSIGN_OR_RETURN(store.run_.num_records, r.GetVarint());
   NDQ_ASSIGN_OR_RETURN(store.run_.payload_bytes, r.GetVarint());
+  // Manifests come back from unchecksummed WAL pages: every page id and
+  // index entry takes at least one byte, so a count beyond the bytes left
+  // is corrupt, and is rejected before it sizes an allocation.
+  auto check_count = [&](uint64_t n) -> Status {
+    if (n > manifest.size() - r.position()) {
+      return Status::Corruption("entry-store manifest count past end");
+    }
+    return Status::OK();
+  };
   NDQ_ASSIGN_OR_RETURN(uint64_t npages, r.GetVarint());
+  NDQ_RETURN_IF_ERROR(check_count(npages));
   store.run_.pages.reserve(npages);
   for (uint64_t i = 0; i < npages; ++i) {
     NDQ_ASSIGN_OR_RETURN(uint64_t p, r.GetVarint());
     store.run_.pages.push_back(static_cast<PageId>(p));
   }
   NDQ_ASSIGN_OR_RETURN(uint64_t nidx, r.GetVarint());
+  NDQ_RETURN_IF_ERROR(check_count(nidx));
   if (nidx != npages) {
     return Status::Corruption("entry-store manifest index/page mismatch");
   }
@@ -373,6 +376,10 @@ Result<EntryStore> EntryStore::FromManifest(Disk* disk,
     NDQ_ASSIGN_OR_RETURN(std::string_view key, r.GetString());
     NDQ_ASSIGN_OR_RETURN(uint64_t off, r.GetVarint());
     NDQ_ASSIGN_OR_RETURN(uint64_t rec, r.GetVarint());
+    // page_size is the "no record starts here" sentinel.
+    if (off > disk->page_size()) {
+      return Status::Corruption("entry-store manifest offset past page");
+    }
     store.first_keys_.emplace_back(key);
     store.first_offsets_.push_back(static_cast<uint32_t>(off));
     store.first_record_index_.push_back(rec);

@@ -54,12 +54,6 @@ class EntrySource {
 
   virtual uint64_t num_entries() const = 0;
 
-  /// The I/O counters of the disk this source scans, or nullptr for
-  /// purely in-memory sources. Execution tracing (exec/trace.h) snapshots
-  /// these around atomic leaves so store-side page reads are attributed
-  /// to the leaf that caused them.
-  virtual const IoStats* io_stats() const { return nullptr; }
-
   /// Cost-model hooks (no I/O). The defaults are deliberately coarse —
   /// the whole store; implementations refine them from their indexes.
   virtual uint64_t EstimateRangeRecords(std::string_view start_key,
@@ -178,9 +172,6 @@ class EntryStore : public EntrySource {
   };
 
   uint64_t num_entries() const override { return run_.num_records; }
-  const IoStats* io_stats() const override {
-    return disk_ == nullptr ? nullptr : &disk_->stats();
-  }
   /// Built at segment-build time (BulkLoad/FromStream/...); nullptr for
   /// segments re-attached via FromManifest. Shared so EntryStore stays
   /// copyable, and so a CopyTo replica reports the same object.

@@ -285,7 +285,6 @@ class FailingSource : public EntrySource {
     return base_->ScanRange(start_key, end_key, fn);
   }
   uint64_t num_entries() const override { return base_->num_entries(); }
-  const IoStats* io_stats() const override { return base_->io_stats(); }
   uint64_t EstimateRangeRecords(std::string_view start_key,
                                 std::string_view end_key) const override {
     return base_->EstimateRangeRecords(start_key, end_key);

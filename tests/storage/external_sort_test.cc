@@ -78,26 +78,6 @@ TEST_P(ExternalSortPropertyTest, RandomRecordsEndUpSorted) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ExternalSortPropertyTest,
                          ::testing::Values(7, 42, 1999));
 
-TEST(ExternalSortTest, MergeSortedRunsConsumesInputs) {
-  SimDisk disk(256);
-  auto make_run = [&](std::vector<std::string> recs) {
-    RunWriter w(&disk);
-    for (const auto& r : recs) EXPECT_TRUE(w.Add(r).ok());
-    return w.Finish().ValueOrDie();
-  };
-  std::vector<ndq::Run> runs;
-  runs.push_back(make_run({"a|", "d|", "g|"}));
-  runs.push_back(make_run({"b|", "e|"}));
-  runs.push_back(make_run({"c|", "f|", "h|"}));
-  ndq::Run merged = MergeSortedRuns(&disk, KeyOf, std::move(runs), 2).ValueOrDie();
-  std::vector<std::string> recs = ReadAll(&disk, merged);
-  ASSERT_EQ(recs.size(), 8u);
-  for (size_t i = 1; i < recs.size(); ++i) {
-    EXPECT_LT(recs[i - 1], recs[i]);
-  }
-  EXPECT_EQ(disk.live_pages(), merged.pages.size());
-}
-
 TEST(ExternalSortTest, IoIsNlogN) {
   // Sort I/O grows as (N/B) log(N/B): each merge pass re-reads and
   // re-writes the whole payload once.

@@ -83,10 +83,6 @@ void RoundTrip(PageFormat format, const std::vector<std::string>& recs) {
   EXPECT_FALSE(r.Next(&rec).ValueOrDie());
 }
 
-TEST(RunFormatTest, RawRoundTripsAdversarialRecords) {
-  RoundTrip(PageFormat::kRaw, AdversarialRecords());
-}
-
 TEST(RunFormatTest, PrefixRoundTripsAdversarialRecords) {
   RoundTrip(PageFormat::kPrefix, AdversarialRecords());
 }
@@ -112,14 +108,17 @@ TEST(RunFormatTest, KeyPrefixCompressesSharedKeyPrefixes) {
                       std::to_string(i);
     recs.push_back(KeyedRecord(key, "payload"));
   }
-  auto payload_for = [&](PageFormat f) {
-    SimDisk disk(4096);
-    RunWriter w(&disk, f);
-    for (const auto& r : recs) EXPECT_TRUE(w.Add(r).ok());
-    return w.Finish().ValueOrDie().payload_bytes;
-  };
-  uint64_t raw = payload_for(PageFormat::kRaw);
-  uint64_t compressed = payload_for(PageFormat::kKeyPrefix);
+  // Uncompressed size: every record framed as varint(len) + bytes.
+  uint64_t raw = 0;
+  for (const auto& r : recs) {
+    std::string len;
+    ByteWriter(&len).PutVarint(r.size());
+    raw += len.size() + r.size();
+  }
+  SimDisk disk(4096);
+  RunWriter w(&disk, PageFormat::kKeyPrefix);
+  for (const auto& r : recs) ASSERT_TRUE(w.Add(r).ok());
+  uint64_t compressed = w.Finish().ValueOrDie().payload_bytes;
   // The 40-byte shared prefix should vanish from nearly every record.
   EXPECT_LT(compressed, raw * 7 / 10);
 }
@@ -135,19 +134,18 @@ TEST(RunFormatTest, KeyedWriterRejectsRecordWithoutKeyPrefix) {
   EXPECT_FALSE(w.Add(bogus).ok());
 }
 
-TEST(RunFormatTest, GlobalModeSelectsFormat) {
-  SetPageCompression(false);
-  EXPECT_EQ(ResolvePageFormat(RecordShape::kOpaque), PageFormat::kRaw);
-  EXPECT_EQ(ResolvePageFormat(RecordShape::kKeyed), PageFormat::kRaw);
-  SetPageCompression(true);
-  EXPECT_EQ(ResolvePageFormat(RecordShape::kOpaque), PageFormat::kPrefix);
-  EXPECT_EQ(ResolvePageFormat(RecordShape::kKeyed), PageFormat::kKeyPrefix);
+TEST(RunFormatTest, WriterDefaultsToPrefix) {
+  SimDisk disk(128);
+  RunWriter w(&disk);
+  ASSERT_TRUE(w.Add("record").ok());
+  ndq::Run run = w.Finish().ValueOrDie();
+  EXPECT_EQ(run.format, PageFormat::kPrefix);
+  EXPECT_EQ(ndq::Run().format, PageFormat::kPrefix);
 }
 
 TEST(RunFormatTest, ReverseRunPreservesFormat) {
-  SetPageCompression(true);
   SimDisk disk(128);
-  RunWriter w(&disk, RecordShape::kKeyed);
+  RunWriter w(&disk, PageFormat::kKeyPrefix);
   std::vector<std::string> recs;
   for (int i = 0; i < 100; ++i) {
     recs.push_back(KeyedRecord("key-" + std::to_string(1000 + i),
@@ -207,7 +205,7 @@ TEST(RunFormatTest, SeekToPageStartIsAlwaysARestart) {
 
 TEST(RunFormatTest, SeekPastPageEndIsCorruption) {
   SimDisk disk(128);
-  RunWriter w(&disk, PageFormat::kRaw);
+  RunWriter w(&disk, PageFormat::kPrefix);
   for (int i = 0; i < 50; ++i) ASSERT_TRUE(w.Add("record").ok());
   ndq::Run run = w.Finish().ValueOrDie();
   RunReader r(&disk, run);
@@ -289,17 +287,23 @@ TEST(RunFormatTest, OversizedLengthPrefixIsCorruptionBeforeAllocation) {
   EXPECT_EQ(got.status().code(), StatusCode::kCorruption);
 }
 
-TEST(RunFormatTest, OversizedRawLengthIsCorruption) {
-  SimDisk disk(128);
-  std::string bytes;
-  ByteWriter w(&bytes);
-  w.PutVarint(uint64_t{1} << 40);
-  ndq::Run run = HandBuiltRun(&disk, PageFormat::kRaw, bytes, 1);
-  RunReader r(&disk, run);
-  std::string rec;
-  Result<bool> got = r.Next(&rec);
-  EXPECT_FALSE(got.ok());
-  EXPECT_EQ(got.status().code(), StatusCode::kCorruption);
+TEST(RunFormatTest, OversizedKeyedLengthsAreCorruption) {
+  // Either suffix length of a key-aware frame may be the oversized one.
+  for (int which : {0, 1}) {
+    SimDisk disk(128);
+    std::string bytes;
+    ByteWriter w(&bytes);
+    w.PutVarint(0);
+    w.PutVarint(which == 0 ? uint64_t{1} << 40 : 1);
+    w.PutVarint(0);
+    w.PutVarint(which == 1 ? uint64_t{1} << 40 : 1);
+    ndq::Run run = HandBuiltRun(&disk, PageFormat::kKeyPrefix, bytes, 1);
+    RunReader r(&disk, run);
+    std::string rec;
+    Result<bool> got = r.Next(&rec);
+    EXPECT_FALSE(got.ok()) << which;
+    EXPECT_EQ(got.status().code(), StatusCode::kCorruption) << which;
+  }
 }
 
 TEST(RunFormatTest, UnterminatedVarintIsCorruption) {
@@ -307,7 +311,7 @@ TEST(RunFormatTest, UnterminatedVarintIsCorruption) {
   // A page full of continuation bytes: the varint never terminates and
   // must fail (too-long), not scan past the run.
   std::string bytes(128, static_cast<char>(0x80));
-  ndq::Run run = HandBuiltRun(&disk, PageFormat::kRaw, bytes, 1);
+  ndq::Run run = HandBuiltRun(&disk, PageFormat::kPrefix, bytes, 1);
   RunReader r(&disk, run);
   std::string rec;
   Result<bool> got = r.Next(&rec);
@@ -333,13 +337,14 @@ TEST(RunFormatTest, KeyPrefixBackReferencePastPrevKeyIsCorruption) {
 
 TEST(RunFormatTest, TruncatedRunIsCorruption) {
   SimDisk disk(128);
-  // Claim of exactly one page (passes CheckFrameLength: 128 <= capacity
-  // 128) but the 2-byte varint leaves only 126 bytes — the run ends
-  // mid-record.
+  // A suffix of exactly one page (passes CheckFrameLength: 128 <= capacity
+  // 128), but the 1-byte shared count and 2-byte length leave only 125
+  // bytes — the run ends mid-record.
   std::string bytes;
   ByteWriter w(&bytes);
+  w.PutVarint(0);
   w.PutVarint(128);
-  ndq::Run run = HandBuiltRun(&disk, PageFormat::kRaw, bytes, 1);
+  ndq::Run run = HandBuiltRun(&disk, PageFormat::kPrefix, bytes, 1);
   RunReader r(&disk, run);
   std::string rec;
   Result<bool> got = r.Next(&rec);

@@ -154,11 +154,11 @@ TEST(EntryStoreTest, RandomRangeScansMatchInstance) {
   }
 }
 
-TEST(EntryStoreTest, CompressedAndRawScansAreByteIdentical) {
-  // The page format must never change what a scan yields: identical
-  // records, in identical order, on an adversarial forest (decorated
-  // RDNs, extreme ints) — while the compressed segment occupies fewer
-  // pages.
+TEST(EntryStoreTest, CompressedScansMatchTheInstance) {
+  // The page format must never change what a scan yields: the instance's
+  // serialized records, in order, on an adversarial forest (decorated
+  // RDNs, extreme ints) — while the segment occupies fewer pages than the
+  // same records framed uncompressed, varint(len) + bytes.
   gen::RandomForestOptions opt;
   opt.seed = 77;
   opt.num_entries = 400;
@@ -167,32 +167,36 @@ TEST(EntryStoreTest, CompressedAndRawScansAreByteIdentical) {
   opt.extreme_int_probability = 0.1;
   DirectoryInstance inst = gen::RandomForest(opt);
 
-  SimDisk raw_disk(512), comp_disk(512);
-  SetPageCompression(false);
-  EntryStore raw = EntryStore::BulkLoad(&raw_disk, inst).TakeValue();
-  SetPageCompression(true);
-  EntryStore comp = EntryStore::BulkLoad(&comp_disk, inst).TakeValue();
+  SimDisk disk(512);
+  EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
 
-  auto scan_all = [](const EntryStore& store) {
-    std::vector<std::string> recs;
-    Status s =
-        store.ScanRange("", "", [&](std::string_view rec) -> Status {
-          recs.emplace_back(rec);
-          return Status::OK();
-        });
-    EXPECT_TRUE(s.ok()) << s.ToString();
-    return recs;
-  };
-  EXPECT_EQ(scan_all(raw), scan_all(comp));
-  EXPECT_LT(comp.num_pages(), raw.num_pages());
+  std::vector<std::string> want;
+  std::vector<std::string> keys;
+  uint64_t raw_bytes = 0;
+  for (const auto& [key, entry] : inst) {
+    keys.push_back(key);
+    SerializeEntry(entry, &want.emplace_back());
+    std::string len;
+    ByteWriter(&len).PutVarint(want.back().size());
+    raw_bytes += len.size() + want.back().size();
+  }
+  std::vector<std::string> got;
+  Status s = store.ScanRange("", "", [&](std::string_view rec) -> Status {
+    got.emplace_back(rec);
+    return Status::OK();
+  });
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(got, want);
+  EXPECT_LT(store.num_pages(), (raw_bytes + 511) / 512);
 
   // Sub-range scans agree too (seeks land on restart points).
-  size_t i = 0;
-  for (const auto& [key, entry] : inst) {
-    (void)entry;
-    if (++i % 37 != 0) continue;
-    std::string end = KeySubtreeEnd(key);
-    EXPECT_EQ(ScanKeys(raw, key, end), ScanKeys(comp, key, end)) << key;
+  for (size_t i = 36; i < keys.size(); i += 37) {
+    std::string end = KeySubtreeEnd(keys[i]);
+    std::vector<std::string> expect;
+    for (const std::string& k : keys) {
+      if (k >= keys[i] && k < end) expect.push_back(k);
+    }
+    EXPECT_EQ(ScanKeys(store, keys[i], end), expect) << keys[i];
   }
 }
 
@@ -302,9 +306,8 @@ TEST(EntryStoreTest, FailedCopyFreesItsPages) {
 TEST(EntryStoreTest, ManifestRoundTripsCompressedSegments) {
   SimDisk disk(512);
   DirectoryInstance inst = PaperInstance();
-  SetPageCompression(true);
   EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
-  ASSERT_NE(store.run().format, PageFormat::kRaw);
+  ASSERT_EQ(store.run().format, PageFormat::kKeyPrefix);
   std::string manifest = store.SerializeManifest();
   EXPECT_NE(manifest.find("ndqseg2"), std::string::npos);
   EntryStore back = EntryStore::FromManifest(&disk, manifest).TakeValue();
@@ -312,17 +315,175 @@ TEST(EntryStoreTest, ManifestRoundTripsCompressedSegments) {
   EXPECT_EQ(ScanKeys(back, "", ""), ScanKeys(store, "", ""));
 }
 
-TEST(EntryStoreTest, RawManifestKeepsLegacyMagic) {
+// A manifest header: magic, format byte, record count, payload bytes.
+std::string ManifestHeader(std::string_view magic, uint8_t format) {
+  std::string out;
+  ByteWriter w(&out);
+  w.PutString(magic);
+  w.PutU8(format);
+  w.PutVarint(0);
+  w.PutVarint(0);
+  return out;
+}
+
+StatusCode AttachCode(Disk* disk, const std::string& manifest) {
+  return EntryStore::FromManifest(disk, manifest).status().code();
+}
+
+TEST(EntryStoreTest, ManifestRejectsRetiredMagicAndFormats) {
   SimDisk disk(512);
-  DirectoryInstance inst = PaperInstance();
-  SetPageCompression(false);
+  std::string empty_lists;
+  ByteWriter(&empty_lists).PutVarint(0);
+  ByteWriter(&empty_lists).PutVarint(0);
+  EXPECT_EQ(AttachCode(&disk, ManifestHeader("ndqseg2", 2) + empty_lists),
+            StatusCode::kOk);
+  // The uncompressed layout's magic and its format byte 0 are retired.
+  EXPECT_EQ(AttachCode(&disk, ManifestHeader("ndqseg1", 2) + empty_lists),
+            StatusCode::kCorruption);
+  for (uint8_t format : {0, 3, 255}) {
+    EXPECT_EQ(
+        AttachCode(&disk, ManifestHeader("ndqseg2", format) + empty_lists),
+        StatusCode::kCorruption)
+        << int{format};
+  }
+}
+
+TEST(EntryStoreTest, ManifestHostileCountsAreCorruption) {
+  // Counts near 2^61 must fail as Corruption before they size a vector.
+  SimDisk disk(512);
+  std::string pages = ManifestHeader("ndqseg2", 2);
+  ByteWriter(&pages).PutVarint(uint64_t{1} << 61);
+  EXPECT_EQ(AttachCode(&disk, pages), StatusCode::kCorruption);
+  std::string index = ManifestHeader("ndqseg2", 2);
+  ByteWriter(&index).PutVarint(0);
+  ByteWriter(&index).PutVarint(uint64_t{1} << 61);
+  EXPECT_EQ(AttachCode(&disk, index), StatusCode::kCorruption);
+  // A sparse-index offset past the page is corrupt too.
+  std::string offset = ManifestHeader("ndqseg2", 2);
+  ByteWriter w(&offset);
+  w.PutVarint(1);
+  w.PutVarint(0);
+  w.PutVarint(1);
+  w.PutString("key");
+  w.PutVarint(513);
+  w.PutVarint(0);
+  EXPECT_EQ(AttachCode(&disk, offset), StatusCode::kCorruption);
+}
+
+// One seeded byte mutation: flip a bit, truncate, or insert a byte.
+void Mutate(std::mt19937* rng, std::string* bytes) {
+  switch ((*rng)() % 3) {
+    case 0:
+      (*bytes)[(*rng)() % bytes->size()] ^=
+          static_cast<char>(1 << ((*rng)() % 8));
+      break;
+    case 1:
+      bytes->resize((*rng)() % bytes->size());
+      break;
+    default:
+      bytes->insert(bytes->begin() + (*rng)() % (bytes->size() + 1),
+                    static_cast<char>((*rng)() % 256));
+      break;
+  }
+}
+
+// Scans [start, end) and decodes every record. Returns the scan's status;
+// *decoded counts the records that deserialized.
+Status ScanAndDecode(const EntryStore& store, std::string_view start,
+                     std::string_view end, size_t* decoded) {
+  return store.ScanRange(start, end, [&](std::string_view rec) -> Status {
+    if (DeserializeEntry(rec).ok()) ++*decoded;
+    return Status::OK();
+  });
+}
+
+DirectoryInstance MutationForest() {
+  gen::RandomForestOptions opt;
+  opt.seed = 15;
+  opt.num_entries = 150;
+  opt.weird_rdn_probability = 0.2;
+  opt.extreme_int_probability = 0.1;
+  return gen::RandomForest(opt);
+}
+
+TEST(EntryStoreTest, MutatedSegmentPagesScanOrFail) {
+  // Damage one page of a compressed segment at a time; every full and
+  // sub-range scan must end in a Status or decoded records.
+  DirectoryInstance inst = MutationForest();
+  std::vector<std::string> keys;
+  for (const auto& [key, entry] : inst) keys.push_back(key);
+  SimDisk disk(256);
   EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
-  SetPageCompression(true);  // restore the suite default
-  std::string manifest = store.SerializeManifest();
-  EXPECT_NE(manifest.find("ndqseg1"), std::string::npos);
-  EntryStore back = EntryStore::FromManifest(&disk, manifest).TakeValue();
-  EXPECT_EQ(back.run().format, PageFormat::kRaw);
-  EXPECT_EQ(ScanKeys(back, "", ""), ScanKeys(store, "", ""));
+  const std::vector<PageId>& pages = store.run().pages;
+  ASSERT_GT(pages.size(), 10u);
+
+  std::mt19937 rng(15);
+  size_t failed = 0, completed = 0;
+  auto tally = [&](const Status& s) {
+    if (s.ok()) {
+      ++completed;
+    } else {
+      ++failed;
+      EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+    }
+  };
+  std::string page(disk.page_size(), '\0');
+  for (int i = 0; i < 1500; ++i) {
+    PageId id = pages[rng() % pages.size()];
+    uint8_t* buf = reinterpret_cast<uint8_t*>(page.data());
+    ASSERT_TRUE(disk.ReadPage(id, buf).ok());
+    std::string mutated = page;
+    Mutate(&rng, &mutated);
+    mutated.resize(disk.page_size(), '\0');
+    ASSERT_TRUE(disk.WritePage(id, reinterpret_cast<const uint8_t*>(
+                                       mutated.data()))
+                    .ok());
+    size_t decoded = 0;
+    const std::string& start = keys[rng() % keys.size()];
+    tally(ScanAndDecode(store, "", "", &decoded));
+    tally(ScanAndDecode(store, start, KeySubtreeEnd(start), &decoded));
+    ASSERT_TRUE(disk.WritePage(id, buf).ok());
+  }
+  // The loop reaches both outcomes.
+  EXPECT_GT(failed, 0u);
+  EXPECT_GT(completed, 0u);
+  size_t decoded = 0;
+  ASSERT_TRUE(ScanAndDecode(store, "", "", &decoded).ok());
+  EXPECT_EQ(decoded, inst.size());
+}
+
+TEST(EntryStoreTest, MutatedManifestsDecodeOrFail) {
+  // Damaged manifests (they come back from unchecksummed WAL pages) must
+  // be rejected or attach a segment whose full scan ends in a Status or
+  // decoded records.
+  DirectoryInstance inst = MutationForest();
+  SimDisk disk(256);
+  EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
+  const std::string manifest = store.SerializeManifest();
+
+  std::mt19937 rng(16);
+  size_t rejected = 0, attached = 0;
+  for (int i = 0; i < 2000; ++i) {
+    std::string mutated = manifest;
+    Mutate(&rng, &mutated);
+    Result<EntryStore> back = EntryStore::FromManifest(&disk, mutated);
+    if (!back.ok()) {
+      ++rejected;
+      EXPECT_EQ(back.status().code(), StatusCode::kCorruption)
+          << back.status().ToString();
+      continue;
+    }
+    ++attached;
+    size_t decoded = 0;
+    Status s = ScanAndDecode(*back, "", "", &decoded);
+    if (!s.ok()) {
+      EXPECT_TRUE(s.code() == StatusCode::kCorruption ||
+                  s.code() == StatusCode::kOutOfRange)
+          << s.ToString();
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(attached, 0u);
 }
 
 }  // namespace
