@@ -198,6 +198,28 @@ void BM_DeserializeEntry(benchmark::State& state) {
 }
 BENCHMARK(BM_DeserializeEntry)->Unit(benchmark::kMillisecond);
 
+// The record stage of a scan as ScanScope runs it over the whole forest:
+// each record's key tested against the scope, the record checked and
+// viewed in place, and a leaf filter matched on the view, with no Entry
+// built (compare BM_DeserializeEntry).
+void BM_ScanMatchView(benchmark::State& state) {
+  const std::vector<std::string>& records = Dif64kRecords();
+  const std::string base = gen::MustDn("dc=com").HierKey();
+  const AtomicFilter filter = AtomicFilter::Parse("surName=sn7").TakeValue();
+  Entry slow;
+  for (auto _ : state) {
+    size_t matched = 0;
+    for (const std::string& r : records) {
+      if (!KeyInSubtree(base, PeekEntryKey(r).ValueOrDie())) continue;
+      Result<EntryView> view = EntryView::Parse(r, &slow);
+      if (view.ok() && filter.Matches(*view)) ++matched;
+    }
+    benchmark::DoNotOptimize(matched);
+  }
+  SetTimePerRecord(state, records.size());
+}
+BENCHMARK(BM_ScanMatchView)->Unit(benchmark::kMillisecond);
+
 // Heap bytes per entry that the generated DirectoryInstance keeps, as the
 // growth of mallinfo2()'s in-use bytes across its construction.
 void BM_InstanceFootprint(benchmark::State& state) {

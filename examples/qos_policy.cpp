@@ -30,13 +30,13 @@ void Enforce(QosPolicyEngine* engine, const char* what,
               d->applicable_policies, d->policies.size());
   for (const ndq::Entry& p : d->policies) {
     std::printf("    policy %s (priority %s)\n",
-                p.Values("SLAPolicyName")->at(0).ToString().c_str(),
-                p.Values("SLARulePriority")->at(0).ToString().c_str());
+                p.Values("SLAPolicyName").at(0).ToString().c_str(),
+                p.Values("SLARulePriority").at(0).ToString().c_str());
   }
   for (const ndq::Entry& a : d->actions) {
     std::printf("    => action %s: %s\n",
-                a.Values("DSActionName")->at(0).ToString().c_str(),
-                a.Values("DSPermission")->at(0).ToString().c_str());
+                a.Values("DSActionName").at(0).ToString().c_str(),
+                a.Values("DSPermission").at(0).ToString().c_str());
   }
   if (d->actions.empty()) std::printf("    => default treatment\n");
 }

@@ -33,16 +33,16 @@ void Dial(TopsResolver* resolver, const char* what, const char* callee,
     return;
   }
   std::printf("    profile: %s\n",
-              r->winning_qhp->Values("QHPName")->at(0).ToString().c_str());
+              r->winning_qhp->Values("QHPName").at(0).ToString().c_str());
   if (r->appearances.empty()) {
     std::printf("    (no call appearances: unreachable by this profile)\n");
   }
   for (const ndq::Entry& ca : r->appearances) {
-    const std::vector<ndq::Value>* desc = ca.Values("description");
+    const std::vector<ndq::Value> desc = ca.Values("description");
     std::printf("    ring %s%s%s\n",
-                ca.Values("CANumber")->at(0).ToString().c_str(),
-                desc != nullptr ? "  # " : "",
-                desc != nullptr ? desc->at(0).ToString().c_str() : "");
+                ca.Values("CANumber").at(0).ToString().c_str(),
+                desc.empty() ? "" : "  # ",
+                desc.empty() ? "" : desc[0].ToString().c_str());
   }
 }
 

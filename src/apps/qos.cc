@@ -82,33 +82,33 @@ Result<std::vector<Entry>> QosPolicyEngine::MatchingProfiles(
   for (Entry& tp : profiles) {
     // Port constraints: a profile with a sourcePort only matches packets
     // with that port (heterogeneity: many profiles omit it).
-    const std::vector<Value>* sp = tp.Values("sourcePort");
-    if (sp != nullptr) {
+    const std::vector<Value> sp = tp.Values("sourcePort");
+    if (!sp.empty()) {
       bool ok = packet.source_port >= 0 &&
-                std::any_of(sp->begin(), sp->end(), [&](const Value& v) {
+                std::any_of(sp.begin(), sp.end(), [&](const Value& v) {
                   return v.is_int() && v.AsInt() == packet.source_port;
                 });
       if (!ok) continue;
     }
-    const std::vector<Value>* dp = tp.Values("destPort");
-    if (dp != nullptr) {
+    const std::vector<Value> dp = tp.Values("destPort");
+    if (!dp.empty()) {
       bool ok = packet.dest_port >= 0 &&
-                std::any_of(dp->begin(), dp->end(), [&](const Value& v) {
+                std::any_of(dp.begin(), dp.end(), [&](const Value& v) {
                   return v.is_int() && v.AsInt() == packet.dest_port;
                 });
       if (!ok) continue;
     }
-    const std::vector<Value>* sa = tp.Values("SourceAddress");
-    if (sa != nullptr && !packet.source_address.empty()) {
-      bool ok = std::any_of(sa->begin(), sa->end(), [&](const Value& v) {
+    const std::vector<Value> sa = tp.Values("SourceAddress");
+    if (!sa.empty() && !packet.source_address.empty()) {
+      bool ok = std::any_of(sa.begin(), sa.end(), [&](const Value& v) {
         return !v.is_int() &&
                AddressMatches(v.AsString(), packet.source_address);
       });
       if (!ok) continue;
     }
-    const std::vector<Value>* da = tp.Values("DestAddress");
-    if (da != nullptr && !packet.dest_address.empty()) {
-      bool ok = std::any_of(da->begin(), da->end(), [&](const Value& v) {
+    const std::vector<Value> da = tp.Values("DestAddress");
+    if (!da.empty() && !packet.dest_address.empty()) {
+      bool ok = std::any_of(da.begin(), da.end(), [&](const Value& v) {
         return !v.is_int() &&
                AddressMatches(v.AsString(), packet.dest_address);
       });
@@ -139,9 +139,9 @@ Result<std::vector<Entry>> QosPolicyEngine::MatchingPeriods(
   NDQ_ASSIGN_OR_RETURN(std::vector<Entry> periods, Eval(q));
   std::vector<Entry> out;
   for (Entry& pvp : periods) {
-    const std::vector<Value>* days = pvp.Values("PVDayOfWeek");
-    if (days != nullptr) {
-      bool ok = std::any_of(days->begin(), days->end(), [&](const Value& v) {
+    const std::vector<Value> days = pvp.Values("PVDayOfWeek");
+    if (!days.empty()) {
+      bool ok = std::any_of(days.begin(), days.end(), [&](const Value& v) {
         return v.is_int() && v.AsInt() == packet.day_of_week;
       });
       if (!ok) continue;
@@ -198,10 +198,8 @@ Result<PolicyDecision> QosPolicyEngine::Match(const PacketProfile& packet) {
   std::set<std::string> applicable_keys;
   for (const Entry& e : applicable) applicable_keys.insert(e.HierKey());
   auto priority_of = [](const Entry& e) -> int64_t {
-    const std::vector<Value>* v = e.Values("SLARulePriority");
-    return (v != nullptr && !v->empty() && (*v)[0].is_int())
-               ? (*v)[0].AsInt()
-               : INT64_MAX;
+    const std::vector<Value> v = e.Values("SLARulePriority");
+    return (!v.empty() && v[0].is_int()) ? v[0].AsInt() : INT64_MAX;
   };
   std::map<std::string, int64_t> applicable_priority;
   for (const Entry& e : applicable) {
@@ -210,15 +208,11 @@ Result<PolicyDecision> QosPolicyEngine::Match(const PacketProfile& packet) {
   std::vector<Entry> surviving;
   for (Entry& w : winners) {
     bool vetoed = false;
-    const std::vector<Value>* excs = w.Values("SLAExceptionRef");
-    if (excs != nullptr) {
-      for (const Value& exc : *excs) {
-        auto it = applicable_priority.find(exc.AsString());
-        if (it != applicable_priority.end() &&
-            it->second == priority_of(w)) {
-          vetoed = true;
-          break;
-        }
+    for (const Value& exc : w.Values("SLAExceptionRef")) {
+      auto it = applicable_priority.find(exc.AsString());
+      if (it != applicable_priority.end() && it->second == priority_of(w)) {
+        vetoed = true;
+        break;
       }
     }
     if (!vetoed) surviving.push_back(std::move(w));

@@ -12,37 +12,34 @@ Rdn MustRdn(const std::string& attr, const std::string& value) {
 }
 
 int64_t PriorityOf(const Entry& e) {
-  const std::vector<Value>* v = e.Values("priority");
-  return (v != nullptr && !v->empty() && (*v)[0].is_int()) ? (*v)[0].AsInt()
-                                                           : INT64_MAX;
+  const std::vector<Value> v = e.Values("priority");
+  return (!v.empty() && v[0].is_int()) ? v[0].AsInt() : INT64_MAX;
 }
 
 }  // namespace
 
 bool QhpMatches(const Entry& qhp, const CallContext& ctx) {
-  const std::vector<Value>* start = qhp.Values("startTime");
-  const std::vector<Value>* end = qhp.Values("endTime");
-  if (start != nullptr && !start->empty() && (*start)[0].is_int() &&
-      ctx.time_of_day < (*start)[0].AsInt()) {
+  const std::vector<Value> start = qhp.Values("startTime");
+  const std::vector<Value> end = qhp.Values("endTime");
+  if (!start.empty() && start[0].is_int() &&
+      ctx.time_of_day < start[0].AsInt()) {
     return false;
   }
-  if (end != nullptr && !end->empty() && (*end)[0].is_int() &&
-      ctx.time_of_day > (*end)[0].AsInt()) {
+  if (!end.empty() && end[0].is_int() && ctx.time_of_day > end[0].AsInt()) {
     return false;
   }
-  const std::vector<Value>* days = qhp.Values("daysOfWeek");
-  if (days != nullptr) {
-    bool ok = std::any_of(days->begin(), days->end(), [&](const Value& v) {
+  const std::vector<Value> days = qhp.Values("daysOfWeek");
+  if (!days.empty()) {
+    bool ok = std::any_of(days.begin(), days.end(), [&](const Value& v) {
       return v.is_int() && v.AsInt() == ctx.day_of_week;
     });
     if (!ok) return false;
   }
-  const std::vector<Value>* callers = qhp.Values("callerUid");
-  if (callers != nullptr) {
-    bool ok = std::any_of(
-        callers->begin(), callers->end(), [&](const Value& v) {
-          return !v.is_int() && v.AsString() == ctx.caller_uid;
-        });
+  const std::vector<Value> callers = qhp.Values("callerUid");
+  if (!callers.empty()) {
+    bool ok = std::any_of(callers.begin(), callers.end(), [&](const Value& v) {
+      return !v.is_int() && v.AsString() == ctx.caller_uid;
+    });
     if (!ok) return false;
   }
   return true;

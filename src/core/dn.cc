@@ -304,15 +304,20 @@ Result<Dn> Dn::Parse(std::string_view text) {
   return Make(rdns);
 }
 
-Result<Dn> Dn::FromHierKey(std::string_view key) {
-  if (key.empty()) return Dn();
-  bool canonical = true;
-  NDQ_RETURN_IF_ERROR(ForEachComponent(key, [&](std::string_view comp) {
+Status Dn::CheckHierKey(std::string_view key, bool* canonical) {
+  *canonical = true;
+  if (key.empty()) return Status::OK();
+  return ForEachComponent(key, [&](std::string_view comp) {
     bool sorted = true;
     NDQ_RETURN_IF_ERROR(CheckKeyComponent(comp, &sorted));
-    canonical = canonical && sorted;
+    *canonical = *canonical && sorted;
     return Status::OK();
-  }));
+  });
+}
+
+Result<Dn> Dn::FromHierKey(std::string_view key) {
+  bool canonical = true;
+  NDQ_RETURN_IF_ERROR(CheckHierKey(key, &canonical));
   if (canonical) return Dn(std::string(key));
   // Some component lists its pairs out of order or twice: sort and dedupe
   // just those through Rdn::Make. Every component is already valid.

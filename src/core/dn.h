@@ -101,6 +101,11 @@ class Dn {
   /// '=' is Corruption; a bad attribute name or value is InvalidArgument.
   static Result<Dn> FromHierKey(std::string_view key);
 
+  /// The check of FromHierKey without the copy: OK iff FromHierKey(key)
+  /// succeeds, and its error otherwise. Sets *canonical to whether
+  /// FromHierKey would return `key` unchanged.
+  static Status CheckHierKey(std::string_view key, bool* canonical);
+
   bool IsNull() const { return key_.empty(); }
   size_t depth() const;
 
@@ -137,6 +142,7 @@ class Dn {
   }
 
  private:
+  friend class Entry;  // copies the key of a checked, canonical record
   explicit Dn(std::string key) : key_(std::move(key)) {}
 
   std::string key_;  // root first

@@ -92,7 +92,8 @@ Status Schema::ValidateEntry(const Entry& entry) const {
     }
   }
   // Def. 3.2(c)(1): every pair is allowed and correctly typed.
-  for (const auto& [attr, vals] : entry.attributes()) {
+  for (const AttributeView& a : entry.view()) {
+    const std::string attr(a.name);
     auto type_it = attributes_.find(attr);
     if (type_it == attributes_.end()) {
       return Status::NotFound("entry " + entry.dn().ToString() +
@@ -103,7 +104,7 @@ Status Schema::ValidateEntry(const Entry& entry) const {
                                      " not allowed for classes of entry " +
                                      entry.dn().ToString());
     }
-    for (const Value& v : vals) {
+    for (ValueView v : a.values) {
       if (v.kind() != type_it->second) {
         return Status::InvalidArgument(
             "value of wrong type for attribute " + attr + " in entry " +

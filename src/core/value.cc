@@ -21,21 +21,31 @@ Result<TypeKind> TypeKindFromString(const std::string& name) {
   return Status::InvalidArgument("unknown type name: " + name);
 }
 
-std::string Value::ToString() const {
-  if (is_int()) return std::to_string(int_);
-  return str_;
-}
+std::string Value::ToString() const { return ValueView(*this).ToString(); }
 
 bool Value::operator==(const Value& other) const {
-  if (kind_ != other.kind_) return false;
-  if (is_int()) return int_ == other.int_;
-  return str_ == other.str_;
+  return ValueView(*this) == ValueView(other);
 }
 
 bool Value::operator<(const Value& other) const {
-  if (kind_ != other.kind_) return kind_ < other.kind_;
-  if (is_int()) return int_ < other.int_;
-  return str_ < other.str_;
+  return ValueView(*this) < ValueView(other);
+}
+
+Value ValueView::ToValue() const {
+  if (is_int()) return Value::Int(int_);
+  return is_dn() ? Value::DnRef(std::string(str_))
+                 : Value::String(std::string(str_));
+}
+
+std::string ValueView::ToString() const {
+  if (is_int()) return std::to_string(int_);
+  return std::string(str_);
+}
+
+int ValueView::Compare(ValueView a, ValueView b) {
+  if (a.kind_ != b.kind_) return a.kind_ < b.kind_ ? -1 : 1;
+  if (a.is_int()) return a.int_ < b.int_ ? -1 : (a.int_ > b.int_ ? 1 : 0);
+  return a.str_.compare(b.str_);
 }
 
 }  // namespace ndq

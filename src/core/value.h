@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "core/status.h"
 
@@ -34,6 +35,7 @@ Result<TypeKind> TypeKindFromString(const std::string& name);
 ///
 /// Values are immutable after construction and totally ordered, first by
 /// kind, then by domain order (numeric for kInt, lexicographic otherwise).
+/// ValueView below is the one definition of that order.
 class Value {
  public:
   /// Constructs the int value 0.
@@ -74,6 +76,62 @@ class Value {
   TypeKind kind_;
   int64_t int_;
   std::string str_;
+};
+
+/// \brief A Value read in place: its kind plus the int, or a view of the
+/// string. Entries hand these out from their wire bytes (core/entry.h); a
+/// view is valid while the bytes it borrows are. Every Value converts to
+/// one, and views order and compare exactly as Values do.
+class ValueView {
+ public:
+  /// Constructs the int value 0.
+  ValueView() = default;
+  ValueView(const Value& v)  // NOLINT(runtime/explicit): views `v`
+      : kind_(v.kind()), int_(v.AsInt()), str_(v.AsString()) {}
+
+  static ValueView Int(int64_t v) {
+    ValueView out;
+    out.int_ = v;
+    return out;
+  }
+  /// A string-kind (kString or kDn) view of `s`.
+  static ValueView Str(TypeKind kind, std::string_view s) {
+    ValueView out;
+    out.kind_ = kind;
+    out.str_ = s;
+    return out;
+  }
+
+  TypeKind kind() const { return kind_; }
+  bool is_int() const { return kind_ == TypeKind::kInt; }
+  bool is_string() const { return kind_ == TypeKind::kString; }
+  bool is_dn() const { return kind_ == TypeKind::kDn; }
+
+  /// Requires is_int().
+  int64_t AsInt() const { return int_; }
+  /// Requires is_string() or is_dn().
+  std::string_view AsString() const { return str_; }
+
+  /// An owning copy.
+  Value ToValue() const;
+  /// As Value::ToString.
+  std::string ToString() const;
+
+  /// <0, 0 or >0 as `a` orders before, equal to or after `b`: by kind,
+  /// then numerically for kInt and bytewise otherwise.
+  static int Compare(ValueView a, ValueView b);
+
+  friend bool operator==(ValueView a, ValueView b) {
+    return Compare(a, b) == 0;
+  }
+  friend bool operator<(ValueView a, ValueView b) {
+    return Compare(a, b) < 0;
+  }
+
+ private:
+  TypeKind kind_ = TypeKind::kInt;
+  int64_t int_ = 0;
+  std::string_view str_;
 };
 
 }  // namespace ndq

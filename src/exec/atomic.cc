@@ -27,6 +27,7 @@ Result<EntryList> ScanScope(Disk* disk, const EntrySource& store,
     return writer.Finish();
   }
   RunWriter writer(disk, PageFormat::kKeyPrefix);
+  Entry slow;
   Status s = store.ScanRange(
       start, end, [&](std::string_view record) -> Status {
         ++scanned;
@@ -40,7 +41,9 @@ Result<EntryList> ScanScope(Disk* disk, const EntrySource& store,
           // the base's with more pairs ("base" + kHierPairSep + ...).
           return Status::OK();
         }
-        NDQ_ASSIGN_OR_RETURN(Entry entry, DeserializeEntry(record));
+        // The record is checked as DeserializeEntry checks it and matched
+        // in place; it is written out as read.
+        NDQ_ASSIGN_OR_RETURN(EntryView entry, EntryView::Parse(record, &slow));
         if (matches(entry)) NDQ_RETURN_IF_ERROR(writer.Add(record));
         return Status::OK();
       });
@@ -61,7 +64,7 @@ Result<EntryList> EvalAtomic(Disk* disk, const EntrySource& store,
                              const AtomicFilter& filter, OpTrace* trace) {
   if (trace != nullptr) trace->op = QueryOp::kAtomic;
   return ScanScope(disk, store, base, scope,
-                   [&](const Entry& e) { return filter.Matches(e); },
+                   [&](const EntryView& e) { return filter.Matches(e); },
                    trace);
 }
 
@@ -70,7 +73,7 @@ Result<EntryList> EvalLdap(Disk* disk, const EntrySource& store,
                            const LdapFilter& filter, OpTrace* trace) {
   if (trace != nullptr) trace->op = QueryOp::kLdap;
   return ScanScope(disk, store, base, scope,
-                   [&](const Entry& e) { return filter.Matches(e); },
+                   [&](const EntryView& e) { return filter.Matches(e); },
                    trace);
 }
 

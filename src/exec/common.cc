@@ -199,36 +199,31 @@ std::vector<AggAccumulator> AggProgram::MakeWitnessAccs() const {
 }
 
 void AggProgram::AddWitnessContribution(
-    const Entry& entry, std::vector<AggAccumulator>* accs) const {
+    const EntryView& entry, std::vector<AggAccumulator>* accs) const {
   for (size_t i = 0; i < witness_aggs.size(); ++i) {
     const EntryAgg& ea = witness_aggs[i];
     AggAccumulator& acc = (*accs)[i];
     if (ea.target == AggTarget::kWitnessCount) {
       acc.AddUnit();
     } else {
-      const std::vector<Value>* vals = entry.Values(ea.attr);
-      if (vals != nullptr) {
-        for (const Value& v : *vals) acc.AddValue(v);
-      }
+      for (ValueView v : entry.Values(ea.attr)) acc.AddValue(v);
     }
   }
 }
 
 namespace {
 
-std::optional<int64_t> EvalSelfAgg(const EntryAgg& ea, const Entry& entry) {
+std::optional<int64_t> EvalSelfAgg(const EntryAgg& ea,
+                                   const EntryView& entry) {
   AggAccumulator acc(ea.fn);
-  const std::vector<Value>* vals = entry.Values(ea.attr);
-  if (vals != nullptr) {
-    for (const Value& v : *vals) acc.AddValue(v);
-  }
+  for (ValueView v : entry.Values(ea.attr)) acc.AddValue(v);
   return acc.Finish();
 }
 
 }  // namespace
 
 std::optional<int64_t> AggProgram::EvalSide(
-    bool lhs_side, const Entry& entry,
+    bool lhs_side, const EntryView& entry,
     const std::vector<std::optional<int64_t>>& witness_vals,
     const Globals& globals) const {
   const AggAttr& aa = lhs_side ? filter.lhs : filter.rhs;
@@ -252,7 +247,7 @@ std::optional<int64_t> AggProgram::EvalSide(
 }
 
 bool AggProgram::Matches(
-    const Entry& entry,
+    const EntryView& entry,
     const std::vector<std::optional<int64_t>>& witness_vals,
     const Globals& globals) const {
   std::optional<int64_t> lhs = EvalSide(true, entry, witness_vals, globals);
@@ -265,7 +260,7 @@ namespace {
 // Per-entry value of the *inner* entry aggregate of an entry-set
 // aggregate.
 std::optional<int64_t> InnerValue(
-    const AggProgram& prog, const AggAttr& aa, const Entry& entry,
+    const AggProgram& prog, const AggAttr& aa, const EntryView& entry,
     const std::vector<std::optional<int64_t>>& witness_vals) {
   if (IsWitnessTargeted(aa.entry)) {
     size_t idx = prog.WitnessIndex(aa.entry);
@@ -298,11 +293,13 @@ Result<EntryList> FilterAnnotatedList(Disk* disk, Run annotated,
     std::string rec;
     std::vector<std::optional<int64_t>> vals;
     std::string_view entry_bytes;
+    Entry slow;
     while (true) {
       NDQ_ASSIGN_OR_RETURN(bool more, reader.Next(&rec));
       if (!more) break;
       NDQ_RETURN_IF_ERROR(ParseAnnotated(rec, &vals, &entry_bytes));
-      NDQ_ASSIGN_OR_RETURN(Entry entry, DeserializeEntry(entry_bytes));
+      NDQ_ASSIGN_OR_RETURN(EntryView entry,
+                           EntryView::Parse(entry_bytes, &slow));
       if (lhs_set) {
         std::optional<int64_t> v =
             InnerValue(prog, prog.filter.lhs, entry, vals);
@@ -323,11 +320,13 @@ Result<EntryList> FilterAnnotatedList(Disk* disk, Run annotated,
   std::string rec;
   std::vector<std::optional<int64_t>> vals;
   std::string_view entry_bytes;
+  Entry slow;
   while (true) {
     NDQ_ASSIGN_OR_RETURN(bool more, reader.Next(&rec));
     if (!more) break;
     NDQ_RETURN_IF_ERROR(ParseAnnotated(rec, &vals, &entry_bytes));
-    NDQ_ASSIGN_OR_RETURN(Entry entry, DeserializeEntry(entry_bytes));
+    NDQ_ASSIGN_OR_RETURN(EntryView entry,
+                         EntryView::Parse(entry_bytes, &slow));
     if (prog.Matches(entry, vals, globals)) {
       NDQ_RETURN_IF_ERROR(writer.Add(entry_bytes));
     }

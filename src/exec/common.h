@@ -198,7 +198,7 @@ struct AggProgram {
   std::vector<AggAccumulator> MakeWitnessAccs() const;
 
   /// Folds `entry`'s contribution (as a witness) into `accs`.
-  void AddWitnessContribution(const Entry& entry,
+  void AddWitnessContribution(const EntryView& entry,
                               std::vector<AggAccumulator>* accs) const;
 
   /// Globals computed by the pre-filter scan: one slot per comparison side.
@@ -210,12 +210,12 @@ struct AggProgram {
 
   /// Evaluates one side of the comparison for an annotated entry.
   std::optional<int64_t> EvalSide(
-      bool lhs_side, const Entry& entry,
+      bool lhs_side, const EntryView& entry,
       const std::vector<std::optional<int64_t>>& witness_vals,
       const Globals& globals) const;
 
   /// True for the annotated entry iff the filter comparison holds.
-  bool Matches(const Entry& entry,
+  bool Matches(const EntryView& entry,
                const std::vector<std::optional<int64_t>>& witness_vals,
                const Globals& globals) const;
 };

@@ -39,7 +39,7 @@ ExternalSortOptions KeyedSort(const ExecOptions& options) {
 }
 
 // Serializes the witness contribution of entry `e` under `prog`.
-std::string ContributionPayload(const AggProgram& prog, const Entry& e) {
+std::string ContributionPayload(const AggProgram& prog, const EntryView& e) {
   std::vector<AggAccumulator> accs = prog.MakeWitnessAccs();
   prog.AddWitnessContribution(e, &accs);
   std::string out;
@@ -112,14 +112,15 @@ Result<Run> BuildDvPairs(Disk* disk, const EntryList& l2,
   RunReader reader(disk, l2);
   std::string rec;
   std::string pair;
+  Entry slow;
   while (true) {
     NDQ_ASSIGN_OR_RETURN(bool more, reader.Next(&rec));
     if (!more) break;
-    NDQ_ASSIGN_OR_RETURN(Entry e, DeserializeEntry(rec));
-    const std::vector<Value>* vals = e.Values(attr);
-    if (vals == nullptr) continue;
+    NDQ_ASSIGN_OR_RETURN(EntryView e, EntryView::Parse(rec, &slow));
+    const ValueList vals = e.Values(attr);
+    if (vals.empty()) continue;
     std::string payload = ContributionPayload(prog, e);
-    for (const Value& v : *vals) {
+    for (ValueView v : vals) {
       if (!v.is_dn()) continue;
       Result<Dn> target = Dn::Parse(v.AsString());
       if (!target.ok()) continue;  // dangling/garbled reference: no witness
@@ -146,14 +147,13 @@ Result<Run> BuildVdPairs(Disk* disk, const EntryList& l1,
     ExternalSorter sorter(disk, PairKey, KeyedSort(options));
     RunReader reader(disk, l1);
     std::string rec, pair;
+    Entry slow;
     while (true) {
       NDQ_ASSIGN_OR_RETURN(bool more, reader.Next(&rec));
       if (!more) break;
       NDQ_ASSIGN_OR_RETURN(std::string_view key, PeekEntryKey(rec));
-      NDQ_ASSIGN_OR_RETURN(Entry e, DeserializeEntry(rec));
-      const std::vector<Value>* vals = e.Values(attr);
-      if (vals == nullptr) continue;
-      for (const Value& v : *vals) {
+      NDQ_ASSIGN_OR_RETURN(EntryView e, EntryView::Parse(rec, &slow));
+      for (ValueView v : e.Values(attr)) {
         if (!v.is_dn()) continue;
         Result<Dn> target = Dn::Parse(v.AsString());
         if (!target.ok()) continue;
@@ -182,13 +182,14 @@ Result<Run> BuildVdPairs(Disk* disk, const EntryList& l1,
     };
     NDQ_RETURN_IF_ERROR(advance_pair());
     std::string rec, out_pair;
+    Entry slow;
     while (true) {
       NDQ_ASSIGN_OR_RETURN(bool more, l2_reader.Next(&rec));
       if (!more) break;
       NDQ_ASSIGN_OR_RETURN(std::string_view key, PeekEntryKey(rec));
       while (pair_has && pkey < key) NDQ_RETURN_IF_ERROR(advance_pair());
       if (!pair_has || pkey != key) continue;
-      NDQ_ASSIGN_OR_RETURN(Entry e, DeserializeEntry(rec));
+      NDQ_ASSIGN_OR_RETURN(EntryView e, EntryView::Parse(rec, &slow));
       std::string payload = ContributionPayload(prog, e);
       while (pair_has && pkey == key) {
         out_pair.clear();

@@ -76,6 +76,7 @@ Result<Run> AncestorPass(Disk* disk, QueryOp op, const EntryList& l1,
   RunWriter out(disk);
   LabeledRecord rec;
   std::string buf;
+  Entry slow;
   while (true) {
     NDQ_ASSIGN_OR_RETURN(bool more, merge.Next(&rec));
     if (!more) break;
@@ -85,7 +86,8 @@ Result<Run> AncestorPass(Disk* disk, QueryOp op, const EntryList& l1,
       NDQ_RETURN_IF_ERROR(stack->Pop().status());
     }
 
-    NDQ_ASSIGN_OR_RETURN(Entry entry, DeserializeEntry(rec.entry_record));
+    NDQ_ASSIGN_OR_RETURN(EntryView entry,
+                         EntryView::Parse(rec.entry_record, &slow));
 
     // The arrival's witness accumulators, complete at this moment.
     std::vector<AggAccumulator> wit = prog.MakeWitnessAccs();
@@ -153,6 +155,7 @@ Result<Run> DescendantPass(Disk* disk, QueryOp op, const EntryList& l1,
   RunReader reader(disk, reversed.get());
   std::string raw;
   std::string buf;
+  Entry slow;
   while (true) {
     NDQ_ASSIGN_OR_RETURN(bool more, reader.Next(&raw));
     if (!more) break;
@@ -161,7 +164,8 @@ Result<Run> DescendantPass(Disk* disk, QueryOp op, const EntryList& l1,
     NDQ_RETURN_IF_ERROR(ParseLabeledRecord(raw, &labels, &entry_record));
     NDQ_ASSIGN_OR_RETURN(std::string_view keyv, PeekEntryKey(entry_record));
     std::string key(keyv);
-    NDQ_ASSIGN_OR_RETURN(Entry entry, DeserializeEntry(entry_record));
+    NDQ_ASSIGN_OR_RETURN(EntryView entry,
+                         EntryView::Parse(entry_record, &slow));
 
     // In descending order, the arrival's descendants sit on top of the
     // stack; pop and fold them.

@@ -78,7 +78,7 @@ Result<EntryList> NaiveAggSelect(Disk* disk, QueryOp op,
         witness = op == QueryOp::kValueDn
                       ? r1.HasPair(attr, Value::DnRef(r2.dn().ToString()))
                       : r2.HasPair(attr, Value::DnRef(r1.dn().ToString()));
-        if (witness) prog.AddWitnessContribution(r2, &accs);
+        if (witness) prog.AddWitnessContribution(r2.view(), &accs);
         continue;
       }
       NDQ_ASSIGN_OR_RETURN(std::string_view k2, PeekEntryKey(rec2));
@@ -89,7 +89,7 @@ Result<EntryList> NaiveAggSelect(Disk* disk, QueryOp op,
         if (blocked) continue;
       }
       NDQ_ASSIGN_OR_RETURN(Entry r2, DeserializeEntry(rec2));
-      prog.AddWitnessContribution(r2, &accs);
+      prog.AddWitnessContribution(r2.view(), &accs);
     }
     std::vector<std::optional<int64_t>> vals;
     vals.reserve(accs.size());

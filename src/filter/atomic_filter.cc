@@ -1,6 +1,5 @@
 #include "filter/atomic_filter.h"
 
-#include <algorithm>
 #include <cctype>
 
 #include "core/schema.h"
@@ -227,7 +226,7 @@ bool WildcardMatch(const std::vector<std::string>& parts,
   return true;
 }
 
-bool AtomicFilter::MatchesValue(const Value& v) const {
+bool AtomicFilter::MatchesValue(ValueView v) const {
   switch (kind_) {
     case Kind::kTrue:
       return true;
@@ -267,13 +266,15 @@ bool AtomicFilter::MatchesValue(const Value& v) const {
   return false;
 }
 
-bool AtomicFilter::Matches(const Entry& entry) const {
+bool AtomicFilter::Matches(const EntryView& entry) const {
   if (kind_ == Kind::kTrue) return true;
-  const std::vector<Value>* vals = entry.Values(attr_);
-  if (vals == nullptr) return false;
+  const ValueList vals = entry.Values(attr_);
+  if (vals.empty()) return false;
   if (kind_ == Kind::kPresence) return true;
-  return std::any_of(vals->begin(), vals->end(),
-                     [this](const Value& v) { return MatchesValue(v); });
+  for (ValueView v : vals) {
+    if (MatchesValue(v)) return true;
+  }
+  return false;
 }
 
 std::string AtomicFilter::ToString() const {

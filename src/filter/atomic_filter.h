@@ -66,10 +66,11 @@ class AtomicFilter {
   }
 
   /// r |= F : some (attribute, value) pair of `entry` satisfies the filter.
-  bool Matches(const Entry& entry) const;
+  bool Matches(const EntryView& entry) const;
+  bool Matches(const Entry& entry) const { return Matches(entry.view()); }
 
   /// Whether one value (of attribute attr()) satisfies the filter.
-  bool MatchesValue(const Value& v) const;
+  bool MatchesValue(ValueView v) const;
 
   /// Canonical textual form (parseable by Parse).
   std::string ToString() const;

@@ -113,7 +113,7 @@ Result<LdapFilterPtr> LdapFilter::Parse(std::string_view text) {
   return FilterParser(text).Parse();
 }
 
-bool LdapFilter::Matches(const Entry& entry) const {
+bool LdapFilter::Matches(const EntryView& entry) const {
   switch (op_) {
     case Op::kAtomic:
       return atomic_.Matches(entry);

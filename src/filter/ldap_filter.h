@@ -38,7 +38,8 @@ class LdapFilter {
   const AtomicFilter& atomic() const { return atomic_; }
   const std::vector<LdapFilterPtr>& children() const { return children_; }
 
-  bool Matches(const Entry& entry) const;
+  bool Matches(const EntryView& entry) const;
+  bool Matches(const Entry& entry) const { return Matches(entry.view()); }
 
   std::string ToString() const;
 

@@ -129,18 +129,18 @@ std::string Repro::ToText() const {
   out << "query " << query_text << "\n";
   for (const Entry& e : entries) {
     out << "entry " << QuoteString(e.dn().ToString()) << "\n";
-    for (const auto& [attr, values] : e.attributes()) {
-      for (const Value& v : values) {
+    for (const AttributeView& a : e.view()) {
+      for (ValueView v : a.values) {
         switch (v.kind()) {
           case TypeKind::kInt:
-            out << "attr " << attr << " int " << v.AsInt() << "\n";
+            out << "attr " << a.name << " int " << v.AsInt() << "\n";
             break;
           case TypeKind::kString:
-            out << "attr " << attr << " str " << QuoteString(v.AsString())
-                << "\n";
+            out << "attr " << a.name << " str "
+                << QuoteString(v.AsString()) << "\n";
             break;
           case TypeKind::kDn:
-            out << "attr " << attr << " dn " << QuoteString(v.AsString())
+            out << "attr " << a.name << " dn " << QuoteString(v.AsString())
                 << "\n";
             break;
         }
@@ -178,7 +178,16 @@ Result<Repro> Repro::FromText(std::string_view text) {
       while (lp < line.size() && line[lp] == ' ') ++lp;
       repro.check = std::string(line.substr(lp));
     } else if (kw == "seed") {
-      repro.seed = std::strtoull(ReadWord(line, &lp).c_str(), nullptr, 10);
+      // Digits only, as strtoull would negate a '-' and saturate.
+      std::string num = ReadWord(line, &lp);
+      errno = 0;
+      char* endp = nullptr;
+      uint64_t v = std::strtoull(num.c_str(), &endp, 10);
+      if (num.empty() || num[0] < '0' || num[0] > '9' || endp == nullptr ||
+          *endp != '\0' || errno != 0) {
+        return MalformedLine(lineno, "bad seed '" + num + "'");
+      }
+      repro.seed = v;
     } else if (kw == "query") {
       while (lp < line.size() && line[lp] == ' ') ++lp;
       repro.query_text = std::string(line.substr(lp));

@@ -23,17 +23,19 @@ Result<AttributeIndexes> AttributeIndexes::Build(BufferPool* pool,
     idx.suffixes_.emplace(a, SuffixIndex());
   }
 
+  Entry slow;
   Status scan = store.ScanRange(
       "", "", [&](std::string_view record) -> Status {
         uint64_t id = idx.keys_.size();
-        NDQ_ASSIGN_OR_RETURN(Entry e, DeserializeEntry(record));
-        idx.keys_.emplace_back(e.HierKey());
-        for (const auto& [attr, vals] : e.attributes()) {
+        NDQ_ASSIGN_OR_RETURN(EntryView e, EntryView::Parse(record, &slow));
+        idx.keys_.emplace_back(e.key());
+        for (const AttributeView& a : e) {
+          const std::string attr(a.name);
           bool indexed = false;
           auto it_int = idx.int_trees_.find(attr);
           auto it_dn = idx.dn_trees_.find(attr);
           auto it_trie = idx.tries_.find(attr);
-          for (const Value& v : vals) {
+          for (ValueView v : a.values) {
             if (it_int != idx.int_trees_.end() && v.is_int()) {
               NDQ_RETURN_IF_ERROR(
                   it_int->second.Insert(EncodeIntKey(v.AsInt()), id));

@@ -65,7 +65,7 @@ struct AggAccumulator {
   bool overflow = false;  // 128-bit accumulator itself overflowed
 
   /// Folds in one attribute value.
-  void AddValue(const Value& v) {
+  void AddValue(ValueView v) {
     ++count;
     if (v.is_int()) AddInt(v.AsInt());
   }

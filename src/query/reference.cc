@@ -129,19 +129,12 @@ std::optional<int64_t> EvalEntryAgg(const EntryAgg& ea, const Entry& r,
                                     const EntryVec& ws) {
   AggAccumulator acc(ea.fn);
   switch (ea.target) {
-    case AggTarget::kSelfAttr: {
-      const std::vector<Value>* vals = r.Values(ea.attr);
-      if (vals != nullptr) {
-        for (const Value& v : *vals) acc.AddValue(v);
-      }
+    case AggTarget::kSelfAttr:
+      for (const Value& v : r.Values(ea.attr)) acc.AddValue(v);
       break;
-    }
     case AggTarget::kWitnessAttr:
       for (const Entry* w : ws) {
-        const std::vector<Value>* vals = w->Values(ea.attr);
-        if (vals != nullptr) {
-          for (const Value& v : *vals) acc.AddValue(v);
-        }
+        for (const Value& v : w->Values(ea.attr)) acc.AddValue(v);
       }
       break;
     case AggTarget::kWitnessCount:

@@ -1,5 +1,7 @@
 #include "storage/fault_injector.h"
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 
 namespace ndq {
@@ -63,11 +65,14 @@ Result<FaultInjector> FaultInjector::Parse(const std::string& spec) {
     }
     return parts;
   };
+  // Digits only: strtoull alone would negate a '-' and saturate on
+  // overflow.
   auto parse_u64 = [](const std::string& s, uint64_t* out) {
-    if (s.empty()) return false;
+    if (s.empty() || s[0] < '0' || s[0] > '9') return false;
     char* end = nullptr;
+    errno = 0;
     unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') return false;
+    if (errno != 0 || end == nullptr || *end != '\0') return false;
     *out = v;
     return true;
   };
@@ -109,7 +114,8 @@ Result<FaultInjector> FaultInjector::Parse(const std::string& spec) {
       } else if (f.rfind("every=", 0) == 0 && parse_u64(f.substr(6), &v) &&
                  v > 0) {
         r.every_kth = v;
-      } else if (f.rfind("page=", 0) == 0 && parse_u64(f.substr(5), &v)) {
+      } else if (f.rfind("page=", 0) == 0 && parse_u64(f.substr(5), &v) &&
+                 v <= UINT32_MAX) {
         r.has_page = true;
         r.page = static_cast<uint32_t>(v);
       } else if (f.rfind("seed=", 0) == 0 && parse_u64(f.substr(5), &v)) {
@@ -117,7 +123,8 @@ Result<FaultInjector> FaultInjector::Parse(const std::string& spec) {
       } else if (f.rfind("p=", 0) == 0) {
         char* end = nullptr;
         double p = std::strtod(f.c_str() + 2, &end);
-        if (end == nullptr || *end != '\0' || p < 0.0 || p > 1.0) {
+        // The comparisons are false for NaN, so NaN fails !(p >= 0).
+        if (end == nullptr || *end != '\0' || !(p >= 0.0 && p <= 1.0)) {
           return Status::InvalidArgument("fault spec: bad probability '" + f +
                                          "'");
         }

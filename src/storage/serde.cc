@@ -28,66 +28,15 @@ void AppendOrderedValueKey(const Value& value, std::string* out) {
   }
 }
 
-void SerializeValue(const Value& value, std::string* out) {
-  ByteWriter w(out);
-  w.PutU8(static_cast<uint8_t>(value.kind()));
-  if (value.is_int()) {
-    w.PutSigned(value.AsInt());
-  } else {
-    w.PutString(value.AsString());
-  }
-}
-
-Result<Value> DeserializeValue(ByteReader* reader) {
-  NDQ_ASSIGN_OR_RETURN(uint8_t kind_byte, reader->GetU8());
-  if (kind_byte > static_cast<uint8_t>(TypeKind::kDn)) {
-    return Status::Corruption("bad value kind byte");
-  }
-  TypeKind kind = static_cast<TypeKind>(kind_byte);
-  switch (kind) {
-    case TypeKind::kInt: {
-      NDQ_ASSIGN_OR_RETURN(int64_t v, reader->GetSigned());
-      return Value::Int(v);
-    }
-    case TypeKind::kString: {
-      NDQ_ASSIGN_OR_RETURN(std::string_view s, reader->GetString());
-      return Value::String(std::string(s));
-    }
-    case TypeKind::kDn: {
-      NDQ_ASSIGN_OR_RETURN(std::string_view s, reader->GetString());
-      return Value::DnRef(std::string(s));
-    }
-  }
-  return Status::Corruption("unreachable value kind");
-}
-
 void SerializeEntry(const Entry& entry, std::string* out) {
-  ByteWriter w(out);
-  w.PutString(entry.HierKey());
-  w.PutVarint(entry.attributes().size());
-  for (const auto& [attr, vals] : entry.attributes()) {
-    w.PutString(attr);
-    w.PutVarint(vals.size());
-    for (const Value& v : vals) SerializeValue(v, out);
-  }
+  ByteWriter(out).PutString(entry.HierKey());
+  out->append(entry.view().attribute_bytes());
 }
 
 Result<Entry> DeserializeEntry(std::string_view record) {
-  ByteReader r(record);
-  NDQ_ASSIGN_OR_RETURN(std::string_view key, r.GetString());
-  NDQ_ASSIGN_OR_RETURN(Dn dn, Dn::FromHierKey(key));
-  Entry entry(std::move(dn));
-  NDQ_ASSIGN_OR_RETURN(uint64_t nattrs, r.GetVarint());
-  for (uint64_t i = 0; i < nattrs; ++i) {
-    NDQ_ASSIGN_OR_RETURN(std::string_view attr, r.GetString());
-    std::string attr_name(attr);
-    NDQ_ASSIGN_OR_RETURN(uint64_t nvals, r.GetVarint());
-    for (uint64_t j = 0; j < nvals; ++j) {
-      NDQ_ASSIGN_OR_RETURN(Value v, DeserializeValue(&r));
-      entry.AddValue(attr_name, std::move(v));
-    }
-  }
-  return entry;
+  Entry slow;
+  NDQ_ASSIGN_OR_RETURN(EntryView view, EntryView::Parse(record, &slow));
+  return Entry(view);
 }
 
 Result<std::string_view> PeekEntryKey(std::string_view record) {

@@ -1,6 +1,7 @@
 // Byte-level record serialization used by runs, the entry store, indexes
-// and the spillable stack: varints, length-prefixed strings, and the
-// canonical Entry wire format.
+// and the spillable stack: the page formats, order-preserving keys, and
+// the canonical Entry wire format. The primitives (varints, strings,
+// typed values) are in core/wire.h.
 
 #ifndef NDQ_STORAGE_SERDE_H_
 #define NDQ_STORAGE_SERDE_H_
@@ -11,88 +12,9 @@
 
 #include "core/entry.h"
 #include "core/status.h"
+#include "core/wire.h"
 
 namespace ndq {
-
-/// Appends serialized primitives to a std::string buffer.
-class ByteWriter {
- public:
-  explicit ByteWriter(std::string* out) : out_(out) {}
-
-  void PutU8(uint8_t v) { out_->push_back(static_cast<char>(v)); }
-
-  /// LEB128 unsigned varint.
-  void PutVarint(uint64_t v) {
-    while (v >= 0x80) {
-      out_->push_back(static_cast<char>((v & 0x7f) | 0x80));
-      v >>= 7;
-    }
-    out_->push_back(static_cast<char>(v));
-  }
-
-  /// Zig-zag encoded signed varint.
-  void PutSigned(int64_t v) {
-    PutVarint((static_cast<uint64_t>(v) << 1) ^
-              static_cast<uint64_t>(v >> 63));
-  }
-
-  /// Length-prefixed byte string.
-  void PutString(std::string_view s) {
-    PutVarint(s.size());
-    out_->append(s.data(), s.size());
-  }
-
- private:
-  std::string* out_;
-};
-
-/// Reads serialized primitives from a byte buffer.
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view data) : data_(data) {}
-
-  bool AtEnd() const { return pos_ >= data_.size(); }
-  size_t position() const { return pos_; }
-
-  Result<uint8_t> GetU8() {
-    if (pos_ >= data_.size()) return Status::Corruption("u8 past end");
-    return static_cast<uint8_t>(data_[pos_++]);
-  }
-
-  Result<uint64_t> GetVarint() {
-    uint64_t v = 0;
-    int shift = 0;
-    while (true) {
-      if (pos_ >= data_.size()) return Status::Corruption("varint past end");
-      uint8_t b = static_cast<uint8_t>(data_[pos_++]);
-      v |= static_cast<uint64_t>(b & 0x7f) << shift;
-      if ((b & 0x80) == 0) break;
-      shift += 7;
-      if (shift > 63) return Status::Corruption("varint too long");
-    }
-    return v;
-  }
-
-  Result<int64_t> GetSigned() {
-    NDQ_ASSIGN_OR_RETURN(uint64_t u, GetVarint());
-    return static_cast<int64_t>((u >> 1) ^ (~(u & 1) + 1));
-  }
-
-  Result<std::string_view> GetString() {
-    NDQ_ASSIGN_OR_RETURN(uint64_t len, GetVarint());
-    // Not pos_ + len, which a length near 2^64 would wrap.
-    if (len > data_.size() - pos_) {
-      return Status::Corruption("string past end");
-    }
-    std::string_view s = data_.substr(pos_, len);
-    pos_ += len;
-    return s;
-  }
-
- private:
-  std::string_view data_;
-  size_t pos_ = 0;
-};
 
 // ---------------------------------------------------------------------------
 // Page format (prefix compression)
@@ -163,14 +85,12 @@ int64_t DecodeOrderedInt64(std::string_view bytes);
 /// the secondary indexes and verified by the codec property tests.
 void AppendOrderedValueKey(const Value& value, std::string* out);
 
-/// Appends the wire form of `value` to `out`.
-void SerializeValue(const Value& value, std::string* out);
-/// Reads one Value.
-Result<Value> DeserializeValue(ByteReader* reader);
-
-/// Appends the wire form of `entry` (HierKey + attribute map) to `out`.
+/// Appends the wire form of `entry` to `out`: its HierKey as a string,
+/// then its attribute bytes (see EntryView), copied.
 void SerializeEntry(const Entry& entry, std::string* out);
-/// Parses an Entry from its wire form.
+/// Parses an Entry from its wire form: EntryView::Parse's one check, then
+/// a copy of the key and of the attribute bytes. Bytes past the
+/// attributes are ignored.
 Result<Entry> DeserializeEntry(std::string_view record);
 
 /// Reads just the HierKey prefix of a serialized entry — the sort key —

@@ -19,7 +19,7 @@ void McvAdd(Map* map, uint64_t* other, const Key& key) {
     return;
   }
   if (map->size() < StoreStats::kMaxTrackedValues) {
-    (*map)[key] = 1;
+    map->emplace(key, 1);
   } else {
     ++*other;
   }
@@ -43,7 +43,7 @@ uint64_t McvGet(const std::map<int64_t, uint64_t>& map, int64_t key) {
   return it == map.end() ? 0 : it->second;
 }
 
-uint64_t McvGet(const std::map<std::string, uint64_t>& map,
+uint64_t McvGet(const std::map<std::string, uint64_t, std::less<>>& map,
                 const std::string& key) {
   auto it = map.find(key);
   return it == map.end() ? 0 : it->second;
@@ -77,25 +77,32 @@ void Saturating(uint64_t* counter, bool add) {
 
 }  // namespace
 
-void StoreStats::AddEntry(const Entry& entry) { UpdateEntry(entry, true); }
+void StoreStats::AddEntry(const Entry& entry) {
+  UpdateEntry(entry.view(), true);
+}
 
 void StoreStats::RemoveEntry(const Entry& entry) {
-  UpdateEntry(entry, false);
+  UpdateEntry(entry.view(), false);
 }
 
 Status StoreStats::AddRecord(std::string_view record) {
   if (IsTombstoneRecord(record)) return Status::OK();
-  NDQ_ASSIGN_OR_RETURN(Entry entry, DeserializeEntry(record));
-  AddEntry(entry);
+  Entry slow;
+  NDQ_ASSIGN_OR_RETURN(EntryView entry, EntryView::Parse(record, &slow));
+  UpdateEntry(entry, true);
   return Status::OK();
 }
 
-void StoreStats::UpdateEntry(const Entry& entry, bool add) {
+void StoreStats::UpdateEntry(const EntryView& entry, bool add) {
   Saturating(&num_entries_, add);
-  for (const auto& [attr, values] : entry.attributes()) {
-    AttrStats& a = attrs_[attr];
+  for (const AttributeView& attr : entry) {
+    auto it = attrs_.find(attr.name);
+    if (it == attrs_.end()) {
+      it = attrs_.emplace(std::string(attr.name), AttrStats()).first;
+    }
+    AttrStats& a = it->second;
     Saturating(&a.entries, add);
-    for (const Value& v : values) {
+    for (ValueView v : attr.values) {
       if (v.is_int()) {
         Saturating(&a.int_values, add);
         if (add) {
@@ -113,7 +120,7 @@ void StoreStats::UpdateEntry(const Entry& entry, bool add) {
       }
     }
   }
-  UpdateSketch(entry.HierKey(), add);
+  UpdateSketch(entry.key(), add);
 }
 
 void StoreStats::UpdateSketch(std::string_view key, bool add) {

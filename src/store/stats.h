@@ -67,9 +67,9 @@ class StoreStats {
   void AddEntry(const Entry& entry);
   void RemoveEntry(const Entry& entry);
 
-  /// Folds a serialized entry record in; tombstone records (see
-  /// IsTombstoneRecord in store/entry_store.h) are skipped. Decodes the
-  /// record, so a caller holding the Entry uses AddEntry instead.
+  /// Folds a serialized entry record in, read through an EntryView;
+  /// tombstone records (see IsTombstoneRecord in store/entry_store.h) are
+  /// skipped.
   Status AddRecord(std::string_view record);
 
   /// Entries folded in (excluding tombstones).
@@ -111,17 +111,17 @@ class StoreStats {
     uint64_t str_values = 0;  // total string/dn values
     std::map<int64_t, uint64_t> int_mcv;
     uint64_t int_other = 0;
-    std::map<std::string, uint64_t> str_mcv;
+    std::map<std::string, uint64_t, std::less<>> str_mcv;
     uint64_t str_other = 0;
 
     bool operator==(const AttrStats&) const = default;
   };
 
-  void UpdateEntry(const Entry& entry, bool add);
+  void UpdateEntry(const EntryView& entry, bool add);
   void UpdateSketch(std::string_view key, bool add);
   const AttrStats* FindAttr(const std::string& attr) const;
 
-  std::map<std::string, AttrStats> attrs_;
+  std::map<std::string, AttrStats, std::less<>> attrs_;
   std::map<std::string, SubtreeStats, std::less<>> sketch_;
   uint64_t num_entries_ = 0;
   bool sketch_overflow_ = false;

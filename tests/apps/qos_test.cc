@@ -117,9 +117,9 @@ TEST(QosEngineTest, PriorityResolutionOnSyntheticDomain) {
   packet.day_of_week = 3;
   PolicyDecision d = engine.Match(packet).TakeValue();
   if (!d.policies.empty()) {
-    int64_t top = d.policies[0].Values("SLARulePriority")->at(0).AsInt();
+    int64_t top = d.policies[0].Values("SLARulePriority").at(0).AsInt();
     for (const Entry& p : d.policies) {
-      EXPECT_EQ(p.Values("SLARulePriority")->at(0).AsInt(), top);
+      EXPECT_EQ(p.Values("SLARulePriority").at(0).AsInt(), top);
     }
     EXPECT_GE(d.actions.size(), 1u);
   }

@@ -40,7 +40,7 @@ TEST(LdifTest, ParsesTypedValues) {
   ASSERT_EQ(r->size(), 1u);
   const Entry& e = (*r)[0];
   EXPECT_TRUE(e.HasPair("priority", Value::Int(1)));
-  EXPECT_EQ(e.Values("daysOfWeek")->size(), 2u);
+  EXPECT_EQ(e.Values("daysOfWeek").size(), 2u);
 }
 
 TEST(LdifTest, DnValuedAttributesNormalized) {
@@ -52,7 +52,7 @@ TEST(LdifTest, DnValuedAttributesNormalized) {
       "SLATPRef: TPName=t,dc=com\n";
   Result<std::vector<Entry>> r = ParseLdif(s, text);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ((*r)[0].Values("SLATPRef")->at(0).AsString(),
+  EXPECT_EQ((*r)[0].Values("SLATPRef").at(0).AsString(),
             "TPName=t, dc=com");
 }
 

@@ -2,10 +2,12 @@
 // reference evaluator: every paper example plus randomized queries in all
 // language levels over random forests.
 
+#include <algorithm>
 #include <random>
 
 #include <gtest/gtest.h>
 
+#include "exec/atomic.h"
 #include "exec/parallel_evaluator.h"
 #include "gen/random_forest.h"
 #include "gen/random_query.h"
@@ -316,6 +318,90 @@ TEST(ExecOracleTest, NoDiskPagesLeak) {
     ASSERT_EQ(r->size(), 1u);
   }
   EXPECT_EQ(disk.live_pages(), baseline);
+}
+
+// Serialized records served as they are, in key order: a store whose
+// pages hold records SerializeEntry would not write.
+class RecordSource : public EntrySource {
+ public:
+  explicit RecordSource(std::vector<std::string> records)
+      : records_(std::move(records)) {}
+
+  Status ScanRange(
+      std::string_view start_key, std::string_view end_key,
+      const std::function<Status(std::string_view)>& fn) const override {
+    for (const std::string& rec : records_) {
+      NDQ_ASSIGN_OR_RETURN(std::string_view key, PeekEntryKey(rec));
+      if (key < start_key || (!end_key.empty() && key >= end_key)) continue;
+      NDQ_RETURN_IF_ERROR(fn(rec));
+    }
+    return Status::OK();
+  }
+  uint64_t num_entries() const override { return records_.size(); }
+
+ private:
+  std::vector<std::string> records_;
+};
+
+// An atomic scan matches each in-scope record in place, as the Entry it
+// decodes to: a non-canonical record (values out of order and repeated)
+// matches as its canonical entry and is written out as read, and a
+// record DeserializeEntry rejects still fails the scan that reaches it.
+TEST(ExecRecordTest, ScansMatchRecordsAsTheirEntries) {
+  auto record = [](const char* dn, std::vector<int64_t> xs,
+                   uint8_t kind = 0) {
+    std::string rec;
+    ByteWriter w(&rec);
+    w.PutString(testing::D(dn).HierKey());
+    w.PutVarint(1);
+    w.PutString("x");
+    w.PutVarint(xs.size());
+    for (int64_t x : xs) {
+      w.PutU8(kind);
+      w.PutSigned(x);
+    }
+    return rec;
+  };
+  const std::string odd = record("cn=b, dc=com", {9, 2, 9});
+  std::vector<std::string> records = {
+      record("dc=com", {1}), record("cn=a, dc=org", {3}), odd,
+      record("cn=c, dc=com", {2}), record("cn=z, dc=org", {2}, /*kind=*/7)};
+  std::sort(records.begin(), records.end(),
+            [](const std::string& a, const std::string& b) {
+              return *PeekEntryKey(a) < *PeekEntryKey(b);
+            });
+  RecordSource source(std::move(records));
+  SimDisk disk(1024);
+  auto scan = [&](const char* base, Scope scope, const char* filter) {
+    return EvalAtomic(&disk, source, testing::D(base), scope,
+                      AtomicFilter::Parse(filter).TakeValue());
+  };
+
+  Result<EntryList> high = scan("dc=com", Scope::kSub, "x>=9");
+  ASSERT_TRUE(high.ok()) << high.status().ToString();
+  Result<std::vector<Entry>> got = ReadEntryList(&disk, *high);
+  ASSERT_TRUE(got.ok());
+  ASSERT_EQ(got->size(), 1u);
+  Entry want(testing::D("cn=b, dc=com"));
+  want.AddInt("x", 2);
+  want.AddInt("x", 9);
+  EXPECT_EQ((*got)[0], want);
+  RunReader reader(&disk, *high);
+  std::string rec;
+  ASSERT_TRUE(reader.Next(&rec).ValueOrDie());
+  EXPECT_EQ(rec, odd);
+
+  Result<EntryList> twos = scan("dc=com", Scope::kSub, "x=2");
+  ASSERT_TRUE(twos.ok());
+  EXPECT_EQ(twos->num_records, 2u);
+
+  // dc=org's subtree reaches the record with a bad kind byte; the base
+  // scope of its sibling does not.
+  EXPECT_EQ(scan("dc=org", Scope::kSub, "x=3").status().code(),
+            StatusCode::kCorruption);
+  Result<EntryList> sibling = scan("cn=a, dc=org", Scope::kBase, "x=3");
+  ASSERT_TRUE(sibling.ok());
+  EXPECT_EQ(sibling->num_records, 1u);
 }
 
 }  // namespace

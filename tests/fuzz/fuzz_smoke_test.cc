@@ -204,6 +204,10 @@ TEST(ReproTest, MalformedInputIsRejected) {
   EXPECT_FALSE(
       Repro::FromText("ndqrepro 1\nentry \"dc=n0\"\nattr x int z\nend\n")
           .ok());
+  EXPECT_FALSE(Repro::FromText("ndqrepro 1\nseed abc\n").ok());
+  EXPECT_FALSE(Repro::FromText("ndqrepro 1\nseed\n").ok());
+  EXPECT_FALSE(Repro::FromText("ndqrepro 1\nseed -1\n").ok());
+  EXPECT_TRUE(Repro::FromText("ndqrepro 1\nseed 18446744073709551615\n").ok());
 }
 
 // A healthy handcrafted repro must replay clean through the full matrix.

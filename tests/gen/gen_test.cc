@@ -62,9 +62,7 @@ TEST(DifGenTest, EntriesValidateAndReferencesResolve) {
     // Every DN-valued reference points at an existing entry.
     for (const char* attr :
          {"SLATPRef", "SLAPVPRef", "SLADSActRef", "SLAExceptionRef"}) {
-      const std::vector<Value>* vals = entry.Values(attr);
-      if (vals == nullptr) continue;
-      for (const Value& v : *vals) {
+      for (const Value& v : entry.Values(attr)) {
         Dn target = Dn::Parse(v.AsString()).TakeValue();
         EXPECT_NE(inst.Find(target), nullptr)
             << attr << " dangling in " << entry.dn().ToString();
@@ -119,9 +117,7 @@ TEST(RandomForestTest, ReferencesPointAtInstanceEntries) {
   size_t refs = 0;
   for (const auto& [key, entry] : inst) {
     (void)key;
-    const std::vector<Value>* vals = entry.Values("ref");
-    if (vals == nullptr) continue;
-    for (const Value& v : *vals) {
+    for (const Value& v : entry.Values("ref")) {
       Dn target = Dn::Parse(v.AsString()).TakeValue();
       EXPECT_NE(inst.Find(target), nullptr);
       ++refs;

@@ -108,7 +108,7 @@ TEST(AttrIndexTest, DnReferenceEquality) {
     }
   }
   ASSERT_NE(policy, nullptr);
-  std::string target = policy->Values("SLATPRef")->at(0).AsString();
+  std::string target = policy->Values("SLATPRef").at(0).AsString();
   AtomicFilter filter =
       AtomicFilter::Equals("SLATPRef", Value::String(target));
   Result<std::optional<ndq::Run>> r =

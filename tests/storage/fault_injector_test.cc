@@ -105,6 +105,17 @@ TEST(FaultInjectorTest, ParseAcceptsTheDocumentedGrammar) {
   EXPECT_FALSE(FaultInjector::Parse("read:n=").ok());
   EXPECT_FALSE(FaultInjector::Parse("read:p=nope").ok());
   EXPECT_FALSE(FaultInjector::Parse("read:frobnicate=1").ok());
+  // Out of range or signed numbers, and a NaN probability, are errors
+  // rather than a wrapped, negated, saturated or never-firing rule.
+  for (const char* bad :
+       {"read:page=4294967296", "read:n=-1", "read:every=-3",
+        "read:n=99999999999999999999999", "read:p=nan", "read:seed=-1:n=1",
+        "read:n=+5"}) {
+    EXPECT_EQ(FaultInjector::Parse(bad).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+  EXPECT_TRUE(FaultInjector::Parse("read:page=4294967295").ok());
 }
 
 TEST(FaultInjectorTest, ParsedPolicyBehavesLikeTheBuiltOne) {
