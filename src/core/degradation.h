@@ -10,7 +10,10 @@
 #ifndef NDQ_CORE_DEGRADATION_H_
 #define NDQ_CORE_DEGRADATION_H_
 
+#include <mutex>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace ndq {
 
@@ -24,6 +27,24 @@ struct DegradationWarning {
   std::string ToString() const {
     return "degraded: " + source + ": " + detail;
   }
+};
+
+/// The warnings one evaluation (or one subtree of it) recorded, in
+/// recording order. Thread-safe: sibling subtrees record concurrently.
+class DegradationLog {
+ public:
+  void Record(DegradationWarning warning) {
+    std::lock_guard<std::mutex> lock(mu_);
+    warnings_.push_back(std::move(warning));
+  }
+  std::vector<DegradationWarning> Take() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::exchange(warnings_, {});
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<DegradationWarning> warnings_;
 };
 
 }  // namespace ndq

@@ -212,56 +212,33 @@ Status DistributedDirectory::FetchAtomicFromShard(Shard& shard,
   return last;
 }
 
-/// The coordinator's node source for one Execute call.
-class DistributedDirectory::CallSource : public NodeSource {
- public:
-  explicit CallSource(DistributedDirectory* fleet) : fleet_(fleet) {}
-
-  Result<std::optional<EntryList>> Answer(const Query& node,
-                                          OpTrace* trace) override {
-    if (node.is_atomic() || node.op() == QueryOp::kLdap) {
-      NDQ_ASSIGN_OR_RETURN(EntryList merged,
-                           fleet_->EvaluateAtomicDistributed(node, trace,
-                                                             *this));
-      return std::optional<EntryList>(std::move(merged));
-    }
-    // A (sub)query whose leaves all lie in one shard's exclusive
-    // ownership ships whole; anything else evaluates its operands here.
-    Shard* owner =
-        fleet_->query_shipping_ ? fleet_->SingleOwner(node) : nullptr;
-    if (owner == nullptr || !AnyReplicaUp(*owner)) {
-      return std::optional<EntryList>();
-    }
-    Result<EntryList> whole = fleet_->ShipWholeQuery(node, owner, trace);
-    if (whole.ok()) return std::optional<EntryList>(whole.TakeValue());
-    if (whole.status().code() != StatusCode::kUnavailable) {
-      return whole.status();
-    }
-    // Every replica failed the shipment transiently mid-flight: fall back
-    // to the operands, which retry each shard independently and can
-    // degrade instead of failing.
-    ++fleet_->net_.retries;
+Result<std::optional<EntryList>> DistributedDirectory::Answer(
+    const Query& node, OpTrace* trace, const SourceContext& context) {
+  if (node.is_atomic() || node.op() == QueryOp::kLdap) {
+    NDQ_ASSIGN_OR_RETURN(EntryList merged,
+                         EvaluateAtomicDistributed(node, trace, context));
+    return std::optional<EntryList>(std::move(merged));
+  }
+  // A (sub)query whose leaves all lie in one shard's exclusive ownership
+  // ships whole; anything else evaluates its operands at the coordinator.
+  Shard* owner = query_shipping_ ? SingleOwner(node) : nullptr;
+  if (owner == nullptr || !AnyReplicaUp(*owner)) {
     return std::optional<EntryList>();
   }
-
-  void Degrade(const Shard& shard, const Status& why) {
-    std::lock_guard<std::mutex> lock(mu_);
-    warnings_.push_back({shard.name(), why.message()});
+  Result<EntryList> whole = ShipWholeQuery(node, owner, trace);
+  if (whole.ok()) return std::optional<EntryList>(whole.TakeValue());
+  if (whole.status().code() != StatusCode::kUnavailable) {
+    return whole.status();
   }
-
-  std::vector<DegradationWarning> TakeWarnings() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return std::move(warnings_);
-  }
-
- private:
-  DistributedDirectory* fleet_;
-  std::mutex mu_;
-  std::vector<DegradationWarning> warnings_;
-};
+  // Every replica failed the shipment transiently mid-flight: fall back to
+  // the operands, which retry each shard independently and can degrade
+  // instead of failing.
+  ++net_.retries;
+  return std::optional<EntryList>();
+}
 
 Result<EntryList> DistributedDirectory::EvaluateAtomicDistributed(
-    const Query& query, OpTrace* trace, CallSource& source) {
+    const Query& query, OpTrace* trace, const SourceContext& context) {
   std::vector<size_t> owner_idx =
       routing_.OwnersFor(query.base(), query.scope());
   net_.servers_contacted += owner_idx.size();
@@ -280,7 +257,7 @@ Result<EntryList> DistributedDirectory::EvaluateAtomicDistributed(
     // via the warnings.
     ++net_.degraded_results;
     if (trace != nullptr) ++trace->degraded_shards;
-    source.Degrade(*owners[i], why);
+    context.degradations->Record({owners[i]->name(), why.message()});
   };
 
   std::vector<char> excluded(owners.size(), 0);
@@ -289,9 +266,10 @@ Result<EntryList> DistributedDirectory::EvaluateAtomicDistributed(
   // re-fetch (their streams were partially drained). Terminates — every
   // round either returns or excludes at least one shard.
   while (true) {
-    // Scatter: issue the atomic query to every live owning shard; with a
-    // pool the shards work concurrently (slot `i` keeps results in owner
-    // order, so the merge — and therefore the output — is deterministic).
+    // Scatter: issue the atomic query to every live owning shard; on the
+    // asking evaluation's pool the shards work concurrently (slot `i`
+    // keeps results in owner order, so the merge — and therefore the
+    // output — is deterministic).
     struct PerShard {
       Status status;
       ShardFetch fetch;
@@ -300,7 +278,7 @@ Result<EntryList> DistributedDirectory::EvaluateAtomicDistributed(
     };
     std::vector<PerShard> rs(owners.size());
     {
-      ThreadPool::TaskGroup group(pool_.get());
+      ThreadPool::TaskGroup group(context.pool);
       for (size_t i = 0; i < owners.size(); ++i) {
         if (excluded[i]) continue;
         group.Run([&, i] {
@@ -429,7 +407,7 @@ Result<EntryList> DistributedDirectory::ShipWholeQuery(const Query& query,
     std::lock_guard<std::mutex> server_lock(server->mu_);
     // The replica runs the same evaluator, sequential and uncached, on
     // this thread: its trace nodes carry this thread's worker id.
-    ParallelEvaluator remote(server->disk(), &server->store(), options_);
+    ParallelEvaluator remote(server->disk(), &server->store());
     NDQ_ASSIGN_OR_RETURN(EntryList local, remote.Evaluate(query, trace));
     ScopedRun local_guard(server->disk(), std::move(local));
     RunWriter writer(coordinator_disk_.get(), PageFormat::kKeyPrefix);
@@ -495,76 +473,42 @@ Result<EntryList> DistributedDirectory::ShipWholeQuery(const Query& query,
 
 Result<std::vector<Entry>> DistributedDirectory::Execute(
     const Query& query, OpTrace* trace,
-    std::vector<DegradationWarning>* warnings, OperandCache* batch_cache,
-    const SharedOperands* batch_shared) {
-  // The coordinator runs the ordinary bottom-up walk on its own disk and
-  // the fleet's pool, with the fleet as its node source: it has no store
-  // of its own, and caches only what a batch shares.
-  CallSource source(this);
-  ParallelEvaluator coordinator(coordinator_disk_.get(), /*store=*/nullptr,
-                                options_, batch_cache, pool_.get(), &source);
-  Result<std::vector<Entry>> out = coordinator.EvaluateToEntries(
-      query, trace, batch_cache != nullptr ? batch_shared : nullptr);
-  if (warnings != nullptr) *warnings = source.TakeWarnings();
-  return out;
+    std::vector<DegradationWarning>* warnings) {
+  ParallelEvaluator coordinator(coordinator_disk_.get(), this, {},
+                                /*cache=*/nullptr, pool_.get(), this);
+  return coordinator.EvaluateToEntries(query, trace, /*shared=*/nullptr,
+                                       warnings);
 }
 
-namespace {
+Status DistributedDirectory::ScanRange(
+    std::string_view, std::string_view,
+    const std::function<Status(std::string_view)>&) const {
+  return Status::NotSupported(
+      "a fleet answers its leaves by scatter-gather; it is not scannable");
+}
 
-/// Coordinator-side view of the fleet for the cost model: estimates are
-/// summed over every shard's own estimates (replica 0 — replicas are
-/// identical), which keeps them upper bounds on the merged directory
-/// (entries live on exactly one shard). It carries no merged statistics
-/// (stats() stays nullptr), so the optimizer only uses the shards' range
-/// geometry; scanning through it is not supported — it exists purely for
-/// estimation.
-class FleetSource : public EntrySource {
- public:
-  explicit FleetSource(const std::vector<std::unique_ptr<Shard>>& shards)
-      : shards_(shards) {}
+uint64_t DistributedDirectory::num_entries() const {
+  uint64_t n = 0;
+  for (const auto& s : shards_) n += s->num_entries();
+  return n;
+}
 
-  Status ScanRange(std::string_view, std::string_view,
-                   const std::function<Status(std::string_view)>&)
-      const override {
-    return Status::NotSupported(
-        "FleetSource is an estimation-only view of the fleet");
+uint64_t DistributedDirectory::EstimateRangeRecords(
+    std::string_view start_key, std::string_view end_key) const {
+  uint64_t n = 0;
+  for (const auto& s : shards_) {
+    n += s->replica(0)->store().EstimateRangeRecords(start_key, end_key);
   }
+  return n;
+}
 
-  uint64_t num_entries() const override {
-    uint64_t n = 0;
-    for (const auto& s : shards_) n += s->num_entries();
-    return n;
+uint64_t DistributedDirectory::EstimateRangePages(
+    std::string_view start_key, std::string_view end_key) const {
+  uint64_t n = 0;
+  for (const auto& s : shards_) {
+    n += s->replica(0)->store().EstimateRangePages(start_key, end_key);
   }
-
-  uint64_t EstimateRangeRecords(std::string_view start_key,
-                                std::string_view end_key) const override {
-    uint64_t n = 0;
-    for (const auto& s : shards_) {
-      n += s->replica(0)->store().EstimateRangeRecords(start_key, end_key);
-    }
-    return n;
-  }
-
-  uint64_t EstimateRangePages(std::string_view start_key,
-                              std::string_view end_key) const override {
-    uint64_t n = 0;
-    for (const auto& s : shards_) {
-      n += s->replica(0)->store().EstimateRangePages(start_key, end_key);
-    }
-    return n;
-  }
-
- private:
-  const std::vector<std::unique_ptr<Shard>>& shards_;
-};
-
-}  // namespace
-
-const EntrySource& DistributedDirectory::estimation_source() {
-  if (fleet_source_ == nullptr) {
-    fleet_source_ = std::make_unique<FleetSource>(shards_);
-  }
-  return *fleet_source_;
+  return n;
 }
 
 std::map<std::string, uint64_t> DistributedDirectory::ReplicaFailovers()

@@ -22,9 +22,11 @@
 // to end, so the coordinator's operator algorithms run unchanged.
 //
 // The coordinator computes the result with the ordinary evaluator
-// (exec/parallel_evaluator.h): the fleet is its node source, answering
-// each leaf by scatter-gather and each single-shard subtree by shipping it
-// whole to a replica, which evaluates it with the same evaluator.
+// (exec/parallel_evaluator.h): the fleet is a long-lived node source of
+// that evaluator, answering each leaf by scatter-gather and each
+// single-shard subtree by shipping it whole to a replica, which evaluates
+// it with the same evaluator. It is also the evaluator's estimation view
+// of the data (an EntrySource that estimates but does not scan).
 //
 // Everything is simulated in-process: every replica has its own SimDisk
 // (I/O accounted per replica) and the "network" counts messages and
@@ -32,8 +34,10 @@
 //
 // Frontends do not call this class directly: construct an ndq::Engine
 // with EngineOptions{backend = EngineBackend::kDistributed, topology} and
-// evaluate through Sessions (engine/engine.h) — admission control,
-// planning and batch sharing then work identically against a fleet.
+// evaluate through Sessions (engine/engine.h). The engine's one evaluator,
+// operand cache and pool then serve the fleet exactly as they serve a
+// local store: admission control, planning and batch sharing are the
+// same code.
 
 #ifndef NDQ_DIST_DISTRIBUTED_H_
 #define NDQ_DIST_DISTRIBUTED_H_
@@ -47,7 +51,6 @@
 
 #include "core/degradation.h"
 #include "dist/topology.h"
-#include "exec/operand_cache.h"
 #include "exec/parallel_evaluator.h"
 #include "exec/thread_pool.h"
 #include "query/ast.h"
@@ -55,8 +58,8 @@
 namespace ndq {
 
 /// Network accounting for distributed evaluation. Counters are relaxed
-/// atomics so concurrent sub-plan shipping (set_parallelism) and
-/// concurrent Execute calls (Engine sessions) keep the accounting exact.
+/// atomics so concurrent sub-plan shipping and concurrent evaluations
+/// (Engine sessions) keep the accounting exact.
 struct NetStats {
   RelaxedCounter messages = 0;  ///< request/response round trips
   RelaxedCounter bytes_shipped = 0;  ///< result payload bytes moved to
@@ -97,7 +100,9 @@ struct RetryPolicy {
 // DegradationWarning (core/degradation.h) is attached to evaluations that
 // returned a partial result: `source` names the shard whose contribution
 // is missing, `detail` carries the last failure (e.g. "replica 'org0/r1'
-// is down"). See DistributedDirectory::Execute's `warnings`.
+// is down"). The fleet records it in the asking evaluation's log
+// (SourceContext), which ParallelEvaluator::Evaluate and
+// DistributedDirectory::Execute return as `warnings`.
 
 /// One replica of a shard: the shard's naming context plus a full copy of
 /// its partition in a store over the replica's own disk.
@@ -166,8 +171,11 @@ class Shard {
   std::atomic<uint64_t> next_replica_{0};
 };
 
-/// \brief A fleet of replicated shards plus a coordinator.
-class DistributedDirectory {
+/// \brief A fleet of replicated shards plus a coordinator: the node
+/// source and the estimation view of a coordinator evaluator. Safe under
+/// concurrent evaluations; each Answer's SourceContext carries the
+/// per-evaluation state (pool, degradation log).
+class DistributedDirectory : public NodeSource, public EntrySource {
  public:
   /// Partitions `global` across the topology's shards — each entry goes
   /// to the shard with the deepest context that is an ancestor-or-self of
@@ -186,24 +194,44 @@ class DistributedDirectory {
   std::vector<std::string> OwnersFor(const Dn& base, Scope scope) const;
 
   /// Distributed bottom-up evaluation; the result materializes at the
-  /// coordinator. Safe to call concurrently from multiple threads (the
-  /// Engine's session dispatch does): all per-evaluation state is local
-  /// to the call. A non-null `trace` receives the per-operator execution
-  /// trace (exec/trace.h): I/O is summed over every disk in the fleet
-  /// (coordinator + replicas), and atomic nodes additionally record the
-  /// records/bytes shipped across the simulated network plus the retries
-  /// and replica failovers the shipping needed. A non-null `warnings`
-  /// receives this call's DegradationWarnings (empty when the result is
-  /// complete). `batch_cache`/`batch_shared` (both may be null) carry a
-  /// batch's coordinator-side sub-plan sharing state: sub-plans in
-  /// `batch_shared` are served from — and on first sight published to —
-  /// `batch_cache` instead of re-shipping (engine/engine.h RunBatch).
-  /// Nothing else is cached.
+  /// coordinator. A thin wrapper: an uncached ParallelEvaluator on the
+  /// coordinator disk and this fleet's pool (set_parallelism), with the
+  /// fleet as its node source — what an Engine runs, without the Engine.
+  /// Safe to call concurrently. A non-null `trace` receives
+  /// the per-operator execution trace (exec/trace.h): I/O is summed over
+  /// every disk in the fleet (coordinator + replicas), and atomic nodes
+  /// additionally record the records/bytes shipped across the simulated
+  /// network plus the retries and replica failovers the shipping needed.
+  /// A non-null `warnings` receives this call's DegradationWarnings
+  /// (empty when the result is complete).
   Result<std::vector<Entry>> Execute(
       const Query& query, OpTrace* trace = nullptr,
-      std::vector<DegradationWarning>* warnings = nullptr,
-      OperandCache* batch_cache = nullptr,
-      const SharedOperands* batch_shared = nullptr);
+      std::vector<DegradationWarning>* warnings = nullptr);
+
+  /// NodeSource: a leaf scatter-gathers across its owning shards (fanned
+  /// out on `context.pool`); a (sub)query a single shard exclusively owns
+  /// ships whole to one of its replicas (set_query_shipping); anything
+  /// else is declined, so the evaluator forks its operands. A shard that
+  /// stays unavailable through every replica and retry degrades the
+  /// answer into `context.degradations` (set_allow_degraded).
+  Result<std::optional<EntryList>> Answer(
+      const Query& node, OpTrace* trace,
+      const SourceContext& context) override;
+
+  /// EntrySource, for estimation only (ScanRange is NotSupported): the
+  /// shards' own estimates summed, still upper bounds on the merged
+  /// directory since entries live on exactly one shard. No merged
+  /// statistics (stats() stays nullptr): the optimizer only uses the
+  /// shards' range geometry.
+  Status ScanRange(
+      std::string_view start_key, std::string_view end_key,
+      const std::function<Status(std::string_view record)>& fn)
+      const override;
+  uint64_t num_entries() const override;
+  uint64_t EstimateRangeRecords(std::string_view start_key,
+                                std::string_view end_key) const override;
+  uint64_t EstimateRangePages(std::string_view start_key,
+                              std::string_view end_key) const override;
 
   /// When enabled (default), a (sub)query whose atomic leaves all fall
   /// within ONE shard's exclusive ownership is shipped to a replica of
@@ -217,10 +245,11 @@ class DistributedDirectory {
   /// nullptr if the query spans shards. Exposed for tests.
   Shard* SingleOwner(const Query& query);
 
-  /// Evaluates independent sub-plans (operand subtrees, per-shard atomic
-  /// fan-out) on up to `n` threads (1 = sequential, the default). Results
-  /// are identical to sequential evaluation; only scheduling changes. Not
-  /// thread-safe against a concurrent Execute.
+  /// Execute's pool: independent sub-plans (operand subtrees, per-shard
+  /// atomic fan-out) run on up to `n` threads (1 = sequential, the
+  /// default). Results are identical to sequential evaluation; only
+  /// scheduling changes. Not thread-safe against a concurrent Execute.
+  /// An Engine's evaluations run on the engine's pool instead.
   void set_parallelism(size_t n);
   size_t parallelism() const {
     return pool_ != nullptr ? pool_->parallelism() : 1;
@@ -255,19 +284,8 @@ class DistributedDirectory {
   std::vector<DirectoryServer*> servers() const;
   DirectoryServer* FindServer(const std::string& name);
 
-  /// Coordinator-side estimation view of the fleet (per-shard estimates
-  /// summed; not scannable). Lives as long as this object; created on
-  /// first call, which must not race an Execute.
-  const EntrySource& estimation_source();
-
  private:
   DistributedDirectory() = default;
-
-  /// The fleet as the coordinator evaluator's node source for one Execute
-  /// call (defined in the .cc): leaves scatter-gather, single-shard
-  /// subtrees ship whole. It also collects the call's warnings, so
-  /// concurrent evaluations (Engine sessions) never share mutable state.
-  class CallSource;
 
   /// One shard-level fetch: the atomic query evaluated on one healthy
   /// replica, with round-robin replica choice, per-replica retries and
@@ -285,11 +303,11 @@ class DistributedDirectory {
                               bool want_trace, ShardFetch* out);
 
   /// Scatter-gather: the leaf on every owning shard, merged at the
-  /// coordinator; shards that stay unavailable degrade into `source`'s
-  /// warnings (when allowed).
+  /// coordinator; shards that stay unavailable degrade into `context`'s
+  /// log (when allowed).
   Result<EntryList> EvaluateAtomicDistributed(const Query& query,
                                               OpTrace* trace,
-                                              CallSource& source);
+                                              const SourceContext& context);
 
   /// Evaluates `query` on one replica of `shard` and ships the result to
   /// the coordinator. The replica's evaluator fills `trace`; on a
@@ -304,7 +322,6 @@ class DistributedDirectory {
   std::vector<std::unique_ptr<Shard>> shards_;
   RoutingTable routing_;
   std::unique_ptr<SimDisk> coordinator_disk_;
-  ExecOptions options_;
   NetStats net_;
   bool query_shipping_ = true;
   RetryPolicy retry_policy_;
@@ -314,11 +331,7 @@ class DistributedDirectory {
   /// of Build).
   std::shared_ptr<std::atomic<uint64_t>> jitter_seq_ =
       std::make_shared<std::atomic<uint64_t>>(0);
-  std::unique_ptr<ThreadPool> pool_;  // null = sequential
-  /// Lazily built estimation view (FleetSource in the .cc). Built after
-  /// the object has settled at its final address — a member built inside
-  /// Build() would dangle when the Result moves the object out.
-  std::unique_ptr<EntrySource> fleet_source_;
+  std::unique_ptr<ThreadPool> pool_;  // Execute's; null = sequential
 };
 
 }  // namespace ndq

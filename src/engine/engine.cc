@@ -20,10 +20,8 @@ namespace internal {
 struct TicketState {
   QueryPtr plan;
   std::shared_ptr<const SharedOperands> shared;
-  /// Distributed batches: the batch's coordinator-side operand cache,
-  /// kept alive by the tickets that share it.
-  std::shared_ptr<OperandCache> dist_cache;
   OptimizeStats opt;  ///< what the optimizer did to `plan`
+  double estimated_pages = 0;  ///< the cost admission judged `plan` by
 
   mutable std::mutex mu;
   mutable std::condition_variable cv;
@@ -116,34 +114,18 @@ class SessionImpl : public std::enable_shared_from_this<SessionImpl> {
     br.stats.shared_occurrences = census.TotalOccurrences();
     OperandCache* cache = engine_->cache();
     std::shared_ptr<const SharedOperands> shared;
-    std::shared_ptr<OperandCache> dist_cache;
     OperandCacheStats before;
-    if (!census.shared.empty()) {
-      if (engine_->fleet() != nullptr) {
-        // Distributed: sharing happens at the coordinator. No precompute
-        // pass — the local evaluator cannot reach the fleet; instead the
-        // first query to need a shared sub-plan ships it and publishes
-        // the shipped list to this per-batch cache, and every later
-        // occurrence is a coordinator-local copy.
-        if (engine_->options().cache_capacity_pages > 0) {
-          shared = std::make_shared<const SharedOperands>(
-              SharedOperands{census.SharedKeys()});
-          dist_cache = std::make_shared<OperandCache>(
-              engine_->fleet()->coordinator_disk(),
-              engine_->options().cache_capacity_pages);
-        }
-      } else if (cache != nullptr) {
-        before = cache->stats();
-        shared = std::make_shared<const SharedOperands>(
-            SharedOperands{census.SharedKeys()});
-        engine_->PrecomputeShared(census.maximal, shared);
-      }
+    if (!census.shared.empty() && cache != nullptr) {
+      before = cache->stats();
+      shared = std::make_shared<const SharedOperands>(
+          SharedOperands{census.SharedKeys()});
+      engine_->PrecomputeShared(census.maximal, shared);
     }
 
     std::vector<QueryTicket> tickets(parsed.size());
     for (size_t i = 0; i < parsed.size(); ++i) {
       if (!parsed[i].ok()) continue;
-      tickets[i] = SubmitCanonical(canon[i], shared, opts[i], dist_cache);
+      tickets[i] = SubmitCanonical(canon[i], shared, opts[i]);
     }
     for (size_t i = 0; i < parsed.size(); ++i) {
       if (!parsed[i].ok()) {
@@ -159,8 +141,7 @@ class SessionImpl : public std::enable_shared_from_this<SessionImpl> {
       }
     }
     if (shared != nullptr) {
-      OperandCacheStats after =
-          dist_cache != nullptr ? dist_cache->stats() : cache->stats();
+      OperandCacheStats after = cache->stats();
       br.stats.cache_hits = after.hits - before.hits;
       br.stats.cache_misses = after.misses - before.misses;
     }
@@ -193,9 +174,7 @@ class SessionImpl : public std::enable_shared_from_this<SessionImpl> {
   /// Admission + enqueue of an already-canonical, already-optimized plan.
   QueryTicket SubmitCanonical(QueryPtr plan,
                               std::shared_ptr<const SharedOperands> shared,
-                              const OptimizeStats& opt = {},
-                              std::shared_ptr<OperandCache> dist_cache =
-                                  nullptr) {
+                              const OptimizeStats& opt = {}) {
     double est = EstimateCost(*engine_->PinStore(), *plan).TotalPages();
     uint64_t budget = options_.per_query_page_budget ==
                               SessionOptions::kInheritBudget
@@ -214,8 +193,8 @@ class SessionImpl : public std::enable_shared_from_this<SessionImpl> {
     auto state = std::make_shared<TicketState>();
     state->plan = std::move(plan);
     state->shared = std::move(shared);
-    state->dist_cache = std::move(dist_cache);
     state->opt = opt;
+    state->estimated_pages = est;
     bool dispatch = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -257,8 +236,9 @@ class SessionImpl : public std::enable_shared_from_this<SessionImpl> {
   /// One dispatched task: evaluate, deliver, pull the next waiting query.
   void Chain(std::shared_ptr<TicketState> state) {
     while (state != nullptr) {
-      QueryOutcome out = engine_->ExecuteQuery(
-          state->plan, state->shared.get(), state->dist_cache.get());
+      QueryOutcome out =
+          engine_->ExecuteQuery(state->plan, state->shared.get());
+      out.estimated_pages = state->estimated_pages;
       out.optimizer = state->opt;
       out.trace.plan_rewrites = state->opt.Total();
       state->Complete(std::move(out));
@@ -525,7 +505,7 @@ Engine::Engine(const DirectoryInstance& global, EngineOptions options)
     if (built.ok()) {
       fleet_ = std::make_unique<DistributedDirectory>(built.TakeValue());
       scratch_ = fleet_->coordinator_disk();
-      store_ = &fleet_->estimation_source();
+      store_ = fleet_.get();
     } else {
       init_status_ = built.status();
     }
@@ -600,9 +580,6 @@ void Engine::RebuildPoolLocked(size_t parallelism) {
   group_.reset();
   pool_.reset();
   options_.exec.parallelism = parallelism;
-  // The fleet fans out across shards with the same degree; its pool is
-  // its own (shard fetches must not deadlock against session dispatch).
-  if (fleet_ != nullptr) fleet_->set_parallelism(parallelism);
   // A session thread blocks on its ticket instead of helping the pool
   // (unlike a direct ParallelEvaluator caller), so delivering
   // `parallelism` concurrent evaluation threads takes that many WORKERS —
@@ -611,9 +588,12 @@ void Engine::RebuildPoolLocked(size_t parallelism) {
   pool_ = std::make_unique<ThreadPool>(parallelism <= 1 ? 1
                                                         : parallelism + 1);
   group_ = std::make_unique<ThreadPool::TaskGroup>(pool_.get());
+  // A fleet answers every leaf (fanning its shard fetches out on this
+  // same pool); a local store's selective leaves may go to the index.
+  NodeSource* source = index_source_.get();
+  if (fleet_ != nullptr) source = fleet_.get();
   evaluator_ = std::make_unique<ParallelEvaluator>(
-      scratch_, store_, options_.exec, cache_.get(), pool_.get(),
-      index_source_.get());
+      scratch_, store_, options_.exec, cache_.get(), pool_.get(), source);
 }
 
 Session Engine::OpenSession(SessionOptions options) {
@@ -818,27 +798,15 @@ void Engine::Dispatch(std::function<void()> body) {
 }
 
 QueryOutcome Engine::ExecuteQuery(const QueryPtr& plan,
-                                  const SharedOperands* shared,
-                                  OperandCache* dist_cache) {
+                                  const SharedOperands* shared) {
   QueryOutcome out;
   out.plan = plan;
   if (!init_status_.ok()) {
     out.status = init_status_;
     return out;
   }
-  out.estimated_pages = EstimateCost(*PinStore(), *plan).TotalPages();
-  if (fleet_ != nullptr) {
-    Result<std::vector<Entry>> r =
-        fleet_->Execute(*plan, &out.trace, &out.warnings, dist_cache, shared);
-    if (!r.ok()) {
-      out.status = r.status();
-      return out;
-    }
-    out.entries = r.TakeValue();
-    return out;
-  }
-  Result<std::vector<Entry>> r =
-      evaluator_->EvaluateToEntries(*plan, &out.trace, shared);
+  Result<std::vector<Entry>> r = evaluator_->EvaluateToEntries(
+      *plan, &out.trace, shared, &out.warnings);
   out.trace.io_depth = scratch_->io_depth();
   if (!r.ok()) {
     out.status = r.status();

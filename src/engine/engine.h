@@ -24,11 +24,12 @@
 // DegradationWarning{source: "admission"} — never an abort, mirroring how
 // the distributed layer degrades instead of failing (core/degradation.h).
 //
-// Threading: the engine owns ONE fleet-wide pool; every in-flight query's
-// intra-query parallelism draws from it, so total concurrency is bounded
-// no matter how many sessions are open. Sessions are driven by user
-// threads; with parallelism 1 the pool has no workers and Submit runs the
-// query inline (the degenerate sequential mode, same code path).
+// Threading: the engine owns ONE pool; every in-flight query's
+// intra-query parallelism draws from it — operand subtrees and, on a
+// distributed backend, the shard fan-out — so total concurrency is
+// bounded no matter how many sessions are open. Sessions are driven by
+// user threads; with parallelism 1 the pool has no workers and Submit runs
+// the query inline (the degenerate sequential mode, same code path).
 
 #ifndef NDQ_ENGINE_ENGINE_H_
 #define NDQ_ENGINE_ENGINE_H_
@@ -89,7 +90,7 @@ struct EngineOptions {
   /// (see Disk::SetIoDepth). 0 (default) = synchronous reads. Changeable
   /// later via SetIoDepth.
   size_t io_depth = 0;
-  /// Evaluation knobs; `exec.parallelism` sizes the fleet-wide pool.
+  /// Evaluation knobs; `exec.parallelism` sizes the engine's pool.
   ExecOptions exec;
   /// Operand cache capacity on the scratch disk. 0 disables the cache
   /// (and with it cross-query sharing) — useful for cold-I/O benches.
@@ -320,10 +321,11 @@ class Engine {
   /// Backend-selecting mode: loads `global` behind options.backend.
   /// kLocal bulk-loads one engine-owned EntryStore (read-only);
   /// kDistributed partitions `global` across options.topology's
-  /// replicated shards and evaluates every query through the fleet —
-  /// Sessions, admission, EXPLAIN ANALYZE and batch sharing all work
-  /// unchanged. A failed build does not throw: init_status() carries the
-  /// error and every submitted query completes with it.
+  /// replicated shards, and the engine's one evaluator takes its leaves
+  /// and single-shard subtrees from the fleet — Sessions, admission,
+  /// EXPLAIN ANALYZE and batch sharing all work unchanged. A failed build
+  /// does not throw: init_status() carries the error and every submitted
+  /// query completes with it.
   Engine(const DirectoryInstance& global, EngineOptions options = {});
 
   ~Engine();
@@ -333,7 +335,7 @@ class Engine {
 
   Session OpenSession(SessionOptions options = {});
 
-  /// Resizes the fleet-wide pool (1 = sequential). Waits for every
+  /// Resizes the engine's pool (1 = sequential). Waits for every
   /// in-flight query to finish first; the operand cache survives. The
   /// setting persists for all future queries of every session.
   void SetParallelism(size_t n);
@@ -422,12 +424,11 @@ class Engine {
   /// (inline when the pool has no workers).
   void Dispatch(std::function<void()> body);
 
-  /// Evaluates one canonical plan (filling entries/trace/estimate).
-  /// `shared` may be null. `dist_cache` (null outside distributed
-  /// batches) is the batch's coordinator-side operand cache. Runs on the
-  /// dispatching task's thread.
-  QueryOutcome ExecuteQuery(const QueryPtr& plan, const SharedOperands* shared,
-                            OperandCache* dist_cache = nullptr);
+  /// Evaluates one canonical plan (filling entries/trace/warnings) with
+  /// the engine's one evaluator, whatever the backend. `shared` may be
+  /// null. Runs on the dispatching task's thread.
+  QueryOutcome ExecuteQuery(const QueryPtr& plan,
+                            const SharedOperands* shared);
 
   /// Materializes each plan in `roots` once, publishing it (and any
   /// nested shared subtree) to the operand cache; failures are absorbed
@@ -457,7 +458,8 @@ class Engine {
   // DirectoryInstance constructor, kLocal: the bulk-loaded segment.
   std::unique_ptr<EntryStore> owned_entry_store_;
   // DirectoryInstance constructor, kDistributed: the shard fleet. Its
-  // coordinator disk doubles as the engine's scratch.
+  // coordinator disk doubles as the engine's scratch, and the fleet is
+  // both store_ (the estimation view) and the evaluator's node source.
   std::unique_ptr<DistributedDirectory> fleet_;
   // Stand-in store after a failed build, so planning never dereferences
   // null; init_status_ fails the queries themselves.

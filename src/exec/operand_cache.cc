@@ -1,16 +1,6 @@
 #include "exec/operand_cache.h"
 
-#include "query/fingerprint.h"
-
 namespace ndq {
-
-std::string OperandCacheKey(const Query& query) {
-  // Since the batch engine (PR 5), cache keys ARE plan fingerprints
-  // (query/fingerprint.h): sound for any subtree, not just leaves, so
-  // one cache serves leaf reuse within a query and cross-query sub-plan
-  // sharing across a batch.
-  return QueryFingerprint(query);
-}
 
 OperandCache::OperandCache(Disk* disk, size_t capacity_pages)
     : disk_(disk), capacity_pages_(capacity_pages) {}

@@ -7,10 +7,14 @@
 // the cost of re-reading it (~out pages) instead of re-evaluating it
 // (scan >> out for selective filters).
 //
-// Keys are plan fingerprints (query/fingerprint.h, via OperandCacheKey
-// below): a typed binary encoding of the whole subtree, so two sub-plans
-// share an entry only when they are semantically the same plan. The
-// cache owns PRIVATE copies of the runs it stores: Insert
+// Keys are plan fingerprints (query/fingerprint.h QueryFingerprint): a
+// version-tagged, typed, length-prefixed encoding of the whole subtree —
+// operators, scopes, base HierKeys and filters — so two sub-plans share
+// an entry only when they are semantically the same plan (int- and
+// string-typed equality, True and Presence(objectClass), atomic and LDAP
+// leaves never collide). Parallelism and tracing are not in the key: the
+// cached list is invariant under them. The cache owns PRIVATE copies of
+// the runs it stores: Insert
 // copies the caller's list in, Lookup copies the cached list out into a
 // fresh run the caller owns. Nothing the caller later frees can invalidate
 // a cached entry, and concurrent hits on one entry are plain concurrent
@@ -33,21 +37,8 @@
 #include <unordered_map>
 
 #include "exec/common.h"
-#include "query/ast.h"
 
 namespace ndq {
-
-/// The sound cache key for a sub-plan: the plan fingerprint of the
-/// subtree (query/fingerprint.h) — a version-tagged, typed,
-/// length-prefixed encoding of the whole operator tree, scopes, base
-/// HierKeys and filters. Unlike the display label, it distinguishes int-
-/// from string-typed equality, True from Presence(objectClass), and
-/// atomic from LDAP leaves (so pre- and post-rewrite forms that differ
-/// semantically never collide). Sound for ANY subtree, not just leaves:
-/// the batch engine caches whole shared operand subtrees under it. It
-/// deliberately EXCLUDES parallelism and tracing knobs: the cached list
-/// is invariant under them.
-std::string OperandCacheKey(const Query& query);
 
 struct OperandCacheStats {
   uint64_t hits = 0;

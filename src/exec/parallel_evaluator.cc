@@ -28,7 +28,7 @@ Result<EntryList> FinishStep(Disk* disk, Result<EntryList> out,
 // pinned to a newer one (the owner's Clear() on mutation is the capacity
 // story, this is the correctness story).
 std::string VersionedKey(std::string fingerprint, const EntrySource* store) {
-  const uint64_t version = store != nullptr ? store->version() : 0;
+  const uint64_t version = store->version();
   if (version != 0) fingerprint += "@" + std::to_string(version);
   return fingerprint;
 }
@@ -48,8 +48,8 @@ IndexProbeSource::IndexProbeSource(Disk* disk,
       store_(store),
       use_probe_(std::move(use_probe)) {}
 
-Result<std::optional<EntryList>> IndexProbeSource::Answer(const Query& node,
-                                                          OpTrace* trace) {
+Result<std::optional<EntryList>> IndexProbeSource::Answer(
+    const Query& node, OpTrace* trace, const SourceContext&) {
   if (node.op() != QueryOp::kAtomic ||
       (use_probe_ != nullptr && !use_probe_(node))) {
     return std::optional<EntryList>();
@@ -76,10 +76,8 @@ ParallelEvaluator::ParallelEvaluator(Disk* disk, const EntrySource* store,
       options_(options),
       cache_(cache),
       source_(source),
-      owned_pool_(shared_pool == nullptr
-                      ? std::make_unique<ThreadPool>(
-                            options.parallelism == 0 ? 1
-                                                     : options.parallelism)
+      owned_pool_(shared_pool == nullptr && options.parallelism > 1
+                      ? std::make_unique<ThreadPool>(options.parallelism)
                       : nullptr),
       pool_(shared_pool != nullptr ? shared_pool : owned_pool_.get()) {}
 
@@ -95,9 +93,10 @@ void ParallelEvaluator::ResetStats() {
   stats_ = EvalStats();
 }
 
-Result<EntryList> ParallelEvaluator::Evaluate(const Query& query,
-                                              OpTrace* trace,
-                                              const SharedOperands* shared) {
+Result<EntryList> ParallelEvaluator::Evaluate(
+    const Query& query, OpTrace* trace, const SharedOperands* shared,
+    std::vector<DegradationWarning>* warnings) {
+  if (warnings != nullptr) warnings->clear();
   if (cache_ != nullptr && cache_->disk() != disk_) {
     return Status::InvalidArgument(
         "operand cache is backed by a different disk than the evaluator");
@@ -110,15 +109,21 @@ Result<EntryList> ParallelEvaluator::Evaluate(const Query& query,
   // thread or a forked worker — reads the same snapshot, so concurrent
   // mutations cannot tear a query across versions. Immutable stores
   // return nullptr and are read directly.
-  std::shared_ptr<const EntrySource> snapshot =
-      store_ != nullptr ? store_->PinSnapshot() : nullptr;
-  const EntrySource* store = snapshot != nullptr ? snapshot.get() : store_;
-  return EvaluateTraced(query, trace, shared, store);
+  std::shared_ptr<const EntrySource> snapshot = store_->PinSnapshot();
+  DegradationLog degradations;
+  Result<EntryList> out = EvaluateTraced(
+      query, trace,
+      Call{shared, snapshot != nullptr ? snapshot.get() : store_,
+           &degradations});
+  if (warnings != nullptr) *warnings = degradations.Take();
+  return out;
 }
 
 Result<std::vector<Entry>> ParallelEvaluator::EvaluateToEntries(
-    const Query& query, OpTrace* trace, const SharedOperands* shared) {
-  NDQ_ASSIGN_OR_RETURN(EntryList list, Evaluate(query, trace, shared));
+    const Query& query, OpTrace* trace, const SharedOperands* shared,
+    std::vector<DegradationWarning>* warnings) {
+  NDQ_ASSIGN_OR_RETURN(EntryList list,
+                       Evaluate(query, trace, shared, warnings));
   ScopedRun guard(disk_, std::move(list));
   Result<std::vector<Entry>> entries = ReadEntryList(disk_, guard.get());
   Status freed = guard.Free();
@@ -129,13 +134,11 @@ Result<std::vector<Entry>> ParallelEvaluator::EvaluateToEntries(
   return entries;
 }
 
-Result<EntryList> ParallelEvaluator::EvaluateTraced(
-    const Query& query, OpTrace* trace, const SharedOperands* shared,
-    const EntrySource* store) {
+Result<EntryList> ParallelEvaluator::EvaluateTraced(const Query& query,
+                                                    OpTrace* trace,
+                                                    const Call& call) {
   bool answered = false;
-  if (trace == nullptr) {
-    return EvaluateNode(query, nullptr, shared, store, &answered);
-  }
+  if (trace == nullptr) return EvaluateNode(query, nullptr, call, &answered);
   *trace = OpTrace();
   const auto start = std::chrono::steady_clock::now();
   IoStats self;
@@ -145,7 +148,7 @@ Result<EntryList> ParallelEvaluator::EvaluateTraced(
     // claim their own I/O; children on other threads never touch this
     // scope. Either way `self` is exactly this node's own traffic.
     IoScope scope(nullptr, &self);
-    return EvaluateNode(query, trace, shared, store, &answered);
+    return EvaluateNode(query, trace, call, &answered);
   }();
   trace->label = QueryNodeLabel(query);
   trace->op = query.op();
@@ -172,10 +175,8 @@ Result<EntryList> ParallelEvaluator::EvaluateTraced(
 }
 
 Status ParallelEvaluator::EvalOperandInto(const Query& query, OpTrace* trace,
-                                          const SharedOperands* shared,
-                                          const EntrySource* store,
-                                          ScopedRun* out) {
-  Result<EntryList> r = EvaluateTraced(query, trace, shared, store);
+                                          const Call& call, ScopedRun* out) {
+  Result<EntryList> r = EvaluateTraced(query, trace, call);
   if (!r.ok()) return r.status();
   *out = ScopedRun(disk_, r.TakeValue());
   return Status::OK();
@@ -208,9 +209,10 @@ Result<EntryList> ParallelEvaluator::Publish(const std::string& key,
   return out;
 }
 
-Result<EntryList> ParallelEvaluator::EvaluateNode(
-    const Query& query, OpTrace* trace, const SharedOperands* shared,
-    const EntrySource* store, bool* answered) {
+Result<EntryList> ParallelEvaluator::EvaluateNode(const Query& query,
+                                                  OpTrace* trace,
+                                                  const Call& call,
+                                                  bool* answered) {
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.operators_evaluated;
@@ -223,9 +225,10 @@ Result<EntryList> ParallelEvaluator::EvaluateNode(
   // fingerprint (that is what the scheduler computed); fingerprints are
   // recomputed per node, which is cheap for directory-query-sized trees.
   std::string key;
+  const SharedOperands* shared = call.shared;
   if (cache_ != nullptr && shared != nullptr && !shared->keys.empty()) {
     std::string fp = QueryFingerprint(query);
-    if (shared->contains(fp)) key = VersionedKey(std::move(fp), store);
+    if (shared->contains(fp)) key = VersionedKey(std::move(fp), call.store);
   }
   EntryList cached;
   bool hit = false;
@@ -233,10 +236,21 @@ Result<EntryList> ParallelEvaluator::EvaluateNode(
     NDQ_ASSIGN_OR_RETURN(hit, ServeCached(key, query, trace, &cached));
   }
   Result<EntryList> out = cached;
-  if (!hit) {
-    out = EvaluateUncached(query, trace, shared, store,
-                           /*cache_leaf=*/key.empty(), answered);
-    if (!key.empty()) out = Publish(key, std::move(out), trace);
+  if (!hit && key.empty()) {
+    out = EvaluateUncached(query, trace, call, /*cache_leaf=*/true, answered);
+  } else if (!hit) {
+    // A shared subtree records into a log of its own, so whether THIS
+    // list is partial is known exactly while siblings record concurrently:
+    // a partial list is never cached; its warnings still reach the caller.
+    DegradationLog subtree;
+    out = EvaluateUncached(query, trace,
+                           Call{call.shared, call.store, &subtree},
+                           /*cache_leaf=*/false, answered);
+    std::vector<DegradationWarning> degraded = subtree.Take();
+    if (degraded.empty()) out = Publish(key, std::move(out), trace);
+    for (DegradationWarning& w : degraded) {
+      call.degradations->Record(std::move(w));
+    }
   }
   if (out.ok() && IsLeaf(query)) {
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -246,19 +260,23 @@ Result<EntryList> ParallelEvaluator::EvaluateNode(
   return out;
 }
 
-Result<EntryList> ParallelEvaluator::EvaluateUncached(
-    const Query& query, OpTrace* trace, const SharedOperands* shared,
-    const EntrySource* store, bool cache_leaf, bool* answered) {
+Result<EntryList> ParallelEvaluator::EvaluateUncached(const Query& query,
+                                                      OpTrace* trace,
+                                                      const Call& call,
+                                                      bool cache_leaf,
+                                                      bool* answered) {
   if (source_ != nullptr) {
     std::optional<EntryList> sourced;
-    NDQ_ASSIGN_OR_RETURN(sourced, source_->Answer(query, trace));
+    NDQ_ASSIGN_OR_RETURN(
+        sourced,
+        source_->Answer(query, trace, SourceContext{pool_, call.degradations}));
     if (sourced.has_value()) {
       *answered = true;
       return std::move(*sourced);
     }
   }
-  if (IsLeaf(query)) return EvalLeaf(query, trace, store, cache_leaf);
-  return EvaluateOperator(query, trace, shared, store);
+  if (IsLeaf(query)) return EvalLeaf(query, trace, call.store, cache_leaf);
+  return EvaluateOperator(query, trace, call);
 }
 
 Result<EntryList> ParallelEvaluator::EvalLeaf(const Query& query,
@@ -269,14 +287,10 @@ Result<EntryList> ParallelEvaluator::EvalLeaf(const Query& query,
   // shares it: any later query may repeat it.
   std::string key;
   if (cache_leaf && cache_ != nullptr) {
-    key = VersionedKey(OperandCacheKey(query), store);
+    key = VersionedKey(QueryFingerprint(query), store);
     EntryList cached;
     NDQ_ASSIGN_OR_RETURN(bool hit, ServeCached(key, query, trace, &cached));
     if (hit) return cached;
-  }
-  if (store == nullptr) {
-    return Status::Internal("no store to scan for leaf " +
-                            QueryNodeLabel(query));
   }
   Result<EntryList> out =
       query.op() == QueryOp::kAtomic
@@ -288,9 +302,9 @@ Result<EntryList> ParallelEvaluator::EvalLeaf(const Query& query,
   return out;
 }
 
-Result<EntryList> ParallelEvaluator::EvaluateOperator(
-    const Query& query, OpTrace* trace, const SharedOperands* shared,
-    const EntrySource* store) {
+Result<EntryList> ParallelEvaluator::EvaluateOperator(const Query& query,
+                                                      OpTrace* trace,
+                                                      const Call& call) {
   OpTrace* t1 = nullptr;
   OpTrace* t2 = nullptr;
   OpTrace* t3 = nullptr;
@@ -307,7 +321,7 @@ Result<EntryList> ParallelEvaluator::EvaluateOperator(
   if (query.op() == QueryOp::kSimpleAgg) {
     // One operand: nothing to fork.
     ScopedRun l1;
-    NDQ_RETURN_IF_ERROR(EvalOperandInto(*query.q1(), t1, shared, store, &l1));
+    NDQ_RETURN_IF_ERROR(EvalOperandInto(*query.q1(), t1, call, &l1));
     Result<EntryList> out =
         EvalSimpleAgg(disk_, l1.get(), *query.agg(), trace);
     return FinishStep(disk_, std::move(out), {&l1});
@@ -325,13 +339,10 @@ Result<EntryList> ParallelEvaluator::EvaluateOperator(
   Status s1, s2, s3;
   {
     ThreadPool::TaskGroup group(pool_);
-    group.Run(
-        [&] { s1 = EvalOperandInto(*query.q1(), t1, shared, store, &l1); });
-    group.Run(
-        [&] { s2 = EvalOperandInto(*query.q2(), t2, shared, store, &l2); });
+    group.Run([&] { s1 = EvalOperandInto(*query.q1(), t1, call, &l1); });
+    group.Run([&] { s2 = EvalOperandInto(*query.q2(), t2, call, &l2); });
     if (query.q3() != nullptr) {
-      group.Run(
-          [&] { s3 = EvalOperandInto(*query.q3(), t3, shared, store, &l3); });
+      group.Run([&] { s3 = EvalOperandInto(*query.q3(), t3, call, &l3); });
     }
   }
   NDQ_RETURN_IF_ERROR(s1);

@@ -24,10 +24,12 @@
 //
 // This is the only tree walk in the system. Where a node's list comes from
 // is pluggable (NodeSource): the engine's index probe answers selective
-// leaves, and the distributed coordinator (dist/distributed.h) answers
-// leaves by scatter-gather across shards and ships single-shard subtrees
-// whole — the same walk "with a different leaf source", as Sec. 8.3 puts
-// it.
+// leaves, and the shard fleet (dist/distributed.h) answers leaves by
+// scatter-gather across shards and ships single-shard subtrees whole —
+// the same walk "with a different leaf source", as Sec. 8.3 puts it. A
+// source may answer with a partial list (an unreachable shard); it then
+// records a DegradationWarning in the evaluation's log, which Evaluate
+// hands back, and the evaluator never caches that list.
 //
 // Tracing uses IoScope (storage/disk.h): each node's scope captures only
 // the I/O its own thread does for that node, so a sibling's concurrent I/O
@@ -50,7 +52,9 @@
 #include <optional>
 #include <string>
 #include <unordered_set>
+#include <vector>
 
+#include "core/degradation.h"
 #include "exec/common.h"
 #include "exec/operand_cache.h"
 #include "exec/thread_pool.h"
@@ -70,6 +74,15 @@ struct EvalStats {
   uint64_t atomic_output_records = 0;
 };
 
+/// What the evaluation asking a node source lends it for one Answer.
+struct SourceContext {
+  /// The evaluation's pool, for the source's own fan-out (null = run it
+  /// inline on the asking thread).
+  ThreadPool* pool = nullptr;
+  /// Where a degraded answer is recorded; never null.
+  DegradationLog* degradations = nullptr;
+};
+
 /// \brief Where a plan node's list can come from besides the evaluator's
 /// own work.
 ///
@@ -82,12 +95,14 @@ struct EvalStats {
 /// retries, a remote evaluation's subtree. The evaluator then adds the I/O
 /// its own thread did for the node and, for an answered node, does not add
 /// the children again. A source that declines leaves `trace` empty apart
-/// from `io`. Answer may be called concurrently (sibling subtrees).
+/// from `io`. An answer that is partial rather than failed records why in
+/// `context.degradations`. Answer may be called concurrently (sibling
+/// subtrees, concurrent evaluations).
 class NodeSource {
  public:
   virtual ~NodeSource() = default;
-  virtual Result<std::optional<EntryList>> Answer(const Query& node,
-                                                  OpTrace* trace) = 0;
+  virtual Result<std::optional<EntryList>> Answer(
+      const Query& node, OpTrace* trace, const SourceContext& context) = 0;
 };
 
 /// The engine's attribute-index access path as a node source. It answers
@@ -105,8 +120,9 @@ class IndexProbeSource : public NodeSource {
                    const EntryStore* store,
                    std::function<bool(const Query&)> use_probe);
 
-  Result<std::optional<EntryList>> Answer(const Query& node,
-                                          OpTrace* trace) override;
+  Result<std::optional<EntryList>> Answer(
+      const Query& node, OpTrace* trace,
+      const SourceContext& context) override;
 
  private:
   Disk* disk_;
@@ -120,7 +136,8 @@ class IndexProbeSource : public NodeSource {
 /// the evaluator consults its OperandCache at every node whose fingerprint
 /// is in the set — a hit replaces the whole subtree's evaluation with a
 /// ~2*out-page cached copy, a miss evaluates normally and publishes the
-/// result for the batch's other occurrences.
+/// result for the batch's other occurrences — unless its evaluation
+/// recorded a degradation, which is never cached.
 struct SharedOperands {
   std::unordered_set<std::string> keys;  ///< plan fingerprints
   bool contains(const std::string& fp) const { return keys.count(fp) != 0; }
@@ -129,10 +146,11 @@ struct SharedOperands {
 class ParallelEvaluator {
  public:
   /// `options.parallelism` threads evaluate independent operand subtrees
-  /// (1 = sequential). A non-null `cache` must be backed by the same
-  /// scratch disk as the evaluator; it is consulted for every leaf the
-  /// evaluator scans itself and must be Clear()ed by the owner whenever
-  /// the store mutates.
+  /// (1 = sequential, with no pool). `store` (non-null) is what leaves are
+  /// scanned from. A non-null `cache` must be backed by the same scratch
+  /// disk as the evaluator; it is consulted for every leaf the evaluator
+  /// scans itself and must be Clear()ed by the owner whenever the store
+  /// mutates.
   ParallelEvaluator(Disk* disk, const EntrySource* store,
                     ExecOptions options = {}, OperandCache* cache = nullptr);
 
@@ -142,8 +160,7 @@ class ParallelEvaluator {
   /// ignored then, and a null `shared_pool` falls back to a private pool
   /// as above. A non-null `source` (must outlive the evaluator) is
   /// consulted at every node; a leaf it answers is cached only when a
-  /// batch shares it. `store` may be null when the source answers every
-  /// leaf (the distributed coordinator).
+  /// batch shares it.
   ParallelEvaluator(Disk* disk, const EntrySource* store,
                     ExecOptions options, OperandCache* cache,
                     ThreadPool* shared_pool, NodeSource* source = nullptr);
@@ -159,54 +176,61 @@ class ParallelEvaluator {
   /// overwritten with the per-operator execution trace, including which
   /// worker ran each node and the cache traffic. A non-null `shared`
   /// enables shared-subtree caching as described on SharedOperands
-  /// (requires a cache).
-  Result<EntryList> Evaluate(const Query& query, OpTrace* trace = nullptr,
-                             const SharedOperands* shared = nullptr);
+  /// (requires a cache). A non-null `warnings` receives the degradations
+  /// the node source recorded (empty when the result is complete), on
+  /// success and failure alike.
+  Result<EntryList> Evaluate(
+      const Query& query, OpTrace* trace = nullptr,
+      const SharedOperands* shared = nullptr,
+      std::vector<DegradationWarning>* warnings = nullptr);
 
   /// Convenience: evaluates and deserializes the result entries.
   Result<std::vector<Entry>> EvaluateToEntries(
       const Query& query, OpTrace* trace = nullptr,
-      const SharedOperands* shared = nullptr);
+      const SharedOperands* shared = nullptr,
+      std::vector<DegradationWarning>* warnings = nullptr);
 
-  size_t parallelism() const { return pool_->parallelism(); }
+  size_t parallelism() const {
+    return pool_ != nullptr ? pool_->parallelism() : 1;
+  }
   OperandCache* cache() const { return cache_; }
 
   EvalStats stats() const;
   void ResetStats();
 
  private:
-  // Each public Evaluate pins ONE snapshot of a mutable store and threads
-  // it down the recursion as `store`, so every forked subtree of a query
-  // reads the same store version. Cache keys are stamped with the
-  // snapshot's mutation version (when nonzero), so lists computed against
-  // different versions never alias.
+  /// One Evaluate's state, threaded down the recursion. Each public
+  /// Evaluate pins ONE snapshot of a mutable store as `store`, so every
+  /// forked subtree of a query reads the same store version. Cache keys
+  /// are stamped with the snapshot's mutation version (when nonzero), so
+  /// lists computed against different versions never alias.
+  struct Call {
+    const SharedOperands* shared;  // may be null
+    const EntrySource* store;
+    DegradationLog* degradations;  // this subtree's log
+  };
 
   /// Trace-wrapping recursion step: opens this node's IoScope, times it,
   /// and reassembles cumulative io as self + sum of children.
   Result<EntryList> EvaluateTraced(const Query& query, OpTrace* trace,
-                                   const SharedOperands* shared,
-                                   const EntrySource* store);
+                                   const Call& call);
   /// Shared-subtree cache check around EvaluateUncached. `*answered` is
   /// set when the node source produced the list.
   Result<EntryList> EvaluateNode(const Query& query, OpTrace* trace,
-                                 const SharedOperands* shared,
-                                 const EntrySource* store, bool* answered);
+                                 const Call& call, bool* answered);
   /// The node source, else the leaf scan or the operand fork/join.
   /// `cache_leaf` is false when the node already went through the shared
   /// cache.
   Result<EntryList> EvaluateUncached(const Query& query, OpTrace* trace,
-                                     const SharedOperands* shared,
-                                     const EntrySource* store,
-                                     bool cache_leaf, bool* answered);
+                                     const Call& call, bool cache_leaf,
+                                     bool* answered);
   Result<EntryList> EvaluateOperator(const Query& query, OpTrace* trace,
-                                     const SharedOperands* shared,
-                                     const EntrySource* store);
+                                     const Call& call);
   Result<EntryList> EvalLeaf(const Query& query, OpTrace* trace,
                              const EntrySource* store, bool cached);
   /// Evaluates one operand subtree into a ScopedRun (fork target).
   Status EvalOperandInto(const Query& query, OpTrace* trace,
-                         const SharedOperands* shared,
-                         const EntrySource* store, ScopedRun* out);
+                         const Call& call, ScopedRun* out);
 
   /// Copies the list cached under `key` into `*out`; true on a hit (the
   /// trace then records the hit over a skeleton of the replaced subtree).
@@ -221,8 +245,8 @@ class ParallelEvaluator {
   ExecOptions options_;
   OperandCache* cache_;
   NodeSource* source_;
-  std::unique_ptr<ThreadPool> owned_pool_;  // null when pool is borrowed
-  ThreadPool* pool_;
+  std::unique_ptr<ThreadPool> owned_pool_;  // null when borrowed or 1
+  ThreadPool* pool_;                        // null = sequential
   mutable std::mutex stats_mu_;
   EvalStats stats_;
 };

@@ -1,13 +1,12 @@
 // A small fork/join thread pool for intra-query parallelism.
 //
 // The evaluator spawns one task per independent operand subtree and joins
-// at the operator (exec/parallel_evaluator.h); the distributed coordinator
-// runs that same walk on its fleet's pool and also fans each leaf's shard
-// fetches out on it (dist/distributed.cc). The pool is deliberately
-// work-stealing-free: one shared FIFO queue under one mutex. What makes
-// nested fork/join deadlock-free is HELPING: a
-// thread waiting on its TaskGroup pops that group's not-yet-started tasks
-// from the shared queue and runs them itself, so every blocked waiter
+// at the operator (exec/parallel_evaluator.h), and the shard fleet fans
+// each leaf's shard fetches out on the same pool (dist/distributed.cc).
+// The pool is deliberately work-stealing-free: one shared FIFO queue
+// under one mutex. What makes nested fork/join deadlock-free is HELPING:
+// a thread waiting on its TaskGroup pops that group's not-yet-started
+// tasks from the shared queue and runs them itself, so every blocked waiter
 // either makes progress on its own children or is waiting on a task that
 // is actually running somewhere. Query-operand tasks are coarse (whole
 // subtrees doing page I/O), so queue contention is irrelevant.

@@ -276,24 +276,26 @@ std::vector<CheckFailure> CheckCase(const DirectoryInstance& instance,
   // other occurrences from the operand cache) actually runs — any
   // cache-key collision, stale snapshot or copy-out truncation shows up
   // as a divergence from the reference result.
-  {
-    EngineOptions engine_opts;
-    engine_opts.cache_capacity_pages = kCachePages;
-    Engine engine(&disk, &*store, engine_opts);
-    Session session = engine.OpenSession();
-    std::vector<QueryPtr> batch = {query, query, Query::And(query, query),
-                                   Query::Or(query, query)};
-    BatchResult batched = session.RunBatch(batch);
+  const std::vector<QueryPtr> batch = {query, query, Query::And(query, query),
+                                       Query::Or(query, query)};
+  auto check_batch = [&](const std::string& prefix, Engine& engine) {
+    BatchResult batched = engine.OpenSession().RunBatch(batch);
     for (size_t i = 0; i < batched.outcomes.size(); ++i) {
       QueryOutcome& out = batched.outcomes[i];
       ++local_checks;
-      const std::string name = "batch" + std::to_string(i);
+      const std::string name = prefix + std::to_string(i);
       if (!out.ok()) {
         fail(name, "evaluation failed: " + out.status.ToString());
       } else if (out.entries != want) {
         fail(name, DiffEntries(want, out.entries));
       }
     }
+  };
+  {
+    EngineOptions engine_opts;
+    engine_opts.cache_capacity_pages = kCachePages;
+    Engine engine(&disk, &*store, engine_opts);
+    check_batch("batch", engine);
   }
 
   // Rewrites must preserve M(Q) exactly.
@@ -576,10 +578,10 @@ std::vector<CheckFailure> CheckCase(const DirectoryInstance& instance,
   // Distributed oracles, against a replicated topology.
   std::string topology_text = MakeTopologyText(instance);
   if (options.with_distributed && !topology_text.empty()) {
+    Result<TopologyConfig> topology = TopologyConfig::Parse(topology_text);
     auto build = [&]() -> Result<DistributedDirectory> {
-      NDQ_ASSIGN_OR_RETURN(TopologyConfig topology,
-                           TopologyConfig::Parse(topology_text));
-      return DistributedDirectory::Build(instance, topology);
+      NDQ_RETURN_IF_ERROR(topology.status());
+      return DistributedDirectory::Build(instance, *topology);
     };
     Result<DistributedDirectory> fleet = build();
     ++local_checks;
@@ -627,6 +629,23 @@ std::vector<CheckFailure> CheckCase(const DirectoryInstance& instance,
           server->disk()->set_fault_injector(nullptr);
         }
       }
+    }
+
+    // The engine's fleet path: the same batch through a distributed
+    // engine, whose one evaluator takes leaves and single-shard subtrees
+    // from the fleet and whose batch precompute publishes what the shards
+    // returned. Fail-stop, so a degraded list cannot pass for an answer.
+    EngineOptions engine_opts;
+    engine_opts.backend = EngineBackend::kDistributed;
+    if (topology.ok()) engine_opts.topology = *topology;
+    engine_opts.cache_capacity_pages = kCachePages;
+    Engine engine(instance, engine_opts);
+    ++local_checks;
+    if (!engine.init_status().ok()) {
+      fail("dist-batch", "Build failed: " + engine.init_status().ToString());
+    } else {
+      engine.fleet()->set_allow_degraded(false);
+      check_batch("dist-batch", engine);
     }
   }
 

@@ -29,6 +29,9 @@
 //   dist-fault  the same fleet with a seeded one-shot transient fault
 //               injected on every server disk: retries must make the
 //               result indistinguishable from the fault-free run
+//   dist-batch0..3  batch0..3's batch through an ndq::Engine over the
+//               same topology, fail-stop: the engine's fleet path and
+//               the fleet batch precompute
 //
 // plus metamorphic identities:
 //

@@ -1,7 +1,7 @@
 // Session::RunBatch over a distributed engine: coordinator-side sub-plan
 // sharing must return byte-identical results to running the queries one
 // at a time, while shipping strictly less over the network when the batch
-// repeats sub-plans.
+// repeats sub-plans, and must never share a partial (degraded) list.
 
 #include <string>
 #include <vector>
@@ -77,6 +77,55 @@ TEST(DistBatchTest, BatchMatchesOneAtATime) {
   EXPECT_LT(b.messages.load(), s.messages.load());
   EXPECT_GT(b.queries_shipped.load(), 0u);
   EXPECT_LT(b.queries_shipped.load(), s.queries_shipped.load());
+}
+
+// A shard that stays down degrades a shared sub-plan. The partial list is
+// never cached, so every occurrence in the batch evaluates it again and
+// carries the warning a one-at-a-time run carries; once the shard is
+// back, the batch answers in full (no partial list lingers in the cache).
+TEST(DistBatchTest, DegradedSharedSubPlansKeepTheirWarnings) {
+  DirectoryInstance inst = testing::PaperInstance();
+  const std::string text = "(dc=att, dc=com ? sub ? surName=jagadish)";
+  const std::vector<std::string> batch(3, text);
+
+  Engine engine(inst, FleetOptions());
+  NDQ_ASSERT_OK(engine.init_status());
+  Session session = engine.OpenSession();
+  QueryOutcome healthy = session.Run(text);
+  NDQ_ASSERT_OK(healthy.status);
+  ASSERT_EQ(healthy.entries.size(), 1u);
+
+  DirectoryServer* research = engine.fleet()->FindServer("research-server");
+  ASSERT_NE(research, nullptr);
+  research->set_down(true);
+  QueryOutcome degraded = session.Run(text);
+  NDQ_ASSERT_OK(degraded.status);
+  ASSERT_EQ(degraded.warnings.size(), 1u);
+  EXPECT_EQ(degraded.warnings[0].source, "research-server");
+  EXPECT_LT(degraded.entries.size(), healthy.entries.size());
+
+  BatchResult br = session.RunBatch(batch);
+  ASSERT_EQ(br.outcomes.size(), batch.size());
+  EXPECT_EQ(br.stats.shared_subtrees, 1u);
+  EXPECT_EQ(br.stats.cache_hits, 0u);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    SCOPED_TRACE("outcome " + std::to_string(i));
+    const QueryOutcome& out = br.outcomes[i];
+    NDQ_ASSERT_OK(out.status);
+    EXPECT_EQ(out.entries, degraded.entries);
+    ASSERT_EQ(out.warnings.size(), 1u);
+    EXPECT_EQ(out.warnings[0].source, degraded.warnings[0].source);
+    EXPECT_EQ(out.warnings[0].detail, degraded.warnings[0].detail);
+    EXPECT_EQ(out.trace.cache_hits, 0u);
+  }
+
+  research->set_down(false);
+  BatchResult healed = session.RunBatch(batch);
+  for (const QueryOutcome& out : healed.outcomes) {
+    NDQ_ASSERT_OK(out.status);
+    EXPECT_EQ(out.entries, healthy.entries);
+    EXPECT_TRUE(out.warnings.empty());
+  }
 }
 
 TEST(DistBatchTest, EmptyAndSingletonBatches) {

@@ -157,8 +157,9 @@ TEST(EngineDistTest, ExplainAnalyzeShowsFailovers) {
   EXPECT_NE(rendered.find("shipped"), std::string::npos);
 }
 
-// Engine knobs reach the fleet: parallel dispatch over the shards keeps
-// results identical, and SetFaults/SetIoDepth at least survive the trip.
+// The engine's parallelism reaches the fleet: its one pool forks the
+// operand subtrees and fans the shard fetches out, and the results stay
+// identical.
 TEST(EngineDistTest, ParallelismPropagatesToFleet) {
   DirectoryInstance global = SmallDif();
   Engine dist(global, DistOptions());
@@ -167,10 +168,73 @@ TEST(EngineDistTest, ParallelismPropagatesToFleet) {
   QueryOutcome sequential = session.Run(kQueries[2]);
   ASSERT_TRUE(sequential.ok());
   dist.SetParallelism(3);
-  EXPECT_EQ(dist.fleet()->parallelism(), 3u);
+  EXPECT_EQ(dist.parallelism(), 3u);
   QueryOutcome parallel = session.Run(kQueries[2]);
   ASSERT_TRUE(parallel.ok());
   EXPECT_EQ(parallel.entries, sequential.entries);
+}
+
+uint64_t FleetTransfers(DistributedDirectory& fleet) {
+  uint64_t n = fleet.coordinator_disk()->stats().TotalTransfers();
+  for (DirectoryServer* server : fleet.servers()) {
+    n += server->disk()->stats().TotalTransfers();
+  }
+  return n;
+}
+
+// The trace identity a session's outcome keeps on a fleet, at any engine
+// parallelism (what perfbench's per-query page count reads): the root's
+// I/O is the query's fleet-wide transfer delta minus reading the result
+// out, and its shipped records are what crossed the network. The cases
+// are topology_test's FleetTraceTest cases: scatter-gather leaves, a join
+// one shard owns (shipped whole), and a mix of the two.
+TEST(EngineDistTest, RootTraceAccountsForFleetTransfers) {
+  DirectoryInstance global = SmallDif();
+  EngineOptions opt;
+  opt.backend = EngineBackend::kDistributed;
+  opt.topology = TopologyConfig::Parse(
+                     "replicas 2\n"
+                     "shard root dc=com\n"
+                     "shard org0 dc=org0, dc=com\n"
+                     "shard sub0 dc=sub0, dc=org0, dc=com\n"
+                     "shard org1 dc=org1, dc=com\n")
+                     .TakeValue();
+  Engine dist(global, opt);
+  ASSERT_TRUE(dist.init_status().ok()) << dist.init_status().ToString();
+  DistributedDirectory& fleet = *dist.fleet();
+  const std::string org1_join =
+      "(c (dc=org1, dc=com ? sub ? objectClass=TOPSSubscriber)"
+      "   (dc=org1, dc=com ? sub ? objectClass=QHP))";
+  const std::vector<std::string> cases = {
+      "(dc=com ? sub ? objectClass=TOPSSubscriber)",
+      "(dc=sub0, dc=org0, dc=com ? sub ? objectClass=QHP)",
+      "(c (dc=com ? sub ? objectClass=TOPSSubscriber)"
+      "   (dc=com ? sub ? objectClass=QHP) count($2)>=3)",
+      "(vd (dc=com ? sub ? objectClass=SLAPolicyRules)"
+      "    (& (dc=com ? sub ? sourcePort=25)"
+      "       (dc=com ? sub ? objectClass=trafficProfile)) SLATPRef)",
+      org1_join,
+      "(| " + org1_join + " (dc=com ? sub ? objectClass=QHP))",
+  };
+
+  Session session = dist.OpenSession();
+  for (size_t parallelism : {size_t{1}, size_t{4}}) {
+    dist.SetParallelism(parallelism);
+    for (const std::string& text : cases) {
+      SCOPED_TRACE("parallelism " + std::to_string(parallelism) + ": " +
+                   text);
+      const uint64_t transfers = FleetTransfers(fleet);
+      const uint64_t shipped = fleet.net_stats().records_shipped;
+      QueryOutcome out = session.Run(text);
+      ASSERT_TRUE(out.ok()) << out.status.ToString();
+      EXPECT_EQ(out.trace.NodeCount(), out.plan->NodeCount());
+      EXPECT_GT(out.trace.io.TotalTransfers(), 0u);
+      EXPECT_EQ(out.trace.io.TotalTransfers(),
+                FleetTransfers(fleet) - transfers - out.trace.output_pages);
+      EXPECT_EQ(out.trace.shipped_records,
+                fleet.net_stats().records_shipped - shipped);
+    }
+  }
 }
 
 }  // namespace

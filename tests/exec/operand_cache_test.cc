@@ -13,6 +13,7 @@
 #include "exec/operand_cache.h"
 #include "exec/parallel_evaluator.h"
 #include "exec/thread_pool.h"
+#include "query/fingerprint.h"
 #include "storage/fault_injector.h"
 #include "storage/run.h"
 
@@ -375,32 +376,32 @@ TEST(OperandCacheKeyTest, DistinguishesAmbiguouslyLabeledLeaves) {
   QueryPtr int_cmp = Query::Atomic(
       base, Scope::kSub,
       AtomicFilter::IntCompare("x", CompareOp::kEq, 5));
-  EXPECT_NE(OperandCacheKey(*int_eq), OperandCacheKey(*str_eq));
-  EXPECT_NE(OperandCacheKey(*int_cmp), OperandCacheKey(*str_eq));
+  EXPECT_NE(QueryFingerprint(*int_eq), QueryFingerprint(*str_eq));
+  EXPECT_NE(QueryFingerprint(*int_cmp), QueryFingerprint(*str_eq));
 
   QueryPtr all = Query::Atomic(base, Scope::kSub, AtomicFilter::True());
   QueryPtr oc_presence = Query::Atomic(
       base, Scope::kSub, AtomicFilter::Presence("objectClass"));
-  EXPECT_NE(OperandCacheKey(*all), OperandCacheKey(*oc_presence));
+  EXPECT_NE(QueryFingerprint(*all), QueryFingerprint(*oc_presence));
 
   // Scope and base are evaluation-relevant and must be in the key.
   QueryPtr one = Query::Atomic(base, Scope::kOne, AtomicFilter::True());
-  EXPECT_NE(OperandCacheKey(*all), OperandCacheKey(*one));
+  EXPECT_NE(QueryFingerprint(*all), QueryFingerprint(*one));
   Dn other = Dn::Parse("dc=org").TakeValue();
   QueryPtr elsewhere =
       Query::Atomic(other, Scope::kSub, AtomicFilter::True());
-  EXPECT_NE(OperandCacheKey(*all), OperandCacheKey(*elsewhere));
+  EXPECT_NE(QueryFingerprint(*all), QueryFingerprint(*elsewhere));
 
   // A rewritten plan may replace an atomic leaf by an LDAP leaf; the two
   // kinds never alias, whatever their filters.
   QueryPtr ldap = Query::Ldap(base, Scope::kSub,
                               LdapFilter::Atomic(AtomicFilter::True()));
-  EXPECT_NE(OperandCacheKey(*all), OperandCacheKey(*ldap));
+  EXPECT_NE(QueryFingerprint(*all), QueryFingerprint(*ldap));
 
   // Structurally equal leaves DO share — that is the point of the cache.
   QueryPtr again = Query::Atomic(base, Scope::kSub,
                                  AtomicFilter::Equals("x", Value::Int(5)));
-  EXPECT_EQ(OperandCacheKey(*int_eq), OperandCacheKey(*again));
+  EXPECT_EQ(QueryFingerprint(*int_eq), QueryFingerprint(*again));
 }
 
 TEST(OperandCacheTest, TypedKeysPreventStaleServingAcrossFilterTypes) {
