@@ -5,7 +5,7 @@
 #include <thread>
 
 #include "dist/merge.h"
-#include "exec/atomic.h"
+#include "exec/thread_pool.h"
 #include "storage/serde.h"
 
 namespace ndq {
@@ -22,6 +22,10 @@ uint64_t SplitMix64(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
+}
+
+bool IsLeaf(const Query& query) {
+  return query.is_atomic() || query.op() == QueryOp::kLdap;
 }
 
 }  // namespace
@@ -129,10 +133,8 @@ bool DistributedDirectory::AnyReplicaUp(const Shard& shard) {
   return false;
 }
 
-Status DistributedDirectory::FetchAtomicFromShard(Shard& shard,
-                                                  const Query& query,
-                                                  bool want_trace,
-                                                  ShardFetch* out) {
+Status DistributedDirectory::Request(Shard& shard, const Query& query,
+                                     bool want_trace, ReplicaAnswer* out) {
   // One request/response attempt against `replica`. Every early exit is
   // clean: a failed evaluation frees its own intermediates, so a retry (or
   // a sibling) starts fresh.
@@ -144,15 +146,15 @@ Status DistributedDirectory::FetchAtomicFromShard(Shard& shard,
                                  "' is down");
     }
     std::lock_guard<std::mutex> replica_lock(replica->mu_);
-    OpTrace server_trace;
-    OpTrace* st = want_trace ? &server_trace : nullptr;
+    // The replica runs the coordinator's evaluator, sequential and
+    // uncached, on this thread. Its node scopes claim the replica-side
+    // I/O into its own trace, so a failed attempt's I/O is carried over.
+    ParallelEvaluator remote(replica->disk(), &replica->store());
+    OpTrace attempt;
     Result<EntryList> local =
-        query.op() == QueryOp::kLdap
-            ? EvalLdap(replica->disk(), replica->store(), query.base(),
-                       query.scope(), *query.ldap_filter(), st)
-            : EvalAtomic(replica->disk(), replica->store(), query.base(),
-                         query.scope(), query.filter(), st);
-    out->scanned_records = server_trace.scanned_records;
+        remote.Evaluate(query, want_trace ? &attempt : nullptr);
+    attempt.io += out->trace.io;
+    out->trace = std::move(attempt);
     if (!local.ok()) return local.status();
     // The sorted result STAYS on the replica's disk; the coordinator
     // streams it during the merge (dist/merge.h).
@@ -162,8 +164,8 @@ Status DistributedDirectory::FetchAtomicFromShard(Shard& shard,
   };
 
   const size_t num_replicas = shard.replicas_.size();
-  // Read load-balancing: each fetch starts its ring walk one replica past
-  // the previous fetch's start.
+  // Read load-balancing: each request starts its ring walk one replica
+  // past the previous request's start.
   const size_t start =
       shard.next_replica_.fetch_add(1, std::memory_order_relaxed) %
       num_replicas;
@@ -214,41 +216,65 @@ Status DistributedDirectory::FetchAtomicFromShard(Shard& shard,
 
 Result<std::optional<EntryList>> DistributedDirectory::Answer(
     const Query& node, OpTrace* trace, const SourceContext& context) {
-  if (node.is_atomic() || node.op() == QueryOp::kLdap) {
-    NDQ_ASSIGN_OR_RETURN(EntryList merged,
-                         EvaluateAtomicDistributed(node, trace, context));
-    return std::optional<EntryList>(std::move(merged));
+  // A leaf goes to every shard that owns part of its scope. A (sub)query
+  // whose leaves all lie in one shard's exclusive ownership ships whole
+  // to that shard; anything else evaluates its operands at the
+  // coordinator.
+  const bool leaf = IsLeaf(node);
+  std::vector<Shard*> owners;
+  if (leaf) {
+    for (size_t i : routing_.OwnersFor(node.base(), node.scope())) {
+      owners.push_back(shards_[i].get());
+    }
+  } else {
+    Shard* owner = query_shipping_ ? SingleOwner(node) : nullptr;
+    if (owner == nullptr || !AnyReplicaUp(*owner)) {
+      return std::optional<EntryList>();
+    }
+    owners.push_back(owner);
+    ++net_.queries_shipped;
   }
-  // A (sub)query whose leaves all lie in one shard's exclusive ownership
-  // ships whole; anything else evaluates its operands at the coordinator.
-  Shard* owner = query_shipping_ ? SingleOwner(node) : nullptr;
-  if (owner == nullptr || !AnyReplicaUp(*owner)) {
-    return std::optional<EntryList>();
+  net_.servers_contacted += owners.size();
+  Result<EntryList> gathered = Gather(node, owners, trace, context);
+  if (gathered.ok()) return std::optional<EntryList>(gathered.TakeValue());
+  if (leaf || gathered.status().code() != StatusCode::kUnavailable) {
+    return gathered.status();
   }
-  Result<EntryList> whole = ShipWholeQuery(node, owner, trace);
-  if (whole.ok()) return std::optional<EntryList>(whole.TakeValue());
-  if (whole.status().code() != StatusCode::kUnavailable) {
-    return whole.status();
+  // The shipment failed transiently on every replica, or the coordinator
+  // could not take its result in: decline, so the evaluator forks the
+  // operands, which request each shard on their own and can degrade
+  // instead of failing. The node keeps only the fleet's own accounting.
+  if (trace != nullptr) {
+    OpTrace declined;
+    declined.io = trace->io;
+    declined.shipped_records = trace->shipped_records;
+    declined.shipped_bytes = trace->shipped_bytes;
+    declined.retries = trace->retries;
+    declined.failovers = trace->failovers;
+    *trace = std::move(declined);
   }
-  // Every replica failed the shipment transiently mid-flight: fall back to
-  // the operands, which retry each shard independently and can degrade
-  // instead of failing.
-  ++net_.retries;
   return std::optional<EntryList>();
 }
 
-Result<EntryList> DistributedDirectory::EvaluateAtomicDistributed(
-    const Query& query, OpTrace* trace, const SourceContext& context) {
-  std::vector<size_t> owner_idx =
-      routing_.OwnersFor(query.base(), query.scope());
-  net_.servers_contacted += owner_idx.size();
-  std::vector<Shard*> owners;
-  owners.reserve(owner_idx.size());
-  for (size_t idx : owner_idx) owners.push_back(shards_[idx].get());
-
+Result<EntryList> DistributedDirectory::Gather(
+    const Query& query, const std::vector<Shard*>& owners, OpTrace* trace,
+    const SourceContext& context) {
+  // Only a leaf degrades; a shipment that cannot complete declines.
+  const bool leaf = IsLeaf(query);
+  const bool degradable = leaf && allow_degraded_;
   auto key_fn = [](std::string_view rec) {
     Result<std::string_view> key = PeekEntryKey(rec);
     return key.ok() ? *key : std::string_view();
+  };
+  // Folds one request into the node's trace: every attempt's I/O (from
+  // the replica's trace, whose scopes claimed it), the retries and
+  // failovers, and the records scanned, which a leaf sums over shards.
+  auto fold = [trace](const ReplicaAnswer& a) {
+    if (trace == nullptr) return;
+    trace->io += a.trace.io;
+    trace->scanned_records += a.trace.scanned_records;
+    trace->retries += a.retries;
+    trace->failovers += a.failovers;
   };
   auto degrade = [&](size_t i, const Status& why) {
     // The shard stayed unavailable through every replica and retry:
@@ -266,29 +292,23 @@ Result<EntryList> DistributedDirectory::EvaluateAtomicDistributed(
   // re-fetch (their streams were partially drained). Terminates — every
   // round either returns or excludes at least one shard.
   while (true) {
-    // Scatter: issue the atomic query to every live owning shard; on the
-    // asking evaluation's pool the shards work concurrently (slot `i`
-    // keeps results in owner order, so the merge — and therefore the
-    // output — is deterministic).
+    // Scatter: one request per live owning shard; on the asking
+    // evaluation's pool the shards work concurrently (slot `i` keeps
+    // results in owner order, so the merge — and therefore the output —
+    // is deterministic). A lone request runs on the asking thread.
     struct PerShard {
       Status status;
-      ShardFetch fetch;
-      IoStats io;
-      bool fetched = false;
+      ReplicaAnswer answer;
     };
     std::vector<PerShard> rs(owners.size());
     {
-      ThreadPool::TaskGroup group(context.pool);
+      ThreadPool::TaskGroup group(owners.size() > 1 ? context.pool
+                                                    : nullptr);
       for (size_t i = 0; i < owners.size(); ++i) {
         if (excluded[i]) continue;
         group.Run([&, i] {
-          PerShard& r = rs[i];
-          // Scope the task's I/O (the replica-side scan) so it reaches
-          // this leaf's trace even when the task ran on a pool worker.
-          IoScope scope(nullptr, &r.io);
-          r.status = FetchAtomicFromShard(*owners[i], query,
-                                          trace != nullptr, &r.fetch);
-          r.fetched = r.status.ok();
+          rs[i].status = Request(*owners[i], query, trace != nullptr,
+                                 &rs[i].answer);
         });
       }
     }
@@ -296,14 +316,15 @@ Result<EntryList> DistributedDirectory::EvaluateAtomicDistributed(
     for (size_t i = 0; i < owners.size(); ++i) {
       if (excluded[i]) continue;
       PerShard& r = rs[i];
-      if (trace != nullptr) {
-        trace->scanned_records += r.fetch.scanned_records;
-        trace->retries += r.fetch.retries;
-        trace->failovers += r.fetch.failovers;
-        trace->io += r.io;
+      if (!leaf && r.status.ok() && trace != nullptr) {
+        // A shipped subtree keeps the replica evaluator's trace of it
+        // (operator counters, operand children); what the node held is
+        // folded back in below.
+        std::swap(*trace, r.answer.trace);
       }
+      fold(r.answer);
       if (r.status.ok()) continue;
-      if (allow_degraded_ && r.status.code() == StatusCode::kUnavailable) {
+      if (degradable && r.status.code() == StatusCode::kUnavailable) {
         degrade(i, r.status);
         excluded[i] = 1;
       } else if (failed.ok()) {
@@ -312,37 +333,34 @@ Result<EntryList> DistributedDirectory::EvaluateAtomicDistributed(
     }
     if (!failed.ok()) {
       for (PerShard& r : rs) {
-        if (r.fetched) FreeRun(r.fetch.replica->disk(), &r.fetch.run).ok();
+        if (r.status.ok() && r.answer.replica != nullptr) {
+          FreeRun(r.answer.replica->disk(), &r.answer.run).ok();
+        }
       }
       return failed;
     }
 
-    // Gather: wrap each fetched run as a resumable stream. A mid-merge
-    // read failure re-fetches the same result from a sibling replica and
-    // resumes where the stream left off (dist/merge.h).
+    // Gather: wrap each answer as a resumable stream. A mid-stream read
+    // failure requests the same query again (from a sibling, when the
+    // ring walk moves on) and resumes where the stream left off
+    // (dist/merge.h).
     std::vector<std::unique_ptr<ShardStream>> streams;
     std::vector<size_t> stream_owner;  // stream index -> owners index
     for (size_t i = 0; i < owners.size(); ++i) {
-      if (excluded[i] || !rs[i].fetched) continue;
+      if (excluded[i] || !rs[i].status.ok()) continue;
       Shard* shard = owners[i];
-      auto refetch =
-          [this, shard, &query,
-           trace](uint64_t) -> Result<ShardStream::Source> {
-        ShardFetch f;
-        Status s =
-            FetchAtomicFromShard(*shard, query, trace != nullptr, &f);
-        if (trace != nullptr) {
-          trace->scanned_records += f.scanned_records;
-          trace->retries += f.retries;
-          trace->failovers += f.failovers;
-        }
+      auto refetch = [this, shard, &query, trace,
+                      fold]() -> Result<ShardStream::Source> {
+        ReplicaAnswer a;
+        Status s = Request(*shard, query, trace != nullptr, &a);
+        fold(a);
         if (!s.ok()) return s;
-        return ShardStream::Source{f.replica->disk(), std::move(f.run)};
+        return ShardStream::Source{a.replica->disk(), std::move(a.run)};
       };
       streams.push_back(std::make_unique<ShardStream>(
           shard->name(),
-          ShardStream::Source{rs[i].fetch.replica->disk(),
-                              std::move(rs[i].fetch.run)},
+          ShardStream::Source{rs[i].answer.replica->disk(),
+                              std::move(rs[i].answer.run)},
           std::move(refetch)));
       stream_owner.push_back(i);
     }
@@ -366,8 +384,9 @@ Result<EntryList> DistributedDirectory::EvaluateAtomicDistributed(
     }
     if (merged.ok()) return merged;
     for (ShardStream* s : ptrs) s->Close();
-    if (allow_degraded_ &&
-        merged.status().code() == StatusCode::kUnavailable &&
+    // A failure on the coordinator's side of the streams (failed_stream
+    // unset) is no shard's: it never degrades one.
+    if (degradable && merged.status().code() == StatusCode::kUnavailable &&
         failed_stream < stream_owner.size()) {
       size_t i = stream_owner[failed_stream];
       degrade(i, merged.status());
@@ -391,91 +410,12 @@ Shard* DistributedDirectory::SingleOwner(const Query& query) {
   return owner;
 }
 
-Result<EntryList> DistributedDirectory::ShipWholeQuery(const Query& query,
-                                                       Shard* shard,
-                                                       OpTrace* trace) {
-  // The chosen replica evaluates the whole tree locally (on its own disk
-  // and scratch space) and only the final result crosses the network.
-  ++net_.queries_shipped;
-  ++net_.servers_contacted;
-  auto attempt_one = [&](DirectoryServer* server) -> Result<EntryList> {
-    net_.messages += 2;
-    if (server->is_down()) {
-      return Status::Unavailable("replica '" + server->name() +
-                                 "' is down");
-    }
-    std::lock_guard<std::mutex> server_lock(server->mu_);
-    // The replica runs the same evaluator, sequential and uncached, on
-    // this thread: its trace nodes carry this thread's worker id.
-    ParallelEvaluator remote(server->disk(), &server->store());
-    NDQ_ASSIGN_OR_RETURN(EntryList local, remote.Evaluate(query, trace));
-    ScopedRun local_guard(server->disk(), std::move(local));
-    RunWriter writer(coordinator_disk_.get(), PageFormat::kKeyPrefix);
-    RunReader reader(server->disk(), local_guard.get());
-    std::string rec;
-    uint64_t recs = 0, bytes = 0;
-    while (true) {
-      NDQ_ASSIGN_OR_RETURN(bool more, reader.Next(&rec));
-      if (!more) break;
-      bytes += rec.size();
-      ++recs;
-      NDQ_RETURN_IF_ERROR(writer.Add(rec));
-    }
-    net_.bytes_shipped += bytes;
-    net_.records_shipped += recs;
-    if (trace != nullptr) {
-      // The remote evaluator filled `trace` (children included); the
-      // final-result shipment is recorded here.
-      trace->shipped_records = recs;
-      trace->shipped_bytes = bytes;
-    }
-    NDQ_RETURN_IF_ERROR(local_guard.Free());
-    return writer.Finish();
-  };
-
-  const size_t num_replicas = shard->replicas_.size();
-  const size_t start =
-      shard->next_replica_.fetch_add(1, std::memory_order_relaxed) %
-      num_replicas;
-  uint64_t failovers = 0;
-  // The remote evaluator's node scopes claim its I/O into `trace`, which
-  // each attempt overwrites; an abandoned attempt's I/O is carried here.
-  IoStats failed_io;
-  Status last = Status::Unavailable("shard '" + shard->name() +
-                                    "' has no replicas");
-  for (size_t k = 0; k < num_replicas; ++k) {
-    DirectoryServer* server =
-        shard->replicas_[(start + k) % num_replicas].get();
-    if (trace != nullptr) *trace = OpTrace();
-    Result<EntryList> out = attempt_one(server);
-    if (out.ok()) {
-      if (trace != nullptr) {
-        trace->failovers += failovers;
-        trace->io += failed_io;
-      }
-      return out;
-    }
-    if (trace != nullptr) failed_io += trace->io;
-    last = out.status();
-    if (last.code() != StatusCode::kUnavailable) return last;
-    if (k + 1 < num_replicas) {
-      ++net_.failovers;
-      ++failovers;
-      server->failovers_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  if (trace != nullptr) {
-    *trace = OpTrace();
-    trace->io = failed_io;
-  }
-  return last;
-}
-
 Result<std::vector<Entry>> DistributedDirectory::Execute(
     const Query& query, OpTrace* trace,
     std::vector<DegradationWarning>* warnings) {
   ParallelEvaluator coordinator(coordinator_disk_.get(), this, {},
-                                /*cache=*/nullptr, pool_.get(), this);
+                                /*cache=*/nullptr, /*shared_pool=*/nullptr,
+                                this);
   return coordinator.EvaluateToEntries(query, trace, /*shared=*/nullptr,
                                        warnings);
 }
@@ -521,14 +461,6 @@ std::map<std::string, uint64_t> DistributedDirectory::ReplicaFailovers()
     }
   }
   return out;
-}
-
-void DistributedDirectory::set_parallelism(size_t n) {
-  if (n <= 1) {
-    pool_.reset();
-    return;
-  }
-  pool_ = std::make_unique<ThreadPool>(n);
 }
 
 void DistributedDirectory::ResetStats() {

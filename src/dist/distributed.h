@@ -13,20 +13,21 @@
 // the query result using the algorithms described previously."
 //
 // An atomic query whose scope spans delegated subdomains fans out to the
-// delegate shards as well (as a DNS resolver would chase referrals). Each
-// shard routes to one replica — reads round-robin across the replica set,
-// and a down or failing replica FAILS OVER to a sibling before the
-// RetryPolicy/DegradationWarning machinery ever degrades the result. The
-// per-shard sorted streams are then consumed incrementally by a k-way
-// merge at the coordinator (dist/merge.h) — sortedness is preserved end
-// to end, so the coordinator's operator algorithms run unchanged.
+// delegate shards as well (as a DNS resolver would chase referrals).
 //
 // The coordinator computes the result with the ordinary evaluator
 // (exec/parallel_evaluator.h): the fleet is a long-lived node source of
-// that evaluator, answering each leaf by scatter-gather and each
-// single-shard subtree by shipping it whole to a replica, which evaluates
-// it with the same evaluator. It is also the evaluator's estimation view
-// of the data (an EntrySource that estimates but does not scan).
+// that evaluator. It answers a leaf by sending it to every owning shard,
+// and a subtree one shard owns alone by shipping it whole to that shard.
+// Both are the same replica request: it goes to one replica of the shard
+// — reads round-robin across the replica set, retries a transient
+// failure, and a down or failing replica FAILS OVER to a sibling — and the
+// replica evaluates it with the same evaluator. The sorted results stay on
+// the replicas and are consumed incrementally by a k-way merge at the
+// coordinator (dist/merge.h) — sortedness is preserved end to end, so the
+// coordinator's operator algorithms run unchanged. The fleet is also the
+// evaluator's estimation view of the data (an EntrySource that estimates
+// but does not scan).
 //
 // Everything is simulated in-process: every replica has its own SimDisk
 // (I/O accounted per replica) and the "network" counts messages and
@@ -52,7 +53,6 @@
 #include "core/degradation.h"
 #include "dist/topology.h"
 #include "exec/parallel_evaluator.h"
-#include "exec/thread_pool.h"
 #include "query/ast.h"
 
 namespace ndq {
@@ -136,9 +136,9 @@ class DirectoryServer {
   Dn context_;
   std::unique_ptr<SimDisk> disk_;
   EntryStore store_;
-  /// One outstanding shipped query/scan per replica: parallelism in the
-  /// coordinator comes from fanning out ACROSS shards, while each
-  /// replica's own evaluation stays sequential. Tracing does not need it
+  /// One outstanding request per replica: parallelism in the coordinator
+  /// comes from fanning out ACROSS shards, while each replica's own
+  /// evaluation stays sequential. Tracing does not need it
   /// (IoScope attribution is per thread); dropping it changes throughput
   /// and is to be measured on its own.
   std::mutex mu_;
@@ -194,26 +194,28 @@ class DistributedDirectory : public NodeSource, public EntrySource {
   std::vector<std::string> OwnersFor(const Dn& base, Scope scope) const;
 
   /// Distributed bottom-up evaluation; the result materializes at the
-  /// coordinator. A thin wrapper: an uncached ParallelEvaluator on the
-  /// coordinator disk and this fleet's pool (set_parallelism), with the
-  /// fleet as its node source — what an Engine runs, without the Engine.
-  /// Safe to call concurrently. A non-null `trace` receives
-  /// the per-operator execution trace (exec/trace.h): I/O is summed over
-  /// every disk in the fleet (coordinator + replicas), and atomic nodes
-  /// additionally record the records/bytes shipped across the simulated
-  /// network plus the retries and replica failovers the shipping needed.
+  /// coordinator. A thin wrapper: a sequential, uncached
+  /// ParallelEvaluator on the coordinator disk with the fleet as its node
+  /// source — what an Engine runs, without the Engine (whose pool is the
+  /// one that fans a fleet out). Safe to call concurrently. A non-null
+  /// `trace` receives the per-operator execution trace (exec/trace.h):
+  /// I/O is summed over every disk in the fleet (coordinator + replicas),
+  /// and every node the fleet answered additionally records the
+  /// records/bytes shipped across the simulated network plus the retries
+  /// and replica failovers its requests needed.
   /// A non-null `warnings` receives this call's DegradationWarnings
   /// (empty when the result is complete).
   Result<std::vector<Entry>> Execute(
       const Query& query, OpTrace* trace = nullptr,
       std::vector<DegradationWarning>* warnings = nullptr);
 
-  /// NodeSource: a leaf scatter-gathers across its owning shards (fanned
-  /// out on `context.pool`); a (sub)query a single shard exclusively owns
-  /// ships whole to one of its replicas (set_query_shipping); anything
-  /// else is declined, so the evaluator forks its operands. A shard that
-  /// stays unavailable through every replica and retry degrades the
-  /// answer into `context.degradations` (set_allow_degraded).
+  /// NodeSource: a leaf is requested from every owning shard (fanned out
+  /// on `context.pool`); a (sub)query a single shard exclusively owns
+  /// ships whole to it through the same request (set_query_shipping);
+  /// anything else is declined, so the evaluator forks its operands. A
+  /// leaf's shard that stays unavailable through every replica and retry
+  /// degrades the answer into `context.degradations`
+  /// (set_allow_degraded); a shipment that cannot complete is declined.
   Result<std::optional<EntryList>> Answer(
       const Query& node, OpTrace* trace,
       const SourceContext& context) override;
@@ -245,19 +247,8 @@ class DistributedDirectory : public NodeSource, public EntrySource {
   /// nullptr if the query spans shards. Exposed for tests.
   Shard* SingleOwner(const Query& query);
 
-  /// Execute's pool: independent sub-plans (operand subtrees, per-shard
-  /// atomic fan-out) run on up to `n` threads (1 = sequential, the
-  /// default). Results are identical to sequential evaluation; only
-  /// scheduling changes. Not thread-safe against a concurrent Execute.
-  /// An Engine's evaluations run on the engine's pool instead.
-  void set_parallelism(size_t n);
-  size_t parallelism() const {
-    return pool_ != nullptr ? pool_->parallelism() : 1;
-  }
-
   /// Transient-failure handling knobs (see RetryPolicy).
   void set_retry_policy(RetryPolicy policy) { retry_policy_ = policy; }
-  const RetryPolicy& retry_policy() const { return retry_policy_; }
 
   /// When enabled (the default), an atomic query whose owning shard stays
   /// Unavailable through every replica and retry yields a PARTIAL result
@@ -265,7 +256,6 @@ class DistributedDirectory : public NodeSource, public EntrySource {
   /// per missing shard — instead of failing the whole query. Disable to
   /// get fail-stop semantics (the Unavailable status propagates).
   void set_allow_degraded(bool enabled) { allow_degraded_ = enabled; }
-  bool allow_degraded() const { return allow_degraded_; }
 
   const NetStats& net_stats() const { return net_; }
   /// Snapshot of every replica's failover count, keyed by replica name
@@ -287,34 +277,32 @@ class DistributedDirectory : public NodeSource, public EntrySource {
  private:
   DistributedDirectory() = default;
 
-  /// One shard-level fetch: the atomic query evaluated on one healthy
-  /// replica, with round-robin replica choice, per-replica retries and
-  /// failover across the replica ring. On success `run` is the sorted
-  /// result ON `replica`'s own disk (the coordinator streams it during
-  /// the merge). The counters are filled in success and failure alike.
-  struct ShardFetch {
+  /// One replica request: `query` (a leaf, or a subtree `shard` owns
+  /// alone) evaluated on one replica of `shard` by the replica's own
+  /// sequential, uncached evaluator. The ring walk starts round-robin,
+  /// retries a transient failure per RetryPolicy, then fails over to the
+  /// next replica. On success `run` is the sorted result ON `replica`'s
+  /// disk (the coordinator streams it, dist/merge.h). `trace` is the last
+  /// attempt's replica trace with `io` summed over every attempt (filled
+  /// only when `want_trace`); it and the counters are filled in success
+  /// and failure alike.
+  struct ReplicaAnswer {
     DirectoryServer* replica = nullptr;
     Run run;
-    uint64_t scanned_records = 0;
+    OpTrace trace;
     uint64_t retries = 0;
     uint64_t failovers = 0;
   };
-  Status FetchAtomicFromShard(Shard& shard, const Query& query,
-                              bool want_trace, ShardFetch* out);
+  Status Request(Shard& shard, const Query& query, bool want_trace,
+                 ReplicaAnswer* out);
 
-  /// Scatter-gather: the leaf on every owning shard, merged at the
-  /// coordinator; shards that stay unavailable degrade into `context`'s
-  /// log (when allowed).
-  Result<EntryList> EvaluateAtomicDistributed(const Query& query,
-                                              OpTrace* trace,
-                                              const SourceContext& context);
-
-  /// Evaluates `query` on one replica of `shard` and ships the result to
-  /// the coordinator. The replica's evaluator fills `trace`; on a
-  /// transient failure of every replica, `trace` keeps only the I/O the
-  /// failed attempts did.
-  Result<EntryList> ShipWholeQuery(const Query& query, Shard* shard,
-                                   OpTrace* trace);
+  /// Sends `query` to every shard of `owners` and merges their sorted
+  /// results at the coordinator. A leaf's shard that stays unavailable
+  /// degrades into `context`'s log (when allowed); a shipment's fails the
+  /// call, with the replica-side accounting folded into `trace` either way.
+  Result<EntryList> Gather(const Query& query,
+                           const std::vector<Shard*>& owners, OpTrace* trace,
+                           const SourceContext& context);
 
   /// True when at least one replica of `shard` is up.
   static bool AnyReplicaUp(const Shard& shard);
@@ -331,7 +319,6 @@ class DistributedDirectory : public NodeSource, public EntrySource {
   /// of Build).
   std::shared_ptr<std::atomic<uint64_t>> jitter_seq_ =
       std::make_shared<std::atomic<uint64_t>>(0);
-  std::unique_ptr<ThreadPool> pool_;  // Execute's; null = sequential
 };
 
 }  // namespace ndq

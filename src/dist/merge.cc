@@ -31,13 +31,12 @@ Status ShardStream::Reopen() {
                                "': stream failed and no replica to resume "
                                "from");
   }
-  NDQ_ASSIGN_OR_RETURN(Source fresh, refetch_(consumed_));
+  NDQ_ASSIGN_OR_RETURN(Source fresh, refetch_());
   // Best effort: the old run lives on the failed replica's disk, which
   // may refuse the frees too. Nothing downstream depends on them.
   FreeRun(source_.disk, &source_.run).ok();
   source_ = std::move(fresh);
   reader_ = std::make_unique<RunReader>(source_.disk, source_.run);
-  ++refetches_;
   // Replicas hold identical partitions, so the replacement run carries
   // the same record sequence: skip the prefix the caller already saw.
   std::string skipped;

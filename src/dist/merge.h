@@ -1,12 +1,13 @@
 // Streaming scatter-gather merge at the coordinator (Sec. 8.3, scaled).
 //
-// Every server returns its atomic-query result as a SORTED run in
-// reverse-DN order, and shard contexts are disjoint, so the coordinator
-// can restore global order with a plain k-way merge — no dedup, no
-// re-sort. The per-shard runs STAY on the serving replicas' disks and the
-// coordinator consumes them record-at-a-time, writing the merged output
-// exactly once: each record crosses the "network" once, and the
-// coordinator's footprint is one page per input stream.
+// Every server returns its result — an atomic query's, or a shipped
+// subtree's — as a SORTED run in reverse-DN order, and shard contexts are
+// disjoint, so the coordinator can restore global order with a plain
+// k-way merge — no dedup, no re-sort (a shipment is a merge of one). The
+// per-shard runs STAY on the serving replicas' disks and the coordinator
+// consumes them record-at-a-time, writing the merged output exactly once:
+// each record crosses the "network" once, and the coordinator's footprint
+// is one page per input stream.
 //
 // Replication makes the streams resumable: if a replica dies mid-stream
 // (a read fails), the stream re-fetches the same result from a sibling
@@ -37,10 +38,9 @@ class ShardStream {
     Run run;
   };
   /// Re-fetches the shard's result from another replica after a
-  /// mid-stream failure. Receives the count of records already delivered
-  /// (purely informational); must return a Source holding the same record
+  /// mid-stream failure. Must return a Source holding the same record
   /// sequence, or the failure that exhausted the shard's replicas.
-  using Refetch = std::function<Result<Source>(uint64_t consumed)>;
+  using Refetch = std::function<Result<Source>()>;
 
   ShardStream(std::string shard, Source source, Refetch refetch);
   ~ShardStream();  // frees the current run, best effort
@@ -62,8 +62,6 @@ class ShardStream {
   uint64_t consumed() const { return consumed_; }
   uint64_t bytes_consumed() const { return bytes_consumed_; }
   uint64_t num_records() const { return source_.run.num_records; }
-  /// Successful mid-stream re-fetches (replica failovers inside Next).
-  uint64_t refetches() const { return refetches_; }
 
  private:
   /// Swaps in a replacement source and skips the consumed prefix.
@@ -75,7 +73,6 @@ class ShardStream {
   std::unique_ptr<RunReader> reader_;
   uint64_t consumed_ = 0;
   uint64_t bytes_consumed_ = 0;
-  uint64_t refetches_ = 0;
   bool closed_ = false;
 };
 
@@ -86,8 +83,7 @@ class ShardStream {
 /// on failure the failing stream's index lands in `*failed_stream` (when
 /// non-null) so the caller can degrade that shard and retry without it.
 /// The streams stay owned by the caller — read
-/// consumed()/bytes_consumed()/refetches() afterwards for shipping
-/// accounting.
+/// consumed()/bytes_consumed() afterwards for shipping accounting.
 Result<Run> MergeShardStreams(Disk* out_disk, const RecordKeyFn& key_fn,
                               const std::vector<ShardStream*>& streams,
                               PageFormat format,

@@ -42,8 +42,8 @@ struct ExecOptions {
   ExternalSortOptions sort;
   /// Number of threads a ParallelEvaluator with a private pool may use for
   /// independent operand subtrees (1 = sequential). Evaluators on a
-  /// borrowed pool (the engine's, the fleet's) run at that pool's size
-  /// instead; the engine sizes its pool from EngineOptions::exec.
+  /// borrowed pool (the engine's) run at that pool's size instead; the
+  /// engine sizes its pool from EngineOptions::exec.
   size_t parallelism = 1;
 };
 

@@ -94,10 +94,12 @@ struct SourceContext {
 /// what it did there — I/O its own tasks did on other threads, shipping,
 /// retries, a remote evaluation's subtree. The evaluator then adds the I/O
 /// its own thread did for the node and, for an answered node, does not add
-/// the children again. A source that declines leaves `trace` empty apart
-/// from `io`. An answer that is partial rather than failed records why in
-/// `context.degradations`. Answer may be called concurrently (sibling
-/// subtrees, concurrent evaluations).
+/// the children again. A source that declines leaves in `trace` only what
+/// its failed attempt cost (`io`, shipping, retries and failovers); the
+/// evaluator adds the children's I/O and shipping to it. An answer that
+/// is partial rather than failed records why in `context.degradations`.
+/// Answer may be called concurrently (sibling subtrees, concurrent
+/// evaluations).
 class NodeSource {
  public:
   virtual ~NodeSource() = default;

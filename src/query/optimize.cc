@@ -83,7 +83,6 @@ QueryPtr Rebuild(const Query& q, QueryPtr q1, QueryPtr q2, QueryPtr q3) {
 
 struct Ctx {
   const EntrySource& store;
-  OptimizeOptions opts;
   OptimizeStats stats;
 };
 
@@ -191,8 +190,7 @@ LdapFilterPtr CanonicalizeLdap(Ctx* ctx, const StoreStats& stats,
           kids.push_back(std::move(canon));
         }
       }
-      if (ctx->opts.short_circuit && f->op() == LdapFilter::Op::kOr &&
-          kids.size() > 1) {
+      if (f->op() == LdapFilter::Op::kOr && kids.size() > 1) {
         std::vector<LdapFilterPtr> kept;
         for (const LdapFilterPtr& c : kids) {
           if (stats.EstimateLdapMatches(*c) == 0) continue;
@@ -221,20 +219,17 @@ LdapFilterPtr CanonicalizeLdap(Ctx* ctx, const StoreStats& stats,
       }
       std::vector<size_t> order(kids.size());
       for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-      if (ctx->opts.reorder) {
-        std::stable_sort(order.begin(), order.end(),
-                         [&](size_t a, size_t b) {
-                           return std::tie(keyed[a].est, keyed[a].text) <
-                                  std::tie(keyed[b].est, keyed[b].text);
-                         });
-        size_t moved = 0;
-        for (size_t i = 0; i < order.size(); ++i) {
-          if (order[i] != i) ++moved;
-        }
-        if (moved != 0) {
-          ctx->stats.reordered_operands += moved;
-          structural = true;
-        }
+      std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return std::tie(keyed[a].est, keyed[a].text) <
+               std::tie(keyed[b].est, keyed[b].text);
+      });
+      size_t moved = 0;
+      for (size_t i = 0; i < order.size(); ++i) {
+        if (order[i] != i) ++moved;
+      }
+      if (moved != 0) {
+        ctx->stats.reordered_operands += moved;
+        structural = true;
       }
       if (!structural) return f;
       *changed = true;
@@ -284,8 +279,7 @@ QueryPtr TryPushdown(Ctx* ctx, const QueryPtr& node) {
 QueryPtr OptimizeNode(Ctx* ctx, const QueryPtr& q) {
   if (IsLeafOp(q->op())) {
     // A provably-empty scan shrinks to its base-scoped witness.
-    if (ctx->opts.short_circuit && q->scope() != Scope::kBase &&
-        ProvablyEmpty(ctx->store, *q)) {
+    if (q->scope() != Scope::kBase && ProvablyEmpty(ctx->store, *q)) {
       ++ctx->stats.short_circuits;
       return EmptyWitness(q);
     }
@@ -294,8 +288,7 @@ QueryPtr OptimizeNode(Ctx* ctx, const QueryPtr& q) {
     // such leaf, so operand ordering lives inside its filter here.
     if (q->op() == QueryOp::kLdap) {
       const StoreStats* stats = ctx->store.stats();
-      if (stats != nullptr &&
-          (ctx->opts.reorder || ctx->opts.short_circuit)) {
+      if (stats != nullptr) {
         bool changed = false;
         LdapFilterPtr f =
             CanonicalizeLdap(ctx, *stats, q->ldap_filter(), &changed);
@@ -312,38 +305,33 @@ QueryPtr OptimizeNode(Ctx* ctx, const QueryPtr& q) {
   switch (node->op()) {
     case QueryOp::kAnd:
     case QueryOp::kOr: {
-      if (ctx->opts.short_circuit) {
-        bool e1 = ProvablyEmpty(ctx->store, *node->q1());
-        bool e2 = ProvablyEmpty(ctx->store, *node->q2());
-        if (node->op() == QueryOp::kAnd && (e1 || e2)) {
-          ++ctx->stats.short_circuits;
-          return EmptyWitness(e1 ? node->q1() : node->q2());
-        }
-        if (node->op() == QueryOp::kOr && (e1 || e2)) {
-          ++ctx->stats.short_circuits;
-          if (e1 && e2) return EmptyWitness(node->q1());
-          return e1 ? node->q2() : node->q1();
-        }
+      bool e1 = ProvablyEmpty(ctx->store, *node->q1());
+      bool e2 = ProvablyEmpty(ctx->store, *node->q2());
+      if (node->op() == QueryOp::kAnd && (e1 || e2)) {
+        ++ctx->stats.short_circuits;
+        return EmptyWitness(e1 ? node->q1() : node->q2());
       }
-      if (node->op() == QueryOp::kAnd && ctx->opts.pushdown) {
+      if (node->op() == QueryOp::kOr && (e1 || e2)) {
+        ++ctx->stats.short_circuits;
+        if (e1 && e2) return EmptyWitness(node->q1());
+        return e1 ? node->q2() : node->q1();
+      }
+      if (node->op() == QueryOp::kAnd) {
         QueryPtr pushed = TryPushdown(ctx, node);
         if (pushed != nullptr) return pushed;
       }
-      if (ctx->opts.reorder) node = ReorderChain(ctx, node);
-      return node;
+      return ReorderChain(ctx, node);
     }
     case QueryOp::kDiff: {
-      if (ctx->opts.short_circuit) {
-        if (ProvablyEmpty(ctx->store, *node->q1())) {
-          // M(-) is a subset of M(Q1) = {}.
-          ++ctx->stats.short_circuits;
-          return EmptyWitness(node->q1());
-        }
-        if (ProvablyEmpty(ctx->store, *node->q2())) {
-          // Subtracting nothing: M(-) = M(Q1).
-          ++ctx->stats.short_circuits;
-          return node->q1();
-        }
+      if (ProvablyEmpty(ctx->store, *node->q1())) {
+        // M(-) is a subset of M(Q1) = {}.
+        ++ctx->stats.short_circuits;
+        return EmptyWitness(node->q1());
+      }
+      if (ProvablyEmpty(ctx->store, *node->q2())) {
+        // Subtracting nothing: M(-) = M(Q1).
+        ++ctx->stats.short_circuits;
+        return node->q1();
       }
       return node;
     }
@@ -351,28 +339,25 @@ QueryPtr OptimizeNode(Ctx* ctx, const QueryPtr& q) {
     case QueryOp::kValueDn:
     case QueryOp::kDnValue: {
       // Output is a subset of M(Q1) unconditionally.
-      if (ctx->opts.short_circuit &&
-          ProvablyEmpty(ctx->store, *node->q1())) {
+      if (ProvablyEmpty(ctx->store, *node->q1())) {
         ++ctx->stats.short_circuits;
         return EmptyWitness(node->q1());
       }
       return node;
     }
     default: {  // hierarchy selections
-      if (ctx->opts.short_circuit) {
-        if (ProvablyEmpty(ctx->store, *node->q1())) {
-          ++ctx->stats.short_circuits;
-          return EmptyWitness(node->q1());
-        }
-        // Without an aggregate filter the semantics are purely
-        // existential (Sec. 6.2): no witnesses in M(Q2) means no entry
-        // qualifies. An aggregate like count($2)=0 can match entries
-        // with zero witnesses, so it disables the rule.
-        if (!node->agg().has_value() &&
-            ProvablyEmpty(ctx->store, *node->q2())) {
-          ++ctx->stats.short_circuits;
-          return EmptyWitness(node->q2());
-        }
+      if (ProvablyEmpty(ctx->store, *node->q1())) {
+        ++ctx->stats.short_circuits;
+        return EmptyWitness(node->q1());
+      }
+      // Without an aggregate filter the semantics are purely existential
+      // (Sec. 6.2): no witnesses in M(Q2) means no entry qualifies. An
+      // aggregate like count($2)=0 can match entries with zero witnesses,
+      // so it disables the rule.
+      if (!node->agg().has_value() &&
+          ProvablyEmpty(ctx->store, *node->q2())) {
+        ++ctx->stats.short_circuits;
+        return EmptyWitness(node->q2());
       }
       return node;
     }
@@ -396,11 +381,10 @@ std::string OptimizeStats::ToString() const {
   return out.empty() ? "none" : out;
 }
 
-OptimizedPlan OptimizeQuery(const EntrySource& store, const QueryPtr& query,
-                            const OptimizeOptions& options) {
+OptimizedPlan OptimizeQuery(const EntrySource& store, const QueryPtr& query) {
   OptimizedPlan out;
   out.est_pages_before = EstimateCost(store, *query).TotalPages();
-  Ctx ctx{store, options, {}};
+  Ctx ctx{store, {}};
   out.plan = OptimizeNode(&ctx, query);
   out.stats = ctx.stats;
   out.est_pages_after = EstimateCost(store, *out.plan).TotalPages();

@@ -51,13 +51,6 @@
 
 namespace ndq {
 
-/// Per-rule toggles (all on by default; tests isolate rules with these).
-struct OptimizeOptions {
-  bool short_circuit = true;
-  bool reorder = true;
-  bool pushdown = true;
-};
-
 /// Counts of applied rewrites, reported through QueryOutcome and the
 /// root trace's plan_rewrites field.
 struct OptimizeStats {
@@ -85,8 +78,7 @@ struct OptimizedPlan {
 /// input should already be canonicalized by RewriteQuery. Never returns
 /// a more expensive plan: rewrites are kept only when the cost estimate
 /// does not increase.
-OptimizedPlan OptimizeQuery(const EntrySource& store, const QueryPtr& query,
-                            const OptimizeOptions& options = {});
+OptimizedPlan OptimizeQuery(const EntrySource& store, const QueryPtr& query);
 
 /// How an atomic leaf should fetch its entries.
 enum class AccessPath {

@@ -17,17 +17,6 @@ int64_t DecodeOrderedInt64(std::string_view bytes) {
   return static_cast<int64_t>(u ^ (uint64_t{1} << 63));
 }
 
-void AppendOrderedValueKey(const Value& value, std::string* out) {
-  // Kind ranks match TypeKind's numeric order, which is how
-  // Value::operator< ranks kinds.
-  out->push_back(static_cast<char>(value.kind()));
-  if (value.is_int()) {
-    AppendOrderedInt64(value.AsInt(), out);
-  } else {
-    out->append(value.AsString());
-  }
-}
-
 void SerializeEntry(const Entry& entry, std::string* out) {
   ByteWriter(out).PutString(entry.HierKey());
   out->append(entry.view().attribute_bytes());

@@ -69,7 +69,7 @@ inline constexpr uint64_t kRestartInterval = 64;
 inline bool PageCompressionEnabled() { return true; }
 
 // ---------------------------------------------------------------------------
-// Order-preserving typed key encoding
+// Order-preserving integer key encoding
 // ---------------------------------------------------------------------------
 
 /// Order-preserving fixed-width encoding of a signed 64-bit integer: the
@@ -77,13 +77,6 @@ inline bool PageCompressionEnabled() { return true; }
 /// the 8-byte strings equals numeric order.
 void AppendOrderedInt64(int64_t v, std::string* out);
 int64_t DecodeOrderedInt64(std::string_view bytes);
-
-/// Order-preserving encoding of a typed Value: a kind-rank tag byte
-/// followed by the domain encoding (sign-flipped big-endian for kInt, raw
-/// bytes otherwise). memcmp order on encodings equals Value::operator<
-/// (kind first, then domain order) — the SerializeKeyByType idiom, used by
-/// the secondary indexes and verified by the codec property tests.
-void AppendOrderedValueKey(const Value& value, std::string* out);
 
 /// Appends the wire form of `entry` to `out`: its HierKey as a string,
 /// then its attribute bytes (see EntryView), copied.

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/engine.h"
 #include "query/parser.h"
 #include "query/reference.h"
 #include "storage/fault_injector.h"
@@ -22,13 +23,16 @@ namespace {
 
 // Same fixture split as distributed_test.cc: dc=com + dc=att on the root
 // server, the research subdomain delegated.
+TopologyConfig PaperTopology() {
+  return TopologyConfig::Parse(
+             "shard root-server dc=com\n"
+             "shard research-server dc=research, dc=att, dc=com\n")
+      .TakeValue();
+}
+
 DistributedDirectory PaperFleet() {
-  DirectoryInstance inst = testing::PaperInstance();
-  return DistributedDirectory::Build(
-             inst, TopologyConfig::Parse(
-                       "shard root-server dc=com\n"
-                       "shard research-server dc=research, dc=att, dc=com\n")
-                       .TakeValue())
+  return DistributedDirectory::Build(testing::PaperInstance(),
+                                     PaperTopology())
       .TakeValue();
 }
 
@@ -109,6 +113,41 @@ TEST(DegradationTest, TransientFaultIsRetriedToAFullResult) {
   EXPECT_TRUE(warnings.empty());
 }
 
+// A shipped subtree retries like a leaf: one transient read fault on the
+// research server costs one more round trip, and the subtree still ships
+// whole with only its final result crossing the network.
+TEST(DegradationTest, TransientFaultOnAShippedSubtreeIsRetried) {
+  DirectoryInstance global = testing::PaperInstance();
+  DistributedDirectory fleet = PaperFleet();
+  fleet.set_retry_policy(FastRetries());
+  QueryPtr q = ParseQuery(
+                   "(c (dc=research, dc=att, dc=com ? sub ? "
+                   "objectClass=TOPSSubscriber)"
+                   "   (dc=research, dc=att, dc=com ? sub ? "
+                   "objectClass=QHP) count($2)>1)")
+                   .TakeValue();
+  std::vector<Entry> want = ReferenceResult(global, *q);
+
+  fleet.ResetStats();
+  FaultInjector fi({FaultInjector::FailNth(1, FaultOpBit(FaultOp::kRead))});
+  fleet.FindServer("research-server")->disk()->set_fault_injector(&fi);
+  OpTrace trace;
+  std::vector<DegradationWarning> warnings;
+  Result<std::vector<Entry>> got = fleet.Execute(*q, &trace, &warnings);
+  fleet.FindServer("research-server")->disk()->set_fault_injector(nullptr);
+
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, want);
+  EXPECT_EQ(fi.faults_fired(), 1u);
+  EXPECT_TRUE(warnings.empty());
+  const NetStats& net = fleet.net_stats();
+  EXPECT_EQ(uint64_t{net.queries_shipped}, 1u);
+  EXPECT_EQ(uint64_t{net.messages}, 4u);  // the failed try and the retry
+  EXPECT_EQ(uint64_t{net.records_shipped}, 1u);  // final result only
+  EXPECT_EQ(uint64_t{net.retries}, 1u);
+  EXPECT_EQ(trace.retries, 1u);
+}
+
 TEST(DegradationTest, QueryShippingFallsBackWhenOwnerIsDown) {
   DistributedDirectory fleet = PaperFleet();
   fleet.set_retry_policy(FastRetries());
@@ -155,21 +194,40 @@ TEST(DegradationTest, RecoveryRestoresExactResults) {
 }
 
 TEST(DegradationTest, ParallelFleetDegradesIdentically) {
+  // The same downed shard through the engine's pool: every round gets the
+  // sequential Execute's partial result and a warning. The engine runs
+  // the plan as given and caches nothing, so each round asks the fleet.
   DistributedDirectory fleet = PaperFleet();
   fleet.set_retry_policy(FastRetries());
-  fleet.set_parallelism(3);
   fleet.FindServer("research-server")->set_down(true);
   QueryPtr q = ParseQuery(
                    "(& (dc=com ? sub ? objectClass=dcObject)"
                    "   (dc=com ? sub ? objectClass=*))")
                    .TakeValue();
+  std::vector<DegradationWarning> want_warnings;
+  Result<std::vector<Entry>> want = fleet.Execute(*q, nullptr, &want_warnings);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_EQ(want->size(), 2u);  // the root server's dc entries
+  EXPECT_FALSE(want_warnings.empty());
+
+  EngineOptions opt;
+  opt.backend = EngineBackend::kDistributed;
+  opt.topology = PaperTopology();
+  opt.rewrite = false;
+  opt.cache_capacity_pages = 0;
+  Engine engine(testing::PaperInstance(), opt);
+  ASSERT_TRUE(engine.init_status().ok()) << engine.init_status().ToString();
+  engine.SetOptimize(false);
+  engine.SetParallelism(3);
+  engine.fleet()->set_retry_policy(FastRetries());
+  engine.fleet()->FindServer("research-server")->set_down(true);
+  Session session = engine.OpenSession();
   for (int round = 0; round < 5; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
-    std::vector<DegradationWarning> warnings;
-    Result<std::vector<Entry>> got = fleet.Execute(*q, nullptr, &warnings);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_EQ(got->size(), 2u);  // the root server's dc entries
-    EXPECT_FALSE(warnings.empty());
+    QueryOutcome got = session.Run(q);
+    ASSERT_TRUE(got.ok()) << got.status.ToString();
+    EXPECT_EQ(got.entries, *want);
+    EXPECT_EQ(got.warnings.size(), want_warnings.size());
   }
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "dist/distributed.h"
+#include "engine/engine.h"
 #include "gen/random_forest.h"
 #include "gen/random_query.h"
 #include "query/reference.h"
@@ -113,8 +114,10 @@ TEST(DistPropertyTest, ShippedRecordsNeverExceedAtomicResults) {
 }
 
 TEST(DistPropertyTest, ParallelEvaluationMatchesSequentialShipping) {
-  // set_parallelism changes scheduling only: results, everything the
-  // network carried, and the trace shape must match the sequential run.
+  // The engine's pool changes scheduling only: results, everything the
+  // network carried, and the trace shape must match the fleet's
+  // sequential Execute. The engine runs each plan as given (no rewrite,
+  // no optimizer, no cache), so both legs evaluate the same tree.
   std::mt19937 rng(11);
   gen::RandomForestOptions fopt;
   fopt.seed = 11;
@@ -129,10 +132,22 @@ TEST(DistPropertyTest, ParallelEvaluationMatchesSequentialShipping) {
                   entry.dn().ToString() + "\n";
     }
   }
+  TopologyConfig config = TopologyConfig::Parse(topology).TakeValue();
   DistributedDirectory fleet =
-      DistributedDirectory::Build(global,
-                                  TopologyConfig::Parse(topology).TakeValue())
-          .TakeValue();
+      DistributedDirectory::Build(global, config).TakeValue();
+
+  EngineOptions opt;
+  opt.backend = EngineBackend::kDistributed;
+  opt.topology = config;
+  opt.rewrite = false;
+  opt.cache_capacity_pages = 0;
+  Engine engine(global, opt);
+  ASSERT_TRUE(engine.init_status().ok()) << engine.init_status().ToString();
+  engine.SetOptimize(false);
+  engine.SetParallelism(4);
+  ASSERT_EQ(engine.parallelism(), 4u);
+  DistributedDirectory& parallel_fleet = *engine.fleet();
+  Session session = engine.OpenSession();
 
   gen::RandomQueryOptions qopt;
   qopt.max_language = Language::kL3;
@@ -140,35 +155,26 @@ TEST(DistPropertyTest, ParallelEvaluationMatchesSequentialShipping) {
     QueryPtr q = gen::RandomQuery(&rng, global, qopt);
     SCOPED_TRACE(q->ToString());
 
-    fleet.set_parallelism(1);
-    ASSERT_EQ(fleet.parallelism(), 1u);
     fleet.ResetStats();
     OpTrace seq_trace;
     Result<std::vector<Entry>> seq = fleet.Execute(*q, &seq_trace);
-    const uint64_t seq_recs = fleet.net_stats().records_shipped;
-    const uint64_t seq_bytes = fleet.net_stats().bytes_shipped;
-    const uint64_t seq_msgs = fleet.net_stats().messages;
 
-    fleet.set_parallelism(4);
-    ASSERT_EQ(fleet.parallelism(), 4u);
-    fleet.ResetStats();
-    OpTrace par_trace;
-    Result<std::vector<Entry>> par = fleet.Execute(*q, &par_trace);
+    parallel_fleet.ResetStats();
+    QueryOutcome par = session.Run(q);
 
-    ASSERT_EQ(seq.ok(), par.ok());
+    ASSERT_EQ(seq.ok(), par.ok()) << par.status.ToString();
     if (!seq.ok()) continue;
-    ASSERT_EQ(seq->size(), par->size());
-    for (size_t j = 0; j < seq->size(); ++j) {
-      EXPECT_EQ((*seq)[j], (*par)[j]);
-    }
-    EXPECT_EQ(fleet.net_stats().records_shipped, seq_recs);
-    EXPECT_EQ(fleet.net_stats().bytes_shipped, seq_bytes);
-    EXPECT_EQ(fleet.net_stats().messages, seq_msgs);
-    EXPECT_EQ(par_trace.NodeCount(), seq_trace.NodeCount());
-    EXPECT_EQ(par_trace.output_records, seq_trace.output_records);
-    EXPECT_EQ(par_trace.shipped_records, seq_trace.shipped_records);
+    EXPECT_EQ(*seq, par.entries);
+    const NetStats& s = fleet.net_stats();
+    const NetStats& p = parallel_fleet.net_stats();
+    EXPECT_EQ(p.records_shipped, s.records_shipped);
+    EXPECT_EQ(p.bytes_shipped, s.bytes_shipped);
+    EXPECT_EQ(p.messages, s.messages);
+    EXPECT_EQ(p.queries_shipped, s.queries_shipped);
+    EXPECT_EQ(par.trace.NodeCount(), seq_trace.NodeCount());
+    EXPECT_EQ(par.trace.output_records, seq_trace.output_records);
+    EXPECT_EQ(par.trace.shipped_records, seq_trace.shipped_records);
   }
-  fleet.set_parallelism(1);
 }
 
 }  // namespace

@@ -500,11 +500,12 @@ uint64_t FleetTransfers(DistributedDirectory& fleet) {
 
 // The fleet's traces account for every transfer and every shipped record
 // at the root, whether a node scatter-gathers its leaves, ships whole to
-// one shard, or mixes the two, at any fleet parallelism: the root's I/O is
-// the call's fleet-wide transfer delta minus reading the result out, and
-// its shipped records are what crossed the network. A shipped node keeps
-// the replica evaluator's subtree I/O plus its own shipping, without its
-// children counted a second time.
+// one shard, or mixes the two: the root's I/O is the call's fleet-wide
+// transfer delta minus reading the result out, and its shipped records
+// are what crossed the network. A shipped node keeps the replica
+// evaluator's subtree I/O plus its own shipping, without its children
+// counted a second time. EngineDistTest runs the same cases on an
+// engine's pool.
 TEST(FleetTraceTest, RootAccountsForFleetTransfersAndShipping) {
   DirectoryInstance global = SmallDif();
   DistributedDirectory fleet = NestedFleet(global, /*replicas=*/2);
@@ -522,38 +523,35 @@ TEST(FleetTraceTest, RootAccountsForFleetTransfersAndShipping) {
   cases.push_back({"(| " + org1_join + " (dc=com ? sub ? objectClass=QHP))",
                    1});
 
-  for (size_t parallelism : {size_t{1}, size_t{4}}) {
-    fleet.set_parallelism(parallelism);
-    for (const Case& c : cases) {
-      SCOPED_TRACE("parallelism " + std::to_string(parallelism) + ": " +
-                   c.text);
-      QueryPtr q = ParseQuery(c.text).TakeValue();
-      const uint64_t transfers = FleetTransfers(fleet);
-      const uint64_t shipped = fleet.net_stats().records_shipped;
-      const uint64_t shipments = fleet.net_stats().queries_shipped;
-      OpTrace trace;
-      Result<std::vector<Entry>> got = fleet.Execute(*q, &trace);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_EQ(fleet.net_stats().queries_shipped - shipments, c.shipments);
-      EXPECT_EQ(trace.NodeCount(), q->NodeCount());
-      EXPECT_GT(trace.io.TotalTransfers(), 0u);
-      EXPECT_EQ(trace.io.TotalTransfers(),
-                FleetTransfers(fleet) - transfers - trace.output_pages);
-      EXPECT_EQ(trace.shipped_records,
-                fleet.net_stats().records_shipped - shipped);
-    }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.text);
+    QueryPtr q = ParseQuery(c.text).TakeValue();
+    const uint64_t transfers = FleetTransfers(fleet);
+    const uint64_t shipped = fleet.net_stats().records_shipped;
+    const uint64_t shipments = fleet.net_stats().queries_shipped;
+    OpTrace trace;
+    Result<std::vector<Entry>> got = fleet.Execute(*q, &trace);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(fleet.net_stats().queries_shipped - shipments, c.shipments);
+    EXPECT_EQ(trace.NodeCount(), q->NodeCount());
+    EXPECT_GT(trace.io.TotalTransfers(), 0u);
+    EXPECT_EQ(trace.io.TotalTransfers(),
+              FleetTransfers(fleet) - transfers - trace.output_pages);
+    EXPECT_EQ(trace.shipped_records,
+              fleet.net_stats().records_shipped - shipped);
   }
-  fleet.set_parallelism(1);
 }
 
-// The same accounting holds when shipments fail: a read fault on each
-// replica of the serving shard makes whole-query attempts fail over or
-// fall back to the operands, and the I/O of every abandoned attempt
-// still reaches the root.
+// The same accounting holds when shipments fail: with one attempt per
+// replica, a read fault on each replica of the serving shard exhausts the
+// shipment, which falls back to its operands, and the I/O of every
+// abandoned attempt still reaches the root. The fallback is not a retry.
 TEST(FleetTraceTest, AbandonedShipmentsStayAccounted) {
   DirectoryInstance global = SmallDif();
   DistributedDirectory fleet = NestedFleet(global, /*replicas=*/2);
-  fleet.set_retry_policy(FastRetries());
+  RetryPolicy once = FastRetries();
+  once.max_attempts = 1;
+  fleet.set_retry_policy(once);
   fleet.set_allow_degraded(false);
   QueryPtr q = ParseQuery(
                    "(c (dc=org1, dc=com ? sub ? objectClass=TOPSSubscriber)"
@@ -571,8 +569,7 @@ TEST(FleetTraceTest, AbandonedShipmentsStayAccounted) {
           FaultInjector::FailNth(nth, FaultOpBit(FaultOp::kRead)));
       org1->replica(r)->disk()->set_fault_injector(injectors.back().get());
     }
-    const uint64_t transfers = FleetTransfers(fleet);
-    const uint64_t shipped = fleet.net_stats().records_shipped;
+    fleet.ResetStats();
     OpTrace trace;
     Result<std::vector<Entry>> got = fleet.Execute(*q, &trace);
     for (size_t r = 0; r < org1->num_replicas(); ++r) {
@@ -580,11 +577,65 @@ TEST(FleetTraceTest, AbandonedShipmentsStayAccounted) {
     }
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(*got, want);
+    const NetStats& net = fleet.net_stats();
+    // Each replica failed the shipment once (two round trips), then each
+    // operand leaf took a round trip of its own.
+    EXPECT_EQ(uint64_t{net.queries_shipped}, 1u);
+    EXPECT_EQ(uint64_t{net.messages}, 8u);
+    EXPECT_EQ(uint64_t{net.retries}, 0u);
+    ASSERT_EQ(trace.children.size(), 2u);
+    EXPECT_GT(trace.children[0].shipped_records, 0u);
     EXPECT_EQ(trace.io.TotalTransfers(),
-              FleetTransfers(fleet) - transfers - trace.output_pages);
-    EXPECT_EQ(trace.shipped_records,
-              fleet.net_stats().records_shipped - shipped);
+              FleetTransfers(fleet) - trace.output_pages);
+    EXPECT_EQ(trace.shipped_records, uint64_t{net.records_shipped});
   }
+}
+
+// A fault on the coordinator's side of a shipment — its disk refusing a
+// write of the shipped result — is no replica's: nothing fails over, the
+// subtree is not evaluated again on a sibling, and the shipment falls
+// back to its operands, which complete the exact result. The records the
+// abandoned shipment streamed stay accounted at the root.
+TEST(ReplicationTest, CoordinatorFaultIsNotAReplicaFailover) {
+  DirectoryInstance global = testing::PaperInstance();
+  DistributedDirectory fleet =
+      DistributedDirectory::Build(
+          global, TopologyConfig::Parse(
+                      "replicas 2\n"
+                      "shard root-server dc=com\n"
+                      "shard research-server dc=research, dc=att, dc=com\n")
+                      .TakeValue())
+          .TakeValue();
+  fleet.set_retry_policy(FastRetries());
+  QueryPtr q = ParseQuery(
+                   "(c (dc=research, dc=att, dc=com ? sub ? "
+                   "objectClass=TOPSSubscriber)"
+                   "   (dc=research, dc=att, dc=com ? sub ? "
+                   "objectClass=QHP) count($2)>1)")
+                   .TakeValue();
+  ASSERT_NE(fleet.SingleOwner(*q), nullptr);
+  std::vector<const Entry*> ref = EvaluateReference(*q, global).TakeValue();
+
+  fleet.ResetStats();
+  FaultInjector fi({FaultInjector::FailNth(1, FaultOpBit(FaultOp::kWrite))});
+  fleet.coordinator_disk()->set_fault_injector(&fi);
+  OpTrace trace;
+  std::vector<DegradationWarning> warnings;
+  Result<std::vector<Entry>> got = fleet.Execute(*q, &trace, &warnings);
+  fleet.coordinator_disk()->set_fault_injector(nullptr);
+
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(fi.faults_fired(), 1u);
+  ASSERT_EQ(got->size(), ref.size());
+  for (size_t i = 0; i < ref.size(); ++i) EXPECT_EQ((*got)[i], *ref[i]);
+  EXPECT_TRUE(warnings.empty());
+  const NetStats& net = fleet.net_stats();
+  EXPECT_EQ(uint64_t{net.queries_shipped}, 1u);
+  EXPECT_EQ(uint64_t{net.failovers}, 0u);
+  EXPECT_TRUE(fleet.ReplicaFailovers().empty());
+  EXPECT_EQ(trace.io.TotalTransfers(),
+            FleetTransfers(fleet) - trace.output_pages);
+  EXPECT_EQ(trace.shipped_records, uint64_t{net.records_shipped});
 }
 
 // Concurrent Executes racing replica outages: every call must still be

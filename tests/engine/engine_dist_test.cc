@@ -205,28 +205,36 @@ TEST(EngineDistTest, RootTraceAccountsForFleetTransfers) {
   const std::string org1_join =
       "(c (dc=org1, dc=com ? sub ? objectClass=TOPSSubscriber)"
       "   (dc=org1, dc=com ? sub ? objectClass=QHP))";
-  const std::vector<std::string> cases = {
-      "(dc=com ? sub ? objectClass=TOPSSubscriber)",
-      "(dc=sub0, dc=org0, dc=com ? sub ? objectClass=QHP)",
-      "(c (dc=com ? sub ? objectClass=TOPSSubscriber)"
-      "   (dc=com ? sub ? objectClass=QHP) count($2)>=3)",
-      "(vd (dc=com ? sub ? objectClass=SLAPolicyRules)"
-      "    (& (dc=com ? sub ? sourcePort=25)"
-      "       (dc=com ? sub ? objectClass=trafficProfile)) SLATPRef)",
-      org1_join,
-      "(| " + org1_join + " (dc=com ? sub ? objectClass=QHP))",
+  struct Case {
+    std::string text;
+    uint64_t shipments;  // whole (sub)queries shipped
+  };
+  const std::vector<Case> cases = {
+      {"(dc=com ? sub ? objectClass=TOPSSubscriber)", 0},
+      {"(dc=sub0, dc=org0, dc=com ? sub ? objectClass=QHP)", 0},
+      {"(c (dc=com ? sub ? objectClass=TOPSSubscriber)"
+       "   (dc=com ? sub ? objectClass=QHP) count($2)>=3)",
+       0},
+      {"(vd (dc=com ? sub ? objectClass=SLAPolicyRules)"
+       "    (& (dc=com ? sub ? sourcePort=25)"
+       "       (dc=com ? sub ? objectClass=trafficProfile)) SLATPRef)",
+       0},
+      {org1_join, 1},
+      {"(| " + org1_join + " (dc=com ? sub ? objectClass=QHP))", 1},
   };
 
   Session session = dist.OpenSession();
   for (size_t parallelism : {size_t{1}, size_t{4}}) {
     dist.SetParallelism(parallelism);
-    for (const std::string& text : cases) {
+    for (const Case& c : cases) {
       SCOPED_TRACE("parallelism " + std::to_string(parallelism) + ": " +
-                   text);
+                   c.text);
       const uint64_t transfers = FleetTransfers(fleet);
       const uint64_t shipped = fleet.net_stats().records_shipped;
-      QueryOutcome out = session.Run(text);
+      const uint64_t shipments = fleet.net_stats().queries_shipped;
+      QueryOutcome out = session.Run(c.text);
       ASSERT_TRUE(out.ok()) << out.status.ToString();
+      EXPECT_EQ(fleet.net_stats().queries_shipped - shipments, c.shipments);
       EXPECT_EQ(out.trace.NodeCount(), out.plan->NodeCount());
       EXPECT_GT(out.trace.io.TotalTransfers(), 0u);
       EXPECT_EQ(out.trace.io.TotalTransfers(),

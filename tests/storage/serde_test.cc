@@ -377,27 +377,5 @@ TEST(SerdeTest, OrderedInt64RoundTripAndOrder) {
   }
 }
 
-TEST(SerdeTest, OrderedValueKeyMatchesValueCompare) {
-  // memcmp order on encodings must equal Value::operator< across domains
-  // AND across the int/string/dn kind boundary.
-  std::vector<Value> vals = {
-      Value::Int(INT64_MIN), Value::Int(-5),      Value::Int(0),
-      Value::Int(7),         Value::Int(INT64_MAX),
-      Value::String(""),     Value::String("a"),  Value::String("ab"),
-      Value::String("b"),    Value::String("\xff"),
-      Value::DnRef(""),      Value::DnRef("dc=att"),
-      Value::DnRef("dc=com"),
-  };
-  for (const Value& a : vals) {
-    for (const Value& b : vals) {
-      std::string ea, eb;
-      AppendOrderedValueKey(a, &ea);
-      AppendOrderedValueKey(b, &eb);
-      EXPECT_EQ(ea < eb, a < b) << a.ToString() << " vs " << b.ToString();
-      EXPECT_EQ(ea == eb, !(a < b) && !(b < a));
-    }
-  }
-}
-
 }  // namespace
 }  // namespace ndq
