@@ -3,12 +3,16 @@
 // mutations land through Session::Apply at memtable speed while queries
 // keep evaluating against pinned snapshots, and durability (WAL +
 // fsync-on-commit) costs a bounded constant factor on the write path, not
-// a redesign of the read path.
+// a redesign of the read path. An update batch is one state transition
+// (one copy of the store state, one publish), so a bulk load in 64-op
+// batches runs at least 10x the steady-state rate of one- and two-op
+// batches.
 //
 // Measures: bulk load and steady-state mutation throughput through
 // Session::Apply; query throughput with and without a concurrent writer;
 // the durable-vs-volatile write amplification; and crash-recovery wall
-// time. Emits BENCH_mutations.json for EXPERIMENTS.md.
+// time. Emits BENCH_mutations.json for EXPERIMENTS.md. Exits nonzero
+// unless queries and writes overlapped and the load/steady gate holds.
 
 #include <atomic>
 #include <chrono>
@@ -31,6 +35,8 @@ constexpr size_t kEntries = 2000;
 constexpr size_t kBatchSize = 64;
 constexpr int kSteadyOps = 4000;
 constexpr int kDurableOps = 600;
+// Gate: batched bulk load vs steady-state batches, in ops per second.
+constexpr double kMinLoadOverSteady = 10.0;
 
 double MillisSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
@@ -85,7 +91,8 @@ std::vector<Entry> Leaves(const DirectoryInstance& inst) {
 int main() {
   PrintHeader("E22: online mutations (bench_mutations)",
               "mutations land at memtable speed while queries read pinned "
-              "snapshots; WAL durability is a constant-factor write cost");
+              "snapshots; WAL durability is a constant-factor write cost; "
+              "a batch is one state transition");
 
   gen::RandomForestOptions fopt;
   fopt.seed = 11;
@@ -135,8 +142,9 @@ int main() {
       return 1;
     }
   }
+  const double load_ops = OpsPerSec(static_cast<double>(inst.size()), load_ms);
   std::printf("bulk load: %zu puts in %.1f ms (%.0f ops/s)\n", inst.size(),
-              load_ms, OpsPerSec(static_cast<double>(inst.size()), load_ms));
+              load_ms, load_ops);
 
   // --- 2. Steady-state point mutations ------------------------------------
   double steady_ms;
@@ -165,6 +173,8 @@ int main() {
   double steady_ops = OpsPerSec(kSteadyOps, steady_ms);
   std::printf("steady-state: %d mutation batches in %.1f ms (%.0f ops/s)\n",
               kSteadyOps, steady_ms, steady_ops);
+  const double load_factor = steady_ops > 0 ? load_ops / steady_ops : 0.0;
+  const bool batch_gate = load_factor >= kMinLoadOverSteady;
 
   // --- 3. Query throughput, idle vs concurrent writer ---------------------
   const std::string query = "(dc=n0 ? sub ? objectClass=class0)";
@@ -271,15 +281,17 @@ int main() {
   bool online = q_busy > 0 && writer_ops.load() > 0;
   std::printf("\nonline (queries and writes overlapped): %s\n",
               online ? "PASS" : "FAIL");
+  std::printf("batched load >= %.0fx steady-state ops/s (%.1fx): %s\n",
+              kMinLoadOverSteady, load_factor, batch_gate ? "PASS" : "FAIL");
 
   FILE* f = std::fopen("BENCH_mutations.json", "w");
   if (f != nullptr) {
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"experiment\": \"bench_mutations\",\n");
     std::fprintf(f, "  \"entries\": %zu,\n", inst.size());
-    std::fprintf(f, "  \"load_ops_per_sec\": %.0f,\n",
-                 OpsPerSec(static_cast<double>(inst.size()), load_ms));
+    std::fprintf(f, "  \"load_ops_per_sec\": %.0f,\n", load_ops);
     std::fprintf(f, "  \"steady_mutation_ops_per_sec\": %.0f,\n", steady_ops);
+    std::fprintf(f, "  \"load_over_steady\": %.1f,\n", load_factor);
     std::fprintf(f, "  \"queries_per_sec_idle\": %.0f,\n", q_idle);
     std::fprintf(f, "  \"queries_per_sec_concurrent_writer\": %.0f,\n",
                  q_busy);
@@ -290,10 +302,12 @@ int main() {
     std::fprintf(f, "  \"recover_ms\": %.1f,\n", recover_ms);
     std::fprintf(f, "  \"recovered_entries\": %llu,\n",
                  static_cast<unsigned long long>(recovered_entries));
-    std::fprintf(f, "  \"online_pass\": %s\n", online ? "true" : "false");
+    std::fprintf(f, "  \"online_pass\": %s,\n", online ? "true" : "false");
+    std::fprintf(f, "  \"batch_gate_pass\": %s\n",
+                 batch_gate ? "true" : "false");
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("wrote BENCH_mutations.json\n");
   }
-  return online ? 0 : 1;
+  return online && batch_gate ? 0 : 1;
 }

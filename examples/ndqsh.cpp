@@ -225,8 +225,9 @@ struct Shell {
       std::printf("parse error: %s\n", entries.status().ToString().c_str());
       return -1;
     }
-    // Session::Apply: ops run through the engine's epoch-guarded write
-    // path; in-flight queries keep their pinned snapshots and the operand
+    // Session::Apply: the file is one update batch, one state transition
+    // of the store (one copy of its state); in-flight queries keep their
+    // pinned snapshots, later ones see the whole file, and the operand
     // cache is invalidated for us.
     ndq::UpdateBatch batch;
     for (ndq::Entry& e : *entries) batch.Put(std::move(e));

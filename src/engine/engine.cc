@@ -293,31 +293,6 @@ class SessionImpl : public std::enable_shared_from_this<SessionImpl> {
 }  // namespace internal
 
 // ---------------------------------------------------------------------------
-// UpdateOp
-// ---------------------------------------------------------------------------
-
-UpdateOp UpdateOp::Add(Entry e) {
-  UpdateOp op;
-  op.kind = Kind::kAdd;
-  op.entry = std::move(e);
-  return op;
-}
-
-UpdateOp UpdateOp::Put(Entry e) {
-  UpdateOp op;
-  op.kind = Kind::kPut;
-  op.entry = std::move(e);
-  return op;
-}
-
-UpdateOp UpdateOp::Remove(Dn dn) {
-  UpdateOp op;
-  op.kind = Kind::kRemove;
-  op.dn = std::move(dn);
-  return op;
-}
-
-// ---------------------------------------------------------------------------
 // QueryTicket / Session
 // ---------------------------------------------------------------------------
 
@@ -728,27 +703,7 @@ UpdateResult Engine::ApplyUpdates(const UpdateBatch& batch) {
         "borrowed store through its owner");
     return res;
   }
-  res.op_status.reserve(batch.ops.size());
-  for (const UpdateOp& op : batch.ops) {
-    Status s;
-    switch (op.kind) {
-      case UpdateOp::Kind::kAdd:
-        s = owned_store_->Add(op.entry);
-        break;
-      case UpdateOp::Kind::kPut:
-        s = owned_store_->Put(op.entry);
-        break;
-      case UpdateOp::Kind::kRemove:
-        s = owned_store_->Remove(op.dn);
-        break;
-    }
-    if (s.ok()) {
-      ++res.applied;
-    } else if (res.status.ok()) {
-      res.status = s;
-    }
-    res.op_status.push_back(std::move(s));
-  }
+  res = owned_store_->Apply(batch);
   // Version-stamped cache keys already keep stale lists from serving new
   // queries; clearing reclaims their pages promptly.
   if (res.applied > 0) InvalidateCaches();

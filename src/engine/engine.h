@@ -182,49 +182,6 @@ struct BatchResult {
   BatchStats stats;
 };
 
-/// One mutation of an update batch (Session::Apply).
-struct UpdateOp {
-  enum class Kind {
-    kAdd,    ///< insert; fails with AlreadyExists if the dn is bound
-    kPut,    ///< insert or replace
-    kRemove  ///< delete; fails with NotFound / InvalidArgument (children)
-  };
-  Kind kind = Kind::kPut;
-  Entry entry;  ///< kAdd / kPut payload
-  Dn dn;        ///< kRemove target
-
-  static UpdateOp Add(Entry e);
-  static UpdateOp Put(Entry e);
-  static UpdateOp Remove(Dn dn);
-};
-
-/// An ordered list of mutations. Each op is individually atomic (it either
-/// fully applies or leaves the store untouched); the batch itself is NOT a
-/// transaction — later ops still run after an earlier one fails, exactly
-/// like a stream of LDAP updates.
-struct UpdateBatch {
-  std::vector<UpdateOp> ops;
-
-  void Add(Entry e) { ops.push_back(UpdateOp::Add(std::move(e))); }
-  void Put(Entry e) { ops.push_back(UpdateOp::Put(std::move(e))); }
-  void Remove(Dn dn) { ops.push_back(UpdateOp::Remove(std::move(dn))); }
-  bool empty() const { return ops.empty(); }
-  size_t size() const { return ops.size(); }
-};
-
-struct UpdateResult {
-  /// The first per-op error (OK when every op applied).
-  Status status;
-  /// Ops that took effect. Queries submitted after Apply returns observe
-  /// all of them (snapshot isolation: queries already in flight keep
-  /// their pinned pre-batch view).
-  size_t applied = 0;
-  /// Per-op status, in batch order.
-  std::vector<Status> op_status;
-
-  bool ok() const { return status.ok(); }
-};
-
 namespace internal {
 struct TicketState;
 class SessionImpl;
@@ -282,9 +239,14 @@ class Session {
   BatchResult RunBatch(const std::vector<QueryPtr>& plans);
 
   /// Applies a batch of mutations to the engine's store (owning mode
-  /// only; borrowing-mode engines reject with InvalidArgument). Safe to
-  /// call while queries are in flight — they keep their pinned snapshots;
-  /// queries submitted after Apply returns see every applied op.
+  /// only; borrowing-mode and distributed engines reject with
+  /// InvalidArgument) as one state transition (DirectoryStore::Apply).
+  /// Safe to call while queries are in flight: a query sees all of the
+  /// batch's applied ops or none of them — one already in flight keeps its
+  /// pinned pre-batch snapshot, and one submitted after Apply returns sees
+  /// every applied op. Each op sees the ops before it; a failed op does
+  /// not undo earlier ones and later ops still run (UpdateResult carries
+  /// the per-op statuses).
   UpdateResult Apply(const UpdateBatch& batch);
 
   /// Blocks until every query submitted on this session has finished.
@@ -375,10 +337,11 @@ class Engine {
   void SetIoDepth(size_t n);
   size_t io_depth() const;
 
-  /// Applies a batch of mutations to the engine-owned DirectoryStore and
-  /// invalidates the operand cache; what Session::Apply forwards to.
-  /// Concurrent queries are snapshot-isolated (they pinned their store
-  /// version at evaluation start). Borrowing mode → InvalidArgument.
+  /// Applies a batch of mutations to the engine-owned DirectoryStore as
+  /// one state transition (DirectoryStore::Apply) and invalidates the
+  /// operand cache; what Session::Apply forwards to. Concurrent queries
+  /// are snapshot-isolated (they pinned their store version at evaluation
+  /// start). Borrowing mode → InvalidArgument.
   UpdateResult ApplyUpdates(const UpdateBatch& batch);
 
   /// Drops cached operand lists. Call after mutating the store: cached

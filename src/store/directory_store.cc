@@ -8,11 +8,11 @@
 
 namespace ndq {
 
-// All mutable store state as one immutable value. Writers build the next
-// version (copy-on-write when any snapshot still references the current
-// one) and publish it by swapping the shared_ptr under mu_; readers work
-// against whichever version they snapshotted, so a query never observes a
-// half-applied mutation or a segment list mid-compaction.
+// All mutable store state as one immutable value. A state transition
+// copies the published version, edits the copy, and publishes it by
+// swapping the shared_ptr under mu_; readers work against whichever
+// version they snapshotted, so a query never observes a half-applied
+// batch or a segment list mid-compaction.
 struct DirectoryStore::StoreState {
   // Key -> serialized entry, or empty string = tombstone.
   std::map<std::string, std::string> active;
@@ -193,19 +193,14 @@ DirectoryStore::SnapshotState() const {
   return state_;
 }
 
-DirectoryStore::StoreState* DirectoryStore::MutableStateLocked() {
-  // use_count()==1 means no snapshot references this state: safe to
-  // mutate in place. The count is exact here because every new reference
-  // is taken under mu_, which we hold.
-  std::shared_ptr<StoreState> next;
-  if (state_.use_count() == 1) {
-    next = std::const_pointer_cast<StoreState>(state_);
-  } else {
-    next = std::make_shared<StoreState>(*state_);
+void DirectoryStore::Publish(std::shared_ptr<StoreState> next) {
+  std::shared_ptr<const StoreState> old;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    next->version = state_->version + 1;
+    old = std::exchange(state_, std::move(next));
   }
-  ++next->version;
-  state_ = next;
-  return next.get();
+  // `old` dies here, outside mu_, when no snapshot still holds it.
 }
 
 // ---------------------------------------------------------------------------
@@ -347,85 +342,141 @@ size_t DirectoryStore::memtable_size() const {
 // ---------------------------------------------------------------------------
 // Mutations.
 //
-// Protocol (docs/WRITE_PATH.md): all fallible work — validation, the
-// existence/descendant reads (which touch segment pages), the WAL commit —
-// happens BEFORE the first in-memory effect; the state transition itself
-// is infallible (map insert into an exclusively-owned state), so a non-OK
-// return always leaves the store exactly as it was. The reads run against
-// an optimistic snapshot outside mu_; the version is re-checked under mu_
-// before the log append, and the whole operation retries if a concurrent
-// writer moved the state in between.
+// Protocol (docs/WRITE_PATH.md): validation and serialization run before
+// any lock. Under write_mu_ each op then does its fallible work — the
+// existence/descendant reads against the batch's working state (which
+// touch segment pages), the WAL commit — before its first in-memory
+// effect; the effect itself is infallible (map insert into the batch's
+// exclusively-owned copy), so a failed op leaves no trace. The batch
+// publishes once, after its last op.
+
+UpdateOp UpdateOp::Add(Entry e) {
+  UpdateOp op;
+  op.kind = Kind::kAdd;
+  op.entry = std::move(e);
+  return op;
+}
+
+UpdateOp UpdateOp::Put(Entry e) {
+  UpdateOp op;
+  op.kind = Kind::kPut;
+  op.entry = std::move(e);
+  return op;
+}
+
+UpdateOp UpdateOp::Remove(Dn dn) {
+  UpdateOp op;
+  op.kind = Kind::kRemove;
+  op.dn = std::move(dn);
+  return op;
+}
+
+UpdateResult DirectoryStore::Apply(const UpdateBatch& batch) {
+  const size_t n = batch.ops.size();
+  UpdateResult res;
+  res.op_status.resize(n);
+  std::vector<std::string> keys(n), records(n);
+  auto prepare = [this](const UpdateOp& op, std::string* key,
+                        std::string* record) -> Status {
+    if (op.kind == UpdateOp::Kind::kRemove) {
+      *key = op.dn.HierKey();
+      return Status::OK();
+    }
+    if (op.entry.dn().IsNull()) {
+      return Status::InvalidArgument("cannot put entry with null dn");
+    }
+    if (options_.validate) {
+      NDQ_RETURN_IF_ERROR(schema_.ValidateEntry(op.entry));
+    }
+    *key = op.entry.HierKey();
+    SerializeEntry(op.entry, record);
+    return Status::OK();
+  };
+  for (size_t i = 0; i < n; ++i) {
+    res.op_status[i] = prepare(batch.ops[i], &keys[i], &records[i]);
+  }
+
+  bool trigger = false;
+  {
+    std::lock_guard<std::mutex> write(write_mu_);
+    // Under write_mu_ no other transition can publish, and no compaction
+    // can install and so retire the published segments: `base` and its
+    // pages stay valid without an epoch pin.
+    const std::shared_ptr<const StoreState> base = SnapshotState();
+    std::shared_ptr<StoreState> work;  // copied at the first op that applies
+    auto apply_op = [&](const UpdateOp& op, const std::string& key,
+                        std::string record) -> Status {
+      const StoreState& cur = work != nullptr ? *work : *base;
+      NDQ_ASSIGN_OR_RETURN(std::optional<Entry> existing,
+                           GetFromState(cur, key));
+      const bool remove = op.kind == UpdateOp::Kind::kRemove;
+      if (remove) {
+        if (!existing.has_value()) {
+          return Status::NotFound("no entry named " + op.dn.ToString());
+        }
+        NDQ_ASSIGN_OR_RETURN(bool kids, StateHasDescendants(cur, key));
+        if (kids) {
+          return Status::InvalidArgument(
+              "entry " + op.dn.ToString() +
+              " has descendants; remove them first");
+        }
+      } else if (op.kind == UpdateOp::Kind::kAdd && existing.has_value()) {
+        return Status::AlreadyExists("dn already bound: " +
+                                     op.entry.dn().ToString());
+      }
+      if (wal_ != nullptr) {
+        NDQ_RETURN_IF_ERROR(remove ? wal_->AppendRemove(key)
+                                   : wal_->AppendPut(key, record));
+      }
+      if (work == nullptr) work = std::make_shared<StoreState>(*base);
+      if (existing.has_value()) work->stats.RemoveEntry(*existing);
+      if (remove) {
+        work->active[key] = std::string();  // tombstone
+        --work->live_entries;
+      } else {
+        work->stats.AddEntry(op.entry);
+        work->active[key] = std::move(record);
+        if (!existing.has_value()) ++work->live_entries;
+      }
+      return Status::OK();
+    };
+    for (size_t i = 0; i < n; ++i) {
+      if (!res.op_status[i].ok()) continue;
+      res.op_status[i] =
+          apply_op(batch.ops[i], keys[i], std::move(records[i]));
+    }
+    if (work != nullptr) {
+      trigger = work->active.size() >= options_.memtable_limit;
+      Publish(std::move(work));
+    }
+  }
+  for (const Status& s : res.op_status) {
+    if (s.ok()) {
+      ++res.applied;
+    } else if (res.status.ok()) {
+      res.status = s;
+    }
+  }
+  if (trigger) MaybeScheduleMaintenance();
+  return res;
+}
 
 Status DirectoryStore::Add(Entry entry) {
-  return PutImpl(std::move(entry), /*must_not_exist=*/true);
+  UpdateBatch batch;
+  batch.Add(std::move(entry));
+  return Apply(batch).status;
 }
 
 Status DirectoryStore::Put(Entry entry) {
-  return PutImpl(std::move(entry), /*must_not_exist=*/false);
-}
-
-Status DirectoryStore::PutImpl(Entry entry, bool must_not_exist) {
-  if (entry.dn().IsNull()) {
-    return Status::InvalidArgument("cannot put entry with null dn");
-  }
-  if (options_.validate) NDQ_RETURN_IF_ERROR(schema_.ValidateEntry(entry));
-  const std::string key = entry.HierKey();
-  std::string record;
-  SerializeEntry(entry, &record);
-
-  bool trigger = false;
-  while (true) {
-    EpochFramework::Guard guard = epochs_.Pin();
-    std::shared_ptr<const StoreState> snap = SnapshotState();
-    NDQ_ASSIGN_OR_RETURN(std::optional<Entry> existing,
-                         GetFromState(*snap, key));
-    if (must_not_exist && existing.has_value()) {
-      return Status::AlreadyExists("dn already bound: " +
-                                   entry.dn().ToString());
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    if (state_->version != snap->version) continue;  // raced; re-read
-    if (wal_ != nullptr) NDQ_RETURN_IF_ERROR(wal_->AppendPut(key, record));
-    StoreState* s = MutableStateLocked();
-    if (existing.has_value()) s->stats.RemoveEntry(*existing);
-    s->stats.AddEntry(entry);
-    s->active[key] = std::move(record);
-    if (!existing.has_value()) ++s->live_entries;
-    trigger = s->active.size() >= options_.memtable_limit;
-    break;
-  }
-  if (trigger) MaybeScheduleMaintenance();
-  return Status::OK();
+  UpdateBatch batch;
+  batch.Put(std::move(entry));
+  return Apply(batch).status;
 }
 
 Status DirectoryStore::Remove(const Dn& dn) {
-  const std::string key = dn.HierKey();
-  bool trigger = false;
-  while (true) {
-    EpochFramework::Guard guard = epochs_.Pin();
-    std::shared_ptr<const StoreState> snap = SnapshotState();
-    NDQ_ASSIGN_OR_RETURN(std::optional<Entry> existing,
-                         GetFromState(*snap, key));
-    if (!existing.has_value()) {
-      return Status::NotFound("no entry named " + dn.ToString());
-    }
-    NDQ_ASSIGN_OR_RETURN(bool kids, StateHasDescendants(*snap, key));
-    if (kids) {
-      return Status::InvalidArgument("entry " + dn.ToString() +
-                                     " has descendants; remove them first");
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    if (state_->version != snap->version) continue;  // raced; re-read
-    if (wal_ != nullptr) NDQ_RETURN_IF_ERROR(wal_->AppendRemove(key));
-    StoreState* s = MutableStateLocked();
-    s->stats.RemoveEntry(*existing);
-    s->active[key] = std::string();  // tombstone
-    --s->live_entries;
-    trigger = s->active.size() >= options_.memtable_limit;
-    break;
-  }
-  if (trigger) MaybeScheduleMaintenance();
-  return Status::OK();
+  UpdateBatch batch;
+  batch.Remove(dn);
+  return Apply(batch).status;
 }
 
 // ---------------------------------------------------------------------------
@@ -509,18 +560,20 @@ Status DirectoryStore::FlushLocked(bool allow_compact) {
   // fully readable either way via the merge priority.
   std::shared_ptr<const std::map<std::string, std::string>> frozen;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (state_->active.empty() && state_->frozen == nullptr) {
-      return Status::OK();
-    }
-    if (state_->frozen == nullptr) {
+    std::lock_guard<std::mutex> write(write_mu_);
+    std::shared_ptr<const StoreState> cur = SnapshotState();
+    if (cur->active.empty() && cur->frozen == nullptr) return Status::OK();
+    frozen = cur->frozen;
+    if (frozen == nullptr) {
       if (wal_ != nullptr) NDQ_RETURN_IF_ERROR(wal_->Seal());
-      StoreState* s = MutableStateLocked();
-      s->frozen = std::make_shared<const std::map<std::string, std::string>>(
-          std::move(s->active));
-      s->active.clear();
+      auto next = std::make_shared<StoreState>(*cur);
+      next->frozen =
+          std::make_shared<const std::map<std::string, std::string>>(
+              std::move(next->active));
+      next->active.clear();
+      frozen = next->frozen;
+      Publish(std::move(next));
     }
-    frozen = state_->frozen;
   }
 
   // Phase 2 — build the segment, outside every lock: queries and
@@ -541,11 +594,12 @@ Status DirectoryStore::FlushLocked(bool allow_compact) {
   // segment list; on checkpoint failure the segment is destroyed and the
   // frozen memtable stays (still covered by the sealed log prefix).
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> write(write_mu_);
+    std::shared_ptr<const StoreState> cur = SnapshotState();
     if (wal_ != nullptr) {
       std::vector<std::string> manifests;
-      manifests.reserve(state_->segments.size() + 1);
-      for (const auto& seg : state_->segments) {
+      manifests.reserve(cur->segments.size() + 1);
+      for (const auto& seg : cur->segments) {
         manifests.push_back(seg->SerializeManifest());
       }
       manifests.push_back(segment->SerializeManifest());
@@ -559,9 +613,10 @@ Status DirectoryStore::FlushLocked(bool allow_compact) {
         return cs;
       }
     }
-    StoreState* s = MutableStateLocked();
-    s->segments.push_back(std::move(segment));
-    s->frozen = nullptr;
+    auto next = std::make_shared<StoreState>(*cur);
+    next->segments.push_back(std::move(segment));
+    next->frozen = nullptr;
+    Publish(std::move(next));
   }
 
   if (allow_compact &&
@@ -601,7 +656,7 @@ Status DirectoryStore::CompactLocked() {
   // Install the merged segment; only then retire the old ones.
   std::vector<std::shared_ptr<EntryStore>> old_segments;
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> write(write_mu_);
     if (wal_ != nullptr) {
       std::vector<std::string> manifests;
       manifests.push_back(merged->SerializeManifest());
@@ -615,10 +670,8 @@ Status DirectoryStore::CompactLocked() {
         return cs;
       }
     }
-    StoreState* s = MutableStateLocked();
-    old_segments = std::move(s->segments);
-    s->segments.clear();
-    s->segments.push_back(merged);
+    auto next = std::make_shared<StoreState>(*SnapshotState());
+    old_segments = std::exchange(next->segments, {merged});
     // Refresh statistics from the merged segment's exact build-time stats
     // (tombstones and shadowed versions are gone) plus the current
     // memtable contents re-applied on top. Memtable records shadowing
@@ -628,7 +681,7 @@ Status DirectoryStore::CompactLocked() {
     if (merged->stats() != nullptr) {
       StoreStats fresh = *merged->stats();
       bool ok = true;
-      for (const auto& [k, rec] : s->active) {
+      for (const auto& [k, rec] : next->active) {
         (void)k;
         if (rec.empty()) continue;  // tombstone: nothing to add
         if (!fresh.AddRecord(rec).ok()) {
@@ -636,8 +689,9 @@ Status DirectoryStore::CompactLocked() {
           break;
         }
       }
-      if (ok) s->stats = std::move(fresh);
+      if (ok) next->stats = std::move(fresh);
     }
+    Publish(std::move(next));
   }
 
   // Old segment pages are retired behind the epoch horizon: destroyed
@@ -665,12 +719,13 @@ Status DirectoryStore::CompactLocked() {
 
 Status DirectoryStore::EnableDurability() {
   std::lock_guard<std::mutex> maint(maint_mu_);
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> write(write_mu_);
   if (wal_ != nullptr) {
     return Status::InvalidArgument("store is already durable");
   }
-  if (!state_->active.empty() || state_->frozen != nullptr ||
-      !state_->segments.empty()) {
+  std::shared_ptr<const StoreState> cur = SnapshotState();
+  if (!cur->active.empty() || cur->frozen != nullptr ||
+      !cur->segments.empty()) {
     return Status::InvalidArgument(
         "durability must be enabled on an empty store");
   }
@@ -716,36 +771,28 @@ Result<std::unique_ptr<DirectoryStore>> DirectoryStore::Recover(
       NDQ_RETURN_IF_ERROR(state->stats.AddRecord(cursor.record()));
     }
   }
-  state->version = 1;
-  {
-    std::lock_guard<std::mutex> lock(store->mu_);
-    store->state_ = std::move(state);
-    store->wal_ = std::move(wal);
-  }
-
   // Fold the replayed tail into a durable segment and checkpoint, retiring
   // the pre-crash chain. (The log refuses appends until this checkpoint.)
+  const bool empty_tail = state->active.empty();
   Status s;
   {
     std::lock_guard<std::mutex> maint(store->maint_mu_);
-    bool empty_tail;
     {
-      std::lock_guard<std::mutex> lock(store->mu_);
-      empty_tail = store->state_->active.empty();
-    }
-    if (empty_tail) {
-      // Nothing to flush; republish the recovered manifests as-is.
-      std::lock_guard<std::mutex> lock(store->mu_);
-      std::vector<std::string> manifests;
-      for (const auto& seg : store->state_->segments) {
-        manifests.push_back(seg->SerializeManifest());
+      std::lock_guard<std::mutex> write(store->write_mu_);
+      if (empty_tail) {
+        // Nothing to flush; republish the recovered manifests as-is.
+        std::vector<std::string> manifests;
+        for (const auto& seg : state->segments) {
+          manifests.push_back(seg->SerializeManifest());
+        }
+        s = wal->Checkpoint(manifests);
       }
-      s = store->wal_->Checkpoint(manifests);
-    } else {
-      // Seal no-ops (no records on the fresh post-recovery chain), so the
-      // flush checkpoint covers everything acknowledged.
-      s = store->FlushLocked(/*allow_compact=*/true);
+      store->wal_ = std::move(wal);
+      store->Publish(std::move(state));
     }
+    // Seal no-ops (no records on the fresh post-recovery chain), so the
+    // flush checkpoint covers everything acknowledged.
+    if (!empty_tail) s = store->FlushLocked(/*allow_compact=*/true);
   }
   NDQ_RETURN_IF_ERROR(s);
   return store;
@@ -755,35 +802,29 @@ Status DirectoryStore::DestroyAll() {
   WaitForMaintenance();
   std::lock_guard<std::mutex> maint(maint_mu_);
   epochs_.DrainAndReclaim();
-  std::shared_ptr<const StoreState> snap;
-  std::unique_ptr<Wal> wal;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    snap = state_;
-    wal = std::move(wal_);
-    auto fresh = std::make_shared<StoreState>();
-    fresh->version = state_->version + 1;
-    state_ = std::move(fresh);
-  }
+  std::lock_guard<std::mutex> write(write_mu_);
+  std::shared_ptr<const StoreState> snap = SnapshotState();
+  Publish(std::make_shared<StoreState>());
   Status agg;
   for (const auto& seg : snap->segments) {
     Status ds = seg->Destroy();
     if (!ds.ok() && agg.ok()) agg = ds;
   }
-  if (wal != nullptr) {
-    Status ws = wal->DestroyAll();
+  if (wal_ != nullptr) {
+    Status ws = wal_->DestroyAll();
     if (!ws.ok() && agg.ok()) agg = ws;
+    wal_.reset();
   }
   return agg;
 }
 
 uint64_t DirectoryStore::wal_pages() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> write(write_mu_);
   return wal_ == nullptr ? 0 : wal_->chain_pages();
 }
 
 uint64_t DirectoryStore::wal_records() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> write(write_mu_);
   return wal_ == nullptr ? 0 : wal_->records_appended();
 }
 

@@ -13,15 +13,18 @@
 // Concurrency (docs/WRITE_PATH.md): all state lives in an immutable
 // StoreState published through a shared_ptr under a short-section mutex.
 // Readers snapshot the pointer (PinSnapshot) and run lock-free against a
-// consistent version; writers copy-on-write (or mutate in place when no
-// reader holds the state) and publish atomically. Superseded segment
-// pages are destroyed behind an EpochFramework horizon, only after every
-// reader pinned before the compaction has drained. Flush/Compact serialize
-// on a maintenance mutex and do their heavy building outside all locks, so
-// queries never wait on segment construction.
+// consistent version. Every state transition holds one writer lock: an
+// update batch (Apply) copies the published state once, applies its ops
+// to the copy and publishes it once, so a reader sees all of a batch or
+// none of it; a flush's freeze and install and a compaction's install
+// publish a new copy the same way. Superseded segment pages are destroyed
+// behind an EpochFramework horizon, only after every reader pinned before
+// the compaction has drained. Flush/Compact serialize on a maintenance
+// mutex and do their heavy building outside all locks, so queries never
+// wait on segment construction.
 //
 // Durability: EnableDurability() attaches a write-ahead log (store/wal.h);
-// every Put/Remove then commits to the log (checksummed, synced) before
+// every applied op then commits to the log (checksummed, synced) before
 // any in-memory effect, flushes seal + checkpoint the log, and Recover()
 // rebuilds the exact acknowledged state after a crash.
 
@@ -33,6 +36,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <vector>
 
 #include "core/ldif_update.h"
 #include "store/entry_store.h"
@@ -42,6 +46,51 @@
 namespace ndq {
 
 class Wal;
+
+/// One mutation of an update batch (DirectoryStore::Apply).
+struct UpdateOp {
+  enum class Kind {
+    kAdd,    ///< insert; fails with AlreadyExists if the dn is bound
+    kPut,    ///< insert or replace
+    kRemove  ///< delete; fails with NotFound / InvalidArgument (children)
+  };
+  Kind kind = Kind::kPut;
+  Entry entry;  ///< kAdd / kPut payload
+  Dn dn;        ///< kRemove target
+
+  static UpdateOp Add(Entry e);
+  static UpdateOp Put(Entry e);
+  static UpdateOp Remove(Dn dn);
+};
+
+/// An ordered list of mutations, applied as one state transition: a
+/// concurrent reader sees all of the ops that applied or none of them.
+/// Each op is individually atomic (it either fully applies or leaves the
+/// store untouched) and sees the ops before it. The batch itself is NOT a
+/// transaction — a failed op does not undo earlier ones and later ops
+/// still run, exactly like a stream of LDAP updates.
+struct UpdateBatch {
+  std::vector<UpdateOp> ops;
+
+  void Add(Entry e) { ops.push_back(UpdateOp::Add(std::move(e))); }
+  void Put(Entry e) { ops.push_back(UpdateOp::Put(std::move(e))); }
+  void Remove(Dn dn) { ops.push_back(UpdateOp::Remove(std::move(dn))); }
+  bool empty() const { return ops.empty(); }
+  size_t size() const { return ops.size(); }
+};
+
+struct UpdateResult {
+  /// The first per-op error (OK when every op applied).
+  Status status;
+  /// Ops that took effect. They became visible together: a snapshot
+  /// pinned before the batch published sees none of them, one pinned
+  /// after sees all of them.
+  size_t applied = 0;
+  /// Per-op status, in batch order.
+  std::vector<Status> op_status;
+
+  bool ok() const { return status.ok(); }
+};
 
 struct DirectoryStoreOptions {
   /// Memtable flush threshold (entries + tombstones).
@@ -75,17 +124,21 @@ class DirectoryStore : public EntrySource, public UpdateTarget {
   static Result<std::unique_ptr<DirectoryStore>> Recover(
       Disk* disk, Schema schema, DirectoryStoreOptions options = {});
 
-  /// Adds a new entry; fails with AlreadyExists if the dn is bound.
+  /// Applies `batch` as one state transition: copies the published state
+  /// once (at the first op that applies), applies every op to that working
+  /// copy in order, and publishes it with one version bump. Op k's checks
+  /// read the working copy, so they see ops 0..k-1. On a durable store
+  /// each op commits to the log before it touches the copy. A failed op
+  /// (validation, I/O, log commit, a failed check) leaves no counter,
+  /// statistic or memtable effect; the ops after it still run.
+  UpdateResult Apply(const UpdateBatch& batch);
+
+  /// One-op batches. Add fails with AlreadyExists if the dn is bound; Put
+  /// adds or replaces; Remove fails with NotFound if the entry is absent
+  /// and with InvalidArgument if it has descendants (namespaces stay
+  /// prefix-closed, as in LDAP).
   Status Add(Entry entry);
-
-  /// Adds or replaces. On any error (validation, I/O, log commit) the
-  /// store is unchanged: no counter, statistic, or memtable effect
-  /// survives a non-OK return.
   Status Put(Entry entry);
-
-  /// Removes the entry; fails with NotFound if absent and with
-  /// InvalidArgument if the entry has descendants (namespaces stay
-  /// prefix-closed, as in LDAP). Atomic like Put.
   Status Remove(const Dn& dn);
 
   /// Point lookup (memtable-over-segments, newest wins).
@@ -106,7 +159,7 @@ class DirectoryStore : public EntrySource, public UpdateTarget {
       const override;
 
   uint64_t num_entries() const override;
-  /// Maintained exactly across Put/Remove and refreshed from segment
+  /// Maintained exactly across applied ops and refreshed from segment
   /// build-time statistics on compaction, so estimate quality does not
   /// drift under remove/re-add churn. The pointer is only stable while no
   /// concurrent mutation runs — concurrent callers must read through
@@ -125,7 +178,9 @@ class DirectoryStore : public EntrySource, public UpdateTarget {
   /// Must be released before the store is destroyed.
   std::shared_ptr<const EntrySource> PinSnapshot() const override;
 
-  /// Bumped on every mutation, flush, and compaction.
+  /// Bumped once per published state transition: an update batch that
+  /// applied at least one op, a flush's freeze and its install, a
+  /// compaction, and DestroyAll.
   uint64_t version() const override;
 
   /// Writes the memtable out as a new segment. On failure the memtable
@@ -175,11 +230,9 @@ class DirectoryStore : public EntrySource, public UpdateTarget {
   class MergedCursor;
 
   std::shared_ptr<const StoreState> SnapshotState() const;
-  /// Clone-if-shared and bump the version; call with mu_ held. The
-  /// returned state is exclusively owned by this writer until published.
-  StoreState* MutableStateLocked();
+  /// Publishes `next` as the following version; call with write_mu_ held.
+  void Publish(std::shared_ptr<StoreState> next);
 
-  Status PutImpl(Entry entry, bool must_not_exist);
   /// Flush with maint_mu_ held; `allow_compact` gates the
   /// max_segments-triggered compaction (off when called FROM compaction).
   Status FlushLocked(bool allow_compact);
@@ -206,17 +259,25 @@ class DirectoryStore : public EntrySource, public UpdateTarget {
   Schema schema_;
   DirectoryStoreOptions options_;
 
-  mutable std::mutex mu_;  // guards state_, wal_, maintenance bookkeeping
-  std::shared_ptr<const StoreState> state_;
+  /// Serializes every state transition: Apply, a flush's freeze and
+  /// install, a compaction's install, EnableDurability and DestroyAll.
+  /// Guards wal_. Lock order: maint_mu_, then write_mu_, then mu_.
+  mutable std::mutex write_mu_;
   std::unique_ptr<Wal> wal_;
+
+  /// Guards state_ and the maintenance bookkeeping; held briefly, never
+  /// across I/O or a state copy, so readers pin snapshots without waiting
+  /// on a writer.
+  mutable std::mutex mu_;
+  std::shared_ptr<const StoreState> state_;
   Status maintenance_status_;
   std::function<void(std::function<void()>)> maintenance_executor_;
   bool maintenance_scheduled_ = false;
   int maintenance_inflight_ = 0;
   std::condition_variable maintenance_cv_;
 
-  /// Serializes Flush/Compact so segment building happens outside mu_
-  /// without two maintainers racing. Lock order: maint_mu_ before mu_.
+  /// Serializes Flush/Compact so segment building happens outside the
+  /// other locks without two maintainers racing.
   std::mutex maint_mu_;
 
   /// Readers pin; compaction retires superseded segment pages behind it.

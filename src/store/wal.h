@@ -39,7 +39,7 @@
 // manifests plus the replayed memtable.
 //
 // Not thread-safe: the owning DirectoryStore serializes all calls under
-// its state mutex.
+// its writer mutex.
 
 #ifndef NDQ_STORE_WAL_H_
 #define NDQ_STORE_WAL_H_

@@ -1,8 +1,8 @@
 // WAL unit tests plus the crash-recovery fault campaign: for every k,
 // crash the store at I/O operation #k of a mixed mutation/query script
-// (covering memtable churn, explicit flushes and compactions) and verify
-// that recovery rebuilds EXACTLY the acknowledged mutations — on both the
-// simulated and the real-file disk backend.
+// (covering memtable churn, a multi-op update batch, explicit flushes and
+// compactions) and verify that recovery rebuilds EXACTLY the acknowledged
+// mutations — on both the simulated and the real-file disk backend.
 
 #include <unistd.h>
 
@@ -224,6 +224,31 @@ MutationScript() {
       return Status::OK();
     };
   };
+  // One DirectoryStore::Apply: "fail device op #k" lands between ops of
+  // the batch, and the model takes exactly the ops whose status is OK.
+  auto batch = [](UpdateBatch ops) {
+    return [ops](DirectoryStore* store,
+                 std::map<std::string, std::string>* model) -> Status {
+      UpdateResult res = store->Apply(ops);
+      for (size_t i = 0; i < ops.size(); ++i) {
+        if (!res.op_status[i].ok()) continue;
+        const UpdateOp& op = ops.ops[i];
+        if (op.kind == UpdateOp::Kind::kRemove) {
+          model->erase(op.dn.HierKey());
+        } else {
+          std::string record;
+          SerializeEntry(op.entry, &record);
+          (*model)[op.entry.HierKey()] = std::move(record);
+        }
+      }
+      return res.status;
+    };
+  };
+  UpdateBatch mixed;
+  mixed.Put(MakeEntry("cn=a6, dc=test", 1));
+  mixed.Remove(D("cn=a3, dc=test"));
+  mixed.Add(MakeEntry("cn=a3, dc=test", 2));  // re-add after the remove
+  mixed.Put(MakeEntry("cn=b2, ou=g, dc=test", 1));
   auto scan = [](DirectoryStore* store,
                  std::map<std::string, std::string>*) -> Status {
     return store->ScanRange("", "",
@@ -247,6 +272,7 @@ MutationScript() {
       remove("cn=a2, dc=test"),
       put("ou=g, dc=test", 1),
       put("cn=b1, ou=g, dc=test", 1),
+      batch(mixed),  // four ops past memtable_limit: flush fires once
       [](DirectoryStore* store, std::map<std::string, std::string>*) {
         return store->Flush();
       },
