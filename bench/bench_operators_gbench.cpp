@@ -3,12 +3,14 @@
 // experiment harnesses (E1-E14); this binary tracks CPU-side throughput so
 // regressions in the hot loops (merges, stack passes, serde) are visible.
 // The per-stage benchmarks at the end split a scan's record cost into its
-// stages (name decode, whole-entry decode) and report the directory's
-// resident bytes per entry.
+// stages (name decode, whole-entry decode), report the directory's
+// resident bytes per entry, and time and size the statistics a bulk load
+// folds.
 
 #include <benchmark/benchmark.h>
 #include <malloc.h>
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,6 +24,7 @@
 #include "gen/paper_data.h"
 #include "query/parser.h"
 #include "storage/serde.h"
+#include "store/stats.h"
 
 using namespace ndq;
 using namespace ndq::bench;
@@ -220,18 +223,20 @@ void BM_ScanMatchView(benchmark::State& state) {
 }
 BENCHMARK(BM_ScanMatchView)->Unit(benchmark::kMillisecond);
 
+// Heap bytes in use, per mallinfo2().
+double HeapInUse() {
+  struct mallinfo2 m = mallinfo2();
+  return static_cast<double>(m.uordblks + m.hblkhd);
+}
+
 // Heap bytes per entry that the generated DirectoryInstance keeps, as the
 // growth of mallinfo2()'s in-use bytes across its construction.
 void BM_InstanceFootprint(benchmark::State& state) {
-  auto in_use = [] {
-    struct mallinfo2 m = mallinfo2();
-    return static_cast<double>(m.uordblks + m.hblkhd);
-  };
   double bytes = 0, entries = 0;
   for (auto _ : state) {
-    double before = in_use();
+    double before = HeapInUse();
     DirectoryInstance inst = gen::GenerateDif(Dif64k());
-    bytes = in_use() - before;
+    bytes = HeapInUse() - before;
     entries = static_cast<double>(inst.size());
     benchmark::DoNotOptimize(inst);
   }
@@ -239,6 +244,42 @@ void BM_InstanceFootprint(benchmark::State& state) {
   state.counters["bytes_per_entry"] = bytes / entries;
 }
 BENCHMARK(BM_InstanceFootprint)->Iterations(1)->Unit(benchmark::kMillisecond);
+
+// The statistics stage of a bulk load: StoreStats::AddEntry over every
+// entry of the DIF, what EntryStore::BulkLoad pays per entry beside
+// serializing it. Freeing the folded stats is not timed.
+void BM_StatsFold(benchmark::State& state) {
+  const DirectoryInstance inst = gen::GenerateDif(Dif64k());
+  for (auto _ : state) {
+    std::optional<StoreStats> stats(std::in_place);
+    for (const auto& [key, entry] : inst) stats->AddEntry(entry);
+    benchmark::DoNotOptimize(*stats);
+    state.PauseTiming();
+    stats.reset();
+    state.ResumeTiming();
+  }
+  SetTimePerRecord(state, inst.size());
+}
+BENCHMARK(BM_StatsFold)->Unit(benchmark::kMillisecond);
+
+// Heap bytes per entry of the statistics a bulk load of the DIF keeps, as
+// the growth of mallinfo2()'s in-use bytes across the fold.
+void BM_StatsFootprint(benchmark::State& state) {
+  const DirectoryInstance inst = gen::GenerateDif(Dif64k());
+  double bytes = 0, nodes = 0;
+  for (auto _ : state) {
+    double before = HeapInUse();
+    StoreStats stats;
+    for (const auto& [key, entry] : inst) stats.AddEntry(entry);
+    bytes = HeapInUse() - before;
+    nodes = static_cast<double>(stats.num_sketch_nodes());
+    benchmark::DoNotOptimize(stats);
+  }
+  state.counters["entries"] = static_cast<double>(inst.size());
+  state.counters["bytes_per_entry"] = bytes / static_cast<double>(inst.size());
+  state.counters["sketch_nodes"] = nodes;
+}
+BENCHMARK(BM_StatsFootprint)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

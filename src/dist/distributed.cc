@@ -58,8 +58,8 @@ Result<DistributedDirectory> DistributedDirectory::Build(
   }
 
   // Replication: each shard is built once. Replica 0 serializes the
-  // shard's entries straight out of `global`; replicas 1..R-1 are page
-  // copies of its segment, each on its own disk, sharing its StoreStats.
+  // shard's entries straight out of `global`, folding no statistics;
+  // replicas 1..R-1 are page copies of its segment, each on its own disk.
   // A single-replica shard's replica keeps the plain shard name, so
   // legacy (pre-replication) callers see the same server names they
   // always did.

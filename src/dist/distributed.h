@@ -181,10 +181,11 @@ class DistributedDirectory : public NodeSource, public EntrySource {
   /// to the shard with the deepest context that is an ancestor-or-self of
   /// the entry's dn — and builds each shard once: replica 0's segment is
   /// serialized from the shard's entries in `global`, and every other
-  /// replica gets a page copy of it on its own disk, sharing one
-  /// StoreStats. After a build, replica 0's disk counts the copies' page
-  /// reads. An entry matching no context fails the build with
-  /// InvalidArgument before any replica page is allocated.
+  /// replica gets a page copy of it on its own disk. No replica folds
+  /// statistics: the coordinator plans from range geometry alone. After a
+  /// build, replica 0's disk counts the copies' page reads. An entry
+  /// matching no context fails the build with InvalidArgument before any
+  /// replica page is allocated.
   static Result<DistributedDirectory> Build(const DirectoryInstance& global,
                                             const TopologyConfig& topology);
 

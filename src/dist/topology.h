@@ -5,7 +5,7 @@
 // 8.3): each SHARD owns the subtree rooted at its context dn, minus any
 // subtree delegated to a deeper context, and is served by R identical
 // REPLICAS (the partition is built once; the other replicas are page
-// copies of that segment, each on its own disk, sharing one StoreStats).
+// copies of that segment, each on its own disk).
 // TopologyConfig is the declarative description, with a text form ndqsh
 // can load and print (`.topology`). RoutingTable is the resolved,
 // coordinator-side routing structure: given an atomic query's (base dn,

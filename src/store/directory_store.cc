@@ -8,6 +8,31 @@
 
 namespace ndq {
 
+namespace {
+
+// Tombstone wire format, for the records a flush writes to a segment:
+// the key followed by a marker varint no serialized entry can produce
+// (attribute counts never reach 2^62).
+constexpr uint64_t kTombstoneMarker = ~uint64_t{0} >> 2;
+
+std::string MakeTombstoneRecord(std::string_view key) {
+  std::string out;
+  ByteWriter w(&out);
+  w.PutString(key);
+  w.PutVarint(kTombstoneMarker);
+  return out;
+}
+
+bool IsTombstoneRecord(std::string_view record) {
+  ByteReader r(record);
+  Result<std::string_view> key = r.GetString();
+  if (!key.ok()) return false;
+  Result<uint64_t> marker = r.GetVarint();
+  return marker.ok() && *marker == kTombstoneMarker;
+}
+
+}  // namespace
+
 // All mutable store state as one immutable value. A state transition
 // copies the published version, edits the copy, and publishes it by
 // swapping the shared_ptr under mu_; readers work against whichever
@@ -24,9 +49,6 @@ struct DirectoryStore::StoreState {
   uint64_t version = 0;
   StoreStats stats;
 };
-
-// Tombstone wire format shared with the stats builder: see
-// MakeTombstoneRecord / IsTombstoneRecord in store/entry_store.h.
 
 // Newest-wins pull merge across one StoreState's version streams: active
 // memtable, frozen memtable (if any), then segments newest to oldest.
@@ -644,10 +666,14 @@ Status DirectoryStore::CompactLocked() {
   StoreState merge_view;  // segments only: no memtables
   merge_view.segments = snap->segments;
   MergedCursor cursor(merge_view, "");
+  // The merged records (tombstones and shadowed versions already gone)
+  // fold into fresh statistics as they stream into the new segment.
+  StoreStats fresh;
   auto next = [&](std::string* record) -> Result<bool> {
     NDQ_ASSIGN_OR_RETURN(bool more, cursor.Next());
     if (!more) return false;
     *record = cursor.record();
+    NDQ_RETURN_IF_ERROR(fresh.AddRecord(*record));
     return true;
   };
   NDQ_ASSIGN_OR_RETURN(EntryStore built, EntryStore::FromStream(disk_, next));
@@ -672,25 +698,21 @@ Status DirectoryStore::CompactLocked() {
     }
     auto next = std::make_shared<StoreState>(*SnapshotState());
     old_segments = std::exchange(next->segments, {merged});
-    // Refresh statistics from the merged segment's exact build-time stats
-    // (tombstones and shadowed versions are gone) plus the current
-    // memtable contents re-applied on top. Memtable records shadowing
-    // merged entries double-count — an over-count, which keeps the
-    // estimates upper bounds. Without this refresh, remove/re-add churn
-    // degrades the incremental stats without bound.
-    if (merged->stats() != nullptr) {
-      StoreStats fresh = *merged->stats();
-      bool ok = true;
-      for (const auto& [k, rec] : next->active) {
-        (void)k;
-        if (rec.empty()) continue;  // tombstone: nothing to add
-        if (!fresh.AddRecord(rec).ok()) {
-          ok = false;
-          break;
-        }
+    // Refresh statistics from the merged stream's exact fold plus the
+    // current memtable contents re-applied on top. Memtable records
+    // shadowing merged entries double-count — an over-count, which keeps
+    // the estimates upper bounds. Without this refresh, remove/re-add
+    // churn degrades the incremental stats without bound.
+    bool ok = true;
+    for (const auto& [k, rec] : next->active) {
+      (void)k;
+      if (rec.empty()) continue;  // tombstone: nothing to add
+      if (!fresh.AddRecord(rec).ok()) {
+        ok = false;
+        break;
       }
-      if (ok) next->stats = std::move(fresh);
     }
+    if (ok) next->stats = std::move(fresh);
     Publish(std::move(next));
   }
 

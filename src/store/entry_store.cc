@@ -7,41 +7,7 @@
 
 namespace ndq {
 
-namespace {
-constexpr uint64_t kTombstoneMarker = ~uint64_t{0} >> 2;
-}  // namespace
-
-std::string MakeTombstoneRecord(std::string_view key) {
-  std::string out;
-  ByteWriter w(&out);
-  w.PutString(key);
-  w.PutVarint(kTombstoneMarker);
-  return out;
-}
-
-bool IsTombstoneRecord(std::string_view record) {
-  ByteReader r(record);
-  Result<std::string_view> key = r.GetString();
-  if (!key.ok()) return false;
-  Result<uint64_t> marker = r.GetVarint();
-  return marker.ok() && *marker == kTombstoneMarker;
-}
-
 Status EntryStore::BuildFrom(Disk* disk, const RecordPull& next) {
-  Status s = BuildFromImpl(disk, next);
-  if (!s.ok()) {
-    // A partially built segment is unusable; return its pages so a failed
-    // load leaks nothing.
-    (void)FreeRun(disk, &run_);
-    first_keys_.clear();
-    first_offsets_.clear();
-    first_record_index_.clear();
-    stats_.reset();
-  }
-  return s;
-}
-
-Status EntryStore::BuildFromImpl(Disk* disk, const RecordPull& next) {
   disk_ = disk;
   const size_t page_size = disk->page_size();
   // Entry records are keyed (HierKey first field), so the segment is
@@ -51,12 +17,6 @@ Status EntryStore::BuildFromImpl(Disk* disk, const RecordPull& next) {
   // SeekReader target is self-contained.
   RunWriter writer(disk, PageFormat::kKeyPrefix);
   writer.set_page_restarts(true);
-
-  // Cardinality statistics are computed inline over the same stream, from
-  // the entry when the puller has one and from the record otherwise;
-  // tombstone records (from DirectoryStore flushes) are skipped so the
-  // histograms count live entries only.
-  auto stats = std::make_shared<StoreStats>();
 
   std::string record;
   std::string prev_key;
@@ -77,8 +37,7 @@ Status EntryStore::BuildFromImpl(Disk* disk, const RecordPull& next) {
   };
 
   while (true) {
-    const Entry* entry = nullptr;
-    NDQ_ASSIGN_OR_RETURN(bool more, next(&record, &entry));
+    NDQ_ASSIGN_OR_RETURN(bool more, next(&record));
     if (!more) break;
     NDQ_ASSIGN_OR_RETURN(std::string_view key, PeekEntryKey(record));
     if (writer.num_records() > 0 && !(prev_key < key)) {
@@ -86,16 +45,10 @@ Status EntryStore::BuildFromImpl(Disk* disk, const RecordPull& next) {
           "entry records not in strictly increasing key order");
     }
     prev_key.assign(key);
-    if (entry != nullptr) {
-      stats->AddEntry(*entry);
-    } else {
-      NDQ_RETURN_IF_ERROR(stats->AddRecord(record));
-    }
     uint64_t ordinal = writer.num_records();
     NDQ_RETURN_IF_ERROR(writer.Add(record));
     note_record_start(key, ordinal);
   }
-  stats_ = std::move(stats);
   NDQ_ASSIGN_OR_RETURN(run_, writer.Finish());
   // Fill index slots for trailing pages with no record start, and for
   // pages fully occupied by spanning records.
@@ -118,44 +71,38 @@ Status EntryStore::BuildFromImpl(Disk* disk, const RecordPull& next) {
 
 Result<EntryStore> EntryStore::BulkLoad(Disk* disk,
                                         const DirectoryInstance& instance) {
+  // The statistics fold from each entry as it is handed over for
+  // serialization, so no record is decoded back.
+  auto stats = std::make_shared<StoreStats>();
   auto it = instance.begin();
-  return FromEntries(disk, [&]() -> const Entry* {
-    return it == instance.end() ? nullptr : &(it++)->second;
-  });
+  auto next = [&]() -> const Entry* {
+    if (it == instance.end()) return nullptr;
+    const Entry* entry = &(it++)->second;
+    stats->AddEntry(*entry);
+    return entry;
+  };
+  NDQ_ASSIGN_OR_RETURN(EntryStore store, FromEntries(disk, next));
+  store.stats_ = std::move(stats);
+  return store;
 }
 
 Result<EntryStore> EntryStore::FromEntries(
     Disk* disk, const std::function<const Entry*()>& next) {
-  EntryStore store;
-  auto pull = [&](std::string* record, const Entry** entry) -> Result<bool> {
-    *entry = next();
-    if (*entry == nullptr) return false;
+  return FromStream(disk, [&](std::string* record) -> Result<bool> {
+    const Entry* entry = next();
+    if (entry == nullptr) return false;
     record->clear();
-    SerializeEntry(**entry, record);
+    SerializeEntry(*entry, record);
     return true;
-  };
-  NDQ_RETURN_IF_ERROR(store.BuildFrom(disk, pull));
-  return store;
+  });
 }
 
 Result<EntryStore> EntryStore::FromStream(
     Disk* disk, const std::function<Result<bool>(std::string*)>& next) {
+  // A failed build leaks nothing: the writer frees the pages of a run it
+  // never finished, and the partial index goes with `store`.
   EntryStore store;
-  auto pull = [&](std::string* record, const Entry**) { return next(record); };
-  NDQ_RETURN_IF_ERROR(store.BuildFrom(disk, pull));
-  return store;
-}
-
-Result<EntryStore> EntryStore::FromSortedRecords(
-    Disk* disk, const std::vector<std::string>& records) {
-  EntryStore store;
-  size_t i = 0;
-  auto pull = [&](std::string* record, const Entry**) -> Result<bool> {
-    if (i >= records.size()) return false;
-    *record = records[i++];
-    return true;
-  };
-  NDQ_RETURN_IF_ERROR(store.BuildFrom(disk, pull));
+  NDQ_RETURN_IF_ERROR(store.BuildFrom(disk, next));
   return store;
 }
 

@@ -31,12 +31,6 @@ namespace ndq {
 
 class StoreStats;
 
-// Tombstone wire format (shared by DirectoryStore and the stats builder):
-// the key followed by a marker varint no serialized entry can produce
-// (attribute counts never reach 2^62).
-std::string MakeTombstoneRecord(std::string_view key);
-bool IsTombstoneRecord(std::string_view record);
-
 /// \brief Anything that can stream serialized entries in key order.
 ///
 /// Implemented by the immutable EntryStore segment and by the mutable
@@ -69,8 +63,8 @@ class EntrySource {
   }
 
   /// Cardinality statistics (store/stats.h) for the cost model and the
-  /// optimizer, or nullptr when the source keeps none (e.g. a segment
-  /// re-attached from a manifest). Estimates derived from the result are
+  /// optimizer, or nullptr when the source keeps none (every EntryStore
+  /// segment but a bulk load's). Estimates derived from the result are
   /// upper bounds; 0 proves emptiness.
   virtual const StoreStats* stats() const { return nullptr; }
 
@@ -98,33 +92,30 @@ class EntryStore : public EntrySource {
  public:
   EntryStore() = default;
 
-  /// Serializes all entries of `instance` (already in key order).
+  /// Serializes all entries of `instance` (already in key order): the
+  /// segment a local engine plans over, so it alone carries statistics,
+  /// folded from each entry in the same pass that serializes it.
   static Result<EntryStore> BulkLoad(Disk* disk,
                                      const DirectoryInstance& instance);
 
   /// Serializes the entries `next` yields, in strictly increasing key
-  /// order, until it returns nullptr. The segment's statistics fold from
-  /// the entries themselves, so no record is decoded back. BulkLoad and
-  /// the fleet build (which streams each shard's entries out of the
-  /// global instance) both build through here.
+  /// order, until it returns nullptr. No statistics: the fleet build
+  /// (which streams each shard's entries out of the global instance)
+  /// plans from the shards' range geometry alone.
   static Result<EntryStore> FromEntries(
       Disk* disk, const std::function<const Entry*()>& next);
 
-  /// Builds a segment from serialized entry records, which must arrive in
-  /// strictly increasing key order.
-  static Result<EntryStore> FromSortedRecords(
-      Disk* disk, const std::vector<std::string>& records);
-
-  /// Streaming variant: `next` yields records in strictly increasing key
-  /// order and returns false at end. Statistics fold from the records
-  /// (flush, compaction and recovery have no entries in hand).
+  /// Builds a segment from serialized entry records: `next` yields them
+  /// in strictly increasing key order and returns false at end. No
+  /// statistics: a DirectoryStore keeps its own for the whole store, and
+  /// its compaction and recovery fold the records they stream into them.
   static Result<EntryStore> FromStream(
       Disk* disk, const std::function<Result<bool>(std::string*)>& next);
 
   /// A page-for-page copy of this segment on `disk`, which must have the
   /// same page size: byte-identical pages, the same sparse index, and the
-  /// same shared StoreStats object. Reads each page once from this
-  /// segment's disk (counted there) and writes it once to `disk`. A
+  /// same shared StoreStats object (if any). Reads each page once from
+  /// this segment's disk (counted there) and writes it once to `disk`. A
   /// failed copy frees the pages it allocated.
   Result<EntryStore> CopyTo(Disk* disk) const;
 
@@ -172,8 +163,8 @@ class EntryStore : public EntrySource {
   };
 
   uint64_t num_entries() const override { return run_.num_records; }
-  /// Built at segment-build time (BulkLoad/FromStream/...); nullptr for
-  /// segments re-attached via FromManifest. Shared so EntryStore stays
+  /// Folded by BulkLoad; nullptr for every other segment (fleet shards,
+  /// flushes, compactions, FromManifest). Shared so EntryStore stays
   /// copyable, and so a CopyTo replica reports the same object.
   const StoreStats* stats() const override { return stats_.get(); }
   uint64_t num_pages() const { return run_.pages.size(); }
@@ -206,14 +197,10 @@ class EntryStore : public EntrySource {
   // Ordinal of the first record starting in each page.
   std::vector<uint64_t> first_record_index_;
 
-  /// Pulls the next record into `*record`; false at end. A builder that
-  /// holds the Entry the record encodes also points `*entry` at it, and
-  /// the statistics fold from that entry instead of decoding the record.
-  using RecordPull =
-      std::function<Result<bool>(std::string* record, const Entry** entry)>;
+  /// Pulls the next record into `*record`; false at end.
+  using RecordPull = std::function<Result<bool>(std::string* record)>;
 
   Status BuildFrom(Disk* disk, const RecordPull& next);
-  Status BuildFromImpl(Disk* disk, const RecordPull& next);
 
   /// Returns a reader positioned at the first record that *starts* in the
   /// page containing start_key's position (records before start_key must

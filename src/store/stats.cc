@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "storage/serde.h"
-#include "store/entry_store.h"
 
 namespace ndq {
 
@@ -86,7 +85,6 @@ void StoreStats::RemoveEntry(const Entry& entry) {
 }
 
 Status StoreStats::AddRecord(std::string_view record) {
-  if (IsTombstoneRecord(record)) return Status::OK();
   Entry slow;
   NDQ_ASSIGN_OR_RETURN(EntryView entry, EntryView::Parse(record, &slow));
   UpdateEntry(entry, true);

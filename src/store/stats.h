@@ -18,12 +18,13 @@
 //    node cap was never hit — an absent node at depth <= kMaxSketchDepth
 //    proves its subtree holds no entries.
 //
-// EntryStore builds one at segment-build time: a bulk load folds each
-// entry as it serializes it (AddEntry), while flush, compaction and
-// recovery, which stream records, fold each record (AddRecord, skipping
-// tombstones). DirectoryStore maintains one incrementally in Put/Remove.
-// The cost model (exec/cost.h) and planner (query/optimize.h) consume
-// them through EntrySource::stats().
+// Only stores a planner reads carry one. EntryStore::BulkLoad folds each
+// entry as it serializes it (AddEntry). DirectoryStore keeps one for the
+// whole store: incrementally in Put/Remove, and refolded from the live
+// records its compaction and recovery stream (AddRecord).
+// Fleet shards and flushed segments carry none. The cost model
+// (exec/cost.h) and planner (query/optimize.h) consume them through
+// EntrySource::stats().
 
 #ifndef NDQ_STORE_STATS_H_
 #define NDQ_STORE_STATS_H_
@@ -67,12 +68,10 @@ class StoreStats {
   void AddEntry(const Entry& entry);
   void RemoveEntry(const Entry& entry);
 
-  /// Folds a serialized entry record in, read through an EntryView;
-  /// tombstone records (see IsTombstoneRecord in store/entry_store.h) are
-  /// skipped.
+  /// Folds a serialized entry record in, read through an EntryView.
   Status AddRecord(std::string_view record);
 
-  /// Entries folded in (excluding tombstones).
+  /// Entries folded in.
   uint64_t num_entries() const { return num_entries_; }
 
   /// Upper bound on the number of entries satisfying `filter`. 0 proves

@@ -277,11 +277,10 @@ TEST(FleetBuildTest, ReplicasMatchPerShardBulkLoad) {
                           .ok());
           EXPECT_EQ(a, b) << rep->name() << " page " << p;
         }
-        // One StoreStats per shard, shared by every replica.
-        EXPECT_EQ(store.stats(), shard->replica(0)->store().stats());
+        // The coordinator plans from range geometry: no replica folds
+        // statistics.
+        EXPECT_EQ(store.stats(), nullptr) << rep->name();
       }
-      ASSERT_NE(shard->replica(0)->store().stats(), nullptr);
-      EXPECT_TRUE(*shard->replica(0)->store().stats() == *ref.stats());
     }
   }
 }

@@ -375,9 +375,27 @@ TEST(DirectoryStoreTest, StatsRefreshOnCompaction) {
       << "a single compacted segment with an empty memtable estimates "
          "exactly";
   EXPECT_LT(compacted, churned);
-  // The rebuilt cardinality statistics agree with emptiness proofs:
-  // removed-for-good keys estimate 0 through the stats.
+  // The rebuilt cardinality statistics are exactly the record fold of
+  // the live store, so removed-for-good keys prove empty through them.
   ASSERT_NE(store.stats(), nullptr);
+  StoreStats folded;
+  ASSERT_TRUE(store
+                  .ScanRange("", "",
+                             [&](std::string_view rec) {
+                               return folded.AddRecord(rec);
+                             })
+                  .ok());
+  EXPECT_TRUE(*store.stats() == folded);
+  ASSERT_TRUE(store.stats()->complete());
+  for (int i = 0; i < 20; ++i) {
+    const std::string key =
+        D("uid=u" + std::to_string(i) + ", dc=com").HierKey();
+    if (i < 10) {
+      EXPECT_NE(store.stats()->Subtree(key), nullptr) << key;
+    } else {
+      EXPECT_EQ(store.stats()->Subtree(key), nullptr) << key;
+    }
+  }
 }
 
 TEST(DirectoryStoreTest, CompactFailureLeavesStoreIntact) {

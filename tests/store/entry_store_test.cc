@@ -28,6 +28,37 @@ std::vector<std::string> ScanKeys(const EntryStore& store,
   return keys;
 }
 
+// Builds a segment from serialized records through FromStream.
+Result<EntryStore> FromRecords(Disk* disk,
+                               const std::vector<std::string>& records) {
+  size_t i = 0;
+  return EntryStore::FromStream(disk, [&](std::string* record) -> Result<bool> {
+    if (i >= records.size()) return false;
+    *record = records[i++];
+    return true;
+  });
+}
+
+std::vector<std::string> ScanRecords(const EntryStore& store) {
+  std::vector<std::string> records;
+  Status s = store.ScanRange("", "", [&](std::string_view rec) -> Status {
+    records.emplace_back(rec);
+    return Status::OK();
+  });
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return records;
+}
+
+// Statistics folded record by record (AddRecord): the fold compaction and
+// recovery run over the records they stream.
+StoreStats RecordFolded(const std::vector<std::string>& records) {
+  StoreStats stats;
+  for (const std::string& record : records) {
+    EXPECT_TRUE(stats.AddRecord(record).ok());
+  }
+  return stats;
+}
+
 TEST(EntryStoreTest, BulkLoadAndFullScan) {
   SimDisk disk(512);
   DirectoryInstance inst = PaperInstance();
@@ -94,16 +125,16 @@ TEST(EntryStoreTest, RecordsSpanningPagesAreFound) {
   }
 }
 
-TEST(EntryStoreTest, FromSortedRecordsRejectsDisorder) {
+TEST(EntryStoreTest, FromStreamRejectsDisorder) {
   SimDisk disk(256);
   Entry a(D("dc=aa"));
   Entry b(D("dc=bb"));
   std::string ra, rb;
   SerializeEntry(a, &ra);
   SerializeEntry(b, &rb);
-  EXPECT_TRUE(EntryStore::FromSortedRecords(&disk, {ra, rb}).ok());
-  EXPECT_FALSE(EntryStore::FromSortedRecords(&disk, {rb, ra}).ok());
-  EXPECT_FALSE(EntryStore::FromSortedRecords(&disk, {ra, ra}).ok());  // dup
+  EXPECT_TRUE(FromRecords(&disk, {ra, rb}).ok());
+  EXPECT_FALSE(FromRecords(&disk, {rb, ra}).ok());
+  EXPECT_FALSE(FromRecords(&disk, {ra, ra}).ok());  // dup
 }
 
 TEST(EntryStoreTest, EmptyStore) {
@@ -201,11 +232,12 @@ TEST(EntryStoreTest, CompressedScansMatchTheInstance) {
 }
 
 TEST(EntryStoreTest, EntryFoldedStatsEqualRecordFolded) {
-  // BulkLoad folds its statistics from the entries it serializes;
-  // FromSortedRecords decodes every record instead. Over the same
-  // adversarial forests (decorated RDNs, extreme ints, deep chains, and
-  // value domains wider than the MCV cap, so the overflow buckets fill)
-  // both must build equal histograms and sketches.
+  // BulkLoad folds its statistics from the entries it serializes
+  // (AddEntry); compaction and recovery fold the records they stream
+  // (AddRecord). Over the same adversarial forests (decorated RDNs,
+  // extreme ints, deep chains, and value domains wider than the MCV cap,
+  // so the overflow buckets fill) the bulk load's stats must equal the
+  // record fold over the very records it wrote.
   for (uint32_t seed : {77u, 78u}) {
     for (size_t max_children : {size_t{2}, size_t{8}}) {
       SCOPED_TRACE("seed " + std::to_string(seed) + " max_children " +
@@ -219,28 +251,49 @@ TEST(EntryStoreTest, EntryFoldedStatsEqualRecordFolded) {
       opt.int_attr_range = 500;
       opt.num_tags = 200;
       DirectoryInstance inst = gen::RandomForest(opt);
-      std::vector<std::string> records;
-      for (const auto& [key, entry] : inst) {
-        SerializeEntry(entry, &records.emplace_back());
-      }
 
-      SimDisk entry_disk(512), record_disk(512);
-      EntryStore from_entries =
-          EntryStore::BulkLoad(&entry_disk, inst).TakeValue();
-      EntryStore from_records =
-          EntryStore::FromSortedRecords(&record_disk, records).TakeValue();
-      ASSERT_NE(from_entries.stats(), nullptr);
-      ASSERT_NE(from_records.stats(), nullptr);
-      EXPECT_EQ(from_entries.stats()->num_entries(), inst.size());
-      EXPECT_TRUE(*from_entries.stats() == *from_records.stats());
+      SimDisk disk(512);
+      EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
+      std::vector<std::string> records = ScanRecords(store);
+      ASSERT_EQ(records.size(), inst.size());
+      ASSERT_NE(store.stats(), nullptr);
+      EXPECT_EQ(store.stats()->num_entries(), inst.size());
+      EXPECT_TRUE(*store.stats() == RecordFolded(records));
 
       // The comparison has teeth: one record fewer is a different sketch.
       records.pop_back();
-      SimDisk short_disk(512);
-      EntryStore shorter =
-          EntryStore::FromSortedRecords(&short_disk, records).TakeValue();
-      EXPECT_FALSE(*from_entries.stats() == *shorter.stats());
+      EXPECT_FALSE(*store.stats() == RecordFolded(records));
     }
+  }
+}
+
+TEST(EntryStoreTest, OnlyBulkLoadCarriesStats) {
+  // Statistics live only where a planner reads them: the bulk load a
+  // local engine plans over. Fleet shards (FromEntries), flushes and
+  // compactions (FromStream) and re-attached segments (FromManifest)
+  // carry none, and a page copy carries exactly what its source does.
+  DirectoryInstance inst = PaperInstance();
+  SimDisk disk(512), copy_disk(512);
+  EntryStore bulk = EntryStore::BulkLoad(&disk, inst).TakeValue();
+  auto it = inst.begin();
+  EntryStore entries =
+      EntryStore::FromEntries(&disk, [&]() -> const Entry* {
+        return it == inst.end() ? nullptr : &(it++)->second;
+      }).TakeValue();
+  EntryStore stream = FromRecords(&disk, ScanRecords(bulk)).TakeValue();
+  EntryStore attached =
+      EntryStore::FromManifest(&disk, bulk.SerializeManifest()).TakeValue();
+
+  ASSERT_NE(bulk.stats(), nullptr);
+  EXPECT_EQ(bulk.CopyTo(&copy_disk).TakeValue().stats(), bulk.stats());
+  for (const EntryStore* store : {&entries, &stream, &attached}) {
+    EXPECT_EQ(store->stats(), nullptr);
+    EXPECT_EQ(store->CopyTo(&copy_disk).TakeValue().stats(), nullptr);
+    // The same segment otherwise: records, pages and estimates.
+    EXPECT_EQ(ScanRecords(*store), ScanRecords(bulk));
+    EXPECT_EQ(store->num_pages(), bulk.num_pages());
+    EXPECT_EQ(store->EstimateRangeRecords("", ""),
+              bulk.EstimateRangeRecords("", ""));
   }
 }
 

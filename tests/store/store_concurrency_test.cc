@@ -98,15 +98,18 @@ TEST(StoreConcurrencyTest, QueriesNeverObserveTornVersions) {
               }())
                   .ok());
 
+  constexpr int kReaders = 3;
   std::atomic<bool> stop{false};
+  std::atomic<int> started{0};
   std::atomic<uint64_t> queries_ok{0};
 
   std::vector<std::thread> readers;
-  for (int r = 0; r < 3; ++r) {
-    readers.emplace_back([&engine, &stop, &queries_ok, kTornDetector,
-                          kSubtree, r] {
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&engine, &stop, &started, &queries_ok,
+                          kTornDetector, kSubtree, r] {
       Session session = engine.OpenSession();
       int i = 0;
+      bool first = true;
       while (!stop.load(std::memory_order_relaxed)) {
         const char* text = (++i + r) % 2 == 0 ? kTornDetector : kSubtree;
         QueryOutcome out = session.Run(text);
@@ -119,9 +122,14 @@ TEST(StoreConcurrencyTest, QueriesNeverObserveTornVersions) {
               << "torn snapshot: one query saw two store versions";
         }
         queries_ok.fetch_add(1, std::memory_order_relaxed);
+        if (first) started.fetch_add(1);
+        first = false;
       }
     });
   }
+  // The 150 batches take a few milliseconds: writing before every reader
+  // has run a query lets a descheduled reader miss all of them.
+  while (started.load() < kReaders) std::this_thread::yield();
 
   Session writer = engine.OpenSession();
   for (int i = 0; i < 150; ++i) {
