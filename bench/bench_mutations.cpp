@@ -9,10 +9,12 @@
 // batches.
 //
 // Measures: bulk load and steady-state mutation throughput through
-// Session::Apply; query throughput with and without a concurrent writer;
-// the durable-vs-volatile write amplification; and crash-recovery wall
-// time. Emits BENCH_mutations.json for EXPERIMENTS.md. Exits nonzero
-// unless queries and writes overlapped and the load/steady gate holds.
+// Session::Apply, and what the steady state costs in compaction (records
+// rewritten per acknowledged op, the segment count); query throughput with
+// and without a concurrent writer; the durable-vs-volatile write
+// amplification; and crash-recovery wall time. Emits BENCH_mutations.json
+// for EXPERIMENTS.md. Exits nonzero unless queries and writes overlapped
+// and the load/steady gate holds.
 
 #include <atomic>
 #include <chrono>
@@ -147,7 +149,10 @@ int main() {
               load_ms, load_ops);
 
   // --- 2. Steady-state point mutations ------------------------------------
+  DirectoryStore* store = engine.mutable_store();
+  const MaintenanceCounters before = store->maintenance_counters();
   double steady_ms;
+  size_t steady_acked = 0;
   {
     auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < kSteadyOps; ++i) {
@@ -167,12 +172,27 @@ int main() {
                      res.status.ToString().c_str());
         return 1;
       }
+      steady_acked += res.applied;
     }
     steady_ms = MillisSince(start);
   }
   double steady_ops = OpsPerSec(kSteadyOps, steady_ms);
   std::printf("steady-state: %d mutation batches in %.1f ms (%.0f ops/s)\n",
               kSteadyOps, steady_ms, steady_ops);
+  // Write cost beside read cost: the records compaction rewrote per
+  // acknowledged op, and the segment stack a range scan reads across.
+  store->WaitForMaintenance();
+  const MaintenanceCounters after = store->maintenance_counters();
+  const double write_amp =
+      static_cast<double>(after.records_rewritten - before.records_rewritten) /
+      static_cast<double>(steady_acked);
+  const size_t segments = store->num_segments();
+  std::printf("steady-state compaction: %llu flushes, %llu compactions, "
+              "%.2f records rewritten per op; %zu segments\n",
+              static_cast<unsigned long long>(after.flushes - before.flushes),
+              static_cast<unsigned long long>(after.compactions -
+                                              before.compactions),
+              write_amp, segments);
   const double load_factor = steady_ops > 0 ? load_ops / steady_ops : 0.0;
   const bool batch_gate = load_factor >= kMinLoadOverSteady;
 
@@ -292,6 +312,15 @@ int main() {
     std::fprintf(f, "  \"load_ops_per_sec\": %.0f,\n", load_ops);
     std::fprintf(f, "  \"steady_mutation_ops_per_sec\": %.0f,\n", steady_ops);
     std::fprintf(f, "  \"load_over_steady\": %.1f,\n", load_factor);
+    std::fprintf(f, "  \"steady_flushes\": %llu,\n",
+                 static_cast<unsigned long long>(after.flushes -
+                                                 before.flushes));
+    std::fprintf(f, "  \"steady_compactions\": %llu,\n",
+                 static_cast<unsigned long long>(after.compactions -
+                                                 before.compactions));
+    std::fprintf(f, "  \"steady_records_rewritten_per_op\": %.2f,\n",
+                 write_amp);
+    std::fprintf(f, "  \"segments_after_steady\": %zu,\n", segments);
     std::fprintf(f, "  \"queries_per_sec_idle\": %.0f,\n", q_idle);
     std::fprintf(f, "  \"queries_per_sec_concurrent_writer\": %.0f,\n",
                  q_busy);

@@ -4,8 +4,8 @@
 // regressions in the hot loops (merges, stack passes, serde) are visible.
 // The per-stage benchmarks at the end split a scan's record cost into its
 // stages (name decode, whole-entry decode), report the directory's
-// resident bytes per entry, and time and size the statistics a bulk load
-// folds.
+// resident bytes per entry, time and size the statistics a bulk load
+// folds, and time the copy of them an update batch makes.
 
 #include <benchmark/benchmark.h>
 #include <malloc.h>
@@ -280,6 +280,27 @@ void BM_StatsFootprint(benchmark::State& state) {
   state.counters["sketch_nodes"] = nodes;
 }
 BENCHMARK(BM_StatsFootprint)->Iterations(1)->Unit(benchmark::kMillisecond);
+
+// What DirectoryStore::Apply pays for the statistics per update batch: one
+// copy of the store's StoreStats (its destruction included), here folded
+// over a DIF of (orgs, subdomains per org) = (1, 2), 8k entries, or
+// (4, 4), 64k entries.
+void BM_StatsCopy(benchmark::State& state) {
+  gen::DifOptions opt = Dif64k();
+  opt.num_orgs = static_cast<int>(state.range(0));
+  opt.subdomains_per_org = static_cast<int>(state.range(1));
+  StoreStats stats;
+  for (const auto& [key, entry] : gen::GenerateDif(opt)) {
+    stats.AddEntry(entry);
+  }
+  for (auto _ : state) {
+    StoreStats copy(stats);
+    benchmark::DoNotOptimize(copy);
+  }
+  state.counters["entries"] = static_cast<double>(stats.num_entries());
+}
+BENCHMARK(BM_StatsCopy)->Args({1, 2})->Args({4, 4})->Unit(
+    benchmark::kMicrosecond);
 
 }  // namespace
 

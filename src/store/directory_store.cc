@@ -640,12 +640,24 @@ Status DirectoryStore::FlushLocked(bool allow_compact) {
     next->frozen = nullptr;
     Publish(std::move(next));
   }
+  flushes_.fetch_add(1, std::memory_order_relaxed);
 
-  if (allow_compact &&
-      SnapshotState()->segments.size() >= options_.max_segments) {
+  if (allow_compact && NeedsCompaction(*SnapshotState())) {
     return CompactLocked();
   }
   return Status::OK();
+}
+
+bool DirectoryStore::NeedsCompaction(const StoreState& state) const {
+  if (state.segments.size() >= options_.max_segments) return true;
+  // Live entries the active memtable adds make this an undercount until
+  // the next flush, which checks again.
+  uint64_t records = 0;
+  for (const auto& seg : state.segments) records += seg->num_entries();
+  if (records <= state.live_entries) return false;
+  const uint64_t dead = records - state.live_entries;
+  return static_cast<double>(dead) >=
+         kMaxDeadFraction * static_cast<double>(state.live_entries);
 }
 
 Status DirectoryStore::Compact() {
@@ -715,6 +727,9 @@ Status DirectoryStore::CompactLocked() {
     if (ok) next->stats = std::move(fresh);
     Publish(std::move(next));
   }
+  compactions_.fetch_add(1, std::memory_order_relaxed);
+  records_rewritten_.fetch_add(merged->num_entries(),
+                               std::memory_order_relaxed);
 
   // Old segment pages are retired behind the epoch horizon: destroyed
   // right here when no reader is pinned (and the aggregated Status
@@ -848,6 +863,14 @@ uint64_t DirectoryStore::wal_pages() const {
 uint64_t DirectoryStore::wal_records() const {
   std::lock_guard<std::mutex> write(write_mu_);
   return wal_ == nullptr ? 0 : wal_->records_appended();
+}
+
+MaintenanceCounters DirectoryStore::maintenance_counters() const {
+  MaintenanceCounters c;
+  c.flushes = flushes_.load(std::memory_order_relaxed);
+  c.compactions = compactions_.load(std::memory_order_relaxed);
+  c.records_rewritten = records_rewritten_.load(std::memory_order_relaxed);
+  return c;
 }
 
 }  // namespace ndq

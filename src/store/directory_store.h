@@ -31,6 +31,7 @@
 #ifndef NDQ_STORE_DIRECTORY_STORE_H_
 #define NDQ_STORE_DIRECTORY_STORE_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <functional>
 #include <map>
@@ -97,12 +98,29 @@ struct DirectoryStoreOptions {
   size_t memtable_limit = 1024;
   /// Validate entries against the schema on write.
   bool validate = true;
-  /// Compact automatically when the segment stack reaches this depth.
+  /// Compact automatically when the segment stack reaches this depth. A
+  /// flush also compacts, whatever the depth, once the segments' dead
+  /// records reach DirectoryStore::kMaxDeadFraction of the live entries.
   size_t max_segments = 8;
+};
+
+/// Maintenance work since the store was built (relaxed counters).
+struct MaintenanceCounters {
+  uint64_t flushes = 0;            ///< flushed segments installed
+  uint64_t compactions = 0;        ///< compactions installed
+  uint64_t records_rewritten = 0;  ///< records the compactions wrote
 };
 
 class DirectoryStore : public EntrySource, public UpdateTarget {
  public:
+  /// A flush compacts once the segments hold this many dead records
+  /// (shadowed versions and tombstones: their records minus the live
+  /// entries) per live entry. Space, and the records any range scan reads
+  /// per live one, then stay within 1 + kMaxDeadFraction whatever the
+  /// writer's pace. A key-ordered load of fresh keys leaves no dead
+  /// records, so it compacts only at max_segments.
+  static constexpr double kMaxDeadFraction = 0.25;
+
   DirectoryStore(Disk* disk, Schema schema,
                  DirectoryStoreOptions options = {});
   /// Waits for in-flight maintenance; every snapshot must already be
@@ -223,6 +241,7 @@ class DirectoryStore : public EntrySource, public UpdateTarget {
   /// and records appended to it.
   uint64_t wal_pages() const;
   uint64_t wal_records() const;
+  MaintenanceCounters maintenance_counters() const;
 
  private:
   struct StoreState;
@@ -233,9 +252,11 @@ class DirectoryStore : public EntrySource, public UpdateTarget {
   /// Publishes `next` as the following version; call with write_mu_ held.
   void Publish(std::shared_ptr<StoreState> next);
 
-  /// Flush with maint_mu_ held; `allow_compact` gates the
-  /// max_segments-triggered compaction (off when called FROM compaction).
+  /// Flush with maint_mu_ held; `allow_compact` gates the compaction a
+  /// flush may trigger (off when called FROM compaction).
   Status FlushLocked(bool allow_compact);
+  /// True at the max_segments cap or the kMaxDeadFraction bound.
+  bool NeedsCompaction(const StoreState& state) const;
   Status CompactLocked();
   void MaybeScheduleMaintenance();
   void RunMaintenance();
@@ -282,6 +303,10 @@ class DirectoryStore : public EntrySource, public UpdateTarget {
 
   /// Readers pin; compaction retires superseded segment pages behind it.
   mutable EpochFramework epochs_;
+
+  std::atomic<uint64_t> flushes_{0};
+  std::atomic<uint64_t> compactions_{0};
+  std::atomic<uint64_t> records_rewritten_{0};
 };
 
 }  // namespace ndq

@@ -1,6 +1,7 @@
 #include "store/stats.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "storage/serde.h"
 
@@ -8,17 +9,80 @@ namespace ndq {
 
 namespace {
 
-// Bumps a capped MCV map. A value whose slot would exceed the cap lands
-// in *other, which every estimate adds back in.
-template <typename Map, typename Key>
-void McvAdd(Map* map, uint64_t* other, const Key& key) {
-  auto it = map->find(key);
-  if (it != map->end()) {
-    ++it->second;
-    return;
+// A 64-bit hash that takes eight bytes per multiply. Extend() hashes one
+// more run of bytes, length included, onto `h`, so the hash of a HierKey
+// prefix extends to the next prefix one component at a time.
+constexpr uint64_t kHashSeed = 0x9E3779B97F4A7C15ull;
+
+uint64_t HashStep(uint64_t h, uint64_t word) {
+  h = (h ^ word) * 0xBF58476D1CE4E5B9ull;
+  return h ^ (h >> 31);
+}
+
+// Up to eight bytes as one word, without a variable-length copy: two
+// overlapping 4-byte loads, or three single bytes below four. Together
+// with the length, the word determines the bytes.
+uint64_t LoadTail(const char* p, size_t n) {
+  if (n >= 4) {
+    uint32_t lo = 0, hi = 0;
+    std::memcpy(&lo, p, 4);
+    std::memcpy(&hi, p + n - 4, 4);
+    return (static_cast<uint64_t>(hi) << 32) | lo;
   }
-  if (map->size() < StoreStats::kMaxTrackedValues) {
-    map->emplace(key, 1);
+  if (n == 0) return 0;
+  return (static_cast<uint64_t>(static_cast<uint8_t>(p[0])) << 16) |
+         (static_cast<uint64_t>(static_cast<uint8_t>(p[n / 2])) << 8) |
+         static_cast<uint8_t>(p[n - 1]);
+}
+
+uint64_t Extend(uint64_t h, std::string_view bytes) {
+  const char* p = bytes.data();
+  size_t n = bytes.size();
+  for (; n > 8; p += 8, n -= 8) {
+    uint64_t word = 0;
+    std::memcpy(&word, p, 8);
+    h = HashStep(h, word);
+  }
+  // The length rides on the last step; scaling the tail by an odd
+  // constant keeps a shorter run's tail from cancelling it.
+  return HashStep(h, LoadTail(p, n) * kHashSeed + bytes.size());
+}
+
+uint64_t Hash(std::string_view bytes) { return Extend(kHashSeed, bytes); }
+
+// Hashes the prefixes of `key` at depths 0 ("") through
+// min(KeyDepth(key), kMaxSketchDepth) into `hashes`, root first, in one
+// walk over the key, and returns KeyDepth(key).
+size_t PrefixHashes(std::string_view key,
+                    uint64_t (&hashes)[StoreStats::kMaxSketchDepth + 1]) {
+  uint64_t h = kHashSeed;
+  hashes[0] = h;
+  if (key.empty()) return 0;
+  for (size_t depth = 1;; ++depth) {
+    const size_t sep = key.find(kHierKeySep);
+    h = Extend(h, key.substr(0, sep));
+    hashes[depth] = h;
+    if (sep == std::string_view::npos) return depth;
+    key.remove_prefix(sep + 1);
+    if (depth == StoreStats::kMaxSketchDepth) {
+      return depth + 1 + static_cast<size_t>(
+                             std::count(key.begin(), key.end(), kHierKeySep));
+    }
+  }
+}
+
+// Table keys for name and prefix hashes: 0 marks an empty slot, so a hash
+// of 0 shares a slot with a hash of 1 (a collision, summed like any other).
+uint64_t SlotKey(uint64_t hash) { return hash == 0 ? 1 : hash; }
+
+// Bumps a capped MCV table. A value whose slot would exceed the cap lands
+// in *other, which every estimate adds back in.
+template <typename Table>
+void McvAdd(Table* table, uint64_t* other, uint64_t key) {
+  if (auto* slot = table->Find(key)) {
+    ++slot->count;
+  } else if (table->size() < StoreStats::kMaxTrackedValues) {
+    table->Insert(key)->count = 1;
   } else {
     ++*other;
   }
@@ -26,27 +90,24 @@ void McvAdd(Map* map, uint64_t* other, const Key& key) {
 
 // Undoes one McvAdd of `key`. The copy being removed is either in its own
 // slot or in the overflow bucket; decrementing whichever is nonempty keeps
-// sum(map) + other equal to the live value count.
-template <typename Map, typename Key>
-void McvRemove(Map* map, uint64_t* other, const Key& key) {
-  auto it = map->find(key);
-  if (it != map->end() && it->second > 0) {
-    if (--it->second == 0) map->erase(it);
-    return;
+// sum(table) + other equal to the live value count. A slot whose count
+// reaches zero is erased, freeing it for the next new value.
+template <typename Table>
+void McvRemove(Table* table, uint64_t* other, uint64_t key) {
+  if (auto* slot = table->Find(key)) {
+    if (--slot->count == 0) table->Erase(slot);
+  } else if (*other > 0) {
+    --*other;
   }
-  if (*other > 0) --*other;
 }
 
-uint64_t McvGet(const std::map<int64_t, uint64_t>& map, int64_t key) {
-  auto it = map.find(key);
-  return it == map.end() ? 0 : it->second;
+template <typename Table>
+uint64_t McvGet(const Table& table, uint64_t key) {
+  const auto* slot = table.Find(key);
+  return slot == nullptr ? 0 : slot->count;
 }
 
-uint64_t McvGet(const std::map<std::string, uint64_t, std::less<>>& map,
-                const std::string& key) {
-  auto it = map.find(key);
-  return it == map.end() ? 0 : it->second;
-}
+uint64_t IntKey(int64_t v) { return static_cast<uint64_t>(v); }
 
 bool IntCmpHolds(int64_t lhs, CompareOp op, int64_t rhs) {
   switch (op) {
@@ -91,29 +152,36 @@ Status StoreStats::AddRecord(std::string_view record) {
   return Status::OK();
 }
 
+StoreStats::AttrStats& StoreStats::Attr(std::string_view name) {
+  const uint64_t key = SlotKey(Hash(name));
+  AttrSlot* slot = attr_index_.Find(key);
+  if (slot == nullptr) {
+    slot = attr_index_.Insert(key);
+    slot->index = attrs_.size();
+    attrs_.emplace_back();
+  }
+  return attrs_[slot->index];
+}
+
 void StoreStats::UpdateEntry(const EntryView& entry, bool add) {
   Saturating(&num_entries_, add);
   for (const AttributeView& attr : entry) {
-    auto it = attrs_.find(attr.name);
-    if (it == attrs_.end()) {
-      it = attrs_.emplace(std::string(attr.name), AttrStats()).first;
-    }
-    AttrStats& a = it->second;
+    AttrStats& a = Attr(attr.name);
     Saturating(&a.entries, add);
     for (ValueView v : attr.values) {
       if (v.is_int()) {
         Saturating(&a.int_values, add);
         if (add) {
-          McvAdd(&a.int_mcv, &a.int_other, v.AsInt());
+          McvAdd(&a.int_mcv, &a.int_other, IntKey(v.AsInt()));
         } else {
-          McvRemove(&a.int_mcv, &a.int_other, v.AsInt());
+          McvRemove(&a.int_mcv, &a.int_other, IntKey(v.AsInt()));
         }
       } else {
         Saturating(&a.str_values, add);
         if (add) {
-          McvAdd(&a.str_mcv, &a.str_other, v.AsString());
+          McvAdd(&a.str_mcv, &a.str_other, Hash(v.AsString()));
         } else {
-          McvRemove(&a.str_mcv, &a.str_other, v.AsString());
+          McvRemove(&a.str_mcv, &a.str_other, Hash(v.AsString()));
         }
       }
     }
@@ -122,38 +190,31 @@ void StoreStats::UpdateEntry(const EntryView& entry, bool add) {
 }
 
 void StoreStats::UpdateSketch(std::string_view key, bool add) {
-  const size_t entry_depth = KeyDepth(key);
-  auto touch = [&](std::string_view prefix, size_t depth) {
-    if (depth > kMaxSketchDepth) return;
-    SubtreeStats* node = nullptr;
-    auto it = sketch_.find(prefix);
-    if (it != sketch_.end()) {
-      node = &it->second;
-    } else if (add && !sketch_overflow_) {
+  uint64_t hashes[kMaxSketchDepth + 1] = {};
+  const size_t entry_depth = PrefixHashes(key, hashes);
+  const size_t tracked = std::min(entry_depth, kMaxSketchDepth);
+  for (size_t depth = 0; depth <= tracked; ++depth) {
+    const uint64_t key_hash = SlotKey(hashes[depth]);
+    NodeSlot* slot = sketch_.Find(key_hash);
+    if (slot == nullptr) {
+      if (!add || sketch_overflow_) continue;
       if (sketch_.size() >= kMaxSketchNodes) {
         sketch_overflow_ = true;
-        return;
+        continue;
       }
-      node = &sketch_[std::string(prefix)];
-    } else {
-      return;
+      slot = sketch_.Insert(key_hash);
     }
-    Saturating(&node->subtree_size, add);
-    if (depth == entry_depth) Saturating(&node->self, add);
-    if (depth + 1 == entry_depth) Saturating(&node->direct_children, add);
-  };
-  touch(std::string_view(), 0);
-  size_t depth = 0;
-  for (size_t i = 0; i < key.size(); ++i) {
-    if (key[i] == kHierKeySep) touch(key.substr(0, i), ++depth);
+    SubtreeStats& node = slot->node;
+    Saturating(&node.subtree_size, add);
+    if (depth == entry_depth) Saturating(&node.self, add);
+    if (depth + 1 == entry_depth) Saturating(&node.direct_children, add);
   }
-  if (!key.empty()) touch(key, entry_depth);
 }
 
 const StoreStats::AttrStats* StoreStats::FindAttr(
-    const std::string& attr) const {
-  auto it = attrs_.find(attr);
-  return it == attrs_.end() ? nullptr : &it->second;
+    std::string_view name) const {
+  const AttrSlot* slot = attr_index_.Find(SlotKey(Hash(name)));
+  return slot == nullptr ? nullptr : &attrs_[slot->index];
 }
 
 uint64_t StoreStats::EstimateFilterMatches(const AtomicFilter& filter) const {
@@ -172,10 +233,10 @@ uint64_t StoreStats::EstimateFilterMatches(const AtomicFilter& filter) const {
       if (rhs.is_int()) {
         // An int literal also matches its string spelling (see
         // AtomicFilter::MatchesValue).
-        est += McvGet(a->int_mcv, rhs.AsInt()) + a->int_other;
-        est += McvGet(a->str_mcv, rhs.ToString()) + a->str_other;
+        est += McvGet(a->int_mcv, IntKey(rhs.AsInt())) + a->int_other;
+        est += McvGet(a->str_mcv, Hash(rhs.ToString())) + a->str_other;
       } else {
-        est += McvGet(a->str_mcv, rhs.AsString()) + a->str_other;
+        est += McvGet(a->str_mcv, Hash(rhs.AsString())) + a->str_other;
       }
       return std::min(est, a->entries);
     }
@@ -183,9 +244,12 @@ uint64_t StoreStats::EstimateFilterMatches(const AtomicFilter& filter) const {
       const AttrStats* a = FindAttr(filter.attr());
       if (a == nullptr) return 0;
       uint64_t est = a->int_other;
-      for (const auto& [v, count] : a->int_mcv) {
-        if (IntCmpHolds(v, filter.cmp_op(), filter.int_rhs())) est += count;
-      }
+      a->int_mcv.ForEach([&](const McvSlot& slot) {
+        if (IntCmpHolds(static_cast<int64_t>(slot.key), filter.cmp_op(),
+                        filter.int_rhs())) {
+          est += slot.count;
+        }
+      });
       return std::min(est, a->entries);
     }
     case AtomicFilter::Kind::kSubstring: {
@@ -226,8 +290,26 @@ uint64_t StoreStats::EstimateLdapMatches(const LdapFilter& filter) const {
 }
 
 const SubtreeStats* StoreStats::Subtree(std::string_view hier_key) const {
-  auto it = sketch_.find(hier_key);
-  return it == sketch_.end() ? nullptr : &it->second;
+  uint64_t hashes[kMaxSketchDepth + 1] = {};
+  const size_t depth = PrefixHashes(hier_key, hashes);
+  if (depth > kMaxSketchDepth) return nullptr;
+  const NodeSlot* slot = sketch_.Find(SlotKey(hashes[depth]));
+  return slot == nullptr ? nullptr : &slot->node;
+}
+
+bool StoreStats::operator==(const StoreStats& other) const {
+  if (num_entries_ != other.num_entries_ ||
+      sketch_overflow_ != other.sketch_overflow_ ||
+      attrs_.size() != other.attrs_.size() || !(sketch_ == other.sketch_)) {
+    return false;
+  }
+  bool equal = true;
+  attr_index_.ForEach([&](const AttrSlot& slot) {
+    const AttrSlot* theirs = other.attr_index_.Find(slot.key);
+    equal = equal && theirs != nullptr &&
+            attrs_[slot.index] == other.attrs_[theirs->index];
+  });
+  return equal;
 }
 
 std::string StoreStats::ToString() const {

@@ -4,7 +4,7 @@
 //
 //  * Per-attribute value histograms: for every attribute, the number of
 //    entries carrying it plus most-common-value counts for int and
-//    string/dn values (capped maps with an "other" overflow bucket), so
+//    string/dn values (capped tables with an "other" overflow bucket), so
 //    EstimateFilterMatches can bound how many entries an atomic filter
 //    selects. Every estimate is an UPPER BOUND on the true count — an
 //    estimate of 0 proves the filter matches nothing, which the optimizer
@@ -18,6 +18,18 @@
 //    node cap was never hit — an absent node at depth <= kMaxSketchDepth
 //    proves its subtree holds no entries.
 //
+// Layout: every table is a FlatTable, an open-addressed array of
+// trivially copyable slots, so a copy of the statistics (which
+// DirectoryStore::Apply makes once per update batch) is one memcpy per
+// table. Sketch nodes are keyed by a 64-bit hash of their HierKey prefix,
+// computed incrementally while the fold walks the key (one component at a
+// time, eight bytes per hash step), with one probe per prefix. Attributes
+// are keyed by a hash of their name, string MCVs by a hash of the value
+// bytes, int MCVs by the value itself. Two strings whose hashes collide
+// share one slot, which reports their summed count: still an upper bound
+// for each. An existing key is always found, so an absent node or value
+// still proves emptiness.
+//
 // Only stores a planner reads carry one. EntryStore::BulkLoad folds each
 // entry as it serializes it (AddEntry). DirectoryStore keeps one for the
 // whole store: incrementally in Put/Remove, and refolded from the live
@@ -29,9 +41,13 @@
 #ifndef NDQ_STORE_STATS_H_
 #define NDQ_STORE_STATS_H_
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "core/entry.h"
 #include "core/status.h"
@@ -47,6 +63,103 @@ struct SubtreeStats {
   uint64_t subtree_size = 0;     ///< entries at or below this key
 
   bool operator==(const SubtreeStats&) const = default;
+};
+
+/// \brief An open-addressed, linear-probing hash table of trivially
+/// copyable slots. A Slot has a `uint64_t key` and says through `live()`
+/// whether it holds one. With kFixedSlots == 0 the slots live in a vector
+/// that doubles past half full; otherwise they are inline, and the caller
+/// keeps the table at most half full. The capacity is a power of two.
+template <typename Slot, size_t kFixedSlots = 0>
+class FlatTable {
+ public:
+  static_assert(std::is_trivially_copyable_v<Slot>);
+  static_assert((kFixedSlots & (kFixedSlots - 1)) == 0);
+
+  size_t size() const { return size_; }
+
+  /// The live slot keyed `key`, or nullptr.
+  Slot* Find(uint64_t key) {
+    return const_cast<Slot*>(std::as_const(*this).Find(key));
+  }
+  const Slot* Find(uint64_t key) const {
+    if (slots_.empty()) return nullptr;
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = Home(key, mask);; i = (i + 1) & mask) {
+      if (!slots_[i].live()) return nullptr;
+      if (slots_[i].key == key) return &slots_[i];
+    }
+  }
+
+  /// Claims a slot for `key`, which must be absent. The caller makes the
+  /// returned slot live before the next call.
+  Slot* Insert(uint64_t key) {
+    if constexpr (kFixedSlots == 0) {
+      if (2 * (size_ + 1) > slots_.size()) Grow();
+    }
+    const size_t mask = slots_.size() - 1;
+    size_t i = Home(key, mask);
+    while (slots_[i].live()) i = (i + 1) & mask;
+    slots_[i].key = key;
+    ++size_;
+    return &slots_[i];
+  }
+
+  /// Empties `slot` and shifts its probe chain back over the hole, so
+  /// every remaining key stays reachable from its home slot.
+  void Erase(Slot* slot) {
+    const size_t mask = slots_.size() - 1;
+    size_t hole = static_cast<size_t>(slot - slots_.data());
+    for (size_t i = (hole + 1) & mask; slots_[i].live(); i = (i + 1) & mask) {
+      // Slot i may fill the hole unless its home lies cyclically in
+      // (hole, i].
+      const size_t home = Home(slots_[i].key, mask);
+      if (((i - home) & mask) >= ((i - hole) & mask)) {
+        slots_[hole] = slots_[i];
+        hole = i;
+      }
+    }
+    slots_[hole] = Slot{};
+    --size_;
+  }
+
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (const Slot& slot : slots_) {
+      if (slot.live()) fn(slot);
+    }
+  }
+
+  /// Same live slots, wherever they sit.
+  bool operator==(const FlatTable& other) const {
+    if (size_ != other.size_) return false;
+    for (const Slot& slot : slots_) {
+      if (!slot.live()) continue;
+      const Slot* theirs = other.Find(slot.key);
+      if (theirs == nullptr || !(*theirs == slot)) return false;
+    }
+    return true;
+  }
+
+ private:
+  static size_t Home(uint64_t key, size_t mask) {
+    const uint64_t h = key * 0x9E3779B97F4A7C15ull;
+    return static_cast<size_t>(h ^ (h >> 32)) & mask;
+  }
+
+  void Grow() {
+    FlatTable bigger;
+    bigger.slots_.resize(slots_.empty() ? 16 : 2 * slots_.size());
+    for (const Slot& slot : slots_) {
+      if (slot.live()) *bigger.Insert(slot.key) = slot;
+    }
+    *this = std::move(bigger);
+  }
+
+  std::conditional_t<kFixedSlots == 0, std::vector<Slot>,
+                     std::array<Slot, kFixedSlots>>
+      slots_{};
+  size_t size_ = 0;
 };
 
 /// \brief Cardinality statistics: attribute histograms + subtree sketch.
@@ -84,7 +197,8 @@ class StoreStats {
   uint64_t EstimateLdapMatches(const LdapFilter& filter) const;
 
   /// The tracked node for `hier_key`, or nullptr if unknown (deeper than
-  /// the depth cap, or evicted by the node cap).
+  /// the depth cap, or never created because of the node cap). Valid
+  /// until the next fold into these statistics.
   const SubtreeStats* Subtree(std::string_view hier_key) const;
 
   /// True while every hierarchy node at depth <= kMaxSketchDepth is
@@ -98,30 +212,60 @@ class StoreStats {
   /// One-line debug summary.
   std::string ToString() const;
 
-  /// Member-wise equality: two stats are equal when every histogram,
-  /// sketch node and counter is (the build-time oracle of
+  /// Equal when every counter, sketch node and tracked value is, wherever
+  /// the tables hold them (the build-time oracle of
   /// tests/store/entry_store_test.cc).
-  bool operator==(const StoreStats&) const = default;
+  bool operator==(const StoreStats& other) const;
 
  private:
+  // Count of one tracked value, keyed by the int value itself or by the
+  // string's hash. Live while the count is nonzero.
+  struct McvSlot {
+    uint64_t key = 0;
+    uint64_t count = 0;
+    bool live() const { return count != 0; }
+    bool operator==(const McvSlot&) const = default;
+  };
+  // At most kMaxTrackedValues live slots: never more than half full.
+  using McvTable = FlatTable<McvSlot, 2 * kMaxTrackedValues>;
+
   struct AttrStats {
     uint64_t entries = 0;     // entries with the attribute present
     uint64_t int_values = 0;  // total int values (== sum(int_mcv)+int_other)
     uint64_t str_values = 0;  // total string/dn values
-    std::map<int64_t, uint64_t> int_mcv;
+    McvTable int_mcv;
     uint64_t int_other = 0;
-    std::map<std::string, uint64_t, std::less<>> str_mcv;
+    McvTable str_mcv;
     uint64_t str_other = 0;
 
     bool operator==(const AttrStats&) const = default;
   };
+  static_assert(std::is_trivially_copyable_v<AttrStats>,
+                "copying the statistics copies flat arrays");
+
+  // Attribute-name hash -> index into attrs_. Keys are nonzero.
+  struct AttrSlot {
+    uint64_t key = 0;
+    size_t index = 0;
+    bool live() const { return key != 0; }
+  };
+
+  // HierKey-prefix hash -> node counts. Keys are nonzero.
+  struct NodeSlot {
+    uint64_t key = 0;
+    SubtreeStats node;
+    bool live() const { return key != 0; }
+    bool operator==(const NodeSlot&) const = default;
+  };
 
   void UpdateEntry(const EntryView& entry, bool add);
   void UpdateSketch(std::string_view key, bool add);
-  const AttrStats* FindAttr(const std::string& attr) const;
+  AttrStats& Attr(std::string_view name);
+  const AttrStats* FindAttr(std::string_view name) const;
 
-  std::map<std::string, AttrStats, std::less<>> attrs_;
-  std::map<std::string, SubtreeStats, std::less<>> sketch_;
+  std::vector<AttrStats> attrs_;  // in first-folded order
+  FlatTable<AttrSlot> attr_index_;
+  FlatTable<NodeSlot> sketch_;
   uint64_t num_entries_ = 0;
   bool sketch_overflow_ = false;
 };

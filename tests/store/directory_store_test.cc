@@ -1,5 +1,7 @@
 #include "store/directory_store.h"
 
+#include <algorithm>
+#include <cstdio>
 #include <random>
 #include <vector>
 
@@ -339,7 +341,9 @@ TEST(DirectoryStoreTest, SnapshotIgnoresLaterMutations) {
 TEST(DirectoryStoreTest, StatsRefreshOnCompaction) {
   // Churn leaves shadowed records and tombstones in the segment stack;
   // the estimates stay upper bounds throughout, and compaction resets
-  // them to exact.
+  // them to exact. The churn (30 dead records over 190 live entries)
+  // stays under the dead-record bound, so no flush compacts on its own.
+  constexpr int kBase = 200;
   SimDisk disk(512);
   DirectoryStoreOptions opt;
   opt.memtable_limit = 8;
@@ -347,12 +351,14 @@ TEST(DirectoryStoreTest, StatsRefreshOnCompaction) {
   opt.validate = false;
   DirectoryStore store(&disk, Schema(), opt);
 
-  for (int i = 0; i < 20; ++i) {
+  for (int i = 0; i < kBase; ++i) {
     Entry e(D("uid=u" + std::to_string(i) + ", dc=com"));
     e.AddInt("x", i);
     ASSERT_TRUE(store.Put(e).ok());
   }
   ASSERT_TRUE(store.Flush().ok());
+  ASSERT_TRUE(store.Compact().ok());  // one base segment, no dead records
+  const uint64_t compactions = store.maintenance_counters().compactions;
   for (int i = 5; i < 20; ++i) {
     ASSERT_TRUE(store.Remove(D("uid=u" + std::to_string(i) + ", dc=com")).ok());
   }
@@ -362,9 +368,11 @@ TEST(DirectoryStoreTest, StatsRefreshOnCompaction) {
     ASSERT_TRUE(store.Put(e).ok());
   }
   ASSERT_TRUE(store.Flush().ok());
+  ASSERT_EQ(store.maintenance_counters().compactions, compactions)
+      << "the churn must stay under the dead-record bound";
 
   const uint64_t live = store.num_entries();
-  ASSERT_EQ(live, 10u);
+  ASSERT_EQ(live, kBase - 10u);
   const uint64_t churned = store.EstimateRangeRecords("", "");
   EXPECT_GE(churned, live) << "estimates must stay upper bounds";
   EXPECT_GT(churned, live) << "churn should have inflated the estimate";
@@ -387,15 +395,111 @@ TEST(DirectoryStoreTest, StatsRefreshOnCompaction) {
                   .ok());
   EXPECT_TRUE(*store.stats() == folded);
   ASSERT_TRUE(store.stats()->complete());
-  for (int i = 0; i < 20; ++i) {
+  for (int i = 0; i < kBase; ++i) {
     const std::string key =
         D("uid=u" + std::to_string(i) + ", dc=com").HierKey();
-    if (i < 10) {
+    if (i < 10 || i >= 20) {
       EXPECT_NE(store.stats()->Subtree(key), nullptr) << key;
     } else {
       EXPECT_EQ(store.stats()->Subtree(key), nullptr) << key;
     }
   }
+}
+
+// Segment records beyond the live entries: shadowed versions and
+// tombstones. Exact while the memtables are empty; otherwise the active
+// memtable's records are left out.
+int64_t DeadRecords(const DirectoryStore& store) {
+  const uint64_t segment_records =
+      store.EstimateRangeRecords("", "") - store.memtable_size();
+  return static_cast<int64_t>(segment_records) -
+         static_cast<int64_t>(store.num_entries());
+}
+
+TEST(DirectoryStoreTest, ChurnCompactsAtTheDeadRecordBound) {
+  // Put / remove / re-add churn over a fixed live set, with a depth cap
+  // the churn never reaches: only the dead-record bound can compact, and
+  // it keeps the dead records within kMaxDeadFraction of the live entries
+  // plus the one memtable a flush adds at once.
+  constexpr int kLive = 200;
+  constexpr int kGap = 5;  // a removed entry comes back kGap cycles later
+  SimDisk disk(512);
+  DirectoryStoreOptions opt;
+  opt.memtable_limit = 16;
+  opt.max_segments = 1000;
+  opt.validate = false;
+  DirectoryStore store(&disk, Schema(), opt);
+  auto dn = [](int i) { return D("uid=u" + std::to_string(i) + ", dc=com"); };
+  auto make = [&](int i, int rev) {
+    Entry e(dn(i));
+    e.AddInt("x", rev);
+    return e;
+  };
+  for (int i = 0; i < kLive; ++i) ASSERT_TRUE(store.Put(make(i, 0)).ok());
+  ASSERT_TRUE(store.Flush().ok());
+  ASSERT_EQ(DeadRecords(store), 0);
+
+  int64_t max_dead = 0;
+  auto check = [&] {
+    const int64_t dead = DeadRecords(store);
+    max_dead = std::max(max_dead, dead);
+    EXPECT_LE(static_cast<double>(dead),
+              DirectoryStore::kMaxDeadFraction *
+                      static_cast<double>(store.num_entries()) +
+                  static_cast<double>(opt.memtable_limit));
+    EXPECT_LT(store.num_segments(), opt.max_segments);
+  };
+  // Cycle k replaces entry 7k, removes entry 7k+100 and re-adds the one
+  // removed kGap cycles before (all mod kLive, never the same key within
+  // a window).
+  for (int k = 0; k < 1000; ++k) {
+    ASSERT_TRUE(store.Put(make((k * 7) % kLive, k)).ok());
+    check();
+    ASSERT_TRUE(store.Remove(dn((k * 7 + 100) % kLive)).ok());
+    check();
+    if (k >= kGap) {
+      ASSERT_TRUE(store.Add(make(((k - kGap) * 7 + 100) % kLive, k)).ok());
+      check();
+    }
+  }
+  const MaintenanceCounters c = store.maintenance_counters();
+  EXPECT_GT(c.flushes, 100u);
+  EXPECT_GT(c.compactions, 0u) << "the bound never fired";
+  EXPECT_LT(c.compactions, c.flushes);
+  // A compaction rewrites the live entries: all but the kGap + 1 at most
+  // removed at the time.
+  EXPECT_GE(c.records_rewritten, c.compactions * (kLive - kGap - 1));
+  EXPECT_GT(max_dead, 0);
+}
+
+TEST(DirectoryStoreTest, OrderedLoadCompactsOnlyAtMaxSegments) {
+  // Fresh keys in key order leave no dead records, so the bound never
+  // fires: segments stack up to max_segments and compact there.
+  SimDisk disk(512);
+  DirectoryStoreOptions opt;
+  opt.memtable_limit = 8;
+  opt.max_segments = 4;
+  opt.validate = false;
+  DirectoryStore store(&disk, Schema(), opt);
+  std::vector<size_t> depths;  // segment count after each flush
+  uint64_t flushes = 0;
+  for (int i = 0; i < 8 * 13; ++i) {
+    char name[16];
+    std::snprintf(name, sizeof(name), "u%04d", i);
+    Entry e(D(std::string("uid=") + name + ", dc=com"));
+    e.AddInt("x", i);
+    ASSERT_TRUE(store.Add(e).ok());
+    if (store.maintenance_counters().flushes > flushes) {
+      flushes = store.maintenance_counters().flushes;
+      depths.push_back(store.num_segments());
+      EXPECT_EQ(DeadRecords(store), 0);
+    }
+  }
+  const std::vector<size_t> want = {1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1};
+  EXPECT_EQ(depths, want);
+  EXPECT_EQ(store.maintenance_counters().compactions, 4u);
+  EXPECT_EQ(store.maintenance_counters().records_rewritten,
+            uint64_t{8} * (4 + 7 + 10 + 13));
 }
 
 TEST(DirectoryStoreTest, CompactFailureLeavesStoreIntact) {
@@ -418,7 +522,9 @@ TEST(DirectoryStoreTest, CompactFailureLeavesStoreIntact) {
       std::string rec;
       SerializeEntry(e, &rec);
       golden[e.HierKey()] = std::move(rec);
-      if (i % 7 == 6) ASSERT_TRUE(store.Flush().ok());
+      if (i % 7 == 6) {
+        ASSERT_TRUE(store.Flush().ok());
+      }
     }
     ASSERT_TRUE(store.Flush().ok());
     ASSERT_GE(store.num_segments(), 2u);
