@@ -638,14 +638,13 @@ Status Engine::BuildIndexes(const IndexSpec& spec) {
   }
   std::unique_lock<std::mutex> lock(sched_mu_);
   sched_cv_.wait(lock, [&] { return global_inflight_ == 0; });
-  auto pool = std::make_unique<BufferPool>(scratch_, 256);
   NDQ_ASSIGN_OR_RETURN(AttributeIndexes built,
-                       AttributeIndexes::Build(pool.get(), *entry_store, spec));
-  // Drop the evaluator's source before the indexes it probes.
+                       AttributeIndexes::Build(scratch_, *entry_store, spec));
+  // Drop the evaluator's source before the indexes it probes; replacing
+  // the indexes frees the old index run.
   evaluator_.reset();
   index_source_.reset();
   indexes_ = std::make_unique<AttributeIndexes>(std::move(built));
-  index_pool_ = std::move(pool);
   const EntrySource* store = store_;
   index_source_ = std::make_unique<IndexProbeSource>(
       scratch_, indexes_.get(), entry_store, [store](const Query& leaf) {

@@ -322,8 +322,9 @@ class Engine {
   /// prove selective (ChooseAccessPath) are answered by index probes
   /// instead of range scans, byte-identically. Requires a bulk-loaded
   /// EntryStore (borrowing mode); the engine's mutable DirectoryStore is
-  /// rejected — its merged view has no stable segment to index. Replaces
-  /// any previously built indexes; waits for in-flight queries.
+  /// rejected — its merged view has no stable segment to index. The index
+  /// run is written to the scratch disk. Replaces (and frees) any
+  /// previously built indexes; waits for in-flight queries.
   Status BuildIndexes(const IndexSpec& spec);
   /// Null until BuildIndexes succeeds.
   const AttributeIndexes* indexes() const { return indexes_.get(); }
@@ -437,9 +438,8 @@ class Engine {
   std::unique_ptr<FaultInjector> injector_;
   std::unique_ptr<OperandCache> cache_;
 
-  // Attribute indexes (BuildIndexes) and the evaluator's probe source
-  // over them; the pool backs the B+-trees and must outlive them.
-  std::unique_ptr<BufferPool> index_pool_;
+  // Attribute indexes (BuildIndexes), whose run lives on the scratch
+  // disk, and the evaluator's probe source over them.
   std::unique_ptr<AttributeIndexes> indexes_;
   std::unique_ptr<IndexProbeSource> index_source_;
 

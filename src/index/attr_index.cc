@@ -1,203 +1,295 @@
 #include "index/attr_index.h"
 
 #include <algorithm>
+#include <utility>
 
+#include "storage/external_sort.h"
 #include "storage/serde.h"
 
 namespace ndq {
 
-Result<AttributeIndexes> AttributeIndexes::Build(BufferPool* pool,
+namespace {
+
+constexpr char kIntTag = 'i';
+constexpr char kTextTag = 's';
+
+// Appends `s` escaped and terminated: 0x00 becomes 0x00 0xFF and the end
+// is 0x00 0x01. No encoding is a proper prefix of another, byte order on
+// encodings is byte order on the strings, and the encodings of the
+// strings that start with p all start with p's escaped bytes.
+void AppendTerminated(std::string_view s, std::string* out) {
+  for (char c : s) {
+    out->push_back(c);
+    if (c == '\0') out->push_back('\xff');
+  }
+  out->append("\0\x01", 2);
+}
+
+// Moves *pos past one AppendTerminated encoding in `key`.
+Status SkipTerminated(std::string_view key, size_t* pos) {
+  while (*pos + 1 < key.size()) {
+    if (key[*pos] != '\0') {
+      ++*pos;
+      continue;
+    }
+    const char next = key[*pos + 1];
+    *pos += 2;
+    if (next == '\x01') return Status::OK();
+    if (next != '\xff') break;
+  }
+  return Status::Corruption("index key: unterminated string");
+}
+
+// The HierKey that ends index key `key`.
+Result<std::string_view> EntryKeyOf(std::string_view key) {
+  size_t pos = 0;
+  NDQ_RETURN_IF_ERROR(SkipTerminated(key, &pos));
+  if (pos == key.size()) return Status::Corruption("index key: no kind");
+  const char tag = key[pos++];
+  if (tag == kIntTag) {
+    pos += 8;
+  } else if (tag == kTextTag) {
+    NDQ_RETURN_IF_ERROR(SkipTerminated(key, &pos));
+  } else {
+    return Status::Corruption("index key: bad kind tag");
+  }
+  if (pos > key.size()) return Status::Corruption("index key: short int");
+  return key.substr(pos);
+}
+
+// The prefix of every index key of `attr`.
+std::string AttrPrefix(std::string_view attr) {
+  std::string out;
+  AppendTerminated(attr, &out);
+  return out;
+}
+
+// The prefix of the index keys of `attr`'s values of one kind.
+std::string KindPrefix(std::string_view attr, char tag) {
+  std::string out = AttrPrefix(attr);
+  out.push_back(tag);
+  return out;
+}
+
+std::string IntPrefix(std::string_view attr, int64_t v) {
+  std::string out = KindPrefix(attr, kIntTag);
+  AppendOrderedInt64(v, &out);
+  return out;
+}
+
+std::string TextPrefix(std::string_view attr, std::string_view s) {
+  std::string out = KindPrefix(attr, kTextTag);
+  AppendTerminated(s, &out);
+  return out;
+}
+
+// The least string above every string that starts with `prefix`. Index
+// prefixes hold a byte below 0xFF, so the result is never empty (which
+// ScanRange would read as unbounded).
+std::string PrefixEnd(std::string prefix) {
+  while (!prefix.empty() && prefix.back() == '\xff') prefix.pop_back();
+  if (!prefix.empty()) {
+    prefix.back() =
+        static_cast<char>(static_cast<unsigned char>(prefix.back()) + 1);
+  }
+  return prefix;
+}
+
+// The sort key of an index record: the record is its PutString'd key.
+std::string_view RecordKey(std::string_view record) {
+  Result<std::string_view> key = PeekEntryKey(record);
+  return key.ok() ? *key : std::string_view();
+}
+
+}  // namespace
+
+AttributeIndexes::~AttributeIndexes() { (void)run_.Destroy(); }
+
+AttributeIndexes::AttributeIndexes(AttributeIndexes&& other) noexcept
+    : run_(std::exchange(other.run_, EntryStore())),
+      suffixes_(std::move(other.suffixes_)),
+      text_keys_(std::move(other.text_keys_)) {}
+
+AttributeIndexes& AttributeIndexes::operator=(
+    AttributeIndexes&& other) noexcept {
+  if (this != &other) {
+    (void)run_.Destroy();
+    run_ = std::exchange(other.run_, EntryStore());
+    suffixes_ = std::move(other.suffixes_);
+    text_keys_ = std::move(other.text_keys_);
+  }
+  return *this;
+}
+
+Result<AttributeIndexes> AttributeIndexes::Build(Disk* disk,
                                                  const EntryStore& store,
                                                  const IndexSpec& spec) {
   AttributeIndexes idx;
-  for (const std::string& a : spec.int_attrs) {
-    NDQ_ASSIGN_OR_RETURN(BPlusTree t, BPlusTree::Create(pool));
-    idx.int_trees_.emplace(a, std::move(t));
-  }
-  for (const std::string& a : spec.dn_attrs) {
-    NDQ_ASSIGN_OR_RETURN(BPlusTree t, BPlusTree::Create(pool));
-    idx.dn_trees_.emplace(a, std::move(t));
-  }
-  for (const std::string& a : spec.string_attrs) {
-    idx.tries_.emplace(a, Trie());
-    idx.suffixes_.emplace(a, SuffixIndex());
-  }
+  for (const std::string& a : spec.attributes) idx.suffixes_.try_emplace(a);
 
+  ExternalSortOptions sort;
+  sort.format = PageFormat::kKeyPrefix;
+  ExternalSorter sorter(disk, RecordKey, sort);
+  std::string key;
+  std::string record;
   Entry slow;
-  Status scan = store.ScanRange(
-      "", "", [&](std::string_view record) -> Status {
-        uint64_t id = idx.keys_.size();
-        NDQ_ASSIGN_OR_RETURN(EntryView e, EntryView::Parse(record, &slow));
-        idx.keys_.emplace_back(e.key());
+  NDQ_RETURN_IF_ERROR(store.ScanRange(
+      "", "", [&](std::string_view stored) -> Status {
+        NDQ_ASSIGN_OR_RETURN(EntryView e, EntryView::Parse(stored, &slow));
+        const uint64_t id = idx.text_keys_.size();
+        bool has_text = false;
         for (const AttributeView& a : e) {
-          const std::string attr(a.name);
-          bool indexed = false;
-          auto it_int = idx.int_trees_.find(attr);
-          auto it_dn = idx.dn_trees_.find(attr);
-          auto it_trie = idx.tries_.find(attr);
+          auto it = idx.suffixes_.find(a.name);
+          if (it == idx.suffixes_.end()) continue;
           for (ValueView v : a.values) {
-            if (it_int != idx.int_trees_.end() && v.is_int()) {
-              NDQ_RETURN_IF_ERROR(
-                  it_int->second.Insert(EncodeIntKey(v.AsInt()), id));
-              indexed = true;
+            key.clear();
+            AppendTerminated(a.name, &key);
+            if (v.is_int()) {
+              key.push_back(kIntTag);
+              AppendOrderedInt64(v.AsInt(), &key);
+            } else {
+              key.push_back(kTextTag);
+              AppendTerminated(v.AsString(), &key);
+              it->second.Add(v.AsString(), id);
+              has_text = true;
             }
-            if (it_dn != idx.dn_trees_.end() && v.is_dn()) {
-              NDQ_RETURN_IF_ERROR(it_dn->second.Insert(v.AsString(), id));
-              indexed = true;
-            }
-            if (it_trie != idx.tries_.end() && v.is_string()) {
-              it_trie->second.Insert(v.AsString(), id);
-              idx.suffixes_.find(attr)->second.Add(v.AsString(), id);
-              indexed = true;
-            }
-          }
-          if (indexed || it_int != idx.int_trees_.end() ||
-              it_dn != idx.dn_trees_.end() ||
-              it_trie != idx.tries_.end()) {
-            idx.presence_[attr].push_back(id);
+            key.append(e.key());
+            record.clear();
+            ByteWriter(&record).PutString(key);
+            NDQ_RETURN_IF_ERROR(sorter.Add(record));
           }
         }
+        if (has_text) idx.text_keys_.emplace_back(e.key());
         return Status::OK();
-      });
-  NDQ_RETURN_IF_ERROR(scan);
+      }));
   for (auto& [attr, suffix] : idx.suffixes_) {
     (void)attr;
     suffix.Build();
   }
-  (void)spec;
+
+  NDQ_ASSIGN_OR_RETURN(Run sorted, sorter.Finish());
+  // Equal records (a string and a DN value with the same bytes on one
+  // entry) are written once: a segment's keys strictly increase.
+  RunReader reader(disk, sorted);
+  std::string prev;
+  bool first = true;
+  Result<EntryStore> built = EntryStore::FromStream(
+      disk, [&](std::string* out) -> Result<bool> {
+        while (true) {
+          NDQ_ASSIGN_OR_RETURN(bool more, reader.Next(out));
+          if (!more) return false;
+          if (first || *out != prev) break;
+        }
+        first = false;
+        prev = *out;
+        return true;
+      });
+  Status freed = FreeRun(disk, &sorted);
+  NDQ_RETURN_IF_ERROR(built.status());
+  idx.run_ = built.TakeValue();  // freed with idx on the error path below
+  NDQ_RETURN_IF_ERROR(freed);
   return idx;
 }
 
-Result<std::optional<std::vector<uint64_t>>> AttributeIndexes::Candidates(
+Status AttributeIndexes::CollectRange(std::string_view start,
+                                      std::string_view end,
+                                      std::vector<std::string>* keys) const {
+  return run_.ScanRange(start, end, [&](std::string_view record) -> Status {
+    NDQ_ASSIGN_OR_RETURN(std::string_view key, PeekEntryKey(record));
+    NDQ_ASSIGN_OR_RETURN(std::string_view entry_key, EntryKeyOf(key));
+    keys->emplace_back(entry_key);
+    return Status::OK();
+  });
+}
+
+Result<std::optional<std::vector<std::string>>> AttributeIndexes::Candidates(
     const AtomicFilter& filter) const {
+  using Keys = std::vector<std::string>;
   using Kind = AtomicFilter::Kind;
+  if (filter.kind() == Kind::kTrue) return std::optional<Keys>();
+  auto suffix = suffixes_.find(filter.attr());
+  if (suffix == suffixes_.end()) return std::optional<Keys>();
+  const std::string& attr = filter.attr();
+  Keys keys;
+  auto collect_prefix = [&](const std::string& prefix) {
+    return CollectRange(prefix, PrefixEnd(prefix), &keys);
+  };
   switch (filter.kind()) {
     case Kind::kTrue:
-      return std::optional<std::vector<uint64_t>>();  // scan is optimal
+      break;
     case Kind::kPresence: {
-      auto it = presence_.find(filter.attr());
-      if (it == presence_.end()) {
-        return std::optional<std::vector<uint64_t>>();
-      }
-      return std::optional<std::vector<uint64_t>>(it->second);
+      NDQ_RETURN_IF_ERROR(collect_prefix(AttrPrefix(attr)));
+      break;
     }
     case Kind::kIntCmp: {
-      auto it = int_trees_.find(filter.attr());
-      if (it == int_trees_.end()) {
-        return std::optional<std::vector<uint64_t>>();
-      }
-      const BPlusTree& tree = it->second;
-      std::vector<uint64_t> ids;
-      auto add = [&](std::string_view, uint64_t v) -> Status {
-        ids.push_back(v);
-        return Status::OK();
-      };
-      const int64_t rhs = filter.int_rhs();
-      // Translate the comparison into bounded key ranges.
+      const std::string ints = KindPrefix(attr, kIntTag);
+      const std::string ints_end = PrefixEnd(ints);
+      const std::string at = IntPrefix(attr, filter.int_rhs());
+      const std::string after = PrefixEnd(at);
       switch (filter.cmp_op()) {
         case CompareOp::kEq:
-          NDQ_RETURN_IF_ERROR(tree.ScanEqual(
-              EncodeIntKey(rhs),
-              [&](uint64_t v) -> Status { return add("", v); }));
+          NDQ_RETURN_IF_ERROR(CollectRange(at, after, &keys));
           break;
         case CompareOp::kLt:
-          NDQ_RETURN_IF_ERROR(tree.ScanRange("", EncodeIntKey(rhs), add));
+          NDQ_RETURN_IF_ERROR(CollectRange(ints, at, &keys));
           break;
         case CompareOp::kLe:
-          NDQ_RETURN_IF_ERROR(
-              tree.ScanRange("", EncodeIntKey(rhs) + '\x01', add));
+          NDQ_RETURN_IF_ERROR(CollectRange(ints, after, &keys));
           break;
         case CompareOp::kGt:
-          NDQ_RETURN_IF_ERROR(
-              tree.ScanRange(EncodeIntKey(rhs) + '\x01', "", add));
+          NDQ_RETURN_IF_ERROR(CollectRange(after, ints_end, &keys));
           break;
         case CompareOp::kGe:
-          NDQ_RETURN_IF_ERROR(tree.ScanRange(EncodeIntKey(rhs), "", add));
+          NDQ_RETURN_IF_ERROR(CollectRange(at, ints_end, &keys));
           break;
         case CompareOp::kNe:
-          NDQ_RETURN_IF_ERROR(tree.ScanRange("", EncodeIntKey(rhs), add));
-          NDQ_RETURN_IF_ERROR(
-              tree.ScanRange(EncodeIntKey(rhs) + '\x01', "", add));
+          NDQ_RETURN_IF_ERROR(CollectRange(ints, at, &keys));
+          NDQ_RETURN_IF_ERROR(CollectRange(after, ints_end, &keys));
           break;
       }
-      std::sort(ids.begin(), ids.end());
-      ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-      return std::optional<std::vector<uint64_t>>(std::move(ids));
+      break;
     }
     case Kind::kEquals: {
       const Value& rhs = filter.equals_rhs();
-      std::vector<uint64_t> ids;
-      bool answered = false;
       if (rhs.is_int()) {
-        auto it_int = int_trees_.find(filter.attr());
-        if (it_int != int_trees_.end()) {
-          NDQ_RETURN_IF_ERROR(it_int->second.ScanEqual(
-              EncodeIntKey(rhs.AsInt()), [&](uint64_t v) -> Status {
-                ids.push_back(v);
-                return Status::OK();
-              }));
-          answered = true;
-        }
+        NDQ_RETURN_IF_ERROR(collect_prefix(IntPrefix(attr, rhs.AsInt())));
         // An int literal also matches its string spelling.
-        auto it_trie = tries_.find(filter.attr());
-        if (it_trie != tries_.end()) {
-          std::vector<uint64_t> got = it_trie->second.Lookup(rhs.ToString());
-          ids.insert(ids.end(), got.begin(), got.end());
-          answered = true;
-        }
+        NDQ_RETURN_IF_ERROR(collect_prefix(TextPrefix(attr, rhs.ToString())));
       } else {
-        auto it_trie = tries_.find(filter.attr());
-        if (it_trie != tries_.end()) {
-          std::vector<uint64_t> got = it_trie->second.Lookup(rhs.AsString());
-          ids.insert(ids.end(), got.begin(), got.end());
-          answered = true;
-        }
-        auto it_dn = dn_trees_.find(filter.attr());
-        if (it_dn != dn_trees_.end()) {
-          NDQ_RETURN_IF_ERROR(it_dn->second.ScanEqual(
-              rhs.AsString(), [&](uint64_t v) -> Status {
-                ids.push_back(v);
-                return Status::OK();
-              }));
-          answered = true;
-        }
+        NDQ_RETURN_IF_ERROR(collect_prefix(TextPrefix(attr, rhs.AsString())));
       }
-      if (!answered) return std::optional<std::vector<uint64_t>>();
-      std::sort(ids.begin(), ids.end());
-      ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-      return std::optional<std::vector<uint64_t>>(std::move(ids));
+      break;
     }
     case Kind::kSubstring: {
-      auto it = suffixes_.find(filter.attr());
-      if (it == suffixes_.end()) {
-        return std::optional<std::vector<uint64_t>>();
-      }
       // Use the longest fixed fragment of the pattern as the needle; the
-      // full wildcard match is re-verified against fetched entries.
+      // full wildcard match is re-verified against the fetched entries.
       std::string longest;
       for (const std::string& part : filter.pattern_parts()) {
         if (part.size() > longest.size()) longest = part;
       }
       NDQ_ASSIGN_OR_RETURN(std::vector<uint64_t> ids,
-                           it->second.Search(longest));
-      return std::optional<std::vector<uint64_t>>(std::move(ids));
+                           suffix->second.Search(longest));
+      for (uint64_t id : ids) keys.push_back(text_keys_[id]);
+      return std::optional<Keys>(std::move(keys));  // ids sort as keys do
     }
   }
-  return std::optional<std::vector<uint64_t>>();
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return std::optional<Keys>(std::move(keys));
 }
 
 Result<std::optional<Run>> AttributeIndexes::EvalAtomic(
     Disk* disk, const EntryStore& store, const Dn& base, Scope scope,
     const AtomicFilter& filter) const {
-  NDQ_ASSIGN_OR_RETURN(std::optional<std::vector<uint64_t>> candidates,
+  NDQ_ASSIGN_OR_RETURN(std::optional<std::vector<std::string>> candidates,
                        Candidates(filter));
   if (!candidates.has_value()) {
     return std::optional<Run>();  // fall back to range scan
   }
   const std::string& base_key = base.HierKey();
   RunWriter writer(disk, PageFormat::kKeyPrefix);
-  for (uint64_t id : *candidates) {
-    const std::string& key = keys_[id];
+  Entry slow;
+  for (const std::string& key : *candidates) {
     switch (scope) {
       case Scope::kBase:
         if (key != base_key) continue;
@@ -209,17 +301,23 @@ Result<std::optional<Run>> AttributeIndexes::EvalAtomic(
         if (!KeyInSubtree(base_key, key)) continue;
         break;
     }
-    NDQ_ASSIGN_OR_RETURN(std::optional<Entry> entry, store.Get(key));
-    if (!entry.has_value()) {
+    // A point read, as EntryStore::Get makes it. The record is checked and
+    // matched as the scan does (substring candidates need the re-check;
+    // the others pass it) and written out as read.
+    bool found = false;
+    NDQ_RETURN_IF_ERROR(store.ScanRange(
+        key, KeyExactEnd(key), [&](std::string_view record) -> Status {
+          found = true;
+          NDQ_ASSIGN_OR_RETURN(EntryView entry,
+                               EntryView::Parse(record, &slow));
+          return filter.Matches(entry) ? writer.Add(record) : Status::OK();
+        }));
+    if (!found) {
       return Status::Corruption("indexed key missing from store: " + key);
     }
-    // Re-verify (needed for substring candidates; harmless otherwise).
-    if (!filter.Matches(*entry)) continue;
-    std::string record;
-    SerializeEntry(*entry, &record);
-    NDQ_RETURN_IF_ERROR(writer.Add(record));
   }
-  return std::optional<Run>(writer.Finish().TakeValue());
+  NDQ_ASSIGN_OR_RETURN(Run out, writer.Finish());
+  return std::optional<Run>(std::move(out));
 }
 
 }  // namespace ndq

@@ -4,57 +4,6 @@
 
 namespace ndq {
 
-Trie::Trie() : root_(std::make_unique<Node>()) {}
-
-void Trie::Insert(std::string_view value, uint64_t id) {
-  Node* node = root_.get();
-  for (char c : value) {
-    std::unique_ptr<Node>& child = node->children[c];
-    if (child == nullptr) {
-      child = std::make_unique<Node>();
-      ++num_nodes_;
-    }
-    node = child.get();
-  }
-  node->ids.push_back(id);
-  ++num_values_;
-}
-
-std::vector<uint64_t> Trie::Lookup(std::string_view value) const {
-  const Node* node = root_.get();
-  for (char c : value) {
-    auto it = node->children.find(c);
-    if (it == node->children.end()) return {};
-    node = it->second.get();
-  }
-  std::vector<uint64_t> out = node->ids;
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-void Trie::Collect(const Node& node, std::vector<uint64_t>* out) {
-  out->insert(out->end(), node.ids.begin(), node.ids.end());
-  for (const auto& [c, child] : node.children) {
-    (void)c;
-    Collect(*child, out);
-  }
-}
-
-std::vector<uint64_t> Trie::PrefixSearch(std::string_view prefix) const {
-  const Node* node = root_.get();
-  for (char c : prefix) {
-    auto it = node->children.find(c);
-    if (it == node->children.end()) return {};
-    node = it->second.get();
-  }
-  std::vector<uint64_t> out;
-  Collect(*node, &out);
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
 void SuffixIndex::Add(std::string_view value, uint64_t id) {
   docs_.push_back(Doc{std::string(value), id});
   built_ = false;

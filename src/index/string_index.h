@@ -1,54 +1,23 @@
-// String indexes for atomic filters (Sec. 4.1): a trie for prefix
-// patterns and a generalized suffix array for substring patterns.
+// The substring index for atomic filters (Sec. 4.1): a generalized suffix
+// array over an attribute's string and DN values.
 //
 // The paper cites "trie and suffix tree indices [23] for string filters";
 // we use a suffix *array* — same query complexity for this workload,
-// simpler and cache-friendly. Both map string values to the set of entry
-// ordinals holding them.
+// simpler and cache-friendly. Equality and prefix lookups need no
+// structure of their own: they are key ranges of the attribute index run
+// (index/attr_index.h). The array maps values to the entry ordinals
+// holding them.
 
 #ifndef NDQ_INDEX_STRING_INDEX_H_
 #define NDQ_INDEX_STRING_INDEX_H_
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/status.h"
 
 namespace ndq {
-
-/// \brief A map trie over attribute values; supports exact and prefix
-/// lookups.
-class Trie {
- public:
-  Trie();
-
-  /// Associates `value` (a string attribute value) with entry `id`.
-  void Insert(std::string_view value, uint64_t id);
-
-  /// Entry ids whose value equals `value` (sorted, deduplicated).
-  std::vector<uint64_t> Lookup(std::string_view value) const;
-
-  /// Entry ids with a value starting with `prefix` (sorted, dedup).
-  std::vector<uint64_t> PrefixSearch(std::string_view prefix) const;
-
-  size_t num_values() const { return num_values_; }
-  size_t num_nodes() const { return num_nodes_; }
-
- private:
-  struct Node {
-    std::map<char, std::unique_ptr<Node>> children;
-    std::vector<uint64_t> ids;  // ids of entries whose value ends here
-  };
-
-  static void Collect(const Node& node, std::vector<uint64_t>* out);
-
-  std::unique_ptr<Node> root_;
-  size_t num_values_ = 0;
-  size_t num_nodes_ = 1;
-};
 
 /// \brief A generalized suffix array over all indexed values; supports
 /// substring search — the workhorse behind "*jag*"-style filters.

@@ -135,7 +135,7 @@ TEST(EngineIndexTest, BuildIndexesProbesSelectiveLeaves) {
   EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
   Engine engine(&disk, &store);
   IndexSpec spec;
-  spec.string_attrs = {"uid"};
+  spec.attributes = {"uid"};
   NDQ_ASSERT_OK(engine.BuildIndexes(spec));
   ASSERT_NE(engine.indexes(), nullptr);
   Session session = engine.OpenSession();
@@ -148,6 +148,60 @@ TEST(EngineIndexTest, BuildIndexesProbesSelectiveLeaves) {
     EXPECT_EQ(out.entries, ReferenceEntries(inst, text));
     EXPECT_EQ(out.trace.index_probes, 1u);
     EXPECT_EQ(out.trace.cache_hits, 0u);
+  }
+}
+
+// The index run lives on the scratch disk and belongs to the index:
+// rebuilding frees the old run, and the engine's teardown frees the last.
+TEST(EngineIndexTest, IndexRunIsFreedOnRebuildAndTeardown) {
+  gen::DifOptions opt;
+  opt.num_orgs = 2;
+  DirectoryInstance inst = gen::GenerateDif(opt);
+  SimDisk disk(1024);
+  EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
+  const size_t before = disk.live_pages();
+  {
+    Engine engine(&disk, &store);
+    IndexSpec spec;
+    spec.attributes = {"uid", "priority", "SLATPRef"};
+    NDQ_ASSERT_OK(engine.BuildIndexes(spec));
+    const size_t run_pages = engine.indexes()->run().num_pages();
+    EXPECT_GT(run_pages, 0u);
+    EXPECT_EQ(disk.live_pages(), before + run_pages);
+    NDQ_ASSERT_OK(engine.BuildIndexes(spec));
+    EXPECT_EQ(disk.live_pages(), before + run_pages);
+  }
+  EXPECT_EQ(disk.live_pages(), before);
+}
+
+size_t TotalIndexProbes(const OpTrace& trace) {
+  size_t total = trace.index_probes;
+  for (const OpTrace& child : trace.children) total += TotalIndexProbes(child);
+  return total;
+}
+
+// Two indexed leaves under & are forked to the pool and probe the one
+// index run at the same time.
+TEST(EngineIndexTest, ConcurrentProbesUnderAnd) {
+  gen::DifOptions opt;
+  opt.num_orgs = 2;
+  DirectoryInstance inst = gen::GenerateDif(opt);
+  SimDisk disk(1024);
+  EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
+  Engine engine(&disk, &store);
+  IndexSpec spec;
+  spec.attributes = {"uid"};
+  NDQ_ASSERT_OK(engine.BuildIndexes(spec));
+  engine.SetParallelism(4);
+  Session session = engine.OpenSession();
+  const std::string text =
+      "(& (dc=com ? sub ? uid=user3) (dc=org0, dc=com ? sub ? uid=user3))";
+  for (int round = 0; round < 8; ++round) {
+    QueryOutcome out = session.Run(text);
+    NDQ_ASSERT_OK(out.status);
+    EXPECT_FALSE(out.entries.empty());
+    EXPECT_EQ(out.entries, ReferenceEntries(inst, text));
+    EXPECT_EQ(TotalIndexProbes(out.trace), 2u);
   }
 }
 

@@ -5,36 +5,6 @@
 namespace ndq {
 namespace {
 
-TEST(TrieTest, ExactLookup) {
-  Trie t;
-  t.Insert("jagadish", 1);
-  t.Insert("jag", 2);
-  t.Insert("jagadish", 3);
-  EXPECT_EQ(t.Lookup("jagadish"), (std::vector<uint64_t>{1, 3}));
-  EXPECT_EQ(t.Lookup("jag"), (std::vector<uint64_t>{2}));
-  EXPECT_TRUE(t.Lookup("jaga").empty());
-  EXPECT_TRUE(t.Lookup("").empty());
-  EXPECT_EQ(t.num_values(), 3u);
-}
-
-TEST(TrieTest, PrefixSearch) {
-  Trie t;
-  t.Insert("jagadish", 1);
-  t.Insert("jag", 2);
-  t.Insert("milo", 3);
-  t.Insert("jagger", 4);
-  EXPECT_EQ(t.PrefixSearch("jag"), (std::vector<uint64_t>{1, 2, 4}));
-  EXPECT_EQ(t.PrefixSearch(""), (std::vector<uint64_t>{1, 2, 3, 4}));
-  EXPECT_TRUE(t.PrefixSearch("z").empty());
-}
-
-TEST(TrieTest, DuplicateIdsDeduplicated) {
-  Trie t;
-  t.Insert("aa", 7);
-  t.Insert("ab", 7);
-  EXPECT_EQ(t.PrefixSearch("a"), (std::vector<uint64_t>{7}));
-}
-
 TEST(SuffixIndexTest, SubstringSearch) {
   SuffixIndex s;
   s.Add("h jagadish", 1);

@@ -310,11 +310,10 @@ TEST(OptimizeTest, ChoosesIndexProbeOnlyForSelectiveFilters) {
 
 TEST(OptimizeTest, IndexProbeMatchesScanByteForByte) {
   OptimizeFixture f;
-  BufferPool pool(&f.disk, 256);
   IndexSpec spec;
-  spec.string_attrs = {"objectClass"};
+  spec.attributes = {"objectClass"};
   AttributeIndexes indexes =
-      AttributeIndexes::Build(&pool, f.store, spec).TakeValue();
+      AttributeIndexes::Build(&f.disk, f.store, spec).TakeValue();
 
   QueryPtr q = f.Parse("(dc=com ? sub ? objectClass=QHP)");
   SimDisk scratch(1024);

@@ -1,7 +1,7 @@
 // Thread-safety of the storage layer: concurrent SimDisk page traffic
-// with exact IoStats accounting, per-thread IoScope attribution, parallel
-// BufferPool pins, and the ThreadPool's nested fork/join. These are the
-// primary ThreadSanitizer targets.
+// with exact IoStats accounting, per-thread IoScope attribution, and the
+// ThreadPool's nested fork/join. These are the primary ThreadSanitizer
+// targets.
 
 #include <atomic>
 #include <cstring>
@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "exec/thread_pool.h"
-#include "storage/buffer_pool.h"
 #include "storage/disk.h"
 
 namespace ndq {
@@ -101,39 +100,6 @@ TEST(StorageConcurrencyTest, NestedIoScopesSplitSelfFromChild) {
   EXPECT_EQ(parent.page_writes, 1u);
   EXPECT_EQ(parent.pages_allocated, 1u);
   EXPECT_EQ(parent.pages_freed, 1u);
-}
-
-TEST(StorageConcurrencyTest, BufferPoolConcurrentPins) {
-  SimDisk disk(128);
-  constexpr int kPages = 16;
-  std::vector<PageId> pages;
-  std::vector<uint8_t> buf(128);
-  for (int i = 0; i < kPages; ++i) {
-    PageId p = *disk.Allocate();
-    std::memset(buf.data(), i + 1, buf.size());
-    ASSERT_TRUE(disk.WritePage(p, buf.data()).ok());
-    pages.push_back(p);
-  }
-
-  BufferPool pool(&disk, /*capacity=*/8);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      for (int round = 0; round < 200; ++round) {
-        int i = (t + round) % kPages;
-        Result<PageHandle> h = pool.Pin(pages[static_cast<size_t>(i)]);
-        ASSERT_TRUE(h.ok()) << h.status().ToString();
-        // Every byte of the frame reflects the page's fill value.
-        EXPECT_EQ(h->data()[0], static_cast<uint8_t>(i + 1));
-        EXPECT_EQ(h->data()[127], static_cast<uint8_t>(i + 1));
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
-  const BufferPoolStats& stats = pool.stats();
-  EXPECT_EQ(stats.hits + stats.misses, 4u * 200u);
-  EXPECT_TRUE(pool.FlushAll().ok());
 }
 
 TEST(ThreadPoolTest, NestedForkJoinCompletesEverything) {

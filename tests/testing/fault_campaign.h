@@ -45,13 +45,16 @@ struct FaultCampaignReport {
   uint64_t absorbed_successes = 0;  ///< fault fired, workload still ok
 };
 
-/// Runs the sweep. `workload` evaluates the whole reference query mix and
-/// returns the concatenated results; it must be deterministic given the
-/// disk contents. `after_run` (may be empty) restores inter-run state —
-/// e.g. clears an operand cache so cached runs don't count as live data
-/// in the leak baseline.
+/// Runs the sweep over every disk in `disks`: one injector counts the
+/// operations of all of them, so "op #k" is the k-th operation on any,
+/// and no disk may hold more pages after a run than after the golden one.
+/// `workload` evaluates the whole reference query mix and returns the
+/// concatenated results; it must be deterministic given the disk
+/// contents. `after_run` (may be empty) restores inter-run state — e.g.
+/// clears an operand cache so cached runs don't count as live data in the
+/// leak baseline.
 inline void RunFaultCampaign(
-    Disk* disk,
+    const std::vector<Disk*>& disks,
     const std::function<Result<std::vector<Entry>>()>& workload,
     const std::function<void()>& after_run,
     const FaultCampaignOptions& options = {},
@@ -62,20 +65,28 @@ inline void RunFaultCampaign(
   auto settle = [&] {
     if (after_run) after_run();
   };
+  auto live_pages = [&] {
+    std::vector<size_t> live;
+    for (Disk* disk : disks) live.push_back(disk->live_pages());
+    return live;
+  };
+  auto attach = [&](FaultInjector* injector) {
+    for (Disk* disk : disks) disk->set_fault_injector(injector);
+  };
 
   // Golden run: expected results and the live-page baseline.
   Result<std::vector<Entry>> golden = workload();
   ASSERT_TRUE(golden.ok()) << golden.status().ToString();
   settle();
-  const size_t baseline = disk->live_pages();
+  const std::vector<size_t> baseline = live_pages();
 
   for (uint64_t k = 1;; ++k) {
     SCOPED_TRACE("fault campaign: fail op #" + std::to_string(k));
     ++rep.ks_tested;
     FaultInjector injector({FaultInjector::FailNth(k, options.ops)});
-    disk->set_fault_injector(&injector);
+    attach(&injector);
     Result<std::vector<Entry>> got = workload();
-    disk->set_fault_injector(nullptr);
+    attach(nullptr);
     const uint64_t fired = injector.faults_fired();
     settle();
 
@@ -92,7 +103,7 @@ inline void RunFaultCampaign(
       ++rep.clean_failures;
     }
     if (options.check_leaks) {
-      ASSERT_EQ(disk->live_pages(), baseline) << "leaked pages";
+      ASSERT_EQ(live_pages(), baseline) << "leaked pages";
     }
 
     if (!got.ok()) {
@@ -102,13 +113,24 @@ inline void RunFaultCampaign(
       EXPECT_EQ(*retry, *golden) << "retry diverged from golden";
       settle();
       if (options.check_leaks) {
-        ASSERT_EQ(disk->live_pages(), baseline) << "retry leaked pages";
+        ASSERT_EQ(live_pages(), baseline) << "retry leaked pages";
       }
     }
 
     if (fired == 0) break;  // op stream exhausted: sweep is complete
     if (options.max_k != 0 && k >= options.max_k) break;
   }
+}
+
+/// The sweep over one disk.
+inline void RunFaultCampaign(
+    Disk* disk,
+    const std::function<Result<std::vector<Entry>>()>& workload,
+    const std::function<void()>& after_run,
+    const FaultCampaignOptions& options = {},
+    FaultCampaignReport* report = nullptr) {
+  RunFaultCampaign(std::vector<Disk*>{disk}, workload, after_run, options,
+                   report);
 }
 
 }  // namespace testing
