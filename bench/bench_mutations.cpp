@@ -1,5 +1,5 @@
 // E22 — online mutations through the engine (bench_mutations).
-// Claim: the epoch-guarded write path makes the directory ONLINE — point
+// Claim: the snapshot-pinned write path makes the directory ONLINE — point
 // mutations land through Session::Apply at memtable speed while queries
 // keep evaluating against pinned snapshots, and durability (WAL +
 // fsync-on-commit) costs a bounded constant factor on the write path, not

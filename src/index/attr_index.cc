@@ -287,35 +287,34 @@ Result<std::optional<Run>> AttributeIndexes::EvalAtomic(
     return std::optional<Run>();  // fall back to range scan
   }
   const std::string& base_key = base.HierKey();
-  RunWriter writer(disk, PageFormat::kKeyPrefix);
-  Entry slow;
-  for (const std::string& key : *candidates) {
+  std::erase_if(*candidates, [&](const std::string& key) {
     switch (scope) {
       case Scope::kBase:
-        if (key != base_key) continue;
-        break;
+        return key != base_key;
       case Scope::kOne:
-        if (key != base_key && !KeyIsParent(base_key, key)) continue;
-        break;
+        return key != base_key && !KeyIsParent(base_key, key);
       case Scope::kSub:
-        if (!KeyInSubtree(base_key, key)) continue;
-        break;
+        return !KeyInSubtree(base_key, key);
     }
-    // A point read, as EntryStore::Get makes it. The record is checked and
-    // matched as the scan does (substring candidates need the re-check;
-    // the others pass it) and written out as read.
-    bool found = false;
-    NDQ_RETURN_IF_ERROR(store.ScanRange(
-        key, KeyExactEnd(key), [&](std::string_view record) -> Status {
-          found = true;
-          NDQ_ASSIGN_OR_RETURN(EntryView entry,
-                               EntryView::Parse(record, &slow));
-          return filter.Matches(entry) ? writer.Add(record) : Status::OK();
-        }));
-    if (!found) {
-      return Status::Corruption("indexed key missing from store: " + key);
-    }
+    return true;
+  });
+  // The candidates are sorted, so one walk over the store reads each of
+  // its pages at most once. A record is checked and matched as the scan
+  // does (substring candidates need the re-check; the others pass it)
+  // and written out as read.
+  RunWriter writer(disk, PageFormat::kKeyPrefix);
+  Entry slow;
+  Status s = store.ScanKeys(
+      *candidates, [&](std::string_view record) -> Status {
+        NDQ_ASSIGN_OR_RETURN(EntryView entry,
+                             EntryView::Parse(record, &slow));
+        return filter.Matches(entry) ? writer.Add(record) : Status::OK();
+      });
+  if (s.code() == StatusCode::kNotFound) {
+    return Status::Corruption("indexed key missing from store: " +
+                              s.message());
   }
+  NDQ_RETURN_IF_ERROR(s);
   NDQ_ASSIGN_OR_RETURN(Run out, writer.Finish());
   return std::optional<Run>(std::move(out));
 }

@@ -128,6 +128,8 @@ class RunReader {
   Status SeekTo(size_t page_idx, size_t byte_offset, uint64_t record_index);
 
   uint64_t records_read() const { return records_read_; }
+  /// The index of the next page Next() loads: one past the page it holds.
+  size_t next_page() const { return page_idx_; }
 
  private:
   Status LoadPage(size_t idx);

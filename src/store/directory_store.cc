@@ -1,6 +1,7 @@
 #include "store/directory_store.h"
 
 #include <iterator>
+#include <map>
 #include <utility>
 
 #include "storage/serde.h"
@@ -33,21 +34,55 @@ bool IsTombstoneRecord(std::string_view record) {
 
 }  // namespace
 
-// All mutable store state as one immutable value. A state transition
-// copies the published version, edits the copy, and publishes it by
-// swapping the shared_ptr under mu_; readers work against whichever
-// version they snapshotted, so a query never observes a half-applied
-// batch or a segment list mid-compaction.
-struct DirectoryStore::StoreState {
+// A segment of the stack. Every state that names it shares it, so it is
+// destroyed when the last of them is released. A segment a compaction
+// replaced is retired and frees its pages then; any other frees nothing,
+// because a durable store's segments must outlive the store for
+// Recover().
+struct DirectoryStore::Segment {
+  explicit Segment(EntryStore s) : store(std::move(s)) {}
+  Segment(const Segment&) = delete;
+  Segment& operator=(const Segment&) = delete;
+  ~Segment();
+
+  EntryStore store;
+  // Set by the compaction that retires the segment: the store whose
+  // maintenance_status() takes a failed free.
+  DirectoryStore* retired_by = nullptr;
+};
+
+// All mutable store state as one immutable value, and the snapshot a
+// reader pins. A state transition copies the published version, edits
+// the copy, and publishes it by swapping the shared_ptr under mu_;
+// readers work against whichever version they pinned, so a query never
+// observes a half-applied batch or a segment list mid-compaction.
+struct DirectoryStore::StoreState : public EntrySource {
   // Key -> serialized entry, or empty string = tombstone.
   std::map<std::string, std::string> active;
   // Memtable frozen for an in-progress (or failed, pending retry) flush.
   // Read priority: active > frozen > segments newest-to-oldest.
   std::shared_ptr<const std::map<std::string, std::string>> frozen;
-  std::vector<std::shared_ptr<EntryStore>> segments;  // oldest first
+  std::vector<std::shared_ptr<Segment>> segments;  // oldest first
   uint64_t live_entries = 0;
-  uint64_t version = 0;
-  StoreStats stats;
+  uint64_t state_version = 0;
+  StoreStats store_stats;
+
+  Status ScanRange(std::string_view start_key, std::string_view end_key,
+                   const std::function<Status(std::string_view)>& fn)
+      const override;
+  uint64_t num_entries() const override { return live_entries; }
+  const StoreStats* stats() const override { return &store_stats; }
+  /// Summed over segments (sparse indexes) plus the memtable span.
+  uint64_t EstimateRangeRecords(std::string_view start_key,
+                                std::string_view end_key) const override;
+  uint64_t EstimateRangePages(std::string_view start_key,
+                              std::string_view end_key) const override;
+  // PinSnapshot() keeps the default nullptr: a state is already a
+  // snapshot, callers read it directly.
+  uint64_t version() const override { return state_version; }
+
+  Result<std::optional<Entry>> Get(const std::string& key) const;
+  Result<bool> HasDescendants(const std::string& key) const;
 };
 
 // Newest-wins pull merge across one StoreState's version streams: active
@@ -64,7 +99,7 @@ class DirectoryStore::MergedCursor {
     }
     for (auto it = state.segments.rbegin(); it != state.segments.rend();
          ++it) {
-      cursors_.emplace_back(it->get(), start_key);
+      cursors_.emplace_back(&(*it)->store, start_key);
       primed_.push_back(false);
       done_.push_back(false);
     }
@@ -163,39 +198,21 @@ MemHit LookupMap(const std::map<std::string, std::string>& map,
   return MemHit::kRecord;
 }
 
+// While a compaction drops its references to the segments it retired,
+// the status their frees on that thread report to; nullptr otherwise.
+thread_local Status* compaction_free_status = nullptr;
+
 }  // namespace
 
-// A point-in-time view: shares one StoreState and holds an epoch guard so
-// compaction cannot destroy the segment pages under an in-flight scan.
-class DirectoryStore::Snapshot : public EntrySource {
- public:
-  Snapshot(std::shared_ptr<const StoreState> state,
-           EpochFramework::Guard guard)
-      : state_(std::move(state)), guard_(std::move(guard)) {}
-
-  Status ScanRange(std::string_view start_key, std::string_view end_key,
-                   const std::function<Status(std::string_view)>& fn)
-      const override {
-    return DirectoryStore::ScanState(*state_, start_key, end_key, fn);
+DirectoryStore::Segment::~Segment() {
+  if (retired_by == nullptr) return;
+  Status s = store.Destroy();
+  if (compaction_free_status == nullptr) {
+    retired_by->RecordMaintenanceError(s);
+  } else if (compaction_free_status->ok()) {
+    *compaction_free_status = s;
   }
-  uint64_t num_entries() const override { return state_->live_entries; }
-  const StoreStats* stats() const override { return &state_->stats; }
-  uint64_t EstimateRangeRecords(std::string_view start_key,
-                                std::string_view end_key) const override {
-    return DirectoryStore::EstimateStateRecords(*state_, start_key, end_key);
-  }
-  uint64_t EstimateRangePages(std::string_view start_key,
-                              std::string_view end_key) const override {
-    return DirectoryStore::EstimateStatePages(*state_, start_key, end_key);
-  }
-  // PinSnapshot() keeps the default nullptr: already a snapshot, callers
-  // read it directly.
-  uint64_t version() const override { return state_->version; }
-
- private:
-  std::shared_ptr<const StoreState> state_;
-  EpochFramework::Guard guard_;
-};
+}
 
 DirectoryStore::DirectoryStore(Disk* disk, Schema schema,
                                DirectoryStoreOptions options)
@@ -204,10 +221,7 @@ DirectoryStore::DirectoryStore(Disk* disk, Schema schema,
       options_(options),
       state_(std::make_shared<StoreState>()) {}
 
-DirectoryStore::~DirectoryStore() {
-  WaitForMaintenance();
-  epochs_.DrainAndReclaim();
-}
+DirectoryStore::~DirectoryStore() { WaitForMaintenance(); }
 
 std::shared_ptr<const DirectoryStore::StoreState>
 DirectoryStore::SnapshotState() const {
@@ -219,7 +233,7 @@ void DirectoryStore::Publish(std::shared_ptr<StoreState> next) {
   std::shared_ptr<const StoreState> old;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    next->version = state_->version + 1;
+    next->state_version = state_->state_version + 1;
     old = std::exchange(state_, std::move(next));
   }
   // `old` dies here, outside mu_, when no snapshot still holds it.
@@ -228,12 +242,12 @@ void DirectoryStore::Publish(std::shared_ptr<StoreState> next) {
 // ---------------------------------------------------------------------------
 // Reads.
 
-Result<std::optional<Entry>> DirectoryStore::GetFromState(
-    const StoreState& state, const std::string& key) {
+Result<std::optional<Entry>> DirectoryStore::StoreState::Get(
+    const std::string& key) const {
   const std::string* record = nullptr;
-  MemHit hit = LookupMap(state.active, key, &record);
-  if (hit == MemHit::kMiss && state.frozen != nullptr) {
-    hit = LookupMap(*state.frozen, key, &record);
+  MemHit hit = LookupMap(active, key, &record);
+  if (hit == MemHit::kMiss && frozen != nullptr) {
+    hit = LookupMap(*frozen, key, &record);
   }
   if (hit == MemHit::kTombstone) return std::optional<Entry>();
   if (hit == MemHit::kRecord) {
@@ -241,10 +255,10 @@ Result<std::optional<Entry>> DirectoryStore::GetFromState(
     return std::optional<Entry>(std::move(e));
   }
   const std::string end = KeyExactEnd(key);
-  for (auto it = state.segments.rbegin(); it != state.segments.rend(); ++it) {
+  for (auto it = segments.rbegin(); it != segments.rend(); ++it) {
     std::optional<Entry> found;
     bool tombstoned = false;
-    Status s = (*it)->ScanRange(
+    Status s = (*it)->store.ScanRange(
         key, end, [&](std::string_view rec) -> Status {
           if (IsTombstoneRecord(rec)) {
             tombstoned = true;
@@ -261,19 +275,18 @@ Result<std::optional<Entry>> DirectoryStore::GetFromState(
   return std::optional<Entry>();
 }
 
-Result<bool> DirectoryStore::StateHasDescendants(const StoreState& state,
-                                                 const std::string& key) {
-  MergedCursor cursor(state, KeyDescendantsBegin(key));
+Result<bool> DirectoryStore::StoreState::HasDescendants(
+    const std::string& key) const {
+  MergedCursor cursor(*this, KeyDescendantsBegin(key));
   NDQ_ASSIGN_OR_RETURN(bool more, cursor.Next());
   if (!more) return false;
   return KeyIsAncestor(key, cursor.key());
 }
 
-Status DirectoryStore::ScanState(
-    const StoreState& state, std::string_view start_key,
-    std::string_view end_key,
-    const std::function<Status(std::string_view)>& fn) {
-  MergedCursor cursor(state, start_key);
+Status DirectoryStore::StoreState::ScanRange(
+    std::string_view start_key, std::string_view end_key,
+    const std::function<Status(std::string_view)>& fn) const {
+  MergedCursor cursor(*this, start_key);
   while (true) {
     NDQ_ASSIGN_OR_RETURN(bool more, cursor.Next());
     if (!more) break;
@@ -283,12 +296,11 @@ Status DirectoryStore::ScanState(
   return Status::OK();
 }
 
-uint64_t DirectoryStore::EstimateStateRecords(const StoreState& state,
-                                              std::string_view start_key,
-                                              std::string_view end_key) {
+uint64_t DirectoryStore::StoreState::EstimateRangeRecords(
+    std::string_view start_key, std::string_view end_key) const {
   uint64_t total = 0;
-  for (const auto& seg : state.segments) {
-    total += seg->EstimateRangeRecords(start_key, end_key);
+  for (const auto& seg : segments) {
+    total += seg->store.EstimateRangeRecords(start_key, end_key);
   }
   auto span = [&](const std::map<std::string, std::string>& m) {
     auto lo = m.lower_bound(std::string(start_key));
@@ -296,33 +308,28 @@ uint64_t DirectoryStore::EstimateStateRecords(const StoreState& state,
         end_key.empty() ? m.end() : m.lower_bound(std::string(end_key));
     return static_cast<uint64_t>(std::distance(lo, hi));
   };
-  total += span(state.active);
-  if (state.frozen != nullptr) total += span(*state.frozen);
+  total += span(active);
+  if (frozen != nullptr) total += span(*frozen);
   return total;
 }
 
-uint64_t DirectoryStore::EstimateStatePages(const StoreState& state,
-                                            std::string_view start_key,
-                                            std::string_view end_key) {
+uint64_t DirectoryStore::StoreState::EstimateRangePages(
+    std::string_view start_key, std::string_view end_key) const {
   uint64_t total = 0;
-  for (const auto& seg : state.segments) {
-    total += seg->EstimateRangePages(start_key, end_key);
+  for (const auto& seg : segments) {
+    total += seg->store.EstimateRangePages(start_key, end_key);
   }
   return total + 1;  // + the memtable (memory-resident)
 }
 
 Result<std::optional<Entry>> DirectoryStore::Get(const Dn& dn) const {
-  EpochFramework::Guard guard = epochs_.Pin();
-  std::shared_ptr<const StoreState> snap = SnapshotState();
-  return GetFromState(*snap, dn.HierKey());
+  return SnapshotState()->Get(dn.HierKey());
 }
 
 Status DirectoryStore::ScanRange(
     std::string_view start_key, std::string_view end_key,
     const std::function<Status(std::string_view record)>& fn) const {
-  EpochFramework::Guard guard = epochs_.Pin();
-  std::shared_ptr<const StoreState> snap = SnapshotState();
-  return ScanState(*snap, start_key, end_key, fn);
+  return SnapshotState()->ScanRange(start_key, end_key, fn);
 }
 
 uint64_t DirectoryStore::num_entries() const {
@@ -333,25 +340,26 @@ const StoreStats* DirectoryStore::stats() const {
   // The pointer is into the current state; see the header caveat about
   // stability under concurrent mutations.
   std::lock_guard<std::mutex> lock(mu_);
-  return &state_->stats;
+  return &state_->store_stats;
 }
 
 uint64_t DirectoryStore::EstimateRangeRecords(
     std::string_view start_key, std::string_view end_key) const {
-  return EstimateStateRecords(*SnapshotState(), start_key, end_key);
+  return SnapshotState()->EstimateRangeRecords(start_key, end_key);
 }
 
 uint64_t DirectoryStore::EstimateRangePages(std::string_view start_key,
                                             std::string_view end_key) const {
-  return EstimateStatePages(*SnapshotState(), start_key, end_key);
+  return SnapshotState()->EstimateRangePages(start_key, end_key);
 }
 
 std::shared_ptr<const EntrySource> DirectoryStore::PinSnapshot() const {
-  EpochFramework::Guard guard = epochs_.Pin();
-  return std::make_shared<Snapshot>(SnapshotState(), std::move(guard));
+  return SnapshotState();
 }
 
-uint64_t DirectoryStore::version() const { return SnapshotState()->version; }
+uint64_t DirectoryStore::version() const {
+  return SnapshotState()->state_version;
+}
 
 size_t DirectoryStore::num_segments() const {
   return SnapshotState()->segments.size();
@@ -421,22 +429,20 @@ UpdateResult DirectoryStore::Apply(const UpdateBatch& batch) {
   bool trigger = false;
   {
     std::lock_guard<std::mutex> write(write_mu_);
-    // Under write_mu_ no other transition can publish, and no compaction
-    // can install and so retire the published segments: `base` and its
-    // pages stay valid without an epoch pin.
+    // Under write_mu_ no other transition can publish: `base` stays the
+    // published state until this batch replaces it.
     const std::shared_ptr<const StoreState> base = SnapshotState();
     std::shared_ptr<StoreState> work;  // copied at the first op that applies
     auto apply_op = [&](const UpdateOp& op, const std::string& key,
                         std::string record) -> Status {
       const StoreState& cur = work != nullptr ? *work : *base;
-      NDQ_ASSIGN_OR_RETURN(std::optional<Entry> existing,
-                           GetFromState(cur, key));
+      NDQ_ASSIGN_OR_RETURN(std::optional<Entry> existing, cur.Get(key));
       const bool remove = op.kind == UpdateOp::Kind::kRemove;
       if (remove) {
         if (!existing.has_value()) {
           return Status::NotFound("no entry named " + op.dn.ToString());
         }
-        NDQ_ASSIGN_OR_RETURN(bool kids, StateHasDescendants(cur, key));
+        NDQ_ASSIGN_OR_RETURN(bool kids, cur.HasDescendants(key));
         if (kids) {
           return Status::InvalidArgument(
               "entry " + op.dn.ToString() +
@@ -451,12 +457,12 @@ UpdateResult DirectoryStore::Apply(const UpdateBatch& batch) {
                                    : wal_->AppendPut(key, record));
       }
       if (work == nullptr) work = std::make_shared<StoreState>(*base);
-      if (existing.has_value()) work->stats.RemoveEntry(*existing);
+      if (existing.has_value()) work->store_stats.RemoveEntry(*existing);
       if (remove) {
         work->active[key] = std::string();  // tombstone
         --work->live_entries;
       } else {
-        work->stats.AddEntry(op.entry);
+        work->store_stats.AddEntry(op.entry);
         work->active[key] = std::move(record);
         if (!existing.has_value()) ++work->live_entries;
       }
@@ -610,7 +616,7 @@ Status DirectoryStore::FlushLocked(bool allow_compact) {
   };
   Result<EntryStore> built = EntryStore::FromStream(disk_, next);
   if (!built.ok()) return built.status();  // frozen stays; next flush retries
-  auto segment = std::make_shared<EntryStore>(built.TakeValue());
+  auto segment = std::make_shared<Segment>(built.TakeValue());
 
   // Phase 3 — checkpoint + install. The checkpoint must cover the NEW
   // segment list; on checkpoint failure the segment is destroyed and the
@@ -622,12 +628,12 @@ Status DirectoryStore::FlushLocked(bool allow_compact) {
       std::vector<std::string> manifests;
       manifests.reserve(cur->segments.size() + 1);
       for (const auto& seg : cur->segments) {
-        manifests.push_back(seg->SerializeManifest());
+        manifests.push_back(seg->store.SerializeManifest());
       }
-      manifests.push_back(segment->SerializeManifest());
+      manifests.push_back(segment->store.SerializeManifest());
       Status cs = wal_->Checkpoint(manifests);
       if (!cs.ok()) {
-        Status ds = segment->Destroy();
+        Status ds = segment->store.Destroy();
         if (!ds.ok()) {
           return cs.WithContext("segment cleanup also failed (" +
                                 ds.message() + ")");
@@ -653,7 +659,7 @@ bool DirectoryStore::NeedsCompaction(const StoreState& state) const {
   // Live entries the active memtable adds make this an undercount until
   // the next flush, which checks again.
   uint64_t records = 0;
-  for (const auto& seg : state.segments) records += seg->num_entries();
+  for (const auto& seg : state.segments) records += seg->store.num_entries();
   if (records <= state.live_entries) return false;
   const uint64_t dead = records - state.live_entries;
   return static_cast<double>(dead) >=
@@ -669,38 +675,40 @@ Status DirectoryStore::Compact() {
 Status DirectoryStore::CompactLocked() {
   // The memtable was flushed under this maint_mu_ hold, so the merge
   // covers segments only; any newer mutations live in the active memtable
-  // and shadow the merged segment by read priority. Nobody can free
-  // segment pages while we read them: only compaction frees, and
-  // maint_mu_ is held.
-  std::shared_ptr<const StoreState> snap = SnapshotState();
-  if (snap->segments.size() <= 1) return Status::OK();
+  // and shadow the merged segment by read priority. Only a compaction
+  // replaces segments, and maint_mu_ is held, so the published list stays
+  // `old_segments` until the install below.
+  std::vector<std::shared_ptr<Segment>> old_segments =
+      SnapshotState()->segments;
+  if (old_segments.size() <= 1) return Status::OK();
 
-  StoreState merge_view;  // segments only: no memtables
-  merge_view.segments = snap->segments;
-  MergedCursor cursor(merge_view, "");
   // The merged records (tombstones and shadowed versions already gone)
   // fold into fresh statistics as they stream into the new segment.
   StoreStats fresh;
-  auto next = [&](std::string* record) -> Result<bool> {
-    NDQ_ASSIGN_OR_RETURN(bool more, cursor.Next());
-    if (!more) return false;
-    *record = cursor.record();
-    NDQ_RETURN_IF_ERROR(fresh.AddRecord(*record));
-    return true;
-  };
-  NDQ_ASSIGN_OR_RETURN(EntryStore built, EntryStore::FromStream(disk_, next));
-  auto merged = std::make_shared<EntryStore>(std::move(built));
+  std::shared_ptr<Segment> merged;
+  {
+    StoreState merge_view;  // segments only: no memtables
+    merge_view.segments = old_segments;
+    MergedCursor cursor(merge_view, "");
+    auto next = [&](std::string* record) -> Result<bool> {
+      NDQ_ASSIGN_OR_RETURN(bool more, cursor.Next());
+      if (!more) return false;
+      *record = cursor.record();
+      NDQ_RETURN_IF_ERROR(fresh.AddRecord(*record));
+      return true;
+    };
+    NDQ_ASSIGN_OR_RETURN(EntryStore built,
+                         EntryStore::FromStream(disk_, next));
+    merged = std::make_shared<Segment>(std::move(built));
+  }
 
   // Install the merged segment; only then retire the old ones.
-  std::vector<std::shared_ptr<EntryStore>> old_segments;
   {
     std::lock_guard<std::mutex> write(write_mu_);
     if (wal_ != nullptr) {
-      std::vector<std::string> manifests;
-      manifests.push_back(merged->SerializeManifest());
-      Status cs = wal_->Checkpoint(manifests);
+      Status cs = wal_->Checkpoint({merged->store.SerializeManifest()});
       if (!cs.ok()) {
-        Status ds = merged->Destroy();
+        Status ds = merged->store.Destroy();
         if (!ds.ok()) {
           return cs.WithContext("segment cleanup also failed (" +
                                 ds.message() + ")");
@@ -709,7 +717,7 @@ Status DirectoryStore::CompactLocked() {
       }
     }
     auto next = std::make_shared<StoreState>(*SnapshotState());
-    old_segments = std::exchange(next->segments, {merged});
+    next->segments = {merged};
     // Refresh statistics from the merged stream's exact fold plus the
     // current memtable contents re-applied on top. Memtable records
     // shadowing merged entries double-count — an over-count, which keeps
@@ -724,31 +732,23 @@ Status DirectoryStore::CompactLocked() {
         break;
       }
     }
-    if (ok) next->stats = std::move(fresh);
+    if (ok) next->store_stats = std::move(fresh);
     Publish(std::move(next));
   }
   compactions_.fetch_add(1, std::memory_order_relaxed);
-  records_rewritten_.fetch_add(merged->num_entries(),
+  records_rewritten_.fetch_add(merged->store.num_entries(),
                                std::memory_order_relaxed);
 
-  // Old segment pages are retired behind the epoch horizon: destroyed
-  // right here when no reader is pinned (and the aggregated Status
-  // returned, so the caller sees destroy failures), otherwise deferred to
-  // the last blocking reader's release (failures land in
-  // maintenance_status()).
-  auto destroy_status = std::make_shared<Status>();
-  bool ran_inline = epochs_.Retire(
-      [this, old = std::move(old_segments), destroy_status]() mutable {
-        Status agg;
-        for (auto& seg : old) {
-          Status ds = seg->Destroy();
-          if (!ds.ok() && agg.ok()) agg = ds;
-        }
-        old.clear();
-        *destroy_status = agg;
-        RecordMaintenanceError(agg);
-      });
-  return ran_inline ? *destroy_status : Status::OK();
+  // Retire the old segments. `old_segments` is now this call's only
+  // reference to them unless a snapshot still names them, so clearing it
+  // frees their pages here, and a failed free is this call's status; a
+  // snapshot's release frees them later, into maintenance_status().
+  Status freed;
+  for (const auto& seg : old_segments) seg->retired_by = this;
+  compaction_free_status = &freed;
+  old_segments.clear();
+  compaction_free_status = nullptr;
+  return freed;
 }
 
 // ---------------------------------------------------------------------------
@@ -792,7 +792,7 @@ Result<std::unique_ptr<DirectoryStore>> DirectoryStore::Recover(
   for (const std::string& manifest : recovered.manifests) {
     NDQ_ASSIGN_OR_RETURN(EntryStore seg,
                          EntryStore::FromManifest(disk, manifest));
-    state->segments.push_back(std::make_shared<EntryStore>(std::move(seg)));
+    state->segments.push_back(std::make_shared<Segment>(std::move(seg)));
   }
   state->active = std::move(recovered.memtable);
 
@@ -805,7 +805,7 @@ Result<std::unique_ptr<DirectoryStore>> DirectoryStore::Recover(
       NDQ_ASSIGN_OR_RETURN(bool more, cursor.Next());
       if (!more) break;
       ++state->live_entries;
-      NDQ_RETURN_IF_ERROR(state->stats.AddRecord(cursor.record()));
+      NDQ_RETURN_IF_ERROR(state->store_stats.AddRecord(cursor.record()));
     }
   }
   // Fold the replayed tail into a durable segment and checkpoint, retiring
@@ -820,7 +820,7 @@ Result<std::unique_ptr<DirectoryStore>> DirectoryStore::Recover(
         // Nothing to flush; republish the recovered manifests as-is.
         std::vector<std::string> manifests;
         for (const auto& seg : state->segments) {
-          manifests.push_back(seg->SerializeManifest());
+          manifests.push_back(seg->store.SerializeManifest());
         }
         s = wal->Checkpoint(manifests);
       }
@@ -838,13 +838,12 @@ Result<std::unique_ptr<DirectoryStore>> DirectoryStore::Recover(
 Status DirectoryStore::DestroyAll() {
   WaitForMaintenance();
   std::lock_guard<std::mutex> maint(maint_mu_);
-  epochs_.DrainAndReclaim();
   std::lock_guard<std::mutex> write(write_mu_);
   std::shared_ptr<const StoreState> snap = SnapshotState();
   Publish(std::make_shared<StoreState>());
   Status agg;
   for (const auto& seg : snap->segments) {
-    Status ds = seg->Destroy();
+    Status ds = seg->store.Destroy();
     if (!ds.ok() && agg.ok()) agg = ds;
   }
   if (wal_ != nullptr) {

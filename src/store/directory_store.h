@@ -12,16 +12,17 @@
 //
 // Concurrency (docs/WRITE_PATH.md): all state lives in an immutable
 // StoreState published through a shared_ptr under a short-section mutex.
-// Readers snapshot the pointer (PinSnapshot) and run lock-free against a
-// consistent version. Every state transition holds one writer lock: an
-// update batch (Apply) copies the published state once, applies its ops
-// to the copy and publishes it once, so a reader sees all of a batch or
-// none of it; a flush's freeze and install and a compaction's install
-// publish a new copy the same way. Superseded segment pages are destroyed
-// behind an EpochFramework horizon, only after every reader pinned before
-// the compaction has drained. Flush/Compact serialize on a maintenance
-// mutex and do their heavy building outside all locks, so queries never
-// wait on segment construction.
+// The published state is itself an EntrySource: a reader pins it
+// (PinSnapshot) and runs lock-free against that one version. Every state
+// transition holds one writer lock: an update batch (Apply) copies the
+// published state once, applies its ops to the copy and publishes it
+// once, so a reader sees all of a batch or none of it; a flush's freeze
+// and install and a compaction's install publish a new copy the same way.
+// A segment's pages live as long as the states that name them: a segment
+// a compaction replaced frees its pages when the last such state is
+// released. Flush/Compact serialize on a maintenance mutex and do their
+// heavy building outside all locks, so queries never wait on segment
+// construction.
 //
 // Durability: EnableDurability() attaches a write-ahead log (store/wal.h);
 // every applied op then commits to the log (checksummed, synced) before
@@ -34,14 +35,12 @@
 #include <atomic>
 #include <condition_variable>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <vector>
 
 #include "core/ldif_update.h"
 #include "store/entry_store.h"
-#include "store/epoch.h"
 #include "store/stats.h"
 
 namespace ndq {
@@ -124,7 +123,8 @@ class DirectoryStore : public EntrySource, public UpdateTarget {
   DirectoryStore(Disk* disk, Schema schema,
                  DirectoryStoreOptions options = {});
   /// Waits for in-flight maintenance; every snapshot must already be
-  /// released (snapshots hold the store's epoch framework).
+  /// released. Frees no page: a durable store's segments stay on the disk
+  /// for Recover().
   ~DirectoryStore() override;
 
   /// Attaches a write-ahead log to an EMPTY store on a fresh disk (the
@@ -191,9 +191,10 @@ class DirectoryStore : public EntrySource, public UpdateTarget {
   uint64_t EstimateRangePages(std::string_view start_key,
                               std::string_view end_key) const override;
 
-  /// An immutable point-in-time view holding an epoch pin: scans,
-  /// estimates, and stats all observe one version while writers proceed.
-  /// Must be released before the store is destroyed.
+  /// The published state: scans, estimates, and stats all observe one
+  /// version while writers proceed, and the segment pages it names stay
+  /// allocated until it is released. Must be released before the store
+  /// is destroyed.
   std::shared_ptr<const EntrySource> PinSnapshot() const override;
 
   /// Bumped once per published state transition: an update batch that
@@ -206,11 +207,11 @@ class DirectoryStore : public EntrySource, public UpdateTarget {
   Status Flush();
 
   /// Merges everything into a single segment, dropping shadowed versions
-  /// and tombstones, refreshes statistics, and retires the old segments
-  /// behind the epoch horizon. When no reader holds a pin the old pages
-  /// are destroyed before returning and the aggregated destroy Status is
-  /// returned; otherwise destruction is deferred to the last reader's
-  /// drain and failures land in maintenance_status().
+  /// and tombstones, refreshes statistics, and retires the old segments:
+  /// each frees its pages when the last state naming it is released. When
+  /// no snapshot names them, that is before Compact returns, and a failed
+  /// free is its status; otherwise the free runs at the last such
+  /// snapshot's release and a failure lands in maintenance_status().
   Status Compact();
 
   size_t num_segments() const;
@@ -225,8 +226,9 @@ class DirectoryStore : public EntrySource, public UpdateTarget {
       std::function<void(std::function<void()>)> executor);
 
   /// First error of any background maintenance task (threshold flushes,
-  /// deferred segment destruction). Sticky until cleared. Mutations keep
-  /// succeeding into the memtable while maintenance is failing.
+  /// a retired segment's free at a snapshot's release). Sticky until
+  /// cleared. Mutations keep succeeding into the memtable while
+  /// maintenance is failing.
   Status maintenance_status() const;
   void ClearMaintenanceStatus();
 
@@ -244,8 +246,8 @@ class DirectoryStore : public EntrySource, public UpdateTarget {
   MaintenanceCounters maintenance_counters() const;
 
  private:
+  struct Segment;
   struct StoreState;
-  class Snapshot;
   class MergedCursor;
 
   std::shared_ptr<const StoreState> SnapshotState() const;
@@ -261,20 +263,6 @@ class DirectoryStore : public EntrySource, public UpdateTarget {
   void MaybeScheduleMaintenance();
   void RunMaintenance();
   void RecordMaintenanceError(const Status& s);
-
-  static Status ScanState(const StoreState& state, std::string_view start_key,
-                          std::string_view end_key,
-                          const std::function<Status(std::string_view)>& fn);
-  static Result<std::optional<Entry>> GetFromState(const StoreState& state,
-                                                   const std::string& key);
-  static Result<bool> StateHasDescendants(const StoreState& state,
-                                          const std::string& key);
-  static uint64_t EstimateStateRecords(const StoreState& state,
-                                       std::string_view start_key,
-                                       std::string_view end_key);
-  static uint64_t EstimateStatePages(const StoreState& state,
-                                     std::string_view start_key,
-                                     std::string_view end_key);
 
   Disk* disk_;
   Schema schema_;
@@ -300,9 +288,6 @@ class DirectoryStore : public EntrySource, public UpdateTarget {
   /// Serializes Flush/Compact so segment building happens outside the
   /// other locks without two maintainers racing.
   std::mutex maint_mu_;
-
-  /// Readers pin; compaction retires superseded segment pages behind it.
-  mutable EpochFramework epochs_;
 
   std::atomic<uint64_t> flushes_{0};
   std::atomic<uint64_t> compactions_{0};

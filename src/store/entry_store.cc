@@ -133,37 +133,46 @@ Result<EntryStore> EntryStore::CopyTo(Disk* disk) const {
   return copy;
 }
 
+namespace {
+
+// Index of the last page whose first-starting key is <= key (0 if none).
+size_t PageLowerBound(const std::vector<std::string>& first_keys,
+                      std::string_view key) {
+  size_t a = 0, b = first_keys.size();
+  while (a < b) {
+    size_t mid = (a + b) / 2;
+    if (first_keys[mid] <= key) {
+      a = mid + 1;
+    } else {
+      b = mid;
+    }
+  }
+  return a == 0 ? 0 : a - 1;
+}
+
+}  // namespace
+
+size_t EntryStore::StartPage(std::string_view key) const {
+  size_t page = PageLowerBound(first_keys_, key);
+  // A page without a record start is covered by a record that began
+  // earlier; back up to the page where that record starts.
+  while (page > 0 &&
+         first_offsets_[page] == static_cast<uint32_t>(disk_->page_size())) {
+    --page;
+  }
+  return page;
+}
+
 Result<std::unique_ptr<RunReader>> EntryStore::SeekReader(
     std::string_view start_key) const {
   if (run_.num_records == 0) return std::unique_ptr<RunReader>();
-  // Find the first page whose first-starting record could be >= start_key:
-  // binary search for the last page with first_key <= start_key; the
-  // target record starts there or later.
-  size_t lo = 0;
-  {
-    size_t a = 0, b = first_keys_.size();
-    while (a < b) {
-      size_t mid = (a + b) / 2;
-      if (first_keys_[mid] <= start_key) {
-        a = mid + 1;
-      } else {
-        b = mid;
-      }
-    }
-    lo = (a == 0) ? 0 : a - 1;
-  }
-  // A page without a record start is covered by a record that began
-  // earlier; back up to the page where that record starts.
-  while (lo > 0 &&
-         first_offsets_[lo] == static_cast<uint32_t>(disk_->page_size())) {
-    --lo;
-  }
-  if (first_offsets_[lo] == static_cast<uint32_t>(disk_->page_size())) {
+  const size_t page = StartPage(start_key);
+  if (first_offsets_[page] == static_cast<uint32_t>(disk_->page_size())) {
     return std::unique_ptr<RunReader>();  // no record starts at all
   }
   auto reader = std::make_unique<RunReader>(disk_, run_);
   NDQ_RETURN_IF_ERROR(
-      reader->SeekTo(lo, first_offsets_[lo], first_record_index_[lo]));
+      reader->SeekTo(page, first_offsets_[page], first_record_index_[page]));
   return reader;
 }
 
@@ -207,25 +216,6 @@ Result<bool> EntryStore::Cursor::Next() {
   }
 }
 
-namespace {
-
-// Index of the last page whose first-starting key is <= key (0 if none).
-size_t PageLowerBound(const std::vector<std::string>& first_keys,
-                      std::string_view key) {
-  size_t a = 0, b = first_keys.size();
-  while (a < b) {
-    size_t mid = (a + b) / 2;
-    if (first_keys[mid] <= key) {
-      a = mid + 1;
-    } else {
-      b = mid;
-    }
-  }
-  return a == 0 ? 0 : a - 1;
-}
-
-}  // namespace
-
 uint64_t EntryStore::EstimateRangePages(std::string_view start_key,
                                         std::string_view end_key) const {
   if (run_.num_records == 0) return 0;
@@ -261,6 +251,36 @@ Result<std::optional<Entry>> EntryStore::Get(std::string_view hier_key) const {
   });
   NDQ_RETURN_IF_ERROR(s);
   return found;
+}
+
+Status EntryStore::ScanKeys(
+    const std::vector<std::string>& keys,
+    const std::function<Status(std::string_view record)>& fn) const {
+  RunReader reader(disk_, run_);
+  bool positioned = false;
+  std::string record;
+  for (const std::string& key : keys) {
+    if (run_.num_records == 0) {
+      return Status::NotFound("segment holds no record for " + key);
+    }
+    const size_t page = StartPage(key);
+    if (!positioned || page > reader.next_page()) {
+      NDQ_RETURN_IF_ERROR(reader.SeekTo(page, first_offsets_[page],
+                                        first_record_index_[page]));
+      positioned = true;
+    }
+    std::string_view at;
+    do {
+      NDQ_ASSIGN_OR_RETURN(bool more, reader.Next(&record));
+      if (!more) break;
+      NDQ_ASSIGN_OR_RETURN(at, PeekEntryKey(record));
+    } while (at < key);
+    if (at != key) {
+      return Status::NotFound("segment holds no record for " + key);
+    }
+    NDQ_RETURN_IF_ERROR(fn(record));
+  }
+  return Status::OK();
 }
 
 std::string EntryStore::SerializeManifest() const {

@@ -70,11 +70,11 @@ class EntrySource {
 
   /// A consistent point-in-time snapshot of this source, or nullptr when
   /// the source is immutable and can be read directly (the default).
-  /// Mutable sources (DirectoryStore) return an EntrySource whose scans,
-  /// estimates, and stats all observe one version regardless of
-  /// concurrent writers; the snapshot pins an epoch so the pages it
-  /// covers outlive concurrent compaction (store/epoch.h). Evaluators pin
-  /// once per query (docs/WRITE_PATH.md).
+  /// Mutable sources (DirectoryStore) return their published state, whose
+  /// scans, estimates, and stats all observe one version regardless of
+  /// concurrent writers; the segment pages it names stay allocated until
+  /// the last holder releases it, whatever compaction does meanwhile.
+  /// Evaluators pin once per query (docs/WRITE_PATH.md).
   virtual std::shared_ptr<const EntrySource> PinSnapshot() const {
     return nullptr;
   }
@@ -128,6 +128,15 @@ class EntryStore : public EntrySource {
 
   /// Point lookup.
   Result<std::optional<Entry>> Get(std::string_view hier_key) const;
+
+  /// Calls `fn` with the record of each of `keys` (strictly increasing),
+  /// in key order; a key the segment lacks is NotFound. One reader walks
+  /// the keys: it reads on when a record starts in the page it holds or
+  /// the next one, and seeks otherwise, so it reads each page at most
+  /// once, and only pages that hold part of a wanted record.
+  Status ScanKeys(const std::vector<std::string>& keys,
+                  const std::function<Status(std::string_view record)>& fn)
+      const;
 
   /// Estimated number of pages a ScanRange(start, end) would read, from
   /// the in-memory sparse index alone (no I/O). Exact up to records that
@@ -201,6 +210,11 @@ class EntryStore : public EntrySource {
   using RecordPull = std::function<Result<bool>(std::string* record)>;
 
   Status BuildFrom(Disk* disk, const RecordPull& next);
+
+  /// The page where the record at `key`'s position starts: the last page
+  /// whose first record starts at or before `key`, backed up over pages
+  /// in which no record starts. The store must hold a record.
+  size_t StartPage(std::string_view key) const;
 
   /// Returns a reader positioned at the first record that *starts* in the
   /// page containing start_key's position (records before start_key must

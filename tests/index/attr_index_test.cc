@@ -180,6 +180,48 @@ TEST(AttrIndexTest, SelectiveLookupReadsFewerPagesThanScan) {
   EXPECT_LT(index_reads, scan_reads);
 }
 
+TEST(AttrIndexTest, ProbeReadsNoMoreStorePagesThanTheScan) {
+  // E12's store, index and filters, with the index run on a disk of its
+  // own, so the store's disk counts the probe's reads of store pages
+  // alone. The probe reads a store page at most once, and only if it
+  // holds a candidate, so it reads no more of them than the scan does.
+  gen::DifOptions opt;
+  opt.num_orgs = 16;
+  DirectoryInstance inst = gen::GenerateDif(opt);
+  SimDisk disk;
+  EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
+  SimDisk index_disk;
+  IndexSpec spec;
+  spec.attributes = {"priority", "SLARulePriority", "sourcePort",
+                     "objectClass", "uid", "SourceAddress", "CANumber",
+                     "SLATPRef"};
+  AttributeIndexes indexes =
+      AttributeIndexes::Build(&index_disk, store, spec).TakeValue();
+  SimDisk scratch;
+  const Dn root = D("dc=com");
+  for (const char* text :
+       {"CANumber=9731000005", "uid=user7", "sourcePort=25",
+        "SLARulePriority<=1", "priority>=3", "SourceAddress=204.*",
+        "objectClass=SLADSAction", "objectClass=QHP"}) {
+    SCOPED_TRACE(text);
+    const AtomicFilter filter = AtomicFilter::Parse(text).TakeValue();
+    disk.ResetStats();
+    ndq::Run scan =
+        EvalAtomic(&scratch, store, root, Scope::kSub, filter).TakeValue();
+    const uint64_t scan_reads = disk.stats().page_reads;
+    disk.ResetStats();
+    index_disk.ResetStats();
+    Result<std::optional<ndq::Run>> probed =
+        indexes.EvalAtomic(&scratch, store, root, Scope::kSub, filter);
+    ASSERT_TRUE(probed.ok()) << probed.status().ToString();
+    ASSERT_TRUE(probed->has_value());
+    EXPECT_LE(disk.stats().page_reads, scan_reads);
+    EXPECT_EQ(Records(&scratch, **probed), Records(&scratch, scan));
+    EXPECT_TRUE(FreeRun(&scratch, &**probed).ok());
+    EXPECT_TRUE(FreeRun(&scratch, &scan).ok());
+  }
+}
+
 // Filters of every kind over every attribute of `inst`, built from the
 // values the instance holds and their neighbours: presence, the six int
 // comparisons, int equality (int-spelled strings included), string

@@ -371,7 +371,9 @@ TEST(SerdeTest, OrderedInt64RoundTripAndOrder) {
     AppendOrderedInt64(v, &enc);
     EXPECT_EQ(enc.size(), 8u);
     EXPECT_EQ(DecodeOrderedInt64(enc), v);
-    if (!first) EXPECT_LT(prev, enc) << v;  // memcmp order == numeric order
+    if (!first) {
+      EXPECT_LT(prev, enc) << v;  // memcmp order == numeric order
+    }
     prev = enc;
     first = false;
   }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/status_matchers.h"
 #include "exec/parallel_evaluator.h"
 #include "query/parser.h"
 #include "query/reference.h"
@@ -317,7 +318,7 @@ TEST(DirectoryStoreTest, SnapshotIgnoresLaterMutations) {
   ASSERT_TRUE(store.Compact().ok());
 
   // The snapshot still reads the pre-mutation version — including the
-  // segments the compaction replaced, kept alive by its epoch pin.
+  // segments the compaction replaced, which it still names.
   EXPECT_EQ(snap->num_entries(), before);
   EXPECT_EQ(snap->version(), pinned_version);
   bool saw_milo = false;
@@ -336,6 +337,152 @@ TEST(DirectoryStoreTest, SnapshotIgnoresLaterMutations) {
   EXPECT_EQ(store.num_entries(), before + 1);
   EXPECT_GT(store.version(), pinned_version);
   snap.reset();
+}
+
+// Options under which only Compact() merges segments.
+DirectoryStoreOptions SegmentedOptions() {
+  DirectoryStoreOptions opt;
+  opt.memtable_limit = 8;
+  opt.max_segments = 16;
+  opt.validate = false;
+  return opt;
+}
+
+// Puts uid=u0..u23 with a flush after every seventh: four segments.
+Status LoadSegments(DirectoryStore* store) {
+  for (int i = 0; i < 24; ++i) {
+    Entry e(D("uid=u" + std::to_string(i) + ", dc=com"));
+    e.AddInt("x", i);
+    NDQ_RETURN_IF_ERROR(store->Put(e));
+    if (i % 7 == 6) NDQ_RETURN_IF_ERROR(store->Flush());
+  }
+  return store->Flush();
+}
+
+// A replacement and a removal, so the compaction that follows changes
+// what a scan reads.
+Status Mutate(DirectoryStore* store) {
+  Entry e(D("uid=u5, dc=com"));
+  e.AddInt("x", 105);
+  NDQ_RETURN_IF_ERROR(store->Put(e));
+  return store->Remove(D("uid=u6, dc=com"));
+}
+
+std::vector<std::string> ScanAll(const EntrySource& source) {
+  std::vector<std::string> records;
+  Status s = source.ScanRange("", "", [&](std::string_view rec) {
+    records.emplace_back(rec);
+    return Status::OK();
+  });
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return records;
+}
+
+// The pages of one segment written from `records`: the footprint of a
+// compacted store that reads them.
+size_t SegmentPages(const std::vector<std::string>& records) {
+  SimDisk disk(512);
+  auto it = records.begin();
+  Result<EntryStore> segment =
+      EntryStore::FromStream(&disk, [&](std::string* out) -> Result<bool> {
+        if (it == records.end()) return false;
+        *out = *it++;
+        return true;
+      });
+  EXPECT_TRUE(segment.ok()) << segment.status().ToString();
+  return disk.live_pages();
+}
+
+TEST(DirectoryStoreTest, SnapshotKeepsReplacedSegmentsUntilReleased) {
+  SimDisk disk(512);
+  DirectoryStore store(&disk, Schema(), SegmentedOptions());
+  NDQ_ASSERT_OK(LoadSegments(&store));
+  const std::vector<std::string> before = ScanAll(store);
+  std::shared_ptr<const EntrySource> first = store.PinSnapshot();
+  std::shared_ptr<const EntrySource> second = store.PinSnapshot();
+  NDQ_ASSERT_OK(Mutate(&store));
+  NDQ_ASSERT_OK(store.Compact());
+  ASSERT_EQ(store.num_segments(), 1u);
+  EXPECT_NE(ScanAll(store), before);
+  const size_t footprint = SegmentPages(ScanAll(store));
+
+  // Both snapshots read the pre-compaction records byte for byte, from
+  // the replaced segments' pages, which stay allocated while either
+  // snapshot names them; a moved snapshot keeps them too.
+  EXPECT_EQ(ScanAll(*first), before);
+  std::shared_ptr<const EntrySource> moved = std::move(first);
+  EXPECT_GT(disk.live_pages(), footprint);
+  moved.reset();
+  EXPECT_GT(disk.live_pages(), footprint);
+  EXPECT_EQ(ScanAll(*second), before);
+  second.reset();
+  EXPECT_EQ(disk.live_pages(), footprint);
+  NDQ_EXPECT_OK(store.maintenance_status());
+}
+
+TEST(DirectoryStoreTest, SnapshotPinnedAfterCompactionHoldsNoReplacedPage) {
+  {
+    // Nothing pinned: the compaction frees the replaced pages itself.
+    SimDisk disk(512);
+    DirectoryStore store(&disk, Schema(), SegmentedOptions());
+    NDQ_ASSERT_OK(LoadSegments(&store));
+    NDQ_ASSERT_OK(Mutate(&store));
+    NDQ_ASSERT_OK(store.Compact());
+    EXPECT_EQ(disk.live_pages(), SegmentPages(ScanAll(store)));
+  }
+  // A snapshot pinned before the compaction holds the replaced pages; one
+  // pinned after it does not, so releasing the first frees them.
+  SimDisk disk(512);
+  DirectoryStore store(&disk, Schema(), SegmentedOptions());
+  NDQ_ASSERT_OK(LoadSegments(&store));
+  std::shared_ptr<const EntrySource> before = store.PinSnapshot();
+  NDQ_ASSERT_OK(Mutate(&store));
+  NDQ_ASSERT_OK(store.Compact());
+  std::shared_ptr<const EntrySource> after = store.PinSnapshot();
+  before.reset();
+  EXPECT_EQ(disk.live_pages(), SegmentPages(ScanAll(store)));
+  EXPECT_EQ(ScanAll(*after), ScanAll(store));
+  NDQ_EXPECT_OK(store.maintenance_status());
+}
+
+TEST(DirectoryStoreTest, FailedFreeOfReplacedSegmentsIsReported) {
+  auto fail_first_free = [] {
+    return FaultInjector(
+        {FaultInjector::FailNth(1, FaultOpBit(FaultOp::kFree))});
+  };
+  {
+    // Nothing pinned: the compaction's own free fails, and it is
+    // Compact()'s status.
+    SimDisk disk(512);
+    DirectoryStore store(&disk, Schema(), SegmentedOptions());
+    NDQ_ASSERT_OK(LoadSegments(&store));
+    const std::vector<std::string> records = ScanAll(store);
+    FaultInjector injector = fail_first_free();
+    disk.set_fault_injector(&injector);
+    Status s = store.Compact();
+    disk.set_fault_injector(nullptr);
+    EXPECT_EQ(injector.faults_fired(), 1u);
+    EXPECT_EQ(s.code(), StatusCode::kUnavailable) << s.ToString();
+    NDQ_EXPECT_OK(store.maintenance_status());
+    EXPECT_EQ(store.num_segments(), 1u);
+    EXPECT_EQ(ScanAll(store), records);
+  }
+  // A snapshot held the replaced segments: the free fails at its
+  // release, after Compact() returned, into maintenance_status().
+  SimDisk disk(512);
+  DirectoryStore store(&disk, Schema(), SegmentedOptions());
+  NDQ_ASSERT_OK(LoadSegments(&store));
+  const std::vector<std::string> records = ScanAll(store);
+  std::shared_ptr<const EntrySource> snap = store.PinSnapshot();
+  NDQ_ASSERT_OK(store.Compact());
+  FaultInjector injector = fail_first_free();
+  disk.set_fault_injector(&injector);
+  snap.reset();
+  disk.set_fault_injector(nullptr);
+  EXPECT_EQ(injector.faults_fired(), 1u);
+  EXPECT_EQ(store.maintenance_status().code(), StatusCode::kUnavailable)
+      << store.maintenance_status().ToString();
+  EXPECT_EQ(ScanAll(store), records);
 }
 
 TEST(DirectoryStoreTest, StatsRefreshOnCompaction) {

@@ -2,10 +2,13 @@
 // thread sanitizer: reader sessions evaluate queries while another session
 // applies update batches, and every query must observe ONE consistent
 // store version (the snapshot pinned at submit time) — never a torn state
-// mixing two versions, and never part of an update batch.
+// mixing two versions, and never part of an update batch. Readers of the
+// store itself check that a pinned snapshot's pages outlive the
+// compactions that replace its segments.
 
 #include <atomic>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,9 +57,9 @@ Entry ChurnEntry(int i) {
   return ChurnEntry("churn" + std::to_string(i), "dc=att, dc=com", i);
 }
 
-std::vector<std::string> Records(const DirectoryStore& store) {
+std::vector<std::string> Records(const EntrySource& source) {
   std::vector<std::string> records;
-  Status s = store.ScanRange("", "", [&](std::string_view record) {
+  Status s = source.ScanRange("", "", [&](std::string_view record) {
     records.emplace_back(record);
     return Status::OK();
   });
@@ -327,6 +330,78 @@ TEST(StoreConcurrencyTest, FlushesRacingBatchesKeepEveryAcknowledgedOp) {
       DirectoryStore::Recover(&disk, Schema(), opt);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   expect_records(**recovered, model);
+}
+
+TEST(StoreConcurrencyTest, PinnedSnapshotsOutliveCompactions) {
+  // Readers pin the store and scan the snapshot twice while a writer's
+  // churn flushes and compacts under them, so a reader may be the last to
+  // name a replaced segment and free its pages. The writer alternately
+  // adds a group of six entries at one rev and removes them, so a whole
+  // version holds none of a group or all six at one rev; and the second
+  // scan of a snapshot must read the bytes of the first.
+  constexpr int kGroup = 6;
+  constexpr int kReaders = 3;
+  DirectoryStoreOptions opt;
+  opt.memtable_limit = 8;
+  opt.max_segments = 3;
+  opt.validate = false;
+  // Four groups in turn, so the memtable fills and flushes.
+  auto entry = [](int batch, int k) {
+    const int key = (batch / 2) % 4 * kGroup + k;
+    Entry e(testing::D("cn=k" + std::to_string(key) + ", dc=test"));
+    e.AddClass("testObject");
+    e.AddInt("rev", batch);
+    return e;
+  };
+
+  SimDisk disk(512);
+  DirectoryStore store(&disk, Schema(), opt);
+  std::atomic<bool> stop{false};
+  std::atomic<int> started{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&store, &stop, &started] {
+      bool first = true;
+      while (!stop.load(std::memory_order_relaxed)) {
+        std::shared_ptr<const EntrySource> snap = store.PinSnapshot();
+        const std::vector<std::string> records = Records(*snap);
+        std::set<int64_t> revs;
+        for (const std::string& record : records) {
+          Result<Entry> e = DeserializeEntry(record);
+          ASSERT_TRUE(e.ok()) << e.status().ToString();
+          revs.insert(e->Values("rev").at(0).AsInt());
+        }
+        EXPECT_TRUE(records.empty() ||
+                    (records.size() == kGroup && revs.size() == 1))
+            << "a scan saw " << records.size() << " entries at "
+            << revs.size() << " revs";
+        std::this_thread::yield();
+        EXPECT_EQ(Records(*snap), records);
+        if (first) started.fetch_add(1);
+        first = false;
+      }
+    });
+  }
+  while (started.load() < kReaders) std::this_thread::yield();
+
+  for (int i = 0; i < 400; ++i) {
+    UpdateBatch batch;
+    for (int k = 0; k < kGroup; ++k) {
+      if (i % 2 == 0) {
+        batch.Put(entry(i, k));
+      } else {
+        batch.Remove(entry(i, k).dn());
+      }
+    }
+    UpdateResult res = store.Apply(batch);
+    EXPECT_TRUE(res.ok()) << res.status.ToString();
+  }
+  stop = true;
+  for (std::thread& t : readers) t.join();
+  EXPECT_GT(store.maintenance_counters().compactions, 0u);
+  NDQ_EXPECT_OK(store.maintenance_status());
+  NDQ_ASSERT_OK(store.DestroyAll());
+  EXPECT_EQ(disk.live_pages(), 0u);
 }
 
 TEST(StoreConcurrencyTest, ApplyReportsPerOpStatusesAndAppliedCount) {
