@@ -83,7 +83,7 @@ int main() {
   Sweep(QueryOp::kCoDescendants, true, true);
   std::printf(
       "\nexpected: io(stack) ~2x per 2x input (linear; descendant-direction"
-      "\nops carry a constant-factor overhead for the reversal scans);"
+      "\nops read their runs backwards at the ancestor direction's cost);"
       "\nio(naive) ~4x per 2x input (quadratic).\n");
   return 0;
 }

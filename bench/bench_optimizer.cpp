@@ -3,10 +3,12 @@
 // provably-empty operands buried in &/|/- chains, filters sitting above
 // hierarchy selections), turning the optimizer on (a) cuts total page
 // transfers >= 1.3x, (b) returns byte-identical results, (c) keeps every
-// trace inside the paper's theorem bounds, and (d) SHRINKS the gap
-// between estimated and measured pages — the estimator fixes (kOne
-// direct-child counts, clamped |, audited agg passes, histogram-backed
-// leaves) are what make the plan choices trustworthy.
+// trace inside the paper's theorem bounds, and (d) keeps the cost model
+// trustworthy for the choices it drives: it ranks every plan's optimized
+// and unoptimized forms as the measurement does, and every node's record
+// estimate bounds the records it measured (exec/cost.h promises plan
+// comparison and upper bounds, not absolute page predictions). The
+// est-vs-actual page gap of each mode is reported, not gated.
 //
 // Emits BENCH_optimizer.json for EXPERIMENTS.md.
 
@@ -65,9 +67,42 @@ struct ModeResult {
   double est_pages = 0;     // summed model estimates for the shipped plans
   double gap = 0;           // sum over plans of |est - actual| / max(1, actual)
   uint64_t violations = 0;  // theorem-bound violations across traces
-  uint64_t rewrites = 0;    // optimizer rewrites applied (0 when off)
+  uint64_t bound_misses = 0;  // nodes that output more than their estimate
+  uint64_t rewrites = 0;      // optimizer rewrites applied (0 when off)
+  std::vector<double> plan_est;       // per plan, in kMix order
+  std::vector<uint64_t> plan_actual;  // per plan, in kMix order
   std::vector<std::string> digests;
 };
+
+// Counts the nodes of `q` whose estimated record count is below the
+// records their trace `t` output (same tree shape, operands in q1/q2/q3
+// order). The model's record estimates are upper bounds — an estimate of
+// 0 is the optimizer's proof of emptiness — so this must be 0.
+uint64_t CountBoundMisses(const EntrySource& store, const Query& q,
+                          const OpTrace& t) {
+  uint64_t misses = EstimateCost(store, q).output_records <
+                            static_cast<double>(t.output_records)
+                        ? 1
+                        : 0;
+  size_t ci = 0;
+  for (const QueryPtr& child : {q.q1(), q.q2(), q.q3()}) {
+    if (child == nullptr) continue;
+    // A trace shaped unlike the plan cannot vouch for its bounds.
+    if (ci >= t.children.size()) return misses + 1;
+    misses += CountBoundMisses(store, *child, t.children[ci++]);
+  }
+  return misses;
+}
+
+// True when the model and the measurement order a plan's two forms
+// differently: priced cheaper by more than half a page but measured
+// dearer, or the reverse. Equal prices (an operand swap) rank nothing.
+bool Misranked(double est_off, double est_on, uint64_t actual_off,
+               uint64_t actual_on) {
+  if (est_on < est_off - 0.5) return actual_on > actual_off;
+  if (est_on > est_off + 0.5) return actual_on < actual_off;
+  return false;
+}
 
 ModeResult RunMode(bool optimize, const DirectoryInstance& inst) {
   ModeResult r;
@@ -92,6 +127,9 @@ ModeResult RunMode(bool optimize, const DirectoryInstance& inst) {
 
     r.pages += actual;
     r.est_pages += est;
+    r.plan_est.push_back(est);
+    r.plan_actual.push_back(actual);
+    r.bound_misses += CountBoundMisses(store, *shipped, out.trace);
     r.gap += std::fabs(est - static_cast<double>(actual)) /
              std::max<double>(1.0, static_cast<double>(actual));
     std::vector<std::string> bad = VerifyTheoremBounds(out.trace);
@@ -113,12 +151,13 @@ ModeResult RunMode(bool optimize, const DirectoryInstance& inst) {
 int main() {
   PrintHeader("E20: cost-based optimizer (bench_optimizer)",
               "adversarial plan mix speeds up >= 1.3x with byte-identical "
-              "results, intact theorem bounds, and a smaller est-vs-actual "
-              "page gap");
+              "results, intact theorem bounds, and a cost model that ranks "
+              "plans as measured and bounds every node's records");
 
   const size_t sweep[] = {4, 8, 16};  // DIF num_orgs
   bool identical = true;
-  bool gap_shrinks = true;
+  uint64_t misranked = 0;
+  uint64_t bound_misses = 0;
   uint64_t violations = 0;
   double worst_speedup = 1e9;
 
@@ -142,7 +181,20 @@ int main() {
     worst_speedup = std::min(worst_speedup, speedup);
     violations += off.violations + on.violations;
     if (off.digests != on.digests) identical = false;
-    if (on.gap > off.gap) gap_shrinks = false;
+    bound_misses += off.bound_misses + on.bound_misses;
+    for (size_t p = 0; p < off.plan_est.size(); ++p) {
+      if (Misranked(off.plan_est[p], on.plan_est[p], off.plan_actual[p],
+                    on.plan_actual[p])) {
+        std::fprintf(stderr,
+                     "misranked [%s, %zu entries]: est %.1f -> %.1f, "
+                     "measured %llu -> %llu\n",
+                     kMix[p].label, inst.size(), off.plan_est[p],
+                     on.plan_est[p],
+                     static_cast<unsigned long long>(off.plan_actual[p]),
+                     static_cast<unsigned long long>(on.plan_actual[p]));
+        ++misranked;
+      }
+    }
 
     std::printf("%8zu %10llu %10llu %7.2fx | %9.2f %9.2f | %8llu\n",
                 inst.size(), static_cast<unsigned long long>(off.pages),
@@ -167,8 +219,12 @@ int main() {
               kMinSpeedup, fast_ok ? "PASS" : "FAIL");
   std::printf("results byte-identical on/off: %s\n",
               identical ? "PASS" : "FAIL");
-  std::printf("est-vs-actual gap shrinks: %s\n",
-              gap_shrinks ? "PASS" : "FAIL");
+  std::printf("plans misranked by the model: %llu %s\n",
+              static_cast<unsigned long long>(misranked),
+              misranked == 0 ? "PASS" : "FAIL");
+  std::printf("nodes over their record estimate: %llu %s\n",
+              static_cast<unsigned long long>(bound_misses),
+              bound_misses == 0 ? "PASS" : "FAIL");
   std::printf("theorem-bound violations: %llu %s\n",
               static_cast<unsigned long long>(violations),
               violations == 0 ? "PASS" : "FAIL");
@@ -179,12 +235,18 @@ int main() {
     std::fprintf(f, "  \"min_speedup\": %.2f,\n", kMinSpeedup);
     std::fprintf(f, "  \"results_identical\": %s,\n",
                  identical ? "true" : "false");
-    std::fprintf(f, "  \"gap_shrinks\": %s,\n", gap_shrinks ? "true" : "false");
+    std::fprintf(f, "  \"misranked_plans\": %llu,\n",
+                 static_cast<unsigned long long>(misranked));
+    std::fprintf(f, "  \"bound_misses\": %llu,\n",
+                 static_cast<unsigned long long>(bound_misses));
     std::fprintf(f, "  \"theorem_violations\": %llu\n",
                  static_cast<unsigned long long>(violations));
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("wrote BENCH_optimizer.json\n");
   }
-  return (fast_ok && identical && gap_shrinks && violations == 0) ? 0 : 1;
+  return (fast_ok && identical && misranked == 0 && bound_misses == 0 &&
+          violations == 0)
+             ? 0
+             : 1;
 }

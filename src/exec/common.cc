@@ -4,14 +4,30 @@
 
 namespace ndq {
 
+DirectedRunReader::DirectedRunReader(Disk* disk, const Run& run,
+                                     KeyOrder order) {
+  if (order == KeyOrder::kDescending) {
+    backward_.emplace(disk, run);
+  } else {
+    forward_.emplace(disk, run);
+  }
+}
+
+Result<bool> DirectedRunReader::Next(std::string* record) {
+  return forward_.has_value() ? forward_->Next(record)
+                              : backward_->Next(record);
+}
+
 LabeledMerge::LabeledMerge(Disk* disk, const EntryList* l1,
-                           const EntryList* l2, const EntryList* l3) {
+                           const EntryList* l2, const EntryList* l3,
+                           KeyOrder order)
+    : descending_(order == KeyOrder::kDescending) {
   const EntryList* lists[3] = {l1, l2, l3};
   const uint8_t labels[3] = {kInL1, kInL2, kInL3};
   for (int i = 0; i < 3; ++i) {
     if (lists[i] == nullptr) continue;
     Input in;
-    in.reader = std::make_unique<RunReader>(disk, *lists[i]);
+    in.reader = std::make_unique<DirectedRunReader>(disk, *lists[i], order);
     in.label = labels[i];
     inputs_.push_back(std::move(in));
   }
@@ -34,18 +50,22 @@ Result<bool> LabeledMerge::Next(LabeledRecord* out) {
     for (Input& in : inputs_) NDQ_RETURN_IF_ERROR(Refill(&in));
   }
   // Head words settle almost every comparison in one integer compare.
-  const std::string* min_key = nullptr;
-  uint64_t min_head = 0;
+  // The next key is the least one ascending, the greatest descending.
+  const std::string* next_key = nullptr;
+  uint64_t next_head = 0;
   for (Input& in : inputs_) {
     if (!in.has) continue;
-    if (min_key == nullptr || in.head < min_head ||
-        (in.head == min_head && in.key < *min_key)) {
-      min_key = &in.key;
-      min_head = in.head;
+    if (next_key == nullptr ||
+        (descending_ ? in.head > next_head ||
+                           (in.head == next_head && in.key > *next_key)
+                     : in.head < next_head ||
+                           (in.head == next_head && in.key < *next_key))) {
+      next_key = &in.key;
+      next_head = in.head;
     }
   }
-  if (min_key == nullptr) return false;
-  std::string key = *min_key;  // copy: refills invalidate min_key
+  if (next_key == nullptr) return false;
+  std::string key = *next_key;  // copy: refills invalidate next_key
   out->labels = 0;
   for (Input& in : inputs_) {
     if (in.has && in.key == key) {
@@ -57,32 +77,6 @@ Result<bool> LabeledMerge::Next(LabeledRecord* out) {
   NDQ_ASSIGN_OR_RETURN(std::string_view kv, PeekEntryKey(out->entry_record));
   out->key = kv;
   return true;
-}
-
-Result<Run> MaterializeLabeledMerge(Disk* disk, const EntryList* l1,
-                                    const EntryList* l2,
-                                    const EntryList* l3) {
-  LabeledMerge merge(disk, l1, l2, l3);
-  RunWriter writer(disk);
-  LabeledRecord rec;
-  std::string buf;
-  while (true) {
-    NDQ_ASSIGN_OR_RETURN(bool more, merge.Next(&rec));
-    if (!more) break;
-    buf.clear();
-    buf.push_back(static_cast<char>(rec.labels));
-    buf += rec.entry_record;
-    NDQ_RETURN_IF_ERROR(writer.Add(buf));
-  }
-  return writer.Finish();
-}
-
-Status ParseLabeledRecord(std::string_view rec, uint8_t* labels,
-                          std::string_view* entry_record) {
-  if (rec.empty()) return Status::Corruption("empty labeled record");
-  *labels = static_cast<uint8_t>(rec[0]);
-  *entry_record = rec.substr(1);
-  return Status::OK();
 }
 
 void WriteAnnotated(const std::vector<std::optional<int64_t>>& vals,
@@ -272,7 +266,8 @@ std::optional<int64_t> InnerValue(
 }  // namespace
 
 Result<EntryList> FilterAnnotatedList(Disk* disk, Run annotated,
-                                      const AggProgram& prog) {
+                                      const AggProgram& prog,
+                                      KeyOrder order) {
   // This function consumes `annotated` on every path: the guard frees it
   // if any scan below fails.
   ScopedRun annotated_guard(disk, annotated);
@@ -289,7 +284,7 @@ Result<EntryList> FilterAnnotatedList(Disk* disk, Run annotated,
     // Pre-scan: fold per-entry inner values into the global accumulators.
     AggAccumulator lhs_acc(prog.filter.lhs.outer_fn);
     AggAccumulator rhs_acc(prog.filter.rhs.outer_fn);
-    RunReader reader(disk, annotated);
+    DirectedRunReader reader(disk, annotated, order);
     std::string rec;
     std::vector<std::optional<int64_t>> vals;
     std::string_view entry_bytes;
@@ -316,7 +311,7 @@ Result<EntryList> FilterAnnotatedList(Disk* disk, Run annotated,
   }
 
   RunWriter writer(disk, PageFormat::kKeyPrefix);
-  RunReader reader(disk, annotated);
+  DirectedRunReader reader(disk, annotated, order);
   std::string rec;
   std::vector<std::optional<int64_t>> vals;
   std::string_view entry_bytes;

@@ -2,7 +2,8 @@
 //   * EntryList — the inter-operator dataflow unit: a Run of serialized
 //     entries in ascending HierKey order;
 //   * labeled merge — the "lexicographic merge of L1 and L2 [and L3]" that
-//     the stack algorithms consume, with per-record membership labels;
+//     the stack algorithms consume, with per-record membership labels, in
+//     ascending or descending key order;
 //   * annotated records — an entry plus its per-witness-aggregate values,
 //     produced by phase 1 of the algorithms and consumed by the filter
 //     phase;
@@ -115,10 +116,32 @@ struct LabeledRecord {
   std::string_view key;  // into entry_record
 };
 
+/// The order a stream visits an entry list's keys in. Entry lists are
+/// stored ascending; a descending stream reads them backwards
+/// (ReverseRunReader).
+enum class KeyOrder { kAscending, kDescending };
+
+/// Reads a run forwards, or backwards when `order` is kDescending: an
+/// ascending entry list then streams in descending key order, and a
+/// descending annotated list in ascending order.
+class DirectedRunReader {
+ public:
+  DirectedRunReader(Disk* disk, const Run& run, KeyOrder order);
+
+  /// Reads the next record in the chosen direction; false at the end.
+  Result<bool> Next(std::string* record);
+
+ private:
+  std::optional<RunReader> forward_;
+  std::optional<ReverseRunReader> backward_;
+};
+
 /// \brief Streaming lexicographic merge of up to three entry lists.
 ///
 /// Produces each distinct entry once, labels OR-ed across the lists that
-/// contain it, in ascending key order. Holds one page buffer per input.
+/// contain it, in `order`. An ascending merge holds one page buffer per
+/// input; a descending one reads each input backwards, straight from its
+/// run, and holds a reverse reader's buffers per input.
 class LabeledMerge {
  public:
   /// Any list pointer may be null (treated as empty). The constructor does
@@ -126,14 +149,14 @@ class LabeledMerge {
   /// the initial page fetches surface through Next()'s Status instead of
   /// being lost in a constructor.
   LabeledMerge(Disk* disk, const EntryList* l1, const EntryList* l2,
-               const EntryList* l3);
+               const EntryList* l3, KeyOrder order = KeyOrder::kAscending);
 
   /// Reads the next merged element; returns false at end.
   Result<bool> Next(LabeledRecord* out);
 
  private:
   struct Input {
-    std::unique_ptr<RunReader> reader;
+    std::unique_ptr<DirectedRunReader> reader;
     uint8_t label;
     std::string record;
     std::string key;
@@ -144,16 +167,9 @@ class LabeledMerge {
   Status Refill(Input* in);
 
   std::vector<Input> inputs_;
+  const bool descending_;
   bool primed_ = false;
 };
-
-/// Materializes a labeled merge into a run of [u8 labels][entry] records.
-Result<Run> MaterializeLabeledMerge(Disk* disk, const EntryList* l1,
-                                    const EntryList* l2, const EntryList* l3);
-
-/// Splits a labeled record produced by MaterializeLabeledMerge.
-Status ParseLabeledRecord(std::string_view rec, uint8_t* labels,
-                          std::string_view* entry_record);
 
 // ---------------------------------------------------------------------------
 // Annotated records: [varint n][n x (u8 defined, zigzag value)][entry bytes]
@@ -222,10 +238,13 @@ struct AggProgram {
 
 /// Runs the filter phase over an annotated list: an optional globals scan
 /// (when the program needs entry-set aggregates) followed by the selection
-/// scan. The annotated input is consumed (freed); the result contains the
-/// plain entry records that pass. Linear I/O (<= 2 scans + output).
+/// scan. `order` is the annotated list's key order; a descending list is
+/// read backwards, so the result is ascending either way. The annotated
+/// input is consumed (freed); the result contains the plain entry records
+/// that pass. Linear I/O (<= 2 scans + output).
 Result<EntryList> FilterAnnotatedList(Disk* disk, Run annotated,
-                                      const AggProgram& prog);
+                                      const AggProgram& prog,
+                                      KeyOrder order = KeyOrder::kAscending);
 
 /// Simple aggregate selection "(g L1 AggSelFilter)" over a materialized
 /// list (Theorem 6.1: at most two scans + output): annotates L1 with no

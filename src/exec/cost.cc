@@ -21,14 +21,6 @@ bool AggNeedsGlobalsScan(const AggSelFilter& filter) {
   return scans(filter.lhs) || scans(filter.rhs);
 }
 
-// Average records per page, from the store's own geometry.
-double RecordsPerPage(const EntrySource& store) {
-  uint64_t total_pages = store.EstimateRangePages("", "");
-  if (total_pages == 0) return 1.0;
-  return static_cast<double>(store.num_entries()) /
-         static_cast<double>(total_pages);
-}
-
 CostEstimate EstimateNode(const EntrySource& store, const Query& q) {
   const double rpp = std::max(1.0, RecordsPerPage(store));
   switch (q.op()) {
@@ -144,14 +136,10 @@ CostEstimate EstimateNode(const EntrySource& store, const Query& q) {
       est.leaf_pages = a.leaf_pages + b.leaf_pages + c.leaf_pages;
       double in_pages =
           (a.output_records + b.output_records + c.output_records) / rpp;
-      bool backward = q.op() == QueryOp::kChildren ||
-                      q.op() == QueryOp::kDescendants ||
-                      q.op() == QueryOp::kCoDescendants;
-      // Forward: merge+annotate+filter (~2 passes). Backward adds the
-      // materialized merge and two reversals (~6 passes).
-      double passes = backward ? 6.0 : 2.0;
+      // Merge+annotate+filter (~2 passes) in either direction: the
+      // descendant direction reads its runs backwards at the same cost.
       est.operator_pages = a.operator_pages + b.operator_pages +
-                           c.operator_pages + passes * in_pages + 1;
+                           c.operator_pages + 2.0 * in_pages + 1;
       est.output_records = a.output_records;
       return est;
     }
@@ -260,6 +248,13 @@ void ExplainAnalyzeNode(const EntrySource& store, const Query& q,
 }
 
 }  // namespace
+
+double RecordsPerPage(const EntrySource& store) {
+  uint64_t total_pages = store.EstimateRangePages("", "");
+  if (total_pages == 0) return 1.0;
+  return static_cast<double>(store.num_entries()) /
+         static_cast<double>(total_pages);
+}
 
 CostEstimate EstimateCost(const EntrySource& store, const Query& query) {
   return EstimateNode(store, query);

@@ -136,46 +136,35 @@ Result<Run> AncestorPass(Disk* disk, QueryOp op, const EntryList& l1,
   return out.Finish();
 }
 
-// Backward pass for the descendant-direction operators (c, d, dc): scans
-// the merged stream in DESCENDING key order; emits the annotated L1 list
-// in descending order (the caller reverses it).
+// Backward pass for the descendant-direction operators (c, d, dc): merges
+// the inputs in DESCENDING key order, reading each one backwards straight
+// from its run; emits the annotated L1 list in descending order (the
+// filter phase reads it backwards).
 Result<Run> DescendantPass(Disk* disk, QueryOp op, const EntryList& l1,
                            const EntryList& l2, const EntryList* l3,
                            const AggProgram& prog, const ExecOptions& options,
                            OpTrace* trace) {
-  NDQ_ASSIGN_OR_RETURN(Run merged,
-                       MaterializeLabeledMerge(disk, &l1, &l2, l3));
-  NDQ_ASSIGN_OR_RETURN(Run reversed_run, ReverseRun(disk, std::move(merged)));
-  // The reversed merge is consumed by this pass on every path, including
-  // mid-scan errors.
-  ScopedRun reversed(disk, reversed_run);
-
+  LabeledMerge merge(disk, &l1, &l2, l3, KeyOrder::kDescending);
   auto stack = MakeStack(disk, options.stack_window);
   RunWriter out(disk);
-  RunReader reader(disk, reversed.get());
-  std::string raw;
+  LabeledRecord rec;
   std::string buf;
   Entry slow;
   while (true) {
-    NDQ_ASSIGN_OR_RETURN(bool more, reader.Next(&raw));
+    NDQ_ASSIGN_OR_RETURN(bool more, merge.Next(&rec));
     if (!more) break;
-    uint8_t labels;
-    std::string_view entry_record;
-    NDQ_RETURN_IF_ERROR(ParseLabeledRecord(raw, &labels, &entry_record));
-    NDQ_ASSIGN_OR_RETURN(std::string_view keyv, PeekEntryKey(entry_record));
-    std::string key(keyv);
     NDQ_ASSIGN_OR_RETURN(EntryView entry,
-                         EntryView::Parse(entry_record, &slow));
+                         EntryView::Parse(rec.entry_record, &slow));
 
     // In descending order, the arrival's descendants sit on top of the
     // stack; pop and fold them.
     std::vector<AggAccumulator> wit = prog.MakeWitnessAccs();
-    while (!stack->Empty() && KeyIsAncestor(key, stack->Top().key)) {
+    while (!stack->Empty() && KeyIsAncestor(rec.key, stack->Top().key)) {
       NDQ_ASSIGN_OR_RETURN(HSItem popped, stack->Pop());
       switch (op) {
         case QueryOp::kChildren:
           if ((popped.labels & kInL2) != 0 &&
-              KeyIsParent(key, popped.key)) {
+              KeyIsParent(rec.key, popped.key)) {
             MergeAccVec(popped.own, &wit);
           }
           break;
@@ -188,26 +177,26 @@ Result<Run> DescendantPass(Disk* disk, QueryOp op, const EntryList& l1,
       }
     }
 
-    if ((labels & kInL1) != 0) {
+    if ((rec.labels & kInL1) != 0) {
       std::vector<std::optional<int64_t>> vals;
       vals.reserve(wit.size());
       for (const AggAccumulator& a : wit) vals.push_back(a.Finish());
       buf.clear();
-      WriteAnnotated(vals, entry_record, &buf);
+      WriteAnnotated(vals, rec.entry_record, &buf);
       NDQ_RETURN_IF_ERROR(out.Add(buf));
     }
 
     // Push this item with its subtree-visible accumulators.
     HSItem item;
-    item.key = std::move(key);
-    item.labels = labels;
+    item.key = std::string(rec.key);
+    item.labels = rec.labels;
     item.own = prog.MakeWitnessAccs();
-    if ((labels & kInL2) != 0) {
+    if ((rec.labels & kInL2) != 0) {
       prog.AddWitnessContribution(entry, &item.own);
     }
     item.vis = item.own;
     bool blocks_below =
-        op == QueryOp::kCoDescendants && (labels & kInL3) != 0;
+        op == QueryOp::kCoDescendants && (rec.labels & kInL3) != 0;
     if (!blocks_below) {
       // The folded witness accumulators of the popped descendants are
       // exactly what remains visible through this item... except for the
@@ -220,7 +209,6 @@ Result<Run> DescendantPass(Disk* disk, QueryOp op, const EntryList& l1,
     trace->peak_stack_items = stack->peak_size();
     trace->stack_spills = stack->spill_count();
   }
-  NDQ_RETURN_IF_ERROR(reversed.Free());
   return out.Finish();
 }
 
@@ -244,6 +232,7 @@ Result<EntryList> EvalHierarchy(Disk* disk, QueryOp op,
                        AggProgram::Compile(filter, /*structural=*/true));
 
   Run annotated;
+  KeyOrder order = KeyOrder::kAscending;
   switch (op) {
     case QueryOp::kParents:
     case QueryOp::kAncestors:
@@ -257,14 +246,14 @@ Result<EntryList> EvalHierarchy(Disk* disk, QueryOp op,
     case QueryOp::kCoDescendants: {
       NDQ_ASSIGN_OR_RETURN(annotated, DescendantPass(disk, op, l1, l2, l3,
                                                      prog, options, trace));
-      NDQ_ASSIGN_OR_RETURN(annotated,
-                           ReverseRun(disk, std::move(annotated)));
+      order = KeyOrder::kDescending;
       break;
     }
     default:
       return Status::InvalidArgument("EvalHierarchy: not a hierarchy op");
   }
-  Result<EntryList> out = FilterAnnotatedList(disk, std::move(annotated), prog);
+  Result<EntryList> out =
+      FilterAnnotatedList(disk, std::move(annotated), prog, order);
   if (trace != nullptr && out.ok()) {
     trace->op = op;
     trace->input_records = l1.num_records + l2.num_records +

@@ -14,13 +14,16 @@
 //     key order.
 //   * For the descendant-direction operators (c, d, dc) — the paper's
 //     above(.) counters, finalized at pop time — this implementation
-//     instead scans the merged stream in DESCENDING key order (a linear-
-//     time reversal of the materialized merge), where an entry's
+//     instead merges the inputs in DESCENDING key order, reading each run
+//     backwards (ReverseRunReader, storage/run.h), where an entry's
 //     descendants precede it and the same arrival-time argument applies;
-//     the annotated output is reversed back. This achieves the in-place
-//     "associate values with entry rt in list L1" of the paper's Phase 1
-//     with strictly sequential I/O: 5 linear scans in total, O((|L1| +
-//     |L2| [+ |L3|])/B) I/Os as Theorems 5.1/6.2 require.
+//     the filter phase reads the descending annotated list backwards, so
+//     the output is ascending. This achieves the in-place "associate
+//     values with entry rt in list L1" of the paper's Phase 1 at the
+//     ancestor direction's cost: one read of the inputs, one write and
+//     one read of the annotated list (two with an entry-set aggregate),
+//     one write of the output — O((|L1| + |L2| [+ |L3|])/B) I/Os as
+//     Theorems 5.1/6.2 require.
 //
 // The stack itself is a SpillableStack, so a root-to-leaf chain larger
 // than memory spills in page-sized batches with amortized O(chain/B) I/O —

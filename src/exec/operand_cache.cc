@@ -8,7 +8,7 @@ OperandCache::OperandCache(Disk* disk, size_t capacity_pages)
 OperandCache::~OperandCache() { Clear(); }
 
 Result<EntryList> OperandCache::CopyList(const EntryList& src) {
-  // Copies preserve the source's exact page format, like ReverseRun.
+  // Copies preserve the source's exact page format.
   RunWriter writer(disk_, src.format);
   RunReader reader(disk_, src);
   std::string rec;

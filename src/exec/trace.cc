@@ -116,19 +116,10 @@ void CheckNode(const OpTrace& t, std::vector<std::string>* out) {
     case QueryOp::kParents:
     case QueryOp::kAncestors:
     case QueryOp::kCoAncestors:
-      bound = 8 * io_base + 16;
-      break;
     case QueryOp::kChildren:
     case QueryOp::kDescendants:
     case QueryOp::kCoDescendants:
-      // The backward pass makes ~10 passes over merge-sized streams
-      // (materialize, reverse, scan, annotate, reverse, filter), but
-      // those streams carry labels and annotation values, so they hold
-      // fewer records per page than the raw inputs in_pages counts;
-      // adding spill traffic, whole-forest inputs measure ~18x in_pages
-      // when the filtered output is tiny. 24x keeps the bound linear in
-      // in+out with honest slack (breached at 16x in bench_optimizer).
-      bound = 24 * io_base + 16;
+      bound = 8 * io_base + 16;
       break;
     case QueryOp::kSimpleAgg:
       bound = 8 * io_base + 16;

@@ -140,12 +140,12 @@ void FillTraceSkeleton(const Query& q, OpTrace* trace);
 /// complexity-class regressions (a merge gone quadratic, a sort pass
 /// explosion), not constant-factor drift:
 ///   * boolean and/or/diff:     <= 3*(in+out) + 8   (linear merge)
-///   * p/a/ac (forward pass):   <= 8*(in+out) + 16  (merge+annotate+filter,
-///                                                   spills amortized)
-///   * c/d/dc (backward pass):  <= 24*(in+out) + 16 (adds materialized
-///                                                   merge + 2 reversals
-///                                                   over label-inflated
-///                                                   streams)
+///   * p/a/ac/c/d/dc:           <= 8*(in+out) + 16  (merge+annotate+filter,
+///                                                   spills amortized; the
+///                                                   descendant direction
+///                                                   reads its runs
+///                                                   backwards at the same
+///                                                   cost)
 ///   * g (simple agg):          <= 8*(in+out) + 16  (<= 3 scans + output)
 ///   * vd/dv:                   <= 8*(in+out)*(1+log2(in)) + 32 (sort term)
 ///   * atomic leaves:           writes <= 2*out + 4 (reads are the store

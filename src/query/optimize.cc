@@ -411,10 +411,12 @@ AccessPathChoice ChooseAccessPath(const EntrySource& store,
   if (stats == nullptr || leaf.op() != QueryOp::kAtomic) return choice;
   choice.est_matches = std::min(
       choice.est_matches, stats->EstimateFilterMatches(leaf.filter()));
-  // A probe pays roughly a seek + read per matching entry (plus the
-  // output write the scan also pays); presence/true filters enumerate
-  // too much to beat a scan unless the attribute is near-absent.
-  choice.probe_pages = 2.0 * static_cast<double>(choice.est_matches) + 1.0;
+  // A probe walks its sorted candidates forward and reads a store page at
+  // most once: at most one store page per match. The index run adds about
+  // one page per page of matching records, and the seek one more page.
+  const double matches = static_cast<double>(choice.est_matches);
+  choice.probe_pages =
+      matches + matches / std::max(1.0, RecordsPerPage(store)) + 1.0;
   if (choice.probe_pages < choice.scan_pages) {
     choice.path = AccessPath::kIndexProbe;
   }

@@ -97,9 +97,10 @@ struct AccessPathChoice {
 
 /// Chooses the access path for an atomic leaf (`leaf.op()` must be
 /// kAtomic). Prefers an index probe only when statistics prove few
-/// enough matches that per-match point lookups beat the range scan; the
-/// evaluator still falls back to the scan when the attribute turns out
-/// not to be indexed.
+/// enough matches that the probe's pages — one store page per match at
+/// most, plus the index run's share and one seek — beat the range scan;
+/// the evaluator still falls back to the scan when the attribute turns
+/// out not to be indexed.
 AccessPathChoice ChooseAccessPath(const EntrySource& store,
                                   const Query& leaf);
 

@@ -17,71 +17,10 @@ Status FreeRun(Disk* disk, Run* run) {
     if (!s.ok() && first.ok()) first = s;
   }
   run->pages.clear();
+  run->restarts.clear();
   run->num_records = 0;
   run->payload_bytes = 0;
   return first;
-}
-
-Result<Run> ReverseRun(Disk* disk, Run run) {
-  // Spill forward-order records in ~2-page batches, then replay the
-  // batches last-to-first, reversing each batch in memory. The output and
-  // every intermediate batch keep the input's format: reversed records
-  // are adjacent in both orders, so they compress the same, and a keyed
-  // run stays keyed for downstream readers.
-  const size_t batch_budget = 2 * disk->page_size();
-  const PageFormat format = run.format;
-  std::vector<Run> batches;
-  auto impl = [&]() -> Result<Run> {
-    std::vector<std::string> buffer;
-    size_t buffered = 0;
-    auto flush = [&]() -> Status {
-      if (buffer.empty()) return Status::OK();
-      RunWriter w(disk, format);
-      for (const std::string& rec : buffer) NDQ_RETURN_IF_ERROR(w.Add(rec));
-      NDQ_ASSIGN_OR_RETURN(Run batch, w.Finish());
-      batches.push_back(std::move(batch));
-      buffer.clear();
-      buffered = 0;
-      return Status::OK();
-    };
-    {
-      RunReader reader(disk, run);
-      std::string rec;
-      while (true) {
-        NDQ_ASSIGN_OR_RETURN(bool more, reader.Next(&rec));
-        if (!more) break;
-        buffered += rec.size();
-        buffer.push_back(std::move(rec));
-        if (buffered >= batch_budget) NDQ_RETURN_IF_ERROR(flush());
-      }
-      NDQ_RETURN_IF_ERROR(flush());
-    }
-    NDQ_RETURN_IF_ERROR(FreeRun(disk, &run));
-    RunWriter out(disk, format);
-    std::string rec;
-    for (auto bit = batches.rbegin(); bit != batches.rend(); ++bit) {
-      std::vector<std::string> recs;
-      RunReader reader(disk, *bit);
-      while (true) {
-        NDQ_ASSIGN_OR_RETURN(bool more, reader.Next(&rec));
-        if (!more) break;
-        recs.push_back(std::move(rec));
-      }
-      for (auto rit = recs.rbegin(); rit != recs.rend(); ++rit) {
-        NDQ_RETURN_IF_ERROR(out.Add(*rit));
-      }
-      NDQ_RETURN_IF_ERROR(FreeRun(disk, &*bit));
-    }
-    return out.Finish();
-  };
-  Result<Run> reversed = impl();
-  if (!reversed.ok()) {
-    // Best-effort cleanup: the input and any surviving spill batches.
-    // FreeRun empties each run, so nothing is ever freed twice.
-    (void)FreeRun(disk, &run);
-    for (Run& b : batches) (void)FreeRun(disk, &b);
-  }
-  return reversed;
 }
 
 RunWriter::RunWriter(Disk* disk, PageFormat format) : disk_(disk) {
@@ -136,7 +75,10 @@ Status RunWriter::Add(std::string_view record) {
   const bool restart =
       run_.num_records == 0 || records_since_restart_ >= kRestartInterval ||
       (page_restarts_ && last_record_page_ != last_start_page_);
-  if (restart) records_since_restart_ = 0;
+  if (restart) {
+    records_since_restart_ = 0;
+    run_.restarts.push_back({run_.num_records, run_.payload_bytes});
+  }
   ++records_since_restart_;
   last_start_page_ = last_record_page_;
 
@@ -193,6 +135,58 @@ Result<Run> RunWriter::Finish() {
   finished_ = true;
   return run_;
 }
+
+namespace run_internal {
+
+void FrameDecoder::Reset() {
+  prev_key_.clear();
+  prev_rest_.clear();
+  prev_record_.clear();
+}
+
+template <typename Input>
+Status FrameDecoder::Decode(PageFormat format, Input* in,
+                            std::string* record) {
+  switch (format) {
+    case PageFormat::kPrefix: {
+      NDQ_ASSIGN_OR_RETURN(uint64_t shared, in->ReadVarint());
+      NDQ_ASSIGN_OR_RETURN(uint64_t suffix_len, in->ReadVarint());
+      NDQ_RETURN_IF_ERROR(in->CheckFrameLength(suffix_len));
+      if (shared > prev_record_.size()) {
+        return Status::Corruption("prefix reference past previous record");
+      }
+      prev_record_.resize(shared);
+      NDQ_RETURN_IF_ERROR(in->ReadBytes(suffix_len, &prev_record_));
+      *record = prev_record_;
+      return Status::OK();
+    }
+    case PageFormat::kKeyPrefix: {
+      NDQ_ASSIGN_OR_RETURN(uint64_t shared_key, in->ReadVarint());
+      NDQ_ASSIGN_OR_RETURN(uint64_t key_suffix, in->ReadVarint());
+      NDQ_ASSIGN_OR_RETURN(uint64_t shared_rest, in->ReadVarint());
+      NDQ_ASSIGN_OR_RETURN(uint64_t rest_suffix, in->ReadVarint());
+      NDQ_RETURN_IF_ERROR(in->CheckFrameLength(key_suffix));
+      NDQ_RETURN_IF_ERROR(in->CheckFrameLength(rest_suffix));
+      if (shared_key > prev_key_.size() ||
+          shared_rest > prev_rest_.size()) {
+        return Status::Corruption("prefix reference past previous record");
+      }
+      prev_key_.resize(shared_key);
+      NDQ_RETURN_IF_ERROR(in->ReadBytes(key_suffix, &prev_key_));
+      prev_rest_.resize(shared_rest);
+      NDQ_RETURN_IF_ERROR(in->ReadBytes(rest_suffix, &prev_rest_));
+      // Re-synthesize the original record: PutString(key) + rest.
+      record->clear();
+      ByteWriter w(record);
+      w.PutString(prev_key_);
+      record->append(prev_rest_);
+      return Status::OK();
+    }
+  }
+  return Status::Corruption("unknown run page format");
+}
+
+}  // namespace run_internal
 
 RunReader::RunReader(Disk* disk, const Run& run)
     : disk_(disk), run_(&run), prefetch_(disk, &run.pages) {}
@@ -267,52 +261,181 @@ Status RunReader::SeekTo(size_t page_idx, size_t byte_offset,
   // A seek lands on a restart point, which references no history; any
   // frame that does back-reference from here is caught as corruption in
   // Next() (shared count exceeds the empty reconstruction state).
-  prev_key_.clear();
-  prev_rest_.clear();
-  prev_record_.clear();
+  frame_.Reset();
   return Status::OK();
 }
 
 Result<bool> RunReader::Next(std::string* record) {
   if (records_read_ >= run_->num_records) return false;
-  switch (run_->format) {
-    case PageFormat::kPrefix: {
-      NDQ_ASSIGN_OR_RETURN(uint64_t shared, ReadVarint());
-      NDQ_ASSIGN_OR_RETURN(uint64_t suffix_len, ReadVarint());
-      NDQ_RETURN_IF_ERROR(CheckFrameLength(suffix_len));
-      if (shared > prev_record_.size()) {
-        return Status::Corruption("prefix reference past previous record");
-      }
-      prev_record_.resize(shared);
-      NDQ_RETURN_IF_ERROR(ReadBytes(suffix_len, &prev_record_));
-      *record = prev_record_;
-      break;
-    }
-    case PageFormat::kKeyPrefix: {
-      NDQ_ASSIGN_OR_RETURN(uint64_t shared_key, ReadVarint());
-      NDQ_ASSIGN_OR_RETURN(uint64_t key_suffix, ReadVarint());
-      NDQ_ASSIGN_OR_RETURN(uint64_t shared_rest, ReadVarint());
-      NDQ_ASSIGN_OR_RETURN(uint64_t rest_suffix, ReadVarint());
-      NDQ_RETURN_IF_ERROR(CheckFrameLength(key_suffix));
-      NDQ_RETURN_IF_ERROR(CheckFrameLength(rest_suffix));
-      if (shared_key > prev_key_.size() ||
-          shared_rest > prev_rest_.size()) {
-        return Status::Corruption("prefix reference past previous record");
-      }
-      prev_key_.resize(shared_key);
-      NDQ_RETURN_IF_ERROR(ReadBytes(key_suffix, &prev_key_));
-      prev_rest_.resize(shared_rest);
-      NDQ_RETURN_IF_ERROR(ReadBytes(rest_suffix, &prev_rest_));
-      // Re-synthesize the original record: PutString(key) + rest.
-      record->clear();
-      ByteWriter w(record);
-      w.PutString(prev_key_);
-      record->append(prev_rest_);
-      break;
-    }
-  }
+  NDQ_RETURN_IF_ERROR(frame_.Decode(run_->format, this, record));
   ++records_read_;
   return true;
+}
+
+namespace {
+
+// Checks `run`'s restart metadata against its pages and lists the pages
+// in the order ReverseRunReader reads them: chunk c, last first, reads
+// its pages from the one it starts on up to (not including) the page the
+// chunk after it starts on, which an earlier step already read.
+Status PlanReverseReads(const Run& run, uint64_t page_size,
+                        std::vector<PageId>* order) {
+  if (run.num_records == 0) return Status::OK();
+  const std::vector<RunRestart>& rs = run.restarts;
+  if (rs.empty()) {
+    return Status::InvalidArgument(
+        "run carries no restart metadata to read it backwards");
+  }
+  const uint64_t pages = run.pages.size();
+  if (run.payload_bytes > pages * page_size ||
+      run.payload_bytes <= (pages - 1) * page_size) {
+    return Status::Corruption("run payload does not fill its pages");
+  }
+  if (rs[0].record != 0 || rs[0].offset != 0) {
+    return Status::Corruption("run's first restart is not its first record");
+  }
+  for (size_t c = 0; c < rs.size(); ++c) {
+    const bool last = c + 1 == rs.size();
+    const uint64_t next_record = last ? run.num_records : rs[c + 1].record;
+    const uint64_t next_offset = last ? run.payload_bytes : rs[c + 1].offset;
+    if (next_record <= rs[c].record || next_offset <= rs[c].offset ||
+        next_record - rs[c].record > kRestartInterval) {
+      return Status::Corruption("run restart metadata out of order");
+    }
+  }
+  order->reserve(pages);
+  uint64_t hi = pages;
+  for (size_t c = rs.size(); c-- > 0;) {
+    const uint64_t lo = rs[c].offset / page_size;
+    for (uint64_t p = lo; p < hi; ++p) order->push_back(run.pages[p]);
+    hi = lo;
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+ReverseRunReader::ReverseRunReader(Disk* disk, const Run& run)
+    : disk_(disk),
+      run_(&run),
+      status_(PlanReverseReads(run, disk->page_size(), &order_)),
+      prefetch_(disk, &order_) {
+  if (status_.ok() && run.num_records > 0) chunks_left_ = run.restarts.size();
+}
+
+Result<bool> ReverseRunReader::Next(std::string* record) {
+  NDQ_RETURN_IF_ERROR(status_);
+  if (chunk_left_ == 0) {
+    if (chunks_left_ == 0) return false;
+    status_ = DecodeChunk(--chunks_left_);
+    NDQ_RETURN_IF_ERROR(status_);
+  }
+  record->swap(chunk_[--chunk_left_]);
+  return true;
+}
+
+Status ReverseRunReader::LoadPage(uint64_t page) {
+  if (next_read_ >= order_.size() || order_[next_read_] != run_->pages[page]) {
+    return Status::Internal("reverse run read out of its planned order");
+  }
+  if (page_no_ == first_page_) head_.assign(page_, 0, head_len_);
+  page_no_ = kNoPage;
+  page_.resize(disk_->page_size());
+  NDQ_RETURN_IF_ERROR(prefetch_.Read(next_read_++,
+                                     reinterpret_cast<uint8_t*>(page_.data())));
+  page_no_ = page;
+  return Status::OK();
+}
+
+Status ReverseRunReader::Fill() {
+  if (pos_ >= end_) {
+    return Status::Corruption("record frame runs past its restart chunk");
+  }
+  const uint64_t page_size = disk_->page_size();
+  const uint64_t page = pos_ / page_size;
+  const std::string* src = &page_;
+  if (page == carry_page_) {
+    src = &carry_;
+  } else if (page != page_no_) {
+    NDQ_RETURN_IF_ERROR(LoadPage(page));
+  }
+  const uint64_t off = pos_ % page_size;
+  const uint64_t stop = std::min<uint64_t>(src->size(), off + (end_ - pos_));
+  if (off >= stop) return Status::Corruption("restart chunk past its page");
+  cur_ = src->data() + off;
+  avail_ = stop - off;
+  return Status::OK();
+}
+
+Result<uint64_t> ReverseRunReader::ReadVarint() {
+  uint64_t v = 0;
+  int shift = 0;
+  while (true) {
+    if (avail_ == 0) NDQ_RETURN_IF_ERROR(Fill());
+    uint8_t b = static_cast<uint8_t>(*cur_++);
+    --avail_;
+    ++pos_;
+    v |= static_cast<uint64_t>(b & 0x7f) << shift;
+    if ((b & 0x80) == 0) break;
+    shift += 7;
+    if (shift > 63) return Status::Corruption("varint too long in run");
+  }
+  return v;
+}
+
+Status ReverseRunReader::ReadBytes(uint64_t n, std::string* out) {
+  while (n > 0) {
+    if (avail_ == 0) NDQ_RETURN_IF_ERROR(Fill());
+    size_t take = static_cast<size_t>(std::min<uint64_t>(n, avail_));
+    out->append(cur_, take);
+    cur_ += take;
+    avail_ -= take;
+    pos_ += take;
+    n -= take;
+  }
+  return Status::OK();
+}
+
+Status ReverseRunReader::CheckFrameLength(uint64_t claimed) const {
+  if (claimed > end_ - pos_) {
+    return Status::Corruption("record length prefix past its restart chunk");
+  }
+  return Status::OK();
+}
+
+Status ReverseRunReader::DecodeChunk(size_t c) {
+  const std::vector<RunRestart>& rs = run_->restarts;
+  const uint64_t page_size = disk_->page_size();
+  const bool last = c + 1 == rs.size();
+  const uint64_t count =
+      (last ? run_->num_records : rs[c + 1].record) - rs[c].record;
+  pos_ = rs[c].offset;
+  end_ = last ? run_->payload_bytes : rs[c + 1].offset;
+  avail_ = 0;
+  first_page_ = pos_ / page_size;
+  head_len_ = pos_ % page_size;
+  if (chunk_.size() < count) chunk_.resize(count);
+  frame_.Reset();
+  for (uint64_t k = 0; k < count; ++k) {
+    NDQ_RETURN_IF_ERROR(frame_.Decode(run_->format, this, &chunk_[k]));
+  }
+  if (pos_ != end_) {
+    return Status::Corruption("restart chunk holds bytes past its records");
+  }
+  // The bytes of this chunk's first page before its restart end the
+  // chunk before it: carry them, and nothing else, to the next step.
+  if (first_page_ == carry_page_) {
+    carry_.resize(head_len_);
+  } else if (page_no_ == first_page_) {
+    page_.resize(head_len_);
+    carry_.swap(page_);
+    page_no_ = kNoPage;
+  } else {
+    carry_.swap(head_);  // LoadPage saved it before moving past the page
+  }
+  carry_page_ = first_page_;
+  chunk_left_ = count;
+  return Status::OK();
 }
 
 }  // namespace ndq

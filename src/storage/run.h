@@ -1,11 +1,12 @@
 // Sequential record runs on the simulated disk.
 //
 // A Run is the unit of inter-operator data flow in the evaluation engine:
-// a chain of pages holding prefix-compressed records. Writers and readers
-// each buffer exactly ONE page, so a whole operator pipeline runs in
-// constant main memory — the property Theorems 8.3/8.4 assume. The page
-// list itself is kept as in-memory metadata (the analogue of a file's
-// extent table).
+// a chain of pages holding prefix-compressed records. Writers and forward
+// readers each buffer exactly ONE page, and the reverse reader one page,
+// the heads of at most two more and one restart chunk of records, so a
+// whole operator pipeline runs in constant main memory — the property
+// Theorems 8.3/8.4 assume. The page list and the restart positions are
+// kept as in-memory metadata (the analogue of a file's extent table).
 
 #ifndef NDQ_STORAGE_RUN_H_
 #define NDQ_STORAGE_RUN_H_
@@ -20,13 +21,24 @@
 
 namespace ndq {
 
+/// A restart point (storage/serde.h): record number `record` starts at
+/// byte `offset` of the run's page stream — page offset / page_size, byte
+/// offset % page_size — and decodes without history.
+struct RunRestart {
+  uint64_t record = 0;
+  uint64_t offset = 0;
+};
+
 /// Metadata for a run of records stored on disk pages. `format` is the
 /// on-page record framing (storage/serde.h), carried per run so readers
 /// never guess. `payload_bytes` counts the framed bytes actually appended
 /// to the page stream, so pages.size() == ceil(payload_bytes / page_size)
-/// in every format.
+/// in every format. `restarts` lists every restart the writer emitted, in
+/// order (record 0 first); it is what ReverseRunReader walks. A run
+/// rebuilt from a manifest (store/entry_store.h) carries none.
 struct Run {
   std::vector<PageId> pages;
+  std::vector<RunRestart> restarts;
   uint64_t num_records = 0;
   uint64_t payload_bytes = 0;
   PageFormat format = PageFormat::kPrefix;
@@ -36,13 +48,6 @@ struct Run {
 
 /// Releases a run's pages back to the disk.
 Status FreeRun(Disk* disk, Run* run);
-
-/// Produces a new run holding `run`'s records in reverse order, consuming
-/// (freeing) the input. Costs O(pages) I/O: records are spilled in
-/// page-sized batches and the batches replayed last-to-first. Used by the
-/// descendant-direction hierarchy operators, which scan their input in
-/// descending key order (see exec/hierarchy.h).
-Result<Run> ReverseRun(Disk* disk, Run run);
 
 /// Appends records to a new run, one page of buffering.
 ///
@@ -105,6 +110,33 @@ class RunWriter {
   std::string prev_record_;  // kPrefix: previous record, whole
 };
 
+namespace run_internal {
+
+/// \brief The prefix-compression state a run's frames decode against.
+///
+/// Holds the previous record (kPrefix) or its key and remainder
+/// (kKeyPrefix). RunReader and ReverseRunReader share it, so both decode
+/// — and reject — every frame alike.
+class FrameDecoder {
+ public:
+  /// Forgets the previous record: the next frame must be a restart.
+  void Reset();
+
+  /// Decodes the next frame of `format` from `in` into `record`: `in` is
+  /// a reader with ReadVarint(), ReadBytes(n, out) and
+  /// CheckFrameLength(n). A frame that back-references more than the
+  /// previous record holds is Corruption.
+  template <typename Input>
+  Status Decode(PageFormat format, Input* in, std::string* record);
+
+ private:
+  std::string prev_key_;
+  std::string prev_rest_;
+  std::string prev_record_;
+};
+
+}  // namespace run_internal
+
 /// Reads a run sequentially, one page of buffering. When the disk has an
 /// async engine attached (Disk::SetIoDepth), the reader streams ahead
 /// through a Prefetcher, keeping up to io-depth page reads in flight;
@@ -132,6 +164,8 @@ class RunReader {
   size_t next_page() const { return page_idx_; }
 
  private:
+  friend class run_internal::FrameDecoder;
+
   Status LoadPage(size_t idx);
   /// Pulls `n` raw bytes across page boundaries.
   Status ReadBytes(size_t n, std::string* out);
@@ -147,10 +181,83 @@ class RunReader {
   size_t page_idx_ = 0;   // next page to load
   size_t buf_pos_ = 0;
   uint64_t records_read_ = 0;
-  // Compression state.
-  std::string prev_key_;
-  std::string prev_rest_;
-  std::string prev_record_;
+  run_internal::FrameDecoder frame_;
+};
+
+/// \brief Reads a run from its last record to its first.
+///
+/// LevelDB's Block::Iter::Prev over a whole run: the reader walks the
+/// run's restart chunks (run.restarts; a chunk is a restart record and
+/// the records up to the next restart, at most kRestartInterval) from
+/// last to first, decodes each chunk forward and hands its records out
+/// last first. No page byte differs from a forward-read run.
+///
+/// Each page is read once, through the counted Disk path and the same
+/// prefetch window as RunReader, in the order the chunks need them:
+/// chunk i reads its pages up to the one where chunk i+1 starts. The
+/// bytes of that shared page before chunk i+1's restart end chunk i, so
+/// the reader keeps them from when it decoded chunk i+1. It holds the
+/// page it is decoding, that carried head, and one chunk of decoded
+/// records. A chunk that runs across a whole page also keeps the head of
+/// its own first page, which ends the chunk before it, while it decodes
+/// the pages past it: reading every page once needs that third, partial
+/// page.
+///
+/// A run without restart metadata is InvalidArgument, metadata that does
+/// not fit the run's pages is Corruption, and so is a damaged frame: a
+/// chunk must decode exactly its own bytes into exactly its own records.
+/// Errors are sticky.
+class ReverseRunReader {
+ public:
+  ReverseRunReader(Disk* disk, const Run& run);
+
+  /// Reads the record before the one last returned, starting with the
+  /// run's last record. Returns false once the first record is out.
+  Result<bool> Next(std::string* record);
+
+ private:
+  friend class run_internal::FrameDecoder;
+
+  static constexpr uint64_t kNoPage = ~uint64_t{0};
+
+  /// Decodes chunk `c` into chunk_ and carries its first page's head.
+  Status DecodeChunk(size_t c);
+  /// Reads run page `page`, the next one of order_, into page_.
+  Status LoadPage(uint64_t page);
+  /// Points cur_/avail_ at the chunk bytes from pos_ to the end of their
+  /// page or of the chunk.
+  Status Fill();
+  Result<uint64_t> ReadVarint();
+  Status ReadBytes(uint64_t n, std::string* out);
+  /// Rejects a suffix length the rest of the chunk cannot hold, before
+  /// any allocation.
+  Status CheckFrameLength(uint64_t claimed) const;
+
+  Disk* disk_;
+  const Run* run_;
+  std::vector<PageId> order_;  // the run's pages in the order chunks read
+  Status status_;              // metadata check, then the first error
+  Prefetcher prefetch_;        // streams order_
+  size_t next_read_ = 0;       // index into order_
+  size_t chunks_left_ = 0;     // chunks not yet decoded
+  std::vector<std::string> chunk_;
+  size_t chunk_left_ = 0;      // records of chunk_ not yet handed out
+  // Page bytes: the page being decoded, the carried head of the page the
+  // later chunk starts on, and (for a chunk longer than a page) the head
+  // of the chunk's own first page.
+  std::string page_;
+  uint64_t page_no_ = kNoPage;
+  std::string carry_;
+  uint64_t carry_page_ = kNoPage;
+  std::string head_;
+  uint64_t first_page_ = 0;  // the decoding chunk's first page
+  uint64_t head_len_ = 0;    // bytes of it before the chunk's restart
+  // Decode cursor over the chunk's bytes [pos_, end_) of the page stream.
+  uint64_t pos_ = 0;
+  uint64_t end_ = 0;
+  const char* cur_ = nullptr;
+  size_t avail_ = 0;
+  run_internal::FrameDecoder frame_;
 };
 
 }  // namespace ndq

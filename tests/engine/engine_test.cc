@@ -77,6 +77,32 @@ TEST_F(EngineTest, RunMatchesReferenceAndFillsOutcome) {
   }
 }
 
+TEST_F(EngineTest, CachedOperandsFeedChildrenLikeFreshOnes) {
+  // c reads both operand runs backwards. On a repeat the operand cache
+  // serves the leaves as copies of their lists, which must read the same.
+  constexpr const char* kCounted =
+      "(c (dc=att, dc=com ? sub ? objectClass=organizationalUnit)"
+      "   (dc=att, dc=com ? sub ? objectClass=*) count($2) >= 2)";
+  EngineOptions no_cache;
+  no_cache.cache_capacity_pages = 0;
+  Engine uncached = MakeEngine(no_cache);
+  QueryOutcome want = uncached.OpenSession().Run(kCounted);
+  NDQ_ASSERT_OK(want.status);
+  EXPECT_FALSE(want.entries.empty());
+  EXPECT_EQ(want.entries, ReferenceEntries(inst_, kCounted));
+
+  Engine engine = MakeEngine();
+  Session session = engine.OpenSession();
+  NDQ_ASSERT_OK(session.Run(kCounted).status);  // publishes the leaves
+  QueryOutcome hit = session.Run(kCounted);
+  NDQ_ASSERT_OK(hit.status);
+  ASSERT_EQ(hit.trace.children.size(), 2u);
+  EXPECT_EQ(hit.trace.children[0].cache_hits, 1u);
+  EXPECT_EQ(hit.trace.children[1].cache_hits, 1u);
+  EXPECT_EQ(hit.entries, want.entries);
+  testing::ExpectWithinTheoremBounds(hit.trace);
+}
+
 TEST_F(EngineTest, QueryConvenienceReturnsEntries) {
   Engine engine = MakeEngine();
   Session session = engine.OpenSession();

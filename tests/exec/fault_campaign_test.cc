@@ -45,6 +45,11 @@ const char* kCampaignQueries[] = {
     "    (& (dc=att, dc=com ? sub ? sourcePort=25)"
     "       (dc=att, dc=com ? sub ? objectClass=trafficProfile))"
     "    (dc=att, dc=com ? sub ? objectClass=dcObject))",
+    // A descendant pass whose filter needs the globals pre-scan: both of
+    // the filter phase's backward reads of the annotated list.
+    "(d (dc=att, dc=com ? sub ? objectClass=*)"
+    "   (dc=att, dc=com ? sub ? surName=*)"
+    "   count($2)=max(count($2)))",
     // L3: aggregation + embedded references.
     "(g (dc=research, dc=att, dc=com ? sub ? objectClass=SLAPolicyRules)"
     "   count(SLAPVPRef) > 1)",

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/atomic.h"
 #include "exec/cost.h"
 #include "exec/parallel_evaluator.h"
 #include "gen/dif_gen.h"
@@ -306,6 +307,51 @@ TEST(OptimizeTest, ChoosesIndexProbeOnlyForSelectiveFilters) {
       f.store, *f.Parse("(dc=com ? sub ? objectClass=*)"));
   EXPECT_EQ(scan.path, AccessPath::kRangeScan);
   EXPECT_GT(scan.est_matches, 0u);
+}
+
+TEST(OptimizeTest, ProbePriceCountsEachStorePageOnce) {
+  // E12's store (bench_atomic): 16 organizations at the default page size.
+  gen::DifOptions opt;
+  opt.num_orgs = 16;
+  DirectoryInstance inst = gen::GenerateDif(opt);
+  SimDisk disk;
+  EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
+  IndexSpec spec;
+  spec.attributes = {"objectClass"};
+  SimDisk index_disk;
+  AttributeIndexes indexes =
+      AttributeIndexes::Build(&index_disk, store, spec).TakeValue();
+  SimDisk scratch;
+
+  // 96 matches: a probe reads each store page at most once, so it reads
+  // fewer store pages than the scan, and the planner now picks it.
+  QueryPtr q = ParseQuery("(dc=com ? sub ? objectClass=SLADSAction)")
+                   .TakeValue();
+  AccessPathChoice choice = ChooseAccessPath(store, *q);
+  EXPECT_EQ(choice.path, AccessPath::kIndexProbe);
+  EXPECT_LT(choice.probe_pages, choice.scan_pages);
+  disk.ResetStats();
+  EntryList scan = EvalAtomic(&scratch, store, q->base(), Scope::kSub,
+                              q->filter())
+                       .TakeValue();
+  const uint64_t scan_reads = disk.stats().page_reads;
+  disk.ResetStats();
+  std::optional<ndq::Run> probe =
+      indexes.EvalAtomic(&scratch, store, q->base(), Scope::kSub, q->filter())
+          .TakeValue();
+  ASSERT_TRUE(probe.has_value());
+  const uint64_t probe_reads = disk.stats().page_reads;
+  EXPECT_EQ(scan.num_records, 96u);
+  EXPECT_LT(probe_reads, scan_reads);
+  // Either path returns the same entries.
+  EXPECT_EQ(ReadEntryList(&scratch, scan).ValueOrDie(),
+            ReadEntryList(&scratch, *probe).ValueOrDie());
+
+  // A filter that matches most of its range still scans.
+  AccessPathChoice most = ChooseAccessPath(
+      store, *ParseQuery("(dc=com ? sub ? objectClass=*)").TakeValue());
+  EXPECT_EQ(most.path, AccessPath::kRangeScan);
+  EXPECT_GE(most.probe_pages, most.scan_pages);
 }
 
 TEST(OptimizeTest, IndexProbeMatchesScanByteForByte) {
