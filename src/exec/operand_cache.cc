@@ -7,19 +7,6 @@ OperandCache::OperandCache(Disk* disk, size_t capacity_pages)
 
 OperandCache::~OperandCache() { Clear(); }
 
-Result<EntryList> OperandCache::CopyList(const EntryList& src) {
-  // Copies preserve the source's exact page format.
-  RunWriter writer(disk_, src.format);
-  RunReader reader(disk_, src);
-  std::string rec;
-  while (true) {
-    NDQ_ASSIGN_OR_RETURN(bool more, reader.Next(&rec));
-    if (!more) break;
-    NDQ_RETURN_IF_ERROR(writer.Add(rec));
-  }
-  return writer.Finish();
-}
-
 Result<bool> OperandCache::Lookup(const std::string& key, EntryList* out) {
   std::shared_ptr<Entry> entry;
   {
@@ -34,7 +21,7 @@ Result<bool> OperandCache::Lookup(const std::string& key, EntryList* out) {
     lru_.splice(lru_.end(), lru_, entry->lru_it);  // most recently used
     ++stats_.hits;
   }
-  Result<EntryList> copy = CopyList(entry->list);
+  Result<EntryList> copy = CopyRun(disk_, entry->list, disk_);
   {
     std::lock_guard<std::mutex> lock(mu_);
     bool last_unpin = --entry->pins == 0;
@@ -76,10 +63,10 @@ Status OperandCache::Insert(const std::string& key, const EntryList& list) {
   }
   // Copy outside the lock; a racing insert of the same key can slip in,
   // in which case the loser's copy is freed below.
-  Result<EntryList> copied = CopyList(list);
+  Result<EntryList> copied = CopyRun(disk_, list, disk_);
   if (!copied.ok()) {
-    // Partial copy pages were reclaimed by the RunWriter. Nothing is
-    // inserted; the caller's own list is untouched and the query goes on.
+    // CopyRun reclaimed the partial copy's pages. Nothing is inserted;
+    // the caller's own list is untouched and the query goes on.
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.copy_failures;
     return Status::OK();

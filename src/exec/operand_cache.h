@@ -14,11 +14,11 @@
 // string-typed equality, True and Presence(objectClass), atomic and LDAP
 // leaves never collide). Parallelism and tracing are not in the key: the
 // cached list is invariant under them. The cache owns PRIVATE copies of
-// the runs it stores: Insert
-// copies the caller's list in, Lookup copies the cached list out into a
-// fresh run the caller owns. Nothing the caller later frees can invalidate
-// a cached entry, and concurrent hits on one entry are plain concurrent
-// page reads.
+// the runs it stores: Insert copies the caller's list in, Lookup copies
+// the cached list out into a fresh run the caller owns, both page for
+// page (CopyRun, storage/run.h). Nothing the caller later frees can
+// invalidate a cached entry, and concurrent hits on one entry are plain
+// concurrent page reads.
 //
 // Thread safety: one mutex guards the map, the LRU order and the stats;
 // page copying happens OUTSIDE the lock under a per-entry pin count, so
@@ -51,9 +51,9 @@ struct OperandCacheStats {
   /// proceeds without it: a failed copy-in is not cached, a failed
   /// copy-out reads as a miss and evicts the entry). Counts failures
   /// under async I/O too: a prefetched read's fault/error surfaces when
-  /// the copy loop CONSUMES the page (Disk::FinishAsyncRead), i.e. on
-  /// the copying thread inside CopyList — never on an I/O worker where
-  /// it could bypass this accounting. Guarded by
+  /// the copy CONSUMES the page (Disk::FinishAsyncRead), i.e. on the
+  /// copying thread inside CopyRun — never on an I/O worker where it
+  /// could bypass this accounting. Guarded by
   /// OperandCacheAsyncCopyFailure in tests/exec/operand_cache_test.
   uint64_t copy_failures = 0;
   uint64_t resident_pages = 0;
@@ -105,10 +105,6 @@ class OperandCache {
     bool doomed = false;      // evicted/cleared while pinned
     std::list<std::string>::iterator lru_it;
   };
-
-  /// Copies `src` into a new run on disk_. Record-level copy via
-  /// RunReader/RunWriter: ~src.pages reads + writes.
-  Result<EntryList> CopyList(const EntryList& src);
 
   /// Caller holds mu_. Frees `it`'s run (or dooms it if pinned) and
   /// removes it from the map.

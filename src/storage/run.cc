@@ -23,6 +23,55 @@ Status FreeRun(Disk* disk, Run* run) {
   return first;
 }
 
+Status CheckRestarts(const Run& run, uint64_t page_size) {
+  if (run.num_records == 0) return Status::OK();
+  const std::vector<RunRestart>& rs = run.restarts;
+  const uint64_t pages = run.pages.size();
+  if (run.payload_bytes > pages * page_size ||
+      run.payload_bytes <= (pages - 1) * page_size) {
+    return Status::Corruption("run payload does not fill its pages");
+  }
+  if (rs.empty() || rs[0].record != 0 || rs[0].offset != 0) {
+    return Status::Corruption("run's first restart is not its first record");
+  }
+  for (size_t c = 0; c < rs.size(); ++c) {
+    const bool last = c + 1 == rs.size();
+    const uint64_t next_record = last ? run.num_records : rs[c + 1].record;
+    const uint64_t next_offset = last ? run.payload_bytes : rs[c + 1].offset;
+    if (next_record <= rs[c].record || next_offset <= rs[c].offset ||
+        next_record - rs[c].record > kRestartInterval) {
+      return Status::Corruption("run restart metadata out of order");
+    }
+  }
+  return Status::OK();
+}
+
+Result<Run> CopyRun(Disk* from, const Run& run, Disk* to) {
+  if (from->page_size() != to->page_size()) {
+    return Status::InvalidArgument("run copy needs disks of one page size");
+  }
+  Run copy = run;
+  copy.pages.clear();
+  copy.pages.reserve(run.pages.size());
+  Prefetcher prefetch(from, &run.pages);
+  std::vector<uint8_t> page(from->page_size());
+  auto copy_pages = [&]() -> Status {
+    for (size_t i = 0; i < run.pages.size(); ++i) {
+      NDQ_RETURN_IF_ERROR(prefetch.Read(i, page.data()));
+      NDQ_ASSIGN_OR_RETURN(PageId id, to->Allocate());
+      copy.pages.push_back(id);
+      NDQ_RETURN_IF_ERROR(to->WritePage(id, page.data()));
+    }
+    return Status::OK();
+  };
+  Status s = copy_pages();
+  if (!s.ok()) {
+    (void)FreeRun(to, &copy);
+    return s;
+  }
+  return copy;
+}
+
 RunWriter::RunWriter(Disk* disk, PageFormat format) : disk_(disk) {
   run_.format = format;
   buf_.reserve(disk_->page_size());
@@ -63,24 +112,18 @@ size_t SharedPrefix(std::string_view a, std::string_view b) {
 
 Status RunWriter::Add(std::string_view record) {
   if (finished_) return Status::Internal("Add after Finish");
-  // Where this record's frame will start (FlushPage keeps buf_ strictly
-  // below a full page between Adds).
-  last_record_page_ = run_.pages.size();
-  last_record_offset_ = static_cast<uint32_t>(buf_.size());
-
   // Restart whenever decode-from-here must not depend on history: the
   // first record, every kRestartInterval records, and — for seekable
   // runs (set_page_restarts) — the first record starting in each page,
-  // which makes every sparse-index seek target self-contained.
+  // which makes every seek target self-contained. This record starts in
+  // page pages.size() (FlushPage keeps buf_ strictly below a full page
+  // between Adds), and a page's first record is its first restart.
+  const std::vector<RunRestart>& rs = run_.restarts;
   const bool restart =
-      run_.num_records == 0 || records_since_restart_ >= kRestartInterval ||
-      (page_restarts_ && last_record_page_ != last_start_page_);
-  if (restart) {
-    records_since_restart_ = 0;
-    run_.restarts.push_back({run_.num_records, run_.payload_bytes});
-  }
-  ++records_since_restart_;
-  last_start_page_ = last_record_page_;
+      rs.empty() || run_.num_records - rs.back().record >= kRestartInterval ||
+      (page_restarts_ &&
+       rs.back().offset / disk_->page_size() != run_.pages.size());
+  if (restart) run_.restarts.push_back({run_.num_records, run_.payload_bytes});
 
   std::string framed;
   ByteWriter w(&framed);
@@ -247,17 +290,15 @@ Status RunReader::CheckFrameLength(uint64_t claimed) const {
   return Status::OK();
 }
 
-Status RunReader::SeekTo(size_t page_idx, size_t byte_offset,
-                         uint64_t record_index) {
-  if (page_idx >= run_->pages.size()) {
-    return Status::OutOfRange("seek past end of run");
+Status RunReader::SeekTo(const RunRestart& at) {
+  const uint64_t page_size = disk_->page_size();
+  if (at.offset >= run_->payload_bytes ||
+      at.offset / page_size >= run_->pages.size()) {
+    return Status::Corruption("seek past the run's payload");
   }
-  if (byte_offset >= disk_->page_size()) {
-    return Status::Corruption("seek offset past page end");
-  }
-  NDQ_RETURN_IF_ERROR(LoadPage(page_idx));
-  buf_pos_ = byte_offset;
-  records_read_ = record_index;
+  NDQ_RETURN_IF_ERROR(LoadPage(at.offset / page_size));
+  buf_pos_ = at.offset % page_size;
+  records_read_ = at.record;
   // A seek lands on a restart point, which references no history; any
   // frame that does back-reference from here is caught as corruption in
   // Next() (shared count exceeds the empty reconstruction state).
@@ -286,25 +327,9 @@ Status PlanReverseReads(const Run& run, uint64_t page_size,
     return Status::InvalidArgument(
         "run carries no restart metadata to read it backwards");
   }
-  const uint64_t pages = run.pages.size();
-  if (run.payload_bytes > pages * page_size ||
-      run.payload_bytes <= (pages - 1) * page_size) {
-    return Status::Corruption("run payload does not fill its pages");
-  }
-  if (rs[0].record != 0 || rs[0].offset != 0) {
-    return Status::Corruption("run's first restart is not its first record");
-  }
-  for (size_t c = 0; c < rs.size(); ++c) {
-    const bool last = c + 1 == rs.size();
-    const uint64_t next_record = last ? run.num_records : rs[c + 1].record;
-    const uint64_t next_offset = last ? run.payload_bytes : rs[c + 1].offset;
-    if (next_record <= rs[c].record || next_offset <= rs[c].offset ||
-        next_record - rs[c].record > kRestartInterval) {
-      return Status::Corruption("run restart metadata out of order");
-    }
-  }
-  order->reserve(pages);
-  uint64_t hi = pages;
+  NDQ_RETURN_IF_ERROR(CheckRestarts(run, page_size));
+  order->reserve(run.pages.size());
+  uint64_t hi = run.pages.size();
   for (size_t c = rs.size(); c-- > 0;) {
     const uint64_t lo = rs[c].offset / page_size;
     for (uint64_t p = lo; p < hi; ++p) order->push_back(run.pages[p]);

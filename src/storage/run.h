@@ -27,6 +27,8 @@ namespace ndq {
 struct RunRestart {
   uint64_t record = 0;
   uint64_t offset = 0;
+
+  bool operator==(const RunRestart&) const = default;
 };
 
 /// Metadata for a run of records stored on disk pages. `format` is the
@@ -34,8 +36,10 @@ struct RunRestart {
 /// never guess. `payload_bytes` counts the framed bytes actually appended
 /// to the page stream, so pages.size() == ceil(payload_bytes / page_size)
 /// in every format. `restarts` lists every restart the writer emitted, in
-/// order (record 0 first); it is what ReverseRunReader walks. A run
-/// rebuilt from a manifest (store/entry_store.h) carries none.
+/// order (record 0 first): the one record of where the run's records
+/// start that anything reads — RunReader::SeekTo targets, the entry
+/// store's sparse index and segment manifests, and ReverseRunReader's
+/// chunks.
 struct Run {
   std::vector<PageId> pages;
   std::vector<RunRestart> restarts;
@@ -48,6 +52,22 @@ struct Run {
 
 /// Releases a run's pages back to the disk.
 Status FreeRun(Disk* disk, Run* run);
+
+/// Checks `run`'s restart metadata against its pages: the payload fills
+/// the pages, the first restart is record 0 at offset 0, and each restart
+/// lies past the one before it, in records and in bytes, by at most
+/// kRestartInterval records, before the run's end. Corruption otherwise;
+/// an empty run passes. ReverseRunReader and segment manifests
+/// (store/entry_store.h) both check by it.
+Status CheckRestarts(const Run& run, uint64_t page_size);
+
+/// Copies `run` from `from` to a new run on `to`, page for page: each
+/// page is read once through a Prefetcher (counted on `from`, and an
+/// async read's fault surfaces here, on the calling thread), allocated
+/// and written once on `to`; the metadata is copied as is. The disks
+/// must share a page size (InvalidArgument otherwise). A failed copy
+/// frees the pages it allocated.
+Result<Run> CopyRun(Disk* from, const Run& run, Disk* to);
 
 /// Appends records to a new run, one page of buffering.
 ///
@@ -76,21 +96,17 @@ class RunWriter {
 
   uint64_t num_records() const { return run_.num_records; }
 
-  /// Forces a restart for the first record starting in each page, making
-  /// every such position a valid SeekTo target. Only seekable runs (the
-  /// entry store's segment, whose sparse index records those positions)
-  /// need this; scan-only runs skip it — on deep-directory keys a restart
-  /// re-emits the whole reverse-DN key, so per-page restarts cost real
-  /// compression. Call before the first Add().
+  /// Forces a restart for the first record starting in each page, so the
+  /// first restart at or past any page's start is the first record
+  /// starting there. Only seekable runs (the entry store's segment, whose
+  /// sparse index seeks by run.restarts) need this; scan-only runs skip
+  /// it — on deep-directory keys a restart re-emits the whole reverse-DN
+  /// key, so per-page restarts cost real compression. Call before the
+  /// first Add().
   void set_page_restarts(bool on) { page_restarts_ = on; }
 
-  /// Position where the most recent Add()'s frame started: page index
-  /// within the run and byte offset within that page. With
-  /// set_page_restarts(true), the first record starting in any page is
-  /// always a restart point, so this position is a valid SeekTo target
-  /// (the entry store's sparse index records it).
-  size_t last_record_page() const { return last_record_page_; }
-  uint32_t last_record_offset() const { return last_record_offset_; }
+  /// The restarts emitted so far (the finished run's `restarts`).
+  const std::vector<RunRestart>& restarts() const { return run_.restarts; }
 
  private:
   Status FlushPage();
@@ -101,10 +117,6 @@ class RunWriter {
   bool finished_ = false;
   // Compression state.
   bool page_restarts_ = false;
-  uint64_t records_since_restart_ = 0;
-  size_t last_start_page_ = static_cast<size_t>(-1);
-  size_t last_record_page_ = 0;
-  uint32_t last_record_offset_ = 0;
   std::string prev_key_;     // kKeyPrefix: previous record's key
   std::string prev_rest_;    // kKeyPrefix: previous record minus the key
   std::string prev_record_;  // kPrefix: previous record, whole
@@ -150,14 +162,12 @@ class RunReader {
   /// record's key/bytes; the caller always sees the original record.
   Result<bool> Next(std::string* record);
 
-  /// Positions the reader at `byte_offset` within page `page_idx`, which
-  /// must be the start of record number `record_index` AND (for compressed
-  /// runs) a restart point — guaranteed for the first record starting in
-  /// any page of a run written with set_page_restarts(true), which is
-  /// what the entry store's sparse index stores. A frame that
-  /// back-references history from here is reported as corruption, never
-  /// read out of bounds.
-  Status SeekTo(size_t page_idx, size_t byte_offset, uint64_t record_index);
+  /// Positions the reader at restart `at`, one of run.restarts: the next
+  /// Next() decodes record number at.record from byte at.offset of the
+  /// page stream. A restart past the payload is Corruption, and a frame
+  /// that back-references history from there is reported as corruption,
+  /// never read out of bounds.
+  Status SeekTo(const RunRestart& at);
 
   uint64_t records_read() const { return records_read_; }
   /// The index of the next page Next() loads: one past the page it holds.
@@ -203,8 +213,8 @@ class RunReader {
 /// the pages past it: reading every page once needs that third, partial
 /// page.
 ///
-/// A run without restart metadata is InvalidArgument, metadata that does
-/// not fit the run's pages is Corruption, and so is a damaged frame: a
+/// A run without restart metadata is InvalidArgument, metadata that
+/// CheckRestarts rejects is Corruption, and so is a damaged frame: a
 /// chunk must decode exactly its own bytes into exactly its own records.
 /// Errors are sticky.
 class ReverseRunReader {

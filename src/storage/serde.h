@@ -43,10 +43,11 @@ namespace ndq {
 /// record, every kRestartInterval records, and — for seekable runs
 /// (RunWriter::set_page_restarts, used by the entry store) — for every
 /// record that starts in a new page, so the first record starting in any
-/// page is decodable without history and the sparse-index seek targets
-/// stay valid. Scan-only runs skip the per-page restarts: on deep
-/// directories a restart re-emits the whole reverse-DN key, which is
-/// most of the compression win.
+/// page is decodable without history. Run::restarts (storage/run.h)
+/// lists them all; seeks, the entry store's sparse index and segment
+/// manifests take their positions from it. Scan-only runs skip the
+/// per-page restarts: on deep directories a restart re-emits the whole
+/// reverse-DN key, which is most of the compression win.
 ///
 /// The values are the on-disk format byte; 0 was the retired
 /// uncompressed layout and decodes as corruption.
@@ -57,11 +58,11 @@ enum class PageFormat : uint8_t {
 
 /// Writer-side restart interval (records between forced restarts).
 /// Seeks never depend on it — the per-page forced restart (where
-/// enabled) is what makes sparse-index targets decodable — so the
-/// interval only bounds how far a mid-page corruption can smear. Deep-
-/// directory keys make full restart records expensive (a restart
-/// re-emits the whole reverse-DN key), so the interval is deliberately
-/// loose.
+/// enabled) is what gives every page's first record a restart — so the
+/// interval bounds how far a mid-page corruption can smear and how many
+/// records a backward read decodes at once. Deep-directory keys make
+/// full restart records expensive (a restart re-emits the whole
+/// reverse-DN key), so the interval is deliberately loose.
 inline constexpr uint64_t kRestartInterval = 64;
 
 /// Always true: every run is prefix-compressed. Benchmarks record it as

@@ -46,7 +46,7 @@ class SpillableStack {
         format_(format) {}
 
   ~SpillableStack() {
-    for (Batch& b : batches_) FreeRun(disk_, &b.run);
+    for (Run& batch : batches_) FreeRun(disk_, &batch);
   }
 
   SpillableStack(const SpillableStack&) = delete;
@@ -54,11 +54,7 @@ class SpillableStack {
 
   bool Empty() const { return window_items_.empty() && batches_.empty(); }
 
-  size_t Size() const {
-    size_t n = window_items_.size();
-    for (const Batch& b : batches_) n += b.count;
-    return n;
-  }
+  size_t Size() const { return size_; }
 
   Status Push(T item) {
     if (window_items_.size() >= window_) NDQ_RETURN_IF_ERROR(SpillBottom());
@@ -96,11 +92,6 @@ class SpillableStack {
   size_t peak_size() const { return peak_size_; }
 
  private:
-  struct Batch {
-    Run run;
-    size_t count = 0;
-  };
-
   Status SpillBottom() {
     size_t n = window_items_.size() / 2;
     if (n == 0) n = 1;
@@ -112,7 +103,7 @@ class SpillableStack {
       NDQ_RETURN_IF_ERROR(writer.Add(buf));
     }
     NDQ_ASSIGN_OR_RETURN(Run run, writer.Finish());
-    batches_.push_back(Batch{std::move(run), n});
+    batches_.push_back(std::move(run));
     window_items_.erase(window_items_.begin(), window_items_.begin() + n);
     ++spill_count_;
     return Status::OK();
@@ -124,8 +115,7 @@ class SpillableStack {
     // window. A read or deserialize error therefore leaves the stack
     // exactly as it was — the batch survives for a retry — instead of
     // losing the remaining items with their pages already freed.
-    Batch& batch = batches_.back();
-    RunReader reader(disk_, batch.run);
+    RunReader reader(disk_, batches_.back());
     std::deque<T> reloaded;
     std::string rec;
     while (true) {
@@ -138,7 +128,7 @@ class SpillableStack {
     for (auto it = reloaded.rbegin(); it != reloaded.rend(); ++it) {
       window_items_.push_front(std::move(*it));
     }
-    Run run = std::move(batch.run);
+    Run run = std::move(batches_.back());
     batches_.pop_back();
     ++spill_count_;
     // The batch is applied; only now give its pages back. A failed Free
@@ -152,7 +142,7 @@ class SpillableStack {
   DeserializeFn deser_;
   PageFormat format_ = PageFormat::kPrefix;
   std::deque<T> window_items_;  // front = deepest in-memory item
-  std::vector<Batch> batches_;  // stack of spilled batches, back = newest
+  std::vector<Run> batches_;    // stack of spilled batches, back = newest
   size_t spill_count_ = 0;
   size_t size_ = 0;
   size_t peak_size_ = 0;

@@ -12,30 +12,13 @@ Status EntryStore::BuildFrom(Disk* disk, const RecordPull& next) {
   const size_t page_size = disk->page_size();
   // Entry records are keyed (HierKey first field), so the segment is
   // written with key-aware prefix compression. Page restarts make the
-  // first record starting in each page decodable without history —
-  // exactly the set of positions the sparse index records, so every
-  // SeekReader target is self-contained.
+  // first record starting in each page a restart, so every seek the
+  // sparse index makes lands on one.
   RunWriter writer(disk, PageFormat::kKeyPrefix);
   writer.set_page_restarts(true);
 
   std::string record;
   std::string prev_key;
-  // Pending sparse-index entries for pages not yet flushed are appended as
-  // pages fill; a page with no record start inherits a sentinel.
-  auto note_record_start = [&](std::string_view key, uint64_t ordinal) {
-    size_t page_idx = writer.last_record_page();
-    while (first_keys_.size() <= page_idx) {
-      first_keys_.emplace_back();
-      first_offsets_.push_back(static_cast<uint32_t>(page_size));
-      first_record_index_.push_back(ordinal);
-    }
-    if (first_offsets_[page_idx] == page_size) {
-      first_keys_[page_idx] = std::string(key);
-      first_offsets_[page_idx] = writer.last_record_offset();
-      first_record_index_[page_idx] = ordinal;
-    }
-  };
-
   while (true) {
     NDQ_ASSIGN_OR_RETURN(bool more, next(&record));
     if (!more) break;
@@ -45,26 +28,22 @@ Status EntryStore::BuildFrom(Disk* disk, const RecordPull& next) {
           "entry records not in strictly increasing key order");
     }
     prev_key.assign(key);
-    uint64_t ordinal = writer.num_records();
     NDQ_RETURN_IF_ERROR(writer.Add(record));
-    note_record_start(key, ordinal);
+    // A record that restarts in a page past the last keyed one is the
+    // first to start there; the pages before it that no record starts in
+    // repeat the previous key, so a binary search lands before them.
+    const uint64_t page = writer.restarts().back().offset / page_size;
+    if (page >= first_keys_.size()) {
+      while (first_keys_.size() < page) {
+        first_keys_.push_back(first_keys_.back());
+      }
+      first_keys_.emplace_back(key);
+    }
   }
   NDQ_ASSIGN_OR_RETURN(run_, writer.Finish());
-  // Fill index slots for trailing pages with no record start, and for
-  // pages fully occupied by spanning records.
+  // Nor does any record start in the trailing pages a last record spans.
   while (first_keys_.size() < run_.pages.size()) {
-    first_keys_.emplace_back();
-    first_offsets_.push_back(static_cast<uint32_t>(page_size));
-    first_record_index_.push_back(run_.num_records);
-  }
-  // Propagate keys forward so binary search sees a monotone sequence:
-  // a page without a record start behaves like its successor... instead,
-  // mark such pages with the previous page's key so lower_bound lands
-  // before them.
-  for (size_t i = 1; i < first_keys_.size(); ++i) {
-    if (first_offsets_[i] == page_size) {
-      first_keys_[i] = first_keys_[i - 1];
-    }
+    first_keys_.push_back(first_keys_.back());
   }
   return Status::OK();
 }
@@ -107,29 +86,12 @@ Result<EntryStore> EntryStore::FromStream(
 }
 
 Result<EntryStore> EntryStore::CopyTo(Disk* disk) const {
-  if (disk_ == nullptr || disk->page_size() != disk_->page_size()) {
-    return Status::InvalidArgument(
-        "segment copy needs a built segment and a disk of its page size");
+  if (disk_ == nullptr) {
+    return Status::InvalidArgument("segment copy needs a built segment");
   }
-  EntryStore copy = *this;  // run metadata, sparse index, shared stats
+  EntryStore copy = *this;  // sparse index, shared stats
   copy.disk_ = disk;
-  copy.run_.pages.clear();
-  copy.run_.pages.reserve(run_.pages.size());
-  std::vector<uint8_t> page(disk->page_size());
-  auto copy_pages = [&]() -> Status {
-    for (PageId src : run_.pages) {
-      NDQ_RETURN_IF_ERROR(disk_->ReadPage(src, page.data()));
-      NDQ_ASSIGN_OR_RETURN(PageId dst, disk->Allocate());
-      copy.run_.pages.push_back(dst);
-      NDQ_RETURN_IF_ERROR(disk->WritePage(dst, page.data()));
-    }
-    return Status::OK();
-  };
-  Status s = copy_pages();
-  if (!s.ok()) {
-    (void)FreeRun(disk, &copy.run_);
-    return s;
-  }
+  NDQ_ASSIGN_OR_RETURN(copy.run_, CopyRun(disk_, run_, disk));
   return copy;
 }
 
@@ -150,46 +112,39 @@ size_t PageLowerBound(const std::vector<std::string>& first_keys,
   return a == 0 ? 0 : a - 1;
 }
 
-}  // namespace
-
-size_t EntryStore::StartPage(std::string_view key) const {
-  size_t page = PageLowerBound(first_keys_, key);
-  // A page without a record start is covered by a record that began
-  // earlier; back up to the page where that record starts.
-  while (page > 0 &&
-         first_offsets_[page] == static_cast<uint32_t>(disk_->page_size())) {
-    --page;
-  }
-  return page;
+// The first of `run`'s restarts at or past byte `offset`; at a page start
+// of a run written with page restarts, the first record starting there
+// or later.
+std::vector<RunRestart>::const_iterator RestartFrom(const Run& run,
+                                                   uint64_t offset) {
+  return std::lower_bound(
+      run.restarts.begin(), run.restarts.end(), offset,
+      [](const RunRestart& r, uint64_t at) { return r.offset < at; });
 }
 
-Result<std::unique_ptr<RunReader>> EntryStore::SeekReader(
-    std::string_view start_key) const {
-  if (run_.num_records == 0) return std::unique_ptr<RunReader>();
-  const size_t page = StartPage(start_key);
-  if (first_offsets_[page] == static_cast<uint32_t>(disk_->page_size())) {
-    return std::unique_ptr<RunReader>();  // no record starts at all
-  }
-  auto reader = std::make_unique<RunReader>(disk_, run_);
-  NDQ_RETURN_IF_ERROR(
-      reader->SeekTo(page, first_offsets_[page], first_record_index_[page]));
-  return reader;
+}  // namespace
+
+const RunRestart& EntryStore::StartRestart(std::string_view key) const {
+  // The last restart before the end of the key's page sits in the last
+  // page at or before it that a record starts in (a page without one is
+  // covered by a record that began earlier); that page's first restart
+  // is its first record.
+  const uint64_t page_size = disk_->page_size();
+  const uint64_t page = PageLowerBound(first_keys_, key);
+  const uint64_t start_page =
+      std::prev(RestartFrom(run_, (page + 1) * page_size))->offset /
+      page_size;
+  return *RestartFrom(run_, start_page * page_size);
 }
 
 Status EntryStore::ScanRange(
     std::string_view start_key, std::string_view end_key,
     const std::function<Status(std::string_view record)>& fn) const {
-  NDQ_ASSIGN_OR_RETURN(std::unique_ptr<RunReader> reader,
-                       SeekReader(start_key));
-  if (reader == nullptr) return Status::OK();
-  std::string record;
+  Cursor cursor(this, start_key);
   while (true) {
-    NDQ_ASSIGN_OR_RETURN(bool more, reader->Next(&record));
-    if (!more) break;
-    NDQ_ASSIGN_OR_RETURN(std::string_view key, PeekEntryKey(record));
-    if (key < start_key) continue;
-    if (!end_key.empty() && key >= end_key) break;
-    NDQ_RETURN_IF_ERROR(fn(record));
+    NDQ_ASSIGN_OR_RETURN(bool more, cursor.Next());
+    if (!more || (!end_key.empty() && cursor.key() >= end_key)) break;
+    NDQ_RETURN_IF_ERROR(fn(cursor.record()));
   }
   return Status::OK();
 }
@@ -202,7 +157,11 @@ Result<bool> EntryStore::Cursor::Next() {
   if (store_ == nullptr) return false;
   if (!primed_) {
     primed_ = true;
-    NDQ_ASSIGN_OR_RETURN(reader_, store_->SeekReader(start_key_));
+    if (store_->run_.num_records == 0) return false;
+    // Records before start_key_ in the seek target's page are skipped below.
+    auto reader = std::make_unique<RunReader>(store_->disk_, store_->run_);
+    NDQ_RETURN_IF_ERROR(reader->SeekTo(store_->StartRestart(start_key_)));
+    reader_ = std::move(reader);
   }
   if (reader_ == nullptr) return false;
   while (true) {
@@ -229,15 +188,18 @@ uint64_t EntryStore::EstimateRangePages(std::string_view start_key,
 uint64_t EntryStore::EstimateRangeRecords(std::string_view start_key,
                                           std::string_view end_key) const {
   if (run_.num_records == 0) return 0;
-  size_t lo = PageLowerBound(first_keys_, start_key);
-  uint64_t lo_rec = first_record_index_[lo];
-  uint64_t hi_rec = run_.num_records;
-  if (!end_key.empty()) {
-    size_t hi = PageLowerBound(first_keys_, end_key);
-    hi_rec = (hi + 1 < first_record_index_.size())
-                 ? first_record_index_[hi + 1]
-                 : run_.num_records;
-  }
+  // The records starting before page p are those before the first
+  // restart at or past it.
+  auto records_before = [&](uint64_t page) {
+    auto it = RestartFrom(run_, page * disk_->page_size());
+    return it == run_.restarts.end() ? run_.num_records : it->record;
+  };
+  const uint64_t lo_rec =
+      records_before(PageLowerBound(first_keys_, start_key));
+  const uint64_t hi_rec =
+      end_key.empty()
+          ? run_.num_records
+          : records_before(PageLowerBound(first_keys_, end_key) + 1);
   return hi_rec > lo_rec ? hi_rec - lo_rec : 1;
 }
 
@@ -263,10 +225,9 @@ Status EntryStore::ScanKeys(
     if (run_.num_records == 0) {
       return Status::NotFound("segment holds no record for " + key);
     }
-    const size_t page = StartPage(key);
-    if (!positioned || page > reader.next_page()) {
-      NDQ_RETURN_IF_ERROR(reader.SeekTo(page, first_offsets_[page],
-                                        first_record_index_[page]));
+    const RunRestart& from = StartRestart(key);
+    if (!positioned || from.offset / disk_->page_size() > reader.next_page()) {
+      NDQ_RETURN_IF_ERROR(reader.SeekTo(from));
       positioned = true;
     }
     std::string_view at;
@@ -286,18 +247,19 @@ Status EntryStore::ScanKeys(
 std::string EntryStore::SerializeManifest() const {
   std::string out;
   ByteWriter w(&out);
-  w.PutString("ndqseg2");
+  w.PutString("ndqseg3");
   w.PutU8(static_cast<uint8_t>(run_.format));
   w.PutVarint(run_.num_records);
   w.PutVarint(run_.payload_bytes);
   w.PutVarint(run_.pages.size());
   for (PageId p : run_.pages) w.PutVarint(p);
-  w.PutVarint(first_keys_.size());
-  for (size_t i = 0; i < first_keys_.size(); ++i) {
-    w.PutString(first_keys_[i]);
-    w.PutVarint(first_offsets_[i]);
-    w.PutVarint(first_record_index_[i]);
+  w.PutVarint(run_.restarts.size());
+  for (const RunRestart& r : run_.restarts) {
+    w.PutVarint(r.record);
+    w.PutVarint(r.offset);
   }
+  w.PutVarint(first_keys_.size());
+  for (const std::string& key : first_keys_) w.PutString(key);
   return out;
 }
 
@@ -305,7 +267,7 @@ Result<EntryStore> EntryStore::FromManifest(Disk* disk,
                                             std::string_view manifest) {
   ByteReader r(manifest);
   NDQ_ASSIGN_OR_RETURN(std::string_view magic, r.GetString());
-  if (magic != "ndqseg2") {
+  if (magic != "ndqseg3") {
     return Status::Corruption("bad entry-store manifest magic");
   }
   EntryStore store;
@@ -318,9 +280,9 @@ Result<EntryStore> EntryStore::FromManifest(Disk* disk,
   store.run_.format = static_cast<PageFormat>(fmt);
   NDQ_ASSIGN_OR_RETURN(store.run_.num_records, r.GetVarint());
   NDQ_ASSIGN_OR_RETURN(store.run_.payload_bytes, r.GetVarint());
-  // Manifests come back from unchecksummed WAL pages: every page id and
-  // index entry takes at least one byte, so a count beyond the bytes left
-  // is corrupt, and is rejected before it sizes an allocation.
+  // Manifests come back from unchecksummed WAL pages: every page id,
+  // restart and key takes at least one byte, so a count beyond the bytes
+  // left is corrupt, and is rejected before it sizes an allocation.
   auto check_count = [&](uint64_t n) -> Status {
     if (n > manifest.size() - r.position()) {
       return Status::Corruption("entry-store manifest count past end");
@@ -334,23 +296,23 @@ Result<EntryStore> EntryStore::FromManifest(Disk* disk,
     NDQ_ASSIGN_OR_RETURN(uint64_t p, r.GetVarint());
     store.run_.pages.push_back(static_cast<PageId>(p));
   }
-  NDQ_ASSIGN_OR_RETURN(uint64_t nidx, r.GetVarint());
-  NDQ_RETURN_IF_ERROR(check_count(nidx));
-  if (nidx != npages) {
-    return Status::Corruption("entry-store manifest index/page mismatch");
+  NDQ_ASSIGN_OR_RETURN(uint64_t nrestarts, r.GetVarint());
+  NDQ_RETURN_IF_ERROR(check_count(nrestarts));
+  store.run_.restarts.resize(nrestarts);
+  for (RunRestart& restart : store.run_.restarts) {
+    NDQ_ASSIGN_OR_RETURN(restart.record, r.GetVarint());
+    NDQ_ASSIGN_OR_RETURN(restart.offset, r.GetVarint());
   }
-  for (uint64_t i = 0; i < nidx; ++i) {
+  NDQ_ASSIGN_OR_RETURN(uint64_t nkeys, r.GetVarint());
+  NDQ_RETURN_IF_ERROR(check_count(nkeys));
+  if (nkeys != npages) {
+    return Status::Corruption("entry-store manifest key/page mismatch");
+  }
+  for (uint64_t i = 0; i < nkeys; ++i) {
     NDQ_ASSIGN_OR_RETURN(std::string_view key, r.GetString());
-    NDQ_ASSIGN_OR_RETURN(uint64_t off, r.GetVarint());
-    NDQ_ASSIGN_OR_RETURN(uint64_t rec, r.GetVarint());
-    // page_size is the "no record starts here" sentinel.
-    if (off > disk->page_size()) {
-      return Status::Corruption("entry-store manifest offset past page");
-    }
     store.first_keys_.emplace_back(key);
-    store.first_offsets_.push_back(static_cast<uint32_t>(off));
-    store.first_record_index_.push_back(rec);
   }
+  NDQ_RETURN_IF_ERROR(CheckRestarts(store.run_, disk->page_size()));
   return store;
 }
 
@@ -358,8 +320,6 @@ Status EntryStore::Destroy() {
   if (disk_ == nullptr) return Status::OK();
   NDQ_RETURN_IF_ERROR(FreeRun(disk_, &run_));
   first_keys_.clear();
-  first_offsets_.clear();
-  first_record_index_.clear();
   stats_.reset();
   return Status::OK();
 }

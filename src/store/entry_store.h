@@ -1,8 +1,9 @@
 // The disk-resident directory entry table.
 //
 // Entries are serialized in HierKey (reverse-DN) order into pages of the
-// simulated disk, with an in-memory sparse index (first key of each page),
-// like one SSTable/segment of an LSM tree. Because the table is in the
+// simulated disk, with an in-memory sparse index (the first key of each
+// page, plus the run's restarts for where records start), like one
+// SSTable/segment of an LSM tree. Because the table is in the
 // paper's global sort order, every atomic query scope is a key *range*:
 //   base  -> the single key,
 //   one   -> the subtree range, filtered to depth+1 (children),
@@ -112,11 +113,10 @@ class EntryStore : public EntrySource {
   static Result<EntryStore> FromStream(
       Disk* disk, const std::function<Result<bool>(std::string*)>& next);
 
-  /// A page-for-page copy of this segment on `disk`, which must have the
-  /// same page size: byte-identical pages, the same sparse index, and the
-  /// same shared StoreStats object (if any). Reads each page once from
-  /// this segment's disk (counted there) and writes it once to `disk`. A
-  /// failed copy frees the pages it allocated.
+  /// A page-for-page copy of this segment on `disk` (CopyRun), which must
+  /// have the same page size: byte-identical pages, the same sparse index,
+  /// and the same shared StoreStats object (if any). A failed copy frees
+  /// the pages it allocated.
   Result<EntryStore> CopyTo(Disk* disk) const;
 
   /// Calls `fn` for every record with start_key <= key < end_key (end_key
@@ -144,8 +144,9 @@ class EntryStore : public EntrySource {
   uint64_t EstimateRangePages(std::string_view start_key,
                               std::string_view end_key) const override;
 
-  /// Estimated number of records in [start_key, end_key), interpolated
-  /// from per-page record ordinals (no I/O).
+  /// Estimated number of records in [start_key, end_key): the records
+  /// starting in the pages the range overlaps, counted from the run's
+  /// restarts (no I/O).
   uint64_t EstimateRangeRecords(std::string_view start_key,
                                 std::string_view end_key) const override;
 
@@ -183,44 +184,42 @@ class EntryStore : public EntrySource {
   /// Frees the segment's pages.
   Status Destroy();
 
-  /// Serializes the segment's metadata (page list + sparse index). Pair
-  /// with SimDisk::SaveToFile to persist a store across processes.
+  /// Serializes the segment's metadata: magic `ndqseg3`, the page
+  /// format, the record and payload counts, the page list, the restarts
+  /// and the per-page keys. Pair with SimDisk::SaveToFile to persist a
+  /// store across processes.
   std::string SerializeManifest() const;
 
   /// Re-attaches a segment to `disk` from a manifest produced by
-  /// SerializeManifest (the disk must hold the corresponding image).
+  /// SerializeManifest (the disk must hold the corresponding image). The
+  /// restarts are checked as ReverseRunReader checks them (CheckRestarts),
+  /// so the segment's run is the one its writer produced; any other magic
+  /// or a damaged manifest is Corruption.
   static Result<EntryStore> FromManifest(Disk* disk,
                                          std::string_view manifest);
 
  private:
   Disk* disk_ = nullptr;
+  // Written with page restarts: the first record starting in page p is the
+  // first of run_.restarts at an offset >= p * page_size, and a page with
+  // no restart has no record start.
   Run run_;
   std::shared_ptr<const StoreStats> stats_;
   // Sparse index: first_keys_[i] is the key of the first record *starting*
   // in page i of run_.pages (records may span pages; a page with no record
   // start repeats the previous key).
   std::vector<std::string> first_keys_;
-  // Record index: for each page, the byte offset within the page of the
-  // first record starting there (page_size if none).
-  std::vector<uint32_t> first_offsets_;
-  // Ordinal of the first record starting in each page.
-  std::vector<uint64_t> first_record_index_;
 
   /// Pulls the next record into `*record`; false at end.
   using RecordPull = std::function<Result<bool>(std::string* record)>;
 
   Status BuildFrom(Disk* disk, const RecordPull& next);
 
-  /// The page where the record at `key`'s position starts: the last page
-  /// whose first record starts at or before `key`, backed up over pages
-  /// in which no record starts. The store must hold a record.
-  size_t StartPage(std::string_view key) const;
-
-  /// Returns a reader positioned at the first record that *starts* in the
-  /// page containing start_key's position (records before start_key must
-  /// be skipped by the caller); nullptr if the store is empty.
-  Result<std::unique_ptr<RunReader>> SeekReader(
-      std::string_view start_key) const;
+  /// The restart a read of the records at `key`'s position starts from:
+  /// the first record starting in the last page whose first key is <=
+  /// `key`, backed up over pages in which no record starts. The store must
+  /// hold a record.
+  const RunRestart& StartRestart(std::string_view key) const;
 };
 
 }  // namespace ndq

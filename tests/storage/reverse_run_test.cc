@@ -164,8 +164,7 @@ TEST(ReverseRunReaderTest, WriterRecordsEveryRestart) {
     EXPECT_EQ(r.record, c * kRestartInterval);
     // A restart decodes without history: seek there and read it.
     RunReader reader(&disk, run);
-    ASSERT_TRUE(
-        reader.SeekTo(r.offset / 128, r.offset % 128, r.record).ok());
+    ASSERT_TRUE(reader.SeekTo(r).ok());
     std::string rec;
     ASSERT_TRUE(reader.Next(&rec).ValueOrDie());
     EXPECT_EQ(rec, records[r.record]);

@@ -4,6 +4,7 @@
 // never read out of bounds).
 
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -167,38 +168,41 @@ TEST(RunFormatTest, ReverseReadKeepsTheKeyedFormat) {
 }
 
 TEST(RunFormatTest, SeekToPageStartIsAlwaysARestart) {
-  // Seek to the first record starting in each page (the positions the
-  // entry store's sparse index uses) and decode from there with no
-  // history.
+  // Every restart the writer records is a SeekTo target that decodes with
+  // no history, and with page restarts the first record starting in each
+  // page is among them (the positions the entry store's sparse index
+  // seeks to).
   SimDisk disk(256);
   RunWriter w(&disk, PageFormat::kKeyPrefix);
   w.set_page_restarts(true);
-  struct Start {
-    size_t page;
-    uint32_t offset;
-    uint64_t ordinal;
-  };
-  std::vector<Start> starts;
   std::vector<std::string> recs;
-  size_t last_page = static_cast<size_t>(-1);
+  std::vector<uint64_t> start_pages;  // the page each record starts in
   for (int i = 0; i < 300; ++i) {
     recs.push_back(KeyedRecord("common-prefix-key-" + std::to_string(i),
                                "rest-" + std::to_string(i)));
+    // The disk holds only the pages the writer has flushed; the record
+    // starts in the one after them.
+    start_pages.push_back(disk.live_pages());
     ASSERT_TRUE(w.Add(recs.back()).ok());
-    if (w.last_record_page() != last_page) {
-      last_page = w.last_record_page();
-      starts.push_back(Start{w.last_record_page(), w.last_record_offset(),
-                             static_cast<uint64_t>(i)});
-    }
   }
   ndq::Run run = w.Finish().ValueOrDie();
-  ASSERT_GT(starts.size(), 3u);
-  for (const Start& s : starts) {
+  ASSERT_GT(run.pages.size(), 3u);
+  std::set<uint64_t> restarted;
+  for (const RunRestart& at : run.restarts) {
+    restarted.insert(at.record);
+    EXPECT_EQ(at.offset / disk.page_size(), start_pages[at.record]);
     RunReader r(&disk, run);
-    ASSERT_TRUE(r.SeekTo(s.page, s.offset, s.ordinal).ok());
+    ASSERT_TRUE(r.SeekTo(at).ok());
     std::string rec;
     ASSERT_TRUE(r.Next(&rec).ValueOrDie());
-    EXPECT_EQ(rec, recs[s.ordinal]);
+    EXPECT_EQ(rec, recs[at.record]);
+  }
+  for (size_t i = 0; i < recs.size(); ++i) {
+    if (i == 0 || start_pages[i] != start_pages[i - 1]) {
+      EXPECT_EQ(restarted.count(i), 1u)
+          << "record " << i << " is the first to start in page "
+          << start_pages[i];
+    }
   }
 }
 
@@ -208,7 +212,7 @@ TEST(RunFormatTest, SeekPastPageEndIsCorruption) {
   for (int i = 0; i < 50; ++i) ASSERT_TRUE(w.Add("record").ok());
   ndq::Run run = w.Finish().ValueOrDie();
   RunReader r(&disk, run);
-  Status s = r.SeekTo(0, disk.page_size(), 0);
+  Status s = r.SeekTo(RunRestart{0, run.payload_bytes});
   EXPECT_EQ(s.code(), StatusCode::kCorruption);
 }
 
@@ -233,7 +237,7 @@ TEST(RunFormatTest, SeekIntoNonRestartFrameIsCorruptionNotOob) {
   fw.PutVarint(first.size());
   framed += first;
   RunReader r(&disk, run);
-  ASSERT_TRUE(r.SeekTo(0, framed.size(), 1).ok());
+  ASSERT_TRUE(r.SeekTo(RunRestart{1, framed.size()}).ok());
   std::string rec;
   Result<bool> got = r.Next(&rec);
   EXPECT_FALSE(got.ok());

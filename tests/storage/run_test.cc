@@ -1,6 +1,11 @@
 #include "storage/run.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "storage/fault_injector.h"
+#include "storage/serde.h"
 
 namespace ndq {
 namespace {
@@ -110,6 +115,98 @@ TEST(RunTest, AddAfterFinishRejected) {
   ASSERT_TRUE(w.Add("x").ok());
   ASSERT_TRUE(w.Finish().ok());
   EXPECT_FALSE(w.Add("y").ok());
+}
+
+// A run of `n` keyed records in `format` (kPrefix treats them as opaque).
+Run WriteKeyed(Disk* disk, PageFormat format, int n) {
+  RunWriter w(disk, format);
+  for (int i = 0; i < n; ++i) {
+    std::string rec;
+    ByteWriter(&rec).PutString("key-" + std::to_string(1000 + i));
+    rec += "value-" + std::to_string(i);
+    EXPECT_TRUE(w.Add(rec).ok());
+  }
+  return w.Finish().ValueOrDie();
+}
+
+TEST(RunTest, CopyRunIsPageForPage) {
+  for (PageFormat format : {PageFormat::kPrefix, PageFormat::kKeyPrefix}) {
+    for (int n : {0, 1, 300}) {
+      SCOPED_TRACE("format " + std::to_string(static_cast<int>(format)) +
+                   ", " + std::to_string(n) + " records");
+      SimDisk from(128), to(128);
+      ndq::Run run = WriteKeyed(&from, format, n);
+      ASSERT_EQ(run.pages.size() > 1, n > 1);  // empty, one page, many
+      from.ResetStats();
+      ndq::Run copy = CopyRun(&from, run, &to).ValueOrDie();
+
+      // One read per page on the source, one allocation and write per
+      // page on the target.
+      EXPECT_EQ(from.stats().page_reads, run.pages.size());
+      EXPECT_EQ(from.stats().page_writes, 0u);
+      EXPECT_EQ(to.stats().page_writes, run.pages.size());
+      EXPECT_EQ(to.live_pages(), run.pages.size());
+      EXPECT_EQ(copy.restarts, run.restarts);
+      EXPECT_EQ(copy.num_records, run.num_records);
+      EXPECT_EQ(copy.payload_bytes, run.payload_bytes);
+      EXPECT_EQ(copy.format, run.format);
+      ASSERT_EQ(copy.pages.size(), run.pages.size());
+      std::vector<uint8_t> a(128), b(128);
+      for (size_t i = 0; i < run.pages.size(); ++i) {
+        ASSERT_TRUE(from.ReadPage(run.pages[i], a.data()).ok());
+        ASSERT_TRUE(to.ReadPage(copy.pages[i], b.data()).ok());
+        EXPECT_EQ(a, b) << "page " << i;
+      }
+      ASSERT_TRUE(FreeRun(&to, &copy).ok());
+      EXPECT_EQ(to.live_pages(), 0u);
+    }
+  }
+}
+
+TEST(RunTest, CopyRunNeedsOnePageSize) {
+  SimDisk from(128), to(256);
+  ndq::Run run = WriteKeyed(&from, PageFormat::kPrefix, 50);
+  EXPECT_EQ(CopyRun(&from, run, &to).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(to.live_pages(), 0u);
+}
+
+TEST(RunTest, FailedCopyRunFreesItsPages) {
+  // Fail the copy at every read, allocation and write it makes, with and
+  // without async reads: each attempt returns a Status and strands no
+  // page on the target.
+  const uint32_t ops = FaultOpBit(FaultOp::kRead) |
+                       FaultOpBit(FaultOp::kAllocate) |
+                       FaultOpBit(FaultOp::kWrite);
+  SimDisk from(128);
+  ndq::Run run = WriteKeyed(&from, PageFormat::kKeyPrefix, 100);
+  ASSERT_GT(run.pages.size(), 3u);
+  const uint64_t copy_ops = 3 * run.pages.size();
+  for (size_t io_depth : {0, 2}) {
+    from.SetIoDepth(io_depth);
+    for (uint64_t nth = 1; nth <= copy_ops + 1; ++nth) {
+      SCOPED_TRACE("io depth " + std::to_string(io_depth) + ", op " +
+                   std::to_string(nth));
+      SimDisk to(128);
+      FaultInjector fi({FaultInjector::FailNth(nth, ops)});
+      from.set_fault_injector(&fi);
+      to.set_fault_injector(&fi);
+      Result<ndq::Run> copy = CopyRun(&from, run, &to);
+      from.set_fault_injector(nullptr);
+      to.set_fault_injector(nullptr);
+      if (nth > copy_ops) {
+        // Past the copy's last op: nothing fires, and the copy is whole.
+        EXPECT_EQ(fi.ops_seen(), copy_ops);
+        ASSERT_TRUE(copy.ok()) << copy.status().ToString();
+        EXPECT_EQ(to.live_pages(), run.pages.size());
+        continue;
+      }
+      EXPECT_FALSE(copy.ok());
+      EXPECT_EQ(fi.faults_fired(), 1u);
+      EXPECT_EQ(to.live_pages(), 0u);
+    }
+  }
+  from.SetIoDepth(0);
 }
 
 }  // namespace

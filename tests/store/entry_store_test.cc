@@ -1,6 +1,7 @@
 #include "store/entry_store.h"
 
 #include <random>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -157,7 +158,6 @@ TEST(EntryStoreTest, DestroyFreesPages) {
 
 TEST(EntryStoreTest, RandomRangeScansMatchInstance) {
   std::mt19937 rng(3);
-  SimDisk disk(256);
   DirectoryInstance inst(Schema(), false);
   std::vector<std::string> all_keys;
   for (int i = 0; i < 300; ++i) {
@@ -171,17 +171,22 @@ TEST(EntryStoreTest, RandomRangeScansMatchInstance) {
     if (inst.Add(std::move(e)).ok()) all_keys.push_back(dn.HierKey());
   }
   std::sort(all_keys.begin(), all_keys.end());
-  EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
-  for (int trial = 0; trial < 50; ++trial) {
-    std::string a = all_keys[rng() % all_keys.size()];
-    std::string b = all_keys[rng() % all_keys.size()];
-    if (b < a) std::swap(a, b);
-    std::vector<std::string> got = ScanKeys(store, a, b);
-    std::vector<std::string> expect;
-    for (const std::string& k : all_keys) {
-      if (k >= a && k < b) expect.push_back(k);
+  // A 4096-byte page holds more than kRestartInterval of these records, so
+  // restarts also sit mid-page there, past the one a seek must land on.
+  for (size_t page_size : {256, 4096}) {
+    SimDisk disk(page_size);
+    EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
+    for (int trial = 0; trial < 50; ++trial) {
+      std::string a = all_keys[rng() % all_keys.size()];
+      std::string b = all_keys[rng() % all_keys.size()];
+      if (b < a) std::swap(a, b);
+      std::vector<std::string> got = ScanKeys(store, a, b);
+      std::vector<std::string> expect;
+      for (const std::string& k : all_keys) {
+        if (k >= a && k < b) expect.push_back(k);
+      }
+      ASSERT_EQ(got, expect) << page_size << "-byte pages, range " << trial;
     }
-    ASSERT_EQ(got, expect) << "range [" << trial << "]";
   }
 }
 
@@ -289,9 +294,10 @@ TEST(EntryStoreTest, OnlyBulkLoadCarriesStats) {
   for (const EntryStore* store : {&entries, &stream, &attached}) {
     EXPECT_EQ(store->stats(), nullptr);
     EXPECT_EQ(store->CopyTo(&copy_disk).TakeValue().stats(), nullptr);
-    // The same segment otherwise: records, pages and estimates.
+    // The same segment otherwise: records, pages, restarts and estimates.
     EXPECT_EQ(ScanRecords(*store), ScanRecords(bulk));
     EXPECT_EQ(store->num_pages(), bulk.num_pages());
+    EXPECT_EQ(store->run().restarts, bulk.run().restarts);
     EXPECT_EQ(store->EstimateRangeRecords("", ""),
               bulk.EstimateRangeRecords("", ""));
   }
@@ -362,10 +368,20 @@ TEST(EntryStoreTest, ManifestRoundTripsCompressedSegments) {
   EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
   ASSERT_EQ(store.run().format, PageFormat::kKeyPrefix);
   std::string manifest = store.SerializeManifest();
-  EXPECT_NE(manifest.find("ndqseg2"), std::string::npos);
+  EXPECT_NE(manifest.find("ndqseg3"), std::string::npos);
   EntryStore back = EntryStore::FromManifest(&disk, manifest).TakeValue();
   EXPECT_EQ(back.run().format, store.run().format);
+  EXPECT_EQ(back.run().restarts, store.run().restarts);
   EXPECT_EQ(ScanKeys(back, "", ""), ScanKeys(store, "", ""));
+  // The re-attached segment is the run its writer produced, so it reads
+  // backwards too.
+  std::vector<std::string> backwards;
+  ReverseRunReader reverse(&disk, back.run());
+  std::string record;
+  while (reverse.Next(&record).ValueOrDie()) backwards.push_back(record);
+  std::vector<std::string> forwards = ScanRecords(back);
+  EXPECT_EQ(backwards,
+            std::vector<std::string>(forwards.rbegin(), forwards.rend()));
 }
 
 // A manifest header: magic, format byte, record count, payload bytes.
@@ -385,42 +401,216 @@ StatusCode AttachCode(Disk* disk, const std::string& manifest) {
 
 TEST(EntryStoreTest, ManifestRejectsRetiredMagicAndFormats) {
   SimDisk disk(512);
-  std::string empty_lists;
-  ByteWriter(&empty_lists).PutVarint(0);
-  ByteWriter(&empty_lists).PutVarint(0);
-  EXPECT_EQ(AttachCode(&disk, ManifestHeader("ndqseg2", 2) + empty_lists),
+  std::string empty_lists;  // no pages, restarts or keys
+  for (int list = 0; list < 3; ++list) ByteWriter(&empty_lists).PutVarint(0);
+  EXPECT_EQ(AttachCode(&disk, ManifestHeader("ndqseg3", 2) + empty_lists),
             StatusCode::kOk);
-  // The uncompressed layout's magic and its format byte 0 are retired.
-  EXPECT_EQ(AttachCode(&disk, ManifestHeader("ndqseg1", 2) + empty_lists),
-            StatusCode::kCorruption);
+  // The uncompressed layout's magic, the manifest without restarts, and
+  // format byte 0 are retired.
+  for (std::string_view magic : {"ndqseg1", "ndqseg2"}) {
+    EXPECT_EQ(AttachCode(&disk, ManifestHeader(magic, 2) + empty_lists),
+              StatusCode::kCorruption)
+        << magic;
+  }
   for (uint8_t format : {0, 3, 255}) {
     EXPECT_EQ(
-        AttachCode(&disk, ManifestHeader("ndqseg2", format) + empty_lists),
+        AttachCode(&disk, ManifestHeader("ndqseg3", format) + empty_lists),
         StatusCode::kCorruption)
         << int{format};
   }
 }
 
+// A one-page manifest of `records` records in `payload` bytes, with the
+// given restarts and one key.
+std::string OnePageManifest(uint64_t records, uint64_t payload,
+                            const std::vector<RunRestart>& restarts) {
+  std::string out;
+  ByteWriter w(&out);
+  w.PutString("ndqseg3");
+  w.PutU8(2);
+  w.PutVarint(records);
+  w.PutVarint(payload);
+  w.PutVarint(1);
+  w.PutVarint(0);
+  w.PutVarint(restarts.size());
+  for (const RunRestart& r : restarts) {
+    w.PutVarint(r.record);
+    w.PutVarint(r.offset);
+  }
+  w.PutVarint(1);
+  w.PutString("key");
+  return out;
+}
+
 TEST(EntryStoreTest, ManifestHostileCountsAreCorruption) {
   // Counts near 2^61 must fail as Corruption before they size a vector.
   SimDisk disk(512);
-  std::string pages = ManifestHeader("ndqseg2", 2);
+  std::string pages = ManifestHeader("ndqseg3", 2);
   ByteWriter(&pages).PutVarint(uint64_t{1} << 61);
   EXPECT_EQ(AttachCode(&disk, pages), StatusCode::kCorruption);
-  std::string index = ManifestHeader("ndqseg2", 2);
-  ByteWriter(&index).PutVarint(0);
-  ByteWriter(&index).PutVarint(uint64_t{1} << 61);
-  EXPECT_EQ(AttachCode(&disk, index), StatusCode::kCorruption);
-  // A sparse-index offset past the page is corrupt too.
-  std::string offset = ManifestHeader("ndqseg2", 2);
-  ByteWriter w(&offset);
-  w.PutVarint(1);
-  w.PutVarint(0);
-  w.PutVarint(1);
-  w.PutString("key");
-  w.PutVarint(513);
-  w.PutVarint(0);
-  EXPECT_EQ(AttachCode(&disk, offset), StatusCode::kCorruption);
+  std::string restarts = ManifestHeader("ndqseg3", 2);
+  ByteWriter(&restarts).PutVarint(0);
+  ByteWriter(&restarts).PutVarint(uint64_t{1} << 61);
+  EXPECT_EQ(AttachCode(&disk, restarts), StatusCode::kCorruption);
+  std::string keys = ManifestHeader("ndqseg3", 2);
+  ByteWriter(&keys).PutVarint(0);
+  ByteWriter(&keys).PutVarint(0);
+  ByteWriter(&keys).PutVarint(uint64_t{1} << 61);
+  EXPECT_EQ(AttachCode(&disk, keys), StatusCode::kCorruption);
+
+  // Restarts are checked as a reverse read checks them: the first must be
+  // record 0 at offset 0, each must lie past the one before, and all
+  // before the end of the payload.
+  EXPECT_EQ(AttachCode(&disk, OnePageManifest(3, 30, {{0, 0}, {2, 20}})),
+            StatusCode::kOk);
+  EXPECT_EQ(AttachCode(&disk, OnePageManifest(3, 30, {{0, 5}, {2, 20}})),
+            StatusCode::kCorruption);
+  EXPECT_EQ(AttachCode(&disk, OnePageManifest(3, 30, {{1, 0}, {2, 20}})),
+            StatusCode::kCorruption);
+  EXPECT_EQ(
+      AttachCode(&disk, OnePageManifest(3, 30, {{0, 0}, {2, 20}, {1, 25}})),
+      StatusCode::kCorruption);
+  EXPECT_EQ(AttachCode(&disk, OnePageManifest(3, 30, {{0, 0}, {2, 40}})),
+            StatusCode::kCorruption);
+  EXPECT_EQ(AttachCode(&disk, OnePageManifest(3, 30, {})),
+            StatusCode::kCorruption);
+}
+
+// Every key range RangeEstimatesAndSeekReadsArePinned covers: the whole
+// store; each entry's base range, the range of its proper descendants
+// and its subtree range; and the open ranges on either side of a key
+// that falls between the entry and the next one.
+std::vector<std::pair<std::string, std::string>> PinnedRanges(
+    const DirectoryInstance& inst) {
+  std::vector<std::pair<std::string, std::string>> ranges = {{"", ""}};
+  for (const auto& [key, entry] : inst) {
+    (void)entry;
+    ranges.emplace_back(key, KeyExactEnd(key));
+    ranges.emplace_back(KeyDescendantsBegin(key), KeySubtreeEnd(key));
+    ranges.emplace_back(key, KeySubtreeEnd(key));
+    std::string between = key + '\0';
+    ranges.emplace_back(between, "");
+    ranges.emplace_back("", between);
+  }
+  return ranges;
+}
+
+// Three figures per pinned range: EstimateRangePages,
+// EstimateRangeRecords, and the pages ScanRange reads.
+std::vector<uint64_t> RangeFigures(SimDisk* disk, const EntryStore& store,
+                                   const DirectoryInstance& inst) {
+  std::vector<uint64_t> figures;
+  for (const auto& [start, end] : PinnedRanges(inst)) {
+    figures.push_back(store.EstimateRangePages(start, end));
+    figures.push_back(store.EstimateRangeRecords(start, end));
+    disk->ResetStats();
+    Status s = store.ScanRange(
+        start, end, [](std::string_view) { return Status::OK(); });
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    figures.push_back(disk->stats().page_reads);
+  }
+  return figures;
+}
+
+// Entries of 40 to 700 bytes under three ou entries: on 256-byte pages,
+// pages several records start in and pages no record starts in, among
+// them the pages the last record ends in.
+DirectoryInstance LongRecordInstance() {
+  DirectoryInstance inst(Schema(), /*validate=*/false);
+  auto add = [&](const std::string& dn, size_t blob, char fill) {
+    Entry e(D(dn));
+    e.AddString("blob", std::string(blob, fill));
+    EXPECT_TRUE(inst.Add(std::move(e)).ok());
+  };
+  add("dc=com", 40, 'a');
+  for (int o = 0; o < 3; ++o) {
+    std::string ou = "ou=o" + std::to_string(o) + ", dc=com";
+    add(ou, 40, static_cast<char>('b' + o));
+    for (int u = 0; u < 6; ++u) {
+      add("uid=u" + std::to_string(u) + ", " + ou,
+          u % 3 == 0 || u == 5 ? 700 : 40,
+          static_cast<char>('e' + 6 * o + u));
+    }
+  }
+  return inst;
+}
+
+TEST(EntryStoreTest, RangeEstimatesAndSeekReadsArePinned) {
+  // The sparse index's estimates and the pages a seek-and-scan reads, on
+  // 256-byte pages, for every pinned range, as an index of per-page first
+  // keys, offsets and record ordinals gave them: the paper instance, and
+  // a store with pages no record starts in.
+  const std::vector<uint64_t> kPaper = {
+      14, 23, 14, 1, 5, 1, 14, 23, 14, 14, 23, 14, 14, 23, 14,
+      1, 5, 1, 1, 5, 1, 14, 23, 14, 14, 23, 14, 14, 23, 14,
+      1, 5, 1, 1, 5, 1, 14, 23, 14, 14, 23, 14, 14, 23, 14,
+      1, 5, 1, 1, 5, 1, 1, 5, 1, 1, 5, 1, 14, 23, 14,
+      1, 5, 1, 1, 5, 2, 10, 17, 11, 10, 17, 11, 14, 23, 14,
+      1, 5, 2, 1, 3, 1, 1, 3, 2, 1, 3, 2, 13, 18, 13,
+      2, 8, 2, 1, 3, 2, 1, 3, 2, 1, 3, 2, 13, 18, 13,
+      2, 8, 3, 1, 3, 5, 6, 6, 7, 6, 6, 7, 13, 18, 13,
+      2, 8, 6, 1, 1, 5, 1, 1, 5, 1, 1, 5, 10, 14, 12,
+      5, 9, 7, 1, 1, 3, 1, 1, 3, 1, 1, 3, 9, 14, 9,
+      6, 10, 8, 1, 1, 2, 1, 1, 2, 1, 1, 2, 8, 13, 8,
+      7, 11, 8, 1, 2, 2, 2, 4, 3, 2, 4, 3, 7, 12, 7,
+      8, 13, 9, 1, 2, 2, 1, 2, 2, 1, 2, 2, 7, 12, 7,
+      8, 13, 9, 1, 2, 2, 1, 2, 2, 1, 2, 2, 6, 10, 6,
+      9, 15, 10, 1, 2, 2, 2, 4, 3, 2, 4, 3, 6, 10, 6,
+      9, 15, 10, 1, 2, 2, 1, 2, 2, 1, 2, 2, 5, 8, 5,
+      10, 17, 11, 1, 2, 2, 1, 2, 2, 1, 2, 2, 5, 8, 5,
+      10, 17, 11, 1, 2, 2, 4, 6, 4, 4, 6, 4, 4, 6, 4,
+      11, 19, 12, 1, 2, 2, 4, 6, 4, 4, 6, 4, 4, 6, 4,
+      11, 19, 12, 1, 3, 1, 1, 3, 1, 1, 3, 1, 3, 4, 3,
+      12, 22, 12, 1, 3, 2, 3, 4, 3, 3, 4, 3, 3, 4, 3,
+      12, 22, 13, 1, 3, 3, 1, 3, 3, 1, 3, 3, 3, 4, 3,
+      12, 22, 14, 1, 1, 2, 1, 1, 2, 1, 1, 2, 1, 1, 2,
+      14, 23, 14,
+  };
+  const std::vector<uint64_t> kLong = {
+      29, 22, 29, 1, 1, 1, 27, 19, 29, 27, 19, 29, 27, 19, 29,
+      3, 3, 1, 1, 1, 4, 7, 5, 10, 7, 5, 10, 27, 19, 29,
+      3, 3, 4, 1, 1, 4, 1, 1, 4, 1, 1, 4, 27, 19, 29,
+      3, 3, 4, 1, 1, 1, 1, 1, 1, 1, 1, 1, 24, 16, 26,
+      6, 6, 4, 1, 1, 4, 1, 1, 4, 1, 1, 4, 24, 16, 26,
+      6, 6, 7, 1, 1, 4, 1, 1, 4, 1, 1, 4, 24, 16, 26,
+      6, 6, 7, 1, 1, 4, 1, 1, 4, 1, 1, 4, 21, 14, 23,
+      9, 8, 10, 1, 1, 4, 1, 1, 4, 1, 1, 4, 21, 14, 23,
+      9, 8, 10, 1, 1, 4, 7, 5, 11, 7, 5, 11, 18, 12, 20,
+      12, 10, 13, 1, 1, 4, 1, 1, 4, 1, 1, 4, 18, 12, 20,
+      12, 10, 13, 1, 1, 1, 1, 1, 1, 1, 1, 1, 15, 9, 17,
+      15, 13, 13, 1, 1, 4, 1, 1, 4, 1, 1, 4, 15, 9, 17,
+      15, 13, 16, 1, 1, 5, 1, 1, 5, 1, 1, 5, 15, 9, 17,
+      15, 13, 17, 1, 1, 4, 1, 1, 4, 1, 1, 4, 14, 9, 14,
+      16, 14, 19, 1, 1, 4, 1, 1, 4, 1, 1, 4, 12, 7, 13,
+      18, 15, 20, 1, 1, 5, 11, 7, 11, 11, 7, 11, 11, 7, 11,
+      19, 16, 23, 1, 1, 4, 1, 1, 4, 1, 1, 4, 8, 5, 10,
+      22, 17, 23, 1, 1, 1, 1, 1, 1, 1, 1, 1, 5, 2, 7,
+      25, 20, 23, 1, 1, 4, 1, 1, 4, 1, 1, 4, 5, 2, 7,
+      25, 20, 26, 1, 1, 4, 1, 1, 4, 1, 1, 4, 5, 2, 7,
+      25, 20, 26, 1, 1, 4, 1, 1, 4, 1, 1, 4, 1, 1, 4,
+      29, 22, 29, 1, 1, 4, 1, 1, 4, 1, 1, 4, 1, 1, 4,
+      29, 22, 29,
+  };
+  for (bool long_records : {false, true}) {
+    SCOPED_TRACE(long_records ? "long records" : "paper instance");
+    SimDisk disk(256);
+    DirectoryInstance inst =
+        long_records ? LongRecordInstance() : PaperInstance();
+    EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
+    if (long_records) {
+      std::set<uint64_t> start_pages;
+      for (const RunRestart& r : store.run().restarts) {
+        start_pages.insert(r.offset / disk.page_size());
+      }
+      EXPECT_LT(start_pages.size(), store.num_pages());
+    }
+    const std::vector<uint64_t>& want = long_records ? kLong : kPaper;
+    std::vector<uint64_t> got = RangeFigures(&disk, store, inst);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], want[i]) << "range " << i / 3 << ", figure " << i % 3;
+    }
+  }
 }
 
 // One seeded byte mutation: flip a bit, truncate, or insert a byte.
