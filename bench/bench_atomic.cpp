@@ -9,12 +9,16 @@
 // store column splits out the latter. The probe walks its sorted
 // candidates forward, so it reads a store page at most once, and only if
 // the page holds a candidate: never more store pages than the scan.
+// price(scan) and price(probe) are the planner's estimates for the two
+// paths (query/optimize.h ChooseAccessPath), and `plan` is its choice.
 
 #include "bench_util.h"
 #include "exec/atomic.h"
 #include "gen/dif_gen.h"
 #include "gen/paper_data.h"
 #include "index/attr_index.h"
+#include "query/optimize.h"
+#include "query/parser.h"
 
 using namespace ndq;
 using namespace ndq::bench;
@@ -54,8 +58,9 @@ int main() {
 
   std::printf("\nindex-assisted vs. full-scan selection (whole-forest "
               "scope):\n");
-  std::printf("%-28s | %8s | %10s %10s %8s %8s\n", "filter", "results",
-              "rd(scan)", "rd(index)", "store", "speedup");
+  std::printf("%-28s | %8s | %10s %10s %8s %8s | %11s %12s %6s\n",
+              "filter", "results", "rd(scan)", "rd(index)", "store",
+              "speedup", "price(scan)", "price(probe)", "plan");
   gen::DifOptions opt;
   opt.num_orgs = 16;
   DirectoryInstance inst = gen::GenerateDif(opt);
@@ -76,6 +81,14 @@ int main() {
         "SLARulePriority<=1", "priority>=3", "SourceAddress=204.*",
         "objectClass=SLADSAction", "objectClass=QHP"}) {
     AtomicFilter f = AtomicFilter::Parse(filter_text).TakeValue();
+    AccessPathChoice choice = ChooseAccessPath(
+        store, indexes.run(),
+        *ParseQuery(std::string("(dc=com ? sub ? ") + filter_text + ")")
+             .TakeValue());
+    char priced[48];
+    std::snprintf(priced, sizeof(priced), "%11.1f %12.1f %6s",
+                  choice.scan_pages, choice.probe_pages,
+                  choice.path == AccessPath::kIndexProbe ? "probe" : "scan");
     disk.ResetStats();
     EntryList scan =
         EvalAtomic(&scratch, store, root, Scope::kSub, f).TakeValue();
@@ -89,15 +102,17 @@ int main() {
     size_t results = scan.num_records;
     FreeRun(&scratch, &scan).ok();
     if (via.ok() && via->has_value()) {
-      std::printf("%-28s | %8zu | %10llu %10llu %8llu %7.1fx\n",
+      std::printf("%-28s | %8zu | %10llu %10llu %8llu %7.1fx | %s\n",
                   filter_text, results, (unsigned long long)rd_scan,
                   (unsigned long long)rd_index, (unsigned long long)rd_store,
                   rd_index > 0 ? static_cast<double>(rd_scan) / rd_index
-                               : 0.0);
+                               : 0.0,
+                  priced);
       FreeRun(&scratch, &**via).ok();
     } else {
-      std::printf("%-28s | %8zu | %10llu %10s %8s %8s\n", filter_text,
-                  results, (unsigned long long)rd_scan, "n/a", "-", "-");
+      std::printf("%-28s | %8zu | %10llu %10s %8s %8s | %s\n", filter_text,
+                  results, (unsigned long long)rd_scan, "n/a", "-", "-",
+                  priced);
     }
   }
   std::printf(

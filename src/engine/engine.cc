@@ -646,9 +646,11 @@ Status Engine::BuildIndexes(const IndexSpec& spec) {
   index_source_.reset();
   indexes_ = std::make_unique<AttributeIndexes>(std::move(built));
   const EntrySource* store = store_;
+  const EntrySource* index = &indexes_->run();
   index_source_ = std::make_unique<IndexProbeSource>(
-      scratch_, indexes_.get(), entry_store, [store](const Query& leaf) {
-        return ChooseAccessPath(*store, leaf).path ==
+      scratch_, indexes_.get(), entry_store,
+      [store, index](const Query& leaf) {
+        return ChooseAccessPath(*store, *index, leaf).path ==
                AccessPath::kIndexProbe;
       });
   RebuildPoolLocked(options_.exec.parallelism);

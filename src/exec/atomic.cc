@@ -1,80 +1,162 @@
 #include "exec/atomic.h"
 
+#include <memory>
+#include <optional>
+
+#include "query/fingerprint.h"
+
 namespace ndq {
 
 namespace {
 
-template <typename MatchFn>
-Result<EntryList> ScanScope(Disk* disk, const EntrySource& store,
-                            const Dn& base, Scope scope,
-                            const MatchFn& matches, OpTrace* trace) {
-  uint64_t scanned = 0;
-  const std::string& base_key = base.HierKey();
-  std::string start = base_key;
-  std::string end;
+// Whether `key`, read from the subtree range of the base entry keyed
+// `base_key`, lies in `scope` of that entry.
+bool InScope(Scope scope, std::string_view base_key, std::string_view key) {
   switch (scope) {
     case Scope::kBase:
-      end = KeyExactEnd(base_key);
-      break;
+      // The null dn names no entry, and no record has the empty key.
+      return key == base_key;
     case Scope::kOne:
+      return key == base_key || KeyIsParent(base_key, key);
     case Scope::kSub:
-      end = KeySubtreeEnd(base_key);
-      break;
+      // The subtree range also covers siblings whose last RDN extends
+      // the base's with more pairs ("base" + kHierPairSep + ...).
+      return KeyInSubtree(base_key, key);
   }
-  if (scope == Scope::kBase && base.IsNull()) {
-    // The null dn names no entry.
-    RunWriter writer(disk, PageFormat::kKeyPrefix);
-    return writer.Finish();
-  }
-  RunWriter writer(disk, PageFormat::kKeyPrefix);
-  Entry slow;
-  Status s = store.ScanRange(
-      start, end, [&](std::string_view record) -> Status {
-        ++scanned;
-        NDQ_ASSIGN_OR_RETURN(std::string_view key, PeekEntryKey(record));
-        if (scope == Scope::kOne && key != base_key &&
-            !KeyIsParent(base_key, key)) {
-          return Status::OK();  // deeper descendant: outside scope one
-        }
-        if (scope == Scope::kSub && !KeyInSubtree(base_key, key)) {
-          // The subtree range also covers siblings whose last RDN extends
-          // the base's with more pairs ("base" + kHierPairSep + ...).
-          return Status::OK();
-        }
-        // The record is checked as DeserializeEntry checks it and matched
-        // in place; it is written out as read.
-        NDQ_ASSIGN_OR_RETURN(EntryView entry, EntryView::Parse(record, &slow));
-        if (matches(entry)) NDQ_RETURN_IF_ERROR(writer.Add(record));
-        return Status::OK();
-      });
-  NDQ_RETURN_IF_ERROR(s);
-  Result<EntryList> out = writer.Finish();
-  if (trace != nullptr && out.ok()) {
-    trace->scanned_records = scanned;
-    trace->output_records = out->num_records;
-    trace->output_pages = out->pages.size();
-  }
-  return out;
+  return false;
+}
+
+bool LeafMatches(const ScanLeaf& leaf, const EntryView& entry) {
+  return leaf.filter != nullptr ? leaf.filter->Matches(entry)
+                                : leaf.ldap_filter->Matches(entry);
 }
 
 }  // namespace
 
+Result<std::vector<EntryList>> ScanLeaves(
+    Disk* disk, const EntrySource& store, const Dn& base,
+    const std::vector<ScanLeaf>& leaves) {
+  const std::string& base_key = base.HierKey();
+  bool subtree = false;
+  for (const ScanLeaf& leaf : leaves) subtree |= leaf.scope != Scope::kBase;
+  // The first leaf's trace takes the range's reads (and its own writes);
+  // every other traced leaf claims its writes with a scope of its own.
+  OpTrace* first = leaves.empty() ? nullptr : leaves.front().trace;
+  std::optional<IoScope> scan_scope;
+  if (first != nullptr) scan_scope.emplace(nullptr, &first->io);
+
+  std::vector<std::unique_ptr<RunWriter>> writers;
+  for (size_t i = 0; i < leaves.size(); ++i) {
+    writers.push_back(
+        std::make_unique<RunWriter>(disk, PageFormat::kKeyPrefix));
+  }
+  auto claim = [&](size_t i, std::optional<IoScope>* scope) {
+    if (i > 0 && leaves[i].trace != nullptr) {
+      scope->emplace(nullptr, &leaves[i].trace->io);
+    }
+  };
+  uint64_t scanned = 0;
+  // Base scopes of the null dn select nothing: with no other leaf there
+  // is no range to read.
+  if (subtree || !base.IsNull()) {
+    const std::string end =
+        subtree ? KeySubtreeEnd(base_key) : KeyExactEnd(base_key);
+    Entry slow;
+    NDQ_RETURN_IF_ERROR(store.ScanRange(
+        base_key, end, [&](std::string_view record) -> Status {
+          ++scanned;
+          NDQ_ASSIGN_OR_RETURN(std::string_view key, PeekEntryKey(record));
+          // The record is checked as DeserializeEntry checks it, once, the
+          // first time a leaf's scope takes it, and matched in place; it
+          // is written out as read.
+          std::optional<EntryView> entry;
+          for (size_t i = 0; i < leaves.size(); ++i) {
+            if (!InScope(leaves[i].scope, base_key, key)) continue;
+            if (!entry.has_value()) {
+              NDQ_ASSIGN_OR_RETURN(entry, EntryView::Parse(record, &slow));
+            }
+            if (!LeafMatches(leaves[i], *entry)) continue;
+            std::optional<IoScope> scope;
+            claim(i, &scope);
+            NDQ_RETURN_IF_ERROR(writers[i]->Add(record));
+          }
+          return Status::OK();
+        }));
+  }
+
+  // A finished list is guarded until every list is: a later writer's
+  // failed flush frees the earlier lists, and unfinished writers free
+  // their own pages.
+  std::vector<ScopedRun> lists;
+  for (size_t i = 0; i < leaves.size(); ++i) {
+    std::optional<IoScope> scope;
+    claim(i, &scope);
+    NDQ_ASSIGN_OR_RETURN(EntryList list, writers[i]->Finish());
+    lists.emplace_back(disk, list);
+  }
+  std::vector<EntryList> out;
+  for (size_t i = 0; i < leaves.size(); ++i) {
+    OpTrace* trace = leaves[i].trace;
+    out.push_back(lists[i].Release());
+    if (trace == nullptr) continue;
+    trace->op = leaves[i].filter != nullptr ? QueryOp::kAtomic
+                                            : QueryOp::kLdap;
+    trace->output_records = out.back().num_records;
+    trace->output_pages = out.back().pages.size();
+    if (leaves.size() > 1) trace->shared_scan = leaves.size();
+  }
+  if (first != nullptr) first->scanned_records = scanned;
+  return out;
+}
+
+std::vector<std::vector<size_t>> ScanUnits(
+    const std::vector<const Query*>& operands) {
+  auto leaf = [](const Query& q) {
+    return q.op() == QueryOp::kAtomic || q.op() == QueryOp::kLdap;
+  };
+  auto joins = [&](const std::vector<size_t>& unit, const Query& q) {
+    const Query& first = *operands[unit.front()];
+    if (!leaf(q) || !leaf(first) ||
+        first.base().HierKey() != q.base().HierKey()) {
+      return false;
+    }
+    const std::string fp = QueryFingerprint(q);
+    for (size_t i : unit) {
+      if (QueryFingerprint(*operands[i]) == fp) return false;
+    }
+    return true;
+  };
+  std::vector<std::vector<size_t>> units;
+  for (size_t i = 0; i < operands.size(); ++i) {
+    std::vector<size_t>* unit = nullptr;
+    for (std::vector<size_t>& u : units) {
+      if (joins(u, *operands[i])) {
+        unit = &u;
+        break;
+      }
+    }
+    if (unit == nullptr) unit = &units.emplace_back();
+    unit->push_back(i);
+  }
+  return units;
+}
+
 Result<EntryList> EvalAtomic(Disk* disk, const EntrySource& store,
                              const Dn& base, Scope scope,
                              const AtomicFilter& filter, OpTrace* trace) {
-  if (trace != nullptr) trace->op = QueryOp::kAtomic;
-  return ScanScope(disk, store, base, scope,
-                   [&](const EntryView& e) { return filter.Matches(e); },
-                   trace);
+  NDQ_ASSIGN_OR_RETURN(std::vector<EntryList> lists,
+                       ScanLeaves(disk, store, base,
+                                  {ScanLeaf{scope, &filter, nullptr, trace}}));
+  return lists.front();
 }
 
 Result<EntryList> EvalLdap(Disk* disk, const EntrySource& store,
                            const Dn& base, Scope scope,
                            const LdapFilter& filter, OpTrace* trace) {
-  if (trace != nullptr) trace->op = QueryOp::kLdap;
-  return ScanScope(disk, store, base, scope,
-                   [&](const EntryView& e) { return filter.Matches(e); },
-                   trace);
+  NDQ_ASSIGN_OR_RETURN(std::vector<EntryList> lists,
+                       ScanLeaves(disk, store, base,
+                                  {ScanLeaf{scope, nullptr, &filter, trace}}));
+  return lists.front();
 }
 
 }  // namespace ndq

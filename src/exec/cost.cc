@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "exec/atomic.h"
 #include "store/stats.h"
 
 namespace ndq {
@@ -19,6 +20,24 @@ bool AggNeedsGlobalsScan(const AggSelFilter& filter) {
            a.set_form == AggAttr::SetForm::kAggOfEntry;
   };
   return scans(filter.lhs) || scans(filter.rhs);
+}
+
+// The leaf pages under an operator whose operands estimate `operands`
+// (q1/q2/q3 order): one range scan evaluates each fork unit (ScanUnits),
+// so a unit of sibling leaves over one base costs its widest range once.
+double OperandLeafPages(const Query& q,
+                        const std::vector<CostEstimate>& operands) {
+  std::vector<const Query*> queries;
+  for (const QueryPtr& op : {q.q1(), q.q2(), q.q3()}) {
+    if (op != nullptr) queries.push_back(op.get());
+  }
+  double pages = 0;
+  for (const std::vector<size_t>& unit : ScanUnits(queries)) {
+    double widest = 0;
+    for (size_t i : unit) widest = std::max(widest, operands[i].leaf_pages);
+    pages += widest;
+  }
+  return pages;
 }
 
 CostEstimate EstimateNode(const EntrySource& store, const Query& q) {
@@ -92,7 +111,7 @@ CostEstimate EstimateNode(const EntrySource& store, const Query& q) {
       CostEstimate a = EstimateNode(store, *q.q1());
       CostEstimate b = EstimateNode(store, *q.q2());
       CostEstimate est;
-      est.leaf_pages = a.leaf_pages + b.leaf_pages;
+      est.leaf_pages = OperandLeafPages(q, {a, b});
       double in_pages = (a.output_records + b.output_records) / rpp;
       est.operator_pages = a.operator_pages + b.operator_pages + in_pages;
       est.output_records = q.op() == QueryOp::kOr
@@ -133,7 +152,8 @@ CostEstimate EstimateNode(const EntrySource& store, const Query& q) {
       CostEstimate c;
       if (q.q3() != nullptr) c = EstimateNode(store, *q.q3());
       CostEstimate est;
-      est.leaf_pages = a.leaf_pages + b.leaf_pages + c.leaf_pages;
+      est.leaf_pages = q.q3() != nullptr ? OperandLeafPages(q, {a, b, c})
+                                         : OperandLeafPages(q, {a, b});
       double in_pages =
           (a.output_records + b.output_records + c.output_records) / rpp;
       // Merge+annotate+filter (~2 passes) in either direction: the
@@ -148,7 +168,7 @@ CostEstimate EstimateNode(const EntrySource& store, const Query& q) {
       CostEstimate a = EstimateNode(store, *q.q1());
       CostEstimate b = EstimateNode(store, *q.q2());
       CostEstimate est;
-      est.leaf_pages = a.leaf_pages + b.leaf_pages;
+      est.leaf_pages = OperandLeafPages(q, {a, b});
       double pair_pages = b.output_records / rpp + 1;
       double sort_pages =
           pair_pages * std::max(1.0, std::log2(pair_pages));
@@ -208,6 +228,7 @@ void ExplainAnalyzeNode(const EntrySource& store, const Query& q,
   AppendIfNonZero(out, "reads", self.page_reads);
   AppendIfNonZero(out, "writes", self.page_writes);
   AppendIfNonZero(out, "scanned", t.scanned_records);
+  AppendIfNonZero(out, "shared_scan", t.shared_scan);
   AppendIfNonZero(out, "stack_peak", t.peak_stack_items);
   AppendIfNonZero(out, "spills", t.stack_spills);
   AppendIfNonZero(out, "sort_passes", t.sort_merge_passes);

@@ -4,6 +4,8 @@
 // linear terms for boolean/hierarchy/aggregate operators (Thms 5.1-6.2,
 // 8.3), a sort term for the embedded-reference operators (Thm 7.1), and
 // range sizes for atomic leaves from the store's sparse index (no I/O).
+// An operator's sibling leaves over one base cost their widest range
+// once, as the evaluator scans them together (exec/atomic.h ScanUnits).
 //
 // Cardinalities are UPPER BOUNDS: a leaf's output is bounded by its scope
 // range — tightened by the store's cardinality statistics when available

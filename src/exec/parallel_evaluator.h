@@ -36,6 +36,13 @@
 // never lands in it; cumulative subtree I/O is reassembled as self + sum
 // of children, and EXPLAIN ANALYZE and VerifyTheoremBounds work unchanged.
 //
+// An operator's sibling leaves over one base DN share a range scan: the
+// direct leaf operands with an equal base that neither the operand cache
+// nor the node source answered are evaluated by ONE pass over the widest
+// of their ranges (exec/atomic.h ScanLeaves). Each still gets, traces and
+// caches its own list; the scan's page reads land on the first of them.
+// Leaves with different bases, nested or not, scan separately.
+//
 // An optional OperandCache short-circuits repeated atomic leaves (see
 // exec/operand_cache.h); hits and misses land in the leaf's OpTrace. A
 // batch scheduler can additionally pass a SharedOperands set of plan
@@ -212,24 +219,46 @@ class ParallelEvaluator {
     DegradationLog* degradations;  // this subtree's log
   };
 
+  /// One operand of an operator: its subtree, its trace slot (null when
+  /// untraced) and, once evaluated, its list or its error.
+  struct Operand {
+    Operand(const Query* query, OpTrace* trace)
+        : query(query), trace(trace) {}
+    const Query* query;
+    OpTrace* trace;
+    ScopedRun list;
+    Status status;
+  };
+
   /// Trace-wrapping recursion step: opens this node's IoScope, times it,
-  /// and reassembles cumulative io as self + sum of children.
+  /// and reassembles cumulative io as self + sum of children. A leaf is
+  /// evaluated as a group of one (EvaluateLeaves).
   Result<EntryList> EvaluateTraced(const Query& query, OpTrace* trace,
                                    const Call& call);
-  /// Shared-subtree cache check around EvaluateUncached. `*answered` is
-  /// set when the node source produced the list.
+  /// Shared-subtree cache check around EvaluateUncached (interior nodes).
+  /// `*answered` is set when the node source produced the list.
   Result<EntryList> EvaluateNode(const Query& query, OpTrace* trace,
                                  const Call& call, bool* answered);
-  /// The node source, else the leaf scan or the operand fork/join.
-  /// `cache_leaf` is false when the node already went through the shared
-  /// cache.
+  /// The node source, else the operand fork/join.
   Result<EntryList> EvaluateUncached(const Query& query, OpTrace* trace,
-                                     const Call& call, bool cache_leaf,
-                                     bool* answered);
+                                     const Call& call, bool* answered);
   Result<EntryList> EvaluateOperator(const Query& query, OpTrace* trace,
                                      const Call& call);
-  Result<EntryList> EvalLeaf(const Query& query, OpTrace* trace,
-                             const EntrySource* store, bool cached);
+  /// Evaluates sibling leaves over one base into their Operand slots.
+  /// Each first goes through the caches and the node source (AnswerLeaf),
+  /// concurrently when there are several; the leaves none of those
+  /// answered are then evaluated by ONE range scan (exec/atomic.h
+  /// ScanLeaves), and each publishes its own list under its own
+  /// fingerprint.
+  void EvaluateLeaves(const std::vector<Operand*>& leaves, const Call& call);
+  /// What a leaf gets before the evaluator scans it: the batch's shared
+  /// cache, the node source, then the operand cache. Returns the list
+  /// when one of them answered; nullopt means the leaf is to be scanned
+  /// and its list published under `*key` (empty: not cached).
+  Result<std::optional<EntryList>> AnswerLeaf(const Query& leaf,
+                                              OpTrace* trace,
+                                              const Call& call,
+                                              std::string* key);
   /// Evaluates one operand subtree into a ScopedRun (fork target).
   Status EvalOperandInto(const Query& query, OpTrace* trace,
                          const Call& call, ScopedRun* out);

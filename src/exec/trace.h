@@ -51,6 +51,12 @@ struct OpTrace {
 
   /// Atomic leaves: store records visited by the range scan (>= matched).
   uint64_t scanned_records = 0;
+  /// Atomic leaves: how many sibling leaves, this one included, one range
+  /// scan evaluated together (exec/atomic.h ScanLeaves); 0 when the leaf
+  /// was scanned alone or not scanned. The shared scan's page reads and
+  /// scanned records count on the first of them only; each keeps its own
+  /// output writes.
+  uint64_t shared_scan = 0;
   /// Hierarchy operators: peak item count / spill+reload events of the
   /// SpillableStack (Thm 5.1's amortization target).
   uint64_t peak_stack_items = 0;
@@ -150,7 +156,9 @@ void FillTraceSkeleton(const Query& q, OpTrace* trace);
 ///   * vd/dv:                   <= 8*(in+out)*(1+log2(in)) + 32 (sort term)
 ///   * atomic leaves:           writes <= 2*out + 4 (reads are the store
 ///                              range scan, bounded by test (a) against
-///                              the cost model instead)
+///                              the cost model instead; a shared scan's
+///                              reads sit on its first leaf, and every
+///                              leaf keeps its own writes)
 /// Returns one human-readable violation string per failed node; empty
 /// means every operator stayed within its theorem.
 std::vector<std::string> VerifyTheoremBounds(const OpTrace& trace);

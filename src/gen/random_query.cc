@@ -19,10 +19,14 @@ class QueryGen {
     }
   }
 
-  QueryPtr Gen(int depth) {
+  // `sibling_base` is the base of the leaf generated just before this
+  // node under the same operator, if there was one.
+  QueryPtr Gen(int depth, const Dn* sibling_base = nullptr) {
     int lang = static_cast<int>(options_.max_language);
     // Weighted choice of node kind, bounded by depth and language.
-    if (depth <= 0 || Chance(options_.leaf_probability)) return GenAtomic();
+    if (depth <= 0 || Chance(options_.leaf_probability)) {
+      return GenAtomic(sibling_base);
+    }
     std::vector<int> choices;  // 0=bool 1=hier 2=hierc 3=g 4=er
     auto add = [&](int kind, int weight) {
       for (int w = 0; w < weight; ++w) choices.push_back(kind);
@@ -34,13 +38,13 @@ class QueryGen {
     }
     if (lang >= 3) add(3, options_.agg_weight);
     if (lang >= 4) add(4, options_.embedded_ref_weight);
-    if (choices.empty()) return GenAtomic();
+    if (choices.empty()) return GenAtomic(sibling_base);
     switch (choices[rng_() % choices.size()]) {
       case 0: {
         QueryOp ops[] = {QueryOp::kAnd, QueryOp::kOr, QueryOp::kDiff};
         QueryOp op = ops[rng_() % 3];
         QueryPtr a = Gen(depth - 1);
-        QueryPtr b = Gen(depth - 1);
+        QueryPtr b = Gen(depth - 1, LeafBase(a));
         if (op == QueryOp::kAnd) return Query::And(a, b);
         if (op == QueryOp::kOr) return Query::Or(a, b);
         return Query::Diff(a, b);
@@ -48,22 +52,28 @@ class QueryGen {
       case 1: {
         QueryOp ops[] = {QueryOp::kParents, QueryOp::kChildren,
                          QueryOp::kAncestors, QueryOp::kDescendants};
-        return Query::Hierarchy(ops[rng_() % 4], Gen(depth - 1),
-                                Gen(depth - 1), MaybeAgg(lang));
+        QueryOp op = ops[rng_() % 4];
+        QueryPtr a = Gen(depth - 1);
+        QueryPtr b = Gen(depth - 1, LeafBase(a));
+        return Query::Hierarchy(op, a, b, MaybeAgg(lang));
       }
       case 2: {
         QueryOp op = (rng_() % 2 == 0) ? QueryOp::kCoAncestors
                                        : QueryOp::kCoDescendants;
-        return Query::HierarchyConstrained(op, Gen(depth - 1), Gen(depth - 1),
-                                           Gen(depth - 1), MaybeAgg(lang));
+        QueryPtr a = Gen(depth - 1);
+        QueryPtr b = Gen(depth - 1, LeafBase(a));
+        const Dn* last = LeafBase(b) != nullptr ? LeafBase(b) : LeafBase(a);
+        QueryPtr c = Gen(depth - 1, last);
+        return Query::HierarchyConstrained(op, a, b, c, MaybeAgg(lang));
       }
       case 3:
         return Query::SimpleAgg(Gen(depth - 1), RandomAggFilter(false));
       default: {
         QueryOp op =
             (rng_() % 2 == 0) ? QueryOp::kValueDn : QueryOp::kDnValue;
-        return Query::EmbeddedRef(op, Gen(depth - 1), Gen(depth - 1), "ref",
-                                  MaybeAgg(lang));
+        QueryPtr a = Gen(depth - 1);
+        QueryPtr b = Gen(depth - 1, LeafBase(a));
+        return Query::EmbeddedRef(op, a, b, "ref", MaybeAgg(lang));
       }
     }
   }
@@ -73,10 +83,18 @@ class QueryGen {
     return std::uniform_real_distribution<double>(0, 1)(rng_) < p;
   }
 
-  QueryPtr GenAtomic() {
+  static const Dn* LeafBase(const QueryPtr& q) {
+    return q->op() == QueryOp::kAtomic ? &q->base() : nullptr;
+  }
+
+  QueryPtr GenAtomic(const Dn* sibling_base) {
     Dn base;
-    // Mostly broad bases so operands overlap; sometimes a specific one.
-    if (!dns_.empty() && Chance(0.5)) {
+    // A third of the time a leaf reuses its sibling leaf's base, with a
+    // scope of its own: the evaluator scans such siblings together. Else
+    // mostly broad bases so operands overlap; sometimes a specific one.
+    if (sibling_base != nullptr && Chance(1.0 / 3.0)) {
+      base = *sibling_base;
+    } else if (!dns_.empty() && Chance(0.5)) {
       const Dn& dn = dns_[rng_() % dns_.size()];
       // Walk up to a shallow ancestor most of the time.
       base = dn;

@@ -38,8 +38,9 @@ struct RandomQueryOptions {
 
 /// Generates a random query against instances produced by RandomForest
 /// (attributes objectClass/x/tag/ref). Bases are drawn from the
-/// instance's dns (or null); every generated query parses back from its
-/// ToString form.
+/// instance's dns (or null), and a leaf reuses the base of the sibling
+/// leaf generated before it about a third of the time (with a scope of
+/// its own); every generated query parses back from its ToString form.
 QueryPtr RandomQuery(std::mt19937* rng, const DirectoryInstance& instance,
                      const RandomQueryOptions& options);
 

@@ -1,6 +1,7 @@
 #include "query/optimize.h"
 
 #include <algorithm>
+#include <cmath>
 #include <tuple>
 #include <vector>
 
@@ -398,6 +399,7 @@ OptimizedPlan OptimizeQuery(const EntrySource& store, const QueryPtr& query) {
 }
 
 AccessPathChoice ChooseAccessPath(const EntrySource& store,
+                                  const EntrySource& index,
                                   const Query& leaf) {
   AccessPathChoice choice;
   const std::string& base_key = leaf.base().HierKey();
@@ -412,11 +414,16 @@ AccessPathChoice ChooseAccessPath(const EntrySource& store,
   choice.est_matches = std::min(
       choice.est_matches, stats->EstimateFilterMatches(leaf.filter()));
   // A probe walks its sorted candidates forward and reads a store page at
-  // most once: at most one store page per match. The index run adds about
-  // one page per page of matching records, and the seek one more page.
+  // most once, so its m matches read the pages they land on: about
+  // P * (1 - (1 - 1/P)^m) of the scope's P pages (Cardenas's estimate,
+  // never above P or m). The index run adds the pages its m records fill
+  // at the run's own density, and the seek one more page.
   const double matches = static_cast<double>(choice.est_matches);
+  const double pages = choice.scan_pages;
+  const double touched =
+      pages > 0 ? pages * (1.0 - std::pow(1.0 - 1.0 / pages, matches)) : 0;
   choice.probe_pages =
-      matches + matches / std::max(1.0, RecordsPerPage(store)) + 1.0;
+      touched + matches / std::max(1.0, RecordsPerPage(index)) + 1.0;
   if (choice.probe_pages < choice.scan_pages) {
     choice.path = AccessPath::kIndexProbe;
   }

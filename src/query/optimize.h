@@ -96,12 +96,15 @@ struct AccessPathChoice {
 };
 
 /// Chooses the access path for an atomic leaf (`leaf.op()` must be
-/// kAtomic). Prefers an index probe only when statistics prove few
-/// enough matches that the probe's pages — one store page per match at
-/// most, plus the index run's share and one seek — beat the range scan;
-/// the evaluator still falls back to the scan when the attribute turns
-/// out not to be indexed.
+/// kAtomic) over `store`, whose attribute index run is `index`
+/// (index/attr_index.h AttributeIndexes::run). Prefers an index probe
+/// only when statistics prove few enough matches that the probe's pages
+/// beat the range scan: the store pages m matches land on among the
+/// scope's P (P * (1 - (1 - 1/P)^m), at most P), plus the index run's
+/// pages for m records and one seek. The evaluator still falls back to
+/// the scan when the attribute turns out not to be indexed.
 AccessPathChoice ChooseAccessPath(const EntrySource& store,
+                                  const EntrySource& index,
                                   const Query& leaf);
 
 }  // namespace ndq

@@ -55,6 +55,49 @@ TEST(CostTest, LeafEstimatesTrackScope) {
                    static_cast<double>(f.store.num_pages()));
 }
 
+TEST(CostTest, SiblingLeavesOverOneBasePriceTheirRangeOnce) {
+  CostFixture f;
+  CostEstimate sub = f.Est("(dc=org0, dc=com ? sub ? objectClass=QHP)");
+  CostEstimate one = f.Est("(dc=org0, dc=com ? one ? objectClass=*)");
+  CostEstimate other = f.Est("(dc=org1, dc=com ? sub ? objectClass=QHP)");
+  // One base: the widest range, once, whatever the scopes and the order.
+  EXPECT_DOUBLE_EQ(f.Est("(c (dc=org0, dc=com ? one ? objectClass=*)"
+                         "   (dc=org0, dc=com ? sub ? objectClass=QHP))")
+                       .leaf_pages,
+                   std::max(sub.leaf_pages, one.leaf_pages));
+  EXPECT_DOUBLE_EQ(f.Est("(dc (dc=org0, dc=com ? sub ? objectClass=QHP)"
+                         "    (dc=org1, dc=com ? sub ? objectClass=QHP)"
+                         "    (dc=org0, dc=com ? one ? objectClass=*))")
+                       .leaf_pages,
+                   sub.leaf_pages + other.leaf_pages);
+  // Different bases, and a leaf that repeats its sibling, scan apart.
+  EXPECT_DOUBLE_EQ(f.Est("(a (dc=org0, dc=com ? sub ? objectClass=QHP)"
+                         "   (dc=org1, dc=com ? sub ? objectClass=QHP))")
+                       .leaf_pages,
+                   sub.leaf_pages + other.leaf_pages);
+  EXPECT_DOUBLE_EQ(f.Est("(a (dc=org0, dc=com ? sub ? objectClass=QHP)"
+                         "   (dc=org0, dc=com ? sub ? objectClass=QHP))")
+                       .leaf_pages,
+                   2 * sub.leaf_pages);
+  // A nested leaf is not a sibling.
+  EXPECT_DOUBLE_EQ(
+      f.Est("(d (dc=org0, dc=com ? sub ? objectClass=QHP)"
+            "   (& (dc=org0, dc=com ? one ? objectClass=*)"
+            "      (dc=org1, dc=com ? sub ? objectClass=QHP)))")
+          .leaf_pages,
+      sub.leaf_pages + one.leaf_pages + other.leaf_pages);
+  // And the shared price is what the evaluator reads from the store.
+  QueryPtr q = ParseQuery("(c (dc=org0, dc=com ? one ? objectClass=*)"
+                          "   (dc=org0, dc=com ? sub ? objectClass=QHP))")
+                   .TakeValue();
+  SimDisk scratch(1024);
+  ParallelEvaluator evaluator(&scratch, &f.store);
+  f.disk.ResetStats();
+  ASSERT_TRUE(evaluator.EvaluateToEntries(*q).ok());
+  EXPECT_DOUBLE_EQ(static_cast<double>(f.disk.stats().page_reads),
+                   EstimateCost(f.store, *q).leaf_pages);
+}
+
 TEST(CostTest, LeafRecordEstimateIsUpperBoundOnResults) {
   CostFixture f;
   for (const char* text :

@@ -297,59 +297,82 @@ TEST(OptimizeTest, SimpleAggEstimateWithinBandOfMeasurement) {
 
 TEST(OptimizeTest, ChoosesIndexProbeOnlyForSelectiveFilters) {
   OptimizeFixture f;
+  IndexSpec spec;
+  spec.attributes = {"objectClass"};
+  AttributeIndexes indexes =
+      AttributeIndexes::Build(&f.disk, f.store, spec).TakeValue();
   // Selective: a rare equality the histogram bounds tightly.
   AccessPathChoice probe = ChooseAccessPath(
-      f.store, *f.Parse("(dc=com ? sub ? nosuchattr=zzz)"));
+      f.store, indexes.run(), *f.Parse("(dc=com ? sub ? nosuchattr=zzz)"));
   EXPECT_EQ(probe.path, AccessPath::kIndexProbe);
   EXPECT_EQ(probe.est_matches, 0u);
   // Unselective: a presence filter nearly every entry satisfies.
   AccessPathChoice scan = ChooseAccessPath(
-      f.store, *f.Parse("(dc=com ? sub ? objectClass=*)"));
+      f.store, indexes.run(), *f.Parse("(dc=com ? sub ? objectClass=*)"));
   EXPECT_EQ(scan.path, AccessPath::kRangeScan);
   EXPECT_GT(scan.est_matches, 0u);
 }
 
 TEST(OptimizeTest, ProbePriceCountsEachStorePageOnce) {
-  // E12's store (bench_atomic): 16 organizations at the default page size.
+  // E12's store and indexes (bench_atomic): 16 organizations at the
+  // default page size, eight indexed attributes.
   gen::DifOptions opt;
   opt.num_orgs = 16;
   DirectoryInstance inst = gen::GenerateDif(opt);
   SimDisk disk;
   EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
   IndexSpec spec;
-  spec.attributes = {"objectClass"};
+  spec.attributes = {"priority", "SLARulePriority", "sourcePort",
+                     "objectClass", "uid", "SourceAddress", "CANumber",
+                     "SLATPRef"};
   SimDisk index_disk;
   AttributeIndexes indexes =
       AttributeIndexes::Build(&index_disk, store, spec).TakeValue();
   SimDisk scratch;
 
-  // 96 matches: a probe reads each store page at most once, so it reads
-  // fewer store pages than the scan, and the planner now picks it.
-  QueryPtr q = ParseQuery("(dc=com ? sub ? objectClass=SLADSAction)")
-                   .TakeValue();
-  AccessPathChoice choice = ChooseAccessPath(store, *q);
-  EXPECT_EQ(choice.path, AccessPath::kIndexProbe);
-  EXPECT_LT(choice.probe_pages, choice.scan_pages);
-  disk.ResetStats();
-  EntryList scan = EvalAtomic(&scratch, store, q->base(), Scope::kSub,
-                              q->filter())
-                       .TakeValue();
-  const uint64_t scan_reads = disk.stats().page_reads;
-  disk.ResetStats();
-  std::optional<ndq::Run> probe =
-      indexes.EvalAtomic(&scratch, store, q->base(), Scope::kSub, q->filter())
-          .TakeValue();
-  ASSERT_TRUE(probe.has_value());
-  const uint64_t probe_reads = disk.stats().page_reads;
-  EXPECT_EQ(scan.num_records, 96u);
-  EXPECT_LT(probe_reads, scan_reads);
-  // Either path returns the same entries.
-  EXPECT_EQ(ReadEntryList(&scratch, scan).ValueOrDie(),
-            ReadEntryList(&scratch, *probe).ValueOrDie());
+  // A probe reads each store page at most once, so m matches read about
+  // P * (1 - (1 - 1/P)^m) of the scope's P pages, not m: with 96 and 320
+  // matches both filters probe, and the probe reads fewer store pages
+  // than the scan and no more than its price.
+  struct Case {
+    const char* text;
+    uint64_t matches;
+  };
+  for (const Case& c : {Case{"(dc=com ? sub ? objectClass=SLADSAction)", 96},
+                        Case{"(dc=com ? sub ? priority>=3)", 320}}) {
+    SCOPED_TRACE(c.text);
+    QueryPtr q = ParseQuery(c.text).TakeValue();
+    AccessPathChoice choice = ChooseAccessPath(store, indexes.run(), *q);
+    EXPECT_EQ(choice.path, AccessPath::kIndexProbe);
+    EXPECT_EQ(choice.est_matches, c.matches);
+    EXPECT_LT(choice.probe_pages, choice.scan_pages);
+    disk.ResetStats();
+    EntryList scan = EvalAtomic(&scratch, store, q->base(), Scope::kSub,
+                                q->filter())
+                         .TakeValue();
+    const uint64_t scan_reads = disk.stats().page_reads;
+    disk.ResetStats();
+    std::optional<ndq::Run> probe =
+        indexes
+            .EvalAtomic(&scratch, store, q->base(), Scope::kSub, q->filter())
+            .TakeValue();
+    ASSERT_TRUE(probe.has_value());
+    const uint64_t probe_reads = disk.stats().page_reads;
+    EXPECT_EQ(scan.num_records, c.matches);
+    EXPECT_LT(probe_reads, scan_reads);
+    EXPECT_LE(static_cast<double>(probe_reads), choice.probe_pages);
+    EXPECT_EQ(static_cast<double>(scan_reads), choice.scan_pages);
+    // Either path returns the same entries.
+    EXPECT_EQ(ReadEntryList(&scratch, scan).ValueOrDie(),
+              ReadEntryList(&scratch, *probe).ValueOrDie());
+    ASSERT_TRUE(FreeRun(&scratch, &scan).ok());
+    ASSERT_TRUE(FreeRun(&scratch, &*probe).ok());
+  }
 
   // A filter that matches most of its range still scans.
   AccessPathChoice most = ChooseAccessPath(
-      store, *ParseQuery("(dc=com ? sub ? objectClass=*)").TakeValue());
+      store, indexes.run(),
+      *ParseQuery("(dc=com ? sub ? objectClass=*)").TakeValue());
   EXPECT_EQ(most.path, AccessPath::kRangeScan);
   EXPECT_GE(most.probe_pages, most.scan_pages);
 }
