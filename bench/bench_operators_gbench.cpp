@@ -249,20 +249,68 @@ BENCHMARK(BM_InstanceFootprint)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 // The statistics stage of a bulk load: StoreStats::AddEntry over every
 // entry of the DIF, what EntryStore::BulkLoad pays per entry beside
-// serializing it. Freeing the folded stats is not timed.
+// serializing it. With arg 1 the same walk also folds the page synopses,
+// each entry into the page the bulk load starts it in, and finishes them:
+// the difference is the synopses' share of BM_BulkLoad. Freeing the
+// folded stats and synopses is not timed.
 void BM_StatsFold(benchmark::State& state) {
   const DirectoryInstance inst = gen::GenerateDif(Dif64k());
+  const bool synopses = state.range(0) != 0;
+  // The page each entry starts in, from the bulk-loaded segment.
+  SimDisk disk;
+  const EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
+  std::vector<uint64_t> pages;
+  for (size_t r = 0, c = 0; r < inst.size(); ++r) {
+    const std::vector<RunRestart>& restarts = store.run().restarts;
+    while (c + 1 < restarts.size() && restarts[c + 1].record <= r) ++c;
+    pages.push_back(restarts[c].offset / disk.page_size());
+  }
   for (auto _ : state) {
     std::optional<StoreStats> stats(std::in_place);
-    for (const auto& [key, entry] : inst) stats->AddEntry(entry);
+    std::optional<PageSynopses> built;
+    if (synopses) {
+      PageSynopses::Builder builder;
+      size_t r = 0;
+      for (const auto& [key, entry] : inst) {
+        builder.StartRecord(pages[r++]);
+        stats->AddEntry(entry, &builder);
+      }
+      built.emplace(builder.Finish(store.num_pages()));
+    } else {
+      for (const auto& [key, entry] : inst) stats->AddEntry(entry);
+    }
     benchmark::DoNotOptimize(*stats);
     state.PauseTiming();
     stats.reset();
+    built.reset();
     state.ResumeTiming();
   }
   SetTimePerRecord(state, inst.size());
 }
-BENCHMARK(BM_StatsFold)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_StatsFold)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// A whole bulk load of the DIF, EntryStore::BulkLoad: every entry
+// serialized into the segment, with the statistics and page-synopsis fold
+// beside it. Reports the segment's pages and the synopses' heap bytes per
+// page. Freeing the segment is not timed.
+void BM_BulkLoad(benchmark::State& state) {
+  const DirectoryInstance inst = gen::GenerateDif(Dif64k());
+  SimDisk disk;
+  double pages = 0, synopsis_bytes = 0;
+  for (auto _ : state) {
+    EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
+    pages = static_cast<double>(store.num_pages());
+    synopsis_bytes = static_cast<double>(store.synopses()->bytes());
+    state.PauseTiming();
+    benchmark::DoNotOptimize(store.Destroy());
+    state.ResumeTiming();
+  }
+  SetTimePerRecord(state, inst.size());
+  state.counters["pages"] = pages;
+  state.counters["synopsis_bytes"] = synopsis_bytes;
+  state.counters["synopsis_bytes_per_page"] = synopsis_bytes / pages;
+}
+BENCHMARK(BM_BulkLoad)->Unit(benchmark::kMillisecond);
 
 // Heap bytes per entry of the statistics a bulk load of the DIF keeps, as
 // the growth of mallinfo2()'s in-use bytes across the fold.

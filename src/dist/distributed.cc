@@ -273,6 +273,7 @@ Result<EntryList> DistributedDirectory::Gather(
     if (trace == nullptr) return;
     trace->io += a.trace.io;
     trace->scanned_records += a.trace.scanned_records;
+    trace->skipped_pages += a.trace.skipped_pages;
     trace->retries += a.retries;
     trace->failovers += a.failovers;
   };
@@ -420,9 +421,9 @@ Result<std::vector<Entry>> DistributedDirectory::Execute(
                                        warnings);
 }
 
-Status DistributedDirectory::ScanRange(
-    std::string_view, std::string_view,
-    const std::function<Status(std::string_view)>&) const {
+Status DistributedDirectory::ScanRange(std::string_view, std::string_view,
+                                       ScanFilters, const RecordFn&,
+                                       uint64_t*) const {
   return Status::NotSupported(
       "a fleet answers its leaves by scatter-gather; it is not scannable");
 }
@@ -433,22 +434,17 @@ uint64_t DistributedDirectory::num_entries() const {
   return n;
 }
 
-uint64_t DistributedDirectory::EstimateRangeRecords(
-    std::string_view start_key, std::string_view end_key) const {
-  uint64_t n = 0;
+EntrySource::RangeEstimate DistributedDirectory::EstimateRange(
+    std::string_view start_key, std::string_view end_key,
+    ScanFilters filters) const {
+  RangeEstimate total;
   for (const auto& s : shards_) {
-    n += s->replica(0)->store().EstimateRangeRecords(start_key, end_key);
+    const RangeEstimate one =
+        s->replica(0)->store().EstimateRange(start_key, end_key, filters);
+    total.pages += one.pages;
+    total.records += one.records;
   }
-  return n;
-}
-
-uint64_t DistributedDirectory::EstimateRangePages(
-    std::string_view start_key, std::string_view end_key) const {
-  uint64_t n = 0;
-  for (const auto& s : shards_) {
-    n += s->replica(0)->store().EstimateRangePages(start_key, end_key);
-  }
-  return n;
+  return total;
 }
 
 std::map<std::string, uint64_t> DistributedDirectory::ReplicaFailovers()

@@ -226,15 +226,14 @@ class DistributedDirectory : public NodeSource, public EntrySource {
   /// directory since entries live on exactly one shard. No merged
   /// statistics (stats() stays nullptr): the optimizer only uses the
   /// shards' range geometry.
-  Status ScanRange(
-      std::string_view start_key, std::string_view end_key,
-      const std::function<Status(std::string_view record)>& fn)
-      const override;
+  using EntrySource::ScanRange;
+  Status ScanRange(std::string_view start_key, std::string_view end_key,
+                   ScanFilters filters, const RecordFn& fn,
+                   uint64_t* skipped_pages) const override;
   uint64_t num_entries() const override;
-  uint64_t EstimateRangeRecords(std::string_view start_key,
-                                std::string_view end_key) const override;
-  uint64_t EstimateRangePages(std::string_view start_key,
-                              std::string_view end_key) const override;
+  RangeEstimate EstimateRange(std::string_view start_key,
+                              std::string_view end_key,
+                              ScanFilters filters) const override;
 
   /// When enabled (default), a (sub)query whose atomic leaves all fall
   /// within ONE shard's exclusive ownership is shipped to a replica of

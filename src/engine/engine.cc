@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <optional>
 #include <utility>
 
 #include "exec/cost.h"
@@ -71,6 +72,7 @@ class SessionImpl : public std::enable_shared_from_this<SessionImpl> {
   QueryTicket Submit(const QueryPtr& plan) {
     QueryPtr canonical = engine_->rewrite() ? RewriteQuery(plan) : plan;
     OptimizeStats opt;
+    std::optional<double> est;
     if (engine_->optimize_enabled()) {
       // Plan over a pinned view so the optimizer's statistics reads stay
       // on one store version while concurrent mutations publish.
@@ -78,8 +80,9 @@ class SessionImpl : public std::enable_shared_from_this<SessionImpl> {
       OptimizedPlan optimized = OptimizeQuery(*view, canonical);
       canonical = optimized.plan;
       opt = optimized.stats;
+      est = optimized.est_pages_after;
     }
-    return SubmitCanonical(std::move(canonical), nullptr, opt);
+    return SubmitCanonical(std::move(canonical), nullptr, opt, est);
   }
 
   BatchResult RunBatch(std::vector<Result<QueryPtr>> parsed) {
@@ -88,6 +91,7 @@ class SessionImpl : public std::enable_shared_from_this<SessionImpl> {
 
     std::vector<QueryPtr> canon(parsed.size());
     std::vector<OptimizeStats> opts(parsed.size());
+    std::vector<std::optional<double>> ests(parsed.size());
     std::vector<QueryPtr> valid;
     // One pinned view for the whole batch's planning pass.
     std::shared_ptr<const EntrySource> view = engine_->PinStore();
@@ -101,6 +105,7 @@ class SessionImpl : public std::enable_shared_from_this<SessionImpl> {
         OptimizedPlan optimized = OptimizeQuery(*view, canon[i]);
         canon[i] = optimized.plan;
         opts[i] = optimized.stats;
+        ests[i] = optimized.est_pages_after;
       }
       valid.push_back(canon[i]);
     }
@@ -125,7 +130,7 @@ class SessionImpl : public std::enable_shared_from_this<SessionImpl> {
     std::vector<QueryTicket> tickets(parsed.size());
     for (size_t i = 0; i < parsed.size(); ++i) {
       if (!parsed[i].ok()) continue;
-      tickets[i] = SubmitCanonical(canon[i], shared, opts[i]);
+      tickets[i] = SubmitCanonical(canon[i], shared, opts[i], ests[i]);
     }
     for (size_t i = 0; i < parsed.size(); ++i) {
       if (!parsed[i].ok()) {
@@ -171,11 +176,17 @@ class SessionImpl : public std::enable_shared_from_this<SessionImpl> {
   }
 
  private:
-  /// Admission + enqueue of an already-canonical, already-optimized plan.
+  /// Admission + enqueue of an already-canonical, already-optimized plan;
+  /// `est_pages` is the optimizer's estimate of it, when the optimizer
+  /// ran (the cost model is asked otherwise).
   QueryTicket SubmitCanonical(QueryPtr plan,
                               std::shared_ptr<const SharedOperands> shared,
-                              const OptimizeStats& opt = {}) {
-    double est = EstimateCost(*engine_->PinStore(), *plan).TotalPages();
+                              const OptimizeStats& opt,
+                              std::optional<double> est_pages) {
+    const double est =
+        est_pages.has_value()
+            ? *est_pages
+            : EstimateCost(*engine_->PinStore(), *plan).TotalPages();
     uint64_t budget = options_.per_query_page_budget ==
                               SessionOptions::kInheritBudget
                           ? engine_->page_budget()
@@ -454,19 +465,14 @@ namespace {
 /// ExecuteQuery short-circuits on init_status() first.
 class NullSource : public EntrySource {
  public:
-  Status ScanRange(std::string_view, std::string_view,
-                   const std::function<Status(std::string_view)>&)
-      const override {
+  Status ScanRange(std::string_view, std::string_view, ScanFilters,
+                   const RecordFn&, uint64_t*) const override {
     return Status::Internal("engine failed to initialize");
   }
   uint64_t num_entries() const override { return 0; }
-  uint64_t EstimateRangeRecords(std::string_view,
-                                std::string_view) const override {
-    return 0;
-  }
-  uint64_t EstimateRangePages(std::string_view,
-                              std::string_view) const override {
-    return 0;
+  RangeEstimate EstimateRange(std::string_view, std::string_view,
+                              ScanFilters) const override {
+    return {};
   }
 };
 

@@ -31,6 +31,12 @@ bool LeafMatches(const ScanLeaf& leaf, const EntryView& entry) {
                                 : leaf.ldap_filter->Matches(entry);
 }
 
+// The filter a leaf query (atomic or LDAP) has its range scan serve.
+ScanFilter LeafScanFilter(const Query& leaf) {
+  if (leaf.op() == QueryOp::kAtomic) return {&leaf.filter(), nullptr};
+  return {nullptr, leaf.ldap_filter().get()};
+}
+
 }  // namespace
 
 Result<std::vector<EntryList>> ScanLeaves(
@@ -56,14 +62,21 @@ Result<std::vector<EntryList>> ScanLeaves(
     }
   };
   uint64_t scanned = 0;
+  uint64_t skipped = 0;
   // Base scopes of the null dn select nothing: with no other leaf there
   // is no range to read.
   if (subtree || !base.IsNull()) {
     const std::string end =
         subtree ? KeySubtreeEnd(base_key) : KeyExactEnd(base_key);
+    // A record no leaf's filter matches is one no leaf wants: the store
+    // may pass over the pages that hold only such records.
+    std::vector<ScanFilter> filters;
+    for (const ScanLeaf& leaf : leaves) {
+      filters.push_back({leaf.filter, leaf.ldap_filter});
+    }
     Entry slow;
     NDQ_RETURN_IF_ERROR(store.ScanRange(
-        base_key, end, [&](std::string_view record) -> Status {
+        base_key, end, filters, [&](std::string_view record) -> Status {
           ++scanned;
           NDQ_ASSIGN_OR_RETURN(std::string_view key, PeekEntryKey(record));
           // The record is checked as DeserializeEntry checks it, once, the
@@ -81,7 +94,8 @@ Result<std::vector<EntryList>> ScanLeaves(
             NDQ_RETURN_IF_ERROR(writers[i]->Add(record));
           }
           return Status::OK();
-        }));
+        },
+        &skipped));
   }
 
   // A finished list is guarded until every list is: a later writer's
@@ -105,7 +119,10 @@ Result<std::vector<EntryList>> ScanLeaves(
     trace->output_pages = out.back().pages.size();
     if (leaves.size() > 1) trace->shared_scan = leaves.size();
   }
-  if (first != nullptr) first->scanned_records = scanned;
+  if (first != nullptr) {
+    first->scanned_records = scanned;
+    first->skipped_pages = skipped;
+  }
   return out;
 }
 
@@ -139,6 +156,20 @@ std::vector<std::vector<size_t>> ScanUnits(
     unit->push_back(i);
   }
   return units;
+}
+
+EntrySource::RangeEstimate EstimateScan(
+    const EntrySource& store, const std::vector<const Query*>& leaves) {
+  const std::string& base_key = leaves.front()->base().HierKey();
+  bool subtree = false;
+  std::vector<ScanFilter> filters;
+  for (const Query* leaf : leaves) {
+    subtree |= leaf->scope() != Scope::kBase;
+    filters.push_back(LeafScanFilter(*leaf));
+  }
+  return store.EstimateRange(
+      base_key, subtree ? KeySubtreeEnd(base_key) : KeyExactEnd(base_key),
+      filters);
 }
 
 Result<EntryList> EvalAtomic(Disk* disk, const EntrySource& store,

@@ -36,11 +36,16 @@ struct ScanLeaf {
 /// and filter; leaf i's matches go to list i through a RunWriter of its
 /// own, so list i is byte-identical to leaf i scanned alone.
 ///
+/// The store may pass over the pages of the range that hold no record any
+/// leaf's filter can match (EntrySource::ScanRange with the leaves'
+/// filters; a bulk-loaded segment's page synopses prove it).
+///
 /// A leaf's trace receives its op and output counters, and its output
 /// writes land in its `io` (an IoScope around each of its writes). The
-/// range's page reads and the scanned records are counted once, on the
-/// first leaf's trace; `shared_scan` records how many leaves the scan
-/// served when that is more than one. On failure no list stays allocated.
+/// range's page reads, the scanned records and the skipped pages are
+/// counted once, on the first leaf's trace; `shared_scan` records how many
+/// leaves the scan served when that is more than one. On failure no list
+/// stays allocated.
 Result<std::vector<EntryList>> ScanLeaves(Disk* disk,
                                           const EntrySource& store,
                                           const Dn& base,
@@ -54,6 +59,13 @@ Result<std::vector<EntryList>> ScanLeaves(Disk* disk,
 /// these units and the cost model prices each unit's range once.
 std::vector<std::vector<size_t>> ScanUnits(
     const std::vector<const Query*>& operands);
+
+/// The store's estimate (no I/O) of the one range scan ScanLeaves makes
+/// for `leaves`, queries over one base: the pages of their widest range
+/// that the store admits for any of their filters, and the records
+/// starting in them.
+EntrySource::RangeEstimate EstimateScan(
+    const EntrySource& store, const std::vector<const Query*>& leaves);
 
 /// Evaluates "(base ? scope ? filter)" over the store: ScanLeaves with one
 /// leaf.

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "exec/atomic.h"
+#include "query/fingerprint.h"
 #include "store/stats.h"
 
 namespace ndq {
@@ -22,49 +23,57 @@ bool AggNeedsGlobalsScan(const AggSelFilter& filter) {
   return scans(filter.lhs) || scans(filter.rhs);
 }
 
+EntrySource::RangeEstimate ScanEstimate(
+    const EntrySource& store, const std::vector<const Query*>& leaves,
+    ScanEstimates* memo) {
+  return memo != nullptr ? memo->Get(store, leaves)
+                         : EstimateScan(store, leaves);
+}
+
 // The leaf pages under an operator whose operands estimate `operands`
 // (q1/q2/q3 order): one range scan evaluates each fork unit (ScanUnits),
-// so a unit of sibling leaves over one base costs its widest range once.
-double OperandLeafPages(const Query& q,
-                        const std::vector<CostEstimate>& operands) {
+// so a unit of sibling leaves over one base costs the pages of its widest
+// range that any of their filters admits, once.
+double OperandLeafPages(const EntrySource& store, const Query& q,
+                        const std::vector<CostEstimate>& operands,
+                        ScanEstimates* memo) {
   std::vector<const Query*> queries;
   for (const QueryPtr& op : {q.q1(), q.q2(), q.q3()}) {
     if (op != nullptr) queries.push_back(op.get());
   }
   double pages = 0;
   for (const std::vector<size_t>& unit : ScanUnits(queries)) {
-    double widest = 0;
-    for (size_t i : unit) widest = std::max(widest, operands[i].leaf_pages);
-    pages += widest;
+    if (unit.size() == 1) {
+      pages += operands[unit.front()].leaf_pages;
+      continue;
+    }
+    std::vector<const Query*> leaves;
+    for (size_t i : unit) leaves.push_back(queries[i]);
+    pages += static_cast<double>(ScanEstimate(store, leaves, memo).pages);
   }
   return pages;
 }
 
-CostEstimate EstimateNode(const EntrySource& store, const Query& q) {
+CostEstimate EstimateNode(const EntrySource& store, const Query& q,
+                          ScanEstimates* memo) {
   const double rpp = std::max(1.0, RecordsPerPage(store));
   switch (q.op()) {
     case QueryOp::kAtomic:
     case QueryOp::kLdap: {
       CostEstimate est;
       const std::string& base_key = q.base().HierKey();
-      std::string end;
-      switch (q.scope()) {
-        case Scope::kBase:
-          end = KeyExactEnd(base_key);
-          break;
-        case Scope::kOne:
-        case Scope::kSub:
-          end = KeySubtreeEnd(base_key);
-          break;
-      }
       // One-level and subtree scopes read the same subtree range (the
       // one-level operator filters to depth+1 in-stream), so leaf_pages
-      // is the range size either way; only the output bound differs.
-      est.leaf_pages =
-          static_cast<double>(store.EstimateRangePages(base_key, end));
-      est.output_records =
-          static_cast<double>(store.EstimateRangeRecords(base_key, end));
-      if (q.scope() == Scope::kBase) est.output_records = 1;
+      // is the range size either way; only the output bound differs. The
+      // store counts the pages its synopses admit for the filter, and the
+      // records starting in them, which bound the matches.
+      const EntrySource::RangeEstimate range =
+          ScanEstimate(store, {&q}, memo);
+      est.leaf_pages = static_cast<double>(range.pages);
+      est.output_records = static_cast<double>(range.records);
+      if (q.scope() == Scope::kBase) {
+        est.output_records = std::min(est.output_records, 1.0);
+      }
       const StoreStats* stats = store.stats();
       if (stats != nullptr) {
         const SubtreeStats* node = stats->Subtree(base_key);
@@ -108,10 +117,10 @@ CostEstimate EstimateNode(const EntrySource& store, const Query& q) {
     case QueryOp::kAnd:
     case QueryOp::kOr:
     case QueryOp::kDiff: {
-      CostEstimate a = EstimateNode(store, *q.q1());
-      CostEstimate b = EstimateNode(store, *q.q2());
+      CostEstimate a = EstimateNode(store, *q.q1(), memo);
+      CostEstimate b = EstimateNode(store, *q.q2(), memo);
       CostEstimate est;
-      est.leaf_pages = OperandLeafPages(q, {a, b});
+      est.leaf_pages = OperandLeafPages(store, q, {a, b}, memo);
       double in_pages = (a.output_records + b.output_records) / rpp;
       est.operator_pages = a.operator_pages + b.operator_pages + in_pages;
       est.output_records = q.op() == QueryOp::kOr
@@ -128,7 +137,7 @@ CostEstimate EstimateNode(const EntrySource& store, const Query& q) {
       return est;
     }
     case QueryOp::kSimpleAgg: {
-      CostEstimate a = EstimateNode(store, *q.q1());
+      CostEstimate a = EstimateNode(store, *q.q1(), memo);
       CostEstimate est = a;
       // Annotate = read input + write annotated (2 passes), optional
       // globals pre-scan of the annotated list (1 pass), filter scan
@@ -147,13 +156,14 @@ CostEstimate EstimateNode(const EntrySource& store, const Query& q) {
     case QueryOp::kChildren:
     case QueryOp::kDescendants:
     case QueryOp::kCoDescendants: {
-      CostEstimate a = EstimateNode(store, *q.q1());
-      CostEstimate b = EstimateNode(store, *q.q2());
+      CostEstimate a = EstimateNode(store, *q.q1(), memo);
+      CostEstimate b = EstimateNode(store, *q.q2(), memo);
       CostEstimate c;
-      if (q.q3() != nullptr) c = EstimateNode(store, *q.q3());
+      if (q.q3() != nullptr) c = EstimateNode(store, *q.q3(), memo);
       CostEstimate est;
-      est.leaf_pages = q.q3() != nullptr ? OperandLeafPages(q, {a, b, c})
-                                         : OperandLeafPages(q, {a, b});
+      est.leaf_pages = q.q3() != nullptr
+                           ? OperandLeafPages(store, q, {a, b, c}, memo)
+                           : OperandLeafPages(store, q, {a, b}, memo);
       double in_pages =
           (a.output_records + b.output_records + c.output_records) / rpp;
       // Merge+annotate+filter (~2 passes) in either direction: the
@@ -165,10 +175,10 @@ CostEstimate EstimateNode(const EntrySource& store, const Query& q) {
     }
     case QueryOp::kValueDn:
     case QueryOp::kDnValue: {
-      CostEstimate a = EstimateNode(store, *q.q1());
-      CostEstimate b = EstimateNode(store, *q.q2());
+      CostEstimate a = EstimateNode(store, *q.q1(), memo);
+      CostEstimate b = EstimateNode(store, *q.q2(), memo);
       CostEstimate est;
-      est.leaf_pages = OperandLeafPages(q, {a, b});
+      est.leaf_pages = OperandLeafPages(store, q, {a, b}, memo);
       double pair_pages = b.output_records / rpp + 1;
       double sort_pages =
           pair_pages * std::max(1.0, std::log2(pair_pages));
@@ -185,8 +195,8 @@ CostEstimate EstimateNode(const EntrySource& store, const Query& q) {
 }
 
 void ExplainNode(const EntrySource& store, const Query& q, int depth,
-                 std::string* out) {
-  CostEstimate est = EstimateNode(store, q);
+                 ScanEstimates* memo, std::string* out) {
+  CostEstimate est = EstimateNode(store, q, memo);
   out->append(static_cast<size_t>(2 * depth), ' ');
   out->append(QueryNodeLabel(q));
   char buf[128];
@@ -196,7 +206,7 @@ void ExplainNode(const EntrySource& store, const Query& q, int depth,
   out->append(buf);
   out->push_back('\n');
   for (const QueryPtr& child : {q.q1(), q.q2(), q.q3()}) {
-    if (child != nullptr) ExplainNode(store, *child, depth + 1, out);
+    if (child != nullptr) ExplainNode(store, *child, depth + 1, memo, out);
   }
 }
 
@@ -211,8 +221,9 @@ void AppendIfNonZero(std::string* out, const char* key, uint64_t value) {
 // Walks the query, its estimates and the trace in lockstep (both trees
 // have one child per operand in q1/q2/q3 order).
 void ExplainAnalyzeNode(const EntrySource& store, const Query& q,
-                        const OpTrace& t, int depth, std::string* out) {
-  CostEstimate est = EstimateNode(store, q);
+                        const OpTrace& t, int depth, ScanEstimates* memo,
+                        std::string* out) {
+  CostEstimate est = EstimateNode(store, q, memo);
   out->append(static_cast<size_t>(2 * depth), ' ');
   out->append(QueryNodeLabel(q));
   char buf[160];
@@ -229,6 +240,7 @@ void ExplainAnalyzeNode(const EntrySource& store, const Query& q,
   AppendIfNonZero(out, "writes", self.page_writes);
   AppendIfNonZero(out, "scanned", t.scanned_records);
   AppendIfNonZero(out, "shared_scan", t.shared_scan);
+  AppendIfNonZero(out, "skipped", t.skipped_pages);
   AppendIfNonZero(out, "stack_peak", t.peak_stack_items);
   AppendIfNonZero(out, "spills", t.stack_spills);
   AppendIfNonZero(out, "sort_passes", t.sort_merge_passes);
@@ -263,7 +275,7 @@ void ExplainAnalyzeNode(const EntrySource& store, const Query& q,
       out->append("<trace missing for operand>\n");
       continue;
     }
-    ExplainAnalyzeNode(store, *child, t.children[ci], depth + 1, out);
+    ExplainAnalyzeNode(store, *child, t.children[ci], depth + 1, memo, out);
     ++ci;
   }
 }
@@ -277,20 +289,34 @@ double RecordsPerPage(const EntrySource& store) {
          static_cast<double>(total_pages);
 }
 
-CostEstimate EstimateCost(const EntrySource& store, const Query& query) {
-  return EstimateNode(store, query);
+EntrySource::RangeEstimate ScanEstimates::Get(
+    const EntrySource& store, const std::vector<const Query*>& leaves) {
+  // Fingerprints are self-delimiting, so their concatenation keys the
+  // unit; ScanUnits puts a unit's leaves in operand order.
+  std::string key;
+  for (const Query* leaf : leaves) key += QueryFingerprint(*leaf);
+  auto [it, added] = memo_.try_emplace(std::move(key));
+  if (added) it->second = EstimateScan(store, leaves);
+  return it->second;
+}
+
+CostEstimate EstimateCost(const EntrySource& store, const Query& query,
+                          ScanEstimates* memo) {
+  return EstimateNode(store, query, memo);
 }
 
 std::string ExplainPlan(const EntrySource& store, const Query& query) {
   std::string out;
-  ExplainNode(store, query, 0, &out);
+  ScanEstimates memo;  // each node's estimate covers its subtree
+  ExplainNode(store, query, 0, &memo, &out);
   return out;
 }
 
 std::string ExplainAnalyze(const EntrySource& store, const Query& query,
                            const OpTrace& trace) {
   std::string out;
-  ExplainAnalyzeNode(store, query, trace, 0, &out);
+  ScanEstimates memo;
+  ExplainAnalyzeNode(store, query, trace, 0, &memo, &out);
   return out;
 }
 

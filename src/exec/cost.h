@@ -22,6 +22,8 @@
 #define NDQ_EXEC_COST_H_
 
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "exec/trace.h"
 #include "query/ast.h"
@@ -38,8 +40,29 @@ struct CostEstimate {
   double TotalPages() const { return leaf_pages + operator_pages; }
 };
 
-/// Estimates the cost of evaluating `query` against `store`.
-CostEstimate EstimateCost(const EntrySource& store, const Query& query);
+/// \brief The leaf-scan estimates of one planning pass, each asked of the
+/// store once.
+///
+/// A planner prices a leaf at every node above it (query/optimize.cc:
+/// emptiness proofs, operand ordering, the totals before and after), and
+/// a bulk-loaded segment's estimate walks the start pages of the leaf's
+/// range, testing each one's synopsis; a pass that shares one memo walks
+/// each scan unit's range once. Keyed by the leaves' fingerprints
+/// (query/fingerprint.h), so it serves any plan over one store snapshot.
+class ScanEstimates {
+ public:
+  /// EstimateScan(store, leaves) (exec/atomic.h), computed on first use.
+  EntrySource::RangeEstimate Get(const EntrySource& store,
+                                 const std::vector<const Query*>& leaves);
+
+ private:
+  std::unordered_map<std::string, EntrySource::RangeEstimate> memo_;
+};
+
+/// Estimates the cost of evaluating `query` against `store`; the leaf
+/// scans' estimates come from `memo` when one is given.
+CostEstimate EstimateCost(const EntrySource& store, const Query& query,
+                          ScanEstimates* memo = nullptr);
 
 /// Average records per page, from the store's own geometry (1 for an
 /// empty store).

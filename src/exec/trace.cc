@@ -46,6 +46,7 @@ void RenderNode(const OpTrace& t, int depth, std::string* out) {
   AppendCounter(out, "writes", self.page_writes);
   AppendCounter(out, "scanned", t.scanned_records, /*always=*/false);
   AppendCounter(out, "shared_scan", t.shared_scan, /*always=*/false);
+  AppendCounter(out, "skipped", t.skipped_pages, /*always=*/false);
   AppendCounter(out, "stack_peak", t.peak_stack_items, /*always=*/false);
   AppendCounter(out, "spills", t.stack_spills, /*always=*/false);
   AppendCounter(out, "sort_passes", t.sort_merge_passes, /*always=*/false);

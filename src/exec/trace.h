@@ -51,6 +51,11 @@ struct OpTrace {
 
   /// Atomic leaves: store records visited by the range scan (>= matched).
   uint64_t scanned_records = 0;
+  /// Atomic leaves: pages of the scanned range that the scan passed over
+  /// unread because their page synopses admit none of the scan's filters
+  /// (store/page_synopsis.h); counted, like the reads, on the leaf that
+  /// carries the scan's reads.
+  uint64_t skipped_pages = 0;
   /// Atomic leaves: how many sibling leaves, this one included, one range
   /// scan evaluated together (exec/atomic.h ScanLeaves); 0 when the leaf
   /// was scanned alone or not scanned. The shared scan's page reads and

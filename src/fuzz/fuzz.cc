@@ -187,6 +187,10 @@ DirectoryInstance GenInstance(uint64_t case_seed,
   opt.num_entries = gen.num_entries;
   opt.weird_rdn_probability = gen.weird_rdn_probability;
   opt.extreme_int_probability = gen.extreme_int_probability;
+  // Long tags sharing their first 8 bytes, and an "x" value's spelling
+  // beside it: the edges of page synopses' string bounds and int keys.
+  opt.long_tag_probability = 0.25;
+  opt.spelled_x_probability = 0.2;
   return gen::RandomForest(opt);
 }
 

@@ -77,11 +77,18 @@ DirectoryInstance RandomForest(const RandomForestOptions& options) {
       }
       return static_cast<int64_t>(rng() % options.int_attr_range);
     };
-    e.AddInt("x", draw_x());
+    const int64_t x = draw_x();
+    e.AddInt("x", x);
     if (rng() % 3 == 0) {
       e.AddInt("x", draw_x());
     }
-    e.AddString("tag", "tag" + std::to_string(rng() % options.num_tags));
+    if (chance(options.spelled_x_probability)) {
+      e.AddString("x", std::to_string(x));
+    }
+    const std::string tag = std::to_string(rng() % options.num_tags);
+    e.AddString("tag", (chance(options.long_tag_probability) ? "tagshare"
+                                                             : "tag") +
+                           tag);
     // rdn(r) subseteq val(r).
     const Rdn rdn = dn.rdn();
     for (const auto& [attr, value] : rdn.pairs()) {

@@ -35,11 +35,19 @@ struct RandomForestOptions {
   /// (',', '=', '+', '\\', edge spaces) — exercises escaping round-trips.
   /// Serial numbers keep decorated values unique.
   double weird_rdn_probability = 0.0;
+  /// Chance a "tag" value is drawn as "tagshare<N>": longer than 8 bytes,
+  /// with the first 8 shared by every such tag — exercises the 8-byte
+  /// string bounds of page synopses (store/page_synopsis.h).
+  double long_tag_probability = 0.0;
+  /// Chance an entry also carries its first "x" value's decimal spelling
+  /// as a string "x" value — an int and its spelling on one attribute.
+  double spelled_x_probability = 0.0;
 };
 
 /// Generates a random forest instance. Entries have attributes:
-///   objectClass (1-2 classes), x (1-2 int values), tag (string),
-///   ref (0..max_refs DN references to random entries).
+///   objectClass (1-2 classes), x (1-2 int values, and at times the first
+///   one's spelling), tag (string), ref (0..max_refs DN references to
+///   random entries).
 DirectoryInstance RandomForest(const RandomForestOptions& options);
 
 }  // namespace gen

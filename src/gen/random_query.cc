@@ -122,19 +122,26 @@ class QueryGen {
         return AtomicFilter::IntCompare("x", ops[rng_() % 6],
                                         static_cast<int64_t>(rng_() % 20));
       }
-      case 4:
+      case 4: {
+        // "tagshare<N>" tags share their first 8 bytes.
+        const std::string stem = Chance(0.5) ? "tag" : "tagshare";
         return AtomicFilter::Equals(
-            "tag", Value::String("tag" + std::to_string(rng_() % 8)));
+            "tag", Value::String(stem + std::to_string(rng_() % 8)));
+      }
       case 5:
         // String equality whose rhs looks like an int: serializes with
         // the quoted syntax (x="5") and must stay distinct from the
         // int-typed x=5 everywhere (typed cache keys, rewrites, ...).
         return AtomicFilter::Equals(
             "x", Value::String(std::to_string(rng_() % 20)));
-      default:
-        return AtomicFilter::Substring("tag",
-                                       "*" + std::to_string(rng_() % 10) +
-                                           "*");
+      default: {
+        // A leading literal as long as the shared prefix, longer, or
+        // none.
+        const char* leads[] = {"", "tagshare", "tagshare1", "tag"};
+        const std::string lead = leads[rng_() % 4];
+        return AtomicFilter::Substring(
+            "tag", lead + "*" + std::to_string(rng_() % 10) + "*");
+      }
     }
   }
 

@@ -5,6 +5,7 @@
 #include <tuple>
 #include <vector>
 
+#include "exec/atomic.h"
 #include "exec/cost.h"
 #include "filter/ldap_filter.h"
 #include "query/fingerprint.h"
@@ -30,12 +31,6 @@ bool IsHierarchySelection(QueryOp op) {
     default:
       return false;
   }
-}
-
-// The cost model's cardinalities are upper bounds, so an estimate of 0
-// PROVES the subtree selects nothing on this store snapshot.
-bool ProvablyEmpty(const EntrySource& store, const Query& q) {
-  return EstimateCost(store, q).output_records <= 0.0;
 }
 
 // The cheapest equivalent of a proven-empty subtree. For a leaf, the
@@ -85,6 +80,17 @@ QueryPtr Rebuild(const Query& q, QueryPtr q1, QueryPtr q2, QueryPtr q3) {
 struct Ctx {
   const EntrySource& store;
   OptimizeStats stats;
+  // Every estimate of the pass prices its leaves' scans once.
+  ScanEstimates scans;
+
+  CostEstimate Estimate(const Query& q) {
+    return EstimateCost(store, q, &scans);
+  }
+  // The cost model's cardinalities are upper bounds, so an estimate of 0
+  // PROVES the subtree selects nothing on this store snapshot.
+  bool ProvablyEmpty(const Query& q) {
+    return Estimate(q).output_records <= 0.0;
+  }
 };
 
 QueryPtr OptimizeNode(Ctx* ctx, const QueryPtr& q);
@@ -116,7 +122,7 @@ QueryPtr ReorderChain(Ctx* ctx, const QueryPtr& node) {
   std::vector<Keyed> keyed;
   keyed.reserve(operands.size());
   for (const QueryPtr& op : operands) {
-    CostEstimate est = EstimateCost(ctx->store, *op);
+    CostEstimate est = ctx->Estimate(*op);
     keyed.push_back(
         {op, est.output_records, est.TotalPages(), QueryFingerprint(*op)});
   }
@@ -267,8 +273,8 @@ QueryPtr TryPushdown(Ctx* ctx, const QueryPtr& node) {
     OptimizeStats saved = ctx->stats;
     QueryPtr inner = OptimizeNode(ctx, Query::And(f, h->q1()));
     QueryPtr candidate = Rebuild(*h, inner, h->q2(), h->q3());
-    if (EstimateCost(ctx->store, *candidate).TotalPages() <
-        EstimateCost(ctx->store, *node).TotalPages()) {
+    if (ctx->Estimate(*candidate).TotalPages() <
+        ctx->Estimate(*node).TotalPages()) {
       ++ctx->stats.pushed_filters;
       return candidate;
     }
@@ -280,7 +286,7 @@ QueryPtr TryPushdown(Ctx* ctx, const QueryPtr& node) {
 QueryPtr OptimizeNode(Ctx* ctx, const QueryPtr& q) {
   if (IsLeafOp(q->op())) {
     // A provably-empty scan shrinks to its base-scoped witness.
-    if (q->scope() != Scope::kBase && ProvablyEmpty(ctx->store, *q)) {
+    if (q->scope() != Scope::kBase && ctx->ProvablyEmpty(*q)) {
       ++ctx->stats.short_circuits;
       return EmptyWitness(q);
     }
@@ -306,8 +312,8 @@ QueryPtr OptimizeNode(Ctx* ctx, const QueryPtr& q) {
   switch (node->op()) {
     case QueryOp::kAnd:
     case QueryOp::kOr: {
-      bool e1 = ProvablyEmpty(ctx->store, *node->q1());
-      bool e2 = ProvablyEmpty(ctx->store, *node->q2());
+      bool e1 = ctx->ProvablyEmpty(*node->q1());
+      bool e2 = ctx->ProvablyEmpty(*node->q2());
       if (node->op() == QueryOp::kAnd && (e1 || e2)) {
         ++ctx->stats.short_circuits;
         return EmptyWitness(e1 ? node->q1() : node->q2());
@@ -324,12 +330,12 @@ QueryPtr OptimizeNode(Ctx* ctx, const QueryPtr& q) {
       return ReorderChain(ctx, node);
     }
     case QueryOp::kDiff: {
-      if (ProvablyEmpty(ctx->store, *node->q1())) {
+      if (ctx->ProvablyEmpty(*node->q1())) {
         // M(-) is a subset of M(Q1) = {}.
         ++ctx->stats.short_circuits;
         return EmptyWitness(node->q1());
       }
-      if (ProvablyEmpty(ctx->store, *node->q2())) {
+      if (ctx->ProvablyEmpty(*node->q2())) {
         // Subtracting nothing: M(-) = M(Q1).
         ++ctx->stats.short_circuits;
         return node->q1();
@@ -340,14 +346,14 @@ QueryPtr OptimizeNode(Ctx* ctx, const QueryPtr& q) {
     case QueryOp::kValueDn:
     case QueryOp::kDnValue: {
       // Output is a subset of M(Q1) unconditionally.
-      if (ProvablyEmpty(ctx->store, *node->q1())) {
+      if (ctx->ProvablyEmpty(*node->q1())) {
         ++ctx->stats.short_circuits;
         return EmptyWitness(node->q1());
       }
       return node;
     }
     default: {  // hierarchy selections
-      if (ProvablyEmpty(ctx->store, *node->q1())) {
+      if (ctx->ProvablyEmpty(*node->q1())) {
         ++ctx->stats.short_circuits;
         return EmptyWitness(node->q1());
       }
@@ -356,7 +362,7 @@ QueryPtr OptimizeNode(Ctx* ctx, const QueryPtr& q) {
       // aggregate like count($2)=0 can match entries with zero witnesses,
       // so it disables the rule.
       if (!node->agg().has_value() &&
-          ProvablyEmpty(ctx->store, *node->q2())) {
+          ctx->ProvablyEmpty(*node->q2())) {
         ++ctx->stats.short_circuits;
         return EmptyWitness(node->q2());
       }
@@ -384,11 +390,11 @@ std::string OptimizeStats::ToString() const {
 
 OptimizedPlan OptimizeQuery(const EntrySource& store, const QueryPtr& query) {
   OptimizedPlan out;
-  out.est_pages_before = EstimateCost(store, *query).TotalPages();
-  Ctx ctx{store, {}};
+  Ctx ctx{store, {}, {}};
+  out.est_pages_before = ctx.Estimate(*query).TotalPages();
   out.plan = OptimizeNode(&ctx, query);
   out.stats = ctx.stats;
-  out.est_pages_after = EstimateCost(store, *out.plan).TotalPages();
+  out.est_pages_after = ctx.Estimate(*out.plan).TotalPages();
   // Never ship a plan the model itself thinks is worse.
   if (out.est_pages_after > out.est_pages_before) {
     out.plan = query;
@@ -402,13 +408,10 @@ AccessPathChoice ChooseAccessPath(const EntrySource& store,
                                   const EntrySource& index,
                                   const Query& leaf) {
   AccessPathChoice choice;
-  const std::string& base_key = leaf.base().HierKey();
-  std::string end = leaf.scope() == Scope::kBase
-                        ? KeyExactEnd(base_key)
-                        : KeySubtreeEnd(base_key);
-  choice.scan_pages =
-      static_cast<double>(store.EstimateRangePages(base_key, end));
-  choice.est_matches = store.EstimateRangeRecords(base_key, end);
+  // The scan reads the pages the store admits for the leaf's filter.
+  const EntrySource::RangeEstimate range = EstimateScan(store, {&leaf});
+  choice.scan_pages = static_cast<double>(range.pages);
+  choice.est_matches = range.records;
   const StoreStats* stats = store.stats();
   if (stats == nullptr || leaf.op() != QueryOp::kAtomic) return choice;
   choice.est_matches = std::min(

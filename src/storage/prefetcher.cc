@@ -6,8 +6,13 @@
 
 namespace ndq {
 
-Prefetcher::Prefetcher(Disk* disk, const std::vector<PageId>* pages)
-    : disk_(disk), pages_(pages), async_(disk->async()) {
+Prefetcher::Prefetcher(Disk* disk, const std::vector<PageId>* pages,
+                       size_t first, NextPage next)
+    : disk_(disk),
+      pages_(pages),
+      next_(std::move(next)),
+      async_(disk->async()),
+      next_submit_(first) {
   TopUpWindow();
 }
 
@@ -32,7 +37,7 @@ Status Prefetcher::Read(size_t idx, uint8_t* buf) {
     // transfer count), so accounting is unchanged — only the queue
     // handoff is skipped.
     Status s = disk_->ReadPage(page, buf);
-    next_submit_ = std::max(next_submit_, idx + 1);
+    if (idx >= next_submit_) next_submit_ = After(idx);
     TopUpWindow();
     return s;
   } else {
@@ -50,7 +55,7 @@ Status Prefetcher::Read(size_t idx, uint8_t* buf) {
   // in scan order, exactly as a synchronous ReadPage would have.
   Status final = disk_->FinishAsyncRead(page, physical);
 
-  next_submit_ = std::max(next_submit_, idx + 1);
+  if (idx >= next_submit_) next_submit_ = After(idx);
   TopUpWindow();
   return final;
 }
@@ -64,7 +69,8 @@ void Prefetcher::TopUpWindow() {
   if (!disk_->PrefetchWorthwhile()) return;
   const size_t depth = async_->io_depth();
   while (window_.size() < depth && next_submit_ < pages_->size()) {
-    const size_t idx = next_submit_++;
+    const size_t idx = next_submit_;
+    next_submit_ = After(idx);
     if (window_.count(idx) > 0) continue;
     window_.emplace(idx, async_->Submit((*pages_)[idx]));
   }

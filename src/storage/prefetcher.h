@@ -30,6 +30,7 @@
 #define NDQ_STORAGE_PREFETCHER_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <vector>
 
@@ -41,10 +42,17 @@ class Disk;
 
 class Prefetcher {
  public:
-  /// Streams `*pages` (not owned; must outlive the prefetcher) on `disk`.
+  /// The index of the page a reader reads after page `idx`; an index past
+  /// the list ends the stream.
+  using NextPage = std::function<size_t(size_t idx)>;
+
+  /// Streams `*pages` (not owned; must outlive the prefetcher) on `disk`,
+  /// from index `first` on in the order `next` gives (null: idx + 1), so
+  /// a reader that skips pages has only the ones it reads fetched ahead.
   /// Degrades to plain synchronous ReadPage when the disk has no async
   /// engine, so callers can construct one unconditionally.
-  Prefetcher(Disk* disk, const std::vector<PageId>* pages);
+  Prefetcher(Disk* disk, const std::vector<PageId>* pages, size_t first = 0,
+             NextPage next = nullptr);
 
   /// Cancels the window; completed-but-unconsumed fetches count as
   /// prefetch_wasted.
@@ -54,7 +62,8 @@ class Prefetcher {
   Prefetcher& operator=(const Prefetcher&) = delete;
 
   /// Reads pages[idx] into `buf` (page_size bytes) with sync-identical
-  /// accounting, then tops the prefetch window back up from idx+1.
+  /// accounting, then tops the prefetch window back up from the page
+  /// after idx.
   /// Supports out-of-order idx (SeekTo): skipped-over in-flight pages
   /// stay in the window in case the scan passes them later.
   Status Read(size_t idx, uint8_t* buf);
@@ -64,14 +73,16 @@ class Prefetcher {
  private:
   void TopUpWindow();
   void DropWindow();
+  size_t After(size_t idx) const { return next_ ? next_(idx) : idx + 1; }
 
   Disk* const disk_;
   const std::vector<PageId>* const pages_;
+  const NextPage next_;
   AsyncDisk* const async_;  // null = sync fallback
   /// In-flight/completed fetches by page index.
   std::map<size_t, AsyncDisk::RequestHandle> window_;
   /// Next page index the window will submit.
-  size_t next_submit_ = 0;
+  size_t next_submit_;
 };
 
 }  // namespace ndq

@@ -231,8 +231,11 @@ Status FrameDecoder::Decode(PageFormat format, Input* in,
 
 }  // namespace run_internal
 
-RunReader::RunReader(Disk* disk, const Run& run)
-    : disk_(disk), run_(&run), prefetch_(disk, &run.pages) {}
+RunReader::RunReader(Disk* disk, const Run& run, size_t first_page,
+                     Prefetcher::NextPage next_page)
+    : disk_(disk),
+      run_(&run),
+      prefetch_(disk, &run.pages, first_page, std::move(next_page)) {}
 
 Status RunReader::LoadPage(size_t idx) {
   buf_.resize(disk_->page_size());

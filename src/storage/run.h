@@ -95,6 +95,8 @@ class RunWriter {
   Result<Run> Finish();
 
   uint64_t num_records() const { return run_.num_records; }
+  /// Bytes appended so far: where the next record's frame starts.
+  uint64_t payload_bytes() const { return run_.payload_bytes; }
 
   /// Forces a restart for the first record starting in each page, so the
   /// first restart at or past any page's start is the first record
@@ -155,7 +157,11 @@ class FrameDecoder {
 /// accounting is byte-identical either way (see storage/prefetcher.h).
 class RunReader {
  public:
-  RunReader(Disk* disk, const Run& run);
+  /// A reader that seeks (a range scan) may say where it starts reading
+  /// and which page it reads after each, so its prefetcher fetches only
+  /// those (Prefetcher::NextPage); by default, every page from the first.
+  RunReader(Disk* disk, const Run& run, size_t first_page = 0,
+            Prefetcher::NextPage next_page = nullptr);
 
   /// Reads the next record into `record`. Returns false at end-of-run.
   /// Compressed records are reconstructed incrementally from the previous

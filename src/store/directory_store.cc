@@ -67,16 +67,18 @@ struct DirectoryStore::StoreState : public EntrySource {
   uint64_t state_version = 0;
   StoreStats store_stats;
 
+  using EntrySource::ScanRange;
+
+  /// Every record of the range: the merge skips no page.
   Status ScanRange(std::string_view start_key, std::string_view end_key,
-                   const std::function<Status(std::string_view)>& fn)
-      const override;
+                   ScanFilters filters, const RecordFn& fn,
+                   uint64_t* skipped_pages) const override;
   uint64_t num_entries() const override { return live_entries; }
   const StoreStats* stats() const override { return &store_stats; }
   /// Summed over segments (sparse indexes) plus the memtable span.
-  uint64_t EstimateRangeRecords(std::string_view start_key,
-                                std::string_view end_key) const override;
-  uint64_t EstimateRangePages(std::string_view start_key,
-                              std::string_view end_key) const override;
+  RangeEstimate EstimateRange(std::string_view start_key,
+                              std::string_view end_key,
+                              ScanFilters filters) const override;
   // PinSnapshot() keeps the default nullptr: a state is already a
   // snapshot, callers read it directly.
   uint64_t version() const override { return state_version; }
@@ -284,8 +286,8 @@ Result<bool> DirectoryStore::StoreState::HasDescendants(
 }
 
 Status DirectoryStore::StoreState::ScanRange(
-    std::string_view start_key, std::string_view end_key,
-    const std::function<Status(std::string_view)>& fn) const {
+    std::string_view start_key, std::string_view end_key, ScanFilters,
+    const RecordFn& fn, uint64_t*) const {
   MergedCursor cursor(*this, start_key);
   while (true) {
     NDQ_ASSIGN_OR_RETURN(bool more, cursor.Next());
@@ -296,11 +298,14 @@ Status DirectoryStore::StoreState::ScanRange(
   return Status::OK();
 }
 
-uint64_t DirectoryStore::StoreState::EstimateRangeRecords(
-    std::string_view start_key, std::string_view end_key) const {
-  uint64_t total = 0;
+EntrySource::RangeEstimate DirectoryStore::StoreState::EstimateRange(
+    std::string_view start_key, std::string_view end_key,
+    ScanFilters) const {
+  RangeEstimate total;
   for (const auto& seg : segments) {
-    total += seg->store.EstimateRangeRecords(start_key, end_key);
+    const RangeEstimate one = seg->store.EstimateRange(start_key, end_key, {});
+    total.pages += one.pages;
+    total.records += one.records;
   }
   auto span = [&](const std::map<std::string, std::string>& m) {
     auto lo = m.lower_bound(std::string(start_key));
@@ -308,28 +313,22 @@ uint64_t DirectoryStore::StoreState::EstimateRangeRecords(
         end_key.empty() ? m.end() : m.lower_bound(std::string(end_key));
     return static_cast<uint64_t>(std::distance(lo, hi));
   };
-  total += span(active);
-  if (frozen != nullptr) total += span(*frozen);
+  total.records += span(active);
+  if (frozen != nullptr) total.records += span(*frozen);
+  total.pages += 1;  // + the memtable (memory-resident)
   return total;
-}
-
-uint64_t DirectoryStore::StoreState::EstimateRangePages(
-    std::string_view start_key, std::string_view end_key) const {
-  uint64_t total = 0;
-  for (const auto& seg : segments) {
-    total += seg->store.EstimateRangePages(start_key, end_key);
-  }
-  return total + 1;  // + the memtable (memory-resident)
 }
 
 Result<std::optional<Entry>> DirectoryStore::Get(const Dn& dn) const {
   return SnapshotState()->Get(dn.HierKey());
 }
 
-Status DirectoryStore::ScanRange(
-    std::string_view start_key, std::string_view end_key,
-    const std::function<Status(std::string_view record)>& fn) const {
-  return SnapshotState()->ScanRange(start_key, end_key, fn);
+Status DirectoryStore::ScanRange(std::string_view start_key,
+                                 std::string_view end_key,
+                                 ScanFilters filters, const RecordFn& fn,
+                                 uint64_t* skipped_pages) const {
+  return SnapshotState()->ScanRange(start_key, end_key, filters, fn,
+                                    skipped_pages);
 }
 
 uint64_t DirectoryStore::num_entries() const {
@@ -343,14 +342,10 @@ const StoreStats* DirectoryStore::stats() const {
   return &state_->store_stats;
 }
 
-uint64_t DirectoryStore::EstimateRangeRecords(
-    std::string_view start_key, std::string_view end_key) const {
-  return SnapshotState()->EstimateRangeRecords(start_key, end_key);
-}
-
-uint64_t DirectoryStore::EstimateRangePages(std::string_view start_key,
-                                            std::string_view end_key) const {
-  return SnapshotState()->EstimateRangePages(start_key, end_key);
+EntrySource::RangeEstimate DirectoryStore::EstimateRange(
+    std::string_view start_key, std::string_view end_key,
+    ScanFilters filters) const {
+  return SnapshotState()->EstimateRange(start_key, end_key, filters);
 }
 
 std::shared_ptr<const EntrySource> DirectoryStore::PinSnapshot() const {

@@ -170,11 +170,16 @@ class DirectoryStore : public EntrySource, public UpdateTarget {
   }
   Status ReplaceEntry(Entry entry) override { return Put(std::move(entry)); }
 
+  using EntrySource::ScanRange;
+
   /// Merged key-ordered scan (EntrySource) over a snapshot taken at call
-  /// time; concurrent mutations do not affect an in-progress scan.
+  /// time; concurrent mutations do not affect an in-progress scan. It
+  /// reads every record of the range: segments carry no page synopses,
+  /// and a merge may skip no page, since a newer segment's version
+  /// shadows an older one's.
   Status ScanRange(std::string_view start_key, std::string_view end_key,
-                   const std::function<Status(std::string_view record)>& fn)
-      const override;
+                   ScanFilters filters, const RecordFn& fn,
+                   uint64_t* skipped_pages) const override;
 
   uint64_t num_entries() const override;
   /// Maintained exactly across applied ops and refreshed from segment
@@ -186,10 +191,9 @@ class DirectoryStore : public EntrySource, public UpdateTarget {
 
   /// Cost-model hooks: summed over segments (sparse indexes) plus the
   /// memtable span. Slight over-counts where versions shadow each other.
-  uint64_t EstimateRangeRecords(std::string_view start_key,
-                                std::string_view end_key) const override;
-  uint64_t EstimateRangePages(std::string_view start_key,
-                              std::string_view end_key) const override;
+  RangeEstimate EstimateRange(std::string_view start_key,
+                              std::string_view end_key,
+                              ScanFilters filters) const override;
 
   /// The published state: scans, estimates, and stats all observe one
   /// version while writers proceed, and the segment pages it names stay

@@ -7,7 +7,8 @@
 
 namespace ndq {
 
-Status EntryStore::BuildFrom(Disk* disk, const RecordPull& next) {
+template <typename Pull>
+Status EntryStore::BuildFrom(Disk* disk, Pull&& next) {
   disk_ = disk;
   const size_t page_size = disk->page_size();
   // Entry records are keyed (HierKey first field), so the segment is
@@ -20,7 +21,9 @@ Status EntryStore::BuildFrom(Disk* disk, const RecordPull& next) {
   std::string record;
   std::string prev_key;
   while (true) {
-    NDQ_ASSIGN_OR_RETURN(bool more, next(&record));
+    // The record starts where the payload ends; FlushPage keeps that
+    // short of a full page between Adds.
+    NDQ_ASSIGN_OR_RETURN(bool more, next(&record, writer.payload_bytes()));
     if (!more) break;
     NDQ_ASSIGN_OR_RETURN(std::string_view key, PeekEntryKey(record));
     if (writer.num_records() > 0 && !(prev_key < key)) {
@@ -50,38 +53,50 @@ Status EntryStore::BuildFrom(Disk* disk, const RecordPull& next) {
 
 Result<EntryStore> EntryStore::BulkLoad(Disk* disk,
                                         const DirectoryInstance& instance) {
-  // The statistics fold from each entry as it is handed over for
-  // serialization, so no record is decoded back.
+  // The statistics and the synopsis of the page the entry starts in fold
+  // from each entry, in one walk over its attributes, as it is handed
+  // over for serialization, so no record is decoded back.
   auto stats = std::make_shared<StoreStats>();
+  PageSynopses::Builder synopses;
   auto it = instance.begin();
-  auto next = [&]() -> const Entry* {
-    if (it == instance.end()) return nullptr;
-    const Entry* entry = &(it++)->second;
-    stats->AddEntry(*entry);
-    return entry;
-  };
-  NDQ_ASSIGN_OR_RETURN(EntryStore store, FromEntries(disk, next));
+  EntryStore store;
+  // A failed build leaks nothing: the writer frees the pages of a run it
+  // never finished, and the partial index goes with `store`.
+  NDQ_RETURN_IF_ERROR(store.BuildFrom(
+      disk, [&](std::string* record, uint64_t offset) -> Result<bool> {
+        if (it == instance.end()) return false;
+        const Entry& entry = (it++)->second;
+        synopses.StartRecord(offset / disk->page_size());
+        stats->AddEntry(entry, &synopses);
+        record->clear();
+        SerializeEntry(entry, record);
+        return true;
+      }));
   store.stats_ = std::move(stats);
+  store.synopses_ =
+      std::make_shared<const PageSynopses>(synopses.Finish(store.num_pages()));
   return store;
 }
 
 Result<EntryStore> EntryStore::FromEntries(
     Disk* disk, const std::function<const Entry*()>& next) {
-  return FromStream(disk, [&](std::string* record) -> Result<bool> {
-    const Entry* entry = next();
-    if (entry == nullptr) return false;
-    record->clear();
-    SerializeEntry(*entry, record);
-    return true;
-  });
+  EntryStore store;
+  NDQ_RETURN_IF_ERROR(
+      store.BuildFrom(disk, [&](std::string* record, uint64_t) -> Result<bool> {
+        const Entry* entry = next();
+        if (entry == nullptr) return false;
+        record->clear();
+        SerializeEntry(*entry, record);
+        return true;
+      }));
+  return store;
 }
 
 Result<EntryStore> EntryStore::FromStream(
     Disk* disk, const std::function<Result<bool>(std::string*)>& next) {
-  // A failed build leaks nothing: the writer frees the pages of a run it
-  // never finished, and the partial index goes with `store`.
   EntryStore store;
-  NDQ_RETURN_IF_ERROR(store.BuildFrom(disk, next));
+  NDQ_RETURN_IF_ERROR(store.BuildFrom(
+      disk, [&](std::string* record, uint64_t) { return next(record); }));
   return store;
 }
 
@@ -89,7 +104,7 @@ Result<EntryStore> EntryStore::CopyTo(Disk* disk) const {
   if (disk_ == nullptr) {
     return Status::InvalidArgument("segment copy needs a built segment");
   }
-  EntryStore copy = *this;  // sparse index, shared stats
+  EntryStore copy = *this;  // sparse index, shared stats and synopses
   copy.disk_ = disk;
   NDQ_ASSIGN_OR_RETURN(copy.run_, CopyRun(disk_, run_, disk));
   return copy;
@@ -124,7 +139,8 @@ std::vector<RunRestart>::const_iterator RestartFrom(const Run& run,
 
 }  // namespace
 
-const RunRestart& EntryStore::StartRestart(std::string_view key) const {
+std::vector<RunRestart>::const_iterator EntryStore::StartRestart(
+    std::string_view key) const {
   // The last restart before the end of the key's page sits in the last
   // page at or before it that a record starts in (a page without one is
   // covered by a record that began earlier); that page's first restart
@@ -134,37 +150,165 @@ const RunRestart& EntryStore::StartRestart(std::string_view key) const {
   const uint64_t start_page =
       std::prev(RestartFrom(run_, (page + 1) * page_size))->offset /
       page_size;
-  return *RestartFrom(run_, start_page * page_size);
+  return RestartFrom(run_, start_page * page_size);
 }
 
-Status EntryStore::ScanRange(
-    std::string_view start_key, std::string_view end_key,
-    const std::function<Status(std::string_view record)>& fn) const {
-  Cursor cursor(this, start_key);
-  while (true) {
-    NDQ_ASSIGN_OR_RETURN(bool more, cursor.Next());
-    if (!more || (!end_key.empty() && cursor.key() >= end_key)) break;
-    NDQ_RETURN_IF_ERROR(fn(cursor.record()));
+// The pages one range scan reads. A start page (one a record starts in)
+// is admitted when the probe may match a record there: every one when the
+// probe admits all, else only up to the last page the range can start a
+// record in. The scan reads each admitted start page and the pages its
+// records run on to; After() walks those pages in order, up to that last
+// page, for the prefetcher and the estimates.
+class EntryStore::PagePlan {
+ public:
+  using RestartIt = std::vector<RunRestart>::const_iterator;
+
+  PagePlan(const EntryStore& store, std::string_view start_key,
+           std::string_view end_key, ScanFilters filters)
+      : run_(store.run_),
+        page_size_(store.disk_->page_size()),
+        probe_(store.synopses_.get(), filters),
+        last_(end_key.empty() ? run_.pages.size() - 1
+                              : PageLowerBound(store.first_keys_, end_key)),
+        first_(store.StartRestart(start_key)) {}
+
+  bool selective() const { return probe_.selective(); }
+  size_t last() const { return last_; }
+  RestartIt first() const { return first_; }
+  RestartIt end() const { return run_.restarts.end(); }
+  size_t PageOf(RestartIt it) const { return it->offset / page_size_; }
+
+  /// The first restart of the start page after page `page`, from `it`
+  /// in it: a few restarts on, so a walk beats a binary search.
+  RestartIt NextStart(RestartIt it, size_t page) const {
+    const uint64_t limit = (page + 1) * page_size_;
+    while (it != end() && it->offset < limit) ++it;
+    return it;
   }
-  return Status::OK();
+  RestartIt NextStart(RestartIt it) const {
+    return NextStart(it, PageOf(it));
+  }
+
+  /// The first admitted start page from the one `it` begins (a page's
+  /// first restart, or the end) on, as its first restart; end() if none.
+  RestartIt NextAdmitted(RestartIt it) const {
+    while (it != end()) {
+      const size_t page = PageOf(it);
+      if (probe_.selective() && page > last_) break;
+      if (probe_.MayMatch(page)) return it;
+      it = NextStart(it, page);
+    }
+    return end();
+  }
+
+  /// The page read after page `page` up to last(), or SIZE_MAX.
+  size_t After(size_t page) const {
+    const size_t next = page + 1;
+    if (next > last_) return SIZE_MAX;
+    // The records over page next's first byte start in `owner`, the page
+    // of the last restart before it (restart 0 sits at offset 0).
+    const RestartIt it = RestartFrom(run_, next * page_size_);
+    const size_t owner = PageOf(std::prev(it));
+    if ((it == end() || it->offset > next * page_size_) &&
+        probe_.MayMatch(owner)) {
+      return next;
+    }
+    const RestartIt at = NextAdmitted(it);
+    return at == end() ? SIZE_MAX : PageOf(at);
+  }
+
+ private:
+  const Run& run_;
+  const uint64_t page_size_;
+  const PageSynopses::Probe probe_;
+  const size_t last_;
+  const RestartIt first_;
+};
+
+Status EntryStore::ScanRange(std::string_view start_key,
+                             std::string_view end_key, ScanFilters filters,
+                             const RecordFn& fn,
+                             uint64_t* skipped_pages) const {
+  Cursor cursor(this, start_key, end_key, filters);
+  Status status;
+  while (true) {
+    Result<bool> more = cursor.Next();
+    if (!more.ok()) {
+      status = more.status();
+      break;
+    }
+    if (!*more || (!end_key.empty() && cursor.key() >= end_key)) break;
+    status = fn(cursor.record());
+    if (!status.ok()) break;
+  }
+  if (skipped_pages != nullptr) *skipped_pages += cursor.skipped_pages();
+  return status;
 }
+
+EntryStore::Cursor::Cursor() = default;
+EntryStore::Cursor::~Cursor() = default;
+EntryStore::Cursor::Cursor(Cursor&&) noexcept = default;
+EntryStore::Cursor& EntryStore::Cursor::operator=(Cursor&&) noexcept =
+    default;
 
 EntryStore::Cursor::Cursor(const EntryStore* store,
-                           std::string_view start_key)
-    : store_(store), start_key_(start_key) {}
+                           std::string_view start_key,
+                           std::string_view end_key, ScanFilters filters)
+    : store_(store), start_key_(start_key) {
+  if (store->run_.num_records > 0) {
+    plan_ = std::make_unique<PagePlan>(*store, start_key, end_key, filters);
+  }
+}
+
+Result<bool> EntryStore::Cursor::Enter(PagePlan::RestartIt from) {
+  const PagePlan& plan = *plan_;
+  const PagePlan::RestartIt at = plan.NextAdmitted(from);
+  // Pages of the range neither read nor to be read: from the one `from`
+  // begins (or the first the reader has not loaded) to the one entered,
+  // or past the range's last page when none is left.
+  if (from != plan.end()) {
+    size_t passed = plan.PageOf(from);
+    if (reader_ != nullptr) passed = std::max(passed, reader_->next_page());
+    const size_t to = at != plan.end() ? plan.PageOf(at)
+                                       : std::max(passed, plan.last() + 1);
+    if (to > passed) skipped_ += to - passed;
+  }
+  if (at == plan.end()) return false;
+  // The reader reads on into an admitted next start page. A seek lands
+  // past it, in a page the reader has not loaded (it holds at most the
+  // page `from` begins), so no page is read twice.
+  if (reader_ == nullptr) {
+    reader_ = std::make_unique<RunReader>(
+        store_->disk_, store_->run_, plan.PageOf(at),
+        [&plan](size_t page) { return plan.After(page); });
+    NDQ_RETURN_IF_ERROR(reader_->SeekTo(*at));
+  } else if (at != from) {
+    NDQ_RETURN_IF_ERROR(reader_->SeekTo(*at));
+  }
+  next_page_ = plan.NextStart(at);
+  next_page_record_ = next_page_ == plan.end() ? store_->run_.num_records
+                                                : next_page_->record;
+  return true;
+}
 
 Result<bool> EntryStore::Cursor::Next() {
-  if (store_ == nullptr) return false;
+  if (plan_ == nullptr) return false;
   if (!primed_) {
     primed_ = true;
-    if (store_->run_.num_records == 0) return false;
-    // Records before start_key_ in the seek target's page are skipped below.
-    auto reader = std::make_unique<RunReader>(store_->disk_, store_->run_);
-    NDQ_RETURN_IF_ERROR(reader->SeekTo(store_->StartRestart(start_key_)));
-    reader_ = std::move(reader);
+    // Records before start_key_ in the first page are skipped below.
+    NDQ_ASSIGN_OR_RETURN(bool more, Enter(plan_->first()));
+    if (!more) return false;
   }
   if (reader_ == nullptr) return false;
   while (true) {
+    if (reader_->records_read() == next_page_record_ &&
+        next_page_ != plan_->end()) {
+      NDQ_ASSIGN_OR_RETURN(bool more, Enter(next_page_));
+      if (!more) {
+        reader_.reset();
+        return false;
+      }
+    }
     NDQ_ASSIGN_OR_RETURN(bool more, reader_->Next(&record_));
     if (!more) {
       reader_.reset();
@@ -175,32 +319,45 @@ Result<bool> EntryStore::Cursor::Next() {
   }
 }
 
-uint64_t EntryStore::EstimateRangePages(std::string_view start_key,
-                                        std::string_view end_key) const {
-  if (run_.num_records == 0) return 0;
-  size_t lo = PageLowerBound(first_keys_, start_key);
-  size_t hi = end_key.empty() ? run_.pages.size()
-                              : PageLowerBound(first_keys_, end_key) + 1;
-  if (hi <= lo) return 1;
-  return hi - lo;
-}
-
-uint64_t EntryStore::EstimateRangeRecords(std::string_view start_key,
-                                          std::string_view end_key) const {
-  if (run_.num_records == 0) return 0;
-  // The records starting before page p are those before the first
-  // restart at or past it.
-  auto records_before = [&](uint64_t page) {
-    auto it = RestartFrom(run_, page * disk_->page_size());
-    return it == run_.restarts.end() ? run_.num_records : it->record;
+EntrySource::RangeEstimate EntryStore::EstimateRange(
+    std::string_view start_key, std::string_view end_key,
+    ScanFilters filters) const {
+  if (run_.num_records == 0) return {};
+  const PagePlan plan(*this, start_key, end_key, filters);
+  auto record_at = [&](PagePlan::RestartIt it) {
+    return it == plan.end() ? run_.num_records : it->record;
   };
-  const uint64_t lo_rec =
-      records_before(PageLowerBound(first_keys_, start_key));
+  RangeEstimate est;
+  if (plan.selective()) {
+    // The pages After() walks, each once: every admitted start page and
+    // the pages its records run onto, up to the last page; and the
+    // records starting in the admitted pages.
+    size_t unread = 0;  // the first page no earlier span covers
+    for (PagePlan::RestartIt at = plan.NextAdmitted(plan.first());
+         at != plan.end();) {
+      const PagePlan::RestartIt next = plan.NextStart(at);
+      est.records += record_at(next) - at->record;
+      const uint64_t span_end =
+          next == plan.end() ? run_.payload_bytes : next->offset;
+      const size_t last =
+          std::min<size_t>((span_end - 1) / disk_->page_size(), plan.last());
+      const size_t from = std::max(plan.PageOf(at), unread);
+      if (last >= from) est.pages += last - from + 1;
+      unread = std::max(unread, last + 1);
+      at = plan.NextAdmitted(next);
+    }
+    return est;
+  }
+  // From the page the scan starts at (StartRestart backs up to it) to the
+  // last page the range reaches, and the records starting in them.
+  const size_t lo = plan.PageOf(plan.first());
+  const size_t hi = end_key.empty() ? run_.pages.size() : plan.last() + 1;
+  est.pages = hi > lo ? hi - lo : 1;
+  const uint64_t lo_rec = plan.first()->record;
   const uint64_t hi_rec =
-      end_key.empty()
-          ? run_.num_records
-          : records_before(PageLowerBound(first_keys_, end_key) + 1);
-  return hi_rec > lo_rec ? hi_rec - lo_rec : 1;
+      record_at(RestartFrom(run_, (plan.last() + 1) * disk_->page_size()));
+  est.records = hi_rec > lo_rec ? hi_rec - lo_rec : 1;
+  return est;
 }
 
 Result<std::optional<Entry>> EntryStore::Get(std::string_view hier_key) const {
@@ -225,9 +382,10 @@ Status EntryStore::ScanKeys(
     if (run_.num_records == 0) {
       return Status::NotFound("segment holds no record for " + key);
     }
-    const RunRestart& from = StartRestart(key);
-    if (!positioned || from.offset / disk_->page_size() > reader.next_page()) {
-      NDQ_RETURN_IF_ERROR(reader.SeekTo(from));
+    const auto from = StartRestart(key);
+    if (!positioned ||
+        from->offset / disk_->page_size() > reader.next_page()) {
+      NDQ_RETURN_IF_ERROR(reader.SeekTo(*from));
       positioned = true;
     }
     std::string_view at;
@@ -321,6 +479,7 @@ Status EntryStore::Destroy() {
   NDQ_RETURN_IF_ERROR(FreeRun(disk_, &run_));
   first_keys_.clear();
   stats_.reset();
+  synopses_.reset();
   return Status::OK();
 }
 

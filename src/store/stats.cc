@@ -4,58 +4,22 @@
 #include <cstring>
 
 #include "storage/serde.h"
+#include "store/hash.h"
 
 namespace ndq {
 
 namespace {
 
-// A 64-bit hash that takes eight bytes per multiply. Extend() hashes one
-// more run of bytes, length included, onto `h`, so the hash of a HierKey
-// prefix extends to the next prefix one component at a time.
-constexpr uint64_t kHashSeed = 0x9E3779B97F4A7C15ull;
-
-uint64_t HashStep(uint64_t h, uint64_t word) {
-  h = (h ^ word) * 0xBF58476D1CE4E5B9ull;
-  return h ^ (h >> 31);
-}
-
-// Up to eight bytes as one word, without a variable-length copy: two
-// overlapping 4-byte loads, or three single bytes below four. Together
-// with the length, the word determines the bytes.
-uint64_t LoadTail(const char* p, size_t n) {
-  if (n >= 4) {
-    uint32_t lo = 0, hi = 0;
-    std::memcpy(&lo, p, 4);
-    std::memcpy(&hi, p + n - 4, 4);
-    return (static_cast<uint64_t>(hi) << 32) | lo;
-  }
-  if (n == 0) return 0;
-  return (static_cast<uint64_t>(static_cast<uint8_t>(p[0])) << 16) |
-         (static_cast<uint64_t>(static_cast<uint8_t>(p[n / 2])) << 8) |
-         static_cast<uint8_t>(p[n - 1]);
-}
-
-uint64_t Extend(uint64_t h, std::string_view bytes) {
-  const char* p = bytes.data();
-  size_t n = bytes.size();
-  for (; n > 8; p += 8, n -= 8) {
-    uint64_t word = 0;
-    std::memcpy(&word, p, 8);
-    h = HashStep(h, word);
-  }
-  // The length rides on the last step; scaling the tail by an odd
-  // constant keeps a shorter run's tail from cancelling it.
-  return HashStep(h, LoadTail(p, n) * kHashSeed + bytes.size());
-}
-
-uint64_t Hash(std::string_view bytes) { return Extend(kHashSeed, bytes); }
+using store_hash::Extend;
+using store_hash::Hash;
+using store_hash::SlotKey;
 
 // Hashes the prefixes of `key` at depths 0 ("") through
 // min(KeyDepth(key), kMaxSketchDepth) into `hashes`, root first, in one
 // walk over the key, and returns KeyDepth(key).
 size_t PrefixHashes(std::string_view key,
                     uint64_t (&hashes)[StoreStats::kMaxSketchDepth + 1]) {
-  uint64_t h = kHashSeed;
+  uint64_t h = store_hash::kSeed;
   hashes[0] = h;
   if (key.empty()) return 0;
   for (size_t depth = 1;; ++depth) {
@@ -70,10 +34,6 @@ size_t PrefixHashes(std::string_view key,
     }
   }
 }
-
-// Table keys for name and prefix hashes: 0 marks an empty slot, so a hash
-// of 0 shares a slot with a hash of 1 (a collision, summed like any other).
-uint64_t SlotKey(uint64_t hash) { return hash == 0 ? 1 : hash; }
 
 // Bumps a capped MCV table. A value whose slot would exceed the cap lands
 // in *other, which every estimate adds back in.
@@ -137,37 +97,43 @@ void Saturating(uint64_t* counter, bool add) {
 
 }  // namespace
 
-void StoreStats::AddEntry(const Entry& entry) {
-  UpdateEntry(entry.view(), true);
+void StoreStats::AddEntry(const Entry& entry,
+                          PageSynopses::Builder* synopses) {
+  UpdateEntry(entry.view(), true, synopses);
 }
 
 void StoreStats::RemoveEntry(const Entry& entry) {
-  UpdateEntry(entry.view(), false);
+  UpdateEntry(entry.view(), false, nullptr);
 }
 
 Status StoreStats::AddRecord(std::string_view record) {
   Entry slow;
   NDQ_ASSIGN_OR_RETURN(EntryView entry, EntryView::Parse(record, &slow));
-  UpdateEntry(entry, true);
+  UpdateEntry(entry, true, nullptr);
   return Status::OK();
 }
 
-StoreStats::AttrStats& StoreStats::Attr(std::string_view name) {
-  const uint64_t key = SlotKey(Hash(name));
-  AttrSlot* slot = attr_index_.Find(key);
+size_t StoreStats::AttrIndex(uint64_t name_key) {
+  AttrSlot* slot = attr_index_.Find(name_key);
   if (slot == nullptr) {
-    slot = attr_index_.Insert(key);
+    slot = attr_index_.Insert(name_key);
     slot->index = attrs_.size();
     attrs_.emplace_back();
   }
-  return attrs_[slot->index];
+  return slot->index;
 }
 
-void StoreStats::UpdateEntry(const EntryView& entry, bool add) {
+void StoreStats::UpdateEntry(const EntryView& entry, bool add,
+                             PageSynopses::Builder* synopses) {
   Saturating(&num_entries_, add);
   for (const AttributeView& attr : entry) {
-    AttrStats& a = Attr(attr.name);
+    const uint64_t name_key = store_hash::NameKey(attr.name);
+    const size_t index = AttrIndex(name_key);
+    AttrStats& a = attrs_[index];
     Saturating(&a.entries, add);
+    if (synopses != nullptr) {
+      synopses->Attribute(static_cast<uint32_t>(index), name_key);
+    }
     for (ValueView v : attr.values) {
       if (v.is_int()) {
         Saturating(&a.int_values, add);
@@ -176,13 +142,16 @@ void StoreStats::UpdateEntry(const EntryView& entry, bool add) {
         } else {
           McvRemove(&a.int_mcv, &a.int_other, IntKey(v.AsInt()));
         }
+        if (synopses != nullptr) synopses->IntValue(v.AsInt());
       } else {
         Saturating(&a.str_values, add);
+        const uint64_t hash = Hash(v.AsString());
         if (add) {
-          McvAdd(&a.str_mcv, &a.str_other, Hash(v.AsString()));
+          McvAdd(&a.str_mcv, &a.str_other, hash);
         } else {
-          McvRemove(&a.str_mcv, &a.str_other, Hash(v.AsString()));
+          McvRemove(&a.str_mcv, &a.str_other, hash);
         }
+        if (synopses != nullptr) synopses->StringValue(v.AsString(), hash);
       }
     }
   }
@@ -213,7 +182,7 @@ void StoreStats::UpdateSketch(std::string_view key, bool add) {
 
 const StoreStats::AttrStats* StoreStats::FindAttr(
     std::string_view name) const {
-  const AttrSlot* slot = attr_index_.Find(SlotKey(Hash(name)));
+  const AttrSlot* slot = attr_index_.Find(store_hash::NameKey(name));
   return slot == nullptr ? nullptr : &attrs_[slot->index];
 }
 

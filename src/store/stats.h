@@ -53,6 +53,7 @@
 #include "core/status.h"
 #include "filter/atomic_filter.h"
 #include "filter/ldap_filter.h"
+#include "store/page_synopsis.h"
 
 namespace ndq {
 
@@ -177,8 +178,12 @@ class StoreStats {
   static constexpr size_t kMaxSketchNodes = size_t{1} << 17;
 
   /// Folds one entry in / out. Remove must only be called with an entry
-  /// previously added (counts saturate at zero defensively).
-  void AddEntry(const Entry& entry);
+  /// previously added (counts saturate at zero defensively). With
+  /// `synopses`, the same walk over the entry's attributes feeds them its
+  /// attributes, by the statistics' own attribute index, and its values,
+  /// with the hashes the value tables key them by (EntryStore::BulkLoad).
+  void AddEntry(const Entry& entry,
+                PageSynopses::Builder* synopses = nullptr);
   void RemoveEntry(const Entry& entry);
 
   /// Folds a serialized entry record in, read through an EntryView.
@@ -258,9 +263,12 @@ class StoreStats {
     bool operator==(const NodeSlot&) const = default;
   };
 
-  void UpdateEntry(const EntryView& entry, bool add);
+  void UpdateEntry(const EntryView& entry, bool add,
+                   PageSynopses::Builder* synopses);
   void UpdateSketch(std::string_view key, bool add);
-  AttrStats& Attr(std::string_view name);
+  /// The index into attrs_ of the attribute keyed `name_key`
+  /// (store_hash::NameKey), added if new.
+  size_t AttrIndex(uint64_t name_key);
   const AttrStats* FindAttr(std::string_view name) const;
 
   std::vector<AttrStats> attrs_;  // in first-folded order

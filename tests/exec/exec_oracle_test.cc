@@ -327,9 +327,9 @@ class RecordSource : public EntrySource {
   explicit RecordSource(std::vector<std::string> records)
       : records_(std::move(records)) {}
 
-  Status ScanRange(
-      std::string_view start_key, std::string_view end_key,
-      const std::function<Status(std::string_view)>& fn) const override {
+  Status ScanRange(std::string_view start_key, std::string_view end_key,
+                   ScanFilters, const RecordFn& fn,
+                   uint64_t*) const override {
     for (const std::string& rec : records_) {
       NDQ_ASSIGN_OR_RETURN(std::string_view key, PeekEntryKey(rec));
       if (key < start_key || (!end_key.empty() && key >= end_key)) continue;

@@ -275,23 +275,20 @@ class FailingSource : public EntrySource {
       : base_(base), failures_(std::move(failures)) {}
 
   Status ScanRange(std::string_view start_key, std::string_view end_key,
-                   const std::function<Status(std::string_view)>& fn)
-      const override {
+                   ScanFilters filters, const RecordFn& fn,
+                   uint64_t* skipped_pages) const override {
     std::string key(start_key);
     for (char& c : key) c = static_cast<char>(std::tolower(c));
     for (const auto& [marker, status] : failures_) {
       if (key.find(marker) != std::string::npos) return status;
     }
-    return base_->ScanRange(start_key, end_key, fn);
+    return base_->ScanRange(start_key, end_key, filters, fn, skipped_pages);
   }
   uint64_t num_entries() const override { return base_->num_entries(); }
-  uint64_t EstimateRangeRecords(std::string_view start_key,
-                                std::string_view end_key) const override {
-    return base_->EstimateRangeRecords(start_key, end_key);
-  }
-  uint64_t EstimateRangePages(std::string_view start_key,
-                              std::string_view end_key) const override {
-    return base_->EstimateRangePages(start_key, end_key);
+  RangeEstimate EstimateRange(std::string_view start_key,
+                              std::string_view end_key,
+                              ScanFilters filters) const override {
+    return base_->EstimateRange(start_key, end_key, filters);
   }
 
  private:

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -125,19 +126,22 @@ TEST(OptimizeTest, ShortCircuitLegalityMatrix) {
     std::string text;
     bool expect_short_circuit;
     bool expect_cheaper;  // strictly fewer estimated pages
+    // Already free: no page synopsis admits the plan's one leaf, so both
+    // plans are estimated at 0 pages.
+    bool expect_free = false;
   };
   const Case cases[] = {
       // Same-base conjunctions merge into one LDAP leaf during rewrite;
       // the proof then flows through EstimateLdapMatches.
-      {"(& " + kLive + " " + kEmpty + ")", true, true},
-      {"(& " + kEmpty + " " + kLive + ")", true, true},
+      {"(& " + kLive + " " + kEmpty + ")", true, false, true},
+      {"(& " + kEmpty + " " + kLive + ")", true, false, true},
       // Different-base conjunction survives as a kAnd node.
       {"(& (dc=org0, dc=com ? sub ? objectClass=QHP) " + kEmpty + ")",
        true, true},
       // A provably-empty | disjunct is pruned, but the survivor still
       // scans the same range: no page win, just less filter work.
       {"(| " + kLive + " " + kEmpty + ")", true, false},
-      {"(| " + kEmpty + " " + kEmpty + ")", true, true},
+      {"(| " + kEmpty + " " + kEmpty + ")", true, false, true},
       {"(- " + kLive + " " + kEmpty + ")", true, true},
       {"(- " + kEmpty + " " + kLive + ")", true, true},
       // Hierarchy with empty q1: output subset of M(Q1) = {}.
@@ -160,6 +164,10 @@ TEST(OptimizeTest, ShortCircuitLegalityMatrix) {
     }
     if (c.expect_cheaper) {
       EXPECT_LT(opt.est_pages_after, opt.est_pages_before);
+    }
+    if (c.expect_free) {
+      EXPECT_EQ(opt.est_pages_before, 0.0);
+      EXPECT_EQ(opt.est_pages_after, 0.0);
     }
   }
 }
@@ -301,11 +309,20 @@ TEST(OptimizeTest, ChoosesIndexProbeOnlyForSelectiveFilters) {
   spec.attributes = {"objectClass"};
   AttributeIndexes indexes =
       AttributeIndexes::Build(&f.disk, f.store, spec).TakeValue();
-  // Selective: a rare equality the histogram bounds tightly.
+  // Selective: a rare value whose 13 entries sit on pages the scan
+  // reads, and more it cannot rule out.
   AccessPathChoice probe = ChooseAccessPath(
-      f.store, indexes.run(), *f.Parse("(dc=com ? sub ? nosuchattr=zzz)"));
+      f.store, indexes.run(),
+      *f.Parse("(dc=com ? sub ? objectClass=dcObject)"));
   EXPECT_EQ(probe.path, AccessPath::kIndexProbe);
-  EXPECT_EQ(probe.est_matches, 0u);
+  EXPECT_LT(probe.probe_pages, probe.scan_pages);
+  // An attribute no record carries: no page synopsis admits it, so the
+  // scan reads nothing and no probe is cheaper.
+  AccessPathChoice none = ChooseAccessPath(
+      f.store, indexes.run(), *f.Parse("(dc=com ? sub ? nosuchattr=zzz)"));
+  EXPECT_EQ(none.path, AccessPath::kRangeScan);
+  EXPECT_EQ(none.scan_pages, 0.0);
+  EXPECT_EQ(none.est_matches, 0u);
   // Unselective: a presence filter nearly every entry satisfies.
   AccessPathChoice scan = ChooseAccessPath(
       f.store, indexes.run(), *f.Parse("(dc=com ? sub ? objectClass=*)"));
@@ -415,6 +432,60 @@ TEST(OptimizeTest, StatsToString) {
   some.pushed_filters = 2;
   EXPECT_EQ(some.ToString(), "short_circuit=1 pushdown=2");
   EXPECT_EQ(some.Total(), 3u);
+}
+
+// A store that counts the filtered range estimates asked of it, by range
+// and filters.
+class EstimateCountingSource : public EntrySource {
+ public:
+  explicit EstimateCountingSource(const EntryStore* store) : store_(store) {}
+
+  using EntrySource::ScanRange;
+  Status ScanRange(std::string_view start_key, std::string_view end_key,
+                   ScanFilters filters, const RecordFn& fn,
+                   uint64_t* skipped_pages) const override {
+    return store_->ScanRange(start_key, end_key, filters, fn, skipped_pages);
+  }
+  uint64_t num_entries() const override { return store_->num_entries(); }
+  const StoreStats* stats() const override { return store_->stats(); }
+  RangeEstimate EstimateRange(std::string_view start_key,
+                              std::string_view end_key,
+                              ScanFilters filters) const override {
+    if (!filters.empty()) {
+      std::string key = std::string(start_key) + "|" + std::string(end_key);
+      for (const ScanFilter& f : filters) {
+        key += "|" + (f.atomic != nullptr ? f.atomic->ToString()
+                                          : f.ldap->ToString());
+      }
+      ++asked[key];
+    }
+    return store_->EstimateRange(start_key, end_key, filters);
+  }
+
+  mutable std::map<std::string, int> asked;
+
+ private:
+  const EntryStore* store_;
+};
+
+TEST(OptimizeTest, PlanningEstimatesEachScanOnce) {
+  OptimizeFixture f;
+  // Pushdown, reordering and the emptiness proofs each price the leaves
+  // below them; one pass asks the store about each scan unit once.
+  QueryPtr q = RewriteQuery(f.Parse(
+      "(& (dc=com ? sub ? objectClass=QHP)"
+      "   (c (dc=com ? sub ? objectClass=*)"
+      "      (& (dc=org0, dc=com ? sub ? objectClass=TOPSSubscriber)"
+      "         (dc=org1, dc=com ? sub ? objectClass=TOPSSubscriber))))"));
+  EstimateCountingSource source(&f.store);
+  OptimizedPlan opt = OptimizeQuery(source, q);
+  EXPECT_GT(opt.stats.pushed_filters, 0u);
+  EXPECT_GE(source.asked.size(), 4u);
+  for (const auto& [key, n] : source.asked) EXPECT_EQ(n, 1) << key;
+  // The memo changes no figure and no decision.
+  EXPECT_EQ(opt.est_pages_after, EstimateCost(f.store, *opt.plan).TotalPages());
+  EXPECT_EQ(QueryFingerprint(*opt.plan),
+            QueryFingerprint(*OptimizeQuery(f.store, q).plan));
 }
 
 TEST(OptimizeTest, NeverReturnsAMoreExpensivePlan) {

@@ -539,7 +539,8 @@ TEST(EntryStoreTest, RangeEstimatesAndSeekReadsArePinned) {
   // The sparse index's estimates and the pages a seek-and-scan reads, on
   // 256-byte pages, for every pinned range, as an index of per-page first
   // keys, offsets and record ordinals gave them: the paper instance, and
-  // a store with pages no record starts in.
+  // a store with pages no record starts in. The estimates count from the
+  // page the scan starts at, backed up over pages no record starts in.
   const std::vector<uint64_t> kPaper = {
       14, 23, 14, 1, 5, 1, 14, 23, 14, 14, 23, 14, 14, 23, 14,
       1, 5, 1, 1, 5, 1, 14, 23, 14, 14, 23, 14, 14, 23, 14,
@@ -549,7 +550,7 @@ TEST(EntryStoreTest, RangeEstimatesAndSeekReadsArePinned) {
       1, 5, 2, 1, 3, 1, 1, 3, 2, 1, 3, 2, 13, 18, 13,
       2, 8, 2, 1, 3, 2, 1, 3, 2, 1, 3, 2, 13, 18, 13,
       2, 8, 3, 1, 3, 5, 6, 6, 7, 6, 6, 7, 13, 18, 13,
-      2, 8, 6, 1, 1, 5, 1, 1, 5, 1, 1, 5, 10, 14, 12,
+      2, 8, 6, 3, 1, 5, 3, 1, 5, 3, 1, 5, 12, 15, 12,
       5, 9, 7, 1, 1, 3, 1, 1, 3, 1, 1, 3, 9, 14, 9,
       6, 10, 8, 1, 1, 2, 1, 1, 2, 1, 1, 2, 8, 13, 8,
       7, 11, 8, 1, 2, 2, 2, 4, 3, 2, 4, 3, 7, 12, 7,
@@ -563,32 +564,32 @@ TEST(EntryStoreTest, RangeEstimatesAndSeekReadsArePinned) {
       11, 19, 12, 1, 3, 1, 1, 3, 1, 1, 3, 1, 3, 4, 3,
       12, 22, 12, 1, 3, 2, 3, 4, 3, 3, 4, 3, 3, 4, 3,
       12, 22, 13, 1, 3, 3, 1, 3, 3, 1, 3, 3, 3, 4, 3,
-      12, 22, 14, 1, 1, 2, 1, 1, 2, 1, 1, 2, 1, 1, 2,
+      12, 22, 14, 2, 1, 2, 2, 1, 2, 2, 1, 2, 2, 1, 2,
       14, 23, 14,
   };
   const std::vector<uint64_t> kLong = {
-      29, 22, 29, 1, 1, 1, 27, 19, 29, 27, 19, 29, 27, 19, 29,
-      3, 3, 1, 1, 1, 4, 7, 5, 10, 7, 5, 10, 27, 19, 29,
-      3, 3, 4, 1, 1, 4, 1, 1, 4, 1, 1, 4, 27, 19, 29,
-      3, 3, 4, 1, 1, 1, 1, 1, 1, 1, 1, 1, 24, 16, 26,
-      6, 6, 4, 1, 1, 4, 1, 1, 4, 1, 1, 4, 24, 16, 26,
-      6, 6, 7, 1, 1, 4, 1, 1, 4, 1, 1, 4, 24, 16, 26,
-      6, 6, 7, 1, 1, 4, 1, 1, 4, 1, 1, 4, 21, 14, 23,
-      9, 8, 10, 1, 1, 4, 1, 1, 4, 1, 1, 4, 21, 14, 23,
-      9, 8, 10, 1, 1, 4, 7, 5, 11, 7, 5, 11, 18, 12, 20,
-      12, 10, 13, 1, 1, 4, 1, 1, 4, 1, 1, 4, 18, 12, 20,
-      12, 10, 13, 1, 1, 1, 1, 1, 1, 1, 1, 1, 15, 9, 17,
-      15, 13, 13, 1, 1, 4, 1, 1, 4, 1, 1, 4, 15, 9, 17,
-      15, 13, 16, 1, 1, 5, 1, 1, 5, 1, 1, 5, 15, 9, 17,
+      29, 22, 29, 3, 3, 1, 29, 22, 29, 29, 22, 29, 29, 22, 29,
+      3, 3, 1, 3, 3, 4, 9, 8, 10, 9, 8, 10, 29, 22, 29,
+      3, 3, 4, 3, 3, 4, 3, 3, 4, 3, 3, 4, 29, 22, 29,
+      3, 3, 4, 3, 3, 1, 3, 3, 1, 3, 3, 1, 26, 19, 26,
+      6, 6, 4, 3, 3, 4, 3, 3, 4, 3, 3, 4, 26, 19, 26,
+      6, 6, 7, 3, 3, 4, 3, 3, 4, 3, 3, 4, 26, 19, 26,
+      6, 6, 7, 3, 2, 4, 3, 2, 4, 3, 2, 4, 23, 16, 23,
+      9, 8, 10, 3, 2, 4, 3, 2, 4, 3, 2, 4, 23, 16, 23,
+      9, 8, 10, 3, 2, 4, 9, 7, 11, 9, 7, 11, 20, 14, 20,
+      12, 10, 13, 3, 2, 4, 3, 2, 4, 3, 2, 4, 20, 14, 20,
+      12, 10, 13, 3, 3, 1, 3, 3, 1, 3, 3, 1, 17, 12, 17,
+      15, 13, 13, 3, 3, 4, 3, 3, 4, 3, 3, 4, 17, 12, 17,
+      15, 13, 16, 3, 3, 5, 3, 3, 5, 3, 3, 5, 17, 12, 17,
       15, 13, 17, 1, 1, 4, 1, 1, 4, 1, 1, 4, 14, 9, 14,
-      16, 14, 19, 1, 1, 4, 1, 1, 4, 1, 1, 4, 12, 7, 13,
+      16, 14, 19, 2, 1, 4, 2, 1, 4, 2, 1, 4, 13, 8, 13,
       18, 15, 20, 1, 1, 5, 11, 7, 11, 11, 7, 11, 11, 7, 11,
-      19, 16, 23, 1, 1, 4, 1, 1, 4, 1, 1, 4, 8, 5, 10,
-      22, 17, 23, 1, 1, 1, 1, 1, 1, 1, 1, 1, 5, 2, 7,
-      25, 20, 23, 1, 1, 4, 1, 1, 4, 1, 1, 4, 5, 2, 7,
-      25, 20, 26, 1, 1, 4, 1, 1, 4, 1, 1, 4, 5, 2, 7,
-      25, 20, 26, 1, 1, 4, 1, 1, 4, 1, 1, 4, 1, 1, 4,
-      29, 22, 29, 1, 1, 4, 1, 1, 4, 1, 1, 4, 1, 1, 4,
+      19, 16, 23, 3, 1, 4, 3, 1, 4, 3, 1, 4, 10, 6, 10,
+      22, 17, 23, 3, 3, 1, 3, 3, 1, 3, 3, 1, 7, 5, 7,
+      25, 20, 23, 3, 3, 4, 3, 3, 4, 3, 3, 4, 7, 5, 7,
+      25, 20, 26, 3, 3, 4, 3, 3, 4, 3, 3, 4, 7, 5, 7,
+      25, 20, 26, 4, 2, 4, 4, 2, 4, 4, 2, 4, 4, 2, 4,
+      29, 22, 29, 4, 2, 4, 4, 2, 4, 4, 2, 4, 4, 2, 4,
       29, 22, 29,
   };
   for (bool long_records : {false, true}) {
