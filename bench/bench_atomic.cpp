@@ -1,32 +1,24 @@
 // E12 — atomic query evaluation (Sec. 4.1).
 // Claims: the reverse-DN-ordered store answers scoped atomic queries with
-// range scans proportional to the subtree size, and the attribute index
-// (one sorted run of attribute-value-HierKey keys, plus a suffix array for
-// substring filters) beats full scans for selective filters — "atomic
-// queries can be evaluated efficiently", the premise every theorem builds
-// on. rd(index) counts the index run's page reads as well as the store
-// pages the probe reads; the run sits on a disk of its own so that the
-// store column splits out the latter. The probe walks its sorted
-// candidates forward, so it reads a store page at most once, and only if
-// the page holds a candidate: never more store pages than the scan.
-// price(scan) and price(probe) are the planner's estimates for the two
-// paths (query/optimize.h ChooseAccessPath), and `plan` is its choice.
+// range scans proportional to the subtree size, and a selective filter
+// reads only the pages of its range that the bulk-loaded segment's page
+// synopses (store/page_synopsis.h) admit for it — "atomic queries can be
+// evaluated efficiently", the premise every theorem builds on. rd(scan)
+// counts the store pages a whole-forest scan read and `skipped` the pages
+// of its range it passed over unread; the two add up to the range.
 
 #include "bench_util.h"
 #include "exec/atomic.h"
 #include "gen/dif_gen.h"
 #include "gen/paper_data.h"
-#include "index/attr_index.h"
-#include "query/optimize.h"
-#include "query/parser.h"
 
 using namespace ndq;
 using namespace ndq::bench;
 
 int main() {
-  PrintHeader("E12: atomic queries — scans, scopes and indexes "
+  PrintHeader("E12: atomic queries — scans, scopes and page synopses "
               "(bench_atomic)",
-              "scoped range scans + index-assisted selection");
+              "scoped range scans that skip the pages no match can be on");
 
   std::printf("\nscope locality (reads vs. subtree size):\n");
   std::printf("%10s %10s | %10s %10s %10s\n", "entries", "store_pgs",
@@ -56,23 +48,14 @@ int main() {
   }
   std::printf("  expected: reads track the subtree, not the directory.\n");
 
-  std::printf("\nindex-assisted vs. full-scan selection (whole-forest "
-              "scope):\n");
-  std::printf("%-28s | %8s | %10s %10s %8s %8s | %11s %12s %6s\n",
-              "filter", "results", "rd(scan)", "rd(index)", "store",
-              "speedup", "price(scan)", "price(probe)", "plan");
+  std::printf("\nselective filters (whole-forest scope):\n");
+  std::printf("%-28s | %8s | %10s %10s\n", "filter", "results", "rd(scan)",
+              "skipped");
   gen::DifOptions opt;
   opt.num_orgs = 16;
   DirectoryInstance inst = gen::GenerateDif(opt);
   SimDisk disk;
   EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
-  IndexSpec spec;
-  spec.attributes = {"priority", "SLARulePriority", "sourcePort",
-                     "objectClass", "uid", "SourceAddress", "CANumber",
-                     "SLATPRef"};
-  SimDisk index_disk;
-  AttributeIndexes indexes =
-      AttributeIndexes::Build(&index_disk, store, spec).TakeValue();
   SimDisk scratch;
   Dn root = gen::MustDn("dc=com");
 
@@ -81,43 +64,20 @@ int main() {
         "SLARulePriority<=1", "priority>=3", "SourceAddress=204.*",
         "objectClass=SLADSAction", "objectClass=QHP"}) {
     AtomicFilter f = AtomicFilter::Parse(filter_text).TakeValue();
-    AccessPathChoice choice = ChooseAccessPath(
-        store, indexes.run(),
-        *ParseQuery(std::string("(dc=com ? sub ? ") + filter_text + ")")
-             .TakeValue());
-    char priced[48];
-    std::snprintf(priced, sizeof(priced), "%11.1f %12.1f %6s",
-                  choice.scan_pages, choice.probe_pages,
-                  choice.path == AccessPath::kIndexProbe ? "probe" : "scan");
+    OpTrace trace;
     disk.ResetStats();
     EntryList scan =
-        EvalAtomic(&scratch, store, root, Scope::kSub, f).TakeValue();
-    uint64_t rd_scan = disk.stats().page_reads;
-    disk.ResetStats();
-    index_disk.ResetStats();
-    Result<std::optional<Run>> via =
-        indexes.EvalAtomic(&scratch, store, root, Scope::kSub, f);
-    uint64_t rd_store = disk.stats().page_reads;
-    uint64_t rd_index = rd_store + index_disk.stats().page_reads;
-    size_t results = scan.num_records;
+        EvalAtomic(&scratch, store, root, Scope::kSub, f, &trace).TakeValue();
+    std::printf("%-28s | %8llu | %10llu %10llu\n", filter_text,
+                (unsigned long long)scan.num_records,
+                (unsigned long long)disk.stats().page_reads,
+                (unsigned long long)trace.skipped_pages);
     FreeRun(&scratch, &scan).ok();
-    if (via.ok() && via->has_value()) {
-      std::printf("%-28s | %8zu | %10llu %10llu %8llu %7.1fx | %s\n",
-                  filter_text, results, (unsigned long long)rd_scan,
-                  (unsigned long long)rd_index, (unsigned long long)rd_store,
-                  rd_index > 0 ? static_cast<double>(rd_scan) / rd_index
-                               : 0.0,
-                  priced);
-      FreeRun(&scratch, &**via).ok();
-    } else {
-      std::printf("%-28s | %8zu | %10llu %10s %8s %8s | %s\n", filter_text,
-                  results, (unsigned long long)rd_scan, "n/a", "-", "-",
-                  priced);
-    }
   }
   std::printf(
-      "  expected: selective filters (point lookups) win big via the\n"
-      "  indexes; low-selectivity filters (objectClass=QHP) approach the\n"
-      "  scan cost — the classic access-path trade-off.\n");
+      "  expected: rd(scan) + skipped is the store's %llu pages; selective\n"
+      "  filters read the few pages their synopses admit, low-selectivity\n"
+      "  ones (objectClass=QHP) nearly all of them.\n",
+      (unsigned long long)store.num_pages());
   return 0;
 }

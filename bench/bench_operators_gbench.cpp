@@ -5,8 +5,7 @@
 // The per-stage benchmarks at the end split a scan's record cost into its
 // stages (name decode, whole-entry decode), report the directory's
 // resident bytes per entry, time and size the statistics a bulk load
-// folds, time the copy of them an update batch makes, and time and size
-// an attribute-index build.
+// folds, and time the copy of them an update batch makes.
 
 #include <benchmark/benchmark.h>
 #include <malloc.h>
@@ -23,7 +22,6 @@
 #include "exec/hierarchy.h"
 #include "gen/dif_gen.h"
 #include "gen/paper_data.h"
-#include "index/attr_index.h"
 #include "query/parser.h"
 #include "storage/serde.h"
 #include "store/stats.h"
@@ -351,39 +349,6 @@ void BM_StatsCopy(benchmark::State& state) {
 }
 BENCHMARK(BM_StatsCopy)->Args({1, 2})->Args({4, 4})->Unit(
     benchmark::kMicrosecond);
-
-// What Engine::BuildIndexes pays over the DIF for the attributes the
-// local_mix workload filters on: the build time per entry, and the heap
-// bytes per entry the build leaves in use (mallinfo2() growth). The index
-// lives on its own SimDisk, whose pages are heap too: the growth counts
-// the index run and the sort's spill pages the disk keeps for reuse.
-void BM_BuildIndexes(benchmark::State& state) {
-  const DirectoryInstance inst = gen::GenerateDif(Dif64k());
-  SimDisk disk;
-  const EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
-  IndexSpec spec;
-  spec.attributes = {"surName",    "uid",        "CANumber",
-                     "priority",   "SLARulePriority",
-                     "sourcePort", "timeOut",    "DSInProfilePeakRate"};
-  SimDisk scratch;
-  double bytes = 0, pages = 0;
-  for (auto _ : state) {
-    const double before = HeapInUse();
-    AttributeIndexes indexes =
-        AttributeIndexes::Build(&scratch, store, spec).TakeValue();
-    bytes = HeapInUse() - before;
-    pages = static_cast<double>(indexes.run().num_pages());
-    benchmark::DoNotOptimize(indexes);
-    state.PauseTiming();
-    indexes = AttributeIndexes();
-    state.ResumeTiming();
-  }
-  SetTimePerRecord(state, inst.size());
-  state.counters["entries"] = static_cast<double>(inst.size());
-  state.counters["bytes_per_entry"] = bytes / static_cast<double>(inst.size());
-  state.counters["index_pages"] = pages;
-}
-BENCHMARK(BM_BuildIndexes)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

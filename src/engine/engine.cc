@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <optional>
@@ -57,8 +58,7 @@ struct TicketState {
 /// pool whose workers are all gatekeeping).
 class SessionImpl : public std::enable_shared_from_this<SessionImpl> {
  public:
-  SessionImpl(Engine* engine, SessionOptions options)
-      : engine_(engine), options_(options) {}
+  explicit SessionImpl(Engine* engine) : engine_(engine) {}
 
   QueryTicket Submit(const std::string& text) {
     Result<QueryPtr> parsed = ParseQuery(text);
@@ -187,10 +187,7 @@ class SessionImpl : public std::enable_shared_from_this<SessionImpl> {
         est_pages.has_value()
             ? *est_pages
             : EstimateCost(*engine_->PinStore(), *plan).TotalPages();
-    uint64_t budget = options_.per_query_page_budget ==
-                              SessionOptions::kInheritBudget
-                          ? engine_->page_budget()
-                          : options_.per_query_page_budget;
+    const uint64_t budget = engine_->page_budget();
     if (budget > 0 && est > static_cast<double>(budget)) {
       DegradationWarning w{
           "admission", "estimated " + std::to_string((uint64_t)est) +
@@ -209,9 +206,7 @@ class SessionImpl : public std::enable_shared_from_this<SessionImpl> {
     bool dispatch = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      size_t depth = options_.queue_depth == SessionOptions::kInherit
-                         ? engine_->options().queue_depth
-                         : options_.queue_depth;
+      const size_t depth = engine_->options().queue_depth;
       if (inflight_ + waiting_.size() >= depth) {
         ++stats_.rejected;
         DegradationWarning w{"admission",
@@ -226,10 +221,8 @@ class SessionImpl : public std::enable_shared_from_this<SessionImpl> {
         return QueryTicket(std::move(state));
       }
       ++stats_.submitted;
-      size_t max_inflight = options_.max_inflight == SessionOptions::kInherit
-                                ? engine_->options().max_inflight
-                                : options_.max_inflight;
-      if (max_inflight == 0) max_inflight = 1;
+      const size_t max_inflight =
+          std::max<size_t>(1, engine_->options().max_inflight);
       if (inflight_ < max_inflight) {
         ++inflight_;
         dispatch = true;
@@ -293,7 +286,6 @@ class SessionImpl : public std::enable_shared_from_this<SessionImpl> {
   }
 
   Engine* const engine_;
-  const SessionOptions options_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::shared_ptr<TicketState>> waiting_;
@@ -570,15 +562,14 @@ void Engine::RebuildPoolLocked(size_t parallelism) {
                                                         : parallelism + 1);
   group_ = std::make_unique<ThreadPool::TaskGroup>(pool_.get());
   // A fleet answers every leaf (fanning its shard fetches out on this
-  // same pool); a local store's selective leaves may go to the index.
-  NodeSource* source = index_source_.get();
-  if (fleet_ != nullptr) source = fleet_.get();
+  // same pool); a local store's leaves are range-scanned.
   evaluator_ = std::make_unique<ParallelEvaluator>(
-      scratch_, store_, options_.exec, cache_.get(), pool_.get(), source);
+      scratch_, store_, options_.exec, cache_.get(), pool_.get(),
+      fleet_.get());
 }
 
-Session Engine::OpenSession(SessionOptions options) {
-  return Session(std::make_shared<internal::SessionImpl>(this, options));
+Session Engine::OpenSession() {
+  return Session(std::make_shared<internal::SessionImpl>(this));
 }
 
 void Engine::SetParallelism(size_t n) {
@@ -628,40 +619,6 @@ bool Engine::optimize() const {
 }
 
 bool Engine::optimize_enabled() const { return optimize(); }
-
-Status Engine::BuildIndexes(const IndexSpec& spec) {
-  if (fleet_ != nullptr) {
-    return Status::InvalidArgument(
-        "distributed engines have no coordinator-local segment to index; "
-        "indexes live on the shards");
-  }
-  const auto* entry_store = dynamic_cast<const EntryStore*>(store_);
-  if (entry_store == nullptr) {
-    return Status::InvalidArgument(
-        "BuildIndexes requires a bulk-loaded EntryStore (borrowing mode); "
-        "the mutable DirectoryStore's merged view has no stable segment "
-        "to index");
-  }
-  std::unique_lock<std::mutex> lock(sched_mu_);
-  sched_cv_.wait(lock, [&] { return global_inflight_ == 0; });
-  NDQ_ASSIGN_OR_RETURN(AttributeIndexes built,
-                       AttributeIndexes::Build(scratch_, *entry_store, spec));
-  // Drop the evaluator's source before the indexes it probes; replacing
-  // the indexes frees the old index run.
-  evaluator_.reset();
-  index_source_.reset();
-  indexes_ = std::make_unique<AttributeIndexes>(std::move(built));
-  const EntrySource* store = store_;
-  const EntrySource* index = &indexes_->run();
-  index_source_ = std::make_unique<IndexProbeSource>(
-      scratch_, indexes_.get(), entry_store,
-      [store, index](const Query& leaf) {
-        return ChooseAccessPath(*store, *index, leaf).path ==
-               AccessPath::kIndexProbe;
-      });
-  RebuildPoolLocked(options_.exec.parallelism);
-  return Status::OK();
-}
 
 void Engine::SetIoDepth(size_t n) {
   std::unique_lock<std::mutex> lock(sched_mu_);

@@ -46,7 +46,6 @@
 #include "core/degradation.h"
 #include "dist/distributed.h"
 #include "exec/parallel_evaluator.h"
-#include "index/attr_index.h"
 #include "query/optimize.h"
 #include "storage/fault_injector.h"
 #include "store/directory_store.h"
@@ -95,8 +94,8 @@ struct EngineOptions {
   /// Operand cache capacity on the scratch disk. 0 disables the cache
   /// (and with it cross-query sharing) — useful for cold-I/O benches.
   size_t cache_capacity_pages = 4096;
-  /// Admission defaults, inheritable per session (SessionOptions):
-  /// at most `max_inflight` queries of one session evaluate at once...
+  /// Admission, applied to every session: at most `max_inflight`
+  /// queries of one session evaluate at once...
   size_t max_inflight = 4;
   /// ...and at most `queue_depth` may be submitted-but-unfinished; the
   /// excess is rejected gracefully (ResourceExhausted + warning).
@@ -143,17 +142,6 @@ struct QueryOutcome {
   OptimizeStats optimizer;
 
   bool ok() const { return status.ok(); }
-};
-
-/// Per-session admission overrides. kInherit falls back to the engine's
-/// EngineOptions value at the time of each submission.
-struct SessionOptions {
-  static constexpr size_t kInherit = static_cast<size_t>(-1);
-  static constexpr uint64_t kInheritBudget = static_cast<uint64_t>(-1);
-
-  size_t max_inflight = kInherit;
-  size_t queue_depth = kInherit;
-  uint64_t per_query_page_budget = kInheritBudget;
 };
 
 struct SessionStats {
@@ -295,7 +283,9 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  Session OpenSession(SessionOptions options = {});
+  /// A new session, admitted by the engine's max_inflight, queue_depth
+  /// and page budget.
+  Session OpenSession();
 
   /// Resizes the engine's pool (1 = sequential). Waits for every
   /// in-flight query to finish first; the operand cache survives. The
@@ -308,26 +298,14 @@ class Engine {
   /// Waits for in-flight queries; persists until the next SetFaults.
   Status SetFaults(const std::string& spec);
 
-  /// Default per-query page budget for sessions that inherit it
-  /// (0 = unlimited). Takes effect on the next submission.
+  /// The per-query page budget of every session (0 = unlimited). Takes
+  /// effect on the next submission.
   void SetPageBudget(uint64_t pages);
 
   /// Enables/disables the cost-based optimizer for future submissions
   /// (ndqsh's `.set optimize`). Takes effect on the next submission.
   void SetOptimize(bool on);
   bool optimize() const;
-
-  /// Builds per-attribute indexes over the store and installs the
-  /// index-probe access path: atomic leaves whose filter the statistics
-  /// prove selective (ChooseAccessPath) are answered by index probes
-  /// instead of range scans, byte-identically. Requires a bulk-loaded
-  /// EntryStore (borrowing mode); the engine's mutable DirectoryStore is
-  /// rejected — its merged view has no stable segment to index. The index
-  /// run is written to the scratch disk. Replaces (and frees) any
-  /// previously built indexes; waits for in-flight queries.
-  Status BuildIndexes(const IndexSpec& spec);
-  /// Null until BuildIndexes succeeds.
-  const AttributeIndexes* indexes() const { return indexes_.get(); }
 
   /// Attaches (n > 0) or detaches (n == 0) the async read engine on the
   /// engine's disks: sequential run scans then keep up to `n` page reads
@@ -373,7 +351,7 @@ class Engine {
   /// Null when no fault policy is installed.
   FaultInjector* fault_injector() { return injector_.get(); }
   /// Cumulative evaluator statistics (exec/parallel_evaluator.h); reset
-  /// when the evaluator is rebuilt (SetParallelism, BuildIndexes).
+  /// when the evaluator is rebuilt (SetParallelism).
   EvalStats eval_stats() const;
 
  private:
@@ -437,11 +415,6 @@ class Engine {
   EngineOptions options_;
   std::unique_ptr<FaultInjector> injector_;
   std::unique_ptr<OperandCache> cache_;
-
-  // Attribute indexes (BuildIndexes), whose run lives on the scratch
-  // disk, and the evaluator's probe source over them.
-  std::unique_ptr<AttributeIndexes> indexes_;
-  std::unique_ptr<IndexProbeSource> index_source_;
 
   // Pool / evaluator pair; rebuilt together by SetParallelism while the
   // engine is idle. The evaluator borrows the pool, so declaration order

@@ -23,6 +23,15 @@ bool AggNeedsGlobalsScan(const AggSelFilter& filter) {
   return scans(filter.lhs) || scans(filter.rhs);
 }
 
+// Average records per page, from the store's own geometry (1 for an
+// empty store).
+double RecordsPerPage(const EntrySource& store) {
+  uint64_t total_pages = store.EstimateRangePages("", "");
+  if (total_pages == 0) return 1.0;
+  return static_cast<double>(store.num_entries()) /
+         static_cast<double>(total_pages);
+}
+
 EntrySource::RangeEstimate ScanEstimate(
     const EntrySource& store, const std::vector<const Query*>& leaves,
     ScanEstimates* memo) {
@@ -210,14 +219,6 @@ void ExplainNode(const EntrySource& store, const Query& q, int depth,
   }
 }
 
-void AppendIfNonZero(std::string* out, const char* key, uint64_t value) {
-  if (value == 0) return;
-  out->append(" ");
-  out->append(key);
-  out->append("=");
-  out->append(std::to_string(value));
-}
-
 // Walks the query, its estimates and the trace in lockstep (both trees
 // have one child per operand in q1/q2/q3 order).
 void ExplainAnalyzeNode(const EntrySource& store, const Query& q,
@@ -235,35 +236,18 @@ void ExplainAnalyzeNode(const EntrySource& store, const Query& q,
                 est.output_records,
                 static_cast<unsigned long long>(t.output_records));
   out->append(buf);
-  IoStats self = t.SelfIo();
-  AppendIfNonZero(out, "reads", self.page_reads);
-  AppendIfNonZero(out, "writes", self.page_writes);
-  AppendIfNonZero(out, "scanned", t.scanned_records);
-  AppendIfNonZero(out, "shared_scan", t.shared_scan);
-  AppendIfNonZero(out, "skipped", t.skipped_pages);
-  AppendIfNonZero(out, "stack_peak", t.peak_stack_items);
-  AppendIfNonZero(out, "spills", t.stack_spills);
-  AppendIfNonZero(out, "sort_passes", t.sort_merge_passes);
-  AppendIfNonZero(out, "shipped_recs", t.shipped_records);
-  AppendIfNonZero(out, "shipped_bytes", t.shipped_bytes);
-  AppendIfNonZero(out, "index_probes", t.index_probes);
-  AppendIfNonZero(out, "plan_rewrites", t.plan_rewrites);
-  AppendIfNonZero(out, "cache_hits", t.cache_hits);
-  AppendIfNonZero(out, "cache_misses", t.cache_misses);
-  AppendIfNonZero(out, "faults", self.faults_injected);
-  AppendIfNonZero(out, "retries", t.retries);
-  AppendIfNonZero(out, "failovers", t.failovers);
-  AppendIfNonZero(out, "degraded", t.degraded_shards);
-  AppendIfNonZero(out, "worker", t.worker);
-  // Async I/O fields; all zero (hence absent) under synchronous reads.
-  AppendIfNonZero(out, "io_depth", t.io_depth);
-  AppendIfNonZero(out, "prefetch_hits", self.prefetch_hits);
-  AppendIfNonZero(out, "prefetch_wasted", self.prefetch_wasted);
-  AppendIfNonZero(out, "io_wait_us", self.io_wait_us);
+  const IoStats self = t.SelfIo();
+  if (self.page_reads != 0) {
+    out->append(" reads=" + std::to_string(self.page_reads));
+  }
+  if (self.page_writes != 0) {
+    out->append(" writes=" + std::to_string(self.page_writes));
+  }
+  AppendOptionalCounters(t, out);
   // Thread occupancy of the subtree; elide the trivial 1 so sequential
   // output is unchanged.
-  size_t workers = t.SubtreeWorkers();
-  if (workers > 1) AppendIfNonZero(out, "workers", workers);
+  const size_t workers = t.SubtreeWorkers();
+  if (workers > 1) out->append(" workers=" + std::to_string(workers));
   std::snprintf(buf, sizeof(buf), " wall_us=%.0f}", t.wall_micros);
   out->append(buf);
   out->push_back('\n');
@@ -281,13 +265,6 @@ void ExplainAnalyzeNode(const EntrySource& store, const Query& q,
 }
 
 }  // namespace
-
-double RecordsPerPage(const EntrySource& store) {
-  uint64_t total_pages = store.EstimateRangePages("", "");
-  if (total_pages == 0) return 1.0;
-  return static_cast<double>(store.num_entries()) /
-         static_cast<double>(total_pages);
-}
 
 EntrySource::RangeEstimate ScanEstimates::Get(
     const EntrySource& store, const std::vector<const Query*>& leaves) {

@@ -64,10 +64,6 @@ class ScanEstimates {
 CostEstimate EstimateCost(const EntrySource& store, const Query& query,
                           ScanEstimates* memo = nullptr);
 
-/// Average records per page, from the store's own geometry (1 for an
-/// empty store).
-double RecordsPerPage(const EntrySource& store);
-
 /// Renders the plan tree with per-node cumulative estimates, e.g. for
 /// ndqsh's .explain.
 std::string ExplainPlan(const EntrySource& store, const Query& query);

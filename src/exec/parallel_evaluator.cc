@@ -29,30 +29,6 @@ bool IsLeaf(const Query& query) {
 
 }  // namespace
 
-IndexProbeSource::IndexProbeSource(Disk* disk,
-                                   const AttributeIndexes* indexes,
-                                   const EntryStore* store,
-                                   std::function<bool(const Query&)> use_probe)
-    : disk_(disk),
-      indexes_(indexes),
-      store_(store),
-      use_probe_(std::move(use_probe)) {}
-
-Result<std::optional<EntryList>> IndexProbeSource::Answer(
-    const Query& node, OpTrace* trace, const SourceContext&) {
-  if (node.op() != QueryOp::kAtomic ||
-      (use_probe_ != nullptr && !use_probe_(node))) {
-    return std::optional<EntryList>();
-  }
-  // The probe declines (nullopt) when the attribute is not indexed or the
-  // filter kind defeats the index.
-  NDQ_ASSIGN_OR_RETURN(std::optional<Run> probed,
-                       indexes_->EvalAtomic(disk_, *store_, node.base(),
-                                            node.scope(), node.filter()));
-  if (probed.has_value() && trace != nullptr) trace->index_probes = 1;
-  return probed;
-}
-
 ParallelEvaluator::ParallelEvaluator(Disk* disk, const EntrySource* store,
                                      ExecOptions options, OperandCache* cache)
     : ParallelEvaluator(disk, store, options, cache, nullptr) {}

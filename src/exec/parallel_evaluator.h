@@ -23,13 +23,12 @@
 // operands, so every record of every list is independent of scheduling.
 //
 // This is the only tree walk in the system. Where a node's list comes from
-// is pluggable (NodeSource): the engine's index probe answers selective
-// leaves, and the shard fleet (dist/distributed.h) answers leaves by
-// scatter-gather across shards and ships single-shard subtrees whole —
-// the same walk "with a different leaf source", as Sec. 8.3 puts it. A
-// source may answer with a partial list (an unreachable shard); it then
-// records a DegradationWarning in the evaluation's log, which Evaluate
-// hands back, and the evaluator never caches that list.
+// is pluggable (NodeSource): the shard fleet (dist/distributed.h) answers
+// leaves by scatter-gather across shards and ships single-shard subtrees
+// whole — the same walk "with a different leaf source", as Sec. 8.3 puts
+// it. A source may answer with a partial list (an unreachable shard); it
+// then records a DegradationWarning in the evaluation's log, which
+// Evaluate hands back, and the evaluator never caches that list.
 //
 // Tracing uses IoScope (storage/disk.h): each node's scope captures only
 // the I/O its own thread does for that node, so a sibling's concurrent I/O
@@ -53,7 +52,6 @@
 #ifndef NDQ_EXEC_PARALLEL_EVALUATOR_H_
 #define NDQ_EXEC_PARALLEL_EVALUATOR_H_
 
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -66,7 +64,6 @@
 #include "exec/operand_cache.h"
 #include "exec/thread_pool.h"
 #include "exec/trace.h"
-#include "index/attr_index.h"
 #include "query/ast.h"
 #include "store/entry_store.h"
 
@@ -106,38 +103,13 @@ struct SourceContext {
 /// evaluator adds the children's I/O and shipping to it. An answer that
 /// is partial rather than failed records why in `context.degradations`.
 /// Answer may be called concurrently (sibling subtrees, concurrent
-/// evaluations).
+/// evaluations). The shard fleet (dist/distributed.h) implements it; the
+/// interface lives here so that exec does not depend on dist.
 class NodeSource {
  public:
   virtual ~NodeSource() = default;
   virtual Result<std::optional<EntryList>> Answer(
       const Query& node, OpTrace* trace, const SourceContext& context) = 0;
-};
-
-/// The engine's attribute-index access path as a node source. It answers
-/// the atomic leaves `use_probe` accepts with an index probe; `use_probe`
-/// is the cost-based scan-vs-probe choice (query/optimize.h
-/// ChooseAccessPath, bound by the engine so exec does not depend on the
-/// planner). It declines everything else, including leaves whose attribute
-/// turns out not to be indexed, which the evaluator then range-scans.
-/// Results are byte-identical either way.
-class IndexProbeSource : public NodeSource {
- public:
-  /// `indexes` index the bulk-loaded `store`; probe results are written to
-  /// `disk` (the evaluator's). All three must outlive the source.
-  IndexProbeSource(Disk* disk, const AttributeIndexes* indexes,
-                   const EntryStore* store,
-                   std::function<bool(const Query&)> use_probe);
-
-  Result<std::optional<EntryList>> Answer(
-      const Query& node, OpTrace* trace,
-      const SourceContext& context) override;
-
- private:
-  Disk* disk_;
-  const AttributeIndexes* indexes_;
-  const EntryStore* store_;
-  std::function<bool(const Query&)> use_probe_;
 };
 
 /// The shared-subtree set a batch scheduler computed over one batch of

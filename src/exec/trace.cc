@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 namespace ndq {
 
@@ -24,9 +25,7 @@ IoStats SatDelta(const IoStats& total, const IoStats& used) {
   return d;
 }
 
-void AppendCounter(std::string* out, const char* key, uint64_t value,
-                   bool always = true) {
-  if (!always && value == 0) return;
+void AppendCounter(std::string* out, const char* key, uint64_t value) {
   out->append(" ");
   out->append(key);
   out->append("=");
@@ -44,29 +43,7 @@ void RenderNode(const OpTrace& t, int depth, std::string* out) {
   AppendCounter(out, "out_pages", t.output_pages);
   AppendCounter(out, "reads", self.page_reads);
   AppendCounter(out, "writes", self.page_writes);
-  AppendCounter(out, "scanned", t.scanned_records, /*always=*/false);
-  AppendCounter(out, "shared_scan", t.shared_scan, /*always=*/false);
-  AppendCounter(out, "skipped", t.skipped_pages, /*always=*/false);
-  AppendCounter(out, "stack_peak", t.peak_stack_items, /*always=*/false);
-  AppendCounter(out, "spills", t.stack_spills, /*always=*/false);
-  AppendCounter(out, "sort_passes", t.sort_merge_passes, /*always=*/false);
-  AppendCounter(out, "shipped_recs", t.shipped_records, /*always=*/false);
-  AppendCounter(out, "shipped_bytes", t.shipped_bytes, /*always=*/false);
-  AppendCounter(out, "index_probes", t.index_probes, /*always=*/false);
-  AppendCounter(out, "plan_rewrites", t.plan_rewrites, /*always=*/false);
-  AppendCounter(out, "cache_hits", t.cache_hits, /*always=*/false);
-  AppendCounter(out, "cache_misses", t.cache_misses, /*always=*/false);
-  AppendCounter(out, "faults", self.faults_injected, /*always=*/false);
-  AppendCounter(out, "retries", t.retries, /*always=*/false);
-  AppendCounter(out, "failovers", t.failovers, /*always=*/false);
-  AppendCounter(out, "degraded", t.degraded_shards, /*always=*/false);
-  AppendCounter(out, "worker", t.worker, /*always=*/false);
-  // Async-only fields: absent from synchronous traces (and their goldens).
-  AppendCounter(out, "io_depth", t.io_depth, /*always=*/false);
-  AppendCounter(out, "prefetch_hits", self.prefetch_hits, /*always=*/false);
-  AppendCounter(out, "prefetch_wasted", self.prefetch_wasted,
-                /*always=*/false);
-  AppendCounter(out, "io_wait_us", self.io_wait_us, /*always=*/false);
+  AppendOptionalCounters(t, out);
   char buf[48];
   std::snprintf(buf, sizeof(buf), " wall_us=%.0f", t.wall_micros);
   out->append(buf);
@@ -194,6 +171,37 @@ size_t OpTrace::SubtreeWorkers() const {
   std::vector<uint32_t> ids;
   CollectWorkers(*this, &ids);
   return ids.size();
+}
+
+void AppendOptionalCounters(const OpTrace& t, std::string* out) {
+  const IoStats self = t.SelfIo();
+  const std::pair<const char*, uint64_t> counters[] = {
+      {"scanned", t.scanned_records},
+      {"shared_scan", t.shared_scan},
+      {"skipped", t.skipped_pages},
+      {"stack_peak", t.peak_stack_items},
+      {"spills", t.stack_spills},
+      {"sort_passes", t.sort_merge_passes},
+      {"shipped_recs", t.shipped_records},
+      {"shipped_bytes", t.shipped_bytes},
+      {"plan_rewrites", t.plan_rewrites},
+      {"cache_hits", t.cache_hits},
+      {"cache_misses", t.cache_misses},
+      {"faults", self.faults_injected},
+      {"retries", t.retries},
+      {"failovers", t.failovers},
+      {"degraded", t.degraded_shards},
+      {"worker", t.worker},
+      // Async-only fields: absent from synchronous traces (and their
+      // goldens).
+      {"io_depth", t.io_depth},
+      {"prefetch_hits", self.prefetch_hits},
+      {"prefetch_wasted", self.prefetch_wasted},
+      {"io_wait_us", self.io_wait_us},
+  };
+  for (const auto& [key, value] : counters) {
+    if (value != 0) AppendCounter(out, key, value);
+  }
 }
 
 std::string OpTrace::ToString() const {

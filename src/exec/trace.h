@@ -84,10 +84,6 @@ struct OpTrace {
   /// replica for a sibling (refusals by down replicas and exhausted
   /// retries both count; see NetStats::failovers).
   uint64_t failovers = 0;
-  /// Atomic leaves: 1 when the leaf was answered by an attribute-index
-  /// probe (index/attr_index.h via the engine's IndexProbeSource) instead
-  /// of the range scan.
-  uint64_t index_probes = 0;
   /// Root node only: rewrites the cost-based optimizer applied to the
   /// plan before evaluation (query/optimize.h; OptimizeStats::Total).
   uint64_t plan_rewrites = 0;
@@ -131,6 +127,12 @@ struct OpTrace {
   /// Keys are stable and machine-parsable; wall_us is always last.
   std::string ToString() const;
 };
+
+/// Appends " key=value" for each nonzero optional counter of the node,
+/// `scanned` through `io_wait_us`, in one fixed order; the I/O counters
+/// among them are the node's own (SelfIo). OpTrace::ToString and
+/// ExplainAnalyze (exec/cost.h) both render a node's counters with it.
+void AppendOptionalCounters(const OpTrace& t, std::string* out);
 
 /// Operator label shared by ExplainPlan, ExplainAnalyze and the traced
 /// evaluators, so the estimate and measurement renderings line up node

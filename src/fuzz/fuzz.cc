@@ -4,7 +4,6 @@
 #include <chrono>
 #include <map>
 #include <memory>
-#include <set>
 #include <sstream>
 #include <utility>
 
@@ -16,7 +15,6 @@
 #include "fuzz/naive_eval.h"
 #include "gen/random_forest.h"
 #include "gen/random_query.h"
-#include "index/attr_index.h"
 #include "query/optimize.h"
 #include "query/parser.h"
 #include "query/reference.h"
@@ -272,31 +270,6 @@ std::vector<CheckFailure> CheckCase(const DirectoryInstance& instance,
       ParallelEvaluator par(&disk, &*store, opts, &cache);
       check_entries("par" + std::to_string(threads),
                     par.EvaluateToEntries(*query));
-    }
-  }
-
-  // Index probes: every attribute of the instance indexed, and every
-  // atomic leaf answered by a probe of the index run (or, for substring
-  // filters, the suffix arrays) instead of a range scan.
-  {
-    std::set<std::string> names;
-    for (const auto& [key, entry] : instance) {
-      (void)key;
-      for (const AttributeView& a : entry.view()) names.emplace(a.name);
-    }
-    IndexSpec spec;
-    spec.attributes.assign(names.begin(), names.end());
-    Result<AttributeIndexes> indexes =
-        AttributeIndexes::Build(&disk, *store, spec);
-    if (!indexes.ok()) {
-      ++local_checks;
-      fail("index", "index build failed: " + indexes.status().ToString());
-    } else {
-      IndexProbeSource probe(&disk, &*indexes, &*store, nullptr);
-      ParallelEvaluator probed(&disk, &*store, ExecOptions(),
-                               /*cache=*/nullptr, /*shared_pool=*/nullptr,
-                               &probe);
-      check_entries("index", probed.EvaluateToEntries(*query));
     }
   }
 

@@ -12,8 +12,6 @@
 //               algorithms) at 1, 2 and 4 threads, sharing one
 //               OperandCache: par1 starts from the empty cache, the later
 //               runs exercise typed cache keys under reuse
-//   index       the same evaluator with every attribute indexed and every
-//               atomic leaf answered by an index probe (IndexProbeSource)
 //   batch0..3   ndq::Engine Session::RunBatch over [Q, Q, (& Q Q),
 //               (| Q Q)]: cross-query operand sharing must leave every
 //               outcome byte-identical to one-at-a-time evaluation

@@ -1,11 +1,9 @@
 #include "query/optimize.h"
 
 #include <algorithm>
-#include <cmath>
 #include <tuple>
 #include <vector>
 
-#include "exec/atomic.h"
 #include "exec/cost.h"
 #include "filter/ldap_filter.h"
 #include "query/fingerprint.h"
@@ -402,35 +400,6 @@ OptimizedPlan OptimizeQuery(const EntrySource& store, const QueryPtr& query) {
     out.est_pages_after = out.est_pages_before;
   }
   return out;
-}
-
-AccessPathChoice ChooseAccessPath(const EntrySource& store,
-                                  const EntrySource& index,
-                                  const Query& leaf) {
-  AccessPathChoice choice;
-  // The scan reads the pages the store admits for the leaf's filter.
-  const EntrySource::RangeEstimate range = EstimateScan(store, {&leaf});
-  choice.scan_pages = static_cast<double>(range.pages);
-  choice.est_matches = range.records;
-  const StoreStats* stats = store.stats();
-  if (stats == nullptr || leaf.op() != QueryOp::kAtomic) return choice;
-  choice.est_matches = std::min(
-      choice.est_matches, stats->EstimateFilterMatches(leaf.filter()));
-  // A probe walks its sorted candidates forward and reads a store page at
-  // most once, so its m matches read the pages they land on: about
-  // P * (1 - (1 - 1/P)^m) of the scope's P pages (Cardenas's estimate,
-  // never above P or m). The index run adds the pages its m records fill
-  // at the run's own density, and the seek one more page.
-  const double matches = static_cast<double>(choice.est_matches);
-  const double pages = choice.scan_pages;
-  const double touched =
-      pages > 0 ? pages * (1.0 - std::pow(1.0 - 1.0 / pages, matches)) : 0;
-  choice.probe_pages =
-      touched + matches / std::max(1.0, RecordsPerPage(index)) + 1.0;
-  if (choice.probe_pages < choice.scan_pages) {
-    choice.path = AccessPath::kIndexProbe;
-  }
-  return choice;
 }
 
 }  // namespace ndq

@@ -36,10 +36,6 @@
 // describe, and — because results are sorted entry sets with canonical
 // serialization — byte-identical output, which the ndqfuzz optimize0/1
 // oracles check case by case.
-//
-// ChooseAccessPath is the shared scan-vs-index-probe decision: the
-// engine's IndexProbeSource (exec/parallel_evaluator.h) and EXPLAIN both
-// call it so the plan report matches what execution actually does.
 
 #ifndef NDQ_QUERY_OPTIMIZE_H_
 #define NDQ_QUERY_OPTIMIZE_H_
@@ -79,33 +75,6 @@ struct OptimizedPlan {
 /// a more expensive plan: rewrites are kept only when the cost estimate
 /// does not increase.
 OptimizedPlan OptimizeQuery(const EntrySource& store, const QueryPtr& query);
-
-/// How an atomic leaf should fetch its entries.
-enum class AccessPath {
-  kRangeScan,   ///< scan the scope's key range (exec/atomic.h)
-  kIndexProbe,  ///< probe a per-attribute index (index/attr_index.h)
-};
-
-/// The scan-vs-probe decision for one atomic leaf, with the estimates
-/// that drove it.
-struct AccessPathChoice {
-  AccessPath path = AccessPath::kRangeScan;
-  double scan_pages = 0;    ///< estimated pages for the range scan
-  double probe_pages = 0;   ///< estimated pages for index probes
-  uint64_t est_matches = 0; ///< upper bound on matching entries
-};
-
-/// Chooses the access path for an atomic leaf (`leaf.op()` must be
-/// kAtomic) over `store`, whose attribute index run is `index`
-/// (index/attr_index.h AttributeIndexes::run). Prefers an index probe
-/// only when statistics prove few enough matches that the probe's pages
-/// beat the range scan: the store pages m matches land on among the
-/// scope's P (P * (1 - (1 - 1/P)^m), at most P), plus the index run's
-/// pages for m records and one seek. The evaluator still falls back to
-/// the scan when the attribute turns out not to be indexed.
-AccessPathChoice ChooseAccessPath(const EntrySource& store,
-                                  const EntrySource& index,
-                                  const Query& leaf);
 
 }  // namespace ndq
 

@@ -2,8 +2,8 @@
 // simulated implementation the theorems are measured on.
 //
 // Disk is the device contract the whole system is written against: every
-// persistent structure (the entry store, indexes, intermediate operator
-// runs, spilled stacks) lives in pages of SOME Disk, and every transfer is
+// persistent structure (the entry store, intermediate operator runs,
+// spilled stacks) lives in pages of SOME Disk, and every transfer is
 // counted in IoStats. The base class owns everything the paper's
 // accounting depends on — transfer counters, fault-injection hooks,
 // simulated latency, and the async read engine — while subclasses provide

@@ -1,5 +1,5 @@
-// Byte-level record serialization used by runs, the entry store, indexes
-// and the spillable stack: the page formats, order-preserving keys, and
+// Byte-level record serialization used by runs, the entry store and the
+// spillable stack: the page formats, order-preserving keys, and
 // the canonical Entry wire format. The primitives (varints, strings,
 // typed values) are in core/wire.h.
 

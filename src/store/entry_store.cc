@@ -372,36 +372,6 @@ Result<std::optional<Entry>> EntryStore::Get(std::string_view hier_key) const {
   return found;
 }
 
-Status EntryStore::ScanKeys(
-    const std::vector<std::string>& keys,
-    const std::function<Status(std::string_view record)>& fn) const {
-  RunReader reader(disk_, run_);
-  bool positioned = false;
-  std::string record;
-  for (const std::string& key : keys) {
-    if (run_.num_records == 0) {
-      return Status::NotFound("segment holds no record for " + key);
-    }
-    const auto from = StartRestart(key);
-    if (!positioned ||
-        from->offset / disk_->page_size() > reader.next_page()) {
-      NDQ_RETURN_IF_ERROR(reader.SeekTo(*from));
-      positioned = true;
-    }
-    std::string_view at;
-    do {
-      NDQ_ASSIGN_OR_RETURN(bool more, reader.Next(&record));
-      if (!more) break;
-      NDQ_ASSIGN_OR_RETURN(at, PeekEntryKey(record));
-    } while (at < key);
-    if (at != key) {
-      return Status::NotFound("segment holds no record for " + key);
-    }
-    NDQ_RETURN_IF_ERROR(fn(record));
-  }
-  return Status::OK();
-}
-
 std::string EntryStore::SerializeManifest() const {
   std::string out;
   ByteWriter w(&out);

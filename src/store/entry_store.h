@@ -74,7 +74,7 @@ class EntrySource {
 
   /// Cost-model hook (no I/O). The default is deliberately coarse — the
   /// whole store, at ~40 entries per page; implementations refine it from
-  /// their indexes.
+  /// their sparse indexes.
   virtual RangeEstimate EstimateRange(std::string_view start_key,
                                       std::string_view end_key,
                                       ScanFilters filters) const {
@@ -167,15 +167,6 @@ class EntryStore : public EntrySource {
 
   /// Point lookup.
   Result<std::optional<Entry>> Get(std::string_view hier_key) const;
-
-  /// Calls `fn` with the record of each of `keys` (strictly increasing),
-  /// in key order; a key the segment lacks is NotFound. One reader walks
-  /// the keys: it reads on when a record starts in the page it holds or
-  /// the next one, and seeks otherwise, so it reads each page at most
-  /// once, and only pages that hold part of a wanted record.
-  Status ScanKeys(const std::vector<std::string>& keys,
-                  const std::function<Status(std::string_view record)>& fn)
-      const;
 
   /// The pages a ScanRange(start, end, filters) would read, from the
   /// in-memory sparse index and synopses alone, exact up to records that

@@ -156,10 +156,10 @@ TEST_F(EngineBatchTest, ParseErrorIsolatedToItsSlot) {
 }
 
 TEST_F(EngineBatchTest, AdmissionRejectionsAreCountedPerBatch) {
-  Engine engine = MakeEngine();
-  SessionOptions opts;
+  EngineOptions opts;
   opts.queue_depth = 0;  // reject every submission
-  Session session = engine.OpenSession(opts);
+  Engine engine = MakeEngine(opts);
+  Session session = engine.OpenSession();
   std::vector<std::string> texts(std::begin(kBatchTexts),
                                  std::begin(kBatchTexts) + 3);
   BatchResult br = session.RunBatch(texts);

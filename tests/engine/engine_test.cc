@@ -5,8 +5,8 @@
 // evaluator/fuzz suites — so these tests pin down the CONTRACT of the
 // front door: every submission yields an outcome (never an abort), parse
 // errors and admission rejections are distinguishable, Set* settings
-// survive across queries, and per-session admission knobs override the
-// engine defaults.
+// survive across queries, and every session is admitted by the engine's
+// settings.
 
 #include "engine/engine.h"
 
@@ -18,7 +18,6 @@
 
 #include "core/status_matchers.h"
 #include "exec/theorem_check.h"
-#include "gen/dif_gen.h"
 #include "query/parser.h"
 #include "query/reference.h"
 #include "store/entry_store.h"
@@ -149,88 +148,6 @@ TEST_F(EngineTest, SettingsPersistAcrossQueries) {
   NDQ_ASSERT_OK(session.Run(kBoolean).status);
 }
 
-// The index probe is the evaluator's node source: after BuildIndexes a
-// leaf the statistics prove selective is answered by a probe, exactly,
-// across pool resizes — and re-probed on a repeat, since a leaf its
-// source answers is not operand-cached.
-TEST(EngineIndexTest, BuildIndexesProbesSelectiveLeaves) {
-  gen::DifOptions opt;
-  opt.num_orgs = 2;
-  DirectoryInstance inst = gen::GenerateDif(opt);
-  SimDisk disk(1024);
-  EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
-  Engine engine(&disk, &store);
-  IndexSpec spec;
-  spec.attributes = {"uid"};
-  NDQ_ASSERT_OK(engine.BuildIndexes(spec));
-  ASSERT_NE(engine.indexes(), nullptr);
-  Session session = engine.OpenSession();
-  const std::string text = "(dc=com ? sub ? uid=user3)";
-  for (size_t parallelism : {size_t{1}, size_t{1}, size_t{3}}) {
-    engine.SetParallelism(parallelism);
-    QueryOutcome out = session.Run(text);
-    NDQ_ASSERT_OK(out.status);
-    EXPECT_FALSE(out.entries.empty());
-    EXPECT_EQ(out.entries, ReferenceEntries(inst, text));
-    EXPECT_EQ(out.trace.index_probes, 1u);
-    EXPECT_EQ(out.trace.cache_hits, 0u);
-  }
-}
-
-// The index run lives on the scratch disk and belongs to the index:
-// rebuilding frees the old run, and the engine's teardown frees the last.
-TEST(EngineIndexTest, IndexRunIsFreedOnRebuildAndTeardown) {
-  gen::DifOptions opt;
-  opt.num_orgs = 2;
-  DirectoryInstance inst = gen::GenerateDif(opt);
-  SimDisk disk(1024);
-  EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
-  const size_t before = disk.live_pages();
-  {
-    Engine engine(&disk, &store);
-    IndexSpec spec;
-    spec.attributes = {"uid", "priority", "SLATPRef"};
-    NDQ_ASSERT_OK(engine.BuildIndexes(spec));
-    const size_t run_pages = engine.indexes()->run().num_pages();
-    EXPECT_GT(run_pages, 0u);
-    EXPECT_EQ(disk.live_pages(), before + run_pages);
-    NDQ_ASSERT_OK(engine.BuildIndexes(spec));
-    EXPECT_EQ(disk.live_pages(), before + run_pages);
-  }
-  EXPECT_EQ(disk.live_pages(), before);
-}
-
-size_t TotalIndexProbes(const OpTrace& trace) {
-  size_t total = trace.index_probes;
-  for (const OpTrace& child : trace.children) total += TotalIndexProbes(child);
-  return total;
-}
-
-// Two indexed leaves under & are forked to the pool and probe the one
-// index run at the same time.
-TEST(EngineIndexTest, ConcurrentProbesUnderAnd) {
-  gen::DifOptions opt;
-  opt.num_orgs = 2;
-  DirectoryInstance inst = gen::GenerateDif(opt);
-  SimDisk disk(1024);
-  EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
-  Engine engine(&disk, &store);
-  IndexSpec spec;
-  spec.attributes = {"uid"};
-  NDQ_ASSERT_OK(engine.BuildIndexes(spec));
-  engine.SetParallelism(4);
-  Session session = engine.OpenSession();
-  const std::string text =
-      "(& (dc=com ? sub ? uid=user3) (dc=org0, dc=com ? sub ? uid=user3))";
-  for (int round = 0; round < 8; ++round) {
-    QueryOutcome out = session.Run(text);
-    NDQ_ASSERT_OK(out.status);
-    EXPECT_FALSE(out.entries.empty());
-    EXPECT_EQ(out.entries, ReferenceEntries(inst, text));
-    EXPECT_EQ(TotalIndexProbes(out.trace), 2u);
-  }
-}
-
 TEST_F(EngineTest, SetFaultsRejectsBadSpecAndKeepsOldPolicy) {
   Engine engine = MakeEngine();
   NDQ_ASSERT_OK(engine.SetFaults("read:n=1000000"));
@@ -274,23 +191,20 @@ TEST_F(EngineTest, PageBudgetRejectsGracefully) {
   EXPECT_EQ(stats.completed, 1u);
 }
 
-TEST_F(EngineTest, SessionBudgetOverridesEngineDefault) {
-  Engine engine = MakeEngine();  // engine budget: unlimited
-  SessionOptions tight;
+TEST_F(EngineTest, BudgetFromEngineOptionsRejects) {
+  EngineOptions tight;
   tight.per_query_page_budget = 1;
-  Session session = engine.OpenSession(tight);
+  Engine engine = MakeEngine(tight);
+  Session session = engine.OpenSession();
   NDQ_EXPECT_STATUS(session.Run(kWholeTree).status,
                     StatusCode::kResourceExhausted);
-  // An unconstrained sibling session is unaffected.
-  Session open = engine.OpenSession();
-  NDQ_ASSERT_OK(open.Run(kWholeTree).status);
 }
 
 TEST_F(EngineTest, ZeroQueueDepthRejectsEverySubmission) {
-  Engine engine = MakeEngine();
-  SessionOptions opts;
+  EngineOptions opts;
   opts.queue_depth = 0;
-  Session session = engine.OpenSession(opts);
+  Engine engine = MakeEngine(opts);
+  Session session = engine.OpenSession();
   QueryOutcome out = session.Run(kWholeTree);
   NDQ_EXPECT_STATUS(out.status, StatusCode::kResourceExhausted);
   ASSERT_EQ(out.warnings.size(), 1u);

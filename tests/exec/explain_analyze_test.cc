@@ -4,6 +4,7 @@
 // machine-parsable report, and (d) stay within the paper's per-operator
 // I/O theorems on both the paper fixture and generated directories.
 
+#include <algorithm>
 #include <cctype>
 #include <sstream>
 #include <string>
@@ -220,6 +221,62 @@ TEST(ExplainAnalyzeTest, ReportIsStableAndParsable) {
   std::string raw = trace.ToString();
   EXPECT_NE(raw.find("in_recs="), std::string::npos);
   EXPECT_NE(raw.find("wall_us="), std::string::npos);
+}
+
+// The keys of the one-line rendering `line`'s {...} body, in order.
+std::vector<std::string> BodyKeys(const std::string& line) {
+  const size_t open = line.find('{');
+  const size_t close = line.rfind('}');
+  std::vector<std::string> keys;
+  if (open == std::string::npos || close == std::string::npos) return keys;
+  std::istringstream body(line.substr(open + 1, close - open - 1));
+  std::string token;
+  while (body >> token) keys.push_back(token.substr(0, token.find('=')));
+  return keys;
+}
+
+// The keys between "writes" and "wall_us": a node's optional counters.
+std::vector<std::string> OptionalKeys(const std::vector<std::string>& keys) {
+  auto from = std::find(keys.begin(), keys.end(), "writes");
+  auto to = std::find(keys.begin(), keys.end(), "wall_us");
+  if (from == keys.end() || to == keys.end() || from > to) return {};
+  return std::vector<std::string>(from + 1, to);
+}
+
+// OpTrace::ToString and EXPLAIN ANALYZE render a node's optional counters
+// from one list: with every one of them nonzero, both print all of them,
+// in the same order.
+TEST(ExplainAnalyzeTest, OptionalCountersRenderAlikeInBothOutputs) {
+  TraceFixture f;
+  QueryPtr q = ParseQuery(kQueries[0]).TakeValue();
+  OpTrace t;
+  t.label = QueryNodeLabel(*q);
+  t.op = q->op();
+  uint64_t next = 1;
+  for (uint64_t* counter :
+       {&t.scanned_records, &t.shared_scan, &t.skipped_pages,
+        &t.peak_stack_items, &t.stack_spills, &t.sort_merge_passes,
+        &t.shipped_records, &t.shipped_bytes, &t.plan_rewrites,
+        &t.cache_hits, &t.cache_misses, &t.retries, &t.failovers,
+        &t.degraded_shards, &t.io_depth}) {
+    *counter = next++;
+  }
+  t.worker = 2;
+  t.io.page_reads = 3;
+  t.io.page_writes = 4;
+  t.io.faults_injected = 5;
+  t.io.prefetch_hits = 6;
+  t.io.prefetch_wasted = 7;
+  t.io.io_wait_us = 8;
+
+  const std::vector<std::string> want = {
+      "scanned",       "shared_scan", "skipped",       "stack_peak",
+      "spills",        "sort_passes", "shipped_recs",  "shipped_bytes",
+      "plan_rewrites", "cache_hits",  "cache_misses",  "faults",
+      "retries",       "failovers",   "degraded",      "worker",
+      "io_depth",      "prefetch_hits", "prefetch_wasted", "io_wait_us"};
+  EXPECT_EQ(OptionalKeys(BodyKeys(t.ToString())), want);
+  EXPECT_EQ(OptionalKeys(BodyKeys(ExplainAnalyze(f.store, *q, t))), want);
 }
 
 TEST(ExplainAnalyzeTest, DistributedTraceRecordsShippingAndFleetIo) {

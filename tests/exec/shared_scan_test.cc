@@ -1,8 +1,7 @@
 // Shared leaf scans: one pass over a base's range evaluates every sibling
 // leaf over that base (exec/atomic.h ScanLeaves, and the evaluator's
 // sibling groups). Each list must be byte-identical to the leaf's own
-// scan; a sibling the operand cache or an index probe answered is not
-// scanned again; results do not depend on parallelism; the range is read
+// scan; a sibling the operand cache answered is not scanned again; results do not depend on parallelism; the range is read
 // once; any failed I/O operation surfaces as a Status with no page left
 // allocated; and the traces stay within their theorem bounds.
 
@@ -16,7 +15,6 @@
 #include "exec/operand_cache.h"
 #include "exec/parallel_evaluator.h"
 #include "gen/dif_gen.h"
-#include "index/attr_index.h"
 #include "query/parser.h"
 #include "testing/fault_campaign.h"
 #include "testing/paper_fixture.h"
@@ -222,7 +220,7 @@ TEST(SharedScanTest, RootTransfersAreOneRangeScanPlusTheLists) {
   ASSERT_TRUE(FreeRun(&f.scratch, &out).ok());
 }
 
-TEST(SharedScanTest, CachedOrProbedSiblingIsNotScannedAgain) {
+TEST(SharedScanTest, CachedSiblingIsNotScannedAgain) {
   Fixture f;
   const char* cached_leaf = "(dc=org0, dc=com ? sub ? objectClass=QHP)";
   const std::string pair = std::string("(c ") +
@@ -254,50 +252,33 @@ TEST(SharedScanTest, CachedOrProbedSiblingIsNotScannedAgain) {
     EXPECT_EQ(trace.children[1].scanned_records, 0u);
   }
 
-  // An index probe answers the second leaf: again only the first scans.
-  IndexSpec spec;
-  spec.attributes = {"objectClass"};
-  SimDisk index_disk(512);
-  AttributeIndexes indexes =
-      AttributeIndexes::Build(&index_disk, f.store, spec).TakeValue();
-  IndexProbeSource probe(&f.scratch, &indexes, &f.store,
-                         [](const Query& leaf) {
-                           return leaf.filter().ToString() ==
-                                  "objectClass=QHP";
-                         });
-  ParallelEvaluator probed(&f.scratch, &f.store, ExecOptions{},
-                           /*cache=*/nullptr, /*shared_pool=*/nullptr,
-                           &probe);
-  ParallelEvaluator plain(&f.scratch, &f.store);
-  OpTrace trace;
-  f.disk.ResetStats();
-  std::vector<Entry> via_probe =
-      probed.EvaluateToEntries(*f.Parse(pair), &trace).TakeValue();
-  const uint64_t probe_store_reads = f.disk.stats().page_reads;
-  ASSERT_EQ(trace.children.size(), 2u);
-  EXPECT_EQ(trace.children[0].shared_scan, 0u);
-  EXPECT_EQ(trace.children[0].index_probes, 0u);
-  EXPECT_EQ(trace.children[1].index_probes, 1u);
-  EXPECT_EQ(trace.children[1].shared_scan, 0u);
-  EXPECT_EQ(trace.children[1].scanned_records, 0u);
-  // The range scan of the first leaf, plus the store pages the probe
-  // fetched its matches from.
-  EXPECT_GT(probe_store_reads, range);
-  EXPECT_EQ(via_probe, plain.EvaluateToEntries(*f.Parse(pair)).TakeValue());
-
-  // With a third sibling the two unanswered leaves still share a scan.
+  // With a third sibling the two leaves the cache does not hold still
+  // share a scan.
   const std::string triple =
       "(dc (dc=org0, dc=com ? sub ? objectClass=TOPSSubscriber) " +
       std::string(cached_leaf) +
       " (dc=org0, dc=com ? one ? objectClass=*))";
-  f.disk.ResetStats();
-  ASSERT_TRUE(probed.EvaluateToEntries(*f.Parse(triple), &trace).ok());
-  ASSERT_EQ(trace.children.size(), 3u);
-  EXPECT_EQ(trace.children[0].shared_scan, 2u);
-  EXPECT_EQ(trace.children[1].index_probes, 1u);
-  EXPECT_EQ(trace.children[1].shared_scan, 0u);
-  EXPECT_EQ(trace.children[2].shared_scan, 2u);
-  EXPECT_EQ(trace.children[2].io.page_reads, 0u);
+  {
+    OperandCache cache(&f.scratch, /*capacity_pages=*/4096);
+    ParallelEvaluator evaluator(&f.scratch, &f.store, ExecOptions{}, &cache);
+    ASSERT_TRUE(evaluator.EvaluateToEntries(*f.Parse(cached_leaf)).ok());
+    OpTrace trace;
+    std::vector<Entry> got =
+        evaluator.EvaluateToEntries(*f.Parse(triple), &trace).TakeValue();
+    ASSERT_EQ(trace.children.size(), 3u);
+    EXPECT_EQ(trace.children[0].shared_scan, 2u);
+    EXPECT_EQ(trace.children[1].cache_hits, 1u);
+    EXPECT_EQ(trace.children[1].shared_scan, 0u);
+    EXPECT_EQ(trace.children[2].shared_scan, 2u);
+    // The scan counts on the first of the two; the third reads only its
+    // own list, which the cache copies in.
+    EXPECT_GT(trace.children[0].scanned_records, 0u);
+    EXPECT_EQ(trace.children[2].scanned_records, 0u);
+    EXPECT_EQ(trace.children[2].io.page_reads,
+              trace.children[2].output_pages);
+    ParallelEvaluator plain(&f.scratch, &f.store);
+    EXPECT_EQ(got, plain.EvaluateToEntries(*f.Parse(triple)).TakeValue());
+  }
   EXPECT_EQ(f.scratch.live_pages(), 0u);
 }
 

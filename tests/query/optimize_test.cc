@@ -6,11 +6,9 @@
 #include <string>
 #include <vector>
 
-#include "exec/atomic.h"
 #include "exec/cost.h"
 #include "exec/parallel_evaluator.h"
 #include "gen/dif_gen.h"
-#include "index/attr_index.h"
 #include "query/fingerprint.h"
 #include "query/parser.h"
 #include "query/rewrite.h"
@@ -297,127 +295,6 @@ TEST(OptimizeTest, SimpleAggEstimateWithinBandOfMeasurement) {
                                         scratch.stats().TotalTransfers());
   EXPECT_LE(measured, 20.0 * est.TotalPages());
   EXPECT_LE(est.TotalPages(), 20.0 * measured);
-}
-
-// ---------------------------------------------------------------------------
-// Index selection
-// ---------------------------------------------------------------------------
-
-TEST(OptimizeTest, ChoosesIndexProbeOnlyForSelectiveFilters) {
-  OptimizeFixture f;
-  IndexSpec spec;
-  spec.attributes = {"objectClass"};
-  AttributeIndexes indexes =
-      AttributeIndexes::Build(&f.disk, f.store, spec).TakeValue();
-  // Selective: a rare value whose 13 entries sit on pages the scan
-  // reads, and more it cannot rule out.
-  AccessPathChoice probe = ChooseAccessPath(
-      f.store, indexes.run(),
-      *f.Parse("(dc=com ? sub ? objectClass=dcObject)"));
-  EXPECT_EQ(probe.path, AccessPath::kIndexProbe);
-  EXPECT_LT(probe.probe_pages, probe.scan_pages);
-  // An attribute no record carries: no page synopsis admits it, so the
-  // scan reads nothing and no probe is cheaper.
-  AccessPathChoice none = ChooseAccessPath(
-      f.store, indexes.run(), *f.Parse("(dc=com ? sub ? nosuchattr=zzz)"));
-  EXPECT_EQ(none.path, AccessPath::kRangeScan);
-  EXPECT_EQ(none.scan_pages, 0.0);
-  EXPECT_EQ(none.est_matches, 0u);
-  // Unselective: a presence filter nearly every entry satisfies.
-  AccessPathChoice scan = ChooseAccessPath(
-      f.store, indexes.run(), *f.Parse("(dc=com ? sub ? objectClass=*)"));
-  EXPECT_EQ(scan.path, AccessPath::kRangeScan);
-  EXPECT_GT(scan.est_matches, 0u);
-}
-
-TEST(OptimizeTest, ProbePriceCountsEachStorePageOnce) {
-  // E12's store and indexes (bench_atomic): 16 organizations at the
-  // default page size, eight indexed attributes.
-  gen::DifOptions opt;
-  opt.num_orgs = 16;
-  DirectoryInstance inst = gen::GenerateDif(opt);
-  SimDisk disk;
-  EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
-  IndexSpec spec;
-  spec.attributes = {"priority", "SLARulePriority", "sourcePort",
-                     "objectClass", "uid", "SourceAddress", "CANumber",
-                     "SLATPRef"};
-  SimDisk index_disk;
-  AttributeIndexes indexes =
-      AttributeIndexes::Build(&index_disk, store, spec).TakeValue();
-  SimDisk scratch;
-
-  // A probe reads each store page at most once, so m matches read about
-  // P * (1 - (1 - 1/P)^m) of the scope's P pages, not m: with 96 and 320
-  // matches both filters probe, and the probe reads fewer store pages
-  // than the scan and no more than its price.
-  struct Case {
-    const char* text;
-    uint64_t matches;
-  };
-  for (const Case& c : {Case{"(dc=com ? sub ? objectClass=SLADSAction)", 96},
-                        Case{"(dc=com ? sub ? priority>=3)", 320}}) {
-    SCOPED_TRACE(c.text);
-    QueryPtr q = ParseQuery(c.text).TakeValue();
-    AccessPathChoice choice = ChooseAccessPath(store, indexes.run(), *q);
-    EXPECT_EQ(choice.path, AccessPath::kIndexProbe);
-    EXPECT_EQ(choice.est_matches, c.matches);
-    EXPECT_LT(choice.probe_pages, choice.scan_pages);
-    disk.ResetStats();
-    EntryList scan = EvalAtomic(&scratch, store, q->base(), Scope::kSub,
-                                q->filter())
-                         .TakeValue();
-    const uint64_t scan_reads = disk.stats().page_reads;
-    disk.ResetStats();
-    std::optional<ndq::Run> probe =
-        indexes
-            .EvalAtomic(&scratch, store, q->base(), Scope::kSub, q->filter())
-            .TakeValue();
-    ASSERT_TRUE(probe.has_value());
-    const uint64_t probe_reads = disk.stats().page_reads;
-    EXPECT_EQ(scan.num_records, c.matches);
-    EXPECT_LT(probe_reads, scan_reads);
-    EXPECT_LE(static_cast<double>(probe_reads), choice.probe_pages);
-    EXPECT_EQ(static_cast<double>(scan_reads), choice.scan_pages);
-    // Either path returns the same entries.
-    EXPECT_EQ(ReadEntryList(&scratch, scan).ValueOrDie(),
-              ReadEntryList(&scratch, *probe).ValueOrDie());
-    ASSERT_TRUE(FreeRun(&scratch, &scan).ok());
-    ASSERT_TRUE(FreeRun(&scratch, &*probe).ok());
-  }
-
-  // A filter that matches most of its range still scans.
-  AccessPathChoice most = ChooseAccessPath(
-      store, indexes.run(),
-      *ParseQuery("(dc=com ? sub ? objectClass=*)").TakeValue());
-  EXPECT_EQ(most.path, AccessPath::kRangeScan);
-  EXPECT_GE(most.probe_pages, most.scan_pages);
-}
-
-TEST(OptimizeTest, IndexProbeMatchesScanByteForByte) {
-  OptimizeFixture f;
-  IndexSpec spec;
-  spec.attributes = {"objectClass"};
-  AttributeIndexes indexes =
-      AttributeIndexes::Build(&f.disk, f.store, spec).TakeValue();
-
-  QueryPtr q = f.Parse("(dc=com ? sub ? objectClass=QHP)");
-  SimDisk scratch(1024);
-
-  ExecOptions opts;
-  ParallelEvaluator plain(&scratch, &f.store, opts);
-  std::vector<Entry> scanned = plain.EvaluateToEntries(*q).TakeValue();
-
-  IndexProbeSource probe(&scratch, &indexes, &f.store,
-                         [](const Query&) { return true; });
-  ParallelEvaluator probed(&scratch, &f.store, opts, /*cache=*/nullptr,
-                           /*shared_pool=*/nullptr, &probe);
-  OpTrace trace;
-  std::vector<Entry> via_index =
-      probed.EvaluateToEntries(*q, &trace).TakeValue();
-
-  EXPECT_EQ(scanned, via_index);
-  EXPECT_EQ(trace.index_probes, 1u);
 }
 
 // ---------------------------------------------------------------------------
